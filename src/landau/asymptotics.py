@@ -166,30 +166,30 @@ def _defect_floor(cfg, gauge, e_max):
     return worst
 
 
-def _labeled_shifts(comp):
-    """Non-boundary cluster shifts keyed by (m, n)."""
-    c = comp.cluster
-    return {(int(m), int(n)): float(s)
-            for m, n, s in zip(c.ms, c.ns, c.shifts)}
-
-
 def boundary_sensitivity(cfg, kind="pauli_minus", R=None, R_prime=None,
                          computation=None):
-    """Drift of labeled cluster shifts under domain enlargement."""
+    """Drift of labeled cluster shifts under domain enlargement R -> R'.
+
+    The shifts at R' are predicted from the one solve at R by the Dirichlet
+    domain-variation formula dE/dR = -|w'(R)|^2 (Hadamard) for the state w
+    at unit L^2 norm: shift(R') = shift(R) - (R' - R) w'(R)^2.  The ghost
+    cell of the outer Dirichlet condition gives w'(R) = -2 w_n / h.  The
+    outer slope of a bound state shrinks as R grows, so the linear step
+    over-estimates the true drift (tests/test_asymptotics.py brackets it
+    against a second solve at R').
+    """
     R = R if R else cfg.r_max
     R_prime = R_prime if R_prime else _snap(cfg.drift_factor * R, cfg.h)
-    base = computation if computation is not None else compute_cluster(
+    comp = computation if computation is not None else compute_cluster(
         cfg, kind, r_max=R)
-    cache = {round(R, 12): base}
-
-    def shifts_fn(radius):
-        key = round(radius, 12)
-        if key not in cache:
-            cache[key] = compute_cluster(cfg, kind, r_max=radius)
-        return _labeled_shifts(cache[key])
-
-    return spectra.boundary_sensitivity(shifts_fn, R, R_prime,
-                                        safety=cfg.trust_safety)
+    c = comp.cluster
+    labels = [(int(m), int(n)) for m, n in zip(c.ms, c.ns)]
+    slope = np.array([-2.0 * w.values[-1] / comp.mesh.h for w in c.states])
+    at_R = dict(zip(labels, c.shifts.tolist()))
+    at_Rp = dict(zip(labels, (c.shifts - (R_prime - R) * slope ** 2).tolist()))
+    return spectra.boundary_sensitivity(
+        lambda radius: at_R if radius == R else at_Rp, R, R_prime,
+        safety=cfg.trust_safety)
 
 
 def _snap(x, h):
@@ -206,10 +206,10 @@ def cluster_asymptotics_report(cfg, kind="pauli_minus", computation=None,
     """Counting function vs semiclassical measure over the trusted grid.
 
     Trust region: superlevel radius <= r_max / 2, N >= min_count, lambda at
-    least `trust_safety` times both the boundary drift and the mesh-defect
-    floor.  Raises TrustRegionEmpty (with the limiting constraint) when no
-    grid point qualifies; a weight with no part of the requested sign
-    produces a degenerate report with E = 0 instead.
+    least `trust_safety` times both the boundary-drift estimate and the
+    mesh-defect floor.  Raises TrustRegionEmpty (with the limiting
+    constraint) when no grid point qualifies; a weight with no part of the
+    requested sign produces a degenerate report with E = 0 instead.
     """
     comp = computation if computation is not None else compute_cluster(cfg, kind)
     rcfg = comp.cfg
@@ -255,9 +255,12 @@ def cluster_asymptotics_report(cfg, kind="pauli_minus", computation=None,
     floor_defect = rcfg.trust_safety * comp.defect_floor
     lam_floor = max(floor_drift, floor_defect, 1e-12)
     if lam_floor >= 0.999 * gamma:
+        binding = "drift" if floor_drift > floor_defect else "defect"
         raise TrustRegionEmpty(
-            f"drift/defect floor {lam_floor:.3g} reaches the window "
-            f"half-width gamma = {gamma:g}; enlarge r_max or refine h")
+            f"trust region empty: the {binding} floor {lam_floor:.3g} "
+            f"reaches the window half-width gamma = {gamma:g} (defect floor "
+            f"{floor_defect:.3g}, drift floor {floor_drift:.3g}); enlarge "
+            f"r_max or refine h")
 
     # radius constraint: superlevel set must fit inside r_max / 2; the
     # intervals it is read from also give the measure

@@ -28,7 +28,8 @@ from ._io import config_hash, ensure_dir, write_csv, write_json
 from .errors import ConfigError, LandauError, TrustRegionEmpty
 from .fields import (FieldSpec, build_gauge, check_regularity,
                      counting_measure, effective_weight)
-from .operator import KINDS, RadialMesh, build_channel, default_channel_cut
+from .operator import (_SHIFT_B0, KINDS, RadialMesh, build_channel,
+                       default_channel_cut)
 
 log = logging.getLogger("landau")
 
@@ -145,7 +146,9 @@ def load_config(path):
     basis_m_max = raw.get("basis_m_max")
     basis_m_max = int(basis_m_max) if basis_m_max is not None else min(m_max, 11)
     e_max = raw.get("e_max")
-    e_max = float(e_max) if e_max is not None else (2.0 * max(q_list) + 2.0) * B0
+    # one level above the top cluster, past the operator's level shift
+    e_max = (float(e_max) if e_max is not None else
+             (2.0 * max(q_list) + 2.0 + _SHIFT_B0[operator]) * B0)
     seed = int(raw.get("seed", 0))
     threads = raw.get("threads")
     threads = int(threads) if threads is not None else (os.cpu_count() or 1)
@@ -189,8 +192,7 @@ def cmd_spectrum(cfg, out, as_json):
               ["m", "n", "E", "boundary_flag"], table.rows(),
               _meta(cfg, e_max=cfg.e_max))
 
-    shift = {"pauli_minus": 0.0, "schroedinger": cfg.B0,
-             "pauli_plus": 2.0 * cfg.B0}[cfg.operator]
+    shift = _SHIFT_B0[cfg.operator] * cfg.B0
     summary = {"config": cfg.hash, "operator": cfg.operator,
                "states": len(table), "clusters": {}}
     for q in cfg.q_list:

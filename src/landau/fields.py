@@ -8,6 +8,7 @@ total exponent Psi on a uniform mesh.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -198,9 +199,42 @@ class GaugeData:
     def b_values(self):
         return self.B_total - self.B0
 
+    @cached_property
+    def face_steps(self):
+        """Channel-independent parts of the weight's log steps at the faces.
+
+        For the channel weight rho = r^(2|m|+1) exp(-2 Psi), log(rho_face /
+        rho_cell) across face i h is (2|m|+1) log(r_face / r_cell) minus
+        2 (Psi_face - Psi_cell).  Returns (log_left, psi_left, log_right,
+        psi_right): the log radius ratios and the doubled Psi steps of face
+        i h against cell i (i = 1..n) and against cell i + 1 (i = 1..n-1).
+        Psi at the faces is B0 r^2/4 plus the interpolated psi.
+        """
+        mesh, psi = self.mesh, self.psi
+        i = np.arange(1, mesh.n + 1, dtype=float)
+        quarter_h2 = 0.25 * self.B0 * mesh.h * mesh.h
+        dpsi = _face_psi(psi) - psi
+        dpsi_next = dpsi[:-1] + psi[:-1] - psi[1:]
+        return (np.log1p(1.0 / (2.0 * i - 1.0)),
+                2.0 * (quarter_h2 * (i - 0.25) + dpsi),
+                np.log1p(0.5 / i[:-1]),
+                2.0 * (quarter_h2 * (i[:-1] + 0.25) - dpsi_next))
+
     def rows(self):
         r = self.mesh.nodes
         return zip(r, self.B_total, self.A_theta, self.psi, self.Psi_total)
+
+
+def _face_psi(psi):
+    """psi at the faces i h, i = 1..n, by 4-point Lagrange interpolation of
+    the cell-center samples (one-sided at both ends, extrapolated at R)."""
+    f = np.empty_like(psi)
+    f[1:-2] = (-psi[:-3] + 9.0 * psi[1:-2] + 9.0 * psi[2:-1] - psi[3:]) / 16.0
+    f[0] = (5.0 * psi[0] + 15.0 * psi[1] - 5.0 * psi[2] + psi[3]) / 16.0
+    f[-2] = (psi[-4] - 5.0 * psi[-3] + 15.0 * psi[-2] + 5.0 * psi[-1]) / 16.0
+    f[-1] = (-5.0 * psi[-4] + 21.0 * psi[-3] - 35.0 * psi[-2]
+             + 35.0 * psi[-1]) / 16.0
+    return f
 
 
 def build_gauge(b, B0, mesh, tol=1e-10):

@@ -175,35 +175,17 @@ def _check_mesh(gauge, mesh):
         )
 
 
-def _face_psi(psi):
-    """psi at the faces i h, i = 1..n, by 4-point Lagrange interpolation of
-    the cell-center samples (one-sided at both ends, extrapolated at R)."""
-    f = np.empty_like(psi)
-    f[1:-2] = (-psi[:-3] + 9.0 * psi[1:-2] + 9.0 * psi[2:-1] - psi[3:]) / 16.0
-    f[0] = (5.0 * psi[0] + 15.0 * psi[1] - 5.0 * psi[2] + psi[3]) / 16.0
-    f[-2] = (psi[-4] - 5.0 * psi[-3] + 15.0 * psi[-2] + 5.0 * psi[-1]) / 16.0
-    f[-1] = (-5.0 * psi[-4] + 21.0 * psi[-3] - 35.0 * psi[-2]
-             + 35.0 * psi[-1]) / 16.0
-    return f
-
-
-def _log_weight_steps(m, gauge, mesh):
+def _log_weight_steps(m, gauge):
     """log(rho_face / rho_cell) for rho = r^(2|m|+1) exp(-2 Psi).
 
     Returns (left, right): face i h against cell i (i = 1..n) and against
     cell i + 1 (i = 1..n-1).  Both are formed as differences, so no large
-    log rho is ever exponentiated.
+    log rho is ever exponentiated; only the factor 2|m| + 1 depends on the
+    channel, the rest comes once per gauge from `GaugeData.face_steps`.
     """
-    i = np.arange(1, mesh.n + 1, dtype=float)
     p = 2.0 * abs(m) + 1.0
-    quarter_h2 = 0.25 * gauge.B0 * mesh.h * mesh.h
-    dpsi = _face_psi(gauge.psi) - gauge.psi
-    left = (p * np.log1p(1.0 / (2.0 * i - 1.0))
-            - 2.0 * (quarter_h2 * (i - 0.25) + dpsi))
-    dpsi_next = dpsi[:-1] + gauge.psi[:-1] - gauge.psi[1:]
-    right = (-p * np.log1p(0.5 / i[:-1])
-             + 2.0 * (quarter_h2 * (i[:-1] + 0.25) - dpsi_next))
-    return left, right
+    log_left, psi_left, log_right, psi_right = gauge.face_steps
+    return p * log_left - psi_left, -p * log_right + psi_right
 
 
 # rho below eps^4 of its maximum: the zero mode is below eps^2 of its peak
@@ -229,7 +211,7 @@ def build_channel(kind, m, gauge, V, mesh):
     if copies:
         electric = FieldSpec.sum(electric, gauge.source.scaled(float(copies)))
 
-    left, right = _log_weight_steps(m, gauge, mesh)
+    left, right = _log_weight_steps(m, gauge)
     log_rho = np.concatenate([[0.0], np.cumsum(left[:-1] - right)])
     # cells [0, cut) lie below the weight cut next to the origin
     cut = int(np.argmax(log_rho >= np.max(log_rho) - _LOG_RHO_CUT))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from landau import spectra
 from landau.asymptotics import (VerificationConfig, boundary_sensitivity,
                                 cluster_asymptotics_report, compute_cluster,
                                 family_reduction,
@@ -30,6 +31,12 @@ def small_run(small_cfg):
     report = cluster_asymptotics_report(small_cfg, computation=comp,
                                         drift=drift)
     return comp, drift, report
+
+
+def labeled(c):
+    """Cluster shifts keyed by their (m, n) labels."""
+    return {(int(m), int(n)): float(s)
+            for m, n, s in zip(c.ms, c.ns, c.shifts)}
 
 
 class TestConfig:
@@ -216,11 +223,6 @@ class TestDefectFloor:
         # the trust floor bounds the mesh error of every cluster shift,
         # measured against Richardson on h/2 and h/4, without inflating it
         comp = small_run[0]
-
-        def labeled(c):
-            return {(int(m), int(n)): float(s)
-                    for m, n, s in zip(c.ms, c.ns, c.shifts)}
-
         half, quarter = (
             labeled(compute_cluster(replace(small_cfg, h=h)).cluster)
             for h in (0.01, 0.005))
@@ -251,6 +253,30 @@ class TestBoundarySensitivity:
         assert drift.max_drift < 1e-6
         assert drift.converged.all()
         assert drift.R_prime > drift.R
+
+    @pytest.mark.parametrize("R", [8.0, 12.0])
+    def test_estimate_brackets_two_radius_drift(self, b_power, R):
+        # oracle: solve the cluster again at R' and match states by label.
+        # No state is boundary-flagged, so the outer ones really drift
+        # (up to 2.3e-2 at R = 8); the single-solve estimate must bound each
+        # drift without inflating it beyond 200x (measured 23x-76x)
+        cfg = VerificationConfig(
+            B0=1.0, b=b_power, q=1, sign="+", r_max=R, h=0.02,
+            boundary_policy=spectra.BoundaryPolicy(norm_fraction=1.0))
+        comp = compute_cluster(cfg)
+        estimate = boundary_sensitivity(cfg, computation=comp)
+        R_prime = estimate.R_prime
+        assert R_prime == pytest.approx(1.2 * R)
+        wide = compute_cluster(cfg, r_max=R_prime)
+        runs = {R: labeled(comp.cluster), R_prime: labeled(wide.cluster)}
+        oracle = spectra.boundary_sensitivity(runs.__getitem__, R, R_prime)
+        assert estimate.labels == oracle.labels
+        assert np.array_equal(estimate.shifts, oracle.shifts)
+        real = np.abs(oracle.drift) > 1e-9
+        assert np.count_nonzero(real) >= 5
+        ratio = np.abs(estimate.drift[real]) / np.abs(oracle.drift[real])
+        assert np.all(ratio >= 1.0)
+        assert np.all(ratio <= 200.0)
 
 
 @pytest.fixture(scope="module")

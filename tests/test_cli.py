@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from landau import asymptotics
 from landau.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path, **overrides):
@@ -93,6 +97,28 @@ class TestSpectrum:
         for name in ("counting_q1_+.csv", "clusters_q1.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_pauli_plus_window_counts(self, tmp_path):
+        # P_+(V) = P_-(V + 2b) + 2 B0: the default e_max must reach past the
+        # level shift, so each q window holds the same states for both
+        b = {"terms": [{"kind": "power", "c": 0.05, "beta": -3.0}],
+             "beta": -3.0}
+        two_b = {"terms": [{"kind": "power", "c": 0.1, "beta": -3.0}],
+                 "beta": -3.0}
+        mesh = {"r_max": 12.0, "h": 0.02}
+        counts = {}
+        for kind, V in (("pauli_plus", None), ("pauli_minus", two_b)):
+            extra = {"V": V} if V else {}
+            path = write_config(tmp_path / f"{kind}.json", operator=kind,
+                                b=b, mesh=mesh, q=[0, 1, 2], **extra)
+            out = tmp_path / kind
+            assert main(["spectrum", "--config", str(path),
+                         "--out", str(out)]) == 0
+            summary = json.loads((out / "spectrum_summary.json").read_text())
+            counts[kind] = {q: c["count"]
+                            for q, c in summary["clusters"].items()}
+        assert counts["pauli_plus"] == counts["pauli_minus"]
+        assert all(n > 0 for n in counts["pauli_plus"].values())
+
     def test_meta_header_carries_hash(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         main(["spectrum", "--config", str(cfg_path), "--out", str(out)])
@@ -162,7 +188,26 @@ class TestVerify:
         code = main(["verify", "--config", str(path),
                      "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "trust" in capsys.readouterr().err.lower() or True
+        err = capsys.readouterr().err
+        # the mesh defect at h = 0.05 on [0, 3] binds; both floors are named
+        assert "trust region empty: the defect floor" in err
+        assert "defect floor 3.22, drift floor 0)" in err
+
+    def test_one_cluster_solve_per_q(self, tmp_path, monkeypatch):
+        # the domain drift comes from the one solve at r_max; no channel
+        # is solved again at a second radius
+        solved = []
+        compute_cluster = asymptotics.compute_cluster
+
+        def counting(cfg, *args, **kwargs):
+            solved.append(cfg.q)
+            return compute_cluster(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "compute_cluster", counting)
+        code = main(["verify", "--config", str(CONFIGS / "quick.json"),
+                     "--out", str(tmp_path / "out"), "--q", "0,1"])
+        assert code == 0
+        assert solved == [0, 1]
 
     def test_json_summary_only(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
