@@ -150,8 +150,10 @@ def load_config(path):
     e_max = (float(e_max) if e_max is not None else
              (2.0 * max(q_list) + 2.0 + _SHIFT_B0[operator]) * B0)
     seed = int(raw.get("seed", 0))
+    # serial by default: the tridiagonal solver holds the GIL, so a pool
+    # adds only thread hand-offs, whose cost swings with the scheduler
     threads = raw.get("threads")
-    threads = int(threads) if threads is not None else (os.cpu_count() or 1)
+    threads = int(threads) if threads is not None else 1
 
     return RunConfig(raw=raw, B0=B0, operator=operator, b=b, V=V,
                      q_list=q_list, sign=sign, r_max=r_max, h=h, m_max=m_max,

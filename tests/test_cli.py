@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from landau import asymptotics
-from landau.cli import main
+from landau.cli import load_config, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,6 +64,12 @@ class TestConfigValidation:
         code = main(["spectrum", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out"), "--q", "x"])
         assert code == 2
+
+    def test_threads_default_serial(self, cfg_path, tmp_path):
+        # the channel solver holds the GIL, so no key means no pool
+        assert load_config(str(cfg_path)).threads == 1
+        pooled = write_config(tmp_path / "pooled.json", threads=3)
+        assert load_config(str(pooled)).threads == 3
 
 
 class TestSpectrum:
