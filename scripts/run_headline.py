@@ -25,12 +25,11 @@ def main():
     ap.add_argument("--h", type=float, default=0.005)
     ap.add_argument("--amp", type=float, default=0.05)
     ap.add_argument("--beta", type=float, default=-3.0)
-    ap.add_argument("--threads", type=int, default=os.cpu_count())
     args = ap.parse_args()
 
     cfg = VerificationConfig(
         B0=1.0, b=FieldSpec.power(args.amp, args.beta), q=1, sign="+",
-        r_max=args.r_max, h=args.h, threads=args.threads)
+        r_max=args.r_max, h=args.h)
 
     t0 = time.monotonic()
     comp = compute_cluster(cfg)

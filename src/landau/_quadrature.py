@@ -84,7 +84,3 @@ def panel_integrals(f, edges, tol=1e-10, max_depth=48):
         f"{tol:g} after {max_depth} bisection levels"
     )
 
-
-def integral(f, a, b, tol=1e-10, max_depth=48):
-    """Adaptive integral of `f` over one finite interval."""
-    return float(panel_integrals(f, np.array([a, b]), tol, max_depth)[0])

@@ -17,12 +17,11 @@ from .errors import DegenerateWeight, TrustRegionEmpty, UnboundedSet
 from .fields import (FieldSpec, GaugeData, build_gauge, check_regularity,
                      effective_weight, superlevel_intervals,
                      superlevel_measure)
-from .operator import RadialMesh, build_channel, default_channel_cut
+from .operator import (RadialMesh, build_channel, default_channel_cut,
+                       spin_down_form)
 from .spectra import (BoundaryPolicy, ClusterWindow, CountingReport,
                       assemble_spectrum, cluster_states, counting_function,
                       solve_channels)
-
-KINDS = ("pauli_minus", "schroedinger", "pauli_plus")
 
 
 @dataclass
@@ -44,7 +43,6 @@ class VerificationConfig:
     trust_safety: float = 10.0
     drift_factor: float = 1.2
     boundary_policy: BoundaryPolicy = field(default_factory=BoundaryPolicy)
-    threads: int = None
 
     def __post_init__(self):
         if self.B0 <= 0:
@@ -79,16 +77,8 @@ def family_reduction(kind, cfg):
     original operators equal the reduced spin-down spectra plus the shift,
     channel matrix by channel matrix.
     """
-    if kind == "pauli_minus":
-        return cfg, 0.0
-    if kind == "schroedinger":
-        V = cfg.b if cfg.V.is_zero else FieldSpec.sum(cfg.V, cfg.b)
-        return replace(cfg, V=V), cfg.B0
-    if kind == "pauli_plus":
-        V = (cfg.b.scaled(2.0) if cfg.V.is_zero
-             else FieldSpec.sum(cfg.V, cfg.b.scaled(2.0)))
-        return replace(cfg, V=V), 2.0 * cfg.B0
-    raise ValueError(f"unknown operator kind {kind!r}")
+    V, shift = spin_down_form(kind, cfg.V, cfg.b)
+    return (cfg if V is cfg.V else replace(cfg, V=V)), shift * cfg.B0
 
 
 @dataclass
@@ -123,7 +113,7 @@ def compute_cluster(cfg, kind="pauli_minus", r_max=None):
     e_max = center + rcfg.gamma_eff + 1e-6
     floor = _defect_floor(rcfg, gauge, e_max)  # before the solves hold memory
     ops = [build_channel("pauli_minus", m, gauge, rcfg.V, mesh) for m in ms]
-    channels = solve_channels(ops, e_max, rcfg.threads)
+    channels = solve_channels(ops, e_max)
     table = assemble_spectrum(channels, rcfg.boundary_policy)
     window = ClusterWindow.default(rcfg.q, rcfg.B0, rcfg.gamma_eff).nudged(table)
     cluster = cluster_states(table, window, mesh, channels)

@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,34 +28,23 @@ from ._io import config_hash, ensure_dir, write_csv, write_json
 from .errors import ConfigError, LandauError, TrustRegionEmpty
 from .fields import (FieldSpec, build_gauge, check_regularity,
                      counting_measure, effective_weight)
-from .operator import (_SHIFT_B0, KINDS, RadialMesh, build_channel,
-                       default_channel_cut)
+from .operator import (KINDS, RadialMesh, build_channel, default_channel_cut,
+                       spin_down_form)
 
 log = logging.getLogger("landau")
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration for all subcommands."""
+@dataclass(kw_only=True)
+class RunConfig(asymptotics.VerificationConfig):
+    """Validated run configuration for all subcommands: the scenario fields
+    of VerificationConfig plus what the commands alone read."""
 
     raw: dict
-    B0: float
     operator: str
-    b: FieldSpec
-    V: FieldSpec
     q_list: list
-    sign: str
-    r_max: float
-    h: float
-    m_max: int
-    gamma: float
-    per_decade: int
-    ratio_band: tuple
     bands: dict
     basis_m_max: int
     e_max: float
-    seed: int
-    threads: int
 
     @property
     def hash(self):
@@ -80,13 +69,9 @@ def _field_spec(raw, name):
     if raw is None:
         return FieldSpec.zero()
     try:
-        spec = FieldSpec.from_dict(raw)
+        return FieldSpec.from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:
         _fail(name, str(exc))
-    if not spec.is_zero and spec.beta >= -2.0:
-        _fail(name, f"beta = {spec.beta} is not allowed; the decay class "
-                    f"requires beta < -2")
-    return spec
 
 
 def load_config(path):
@@ -99,8 +84,6 @@ def load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
     B0 = float(raw.get("B0", 1.0))
-    if B0 <= 0:
-        _fail("B0", "must be positive")
     operator = raw.get("operator", "pauli_minus")
     if operator not in KINDS:
         _fail("operator", f"must be one of {KINDS}")
@@ -122,15 +105,8 @@ def load_config(path):
     m_max = mesh.get("m_max")
     m_max = int(m_max) if m_max is not None else default_channel_cut(r_max, B0)
 
-    window = raw.get("window", {})
-    gamma = window.get("gamma")
+    gamma = raw.get("window", {}).get("gamma")
     gamma = float(gamma) if gamma is not None else 0.5 * B0
-    if not 0.0 < gamma < B0:
-        _fail("window.gamma", "must lie in (0, B0)")
-
-    sign = raw.get("sign", "+")
-    if sign not in ("+", "-"):
-        _fail("sign", "must be '+' or '-'")
 
     lam = raw.get("lambda", {})
     per_decade = int(lam.get("per_decade", 24))
@@ -148,19 +124,16 @@ def load_config(path):
     e_max = raw.get("e_max")
     # one level above the top cluster, past the operator's level shift
     e_max = (float(e_max) if e_max is not None else
-             (2.0 * max(q_list) + 2.0 + _SHIFT_B0[operator]) * B0)
-    seed = int(raw.get("seed", 0))
-    # serial by default: the tridiagonal solver holds the GIL, so a pool
-    # adds only thread hand-offs, whose cost swings with the scheduler
-    threads = raw.get("threads")
-    threads = int(threads) if threads is not None else 1
+             (2.0 * max(q_list) + 2.0 + spin_down_form(operator, V, b)[1]) * B0)
 
-    return RunConfig(raw=raw, B0=B0, operator=operator, b=b, V=V,
-                     q_list=q_list, sign=sign, r_max=r_max, h=h, m_max=m_max,
-                     gamma=gamma, per_decade=per_decade,
-                     ratio_band=ratio_band, bands=bands,
-                     basis_m_max=basis_m_max, e_max=e_max, seed=seed,
-                     threads=threads)
+    try:
+        return RunConfig(raw=raw, B0=B0, operator=operator, b=b, V=V,
+                         q_list=q_list, sign=raw.get("sign", "+"),
+                         r_max=r_max, h=h, m_max=m_max, gamma=gamma,
+                         per_decade=per_decade, ratio_band=ratio_band,
+                         bands=bands, basis_m_max=basis_m_max, e_max=e_max)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _meta(cfg, **extra):
@@ -168,14 +141,6 @@ def _meta(cfg, **extra):
             "m_max": cfg.m_max, "B0": cfg.B0, "operator": cfg.operator}
     meta.update(extra)
     return meta
-
-
-def _vcfg(cfg, q):
-    return asymptotics.VerificationConfig(
-        B0=cfg.B0, b=cfg.b, V=cfg.V, q=q, sign=cfg.sign, r_max=cfg.r_max,
-        h=cfg.h, m_max=cfg.m_max, gamma=cfg.gamma,
-        per_decade=cfg.per_decade, ratio_band=cfg.ratio_band,
-        threads=cfg.threads)
 
 
 def cmd_spectrum(cfg, out, as_json):
@@ -188,19 +153,25 @@ def cmd_spectrum(cfg, out, as_json):
 
     ops = [build_channel(cfg.operator, m, gauge, cfg.V, mesh)
            for m in range(-cfg.m_max, cfg.m_max + 1)]
-    channels = spectra.solve_channels(ops, cfg.e_max, cfg.threads)
+    channels = spectra.solve_channels(ops, cfg.e_max)
     table = spectra.assemble_spectrum(channels, keep_vectors=False)
     write_csv(os.path.join(out, f"spectrum_{cfg.operator}.csv"),
               ["m", "n", "E", "boundary_flag"], table.rows(),
               _meta(cfg, e_max=cfg.e_max))
 
-    shift = _SHIFT_B0[cfg.operator] * cfg.B0
+    shift = spin_down_form(cfg.operator, cfg.V, cfg.b)[1] * cfg.B0
     summary = {"config": cfg.hash, "operator": cfg.operator,
                "states": len(table), "clusters": {}}
     for q in cfg.q_list:
         center = 2.0 * q * cfg.B0 + shift
-        n_in = spectra.counting_function(table, center - cfg.gamma,
-                                         center + cfg.gamma)
+        lo, hi = center - cfg.gamma, center + cfg.gamma
+        n_in = spectra.counting_function(table, lo, hi)
+        flagged = int(np.count_nonzero(table.boundary & (table.E > lo)
+                                       & (table.E < hi)))
+        if n_in == 0 and flagged:
+            log.warning("q=%d: no state counted in the window, but %d "
+                        "boundary-flagged states lie inside it; enlarge "
+                        "r_max", q, flagged)
         summary["clusters"][str(q)] = {"center": center, "count": n_in}
         if not as_json:
             print(f"q={q}: level {center:g}, {n_in} states within "
@@ -253,7 +224,7 @@ def cmd_toeplitz(cfg, out, as_json):
     summary = {"config": cfg.hash, "basis_m_max": cfg.basis_m_max,
                "toeplitz": {}}
     for q in cfg.q_list:
-        T0 = projections.build_T0(q, cfg.V, cfg.b, basis)
+        T0 = projections.build_T0(q, cfg.V, basis)
         write_csv(os.path.join(out, f"toeplitz_T0_q{q}.csv"),
                   ["i", "j", "value"], T0.triples(), _meta(cfg, q=q))
         eigs = sorted(float(x) for x in T0.eigenvalues())
@@ -276,8 +247,7 @@ def cmd_identities(cfg, out, as_json):
         if q < 1:
             continue
         G = projections.gram_identity_residual(q, basis, cfg.b, cfg.B0)
-        X = projections.weighted_identity_residual(q, basis, cfg.V, cfg.b,
-                                                   cfg.B0)
+        X = projections.weighted_identity_residual(q, basis, cfg.V, cfg.B0)
         rows = [(m, G[m, m], X[m, m]) for m in range(len(basis))]
         write_csv(os.path.join(out, f"identities_q{q}.csv"),
                   ["m", "gram_residual", "weighted_residual"], rows,
@@ -295,7 +265,7 @@ def cmd_identities(cfg, out, as_json):
 
 def _verify_one_q(cfg, q, out):
     """Counting, Toeplitz, and identity checks for one Landau index."""
-    vcfg = _vcfg(cfg, q)
+    vcfg = replace(cfg, q=q)
     log.info("verify q=%d: solving channels m in [%d, %d]", q, -q, cfg.m_max)
     comp = asymptotics.compute_cluster(vcfg, cfg.operator)
     log.info("verify q=%d: %d cluster states, defect floor %.3g",
@@ -350,12 +320,12 @@ def _verify_one_q(cfg, q, out):
     if q >= 1 and len(comp.cluster):
         # the cluster was solved with V in its channel matrices; adding V
         # again would count it twice
-        Tq = projections.build_Tq(q, None, cfg.b, comp.cluster)
+        Tq = projections.build_Tq(q, None, comp.cluster)
         basis = projections.zero_mode_basis(
             comp.gauge, comp.mesh,
             min(int(np.max(comp.cluster.ms)) + q, cfg.m_max) if len(comp.cluster)
             else cfg.basis_m_max)
-        T0 = projections.build_T0(q, cfg.V, cfg.b, basis)
+        T0 = projections.build_T0(q, cfg.V, basis)
         c_q = projections.coupling_constant(q, cfg.B0)
         tq = np.sort(Tq.eigenvalues())[::-1]
         t0 = np.sort(T0.eigenvalues())[::-1] / c_q
@@ -428,7 +398,6 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--out", default="landau_out", help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--json", action="store_true",
                         help="machine-readable summary on stdout")
     parser.add_argument("--q", default=None,
@@ -438,8 +407,6 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.q is not None:
             try:
                 cfg.q_list = [int(tok) for tok in args.q.split(",") if tok]

@@ -11,10 +11,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from ._quadrature import panel_integrals
-from .errors import DegenerateWeight, QuadratureFailure, UnboundedSet
+from .errors import DegenerateWeight, UnboundedSet
 
 _KINDS = ("power", "gaussian", "bump")
 
@@ -167,15 +166,6 @@ class FieldSpec:
 def eval_field(spec, r):
     """Evaluate a FieldSpec at a scalar radius (total function, r >= 0)."""
     return float(spec.evaluate(r))
-
-
-def total_flux(b):
-    """2 pi * integral of t b(t) dt over [0, inf)."""
-    val, abserr = integrate.quad(lambda t: t * float(b.evaluate(t)), 0.0,
-                                 np.inf, epsabs=1e-12, epsrel=1e-12, limit=400)
-    if abserr > 1e-8 * max(1.0, abs(val)):
-        raise QuadratureFailure(f"flux integral error estimate {abserr:g} too large")
-    return 2.0 * math.pi * val
 
 
 @dataclass

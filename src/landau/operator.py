@@ -58,7 +58,24 @@ KINDS = ("pauli_minus", "pauli_plus", "schroedinger")
 # copies of b folded into the electric part, and constant shift in units of B0
 _B_COPIES = {"pauli_minus": 0, "schroedinger": 1, "pauli_plus": 2}
 _SHIFT_B0 = {"pauli_minus": 0.0, "schroedinger": 1.0, "pauli_plus": 2.0}
-_SPIN = {"pauli_minus": -1.0, "schroedinger": 0.0, "pauli_plus": 1.0}
+
+
+def spin_down_form(kind, V, b):
+    """Electric part and level shift (in units of B0) of the spin-down
+    operator whose spectrum, shifted, is that of the operator `kind`.
+
+    The electric part is V plus 0 / 1 / 2 copies of b: H(V) = P_-(V + b) + B0
+    and P_+(V) = P_-(V + 2b) + 2 B0.  When V is zero (or None) it is the
+    copies of b alone, so their decay class carries over unchanged.
+    """
+    if kind not in _B_COPIES:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    electric = V if V is not None else FieldSpec.zero()
+    copies = _B_COPIES[kind]
+    if copies:
+        extra = b.scaled(float(copies))
+        electric = extra if electric.is_zero else FieldSpec.sum(electric, extra)
+    return electric, _SHIFT_B0[kind]
 
 
 @dataclass
@@ -127,9 +144,6 @@ class RadialFunction:
         """Pointwise multiplication by a radial profile (same channel)."""
         return RadialFunction(self.values * profile_values, self.m, self.mesh)
 
-    def rows(self):
-        return zip(self.mesh.nodes, self.values)
-
 
 @dataclass
 class ChannelOperator:
@@ -149,22 +163,6 @@ class ChannelOperator:
         out[:-1] += self.offdiag * v[1:]
         out[1:] += self.offdiag * v[:-1]
         return out
-
-    def dense(self):
-        n = self.diag.size
-        a = np.zeros((n, n))
-        np.fill_diagonal(a, self.diag)
-        idx = np.arange(n - 1)
-        a[idx, idx + 1] = self.offdiag
-        a[idx + 1, idx] = self.offdiag
-        return a
-
-    def entries(self):
-        """Yield (i, j, value) triples of the lower triangle plus diagonal."""
-        for i, d in enumerate(self.diag):
-            yield i, i, d
-        for i, e in enumerate(self.offdiag):
-            yield i + 1, i, e
 
 
 def _check_mesh(gauge, mesh):
@@ -199,17 +197,11 @@ def build_channel(kind, m, gauge, V, mesh):
     kinds reuse the spin-down assembly with electric part V + b resp.
     V + 2b, then add the constant shift B0 resp. 2 B0 last.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}")
+    electric, shift_B0 = spin_down_form(kind, V, gauge.source)
     _check_mesh(gauge, mesh)
     r = mesh.nodes
     A = gauge.A_theta
     h2 = mesh.h * mesh.h
-
-    electric = V if V is not None else FieldSpec.zero()
-    copies = _B_COPIES[kind]
-    if copies:
-        electric = FieldSpec.sum(electric, gauge.source.scaled(float(copies)))
 
     left, right = _log_weight_steps(m, gauge)
     log_rho = np.concatenate([[0.0], np.cumsum(left[:-1] - right)])
@@ -229,24 +221,11 @@ def build_channel(kind, m, gauge, V, mesh):
                   + Ac * Ac - gauge.B_total[:cut])
 
     core = flux / h2 + rest + electric.evaluate(r)
-    shift = _SHIFT_B0[kind] * gauge.B0
+    shift = shift_B0 * gauge.B0
     diag = core + shift
     includes_V = V is not None and not V.is_zero
     return ChannelOperator(kind, m, mesh, diag, offdiag, includes_V,
                            gauge.B0, shift)
-
-
-def channel_potential_direct(kind, m, gauge, V):
-    """q_m(r) + 1/(4 r^2) from the textbook formula, for cross-checks.
-
-    The assembled matrix acts on smooth w as -w'' + (this - 1/(4 r^2)) w
-    up to O(h^2).
-    """
-    r = gauge.mesh.nodes
-    A = gauge.A_theta
-    v = V.evaluate(r) if V is not None else np.zeros_like(r)
-    return ((m * m) / (r * r) - (2.0 * m) * (A / r) + A * A
-            + _SPIN[kind] * gauge.B_total + v)
 
 
 def zero_mode(m, gauge, mesh):
@@ -317,16 +296,3 @@ def ladder_apply(g, gauge, q, raise_=True):
     for _ in range(q):
         g = step(g, gauge)
     return g
-
-
-def commutator_action(g, gauge):
-    """Pointwise ladder-commutator action on g; equals 2 B(r) g in the
-    continuum.
-
-    With the unimodular factors dropped, each annihilation-creation
-    roundtrip acquires one minus sign, so the commutator is
-    -(lower(raise g) - raise(lower g)).
-    """
-    up_down = ladder_lower(ladder_raise(g, gauge), gauge)
-    down_up = ladder_raise(ladder_lower(g, gauge), gauge)
-    return RadialFunction(-(up_down.values - down_up.values), g.m, g.mesh)

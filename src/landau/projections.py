@@ -90,12 +90,11 @@ def gram_identity_residual(q, basis, b, B0):
     return G
 
 
-def weighted_identity_residual(q, basis, U, b, B0):
+def weighted_identity_residual(q, basis, U, B0):
     """Residual of the weighted Gram identity against its leading term.
 
     Returns <U Qbar^q u_i, Qbar^q u_j> - C'_q B0^q <U u_i, u_j>.  The
-    magnetic perturbation enters through the basis gauge; `b` is accepted
-    for provenance symmetry with the plain identity.
+    magnetic perturbation enters through the basis gauge.
     """
     if q < 1:
         raise ValueError("weighted identity needs q >= 1")
@@ -135,7 +134,7 @@ class ToeplitzMatrix:
                 yield i, j, self.entries[i, j]
 
 
-def build_T0(q, V, b, basis):
+def build_T0(q, V, basis):
     """Toeplitz-type operator on the zero-mode basis via ladder forms.
 
     t[i][j] = <(P_- - Lambda_q + V) Qbar^q u_i, Qbar^q u_j>, evaluated
@@ -146,7 +145,8 @@ def build_T0(q, V, b, basis):
           + <(V - 2b) Qbar^q u_i, Qbar^q u_j>.
 
     For q = 0 the kinetic part annihilates the basis exactly, so only the
-    V quadrature survives (T0 = 0 identically for q = 0, V = 0).
+    V quadrature survives (T0 = 0 identically for q = 0, V = 0).  b enters
+    through the basis gauge.
     """
     gauge = basis.gauge
     mesh = basis.modes[0].mesh
@@ -212,7 +212,7 @@ def build_Sq_action(q, cluster, zero_basis, gauge):
     return _symmetrized(s, "build_Sq_action")
 
 
-def build_Tq(q, V, b, cluster):
+def build_Tq(q, V, cluster):
     """Toeplitz-type operator compressed onto cluster eigenvectors.
 
     t[i][j] = <(P_- - Lambda_q + V) v_i, v_j> with the channel matrix
@@ -227,10 +227,7 @@ def build_Tq(q, V, b, cluster):
           else None)
     applied = []
     for v in cluster.states:
-        diag, off = cluster.operators[v.m]
-        av = diag * v.values
-        av[:-1] += off * v.values[1:]
-        av[1:] += off * v.values[:-1]
+        av = cluster.operators[v.m].matvec(v.values)
         av -= lam * v.values
         if Vv is not None:
             av += Vv * v.values

@@ -1,7 +1,6 @@
 """Channel diagonalization, labeled spectra, clusters, counting functions."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -82,12 +81,9 @@ def solve_channel(op, e_max):
     return ChannelResult(op, energies, vectors)
 
 
-def solve_channels(ops, e_max, threads=None):
-    """Solve many channels, optionally on a thread pool; order preserved."""
-    if threads is None or threads <= 1 or len(ops) < 2:
-        return [solve_channel(op, e_max) for op in ops]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda op: solve_channel(op, e_max), ops))
+def solve_channels(ops, e_max):
+    """Solve many channels in order."""
+    return [solve_channel(op, e_max) for op in ops]
 
 
 @dataclass(frozen=True)
@@ -200,18 +196,24 @@ class ClusterWindow:
         return replace(self, lambda_minus=lam_m, lambda_plus=lam_p)
 
 
+def _cluster_rows(table, window):
+    """Table row indices of the non-boundary eigenvalues inside the window,
+    ordered by |E - Lambda_q| descending."""
+    center = window.center
+    keep = np.flatnonzero(~table.boundary
+                          & (table.E > center - window.gamma)
+                          & (table.E < center + window.gamma))
+    order = np.argsort(-np.abs(table.E[keep] - center), kind="stable")
+    return keep[order]
+
+
 def cluster_extract(table, window):
     """Signed shifts E - Lambda_q inside the window, |shift| descending.
 
     Boundary-flagged rows are excluded; an empty cluster is legal and
     yields an empty array.
     """
-    center = window.center
-    keep = (~table.boundary & (table.E > center - window.gamma)
-            & (table.E < center + window.gamma))
-    shifts = table.E[keep] - center
-    order = np.argsort(-np.abs(shifts), kind="stable")
-    return shifts[order]
+    return table.E[_cluster_rows(table, window)] - window.center
 
 
 @dataclass
@@ -224,7 +226,7 @@ class ClusterStates:
     ms: np.ndarray
     ns: np.ndarray
     states: list          # RadialFunction, same order
-    operators: dict       # m -> (diag, offdiag) of the solved channel
+    operators: dict       # m -> ChannelOperator of the solved channel
 
     def __len__(self):
         return self.shifts.size
@@ -232,16 +234,11 @@ class ClusterStates:
 
 def cluster_states(table, window, mesh, channels):
     """Like cluster_extract but carrying eigenvectors and channel matrices."""
-    center = window.center
-    keep = (~table.boundary & (table.E > center - window.gamma)
-            & (table.E < center + window.gamma))
-    shifts = table.E[keep] - center
-    ms = table.m[keep]
-    ns = table.n[keep]
-    order = np.argsort(-np.abs(shifts), kind="stable")
-    shifts, ms, ns = shifts[order], ms[order], ns[order]
+    rows = _cluster_rows(table, window)
+    shifts = table.E[rows] - window.center
+    ms, ns = table.m[rows], table.n[rows]
     states = [table.state(m, n, mesh) for m, n in zip(ms, ns)]
-    ops = {ch.op.m: (ch.op.diag, ch.op.offdiag) for ch in channels}
+    ops = {ch.op.m: ch.op for ch in channels}
     return ClusterStates(window.q, window.B0, shifts, ms, ns, states, ops)
 
 

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate
 
+from landau.errors import QuadratureFailure
 from landau.fields import FieldSpec, build_gauge
-from landau.operator import RadialMesh
+from landau.operator import (RadialFunction, RadialMesh, ladder_lower,
+                             ladder_raise)
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +65,52 @@ def brute_force_measure(profile, lam, sign, r_max, B0=1.0, base=4096,
             else:
                 area += b * b - flip * flip
     return 0.5 * B0 * area
+
+
+def dense(op):
+    """The channel matrix of a ChannelOperator as a dense array."""
+    n = op.diag.size
+    a = np.zeros((n, n))
+    np.fill_diagonal(a, op.diag)
+    idx = np.arange(n - 1)
+    a[idx, idx + 1] = op.offdiag
+    a[idx + 1, idx] = op.offdiag
+    return a
+
+
+def total_flux(b):
+    """2 pi * integral of t b(t) dt over [0, inf)."""
+    val, abserr = integrate.quad(lambda t: t * float(b.evaluate(t)), 0.0,
+                                 np.inf, epsabs=1e-12, epsrel=1e-12, limit=400)
+    if abserr > 1e-8 * max(1.0, abs(val)):
+        raise QuadratureFailure(f"flux integral error estimate {abserr:g} too large")
+    return 2.0 * math.pi * val
+
+
+_SPIN = {"pauli_minus": -1.0, "schroedinger": 0.0, "pauli_plus": 1.0}
+
+
+def channel_potential_direct(kind, m, gauge, V):
+    """q_m(r) + 1/(4 r^2) from the textbook formula, for cross-checks.
+
+    The assembled matrix acts on smooth w as -w'' + (this - 1/(4 r^2)) w
+    up to O(h^2).
+    """
+    r = gauge.mesh.nodes
+    A = gauge.A_theta
+    v = V.evaluate(r) if V is not None else np.zeros_like(r)
+    return ((m * m) / (r * r) - (2.0 * m) * (A / r) + A * A
+            + _SPIN[kind] * gauge.B_total + v)
+
+
+def commutator_action(g, gauge):
+    """Pointwise ladder-commutator action on g; equals 2 B(r) g in the
+    continuum.
+
+    With the unimodular factors dropped, each annihilation-creation
+    roundtrip acquires one minus sign, so the commutator is
+    -(lower(raise g) - raise(lower g)).
+    """
+    up_down = ladder_lower(ladder_raise(g, gauge), gauge)
+    down_up = ladder_raise(ladder_lower(g, gauge), gauge)
+    return RadialFunction(-(up_down.values - down_up.values), g.m, g.mesh)

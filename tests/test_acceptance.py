@@ -31,7 +31,6 @@ from landau.spectra import assemble_spectrum, channel_eigs, solve_channels
 from conftest import brute_force_measure
 
 B_HEADLINE = FieldSpec.power(0.05, -3.0)
-THREADS = 4
 
 
 def report_line(num, passed, detail):
@@ -41,7 +40,7 @@ def report_line(num, passed, detail):
 @pytest.fixture(scope="module")
 def headline_run():
     cfg = VerificationConfig(B0=1.0, b=B_HEADLINE, q=1, sign="+",
-                             r_max=30.0, h=0.005, threads=THREADS)
+                             r_max=30.0, h=0.005)
     t0 = time.monotonic()
     comp = compute_cluster(cfg)
     drift = boundary_sensitivity(cfg, computation=comp)
@@ -53,7 +52,7 @@ def headline_run():
 @pytest.fixture(scope="module")
 def beta4_report():
     cfg = VerificationConfig(B0=1.0, b=FieldSpec.power(0.05, -4.0), q=1,
-                             sign="+", r_max=30.0, h=0.005, threads=THREADS)
+                             sign="+", r_max=30.0, h=0.005)
     report = cluster_asymptotics_report(cfg)
     return cfg, report
 
@@ -67,7 +66,7 @@ def test_acceptance_01_unperturbed_exactness():
     for kind, offset in (("schroedinger", 1.0), ("pauli_minus", 0.0)):
         ops = [build_channel(kind, m, gauge, None, mesh)
                for m in range(-40, 41)]
-        channels = solve_channels(ops, 10.0, threads=THREADS)
+        channels = solve_channels(ops, 10.0)
         table = assemble_spectrum(channels, keep_vectors=False)
         keep = ~table.boundary
         E = table.E[keep]
@@ -186,7 +185,7 @@ def test_acceptance_05_exponent_fits(headline_run, beta4_report):
 def test_acceptance_06_toeplitz_cluster_agreement(headline_run):
     _, comp, _, _, _ = headline_run
     cluster = comp.cluster
-    Tq = build_Tq(1, None, B_HEADLINE, cluster)
+    Tq = build_Tq(1, None, cluster)
     tq = np.sort(Tq.eigenvalues())[::-1]
     shifts = np.sort(cluster.shifts)[::-1]
     k = len(shifts) // 4
@@ -264,7 +263,7 @@ def test_acceptance_10_offdiagonal_smallness(headline_run):
     _, comp, _, _, _ = headline_run
     V = FieldSpec.power(0.05, -3.0)
     rep = offdiag_smallness(1, V, comp.cluster)
-    TqV = build_Tq(1, V, B_HEADLINE, comp.cluster)
+    TqV = build_Tq(1, V, comp.cluster)
     tq_abs = np.sort(np.abs(TqV.eigenvalues()))[::-1]
     k = min(rep.singular_values.size, tq_abs.size)
     beyond = slice(5, k)

@@ -21,7 +21,7 @@ from landau.operator import build_channel
 @pytest.fixture(scope="module")
 def small_cfg(b_power):
     return VerificationConfig(B0=1.0, b=b_power, q=1, sign="+",
-                              r_max=16.0, h=0.02, threads=2)
+                              r_max=16.0, h=0.02)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +91,18 @@ class TestFamilyReduction:
         H = build_channel("schroedinger", 1, gauge_zero, None, mesh_small)
         P = build_channel("pauli_minus", 1, gauge_zero, None, mesh_small)
         assert np.array_equal(H.diag, P.diag + 1.0)
+
+    @pytest.mark.parametrize("kind, copies", [("schroedinger", 1.0),
+                                              ("pauli_plus", 2.0)])
+    def test_zero_V_keeps_decay_class(self, kind, copies):
+        # with V = 0 the electric part is the copies of b alone;
+        # FieldSpec.sum(zero, b) would report beta = max(-3, -4) = -3
+        b = FieldSpec.power(0.05, -4.0)
+        cfg = VerificationConfig(B0=1.0, b=b, q=1, r_max=16.0, h=0.02)
+        rcfg, shift = family_reduction(kind, cfg)
+        assert rcfg.V.beta == -4.0 and shift == copies
+        r = np.linspace(0.0, 10.0, 50)
+        assert np.array_equal(rcfg.V.evaluate(r), copies * b.evaluate(r))
 
     def test_reduced_weight_matches_theorem(self, b_power):
         # for H(V): counting weight becomes (V + b) + 2 q b
@@ -208,7 +220,7 @@ class TestClusterReport:
         # upper-window counts (exact only asymptotically)
         _, _, plus = small_run
         cfg_neg = VerificationConfig(B0=1.0, b=b_power.scaled(-1.0), q=1,
-                                     sign="-", r_max=16.0, h=0.02, threads=2)
+                                     sign="-", r_max=16.0, h=0.02)
         minus = cluster_asymptotics_report(cfg_neg)
         lam_common = [l for l in plus.lambdas if minus.trust_lo <= l <= minus.trust_hi]
         assert len(lam_common) >= 5
@@ -282,7 +294,7 @@ class TestBoundarySensitivity:
 @pytest.fixture(scope="module")
 def q2_run(b_power):
     cfg = VerificationConfig(B0=1.0, b=b_power, q=2, sign="+",
-                             r_max=20.0, h=0.01, threads=2)
+                             r_max=20.0, h=0.01)
     comp = compute_cluster(cfg)
     report = cluster_asymptotics_report(cfg, computation=comp)
     return cfg, comp, report
@@ -304,12 +316,12 @@ class TestSecondCluster:
                                         coupling_constant, zero_mode_basis)
         _, comp, _ = q2_run
         cl = comp.cluster
-        Tq = build_Tq(2, None, b_power, cl)
+        Tq = build_Tq(2, None, cl)
         tq = np.sort(Tq.eigenvalues())[::-1]
         sh = np.sort(cl.shifts)[::-1]
         basis = zero_mode_basis(comp.gauge, comp.mesh,
                                 int(np.max(cl.ms)) + 2)
-        T0 = build_T0(2, None, b_power, basis)
+        T0 = build_T0(2, None, basis)
         t0 = np.sort(T0.eigenvalues())[::-1] / coupling_constant(2, 1.0)
         k = len(sh) // 4
         assert np.max(np.abs(tq[:k] - sh[:k]) / sh[:k]) < 1e-8
@@ -319,7 +331,7 @@ class TestSecondCluster:
 
     def test_schroedinger_family_report(self, b_power):
         cfg = VerificationConfig(B0=1.0, b=b_power, q=1, sign="+",
-                                 r_max=16.0, h=0.02, threads=2)
+                                 r_max=16.0, h=0.02)
         report = cluster_asymptotics_report(cfg, kind="schroedinger")
         assert report.ratio[0] == pytest.approx(1.0, abs=0.1)
         assert report.trust_hi > report.trust_lo

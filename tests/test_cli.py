@@ -1,4 +1,8 @@
 import json
+import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +11,8 @@ import pytest
 from landau import asymptotics
 from landau.cli import load_config, main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write_config(path, **overrides):
@@ -65,11 +70,39 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "out"), "--q", "x"])
         assert code == 2
 
-    def test_threads_default_serial(self, cfg_path, tmp_path):
-        # the channel solver holds the GIL, so no key means no pool
-        assert load_config(str(cfg_path)).threads == 1
-        pooled = write_config(tmp_path / "pooled.json", threads=3)
-        assert load_config(str(pooled)).threads == 3
+    @pytest.mark.parametrize("override, message", [
+        ({"window": {"gamma": 1.2}}, "gamma must lie in (0, B0)"),
+        ({"sign": "x"}, "sign must be '+' or '-'"),
+        ({"B0": -1.0}, "B0 must be positive"),
+    ])
+    def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
+                                    message):
+        # the scenario fields are validated once, by VerificationConfig
+        path = write_config(tmp_path / "bad.json", **override)
+        code = main(["spectrum", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_retired_keys_ignored(self, tmp_path):
+        # threads and seed are unknown keys now; the hash still covers them
+        plain = load_config(str(write_config(tmp_path / "a.json")))
+        extra = load_config(str(write_config(tmp_path / "b.json", threads=3,
+                                             seed=7)))
+        assert not hasattr(extra, "threads") and not hasattr(extra, "seed")
+        assert extra.hash != plain.hash
+        assert (extra.e_max, extra.m_max, extra.gamma) == (
+            plain.e_max, plain.m_max, plain.gamma)
+
+    def test_import_skips_scipy_integrate(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        probe = ("import sys, landau.cli; "
+                 "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestSpectrum:
@@ -96,10 +129,10 @@ class TestSpectrum:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_thread_count_does_not_change_bytes(self, cfg_path, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t4"
-        for out, threads in ((out1, "1"), (out2, "4")):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
             assert main(["verify", "--config", str(cfg_path), "--out",
-                         str(out), "--threads", threads]) == 0
+                         str(out)]) == 0
         for name in ("counting_q1_+.csv", "clusters_q1.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -124,6 +157,37 @@ class TestSpectrum:
                             for q, c in summary["clusters"].items()}
         assert counts["pauli_plus"] == counts["pauli_minus"]
         assert all(n > 0 for n in counts["pauli_plus"].values())
+
+    def test_empty_window_warns_when_flagged(self, tmp_path, caplog):
+        # at R = 8 every state in the q = 0, 1 windows is boundary-flagged,
+        # so the counts are 0; the run says why
+        path = write_config(tmp_path / "small.json", q=[0, 1],
+                            mesh={"r_max": 8.0, "h": 0.02})
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="landau"):
+            assert main(["spectrum", "--config", str(path),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "spectrum_summary.json").read_text())
+        table = np.genfromtxt(out / "spectrum_pauli_minus.csv", delimiter=",",
+                              names=True, comments="#", skip_header=1)
+        warned = [r.getMessage() for r in caplog.records
+                  if r.levelno == logging.WARNING]
+        assert len(warned) == 2
+        for q, message in zip((0, 1), warned):
+            assert summary["clusters"][str(q)]["count"] == 0
+            inside = np.abs(table["E"] - 2.0 * q) < 0.5
+            flagged = int(np.count_nonzero(inside & (table["boundary_flag"]
+                                                     == 1)))
+            assert flagged > 0 and np.all(table["boundary_flag"][inside] == 1)
+            assert message.startswith(f"q={q}:")
+            assert f" {flagged} boundary-flagged" in message
+            assert "enlarge r_max" in message
+
+    def test_full_window_does_not_warn(self, cfg_path, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="landau"):
+            assert main(["spectrum", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     def test_meta_header_carries_hash(self, cfg_path, tmp_path):
         out = tmp_path / "out"

@@ -9,10 +9,10 @@ from scipy import integrate
 from landau.errors import DegenerateWeight, UnboundedSet
 from landau.fields import (FieldSpec, ProfileTerm, build_gauge,
                            check_regularity, counting_measure, effective_weight,
-                           eval_field, superlevel_radius, total_flux)
+                           eval_field, superlevel_radius)
 from landau.operator import RadialMesh
 
-from conftest import brute_force_measure
+from conftest import brute_force_measure, total_flux
 
 
 def power_spec(c, beta):

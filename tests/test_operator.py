@@ -7,10 +7,11 @@ from scipy.linalg import eigh_tridiagonal
 from landau.errors import MeshMismatch
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
 from landau.operator import (KINDS, RadialFunction, RadialMesh, build_channel,
-                             channel_potential_direct, commutator_action,
                              default_channel_cut, ladder_apply, ladder_lower,
                              ladder_raise, zero_mode)
 from landau.spectra import channel_eigs
+
+from conftest import channel_potential_direct, commutator_action, dense
 
 
 def lowest_eigs(op, e_max):
@@ -89,7 +90,7 @@ class TestChannelMatrix:
         op = build_channel("schroedinger", -2, gauge_power, None, mesh_small)
         rng = np.random.default_rng(7)
         v = rng.normal(size=mesh_small.n)
-        assert np.allclose(op.matvec(v), op.dense() @ v, rtol=1e-13, atol=1e-10)
+        assert np.allclose(op.matvec(v), dense(op) @ v, rtol=1e-13, atol=1e-10)
 
     def test_mesh_mismatch(self, gauge_power):
         other = RadialMesh(12.0, 0.02)

@@ -112,7 +112,7 @@ class TestGramIdentity:
 class TestWeightedIdentity:
     def test_zero_weight(self, basis_power, b_power):
         U = FieldSpec.zero()
-        X = weighted_identity_residual(1, basis_power, U, b_power, 1.0)
+        X = weighted_identity_residual(1, basis_power, U, 1.0)
         assert np.max(np.abs(X)) == 0.0
 
     def test_constant_weight_expansion(self, mesh_small, basis_power, b_power):
@@ -122,7 +122,7 @@ class TestWeightedIdentity:
         c = 0.3
         U = FieldSpec((ProfileTerm("bump", c, inner=11.0, outer=11.5),),
                       beta=-3.0)
-        X = weighted_identity_residual(1, basis_power, U, b_power, 1.0)
+        X = weighted_identity_residual(1, basis_power, U, 1.0)
         bv = b_power.evaluate(mesh_small.nodes)
         for m in range(6):  # modes localized well inside r < 11
             u = basis_power.mode(m)
@@ -136,7 +136,7 @@ class TestWeightedIdentity:
         for s in (1.0, 3.0, 9.0):
             U = FieldSpec((ProfileTerm("gaussian", 0.2, center=0.0,
                                        width=2.0 * s),), beta=-3.0)
-            X = weighted_identity_residual(1, basis_power, U, b_power, 1.0)
+            X = weighted_identity_residual(1, basis_power, U, 1.0)
             Uv = U.evaluate(mesh_small.nodes)
             u = basis_power.mode(3)
             uu = mesh_small.h * float(np.dot(u.values * Uv, u.values))
@@ -146,14 +146,14 @@ class TestWeightedIdentity:
 
 class TestT0:
     def test_q0_no_potential_is_exactly_zero(self, basis_power, b_power):
-        T0 = build_T0(0, None, b_power, basis_power)
+        T0 = build_T0(0, None, basis_power)
         assert np.max(np.abs(T0.entries)) == 0.0
 
     def test_q0_reduces_to_potential_quadrature(self, mesh_small, basis_power,
                                                 b_power):
         V = FieldSpec((ProfileTerm("gaussian", 0.1, center=1.0, width=1.0),),
                       beta=-3.0)
-        T0 = build_T0(0, V, b_power, basis_power)
+        T0 = build_T0(0, V, basis_power)
         Vv = V.evaluate(mesh_small.nodes)
         for m in range(len(basis_power)):
             u = basis_power.mode(m)
@@ -168,7 +168,7 @@ class TestT0:
         gauge = build_gauge(FieldSpec.zero(), 1.0, mesh)
         V = FieldSpec((ProfileTerm("power", 0.1, beta=-3.0),), beta=-3.0)
         basis = zero_mode_basis(gauge, mesh, 8)
-        T0 = build_T0(1, V, FieldSpec.zero(), basis)
+        T0 = build_T0(1, V, basis)
         nodes, weights = np.polynomial.laguerre.laggauss(170)
 
         def oracle(m):
@@ -185,7 +185,7 @@ class TestT0:
     def test_symmetric(self, basis_power, b_power):
         V = FieldSpec((ProfileTerm("gaussian", 0.1, center=2.0, width=1.0),),
                       beta=-3.0)
-        T1 = build_T0(1, V, b_power, basis_power)
+        T1 = build_T0(1, V, basis_power)
         assert np.array_equal(T1.entries, T1.entries.T)
 
 
@@ -223,7 +223,7 @@ class TestSq:
 
 class TestTq:
     def test_no_potential_diagonal_of_shifts(self, cluster_q1, b_power):
-        Tq = build_Tq(1, None, b_power, cluster_q1)
+        Tq = build_Tq(1, None, cluster_q1)
         diag = np.diag(Tq.entries)
         assert np.max(np.abs(diag - cluster_q1.shifts)) < 1e-6
         off = Tq.entries - np.diag(diag)
@@ -235,8 +235,8 @@ class TestTq:
         # T_q and of T0 / C_q agree
         m_max = int(np.max(cluster_q1.ms)) + 1
         basis = zero_mode_basis(gauge_power, mesh_small, m_max)
-        T0 = build_T0(1, None, b_power, basis)
-        Tq = build_Tq(1, None, b_power, cluster_q1)
+        T0 = build_T0(1, None, basis)
+        Tq = build_Tq(1, None, cluster_q1)
         t0 = np.sort(T0.eigenvalues())[::-1] / coupling_constant(1, 1.0)
         tq = np.sort(Tq.eigenvalues())[::-1]
         k = max(1, len(tq) // 4)
@@ -245,7 +245,7 @@ class TestTq:
 
     def test_positive_weight_gives_psd(self, cluster_q1, b_power):
         # V + 2 q b >= 0 pointwise implies T_q >= 0 up to mesh defect
-        Tq = build_Tq(1, None, b_power, cluster_q1)
+        Tq = build_Tq(1, None, cluster_q1)
         assert np.min(Tq.eigenvalues()) > -1e-6
 
 

@@ -76,15 +76,6 @@ class TestChannelEigs:
         assert np.array_equal(a, b)
         assert a[np.argmax(np.abs(a))] > 0
 
-    def test_threaded_matches_serial(self, mesh_small, gauge_zero):
-        ops = [build_channel("pauli_minus", m, gauge_zero, None, mesh_small)
-               for m in range(-2, 6)]
-        serial = solve_channels(ops, 3.0, threads=None)
-        pooled = solve_channels(ops, 3.0, threads=4)
-        for a, b in zip(serial, pooled):
-            assert np.array_equal(a.energies, b.energies)
-            assert np.array_equal(a.vectors, b.vectors)
-
 
 def small_table(gauge, mesh, m_range, e_max=3.0, V=None, kind="pauli_minus"):
     ops = [build_channel(kind, m, gauge, V, mesh) for m in m_range]
