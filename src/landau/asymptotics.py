@@ -103,17 +103,25 @@ def _contributing_channels(cfg, r_max=None):
 
 def compute_cluster(cfg, kind="pauli_minus", r_max=None):
     """Diagonalize the channels feeding the q-th cluster of the reduced
-    spin-down operator and extract the cluster states."""
+    spin-down operator and extract the cluster states.
+
+    Only the window around the level is solved; the table keeps the
+    per-channel labels n of the full spectrum (spectra.ChannelResult).
+    """
     rcfg, shift = family_reduction(kind, cfg)
     R = r_max if r_max else rcfg.r_max
     mesh = RadialMesh(R, rcfg.h)
     gauge = build_gauge(rcfg.b, rcfg.B0, mesh)
     ms = _contributing_channels(rcfg, R)
     center = 2.0 * rcfg.q * rcfg.B0
+    # the margins keep every eigenvalue near the window's endpoints
+    # visible to ClusterWindow.nudged
+    e_min = center - rcfg.gamma_eff - 1e-6
     e_max = center + rcfg.gamma_eff + 1e-6
-    floor = _defect_floor(rcfg, gauge, e_max)  # before the solves hold memory
+    # before the solves hold memory
+    floor = _defect_floor(rcfg, gauge, e_min, e_max)
     ops = [build_channel("pauli_minus", m, gauge, rcfg.V, mesh) for m in ms]
-    channels = solve_channels(ops, e_max)
+    channels = solve_channels(ops, e_max, e_min)
     table = assemble_spectrum(channels, rcfg.boundary_policy)
     window = ClusterWindow.default(rcfg.q, rcfg.B0, rcfg.gamma_eff).nudged(table)
     cluster = cluster_states(table, window, mesh, channels)
@@ -121,7 +129,7 @@ def compute_cluster(cfg, kind="pauli_minus", r_max=None):
                               table, window, cluster, floor)
 
 
-def _defect_floor(cfg, gauge, e_max):
+def _defect_floor(cfg, gauge, e_min, e_max):
     """Mesh-error bound for the level-q eigenvalues of the channel matrices.
 
     The zero-mode weighted flux form is exact on the zero modes; its O(h^2)
@@ -146,9 +154,11 @@ def _defect_floor(cfg, gauge, e_max):
         level = cfg.q + min(m, 0)  # per-channel index of the level-q state
         E = []
         for g, V, msh in runs:
-            pairs = spectra.channel_eigs(
-                build_channel("pauli_minus", m, g, V, msh), e_max)
-            E.append(pairs[level][0] if level < len(pairs) else math.nan)
+            ch = spectra.solve_channel(
+                build_channel("pauli_minus", m, g, V, msh), e_max, e_min)
+            k = level - ch.first
+            E.append(float(ch.energies[k]) if 0 <= k < ch.energies.size
+                     else math.nan)
         E_h, E_fine, E_free = E
         for err in (abs(E_free - center), abs(E_h - E_fine) * 4.0 / 3.0):
             if not math.isnan(err):

@@ -65,6 +65,13 @@ def _fail(field_name, message):
     raise ConfigError(f"config field '{field_name}': {message}")
 
 
+def _number(value, name, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        _fail(name, f"must be a number, got {value!r}")
+
+
 def _field_spec(raw, name):
     if raw is None:
         return FieldSpec.zero()
@@ -83,7 +90,7 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
-    B0 = float(raw.get("B0", 1.0))
+    B0 = _number(raw.get("B0", 1.0), "B0")
     operator = raw.get("operator", "pauli_minus")
     if operator not in KINDS:
         _fail("operator", f"must be one of {KINDS}")
@@ -96,20 +103,24 @@ def load_config(path):
         _fail("q", "must be a nonnegative integer or list of them")
 
     mesh = raw.get("mesh", {})
-    r_max = float(mesh.get("r_max", 20.0))
-    h = float(mesh.get("h", 0.01))
+    r_max = _number(mesh.get("r_max", 20.0), "mesh.r_max")
+    h = _number(mesh.get("h", 0.01), "mesh.h")
     if r_max <= 0 or h <= 0:
         _fail("mesh", "r_max and h must be positive")
-    if r_max / h < 16:
-        _fail("mesh", "needs at least 16 cells")
+    try:  # at least 16 cells, r_max a multiple of h
+        RadialMesh(r_max, h)
+    except ValueError as exc:
+        _fail("mesh", str(exc))
     m_max = mesh.get("m_max")
-    m_max = int(m_max) if m_max is not None else default_channel_cut(r_max, B0)
+    m_max = (_number(m_max, "mesh.m_max", int) if m_max is not None
+             else default_channel_cut(r_max, B0))
 
     gamma = raw.get("window", {}).get("gamma")
-    gamma = float(gamma) if gamma is not None else 0.5 * B0
+    gamma = (_number(gamma, "window.gamma") if gamma is not None
+             else 0.5 * B0)
 
     lam = raw.get("lambda", {})
-    per_decade = int(lam.get("per_decade", 24))
+    per_decade = _number(lam.get("per_decade", 24), "lambda.per_decade", int)
     if per_decade < 2:
         _fail("lambda.per_decade", "must be at least 2")
 
@@ -120,10 +131,11 @@ def load_config(path):
         _fail("ratio_band", "must bracket 1.0")
 
     basis_m_max = raw.get("basis_m_max")
-    basis_m_max = int(basis_m_max) if basis_m_max is not None else min(m_max, 11)
+    basis_m_max = (_number(basis_m_max, "basis_m_max", int)
+                   if basis_m_max is not None else min(m_max, 11))
     e_max = raw.get("e_max")
     # one level above the top cluster, past the operator's level shift
-    e_max = (float(e_max) if e_max is not None else
+    e_max = (_number(e_max, "e_max") if e_max is not None else
              (2.0 * max(q_list) + 2.0 + spin_down_form(operator, V, b)[1]) * B0)
 
     try:

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from .errors import ConvergenceFailure, InconsistentProvenance
 from .operator import ChannelOperator, RadialFunction
@@ -14,8 +15,20 @@ from .operator import ChannelOperator, RadialFunction
 _BISECT_TOL = 1e-14
 
 
-def channel_eigs(op, e_max):
-    """All eigenpairs of the channel matrix with eigenvalue <= e_max.
+def _lower_bound(op):
+    """Gershgorin bound strictly below every eigenvalue of the channel."""
+    return float(np.min(op.diag) - 2.0 * np.max(np.abs(op.offdiag)) - 1.0)
+
+
+def channel_eigs(op, e_max, e_min=None):
+    """Eigenpairs of the channel matrix with e_min < eigenvalue <= e_max.
+
+    Without e_min every eigenpair up to e_max is returned.  With it,
+    bisection and inverse iteration run only on (e_min, e_max]; the
+    eigenvalues at or below e_min are skipped, and solve_channel counts
+    them by a Sturm count at the same e_min, so the k-th pair returned is
+    the channel's eigenstate first + k.  An eigenvalue within roundoff of
+    e_min may land on either side of it, so callers keep e_min in a gap.
 
     Uses the LAPACK bisection / inverse-iteration path for symmetric
     tridiagonal matrices; ordering is ascending and eigenvector signs are
@@ -33,8 +46,10 @@ def channel_eigs(op, e_max):
     """
     if not np.isfinite(e_max):
         raise ValueError("e_max must be finite")
-    lo = float(np.min(op.diag) - 2.0 * np.max(np.abs(op.offdiag)) - 1.0)
-    if lo > e_max:  # Gershgorin: no eigenvalue at or below e_max
+    lo = _lower_bound(op)
+    if e_min is not None:
+        lo = max(lo, e_min)
+    if lo >= e_max:  # Gershgorin: no eigenvalue in (lo, e_max]
         return []
     try:
         vals, vecs = eigh_tridiagonal(
@@ -57,33 +72,60 @@ def channel_eigs(op, e_max):
     return pairs
 
 
+def _count_at_or_below(op, e):
+    """Number of eigenvalues <= e, from one LAPACK Sturm count.
+
+    stebz counts the eigenvalues of (lo, e] at both ends before it
+    bisects; a tolerance wider than the range ends the bisection there.
+    """
+    lo = _lower_bound(op)
+    if lo >= e:
+        return 0
+    count, _, _, _, info = dstebz(op.diag, op.offdiag, 1, lo, e, 0, 0,
+                                  2.0 * (e - lo), b"E")
+    if info:
+        raise ConvergenceFailure(
+            f"Sturm count failed for kind={op.kind} m={op.m} "
+            f"(n={op.mesh.n}, h={op.mesh.h}, info={info})")
+    return int(count)
+
+
 @dataclass
 class ChannelResult:
-    """Eigenpairs of one channel, bundled with the operator they came from."""
+    """Eigenpairs of one channel, bundled with the operator they came from.
+
+    `first` is the number of eigenvalues below the solved range, so the
+    k-th pair is the channel's eigenstate n = first + k counted from the
+    bottom of its spectrum.
+    """
 
     op: ChannelOperator
     energies: np.ndarray
     vectors: np.ndarray  # columns
+    first: int
 
     @property
     def m(self):
         return self.op.m
 
 
-def solve_channel(op, e_max):
-    pairs = channel_eigs(op, e_max)
+def solve_channel(op, e_max, e_min=None):
+    """Eigenpairs in (e_min, e_max] (see channel_eigs) and the number of
+    eigenvalues at or below e_min."""
+    pairs = channel_eigs(op, e_max, e_min)
     if pairs:
         energies = np.array([e for e, _ in pairs])
         vectors = np.column_stack([v for _, v in pairs])
     else:
         energies = np.empty(0)
         vectors = np.empty((op.mesh.n, 0))
-    return ChannelResult(op, energies, vectors)
+    first = 0 if e_min is None else _count_at_or_below(op, e_min)
+    return ChannelResult(op, energies, vectors, first)
 
 
-def solve_channels(ops, e_max):
+def solve_channels(ops, e_max, e_min=None):
     """Solve many channels in order."""
-    return [solve_channel(op, e_max) for op in ops]
+    return [solve_channel(op, e_max, e_min) for op in ops]
 
 
 @dataclass(frozen=True)
@@ -142,11 +184,11 @@ def assemble_spectrum(channels, policy=BoundaryPolicy(), keep_vectors=True):
             frac = math.sqrt(float(np.dot(v[outer], v[outer]))
                              / float(np.dot(v, v)))
             ms.append(ch.m)
-            ns.append(k)
+            ns.append(ch.first + k)
             Es.append(ch.energies[k])
             flags.append(frac > policy.norm_fraction)
             if keep_vectors:
-                vectors[(ch.m, k)] = v
+                vectors[(ch.m, ch.first + k)] = v
 
     ms = np.array(ms, dtype=int)
     ns = np.array(ns, dtype=int)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landau import asymptotics
+from landau import asymptotics, spectra
 from landau.cli import load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,10 +74,15 @@ class TestConfigValidation:
         ({"window": {"gamma": 1.2}}, "gamma must lie in (0, B0)"),
         ({"sign": "x"}, "sign must be '+' or '-'"),
         ({"B0": -1.0}, "B0 must be positive"),
+        ({"B0": "one"}, "config error: config field 'B0': must be a number"),
+        ({"mesh": {"r_max": 16.0, "h": 0.03}},
+         "config error: config field 'mesh': r_max must be an integer "
+         "multiple of h"),
     ])
     def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
                                     message):
-        # the scenario fields are validated once, by VerificationConfig
+        # the scenario fields are validated once, by VerificationConfig;
+        # values it cannot even be built from fail in load_config
         path = write_config(tmp_path / "bad.json", **override)
         code = main(["spectrum", "--config", str(path),
                      "--out", str(tmp_path / "out")])
@@ -278,6 +283,35 @@ class TestVerify:
                      "--out", str(tmp_path / "out"), "--q", "0,1"])
         assert code == 0
         assert solved == [0, 1]
+
+    def test_cluster_solve_stays_in_window(self, tmp_path, monkeypatch):
+        # compute_cluster solves only the window around level q; no
+        # eigenpair of a lower level is computed again
+        solved, windows = [], []
+        solve_channels = spectra.solve_channels
+        compute_cluster = asymptotics.compute_cluster
+
+        def recording_solve(*args, **kwargs):
+            channels = solve_channels(*args, **kwargs)
+            solved.append(np.concatenate([ch.energies for ch in channels]))
+            return channels
+
+        def recording_cluster(*args, **kwargs):
+            comp = compute_cluster(*args, **kwargs)
+            windows.append(comp.window)
+            return comp
+
+        # asymptotics looks the solver up under its own name
+        for module in (spectra, asymptotics):
+            monkeypatch.setattr(module, "solve_channels", recording_solve)
+        monkeypatch.setattr(asymptotics, "compute_cluster", recording_cluster)
+        main(["verify", "--config", str(CONFIGS / "quick.json"),
+              "--out", str(tmp_path / "out"), "--q", "1,2"])
+        assert [w.q for w in windows] == [1, 2]
+        assert len(solved) == 2
+        for E, window in zip(solved, windows):
+            assert E.size >= 20
+            assert np.all((E > window.lambda_minus) & (E < window.lambda_plus))
 
     def test_json_summary_only(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"

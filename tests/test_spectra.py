@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense
 from landau import spectra
 from landau.errors import InconsistentProvenance
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
@@ -75,6 +76,62 @@ class TestChannelEigs:
         b = channel_eigs(op, 1.0)[0][1]
         assert np.array_equal(a, b)
         assert a[np.argmax(np.abs(a))] > 0
+
+
+class TestWindowSolve:
+    # the cluster solve covers only (e_min, e_max]; the Sturm count of the
+    # eigenvalues at or below e_min keeps every (m, n) label of the full solve
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("V", [None, FieldSpec.power(0.03, -2.8)])
+    def test_matches_full_solve_in_window(self, q, V):
+        mesh = RadialMesh(16.0, 0.02)
+        gauge = build_gauge(FieldSpec.power(0.05, -3.0), 1.0, mesh)
+        e_min, e_max = 2.0 * q - 0.5 - 1e-6, 2.0 * q + 0.5 + 1e-6
+        # m = -32: Gershgorin bound above e_max, so no solve and no count
+        ms = [-32] + list(range(-q, default_channel_cut(16.0, 1.0) + 1))
+        ops = [build_channel("pauli_minus", m, gauge, V, mesh) for m in ms]
+        assert spectra._lower_bound(ops[0]) > e_max
+        full = assemble_spectrum(solve_channels(ops, e_max))
+        channels = solve_channels(ops, e_max, e_min)
+        window = assemble_spectrum(channels)
+
+        keep = full.E > e_min
+        expected = {(m, n): (E, flag) for m, n, E, flag in zip(
+            full.m[keep], full.n[keep], full.E[keep], full.boundary[keep])}
+        got = {(m, n): (E, flag) for m, n, E, flag in zip(
+            window.m, window.n, window.E, window.boundary)}
+        assert got.keys() == expected.keys()
+        assert len(got) > 20
+        for label, (E, flag) in got.items():
+            assert flag == expected[label][1]
+            assert abs(E - expected[label][0]) <= 1e-11
+        empty, lowest = channels[0], channels[1]
+        assert (empty.first, empty.energies.size) == (0, 0)
+        # level q is the lowest state of channel m = -q
+        assert (lowest.first, lowest.energies.size) == (0, 1)
+
+    def test_first_counts_dense_eigenvalues(self):
+        mesh = RadialMesh(8.0, 0.02)  # n = 400
+        gauge = build_gauge(FieldSpec.power(0.05, -3.0), 1.0, mesh)
+        for q in (1, 2):
+            e_min = 2.0 * q - 0.5 - 1e-6
+            for m in range(-q - 1, 6):
+                op = build_channel("pauli_minus", m, gauge, None, mesh)
+                ref = np.linalg.eigvalsh(dense(op))
+                ch = solve_channel(op, e_min + 1.0, e_min)
+                assert ch.first == np.count_nonzero(ref <= e_min)
+                inside = ref[(ref > e_min) & (ref <= e_min + 1.0)]
+                assert np.allclose(ch.energies, inside, rtol=0.0, atol=1e-9)
+
+    def test_lower_bound_below_spectrum(self):
+        op = synthetic_op(np.arange(1.0, 17.0), np.zeros(15))
+        full = [e for e, _ in channel_eigs(op, 16.5)]
+        # Gershgorin bound 0 lies above e_min: the full solve, nothing below
+        below = solve_channel(op, 16.5, -5.0)
+        assert below.first == 0 and below.energies.tolist() == full
+        mid = solve_channel(op, 16.5, 4.5)
+        assert mid.first == 4 and mid.energies.tolist() == full[4:]
 
 
 def small_table(gauge, mesh, m_range, e_max=3.0, V=None, kind="pauli_minus"):
