@@ -13,10 +13,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectra
-from .errors import DegenerateWeight, TrustRegionEmpty, UnboundedSet
+from .errors import DegenerateWeight, TrustRegionEmpty
 from .fields import (FieldSpec, GaugeData, build_gauge, check_regularity,
-                     effective_weight, superlevel_intervals,
-                     superlevel_measure)
+                     effective_weight, superlevel_measure, superlevel_scan)
 from .operator import (RadialMesh, build_channel, default_channel_cut,
                        spin_down_form)
 from .spectra import (BoundaryPolicy, ClusterWindow, CountingReport,
@@ -118,10 +117,9 @@ def compute_cluster(cfg, kind="pauli_minus", r_max=None):
     # visible to ClusterWindow.nudged
     e_min = center - rcfg.gamma_eff - 1e-6
     e_max = center + rcfg.gamma_eff + 1e-6
-    # before the solves hold memory
-    floor = _defect_floor(rcfg, gauge, e_min, e_max)
     ops = [build_channel("pauli_minus", m, gauge, rcfg.V, mesh) for m in ms]
     channels = solve_channels(ops, e_max, e_min)
+    floor = _defect_floor(rcfg, gauge, e_min, e_max, channels)
     table = assemble_spectrum(channels, rcfg.boundary_policy)
     window = ClusterWindow.default(rcfg.q, rcfg.B0, rcfg.gamma_eff).nudged(table)
     cluster = cluster_states(table, window, mesh, channels)
@@ -129,7 +127,7 @@ def compute_cluster(cfg, kind="pauli_minus", r_max=None):
                               table, window, cluster, floor)
 
 
-def _defect_floor(cfg, gauge, e_min, e_max):
+def _defect_floor(cfg, gauge, e_min, e_max, channels):
     """Mesh-error bound for the level-q eigenvalues of the channel matrices.
 
     The zero-mode weighted flux form is exact on the zero modes; its O(h^2)
@@ -142,6 +140,8 @@ def _defect_floor(cfg, gauge, e_min, e_max):
     the true error by its O(h^4) part, of either sign.  The h/2 solve runs
     on [0, r_max/2], with as many cells as the mesh h: these states live
     near the origin, and a truncation effect could only raise the floor.
+    On the working mesh E_h is read from `channels`, the cluster solve of
+    the channels -q, -q + 1, ...; a channel it leaves out is solved here.
     """
     mesh = gauge.mesh
     fine = RadialMesh(0.5 * mesh.r_max, 0.5 * mesh.h)
@@ -154,8 +154,11 @@ def _defect_floor(cfg, gauge, e_min, e_max):
         level = cfg.q + min(m, 0)  # per-channel index of the level-q state
         E = []
         for g, V, msh in runs:
-            ch = spectra.solve_channel(
-                build_channel("pauli_minus", m, g, V, msh), e_max, e_min)
+            if g is gauge and m + cfg.q < len(channels):
+                ch = channels[m + cfg.q]
+            else:
+                ch = spectra.solve_channel(
+                    build_channel("pauli_minus", m, g, V, msh), e_max, e_min)
             k = level - ch.first
             E.append(float(ch.energies[k]) if 0 <= k < ch.energies.size
                      else math.nan)
@@ -264,23 +267,16 @@ def cluster_asymptotics_report(cfg, kind="pauli_minus", computation=None,
 
     # radius constraint: superlevel set must fit inside r_max / 2; the
     # intervals it is read from also give the measure
-    def trusted_intervals(lam):
-        try:
-            intervals = superlevel_intervals(weight, lam, rcfg.sign,
-                                             r_max=rcfg.r_max)
-        except UnboundedSet:
-            return None
-        if intervals and intervals[-1][1] > 0.5 * rcfg.r_max:
-            return None
-        return intervals
+    def trusted(intervals):
+        return intervals is not None and not (
+            intervals and intervals[-1][1] > 0.5 * rcfg.r_max)
 
     lams = _lambda_grid(lam_floor, gamma * 0.999, rcfg.per_decade)
+    lams = lams[lams >= lam_floor]
     rows = []
-    for lam in lams:
-        if lam < lam_floor:
-            continue
-        intervals = trusted_intervals(lam)
-        if intervals is None:
+    for lam, intervals in zip(lams, superlevel_scan(weight, lams, rcfg.sign,
+                                                    r_max=rcfg.r_max)):
+        if not trusted(intervals):
             continue
         n_val = count(lam)
         if n_val < rcfg.min_count:
@@ -291,11 +287,13 @@ def cluster_asymptotics_report(cfg, kind="pauli_minus", computation=None,
         reasons = []
         if lam_floor >= gamma:
             reasons.append(f"drift/defect floor {lam_floor:.3g} >= gamma")
-        if trusted_intervals(max(lam_floor, gamma * 1e-3)) is None:
+        lam = max(lam_floor, gamma * 1e-3)
+        if not trusted(superlevel_scan(weight, [lam], rcfg.sign,
+                                       r_max=rcfg.r_max)[0]):
             reasons.append(
                 f"superlevel radius exceeds r_max/2 = {rcfg.r_max / 2:g} "
                 f"down to the floor")
-        if count(max(lam_floor, gamma * 1e-3)) < rcfg.min_count:
+        if count(lam) < rcfg.min_count:
             reasons.append(f"N < {rcfg.min_count} everywhere above the floor")
         raise TrustRegionEmpty(
             "no lambda satisfies the trust constraints ("

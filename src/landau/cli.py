@@ -27,7 +27,7 @@ from . import asymptotics, projections, spectra
 from ._io import config_hash, ensure_dir, write_csv, write_json
 from .errors import ConfigError, LandauError, TrustRegionEmpty
 from .fields import (FieldSpec, build_gauge, check_regularity,
-                     counting_measure, effective_weight)
+                     counting_measures, effective_weight)
 from .operator import (KINDS, RadialMesh, build_channel, default_channel_cut,
                        spin_down_form)
 
@@ -203,11 +203,8 @@ def cmd_weights(cfg, out, as_json):
             summary["weights"][str(q)] = {"degenerate": True}
             continue
         lams = np.geomspace(0.9 * sup, 1e-5 * sup, 8 * cfg.per_decade)
-        rows = []
-        for lam in lams:
-            e_val = counting_measure(weight, lam, cfg.sign,
-                                     r_max=8.0 * cfg.r_max)
-            rows.append((lam, e_val))
+        rows = zip(lams, counting_measures(weight, lams, cfg.sign,
+                                           r_max=8.0 * cfg.r_max))
         write_csv(os.path.join(out, f"weights_q{q}_{cfg.sign}.csv"),
                   ["lambda", "E_measure"], rows, _meta(cfg, q=q, sign=cfg.sign))
         try:

@@ -312,31 +312,55 @@ def _parse_sign(sign):
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def superlevel_intervals(weight, lam, sign="+", *, r_max, n_grid=8192,
-                         max_crossings=64, n_bisect=60):
-    """Maximal intervals of {r in [0, r_max] : sign * W(r) > lam}.
+def superlevel_scan(weight, lams, sign="+", *, r_max, n_grid=8192,
+                    max_crossings=64, n_bisect=60):
+    """Maximal intervals of {r in [0, r_max] : sign * W(r) > lam} for every
+    lam of `lams` at once.
 
-    Assumes a piecewise monotone profile whose crossings are resolved on the
-    sampling grid; each crossing is then located by bisection (about 1e-12
-    absolute in r for the default iteration count).
+    Returns one entry per lam, in the order given: the list of (start, end)
+    intervals, or None where the set is still open at r_max.  Assumes a
+    piecewise monotone profile whose crossings are resolved on the sampling
+    grid.  sign * W is sampled once on the grid; every crossing of every lam
+    is then located by one shared bisection (about 1e-12 absolute in r for
+    the default iteration count).  The first lam in order that is not
+    positive, or whose closed set has more than `max_crossings` crossings,
+    raises ValueError.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    lams = np.asarray(lams, dtype=float)
     s = _parse_sign(sign)
     grid = np.linspace(0.0, r_max, n_grid + 1)
-    g = s * weight(grid) - lam
-    # nudge exact zeros off the boundary so interval bookkeeping stays simple
-    g = np.where(g == 0.0, -1e-300, g)
-    if g[-1] > 0.0:
-        raise UnboundedSet(
-            f"superlevel set still open at r_max={r_max:g} for lambda={lam:g}"
-        )
-    idx = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
-    if idx.size > max_crossings:
+    sw = s * weight(grid)
+    # sw - lam > 0 exactly when sw > lam, so grid step i crosses lam exactly
+    # when min(sw_i, sw_i+1) <= lam < max(sw_i, sw_i+1); those lam are a
+    # contiguous run of the sorted lambdas
+    order = np.argsort(lams, kind="stable")
+    first = np.searchsorted(lams[order], np.minimum(sw[:-1], sw[1:]))
+    count = np.searchsorted(lams[order], np.maximum(sw[:-1], sw[1:])) - first
+    crossed = np.flatnonzero(count)
+    first, count = first[crossed], count[crossed]
+    step = np.repeat(crossed, count)
+    ends = np.cumsum(count)
+    rank = np.arange(step.size) - np.repeat(ends - count - first, count)
+    which = order[rank]
+    crossings = np.bincount(which, minlength=lams.size)
+
+    is_open = sw[-1] > lams
+    bad = (lams <= 0) | (~is_open & (crossings > max_crossings))
+    if np.any(bad):
+        if lams[np.argmax(bad)] <= 0:
+            raise ValueError("lambda must be positive")
         raise ValueError(f"more than {max_crossings} crossings of W - lambda")
-    lo = grid[idx]
-    hi = grid[idx + 1]
-    glo = g[idx]
+
+    # grouped by lam, each group in grid order; open sets are not bisected
+    keep = np.lexsort((step, which))
+    keep = keep[~is_open[which[keep]]]
+    step, which = step[keep], which[keep]
+    lam = lams[which]
+    lo = grid[step]
+    hi = grid[step + 1]
+    # nudge exact zeros off the boundary so interval bookkeeping stays simple
+    glo = sw[step] - lam
+    glo = np.where(glo == 0.0, -1e-300, glo)
     for _ in range(n_bisect):
         mid = 0.5 * (lo + hi)
         gm = s * weight(mid) - lam
@@ -345,19 +369,42 @@ def superlevel_intervals(weight, lam, sign="+", *, r_max, n_grid=8192,
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
         glo = np.where(left, glo, gm)
-    roots = 0.5 * (lo + hi)
+    roots = np.split(0.5 * (lo + hi),
+                     np.cumsum(np.bincount(which, minlength=lams.size))[:-1])
 
-    intervals = []
-    inside = g[0] > 0.0
-    start = 0.0
-    for x in roots:
-        if inside:
-            intervals.append((start, float(x)))
-            inside = False
-        else:
-            start = float(x)
-            inside = True
-    return intervals
+    scans = []
+    for k in range(lams.size):
+        if is_open[k]:
+            scans.append(None)
+            continue
+        intervals = []
+        inside = sw[0] > lams[k]
+        start = 0.0
+        for x in roots[k]:
+            if inside:
+                intervals.append((start, float(x)))
+                inside = False
+            else:
+                start = float(x)
+                inside = True
+        scans.append(intervals)
+    return scans
+
+
+def _closed(scans, lams, r_max):
+    """The scans, or UnboundedSet for the first one still open at r_max."""
+    for lam, intervals in zip(lams, scans):
+        if intervals is None:
+            raise UnboundedSet(f"superlevel set still open at r_max={r_max:g} "
+                               f"for lambda={lam:g}")
+    return scans
+
+
+def superlevel_intervals(weight, lam, sign="+", *, r_max, **kw):
+    """Maximal intervals of {r in [0, r_max] : sign * W(r) > lam}; raises
+    UnboundedSet when the set is still open at r_max (see superlevel_scan)."""
+    return _closed(superlevel_scan(weight, [lam], sign, r_max=r_max, **kw),
+                   [lam], r_max)[0]
 
 
 def superlevel_radius(weight, lam, sign="+", *, r_max, **kw):
@@ -371,10 +418,21 @@ def superlevel_measure(weight, intervals):
     return 0.5 * weight.B0 * sum(b * b - a * a for a, b in intervals)
 
 
+def counting_measures(weight, lams, sign="+", *, r_max, **kw):
+    """E_pm(lam, W) for every lam of `lams`, from one superlevel scan.
+
+    The first lam in order whose set is still open at r_max raises
+    UnboundedSet; on a decreasing grid that is the lam a one-by-one sweep
+    would stop at.
+    """
+    scans = superlevel_scan(weight, lams, sign, r_max=r_max, **kw)
+    return [superlevel_measure(weight, intervals)
+            for intervals in _closed(scans, lams, r_max)]
+
+
 def counting_measure(weight, lam, sign="+", *, r_max, **kw):
     """E_pm(lam, W) = (B0 / 2) * sum of lengths of {r^2 : sign W(r) > lam}."""
-    intervals = superlevel_intervals(weight, lam, sign, r_max=r_max, **kw)
-    return superlevel_measure(weight, intervals)
+    return counting_measures(weight, [lam], sign, r_max=r_max, **kw)[0]
 
 
 @dataclass
@@ -405,16 +463,14 @@ def check_regularity(weight, lambda_grid, eps, sign="+", *, r_max,
     if lambdas.size < 2 or np.any(np.diff(lambdas) >= 0) or np.any(lambdas <= 0):
         raise ValueError("lambda_grid must be positive and strictly decreasing")
 
-    E = np.array([counting_measure(weight, l, sign, r_max=r_max) for l in lambdas])
+    E = np.array(counting_measures(weight, lambdas, sign, r_max=r_max))
     mask = E > 0.0
     if not np.any(mask):
         raise DegenerateWeight(
             f"E_{sign}(lambda) = 0 on the whole grid; weight has no {sign} part"
         )
-    E_shift = np.array([
-        counting_measure(weight, l * (1.0 - eps), sign, r_max=r_max)
-        for l in lambdas[mask]
-    ])
+    E_shift = np.array(counting_measures(weight, lambdas[mask] * (1.0 - eps),
+                                         sign, r_max=r_max))
     ratios = E_shift / E[mask]
     max_ratio = float(np.max(ratios))
 

@@ -32,6 +32,9 @@ class ZeroModeBasis:
     modes: list
     gauge: object
 
+    def __post_init__(self):
+        self._chain = (0, self.modes)
+
     @property
     def m_max(self):
         return len(self.modes) - 1
@@ -41,6 +44,22 @@ class ZeroModeBasis:
 
     def mode(self, m):
         return self.modes[m]
+
+    def raised(self, q):
+        """[Qbar^q u_m for each mode u_m].
+
+        The last level asked for is kept, so raising to q = 1, 2, 3 in turn
+        applies one ladder step per level; a lower q starts again from the
+        modes.  Each step is the one ladder_apply takes, so a level equals
+        ladder_apply(u_m, gauge, q) bit for bit.
+        """
+        k, level = self._chain
+        if q < k:
+            k, level = 0, self.modes
+        for _ in range(q - k):
+            level = [ladder_apply(u, self.gauge, 1) for u in level]
+        self._chain = (q, level)
+        return level
 
     def gram(self):
         k = len(self.modes)
@@ -80,8 +99,7 @@ def gram_identity_residual(q, basis, b, B0):
     """
     if q < 1:
         raise ValueError("gram identity needs q >= 1")
-    gauge = basis.gauge
-    raised = [ladder_apply(u, gauge, q) for u in basis.modes]
+    raised = basis.raised(q)
     bv = b.evaluate(basis.modes[0].mesh.nodes)
     G = _pair_matrix(raised, raised)
     G -= coupling_constant(q, B0) * np.eye(len(basis.modes))
@@ -98,9 +116,8 @@ def weighted_identity_residual(q, basis, U, B0):
     """
     if q < 1:
         raise ValueError("weighted identity needs q >= 1")
-    gauge = basis.gauge
     mesh = basis.modes[0].mesh
-    raised = [ladder_apply(u, gauge, q) for u in basis.modes]
+    raised = basis.raised(q)
     Uv = U.evaluate(mesh.nodes)
     lead = linear_coupling_constant(q) * B0 ** q
     return (_pair_matrix(raised, raised, Uv)
@@ -155,8 +172,8 @@ def build_T0(q, V, basis):
     if q == 0:
         t = _pair_matrix(basis.modes, basis.modes, Vv)
     else:
-        raised = [ladder_apply(u, gauge, q) for u in basis.modes]
-        raised1 = [ladder_apply(u, gauge, 1) for u in raised]
+        raised = basis.raised(q)
+        raised1 = basis.raised(q + 1)
         lam_next = 2.0 * (q + 1) * B0
         wv = Vv - 2.0 * gauge.b_values
         t = (_pair_matrix(raised1, raised1)

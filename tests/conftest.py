@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from landau.errors import QuadratureFailure
+from landau.errors import QuadratureFailure, UnboundedSet
 from landau.fields import FieldSpec, build_gauge
 from landau.operator import (RadialFunction, RadialMesh, ladder_lower,
                              ladder_raise)
@@ -65,6 +65,51 @@ def brute_force_measure(profile, lam, sign, r_max, B0=1.0, base=4096,
             else:
                 area += b * b - flip * flip
     return 0.5 * B0 * area
+
+
+def superlevel_intervals_per_lambda(weight, lam, sign="+", *, r_max,
+                                    n_grid=8192, max_crossings=64,
+                                    n_bisect=60):
+    """One-lambda superlevel scan: samples sign * W for this lambda alone
+    and bisects its own crossings.  Reference for fields.superlevel_scan,
+    which must agree bit for bit."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    s = 1.0 if sign in ("+", 1, 1.0) else -1.0
+    grid = np.linspace(0.0, r_max, n_grid + 1)
+    g = s * weight(grid) - lam
+    g = np.where(g == 0.0, -1e-300, g)
+    if g[-1] > 0.0:
+        raise UnboundedSet(
+            f"superlevel set still open at r_max={r_max:g} for lambda={lam:g}"
+        )
+    idx = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
+    if idx.size > max_crossings:
+        raise ValueError(f"more than {max_crossings} crossings of W - lambda")
+    lo = grid[idx]
+    hi = grid[idx + 1]
+    glo = g[idx]
+    for _ in range(n_bisect):
+        mid = 0.5 * (lo + hi)
+        gm = s * weight(mid) - lam
+        gm = np.where(gm == 0.0, -1e-300, gm)
+        left = np.sign(glo) != np.sign(gm)
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        glo = np.where(left, glo, gm)
+    roots = 0.5 * (lo + hi)
+
+    intervals = []
+    inside = g[0] > 0.0
+    start = 0.0
+    for x in roots:
+        if inside:
+            intervals.append((start, float(x)))
+            inside = False
+        else:
+            start = float(x)
+            inside = True
+    return intervals
 
 
 def dense(op):

@@ -244,6 +244,14 @@ class TestDefectFloor:
                     for k, s in shifts.items())
         assert worst <= comp.defect_floor <= 1.5 * worst
 
+    def test_floor_independent_of_channel_cut(self, small_cfg, small_run):
+        # the floor reads E_h of channels -q..1 from the cluster solve; with
+        # m_max = 0 channel 1 is solved for the floor alone, and the floor
+        # is the same number
+        cut = compute_cluster(replace(small_cfg, m_max=0))
+        assert [ch.m for ch in cut.channels] == [-1, 0]
+        assert cut.defect_floor == small_run[0].defect_floor
+
 
 class TestExponentFit:
     def test_small_run_exponent(self, small_cfg, small_run):

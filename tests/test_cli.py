@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landau import asymptotics, spectra
+from landau import asymptotics, fields, spectra
 from landau.cli import load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -283,6 +283,33 @@ class TestVerify:
                      "--out", str(tmp_path / "out"), "--q", "0,1"])
         assert code == 0
         assert solved == [0, 1]
+
+    def test_one_superlevel_scan_per_lambda_grid(self, tmp_path, monkeypatch):
+        # the report samples the weight once per lambda grid and bisects all
+        # crossings together: one grid sample plus 60 bisection steps per
+        # scan, not per lambda (about 6000 evaluations per q one by one)
+        evaluations, starts = [], []  # one entry per profile call
+        profile = fields.EffectiveWeight.profile
+        compute_cluster = asymptotics.compute_cluster
+
+        def counting(self, r):
+            evaluations.append(None)
+            return profile(self, r)
+
+        def marking(*args, **kwargs):
+            starts.append(len(evaluations))
+            return compute_cluster(*args, **kwargs)
+
+        # __call__ is bound to the original profile function
+        monkeypatch.setattr(fields.EffectiveWeight, "profile", counting)
+        monkeypatch.setattr(fields.EffectiveWeight, "__call__", counting)
+        monkeypatch.setattr(asymptotics, "compute_cluster", marking)
+        code = main(["verify", "--config", str(CONFIGS / "quick.json"),
+                     "--out", str(tmp_path / "out"), "--q", "1,2"])
+        assert code == 0
+        per_q = np.diff(starts + [len(evaluations)])
+        assert len(per_q) == 2
+        assert 0 < per_q.min() and per_q.max() <= 200
 
     def test_cluster_solve_stays_in_window(self, tmp_path, monkeypatch):
         # compute_cluster solves only the window around level q; no

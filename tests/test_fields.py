@@ -9,10 +9,11 @@ from scipy import integrate
 from landau.errors import DegenerateWeight, UnboundedSet
 from landau.fields import (FieldSpec, ProfileTerm, build_gauge,
                            check_regularity, counting_measure, effective_weight,
-                           eval_field, superlevel_radius)
+                           eval_field, superlevel_radius, superlevel_scan)
 from landau.operator import RadialMesh
 
-from conftest import brute_force_measure, total_flux
+from conftest import (brute_force_measure, superlevel_intervals_per_lambda,
+                      total_flux)
 
 
 def power_spec(c, beta):
@@ -224,6 +225,98 @@ class TestCountingMeasure:
         base = counting_measure(w, lam, "+", r_max=1e5)
         scaled = counting_measure(ws, scale * lam, "+", r_max=1e5)
         assert scaled == pytest.approx(base, rel=1e-8, abs=1e-12)
+
+
+def _scan_cases():
+    power = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)
+    ring = effective_weight(
+        FieldSpec((ProfileTerm("gaussian", 1.0, center=3.0, width=0.5),),
+                  beta=-3.0), None, 0, 1.0)
+    bump = effective_weight(
+        FieldSpec((ProfileTerm("power", 0.035, beta=-3.0),
+                   ProfileTerm("bump", 0.02, inner=1.25, outer=3.25)),
+                  beta=-3.0), None, 0, 1.0)
+    split = effective_weight(
+        FieldSpec((ProfileTerm("power", 0.4, beta=-3.0),
+                   ProfileTerm("gaussian", -0.6, center=2.5, width=0.4),
+                   ProfileTerm("gaussian", -0.5, center=5.0, width=0.3)),
+                  beta=-3.0), None, 0, 1.0)
+    rng = np.random.default_rng(7)
+    return {
+        # the lowest lambdas are still open at r_max = 10
+        "power-open": (power, "+", 10.0, np.geomspace(1e-6, 0.09, 30)),
+        "ring-annulus": (ring, "+", 50.0, np.linspace(0.05, 0.95, 19)),
+        "bump+power": (bump, "+", 30.0, np.geomspace(1e-5, 0.06, 40)),
+        "split-minus": (split, "-", 60.0, np.geomspace(0.5, 1e-3, 33)),
+        "split-plus-unsorted": (split, "+", 60.0,
+                                rng.permutation(np.concatenate(
+                                    [np.geomspace(1e-3, 0.5, 25),
+                                     [0.12, 0.12]]))),
+    }
+
+
+def _per_lambda(weight, lams, sign, r_max, **kw):
+    out = []
+    for lam in lams:
+        try:
+            out.append(superlevel_intervals_per_lambda(weight, lam, sign,
+                                                       r_max=r_max, **kw))
+        except UnboundedSet:
+            out.append(None)
+    return out
+
+
+def _first_error(call):
+    with pytest.raises((ValueError, UnboundedSet)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestSuperlevelScan:
+    @pytest.mark.parametrize("case", sorted(_scan_cases()))
+    def test_bitwise_equal_to_per_lambda(self, case):
+        weight, sign, r_max, lams = _scan_cases()[case]
+        got = superlevel_scan(weight, lams, sign, r_max=r_max)
+        ref = _per_lambda(weight, lams, sign, r_max)
+        assert got == ref
+        # every case has a nonempty set; the named shapes show up
+        assert any(iv for iv in ref)
+        if case == "power-open":
+            assert ref[0] is None and ref[-1] is not None
+        if case in ("ring-annulus", "split-minus"):
+            assert any(iv and iv[0][0] > 0.0 for iv in ref)
+        if case.startswith("split"):
+            assert max(len(iv) for iv in ref) >= 2
+
+    def test_max_crossings(self):
+        weight, sign, r_max, _ = _scan_cases()["split-minus"]
+        lams = [0.3, 0.05]  # two annuli each: 4 crossings
+        assert [len(iv) for iv in superlevel_scan(weight, lams, sign,
+                                                  r_max=r_max,
+                                                  max_crossings=4)] == [2, 2]
+        with pytest.raises(ValueError, match="more than 3 crossings"):
+            superlevel_scan(weight, lams, sign, r_max=r_max, max_crossings=3)
+
+    @pytest.mark.parametrize("lams", [[0.05, -1.0], [-1.0, 0.05], [0.3, 0.0]])
+    def test_first_error_in_order(self, lams):
+        # the error the one-by-one loop meets first is the one raised
+        weight, sign, r_max, _ = _scan_cases()["split-minus"]
+        expected = _first_error(lambda: _per_lambda(
+            weight, lams, sign, r_max, max_crossings=3))
+        assert _first_error(lambda: superlevel_scan(
+            weight, lams, sign, r_max=r_max, max_crossings=3)) == expected
+
+    @pytest.mark.parametrize("grid, lam", [
+        (np.geomspace(1e-2, 1e-6, 9), 10.0 ** -4.5),  # in the first sweep
+        (np.geomspace(1e-2, 1e-4, 5), 0.9e-4),        # in the shifted sweep
+    ])
+    def test_regularity_names_first_open_lambda(self, grid, lam):
+        # W = 0.1 (1 + r^2)^(-3/2) is 9.85e-5 at r_max = 10
+        w = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)
+        with pytest.raises(UnboundedSet) as info:
+            check_regularity(w, grid, 0.1, "+", r_max=10.0)
+        assert str(info.value) == ("superlevel set still open at r_max=10 "
+                                   f"for lambda={lam:g}")
 
 
 class TestRegularity:

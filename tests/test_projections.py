@@ -5,6 +5,7 @@ from scipy.special import eval_genlaguerre, gammaln
 from landau.errors import BasisTooSmall
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
 from landau.operator import RadialMesh, build_channel
+from landau import projections
 from landau.projections import (build_Sq_action,
                                 build_T0, build_Tq, coupling_constant,
                                 gram_identity_residual,
@@ -44,6 +45,28 @@ class TestBasis:
         assert coupling_constant(2, 1.0) == 8.0
         assert linear_coupling_constant(1) == 2.0
         assert linear_coupling_constant(2) == 16.0
+
+
+    def test_raised_levels_share_one_chain(self, basis_power, monkeypatch):
+        # raising to q = 1, 2, 3 takes one ladder step per mode and level; a
+        # lower q starts again from the modes; each level equals the
+        # q-fold ladder_apply bit for bit
+        steps = []
+        ladder_apply = projections.ladder_apply
+
+        def counting(g, gauge, q, raise_=True):
+            steps.append(q)
+            return ladder_apply(g, gauge, q, raise_)
+
+        basis = zero_mode_basis(basis_power.gauge, basis_power.modes[0].mesh,
+                                basis_power.m_max)
+        monkeypatch.setattr(projections, "ladder_apply", counting)
+        for q in (1, 2, 2, 3, 1, 3):
+            level = basis.raised(q)
+            for u, v in zip(basis.modes, level):
+                w = ladder_apply(u, basis.gauge, q)
+                assert v.m == w.m and np.array_equal(v.values, w.values)
+        assert steps == [1] * len(basis) * (3 + 1 + 2)
 
 
 class TestGramIdentity:
