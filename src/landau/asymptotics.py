@@ -200,8 +200,15 @@ def _snap(x, h):
 
 
 def _lambda_grid(lo, hi, per_decade):
-    n = max(2, int(math.ceil((math.log10(hi) - math.log10(lo)) * per_decade)))
-    return np.logspace(math.log10(lo), math.log10(hi), n + 1)
+    """The fixed points 10^(k / per_decade) in [lo, hi], ascending.
+
+    The points do not depend on lo and hi, so a roundoff change in a trust
+    floor moves no lambda; it can at most add or drop an end point.
+    """
+    k = np.arange(math.floor(math.log10(lo) * per_decade) - 1,
+                  math.ceil(math.log10(hi) * per_decade) + 2)
+    lams = 10.0 ** (k / per_decade)
+    return lams[(lams >= lo) & (lams <= hi)]
 
 
 def cluster_asymptotics_report(cfg, kind="pauli_minus", computation=None,
@@ -272,7 +279,6 @@ def cluster_asymptotics_report(cfg, kind="pauli_minus", computation=None,
             intervals and intervals[-1][1] > 0.5 * rcfg.r_max)
 
     lams = _lambda_grid(lam_floor, gamma * 0.999, rcfg.per_decade)
-    lams = lams[lams >= lam_floor]
     rows = []
     for lam, intervals in zip(lams, superlevel_scan(weight, lams, rcfg.sign,
                                                     r_max=rcfg.r_max)):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landau import spectra
-from landau.asymptotics import (VerificationConfig, boundary_sensitivity,
+from landau.asymptotics import (VerificationConfig, _lambda_grid,
+                                boundary_sensitivity,
                                 cluster_asymptotics_report, compute_cluster,
                                 family_reduction,
                                 perturbation_inequality_check,
@@ -192,6 +193,20 @@ class TestClusterReport:
             step = (lam[k + 1] / lam[k]) ** (2.0 / -3.0)
             slack = step * (1.0 + 2.0 / report.N[k + 1])
             assert ratio[k + 1] / ratio[k] < slack * 1.05
+
+    def test_lambda_grid_on_fixed_points(self, small_cfg, small_run):
+        # the grid is 10^(k / per_decade) clipped to [lo, hi], so a
+        # roundoff change in the trust floor moves no lambda
+        lo, hi = 3.7e-5, 0.4995
+        grid = _lambda_grid(lo, hi, 24)
+        for nudged in (lo * (1.0 + 1e-12), lo * (1.0 - 1e-12)):
+            assert np.array_equal(_lambda_grid(nudged, hi, 24), grid)
+        k = np.arange(-106, -7)  # 10^(-106/24) = 3.8e-5, 10^(-8/24) = 0.46
+        assert np.array_equal(grid, 10.0 ** (k / 24))
+        _, _, report = small_run
+        k = np.round(np.log10(report.lambdas) * small_cfg.per_decade)
+        assert np.array_equal(report.lambdas,
+                              10.0 ** (k / small_cfg.per_decade))
 
     def test_q0_degenerate_counting(self, b_power):
         cfg = VerificationConfig(B0=1.0, b=b_power, q=0, sign="+",
