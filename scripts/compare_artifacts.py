@@ -19,16 +19,24 @@ relative paths, so the trees of two checkouts compare byte for byte.
 
 With `--against OTHER` (a tree written by this script, e.g. from the parent
 commit) the files that differ or exist on one side only are listed, and
-the exit status is 1 on any difference.  OUT must be empty or absent.
+the exit status is 1 on any difference.  For each differing file the
+largest absolute and relative difference of every float column (CSV), key
+(JSON, list indices folded into `[]`) or number in a line of text is
+printed; differences that are not between two finite floats (row or list
+counts, integers, flags, strings, NaN) are listed apart, after all files.
+OUT must be empty or absent.
 """
 
 import argparse
 import contextlib
+import csv
 import filecmp
 import glob
 import io
 import json
+import math
 import os
+import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -110,6 +118,105 @@ def compare(out, other):
     return len(mine | theirs), differ
 
 
+class FileDiff:
+    """How two versions of one file differ, per column, key or text line."""
+
+    def __init__(self):
+        self.floats = {}  # name -> [max abs, max rel] over finite floats
+        self.other = {}   # name -> [count, first example]
+
+    def note(self, name, what):
+        entry = self.other.setdefault(name, [0, what])
+        entry[0] += 1
+
+    def value(self, name, a, b):
+        if a == b or (a != a and b != b):  # two NaNs count as equal
+            return
+        if (type(a) is float and type(b) is float
+                and math.isfinite(a) and math.isfinite(b)):
+            err = abs(a - b)
+            entry = self.floats.setdefault(name, [0.0, 0.0])
+            entry[0] = max(entry[0], err)
+            entry[1] = max(entry[1], err / max(abs(a), abs(b)))
+        else:
+            self.note(name, f"{a!r} -> {b!r}")
+
+
+def _scalar(text):
+    """A CSV cell or a number in text as int, float or (failing both) str."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _diff_csv(a, b, diff):
+    rows_a, rows_b = list(csv.reader(a)), list(csv.reader(b))
+    notes_a = [r for r in rows_a if r and r[0].startswith("#")]
+    notes_b = [r for r in rows_b if r and r[0].startswith("#")]
+    if notes_a != notes_b:
+        diff.note("comment", f"{notes_a} -> {notes_b}")
+    rows_a = [r for r in rows_a if r and not r[0].startswith("#")]
+    rows_b = [r for r in rows_b if r and not r[0].startswith("#")]
+    head = rows_a[0] if rows_a else []
+    if not rows_a or not rows_b or head != rows_b[0]:
+        diff.note("columns", f"{rows_a[:1]} -> {rows_b[:1]}")
+        return
+    if len(rows_a) != len(rows_b):
+        diff.note("rows", f"{len(rows_a) - 1} -> {len(rows_b) - 1}")
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for name, x, y in zip(head, row_a, row_b):
+            diff.value(name, _scalar(x), _scalar(y))
+
+
+def _diff_json(a, b, diff, name=""):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            sub = f"{name}.{key}" if name else key
+            if key in a and key in b:
+                _diff_json(a[key], b[key], diff, sub)
+            else:
+                diff.note(sub, "only in " + ("OUT" if key in a else "OTHER"))
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            diff.note(name + "[]", f"length {len(a)} -> {len(b)}")
+        for x, y in zip(a, b):
+            _diff_json(x, y, diff, name + "[]")
+    else:
+        diff.value(name, a, b)
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def _diff_text(a, b, diff):
+    lines_a, lines_b = a.read().splitlines(), b.read().splitlines()
+    if len(lines_a) != len(lines_b):
+        diff.note("lines", f"{len(lines_a)} -> {len(lines_b)}")
+    for k, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+        if _NUMBER.sub("#", x) != _NUMBER.sub("#", y):
+            diff.note(f"line {k}", f"{x!r} -> {y!r}")
+            continue
+        for u, v in zip(_NUMBER.findall(x), _NUMBER.findall(y)):
+            diff.value(f"line {k}", _scalar(u), _scalar(v))
+
+
+def describe(out, other, path):
+    """FileDiff of one relative path present in both trees."""
+    diff = FileDiff()
+    with open(os.path.join(out, path)) as a, \
+            open(os.path.join(other, path)) as b:
+        if path.endswith(".csv"):
+            _diff_csv(a, b, diff)
+        elif path.endswith(".json"):
+            _diff_json(json.load(a), json.load(b), diff)
+        else:
+            _diff_text(a, b, diff)
+    return diff
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="directory to write the artifacts to")
@@ -124,9 +231,24 @@ def main(argv=None):
           + ", ".join(f"exit {c}: {codes.count(c)}" for c in sorted(set(codes))))
     if args.against is None:
         return 0
-    total, differ = compare(out, os.path.abspath(args.against))
+    other = os.path.abspath(args.against)
+    total, differ = compare(out, other)
+    not_float = []
     for path in differ:
         print(f"differs: {path}")
+        if not (os.path.exists(os.path.join(out, path))
+                and os.path.exists(os.path.join(other, path))):
+            not_float.append(f"{path}: only in one tree")
+            continue
+        diff = describe(out, other, path)
+        for name, (err, rel) in diff.floats.items():
+            print(f"  {name}: max abs {err:.3g}, max rel {rel:.3g}")
+        for name, (count, first) in diff.other.items():
+            not_float.append(f"{path}: {name}: {count} (first {first})")
+    if not_float:
+        print("differences that are not between two finite floats:")
+        for line in not_float:
+            print(f"  {line}")
     print(f"{total} files, {len(differ)} differ")
     return 1 if differ else 0
 
