@@ -77,12 +77,20 @@ def zero_mode_basis(gauge, mesh, m_max):
 
 
 def _pair_matrix(left, right, weights=None):
-    """Matrix of inner products <w left_i, right_j>; channel-aware."""
-    k = len(left)
-    out = np.zeros((k, k))
-    for i in range(k):
-        li = left[i] if weights is None else left[i].weighted(weights)
-        for j in range(k):
+    """Matrix of inner products <w left_i, right_j>.
+
+    Distinct channels are orthogonal exactly (RadialFunction.dot), so only
+    the pairs of equal m are formed; every other entry stays 0.0.
+    """
+    by_channel = {}
+    for j, r in enumerate(right):
+        by_channel.setdefault(r.m, []).append(j)
+    out = np.zeros((len(left), len(right)))
+    for i, li in enumerate(left):
+        js = by_channel.get(li.m, ())
+        if js and weights is not None:
+            li = li.weighted(weights)
+        for j in js:
             out[i, j] = li.dot(right[j])
     return out
 
@@ -238,7 +246,6 @@ def build_Tq(q, V, cluster):
     """
     mesh = cluster.states[0].mesh if len(cluster) else None
     k = len(cluster)
-    t = np.zeros((k, k))
     lam = 2.0 * q * cluster.B0
     Vv = (V.evaluate(mesh.nodes) if (V is not None and mesh is not None)
           else None)
@@ -249,10 +256,7 @@ def build_Tq(q, V, cluster):
         if Vv is not None:
             av += Vv * v.values
         applied.append(RadialFunction(av, v.m, v.mesh))
-    for i in range(k):
-        for j in range(k):
-            t[i, j] = applied[i].dot(cluster.states[j])
-    t = _symmetrized(t, "build_Tq")
+    t = _symmetrized(_pair_matrix(applied, cluster.states), "build_Tq")
     prov = {"q": q, "B0": cluster.B0, "basis": "cluster",
             "size": k}
     return ToeplitzMatrix(q, t, "cluster", prov)

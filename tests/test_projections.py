@@ -245,6 +245,18 @@ class TestSq:
 
 
 class TestTq:
+    def test_pair_matrix_equals_all_pairs(self, mesh_small, basis_power,
+                                          cluster_q1):
+        # only pairs of equal m are formed; the result still equals the
+        # loop over every pair bit for bit (the reference kept here)
+        left = list(cluster_q1.states) + basis_power.modes
+        right = left[::-1]
+        for w in (None, np.linspace(1.0, 2.0, mesh_small.n)):
+            ref = np.array([[(u if w is None else u.weighted(w)).dot(v)
+                             for v in right] for u in left])
+            assert np.array_equal(projections._pair_matrix(left, right, w),
+                                  ref)
+
     def test_no_potential_diagonal_of_shifts(self, cluster_q1, b_power):
         Tq = build_Tq(1, None, cluster_q1)
         diag = np.diag(Tq.entries)
