@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import ConvergenceFailure, InconsistentProvenance
 from .operator import ChannelOperator, RadialFunction
@@ -23,16 +23,17 @@ def _lower_bound(op):
 def channel_eigs(op, e_max, e_min=None):
     """Eigenpairs of the channel matrix with e_min < eigenvalue <= e_max.
 
-    Without e_min every eigenpair up to e_max is returned.  With it,
-    bisection and inverse iteration run only on (e_min, e_max]; the
-    eigenvalues at or below e_min are skipped, and solve_channel counts
-    them by a Sturm count at the same e_min, so the k-th pair returned is
-    the channel's eigenstate first + k.  An eigenvalue within roundoff of
-    e_min may land on either side of it, so callers keep e_min in a gap.
+    This is the LAPACK bisection / inverse-iteration path (stebz + stein)
+    for symmetric tridiagonal matrices.  Without e_min every eigenpair up
+    to e_max is returned; the full spectrum (`landau spectrum`, the zero-mode
+    exactness check) is always solved here.  With e_min, bisection runs only
+    on (e_min, e_max]; solve_channel takes this path for a window with two
+    or more eigenvalues, or when its one-pair inverse iteration gives up.
+    An eigenvalue within roundoff of e_min may land on either side of it,
+    so callers keep e_min in a gap.
 
-    Uses the LAPACK bisection / inverse-iteration path for symmetric
-    tridiagonal matrices; ordering is ascending and eigenvector signs are
-    fixed so the largest-magnitude component is positive.
+    Ordering is ascending and eigenvector signs are fixed so the
+    largest-magnitude component is positive.
 
     Bisection runs to the absolute tolerance 1e-14 and each eigenvalue is
     then polished by one Rayleigh quotient with its eigenvector.  Inverse
@@ -60,16 +61,61 @@ def channel_eigs(op, e_max, e_min=None):
             f"tridiagonal solve failed for kind={op.kind} m={op.m} "
             f"(n={op.mesh.n}, h={op.mesh.h})"
         ) from exc
-    pairs = []
-    for k in range(vals.size):
-        v = vecs[:, k]
-        pivot = int(np.argmax(np.abs(v)))
-        if v[pivot] < 0:
-            v = -v
-        rq = float(np.dot(v, op.matvec(v)) / np.dot(v, v))
-        pairs.append((rq, v))
+    pairs = [_polished(op, vecs[:, k]) for k in range(vals.size)]
     pairs.sort(key=lambda p: p[0])
     return pairs
+
+
+def _polished(op, v):
+    """(Rayleigh quotient, v) with v's largest-magnitude component positive."""
+    pivot = int(np.argmax(np.abs(v)))
+    if v[pivot] < 0:
+        v = -v
+    return float(np.dot(v, op.matvec(v)) / np.dot(v, v)), v
+
+
+# inverse iteration: step limit and backward-error factor; see _one_pair
+_MAX_STEPS = 12
+_BACKWARD_ERROR = 16.0 * np.finfo(float).eps
+
+
+def _one_pair(op, e_min, e_max):
+    """The eigenpair of the one eigenvalue in (e_min, e_max], or None.
+
+    Inverse iteration at the window midpoint, solved by LAPACK dgtsv, from
+    a vector of ones.  The window holds one eigenvalue and is symmetric
+    about the shift, so that eigenvalue is the one nearest the shift.  The
+    iteration stops when the residual passes the componentwise
+    backward-error test ||T v - E v|| <= 16 eps || |T| |v| || with E the
+    Rayleigh quotient: (E, v) is then an exact eigenpair of a matrix
+    whose entries differ from T's by a few ulps each.  The residual floor
+    is eps times the local stencil size (~4 / h^2 in the inner cells), not
+    eps |E|, so a test scaled by |E| is never passed.  None (the caller
+    falls back to bisection) when dgtsv reports a singular pivot, when
+    the test fails after _MAX_STEPS steps, or when E leaves the window.
+    """
+    shifted = op.diag - 0.5 * (e_min + e_max)
+    abs_diag, abs_off = np.abs(op.diag), np.abs(op.offdiag)
+    v = np.ones((op.mesh.n, 1))
+    for _ in range(_MAX_STEPS):
+        _, _, _, x, info = dgtsv(op.offdiag, shifted, op.offdiag, v)
+        if info:
+            return None
+        v = x / np.linalg.norm(x)
+        u = v[:, 0]
+        tu = op.matvec(u)
+        E = float(np.dot(u, tu))
+        au = np.abs(u)
+        scale = abs_diag * au
+        scale[:-1] += abs_off * au[1:]
+        scale[1:] += abs_off * au[:-1]
+        if (np.linalg.norm(tu - E * u)
+                <= _BACKWARD_ERROR * np.linalg.norm(scale)):
+            break
+    else:
+        return None
+    E, u = _polished(op, u)
+    return (E, u) if e_min < E <= e_max else None
 
 
 def _count_at_or_below(op, e):
@@ -110,16 +156,34 @@ class ChannelResult:
 
 
 def solve_channel(op, e_max, e_min=None):
-    """Eigenpairs in (e_min, e_max] (see channel_eigs) and the number of
-    eigenvalues at or below e_min."""
-    pairs = channel_eigs(op, e_max, e_min)
+    """Eigenpairs in (e_min, e_max] and the number of eigenvalues at or
+    below e_min.
+
+    Without e_min this is channel_eigs.  With it, two Sturm counts, at
+    e_min (kept as `first`) and at e_max, certify how many eigenvalues lie
+    in the window.  None: no LAPACK solve runs.  One: it comes from
+    inverse iteration (_one_pair), checked by a backward-error test and
+    polished like a channel_eigs pair.  Two or more, or an inverse
+    iteration that gives up: channel_eigs bisects the window.
+    """
+    if e_min is None:
+        first, pairs = 0, channel_eigs(op, e_max)
+    else:
+        first = _count_at_or_below(op, e_min)
+        inside = _count_at_or_below(op, e_max) - first
+        pair = _one_pair(op, e_min, e_max) if inside == 1 else None
+        if pair is not None:
+            pairs = [pair]
+        elif inside:
+            pairs = channel_eigs(op, e_max, e_min)
+        else:
+            pairs = []
     if pairs:
         energies = np.array([e for e, _ in pairs])
         vectors = np.column_stack([v for _, v in pairs])
     else:
         energies = np.empty(0)
         vectors = np.empty((op.mesh.n, 0))
-    first = 0 if e_min is None else _count_at_or_below(op, e_min)
     return ChannelResult(op, energies, vectors, first)
 
 

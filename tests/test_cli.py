@@ -340,6 +340,29 @@ class TestVerify:
             assert E.size >= 20
             assert np.all((E > window.lambda_minus) & (E < window.lambda_plus))
 
+    def test_window_solves_need_no_bisection(self, tmp_path, monkeypatch):
+        # every cluster and defect-floor channel holds at most one
+        # eigenvalue of its window, so the Sturm counts and inverse
+        # iteration solve them all; the stebz bisection never runs
+        bisections, steps = [], []
+        eigh_tridiagonal, dgtsv = spectra.eigh_tridiagonal, spectra.dgtsv
+
+        def bisecting(*args, **kwargs):
+            bisections.append(None)
+            return eigh_tridiagonal(*args, **kwargs)
+
+        def stepping(*args):
+            steps.append(None)
+            return dgtsv(*args)
+
+        monkeypatch.setattr(spectra, "eigh_tridiagonal", bisecting)
+        monkeypatch.setattr(spectra, "dgtsv", stepping)
+        code = main(["verify", "--config", str(CONFIGS / "quick.json"),
+                     "--out", str(tmp_path / "out"), "--q", "1,2"])
+        assert code == 0
+        assert len(bisections) == 0
+        assert len(steps) > 100
+
     def test_json_summary_only(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["verify", "--config", str(cfg_path), "--out", str(out),

@@ -134,6 +134,114 @@ class TestWindowSolve:
         assert mid.first == 4 and mid.energies.tolist() == full[4:]
 
 
+def recorded(monkeypatch, name):
+    """Calls of spectra.<name>; the wrapped function still runs."""
+    calls = []
+    original = getattr(spectra, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, name, wrapper)
+    return calls
+
+
+def window_ops(q=1):
+    """Channels -q..cut of a small mesh and the cluster window of level q."""
+    mesh = RadialMesh(16.0, 0.02)
+    gauge = build_gauge(FieldSpec.power(0.05, -3.0), 1.0, mesh)
+    V = FieldSpec.power(0.03, -2.8)
+    ops = [build_channel("pauli_minus", m, gauge, V, mesh)
+           for m in range(-q, default_channel_cut(16.0, 1.0) + 1)]
+    return ops, 2.0 * q - 0.5 - 1e-6, 2.0 * q + 0.5 + 1e-6
+
+
+class TestOnePairSolve:
+    # with e_min, Sturm counts at e_min and e_max certify how many
+    # eigenvalues the window holds; one comes from inverse iteration, and
+    # any other number, or an iteration that gives up, from the bisection
+
+    def test_one_eigenvalue_by_inverse_iteration(self, monkeypatch):
+        ops, e_min, e_max = window_ops()
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        steps = recorded(monkeypatch, "dgtsv")
+        channels = solve_channels(ops, e_max, e_min)
+        assert bisections == []
+        assert 3 * len(ops) <= len(steps) <= 6 * len(ops)
+        for ch in channels:
+            (E, v), = channel_eigs(ch.op, e_max, e_min)
+            assert ch.energies.size == 1
+            assert abs(ch.energies[0] - E) <= 1e-11
+            assert np.max(np.abs(ch.vectors[:, 0] - v)) <= 1e-10
+
+    def test_two_eigenvalues_fall_back_to_bisection(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 200
+        diag, off = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n - 1)
+        op = ChannelOperator("pauli_minus", 0, RadialMesh(float(n), 1.0),
+                             diag, off, False, 1.0, 0.0)
+        ref = np.linalg.eigvalsh(dense(op))
+        e_min = 0.5 * (ref[99] + ref[100])
+        e_max = 0.5 * (ref[101] + ref[102])
+        bisect = channel_eigs(op, e_max, e_min)
+        full = [(E, v) for E, v in channel_eigs(op, e_max) if E > e_min]
+        steps = recorded(monkeypatch, "dgtsv")
+        ch = solve_channel(op, e_max, e_min)
+        assert steps == []
+        assert ch.first == 100
+        assert ch.energies.tolist() == [E for E, _ in bisect]
+        assert np.array_equal(ch.vectors, np.column_stack([v for _, v in bisect]))
+        assert np.allclose(ch.energies, [E for E, _ in full], rtol=0.0,
+                           atol=1e-12)
+        assert np.allclose(ch.vectors, np.column_stack([v for _, v in full]),
+                           rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("failure", ["singular pivot", "step limit"])
+    def test_failed_iteration_falls_back(self, monkeypatch, failure):
+        ops, e_min, e_max = window_ops()
+        op = ops[1]  # m = 0: its level-1 state
+        (E, v), = channel_eigs(op, e_max, e_min)
+        if failure == "singular pivot":  # the solution, flagged singular
+            dgtsv = spectra.dgtsv
+            monkeypatch.setattr(spectra, "dgtsv",
+                                lambda *args: dgtsv(*args)[:4] + (1,))
+        else:
+            monkeypatch.setattr(spectra, "_MAX_STEPS", 1)
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        ch = solve_channel(op, e_max, e_min)
+        assert len(bisections) == 1
+        assert ch.energies.tolist() == [E]
+        assert np.array_equal(ch.vectors[:, 0], v)
+
+    def test_converged_outside_window_falls_back(self, monkeypatch):
+        # 2x2 blocks [[c, t], [t, c]]; the window holds only 20 - 10 = 10,
+        # whose vector (1, -1) is orthogonal to the start vector of ones, so
+        # the iteration converges to 0 + 9 = 9, just below the window
+        c = [20.0, 0.0, 100.0, -100.0, 200.0, -200.0, 300.0, -300.0]
+        t = [10.0, 9.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        off = np.zeros(15)
+        off[0::2] = t
+        op = ChannelOperator("pauli_minus", 0, RadialMesh(16.0, 1.0),
+                             np.repeat(c, 2), off, False, 1.0, 0.0)
+        assert spectra._one_pair(op, 9.05, 10.05) is None
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        ch = solve_channel(op, 10.05, 9.05)
+        assert len(bisections) == 1
+        assert (ch.first, ch.energies.tolist()) == (8, [10.0])
+
+    def test_empty_window_solves_nothing(self, monkeypatch):
+        ops, _, _ = window_ops()
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        steps = recorded(monkeypatch, "dgtsv")
+        # levels 0 and 2 only: the gap (0.5, 1.5] holds no eigenvalue
+        for op in ops[1:6]:
+            ch = solve_channel(op, 1.5, 0.5)
+            assert ch.energies.size == 0 and ch.vectors.shape == (op.mesh.n, 0)
+            assert ch.first == (1 if op.m >= 0 else 0)
+        assert bisections == [] and steps == []
+
+
 def small_table(gauge, mesh, m_range, e_max=3.0, V=None, kind="pauli_minus"):
     ops = [build_channel(kind, m, gauge, V, mesh) for m in m_range]
     channels = solve_channels(ops, e_max)
