@@ -96,26 +96,25 @@ def _one_pair(op, e_min, e_max):
     """
     shifted = op.diag - 0.5 * (e_min + e_max)
     abs_diag, abs_off = np.abs(op.diag), np.abs(op.offdiag)
-    v = np.ones((op.mesh.n, 1))
+    v = np.ones(op.mesh.n)
     for _ in range(_MAX_STEPS):
         _, _, _, x, info = dgtsv(op.offdiag, shifted, op.offdiag, v)
         if info:
             return None
         v = x / np.linalg.norm(x)
-        u = v[:, 0]
-        tu = op.matvec(u)
-        E = float(np.dot(u, tu))
-        au = np.abs(u)
-        scale = abs_diag * au
-        scale[:-1] += abs_off * au[1:]
-        scale[1:] += abs_off * au[:-1]
-        if (np.linalg.norm(tu - E * u)
+        tv = op.matvec(v)
+        E = float(np.dot(v, tv))
+        av = np.abs(v)
+        scale = abs_diag * av
+        scale[:-1] += abs_off * av[1:]
+        scale[1:] += abs_off * av[:-1]
+        if (np.linalg.norm(tv - E * v)
                 <= _BACKWARD_ERROR * np.linalg.norm(scale)):
             break
     else:
         return None
-    E, u = _polished(op, u)
-    return (E, u) if e_min < E <= e_max else None
+    E, v = _polished(op, v)
+    return (E, v) if e_min < E <= e_max else None
 
 
 def _count_at_or_below(op, e):
