@@ -23,7 +23,8 @@ the exit status is 1 on any difference.  For each differing file the
 largest absolute and relative difference of every float column (CSV), key
 (JSON, list indices folded into `[]`) or number in a line of text is
 printed; differences that are not between two finite floats (row or list
-counts, integers, flags, strings, NaN) are listed apart, after all files.
+counts, integers, flags, strings, NaN) are listed apart, after all files,
+as OTHER's value -> OUT's value.
 OUT must be empty or absent.
 """
 
@@ -178,7 +179,7 @@ def _diff_json(a, b, diff, name=""):
             if key in a and key in b:
                 _diff_json(a[key], b[key], diff, sub)
             else:
-                diff.note(sub, "only in " + ("OUT" if key in a else "OTHER"))
+                diff.note(sub, "only in " + ("OTHER" if key in a else "OUT"))
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             diff.note(name + "[]", f"length {len(a)} -> {len(b)}")
@@ -206,8 +207,8 @@ def _diff_text(a, b, diff):
 def describe(out, other, path):
     """FileDiff of one relative path present in both trees."""
     diff = FileDiff()
-    with open(os.path.join(out, path)) as a, \
-            open(os.path.join(other, path)) as b:
+    with open(os.path.join(other, path)) as a, \
+            open(os.path.join(out, path)) as b:
         if path.endswith(".csv"):
             _diff_csv(a, b, diff)
         elif path.endswith(".json"):
