@@ -147,14 +147,14 @@ def recorded(monkeypatch, name):
     return calls
 
 
-def window_ops(q=1):
-    """Channels -q..cut of a small mesh and the cluster window of level q."""
+def window_ops():
+    """Channels -1..cut of a small mesh and the cluster window of level 1."""
     mesh = RadialMesh(16.0, 0.02)
     gauge = build_gauge(FieldSpec.power(0.05, -3.0), 1.0, mesh)
     V = FieldSpec.power(0.03, -2.8)
     ops = [build_channel("pauli_minus", m, gauge, V, mesh)
-           for m in range(-q, default_channel_cut(16.0, 1.0) + 1)]
-    return ops, 2.0 * q - 0.5 - 1e-6, 2.0 * q + 0.5 + 1e-6
+           for m in range(-1, default_channel_cut(16.0, 1.0) + 1)]
+    return ops, 1.5 - 1e-6, 2.5 + 1e-6
 
 
 class TestOnePairSolve:
