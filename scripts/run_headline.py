@@ -33,9 +33,9 @@ def main():
 
     t0 = time.monotonic()
     comp = compute_cluster(cfg)
-    drift = boundary_sensitivity(cfg, computation=comp)
-    report = cluster_asymptotics_report(cfg, computation=comp, drift=drift)
-    fit = upper_estimate_check(cfg, report=report)
+    drift = boundary_sensitivity(comp)
+    report = cluster_asymptotics_report(comp)
+    fit = upper_estimate_check(comp, report)
     elapsed = time.monotonic() - t0
 
     os.makedirs(args.out, exist_ok=True)

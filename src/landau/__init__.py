@@ -8,7 +8,7 @@ asymptotics (verification harness), cli (command-line front end).
 
 from .fields import (EffectiveWeight, FieldSpec, GaugeData, ProfileTerm,
                      build_gauge, check_regularity, counting_measure,
-                     effective_weight, eval_field)
+                     effective_weight)
 from .operator import (ChannelOperator, RadialFunction, RadialMesh,
                        build_channel, default_channel_cut, ladder_apply,
                        ladder_lower, ladder_raise, zero_mode)
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EffectiveWeight", "FieldSpec", "GaugeData", "ProfileTerm",
     "build_gauge", "check_regularity", "counting_measure",
-    "effective_weight", "eval_field",
+    "effective_weight",
     "ChannelOperator", "RadialFunction", "RadialMesh", "build_channel",
     "default_channel_cut", "ladder_apply", "ladder_lower", "ladder_raise",
     "zero_mode",

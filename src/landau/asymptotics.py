@@ -5,6 +5,12 @@ contribute to the q-th cluster, and compares the eigenvalue counting
 function N(Lambda_q + lambda, lambda_plus) against E_+(lambda, V + 2q b)
 over a lambda grid restricted to a trust region where the finite domain,
 the boundary drift, and the mesh defect cannot distort the comparison.
+
+The stages form one data flow: compute_cluster(cfg) solves the cluster
+once and returns a ClusterComputation; boundary_sensitivity(comp) estimates
+the domain drift from it; cluster_asymptotics_report(comp) builds the
+counting report (taking the drift from boundary_sensitivity); and
+upper_estimate_check(comp, report) fits the exponent on that report.
 """
 
 import math
@@ -13,14 +19,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectra
-from .errors import DegenerateWeight, TrustRegionEmpty
+from .errors import TrustRegionEmpty
 from .fields import (FieldSpec, GaugeData, build_gauge, check_regularity,
                      effective_weight, superlevel_measure, superlevel_scan)
-from .operator import (RadialMesh, build_channel, default_channel_cut,
+from .operator import (KINDS, RadialMesh, build_channel, default_channel_cut,
                        spin_down_form)
 from .spectra import (BoundaryPolicy, ClusterWindow, CountingReport,
                       assemble_spectrum, cluster_states, counting_function,
                       solve_channels)
+
+# fewest states a trusted lambda row counts; the trust floor's multiple of
+# the drift and defect estimates; the drift is estimated for R -> 1.2 R
+MIN_COUNT = 5
+TRUST_SAFETY = 10.0
+DRIFT_FACTOR = 1.2
 
 
 @dataclass
@@ -28,6 +40,7 @@ class VerificationConfig:
     """One cluster-verification scenario (fields, mesh, policies)."""
 
     B0: float = 1.0
+    operator: str = "pauli_minus"
     b: FieldSpec = field(default_factory=FieldSpec.zero)
     V: FieldSpec = field(default_factory=FieldSpec.zero)
     q: int = 1
@@ -38,14 +51,13 @@ class VerificationConfig:
     gamma: float = None
     per_decade: int = 24
     ratio_band: tuple = (0.8, 1.2)
-    min_count: int = 5
-    trust_safety: float = 10.0
-    drift_factor: float = 1.2
     boundary_policy: BoundaryPolicy = field(default_factory=BoundaryPolicy)
 
     def __post_init__(self):
         if self.B0 <= 0:
             raise ValueError("B0 must be positive")
+        if self.operator not in KINDS:
+            raise ValueError(f"operator must be one of {KINDS}")
         if self.q < 0:
             raise ValueError("q must be >= 0")
         for name, spec in (("b", self.b), ("V", self.V)):
@@ -62,31 +74,29 @@ class VerificationConfig:
     def gamma_eff(self):
         return 0.5 * self.B0 if self.gamma is None else self.gamma
 
-    def channel_cut(self, r_max=None):
+    def channel_cut(self):
         if self.m_max is not None:
             return self.m_max
-        return default_channel_cut(r_max if r_max else self.r_max, self.B0)
+        return default_channel_cut(self.r_max, self.B0)
 
 
-def family_reduction(kind, cfg):
+def family_reduction(cfg):
     """Reduce a Schroedinger / spin-up scenario to the spin-down one.
 
-    Returns (reduced config, constant level shift).  The reduced electric
-    part is V + b (shift B0) resp. V + 2b (shift 2 B0); spectra of the
-    original operators equal the reduced spin-down spectra plus the shift,
-    channel matrix by channel matrix.
+    Returns the config with operator "pauli_minus" and electric part V + b
+    resp. V + 2b (cfg itself for "pauli_minus"); spectra of the original
+    operators equal the reduced spin-down spectra plus the level shift B0
+    resp. 2 B0 (operator.spin_down_form), channel matrix by channel matrix.
     """
-    V, shift = spin_down_form(kind, cfg.V, cfg.b)
-    return (cfg if V is cfg.V else replace(cfg, V=V)), shift * cfg.B0
+    V, _ = spin_down_form(cfg.operator, cfg.V, cfg.b)
+    return cfg if V is cfg.V else replace(cfg, V=V, operator="pauli_minus")
 
 
 @dataclass
 class ClusterComputation:
     """Everything the q-th cluster run produced, for reuse downstream."""
 
-    cfg: VerificationConfig
-    kind: str
-    level_shift: float
+    cfg: VerificationConfig  # reduced to the spin-down form
     mesh: RadialMesh
     gauge: GaugeData
     channels: list
@@ -96,22 +106,17 @@ class ClusterComputation:
     defect_floor: float
 
 
-def _contributing_channels(cfg, r_max=None):
-    return list(range(-cfg.q, cfg.channel_cut(r_max) + 1))
-
-
-def compute_cluster(cfg, kind="pauli_minus", r_max=None):
+def compute_cluster(cfg):
     """Diagonalize the channels feeding the q-th cluster of the reduced
     spin-down operator and extract the cluster states.
 
     Only the window around the level is solved; the table keeps the
     per-channel labels n of the full spectrum (spectra.ChannelResult).
     """
-    rcfg, shift = family_reduction(kind, cfg)
-    R = r_max if r_max else rcfg.r_max
-    mesh = RadialMesh(R, rcfg.h)
+    rcfg = family_reduction(cfg)
+    mesh = RadialMesh(rcfg.r_max, rcfg.h)
     gauge = build_gauge(rcfg.b, rcfg.B0, mesh)
-    ms = _contributing_channels(rcfg, R)
+    ms = range(-rcfg.q, rcfg.channel_cut() + 1)
     center = 2.0 * rcfg.q * rcfg.B0
     # the margins keep every eigenvalue near the window's endpoints
     # visible to ClusterWindow.nudged
@@ -123,8 +128,8 @@ def compute_cluster(cfg, kind="pauli_minus", r_max=None):
     table = assemble_spectrum(channels, rcfg.boundary_policy)
     window = ClusterWindow.default(rcfg.q, rcfg.B0, rcfg.gamma_eff).nudged(table)
     cluster = cluster_states(table, window, mesh, channels)
-    return ClusterComputation(rcfg, kind, shift, mesh, gauge, channels,
-                              table, window, cluster, floor)
+    return ClusterComputation(rcfg, mesh, gauge, channels, table, window,
+                              cluster, floor)
 
 
 def _defect_floor(cfg, gauge, e_min, e_max, channels):
@@ -169,9 +174,9 @@ def _defect_floor(cfg, gauge, e_min, e_max, channels):
     return worst
 
 
-def boundary_sensitivity(cfg, kind="pauli_minus", R=None, R_prime=None,
-                         computation=None):
-    """Drift of labeled cluster shifts under domain enlargement R -> R'.
+def boundary_sensitivity(comp):
+    """Drift of labeled cluster shifts under domain enlargement R -> R',
+    R' = DRIFT_FACTOR R snapped to the mesh.
 
     The shifts at R' are predicted from the one solve at R by the Dirichlet
     domain-variation formula dE/dR = -|w'(R)|^2 (Hadamard) for the state w
@@ -181,22 +186,15 @@ def boundary_sensitivity(cfg, kind="pauli_minus", R=None, R_prime=None,
     over-estimates the true drift (tests/test_asymptotics.py brackets it
     against a second solve at R').
     """
-    R = R if R else cfg.r_max
-    R_prime = R_prime if R_prime else _snap(cfg.drift_factor * R, cfg.h)
-    comp = computation if computation is not None else compute_cluster(
-        cfg, kind, r_max=R)
+    R, h = comp.cfg.r_max, comp.cfg.h
+    R_prime = round(DRIFT_FACTOR * R / h) * h
     c = comp.cluster
     labels = [(int(m), int(n)) for m, n in zip(c.ms, c.ns)]
     slope = np.array([-2.0 * w.values[-1] / comp.mesh.h for w in c.states])
     at_R = dict(zip(labels, c.shifts.tolist()))
     at_Rp = dict(zip(labels, (c.shifts - (R_prime - R) * slope ** 2).tolist()))
-    return spectra.boundary_sensitivity(
-        lambda radius: at_R if radius == R else at_Rp, R, R_prime,
-        safety=cfg.trust_safety)
-
-
-def _snap(x, h):
-    return round(x / h) * h
+    return spectra.boundary_sensitivity(at_R, at_Rp, R, R_prime,
+                                        safety=TRUST_SAFETY)
 
 
 def _lambda_grid(lo, hi, per_decade):
@@ -211,17 +209,16 @@ def _lambda_grid(lo, hi, per_decade):
     return lams[(lams >= lo) & (lams <= hi)]
 
 
-def cluster_asymptotics_report(cfg, kind="pauli_minus", computation=None,
-                               drift=None):
+def cluster_asymptotics_report(comp):
     """Counting function vs semiclassical measure over the trusted grid.
 
-    Trust region: superlevel radius <= r_max / 2, N >= min_count, lambda at
-    least `trust_safety` times both the boundary-drift estimate and the
-    mesh-defect floor.  Raises TrustRegionEmpty (with the limiting
-    constraint) when no grid point qualifies; a weight with no part of the
-    requested sign produces a degenerate report with E = 0 instead.
+    Trust region: superlevel radius <= r_max / 2, N >= MIN_COUNT, lambda at
+    least TRUST_SAFETY times both the boundary-drift estimate
+    (boundary_sensitivity) and the mesh-defect floor.  Raises
+    TrustRegionEmpty (with the limiting constraint) when no grid point
+    qualifies; a weight with no part of the requested sign produces a
+    degenerate report with E = 0 instead, before any drift estimate.
     """
-    comp = computation if computation is not None else compute_cluster(cfg, kind)
     rcfg = comp.cfg
     weight = effective_weight(rcfg.V, rcfg.b, rcfg.q, rcfg.B0)
     gamma = rcfg.gamma_eff
@@ -259,10 +256,8 @@ def cluster_asymptotics_report(cfg, kind="pauli_minus", computation=None,
         regularity = check_regularity(weight, reg_grid, 0.1, rcfg.sign,
                                       r_max=reach)
 
-    if drift is None:
-        drift = boundary_sensitivity(cfg, kind, computation=comp)
-    floor_drift = rcfg.trust_safety * drift.max_drift
-    floor_defect = rcfg.trust_safety * comp.defect_floor
+    floor_drift = TRUST_SAFETY * boundary_sensitivity(comp).max_drift
+    floor_defect = TRUST_SAFETY * comp.defect_floor
     lam_floor = max(floor_drift, floor_defect, 1e-12)
     if lam_floor >= 0.999 * gamma:
         binding = "drift" if floor_drift > floor_defect else "defect"
@@ -285,22 +280,20 @@ def cluster_asymptotics_report(cfg, kind="pauli_minus", computation=None,
         if not trusted(intervals):
             continue
         n_val = count(lam)
-        if n_val < rcfg.min_count:
+        if n_val < MIN_COUNT:
             continue
         rows.append((lam, n_val, superlevel_measure(weight, intervals)))
 
     if not rows:
         reasons = []
-        if lam_floor >= gamma:
-            reasons.append(f"drift/defect floor {lam_floor:.3g} >= gamma")
         lam = max(lam_floor, gamma * 1e-3)
         if not trusted(superlevel_scan(weight, [lam], rcfg.sign,
                                        r_max=rcfg.r_max)[0]):
             reasons.append(
                 f"superlevel radius exceeds r_max/2 = {rcfg.r_max / 2:g} "
                 f"down to the floor")
-        if count(lam) < rcfg.min_count:
-            reasons.append(f"N < {rcfg.min_count} everywhere above the floor")
+        if count(lam) < MIN_COUNT:
+            reasons.append(f"N < {MIN_COUNT} everywhere above the floor")
         raise TrustRegionEmpty(
             "no lambda satisfies the trust constraints ("
             + "; ".join(reasons or ["all constraints interact"]) + ")")
@@ -325,7 +318,6 @@ def cluster_asymptotics_report(cfg, kind="pauli_minus", computation=None,
 class ExponentReport:
     exponent: float
     expected: float
-    n_points: int
     note: str = ""
 
     @property
@@ -333,43 +325,16 @@ class ExponentReport:
         return abs(self.exponent - self.expected)
 
 
-def upper_estimate_check(cfg, kind="pauli_minus", report=None):
-    """Fit log N against log lambda; the fitted slope should approach the
-    decay-class exponent 2 / beta of the effective weight."""
-    if report is None:
-        try:
-            report = cluster_asymptotics_report(cfg, kind)
-        except DegenerateWeight:
-            return ExponentReport(math.nan, math.nan, 0, "empty-cluster")
-    good = report.N >= max(1, cfg.min_count)
+def upper_estimate_check(comp, report):
+    """Fit log N against log lambda over the report's rows; the fitted slope
+    should approach the decay-class exponent 2 / beta of the effective
+    weight."""
+    good = report.N >= MIN_COUNT
     if report.note == "degenerate-weight" or not np.any(good):
-        return ExponentReport(math.nan, math.nan, 0, "empty-cluster")
-    rcfg, _ = family_reduction(kind, cfg)
+        return ExponentReport(math.nan, math.nan, "empty-cluster")
+    rcfg = comp.cfg
     weight = effective_weight(rcfg.V, rcfg.b, rcfg.q, rcfg.B0)
     slope = float(np.polyfit(np.log(report.lambdas[good]),
                              np.log(report.N[good]), 1)[0])
-    return ExponentReport(slope, 2.0 / weight.beta_eff,
-                          int(np.count_nonzero(good)))
+    return ExponentReport(slope, 2.0 / weight.beta_eff)
 
-
-def perturbation_inequality_check(L0, L1, mu1, mu2, tau1, tau2):
-    """Exact integer check of the two-sided eigenvalue perturbation bound.
-
-    N(mu1, mu2; L0 + L1) <= N(mu1 - tau1, mu2 + tau2; L0)
-                            + n(tau1; L1) + n(tau2; L1),
-    with n(tau; L1) the number of singular values of L1 above tau.
-    """
-    if tau1 <= 0 or tau2 <= 0:
-        raise ValueError("tau1, tau2 must be positive")
-    if mu1 >= mu2:
-        raise ValueError("need mu1 < mu2")
-    L0 = np.asarray(L0, dtype=float)
-    L1 = np.asarray(L1, dtype=float)
-    eig_sum = np.linalg.eigvalsh(L0 + L1)
-    eig_0 = np.linalg.eigvalsh(L0)
-    sv = np.linalg.svd(L1, compute_uv=False)
-    lhs = int(np.count_nonzero((eig_sum > mu1) & (eig_sum < mu2)))
-    rhs = (int(np.count_nonzero((eig_0 > mu1 - tau1) & (eig_0 < mu2 + tau2)))
-           + int(np.count_nonzero(sv > tau1))
-           + int(np.count_nonzero(sv > tau2)))
-    return lhs <= rhs

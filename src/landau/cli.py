@@ -40,7 +40,6 @@ class RunConfig(asymptotics.VerificationConfig):
     of VerificationConfig plus what the commands alone read."""
 
     raw: dict
-    operator: str
     q_list: list
     bands: dict
     basis_m_max: int
@@ -72,11 +71,26 @@ def _number(value, name, kind=float):
         _fail(name, f"must be a number, got {value!r}")
 
 
+def _section(raw, name):
+    """The object-valued config field `name` ({} when absent)."""
+    value = raw.get(name, {})
+    if not isinstance(value, dict):
+        _fail(name, f"must be an object, got {value!r}")
+    return value
+
+
+def _nonnegative(value, name):
+    value = _number(value, name, int)
+    if value < 0:
+        _fail(name, f"must be >= 0, got {value}")
+    return value
+
+
 def _field_spec(raw, name):
-    if raw is None:
+    if raw.get(name) is None:
         return FieldSpec.zero()
     try:
-        return FieldSpec.from_dict(raw)
+        return FieldSpec.from_dict(_section(raw, name))
     except (KeyError, TypeError, ValueError) as exc:
         _fail(name, str(exc))
 
@@ -89,20 +103,22 @@ def load_config(path):
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
 
     B0 = _number(raw.get("B0", 1.0), "B0")
     operator = raw.get("operator", "pauli_minus")
     if operator not in KINDS:
         _fail("operator", f"must be one of {KINDS}")
-    b = _field_spec(raw.get("b"), "b")
-    V = _field_spec(raw.get("V"), "V")
+    b = _field_spec(raw, "b")
+    V = _field_spec(raw, "V")
 
     q_raw = raw.get("q", [0, 1])
     q_list = [q_raw] if isinstance(q_raw, int) else list(q_raw)
     if not q_list or any((not isinstance(q, int)) or q < 0 for q in q_list):
         _fail("q", "must be a nonnegative integer or list of them")
 
-    mesh = raw.get("mesh", {})
+    mesh = _section(raw, "mesh")
     r_max = _number(mesh.get("r_max", 20.0), "mesh.r_max")
     h = _number(mesh.get("h", 0.01), "mesh.h")
     if r_max <= 0 or h <= 0:
@@ -112,26 +128,29 @@ def load_config(path):
     except ValueError as exc:
         _fail("mesh", str(exc))
     m_max = mesh.get("m_max")
-    m_max = (_number(m_max, "mesh.m_max", int) if m_max is not None
+    m_max = (_nonnegative(m_max, "mesh.m_max") if m_max is not None
              else default_channel_cut(r_max, B0))
 
-    gamma = raw.get("window", {}).get("gamma")
+    gamma = _section(raw, "window").get("gamma")
     gamma = (_number(gamma, "window.gamma") if gamma is not None
              else 0.5 * B0)
 
-    lam = raw.get("lambda", {})
+    lam = _section(raw, "lambda")
     per_decade = _number(lam.get("per_decade", 24), "lambda.per_decade", int)
     if per_decade < 2:
         _fail("lambda.per_decade", "must be at least 2")
 
     bands = dict(_BAND_DEFAULTS)
-    bands.update(raw.get("bands", {}))
-    ratio_band = tuple(raw.get("ratio_band", bands["ratio"]))
-    if len(ratio_band) != 2 or not ratio_band[0] < 1.0 < ratio_band[1]:
+    bands.update(_section(raw, "bands"))
+    ratio_band = raw.get("ratio_band", bands["ratio"])
+    if not isinstance(ratio_band, (list, tuple)) or len(ratio_band) != 2:
+        _fail("ratio_band", f"must be two numbers, got {ratio_band!r}")
+    ratio_band = tuple(_number(x, "ratio_band") for x in ratio_band)
+    if not ratio_band[0] < 1.0 < ratio_band[1]:
         _fail("ratio_band", "must bracket 1.0")
 
     basis_m_max = raw.get("basis_m_max")
-    basis_m_max = (_number(basis_m_max, "basis_m_max", int)
+    basis_m_max = (_nonnegative(basis_m_max, "basis_m_max")
                    if basis_m_max is not None else min(m_max, 11))
     e_max = raw.get("e_max")
     # one level above the top cluster, past the operator's level shift
@@ -274,9 +293,8 @@ def cmd_identities(cfg, out, as_json):
 
 def _verify_one_q(cfg, q, out):
     """Counting, Toeplitz, and identity checks for one Landau index."""
-    vcfg = replace(cfg, q=q)
     log.info("verify q=%d: solving channels m in [%d, %d]", q, -q, cfg.m_max)
-    comp = asymptotics.compute_cluster(vcfg, cfg.operator)
+    comp = asymptotics.compute_cluster(replace(cfg, q=q))
     log.info("verify q=%d: %d cluster states, defect floor %.3g",
              q, len(comp.cluster), comp.defect_floor)
     checks = {}
@@ -287,23 +305,14 @@ def _verify_one_q(cfg, q, out):
               zip(comp.cluster.ms, comp.cluster.ns, comp.cluster.shifts),
               _meta(cfg, q=q))
 
-    weight = effective_weight(comp.cfg.V, comp.cfg.b, q, cfg.B0)
-    degenerate_expected = weight.is_zero
-    try:
-        report = asymptotics.cluster_asymptotics_report(vcfg, cfg.operator,
-                                                        computation=comp)
-    except TrustRegionEmpty:
-        if degenerate_expected:
-            report = None
-        else:
-            raise
-    if report is not None:
-        write_csv(os.path.join(out, f"counting_q{q}_{cfg.sign}.csv"),
-                  ["lambda", "N", "E_measure", "ratio"], report.rows(),
-                  _meta(cfg, q=q, sign=cfg.sign))
+    # a weight with no part of the requested sign gives a degenerate report
+    report = asymptotics.cluster_asymptotics_report(comp)
+    write_csv(os.path.join(out, f"counting_q{q}_{cfg.sign}.csv"),
+              ["lambda", "N", "E_measure", "ratio"], report.rows(),
+              _meta(cfg, q=q, sign=cfg.sign))
 
     bands = cfg.bands
-    if report is not None and report.note != "degenerate-weight":
+    if report.note != "degenerate-weight":
         lo, hi = report.band_lo, report.band_hi
         decades = math.log10(hi / lo) if lo else 0.0
         in_window = ((report.lambdas >= lo) & (report.lambdas <= hi)
@@ -314,8 +323,7 @@ def _verify_one_q(cfg, q, out):
                            and decades >= bands["min_decades"]
                            and peak >= bands["min_peak_count"]),
             "band_window": [lo, hi], "decades": decades, "peak_count": peak}
-        exp = asymptotics.upper_estimate_check(vcfg, cfg.operator,
-                                               report=report)
+        exp = asymptotics.upper_estimate_check(comp, report)
         checks["exponent"] = {
             "passed": bool(exp.deviation <= bands["exponent_tol"]),
             "fitted": exp.exponent, "expected": exp.expected}
@@ -332,8 +340,7 @@ def _verify_one_q(cfg, q, out):
         Tq = projections.build_Tq(q, None, comp.cluster)
         basis = projections.zero_mode_basis(
             comp.gauge, comp.mesh,
-            min(int(np.max(comp.cluster.ms)) + q, cfg.m_max) if len(comp.cluster)
-            else cfg.basis_m_max)
+            min(int(np.max(comp.cluster.ms)) + q, cfg.m_max))
         T0 = projections.build_T0(q, cfg.V, basis)
         c_q = projections.coupling_constant(q, cfg.B0)
         tq = np.sort(Tq.eigenvalues())[::-1]

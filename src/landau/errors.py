@@ -29,10 +29,6 @@ class InconsistentProvenance(LandauError):
     """Channel results from different meshes or kinds cannot be merged."""
 
 
-class BasisTooSmall(LandauError):
-    """Zero-mode basis loses too much norm when projecting a cluster state."""
-
-
 class TrustRegionEmpty(LandauError):
     """No lambda value satisfies all trust constraints."""
 

@@ -60,19 +60,6 @@ class ProfileTerm:
             )
         return self.sign * val
 
-    def to_dict(self):
-        if self.kind == "power":
-            d = {"kind": "power", "c": self.amplitude, "beta": self.beta}
-        elif self.kind == "gaussian":
-            d = {"kind": "gaussian", "amp": self.amplitude,
-                 "center": self.center, "width": self.width}
-        else:
-            d = {"kind": "bump", "amp": self.amplitude,
-                 "inner": self.inner, "outer": self.outer}
-        if self.sign != 1.0:
-            d["sign"] = self.sign
-        return d
-
     @staticmethod
     def from_dict(d):
         kind = d["kind"]
@@ -103,31 +90,24 @@ def _smooth_cutoff(t):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A radial profile together with its decay-class metadata.
-
-    `beta` is the declared decay exponent; `delta` is the derivative-decay
-    gain, carried as metadata only (no computation consumes it).
-    """
+    """A radial profile together with its declared decay exponent `beta`."""
 
     terms: tuple
     beta: float
-    delta: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
         if self.beta >= 0:
             raise ValueError("decay exponent beta must be negative")
-        if not 0.0 < self.delta < -self.beta:
-            raise ValueError("delta must lie in (0, -beta)")
 
     @staticmethod
-    def zero(beta=-3.0, delta=0.5):
-        return FieldSpec((), beta=beta, delta=delta)
+    def zero(beta=-3.0):
+        return FieldSpec((), beta=beta)
 
     @staticmethod
-    def power(amplitude, beta, delta=0.5):
+    def power(amplitude, beta):
         return FieldSpec((ProfileTerm("power", amplitude, beta=beta),),
-                         beta=beta, delta=delta)
+                         beta=beta)
 
     @property
     def is_zero(self):
@@ -144,28 +124,17 @@ class FieldSpec:
 
     def scaled(self, factor):
         terms = tuple(replace(t, amplitude=t.amplitude * factor) for t in self.terms)
-        return FieldSpec(terms, beta=self.beta, delta=self.delta)
+        return FieldSpec(terms, beta=self.beta)
 
     @staticmethod
     def sum(a, b):
         """Concatenate term lists; the slower decay dominates the class."""
-        return FieldSpec(a.terms + b.terms, beta=max(a.beta, b.beta),
-                         delta=min(a.delta, b.delta))
-
-    def to_dict(self):
-        return {"terms": [t.to_dict() for t in self.terms],
-                "beta": self.beta, "delta": self.delta}
+        return FieldSpec(a.terms + b.terms, beta=max(a.beta, b.beta))
 
     @staticmethod
     def from_dict(d):
         terms = tuple(ProfileTerm.from_dict(t) for t in d.get("terms", []))
-        return FieldSpec(terms, beta=float(d["beta"]),
-                         delta=float(d.get("delta", 0.5)))
-
-
-def eval_field(spec, r):
-    """Evaluate a FieldSpec at a scalar radius (total function, r >= 0)."""
-    return float(spec.evaluate(r))
+        return FieldSpec(terms, beta=float(d["beta"]))
 
 
 @dataclass
@@ -263,21 +232,15 @@ def build_gauge(b, B0, mesh, tol=1e-10):
 
 @dataclass(frozen=True)
 class EffectiveWeight:
-    """Radial weight V + 2q b, optionally scaled by C_q = q! (2 B0)^q."""
+    """Radial weight V + 2q b."""
 
     V: FieldSpec
     b: FieldSpec
     q: int
     B0: float
-    scaled: bool = False
-
-    @property
-    def coupling(self):
-        return math.factorial(self.q) * (2.0 * self.B0) ** self.q
 
     def profile(self, r):
-        w = self.V.evaluate(r) + (2.0 * self.q) * self.b.evaluate(r)
-        return self.coupling * w if self.scaled else w
+        return self.V.evaluate(r) + (2.0 * self.q) * self.b.evaluate(r)
 
     __call__ = profile
 
@@ -296,24 +259,26 @@ class EffectiveWeight:
         return self.V.is_zero and (self.q == 0 or self.b.is_zero)
 
 
-def effective_weight(V, b, q, B0, scaled=False):
+def effective_weight(V, b, q, B0):
     if q < 0:
         raise ValueError("Landau index q must be >= 0")
     V = V if V is not None else FieldSpec.zero()
     b = b if b is not None else FieldSpec.zero()
-    return EffectiveWeight(V=V, b=b, q=int(q), B0=float(B0), scaled=scaled)
+    return EffectiveWeight(V=V, b=b, q=int(q), B0=float(B0))
 
 
 def _parse_sign(sign):
-    if sign in ("+", +1, 1.0):
-        return 1.0
-    if sign in ("-", -1, -1.0):
-        return -1.0
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    return 1.0 if sign == "+" else -1.0
 
 
-def superlevel_scan(weight, lams, sign="+", *, r_max, n_grid=8192,
-                    max_crossings=64, n_bisect=60):
+# superlevel_scan: sampling grid cells and bisection steps per crossing
+_N_GRID = 8192
+_N_BISECT = 60
+
+
+def superlevel_scan(weight, lams, sign="+", *, r_max, max_crossings=64):
     """Maximal intervals of {r in [0, r_max] : sign * W(r) > lam} for every
     lam of `lams` at once.
 
@@ -321,14 +286,13 @@ def superlevel_scan(weight, lams, sign="+", *, r_max, n_grid=8192,
     intervals, or None where the set is still open at r_max.  Assumes a
     piecewise monotone profile whose crossings are resolved on the sampling
     grid.  sign * W is sampled once on the grid; every crossing of every lam
-    is then located by one shared bisection (about 1e-12 absolute in r for
-    the default iteration count).  The first lam in order that is not
-    positive, or whose closed set has more than `max_crossings` crossings,
-    raises ValueError.
+    is then located by one shared bisection of _N_BISECT steps (about 1e-12
+    absolute in r).  The first lam in order that is not positive, or whose
+    closed set has more than `max_crossings` crossings, raises ValueError.
     """
     lams = np.asarray(lams, dtype=float)
     s = _parse_sign(sign)
-    grid = np.linspace(0.0, r_max, n_grid + 1)
+    grid = np.linspace(0.0, r_max, _N_GRID + 1)
     sw = s * weight(grid)
     # sw - lam > 0 exactly when sw > lam, so grid step i crosses lam exactly
     # when min(sw_i, sw_i+1) <= lam < max(sw_i, sw_i+1); those lam are a
@@ -361,7 +325,7 @@ def superlevel_scan(weight, lams, sign="+", *, r_max, n_grid=8192,
     # nudge exact zeros off the boundary so interval bookkeeping stays simple
     glo = sw[step] - lam
     glo = np.where(glo == 0.0, -1e-300, glo)
-    for _ in range(n_bisect):
+    for _ in range(_N_BISECT):
         mid = 0.5 * (lo + hi)
         gm = s * weight(mid) - lam
         gm = np.where(gm == 0.0, -1e-300, gm)
@@ -400,16 +364,11 @@ def _closed(scans, lams, r_max):
     return scans
 
 
-def superlevel_intervals(weight, lam, sign="+", *, r_max, **kw):
-    """Maximal intervals of {r in [0, r_max] : sign * W(r) > lam}; raises
-    UnboundedSet when the set is still open at r_max (see superlevel_scan)."""
-    return _closed(superlevel_scan(weight, [lam], sign, r_max=r_max, **kw),
-                   [lam], r_max)[0]
-
-
-def superlevel_radius(weight, lam, sign="+", *, r_max, **kw):
-    """Outer radius of the superlevel set (0 when empty)."""
-    intervals = superlevel_intervals(weight, lam, sign, r_max=r_max, **kw)
+def superlevel_radius(weight, lam, sign="+", *, r_max):
+    """Outer radius of the superlevel set (0 when empty); raises
+    UnboundedSet when the set is still open at r_max."""
+    intervals = _closed(superlevel_scan(weight, [lam], sign, r_max=r_max),
+                        [lam], r_max)[0]
     return intervals[-1][1] if intervals else 0.0
 
 
@@ -418,44 +377,40 @@ def superlevel_measure(weight, intervals):
     return 0.5 * weight.B0 * sum(b * b - a * a for a, b in intervals)
 
 
-def counting_measures(weight, lams, sign="+", *, r_max, **kw):
+def counting_measures(weight, lams, sign="+", *, r_max):
     """E_pm(lam, W) for every lam of `lams`, from one superlevel scan.
 
     The first lam in order whose set is still open at r_max raises
     UnboundedSet; on a decreasing grid that is the lam a one-by-one sweep
     would stop at.
     """
-    scans = superlevel_scan(weight, lams, sign, r_max=r_max, **kw)
+    scans = superlevel_scan(weight, lams, sign, r_max=r_max)
     return [superlevel_measure(weight, intervals)
             for intervals in _closed(scans, lams, r_max)]
 
 
-def counting_measure(weight, lam, sign="+", *, r_max, **kw):
+def counting_measure(weight, lam, sign="+", *, r_max):
     """E_pm(lam, W) = (B0 / 2) * sum of lengths of {r^2 : sign W(r) > lam}."""
-    return counting_measures(weight, [lam], sign, r_max=r_max, **kw)[0]
+    return counting_measures(weight, [lam], sign, r_max=r_max)[0]
 
 
 @dataclass
 class RegularityReport:
-    lambdas: np.ndarray
-    E_values: np.ndarray
-    ratios: np.ndarray
     max_ratio: float
     exponent: float
     expected_ratio: float
-    ratio_bound: float
     regular_ok: bool
     lower_ok: bool
-    beta_eff: float
 
 
-def check_regularity(weight, lambda_grid, eps, sign="+", *, r_max,
-                     ratio_bound=None, exponent_tol=0.1):
+def check_regularity(weight, lambda_grid, eps, sign="+", *, r_max):
     """Probe the counting-measure regularity and lower-bound conditions.
 
     Reports max over the grid of E(lam (1-eps)) / E(lam) and the log-log
     slope of E; both are compared with the values the declared decay class
-    predicts.  Raises DegenerateWeight when E vanishes on the whole grid.
+    predicts: the ratio within 5% of (1 - eps)^(2 / beta), the slope at
+    most 2 / beta + 0.1.  Raises DegenerateWeight when E vanishes on the
+    whole grid.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
@@ -471,16 +426,12 @@ def check_regularity(weight, lambda_grid, eps, sign="+", *, r_max,
         )
     E_shift = np.array(counting_measures(weight, lambdas[mask] * (1.0 - eps),
                                          sign, r_max=r_max))
-    ratios = E_shift / E[mask]
-    max_ratio = float(np.max(ratios))
+    max_ratio = float(np.max(E_shift / E[mask]))
 
     beta_eff = weight.beta_eff
     slope = float(np.polyfit(np.log(lambdas[mask]), np.log(E[mask]), 1)[0])
     expected_ratio = (1.0 - eps) ** (2.0 / beta_eff)
-    bound = ratio_bound if ratio_bound is not None else 1.05 * expected_ratio
     return RegularityReport(
-        lambdas=lambdas[mask], E_values=E[mask], ratios=ratios,
         max_ratio=max_ratio, exponent=slope, expected_ratio=expected_ratio,
-        ratio_bound=bound, regular_ok=max_ratio <= bound,
-        lower_ok=slope <= 2.0 / beta_eff + exponent_tol, beta_eff=beta_eff,
-    )
+        regular_ok=max_ratio <= 1.05 * expected_ratio,
+        lower_ok=slope <= 2.0 / beta_eff + 0.1)

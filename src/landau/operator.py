@@ -154,9 +154,7 @@ class ChannelOperator:
     mesh: RadialMesh
     diag: np.ndarray
     offdiag: np.ndarray
-    includes_V: bool
     B0: float
-    level_shift: float
 
     def matvec(self, v):
         out = self.diag * v
@@ -221,11 +219,8 @@ def build_channel(kind, m, gauge, V, mesh):
                   + Ac * Ac - gauge.B_total[:cut])
 
     core = flux / h2 + rest + electric.evaluate(r)
-    shift = shift_B0 * gauge.B0
-    diag = core + shift
-    includes_V = V is not None and not V.is_zero
-    return ChannelOperator(kind, m, mesh, diag, offdiag, includes_V,
-                           gauge.B0, shift)
+    diag = core + shift_B0 * gauge.B0
+    return ChannelOperator(kind, m, mesh, diag, offdiag, gauge.B0)
 
 
 def zero_mode(m, gauge, mesh):
@@ -290,9 +285,8 @@ def ladder_lower(g, gauge):
     return _ladder(g, gauge, g.m + 1, -1.0, +1.0)
 
 
-def ladder_apply(g, gauge, q, raise_=True):
-    """Apply the raise (or lower) action q times."""
-    step = ladder_raise if raise_ else ladder_lower
+def ladder_apply(g, gauge, q):
+    """Apply the raise action q times."""
     for _ in range(q):
-        g = step(g, gauge)
+        g = ladder_raise(g, gauge)
     return g

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisTooSmall
 from .operator import RadialFunction, ladder_apply, zero_mode
 
 
@@ -27,7 +26,7 @@ def linear_coupling_constant(q):
 
 @dataclass
 class ZeroModeBasis:
-    """Orthonormal zero modes for channels m = 0..m_max (one per channel)."""
+    """Orthonormal zero modes for channels m = 0, 1, ... (one per channel)."""
 
     modes: list
     gauge: object
@@ -35,15 +34,8 @@ class ZeroModeBasis:
     def __post_init__(self):
         self._chain = (0, self.modes)
 
-    @property
-    def m_max(self):
-        return len(self.modes) - 1
-
     def __len__(self):
         return len(self.modes)
-
-    def mode(self, m):
-        return self.modes[m]
 
     def raised(self, q):
         """[Qbar^q u_m for each mode u_m].
@@ -60,14 +52,6 @@ class ZeroModeBasis:
             level = [ladder_apply(u, self.gauge, 1) for u in level]
         self._chain = (q, level)
         return level
-
-    def gram(self):
-        k = len(self.modes)
-        g = np.zeros((k, k))
-        for i, u in enumerate(self.modes):
-            for j, v in enumerate(self.modes):
-                g[i, j] = u.dot(v)
-        return g
 
 
 def zero_mode_basis(gauge, mesh, m_max):
@@ -144,10 +128,7 @@ def _symmetrized(mat, where):
 class ToeplitzMatrix:
     """Compressed operator on a truncated basis (zero modes or cluster)."""
 
-    q: int
     entries: np.ndarray
-    basis_kind: str
-    provenance: dict
 
     def eigenvalues(self):
         return np.linalg.eigvalsh(self.entries)
@@ -175,66 +156,18 @@ def build_T0(q, V, basis):
     """
     gauge = basis.gauge
     mesh = basis.modes[0].mesh
-    B0 = gauge.B0
     Vv = V.evaluate(mesh.nodes) if V is not None else np.zeros(mesh.n)
     if q == 0:
         t = _pair_matrix(basis.modes, basis.modes, Vv)
     else:
         raised = basis.raised(q)
         raised1 = basis.raised(q + 1)
-        lam_next = 2.0 * (q + 1) * B0
+        lam_next = 2.0 * (q + 1) * gauge.B0
         wv = Vv - 2.0 * gauge.b_values
         t = (_pair_matrix(raised1, raised1)
              - lam_next * _pair_matrix(raised, raised)
              + _pair_matrix(raised, raised, wv))
-    t = _symmetrized(t, "build_T0")
-    prov = {"q": q, "B0": B0, "m_max": basis.m_max, "basis": "zero_modes"}
-    return ToeplitzMatrix(q, t, "zero_modes", prov)
-
-
-def build_Sq_action(q, cluster, zero_basis, gauge):
-    """Gram matrix of the approximate spectral projection on the cluster.
-
-    S_q = C_q^{-1} Qbar^q P_0 Q^q applied to each cluster eigenvector;
-    returns <S_q v_i, v_j>.  Raises BasisTooSmall when the zero-mode
-    projection loses more than 1% of a lowered state's norm.
-
-    The ladder actions drop one unimodular factor per application, so the
-    one-sided composition here regains (-1)^q relative to the raw raise /
-    lower chain; inner products of same-side chains are unaffected.
-    """
-    if q < 1:
-        raise ValueError("approximate projection needs q >= 1")
-    c_q = coupling_constant(q, gauge.B0)
-    k = len(cluster)
-    raised_cache = {}
-    coeffs = np.zeros(k)
-    for i, v in enumerate(cluster.states):
-        lowered = ladder_apply(v, gauge, q, raise_=False)
-        target = lowered.m
-        if not 0 <= target <= zero_basis.m_max:
-            raise BasisTooSmall(
-                f"cluster state m={v.m} lowers to channel {target} outside "
-                f"the zero-mode basis [0, {zero_basis.m_max}]"
-            )
-        u = zero_basis.mode(target)
-        c = lowered.dot(u)
-        if abs(c) < 0.99 * lowered.norm():
-            raise BasisTooSmall(
-                f"projection keeps only {abs(c) / lowered.norm():.3f} of the "
-                f"norm of Q^{q} v for cluster state m={v.m}"
-            )
-        coeffs[i] = c
-        if target not in raised_cache:
-            raised_cache[target] = ladder_apply(u, gauge, q)
-    phase = (-1.0) ** q
-    s = np.zeros((k, k))
-    for i, v_i in enumerate(cluster.states):
-        back = raised_cache[v_i.m + q]
-        for j, v_j in enumerate(cluster.states):
-            if v_j.m == v_i.m:
-                s[i, j] = phase * coeffs[i] * back.dot(v_j) / c_q
-    return _symmetrized(s, "build_Sq_action")
+    return ToeplitzMatrix(_symmetrized(t, "build_T0"))
 
 
 def build_Tq(q, V, cluster):
@@ -245,7 +178,6 @@ def build_Tq(q, V, cluster):
     quadrature.  With V = 0 this is diagonal with the cluster shifts.
     """
     mesh = cluster.states[0].mesh if len(cluster) else None
-    k = len(cluster)
     lam = 2.0 * q * cluster.B0
     Vv = (V.evaluate(mesh.nodes) if (V is not None and mesh is not None)
           else None)
@@ -256,10 +188,8 @@ def build_Tq(q, V, cluster):
         if Vv is not None:
             av += Vv * v.values
         applied.append(RadialFunction(av, v.m, v.mesh))
-    t = _symmetrized(_pair_matrix(applied, cluster.states), "build_Tq")
-    prov = {"q": q, "B0": cluster.B0, "basis": "cluster",
-            "size": k}
-    return ToeplitzMatrix(q, t, "cluster", prov)
+    t = _pair_matrix(applied, cluster.states)
+    return ToeplitzMatrix(_symmetrized(t, "build_Tq"))
 
 
 @dataclass

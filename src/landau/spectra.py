@@ -312,20 +312,10 @@ def _cluster_rows(table, window):
     return keep[order]
 
 
-def cluster_extract(table, window):
-    """Signed shifts E - Lambda_q inside the window, |shift| descending.
-
-    Boundary-flagged rows are excluded; an empty cluster is legal and
-    yields an empty array.
-    """
-    return table.E[_cluster_rows(table, window)] - window.center
-
-
 @dataclass
 class ClusterStates:
-    """Cluster eigenstates with labels, ordered like cluster_extract."""
+    """Cluster eigenstates with labels, |shift| descending."""
 
-    q: int
     B0: float
     shifts: np.ndarray
     ms: np.ndarray
@@ -338,13 +328,15 @@ class ClusterStates:
 
 
 def cluster_states(table, window, mesh, channels):
-    """Like cluster_extract but carrying eigenvectors and channel matrices."""
+    """Signed shifts E - Lambda_q of the non-boundary states inside the
+    window, with their labels, eigenvectors and channel matrices; an empty
+    cluster is legal."""
     rows = _cluster_rows(table, window)
     shifts = table.E[rows] - window.center
     ms, ns = table.m[rows], table.n[rows]
     states = [table.state(m, n, mesh) for m, n in zip(ms, ns)]
     ops = {ch.op.m: ch.op for ch in channels}
-    return ClusterStates(window.q, window.B0, shifts, ms, ns, states, ops)
+    return ClusterStates(window.B0, shifts, ms, ns, states, ops)
 
 
 def counting_function(table, mu1, mu2):
@@ -363,37 +355,27 @@ class DriftReport:
     R_prime: float
     labels: list                 # (m, n) present at both radii
     shifts: np.ndarray           # at R
-    shifts_prime: np.ndarray     # at R_prime
     drift: np.ndarray
     max_drift: float
-    converged: np.ndarray        # |shift| >= 10 |drift|
-
-    def drift_for(self, m, n):
-        try:
-            k = self.labels.index((int(m), int(n)))
-        except ValueError:
-            return self.max_drift
-        return float(abs(self.drift[k]))
+    converged: np.ndarray        # |shift| >= safety |drift|
 
 
-def boundary_sensitivity(shifts_fn, R, R_prime, safety=10.0):
-    """Compare labeled cluster shifts computed at two truncation radii.
+def boundary_sensitivity(at_R, at_Rp, R, R_prime, safety=10.0):
+    """Compare labeled cluster shifts at two truncation radii.
 
-    `shifts_fn(R) -> dict[(m, n)] = shift`; states are matched by label and
-    a shift counts as converged in the domain-truncation sense when it
-    exceeds `safety` times its own drift.
+    `at_R` and `at_Rp` map (m, n) to the shift at R resp. R_prime; states
+    are matched by label and a shift counts as converged in the
+    domain-truncation sense when it exceeds `safety` times its own drift.
     """
     if R_prime <= R:
         raise ValueError("need R_prime > R")
-    at_R = shifts_fn(R)
-    at_Rp = shifts_fn(R_prime)
     labels = sorted(set(at_R) & set(at_Rp))
     s = np.array([at_R[k] for k in labels])
     sp = np.array([at_Rp[k] for k in labels])
     drift = sp - s
     max_drift = float(np.max(np.abs(drift))) if labels else 0.0
     converged = np.abs(s) >= safety * np.abs(drift)
-    return DriftReport(R, R_prime, labels, s, sp, drift, max_drift, converged)
+    return DriftReport(R, R_prime, labels, s, drift, max_drift, converged)
 
 
 @dataclass

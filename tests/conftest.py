@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from landau.errors import QuadratureFailure, UnboundedSet
+from landau.errors import LandauError, QuadratureFailure, UnboundedSet
 from landau.fields import FieldSpec, build_gauge
-from landau.operator import (RadialFunction, RadialMesh, ladder_lower,
-                             ladder_raise)
+from landau.operator import (RadialFunction, RadialMesh, ladder_apply,
+                             ladder_lower, ladder_raise)
+from landau.projections import _symmetrized, coupling_constant
+from landau.spectra import _cluster_rows
 
 
 @pytest.fixture(scope="session")
@@ -159,3 +161,84 @@ def commutator_action(g, gauge):
     up_down = ladder_lower(ladder_raise(g, gauge), gauge)
     down_up = ladder_raise(ladder_lower(g, gauge), gauge)
     return RadialFunction(-(up_down.values - down_up.values), g.m, g.mesh)
+
+
+def cluster_shifts(table, window):
+    """Signed shifts E - Lambda_q of the table's cluster rows (non-boundary,
+    inside the window), |shift| descending, as spectra.cluster_states
+    orders them."""
+    return table.E[_cluster_rows(table, window)] - window.center
+
+
+def perturbation_inequality_check(L0, L1, mu1, mu2, tau1, tau2):
+    """Exact integer check of the two-sided eigenvalue perturbation bound.
+
+    N(mu1, mu2; L0 + L1) <= N(mu1 - tau1, mu2 + tau2; L0)
+                            + n(tau1; L1) + n(tau2; L1),
+    with n(tau; L1) the number of singular values of L1 above tau.
+    """
+    if tau1 <= 0 or tau2 <= 0:
+        raise ValueError("tau1, tau2 must be positive")
+    if mu1 >= mu2:
+        raise ValueError("need mu1 < mu2")
+    L0 = np.asarray(L0, dtype=float)
+    L1 = np.asarray(L1, dtype=float)
+    eig_sum = np.linalg.eigvalsh(L0 + L1)
+    eig_0 = np.linalg.eigvalsh(L0)
+    sv = np.linalg.svd(L1, compute_uv=False)
+    lhs = int(np.count_nonzero((eig_sum > mu1) & (eig_sum < mu2)))
+    rhs = (int(np.count_nonzero((eig_0 > mu1 - tau1) & (eig_0 < mu2 + tau2)))
+           + int(np.count_nonzero(sv > tau1))
+           + int(np.count_nonzero(sv > tau2)))
+    return lhs <= rhs
+
+
+class BasisTooSmall(LandauError):
+    """Zero-mode basis loses too much norm when projecting a cluster state."""
+
+
+def build_Sq_action(q, cluster, zero_basis, gauge):
+    """Gram matrix of the approximate spectral projection on the cluster.
+
+    S_q = C_q^{-1} Qbar^q P_0 Q^q applied to each cluster eigenvector;
+    returns <S_q v_i, v_j>.  Raises BasisTooSmall when the zero-mode
+    projection loses more than 1% of a lowered state's norm.
+
+    The ladder actions drop one unimodular factor per application, so the
+    one-sided composition here regains (-1)^q relative to the raw raise /
+    lower chain; inner products of same-side chains are unaffected.
+    """
+    if q < 1:
+        raise ValueError("approximate projection needs q >= 1")
+    c_q = coupling_constant(q, gauge.B0)
+    k = len(cluster)
+    raised_cache = {}
+    coeffs = np.zeros(k)
+    for i, v in enumerate(cluster.states):
+        lowered = v
+        for _ in range(q):
+            lowered = ladder_lower(lowered, gauge)
+        target = lowered.m
+        if not 0 <= target < len(zero_basis):
+            raise BasisTooSmall(
+                f"cluster state m={v.m} lowers to channel {target} outside "
+                f"the zero-mode basis [0, {len(zero_basis) - 1}]"
+            )
+        u = zero_basis.modes[target]
+        c = lowered.dot(u)
+        if abs(c) < 0.99 * lowered.norm():
+            raise BasisTooSmall(
+                f"projection keeps only {abs(c) / lowered.norm():.3f} of the "
+                f"norm of Q^{q} v for cluster state m={v.m}"
+            )
+        coeffs[i] = c
+        if target not in raised_cache:
+            raised_cache[target] = ladder_apply(u, gauge, q)
+    phase = (-1.0) ** q
+    s = np.zeros((k, k))
+    for i, v_i in enumerate(cluster.states):
+        back = raised_cache[v_i.m + q]
+        for j, v_j in enumerate(cluster.states):
+            if v_j.m == v_i.m:
+                s[i, j] = phase * coeffs[i] * back.dot(v_j) / c_q
+    return _symmetrized(s, "build_Sq_action")

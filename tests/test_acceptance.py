@@ -18,7 +18,6 @@ import pytest
 
 from landau.asymptotics import (VerificationConfig, boundary_sensitivity,
                                 cluster_asymptotics_report, compute_cluster,
-                                perturbation_inequality_check,
                                 upper_estimate_check)
 from landau.fields import (FieldSpec, build_gauge, counting_measure,
                            effective_weight)
@@ -28,7 +27,7 @@ from landau.projections import (build_Tq,
                                 zero_mode_basis)
 from landau.spectra import assemble_spectrum, channel_eigs, solve_channels
 
-from conftest import brute_force_measure
+from conftest import brute_force_measure, perturbation_inequality_check
 
 B_HEADLINE = FieldSpec.power(0.05, -3.0)
 
@@ -43,8 +42,8 @@ def headline_run():
                              r_max=30.0, h=0.005)
     t0 = time.monotonic()
     comp = compute_cluster(cfg)
-    drift = boundary_sensitivity(cfg, computation=comp)
-    report = cluster_asymptotics_report(cfg, computation=comp, drift=drift)
+    drift = boundary_sensitivity(comp)
+    report = cluster_asymptotics_report(comp)
     elapsed = time.monotonic() - t0
     return cfg, comp, drift, report, elapsed
 
@@ -53,8 +52,8 @@ def headline_run():
 def beta4_report():
     cfg = VerificationConfig(B0=1.0, b=FieldSpec.power(0.05, -4.0), q=1,
                              sign="+", r_max=30.0, h=0.005)
-    report = cluster_asymptotics_report(cfg)
-    return cfg, report
+    comp = compute_cluster(cfg)
+    return comp, cluster_asymptotics_report(comp)
 
 
 def test_acceptance_01_unperturbed_exactness():
@@ -169,10 +168,9 @@ def test_acceptance_04_headline_asymptotics(headline_run):
 
 
 def test_acceptance_05_exponent_fits(headline_run, beta4_report):
-    cfg, _, _, report, _ = headline_run
-    fit3 = upper_estimate_check(cfg, report=report)
-    cfg4, rep4 = beta4_report
-    fit4 = upper_estimate_check(cfg4, report=rep4)
+    _, comp, _, report, _ = headline_run
+    fit3 = upper_estimate_check(comp, report)
+    fit4 = upper_estimate_check(*beta4_report)
     ok3 = abs(fit3.exponent - (-2.0 / 3.0)) <= 0.1
     ok4 = abs(fit4.exponent - (-0.5)) <= 0.1
     report_line(5, ok3 and ok4,

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import perturbation_inequality_check
 from landau import spectra
 from landau.asymptotics import (VerificationConfig, _lambda_grid,
                                 boundary_sensitivity,
                                 cluster_asymptotics_report, compute_cluster,
-                                family_reduction,
-                                perturbation_inequality_check,
-                                upper_estimate_check)
+                                family_reduction, upper_estimate_check)
 from landau.errors import TrustRegionEmpty
 from landau.fields import (FieldSpec, ProfileTerm, build_gauge,
                            counting_measure, effective_weight)
-from landau.operator import build_channel
+from landau.operator import build_channel, spin_down_form
 
 
 @pytest.fixture(scope="module")
@@ -28,10 +27,7 @@ def small_cfg(b_power):
 @pytest.fixture(scope="module")
 def small_run(small_cfg):
     comp = compute_cluster(small_cfg)
-    drift = boundary_sensitivity(small_cfg, computation=comp)
-    report = cluster_asymptotics_report(small_cfg, computation=comp,
-                                        drift=drift)
-    return comp, drift, report
+    return comp, boundary_sensitivity(comp), cluster_asymptotics_report(comp)
 
 
 def labeled(c):
@@ -49,6 +45,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             VerificationConfig(b=b_power, gamma=1.2)
 
+    def test_rejects_unknown_operator(self):
+        with pytest.raises(ValueError, match="operator must be one of"):
+            VerificationConfig(operator="bogus")
+
     def test_channel_cut_default(self, b_power):
         cfg = VerificationConfig(b=b_power, r_max=30.0)
         assert cfg.channel_cut() == 168
@@ -56,8 +56,10 @@ class TestConfig:
 
 class TestFamilyReduction:
     def test_identity_for_pauli_minus(self, small_cfg):
-        rcfg, shift = family_reduction("pauli_minus", small_cfg)
-        assert rcfg is small_cfg and shift == 0.0
+        assert small_cfg.operator == "pauli_minus"
+        assert family_reduction(small_cfg) is small_cfg
+        _, shift = spin_down_form("pauli_minus", small_cfg.V, small_cfg.b)
+        assert shift == 0.0
 
     def test_matrices_bit_identical(self, mesh_small):
         rng = np.random.default_rng(5)
@@ -99,18 +101,22 @@ class TestFamilyReduction:
         # with V = 0 the electric part is the copies of b alone;
         # FieldSpec.sum(zero, b) would report beta = max(-3, -4) = -3
         b = FieldSpec.power(0.05, -4.0)
-        cfg = VerificationConfig(B0=1.0, b=b, q=1, r_max=16.0, h=0.02)
-        rcfg, shift = family_reduction(kind, cfg)
-        assert rcfg.V.beta == -4.0 and shift == copies
+        cfg = VerificationConfig(B0=1.0, operator=kind, b=b, q=1, r_max=16.0,
+                                 h=0.02)
+        rcfg = family_reduction(cfg)
+        assert rcfg.operator == "pauli_minus" and cfg.operator == kind
+        assert rcfg.V.beta == -4.0
+        assert spin_down_form(kind, cfg.V, b)[1] == copies
         r = np.linspace(0.0, 10.0, 50)
         assert np.array_equal(rcfg.V.evaluate(r), copies * b.evaluate(r))
 
     def test_reduced_weight_matches_theorem(self, b_power):
         # for H(V): counting weight becomes (V + b) + 2 q b
-        cfg = VerificationConfig(B0=1.0, b=b_power, V=b_power, q=1,
-                                 r_max=16.0, h=0.02)
-        rcfg, shift = family_reduction("schroedinger", cfg)
-        assert shift == 1.0
+        cfg = VerificationConfig(B0=1.0, operator="schroedinger", b=b_power,
+                                 V=b_power, q=1, r_max=16.0, h=0.02)
+        rcfg = family_reduction(cfg)
+        assert rcfg.operator == "pauli_minus"
+        assert spin_down_form("schroedinger", cfg.V, cfg.b)[1] == 1.0
         r = np.linspace(0.0, 10.0, 50)
         w = effective_weight(rcfg.V, rcfg.b, 1, 1.0)
         expected = (cfg.V.evaluate(r) + cfg.b.evaluate(r)
@@ -211,7 +217,7 @@ class TestClusterReport:
     def test_q0_degenerate_counting(self, b_power):
         cfg = VerificationConfig(B0=1.0, b=b_power, q=0, sign="+",
                                  r_max=12.0, h=0.02)
-        report = cluster_asymptotics_report(cfg)
+        report = cluster_asymptotics_report(compute_cluster(cfg))
         assert report.note == "degenerate-weight"
         assert np.all(report.N == 0)  # zero modes stay exactly at the level
         assert np.all(report.E_measure == 0.0)
@@ -219,8 +225,9 @@ class TestClusterReport:
     def test_trust_region_empty_srinks_with_radius(self, b_power):
         cfg = VerificationConfig(B0=1.0, b=b_power, q=1, sign="+",
                                  r_max=4.0, h=0.02)
+        comp = compute_cluster(cfg)
         with pytest.raises(TrustRegionEmpty):
-            cluster_asymptotics_report(cfg)
+            cluster_asymptotics_report(comp)
 
     def test_sign_flip_measure_identity(self, b_power):
         w_pos = effective_weight(None, b_power, 1, 1.0)
@@ -236,7 +243,7 @@ class TestClusterReport:
         _, _, plus = small_run
         cfg_neg = VerificationConfig(B0=1.0, b=b_power.scaled(-1.0), q=1,
                                      sign="-", r_max=16.0, h=0.02)
-        minus = cluster_asymptotics_report(cfg_neg)
+        minus = cluster_asymptotics_report(compute_cluster(cfg_neg))
         lam_common = [l for l in plus.lambdas if minus.trust_lo <= l <= minus.trust_hi]
         assert len(lam_common) >= 5
         for lam in lam_common[:: max(1, len(lam_common) // 6)]:
@@ -269,15 +276,16 @@ class TestDefectFloor:
 
 
 class TestExponentFit:
-    def test_small_run_exponent(self, small_cfg, small_run):
-        _, _, report = small_run
-        rep = upper_estimate_check(small_cfg, report=report)
+    def test_small_run_exponent(self, small_run):
+        comp, _, report = small_run
+        rep = upper_estimate_check(comp, report)
         assert rep.expected == pytest.approx(-2.0 / 3.0)
         assert rep.deviation < 0.15  # coarse mesh, narrow trust region
 
     def test_empty_cluster_note(self):
         cfg = VerificationConfig(B0=1.0, q=1, sign="+", r_max=12.0, h=0.02)
-        rep = upper_estimate_check(cfg)
+        comp = compute_cluster(cfg)
+        rep = upper_estimate_check(comp, cluster_asymptotics_report(comp))
         assert rep.note == "empty-cluster"
         assert math.isnan(rep.exponent)
 
@@ -299,12 +307,12 @@ class TestBoundarySensitivity:
             B0=1.0, b=b_power, q=1, sign="+", r_max=R, h=0.02,
             boundary_policy=spectra.BoundaryPolicy(norm_fraction=1.0))
         comp = compute_cluster(cfg)
-        estimate = boundary_sensitivity(cfg, computation=comp)
+        estimate = boundary_sensitivity(comp)
         R_prime = estimate.R_prime
         assert R_prime == pytest.approx(1.2 * R)
-        wide = compute_cluster(cfg, r_max=R_prime)
-        runs = {R: labeled(comp.cluster), R_prime: labeled(wide.cluster)}
-        oracle = spectra.boundary_sensitivity(runs.__getitem__, R, R_prime)
+        wide = compute_cluster(replace(cfg, r_max=R_prime))
+        oracle = spectra.boundary_sensitivity(
+            labeled(comp.cluster), labeled(wide.cluster), R, R_prime)
         assert estimate.labels == oracle.labels
         assert np.array_equal(estimate.shifts, oracle.shifts)
         real = np.abs(oracle.drift) > 1e-9
@@ -319,8 +327,7 @@ def q2_run(b_power):
     cfg = VerificationConfig(B0=1.0, b=b_power, q=2, sign="+",
                              r_max=20.0, h=0.01)
     comp = compute_cluster(cfg)
-    report = cluster_asymptotics_report(cfg, computation=comp)
-    return cfg, comp, report
+    return cfg, comp, cluster_asymptotics_report(comp)
 
 
 class TestSecondCluster:
@@ -330,8 +337,8 @@ class TestSecondCluster:
         assert np.all(np.diff(report.N) <= 0)
 
     def test_exponent(self, q2_run):
-        cfg, _, report = q2_run
-        fit = upper_estimate_check(cfg, report=report)
+        _, comp, report = q2_run
+        fit = upper_estimate_check(comp, report)
         assert abs(fit.exponent - (-2.0 / 3.0)) < 0.15
 
     def test_toeplitz_chain(self, q2_run, b_power):
@@ -353,8 +360,8 @@ class TestSecondCluster:
         assert np.max(np.abs(t0[:k] - sh[:k]) / sh[:k]) < 0.10
 
     def test_schroedinger_family_report(self, b_power):
-        cfg = VerificationConfig(B0=1.0, b=b_power, q=1, sign="+",
-                                 r_max=16.0, h=0.02)
-        report = cluster_asymptotics_report(cfg, kind="schroedinger")
+        cfg = VerificationConfig(B0=1.0, operator="schroedinger", b=b_power,
+                                 q=1, sign="+", r_max=16.0, h=0.02)
+        report = cluster_asymptotics_report(compute_cluster(cfg))
         assert report.ratio[0] == pytest.approx(1.0, abs=0.1)
         assert report.trust_hi > report.trust_lo

@@ -78,6 +78,14 @@ class TestConfigValidation:
         ({"mesh": {"r_max": 16.0, "h": 0.03}},
          "config error: config field 'mesh': r_max must be an integer "
          "multiple of h"),
+        ({"ratio_band": 5}, "config field 'ratio_band': must be two numbers"),
+        ({"ratio_band": [0.8, "x"]},
+         "config field 'ratio_band': must be a number, got 'x'"),
+        ({"window": 3}, "config field 'window': must be an object"),
+        ({"mesh": [1, 2]}, "config field 'mesh': must be an object"),
+        ({"basis_m_max": -1}, "config field 'basis_m_max': must be >= 0"),
+        ({"mesh": {"r_max": 16.0, "h": 0.02, "m_max": -3}},
+         "config field 'mesh.m_max': must be >= 0"),
     ])
     def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
                                     message):
@@ -90,12 +98,18 @@ class TestConfigValidation:
         assert message in capsys.readouterr().err
 
     def test_retired_keys_ignored(self, tmp_path):
-        # threads and seed are unknown keys now; the hash still covers them
+        # threads, seed and a field's delta are unknown keys now; the hash
+        # still covers them.  delta = 4.0 lies outside the old (0, -beta)
         plain = load_config(str(write_config(tmp_path / "a.json")))
         extra = load_config(str(write_config(tmp_path / "b.json", threads=3,
                                              seed=7)))
+        delta = load_config(str(write_config(
+            tmp_path / "c.json",
+            b={"terms": [{"kind": "power", "c": 0.05, "beta": -3.0}],
+               "beta": -3.0, "delta": 4.0})))
         assert not hasattr(extra, "threads") and not hasattr(extra, "seed")
-        assert extra.hash != plain.hash
+        assert not hasattr(delta.b, "delta") and delta.b == plain.b
+        assert len({plain.hash, extra.hash, delta.hash}) == 3
         assert (extra.e_max, extra.m_max, extra.gamma) == (
             plain.e_max, plain.m_max, plain.gamma)
 

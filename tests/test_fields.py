@@ -9,7 +9,7 @@ from scipy import integrate
 from landau.errors import DegenerateWeight, UnboundedSet
 from landau.fields import (FieldSpec, ProfileTerm, build_gauge,
                            check_regularity, counting_measure, effective_weight,
-                           eval_field, superlevel_radius, superlevel_scan)
+                           superlevel_radius, superlevel_scan)
 from landau.operator import RadialMesh
 
 from conftest import (brute_force_measure, superlevel_intervals_per_lambda,
@@ -22,16 +22,17 @@ def power_spec(c, beta):
 
 class TestProfiles:
     def test_power_at_origin(self):
-        assert eval_field(power_spec(1.0, -3.0), 0.0) == 1.0
+        assert float(power_spec(1.0, -3.0)(0.0)) == 1.0
 
     def test_power_at_sqrt3(self):
         # (1 + 3)^(-3/2) = 1/8
-        assert eval_field(power_spec(1.0, -3.0), math.sqrt(3.0)) == pytest.approx(0.125, rel=1e-14)
+        assert float(power_spec(1.0, -3.0)(math.sqrt(3.0))) == pytest.approx(
+            0.125, rel=1e-14)
 
     def test_bump_outside_support(self):
         spec = FieldSpec((ProfileTerm("bump", 1.0, inner=1.0, outer=2.0),), beta=-3.0)
-        assert eval_field(spec, 3.0) == 0.0
-        assert eval_field(spec, 0.5) == 1.0
+        assert float(spec(3.0)) == 0.0
+        assert float(spec(0.5)) == 1.0
 
     def test_bump_smooth_transition_monotone(self):
         term = ProfileTerm("bump", 1.0, inner=1.0, outer=2.0)
@@ -53,17 +54,21 @@ class TestProfiles:
     def test_fieldspec_validation(self):
         with pytest.raises(ValueError):
             FieldSpec((), beta=1.0)
-        with pytest.raises(ValueError):
-            FieldSpec((), beta=-3.0, delta=4.0)
 
     def test_json_roundtrip(self):
+        # the config form of every term kind; a "delta" key is ignored
         spec = FieldSpec(
             (ProfileTerm("power", 0.3, beta=-2.5),
              ProfileTerm("gaussian", -0.1, center=2.0, width=0.7),
              ProfileTerm("bump", 0.2, inner=1.0, outer=3.0, sign=-1.0)),
-            beta=-2.5, delta=0.4)
-        back = FieldSpec.from_dict(spec.to_dict())
-        assert back == spec
+            beta=-2.5)
+        d = {"terms": [{"kind": "power", "c": 0.3, "beta": -2.5},
+                       {"kind": "gaussian", "amp": -0.1, "center": 2.0,
+                        "width": 0.7},
+                       {"kind": "bump", "amp": 0.2, "inner": 1.0,
+                        "outer": 3.0, "sign": -1.0}],
+             "beta": -2.5, "delta": 0.4}
+        assert FieldSpec.from_dict(d) == spec
 
     @given(st.floats(0.0, 50.0))
     @settings(max_examples=60, deadline=None)
@@ -73,7 +78,7 @@ class TestProfiles:
              ProfileTerm("gaussian", 0.5, center=3.0, width=1.0),
              ProfileTerm("bump", 0.25, inner=0.5, outer=4.0)),
             beta=-3.0)
-        assert math.isfinite(eval_field(spec, r))
+        assert math.isfinite(float(spec(r)))
 
 
 class TestGauge:
@@ -140,13 +145,6 @@ class TestEffectiveWeight:
         r = np.linspace(0.0, 10.0, 100)
         exact = 2.0 * c * (1.0 + r * r) ** -1.5
         assert np.max(np.abs(w(r) - exact)) < 1e-15
-
-    def test_scaled_coupling(self):
-        w = effective_weight(None, power_spec(1.0, -3.0), 2, 1.0, scaled=True)
-        assert w.coupling == pytest.approx(8.0)  # 2! * (2 B0)^2
-        r = np.array([1.5])
-        unscaled = effective_weight(None, power_spec(1.0, -3.0), 2, 1.0)
-        assert w(r)[0] == pytest.approx(8.0 * unscaled(r)[0], rel=1e-14)
 
     def test_negative_q_rejected(self):
         with pytest.raises(ValueError):

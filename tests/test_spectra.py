@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense
+from conftest import cluster_shifts, dense
 from landau import spectra
 from landau.errors import InconsistentProvenance
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
 from landau.operator import (ChannelOperator, RadialMesh, build_channel,
                              default_channel_cut)
 from landau.spectra import (ClusterWindow, assemble_spectrum,
-                            boundary_sensitivity, channel_eigs, cluster_extract,
-                            cluster_states, counting_function, solve_channel,
-                            solve_channels)
+                            boundary_sensitivity, channel_eigs, cluster_states,
+                            counting_function, solve_channel, solve_channels)
 
 
 def synthetic_op(diag, offdiag, m=0, kind="pauli_minus"):
@@ -23,7 +22,7 @@ def synthetic_op(diag, offdiag, m=0, kind="pauli_minus"):
         d[: len(diag)] = diag
         raise ValueError("synthetic operators need >= 16 entries")
     return ChannelOperator(kind, m, mesh, np.asarray(diag, float),
-                           np.asarray(offdiag, float), False, 1.0, 0.0)
+                           np.asarray(offdiag, float), 1.0)
 
 
 class TestChannelEigs:
@@ -41,7 +40,7 @@ class TestChannelEigs:
         diag = rng.uniform(-1.0, 1.0, n)
         off = rng.uniform(-1.0, 1.0, n - 1)
         mesh = RadialMesh(float(n), 1.0)
-        op = ChannelOperator("pauli_minus", 0, mesh, diag, off, False, 1.0, 0.0)
+        op = ChannelOperator("pauli_minus", 0, mesh, diag, off, 1.0)
         got = np.array([e for e, _ in channel_eigs(op, 10.0)])
         dense = np.zeros((n, n))
         np.fill_diagonal(dense, diag)
@@ -180,7 +179,7 @@ class TestOnePairSolve:
         n = 200
         diag, off = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n - 1)
         op = ChannelOperator("pauli_minus", 0, RadialMesh(float(n), 1.0),
-                             diag, off, False, 1.0, 0.0)
+                             diag, off, 1.0)
         ref = np.linalg.eigvalsh(dense(op))
         e_min = 0.5 * (ref[99] + ref[100])
         e_max = 0.5 * (ref[101] + ref[102])
@@ -223,7 +222,7 @@ class TestOnePairSolve:
         off = np.zeros(15)
         off[0::2] = t
         op = ChannelOperator("pauli_minus", 0, RadialMesh(16.0, 1.0),
-                             np.repeat(c, 2), off, False, 1.0, 0.0)
+                             np.repeat(c, 2), off, 1.0)
         assert spectra._one_pair(op, 9.05, 10.05) is None
         bisections = recorded(monkeypatch, "eigh_tridiagonal")
         ch = solve_channel(op, 10.05, 9.05)
@@ -302,26 +301,26 @@ class TestClusters:
     def test_unperturbed_shifts_vanish(self, mesh_small, gauge_zero):
         table, _ = small_table(gauge_zero, mesh_small, range(-1, 15))
         window = ClusterWindow.default(1, 1.0).nudged(table)
-        shifts = cluster_extract(table, window)
+        shifts = cluster_shifts(table, window)
         assert shifts.size >= 10  # wide level-1 states lose retention first
         assert np.max(np.abs(shifts)) < 1e-4
 
     def test_positive_field_pushes_up(self, mesh_small, gauge_power):
         table, _ = small_table(gauge_power, mesh_small, range(-1, 15))
         window = ClusterWindow.default(1, 1.0).nudged(table)
-        shifts = cluster_extract(table, window)
+        shifts = cluster_shifts(table, window)
         assert np.min(shifts) > -1e-5  # 2b > 0, up to mesh defect
 
     def test_q0_zero_modes_exact(self, mesh_small, gauge_power):
         table, _ = small_table(gauge_power, mesh_small, range(0, 20), e_max=1.0)
         window = ClusterWindow.default(0, 1.0).nudged(table)
-        shifts = cluster_extract(table, window)
+        shifts = cluster_shifts(table, window)
         assert np.max(np.abs(shifts)) < 1e-5
 
     def test_shift_ordering(self, mesh_small, gauge_power):
         table, _ = small_table(gauge_power, mesh_small, range(-1, 15))
         window = ClusterWindow.default(1, 1.0).nudged(table)
-        shifts = cluster_extract(table, window)
+        shifts = cluster_shifts(table, window)
         assert np.all(np.diff(np.abs(shifts)) <= 1e-15)
 
     def test_shift_monotonicity_in_coupling(self, mesh_small):
@@ -348,7 +347,7 @@ class TestClusters:
         table, channels = small_table(gauge_power, mesh_small, range(-1, 15))
         window = ClusterWindow.default(1, 1.0).nudged(table)
         states = cluster_states(table, window, mesh_small, channels)
-        assert np.array_equal(states.shifts, cluster_extract(table, window))
+        assert np.array_equal(states.shifts, cluster_shifts(table, window))
         for s in states.states:
             assert s.norm() == pytest.approx(1.0, rel=1e-10)
 
@@ -416,12 +415,11 @@ class TestInterlacing:
         diag = rng.uniform(-1.0, 1.0, n)
         off = rng.uniform(-1.0, 1.0, n - 1)
         mesh = RadialMesh(float(n), 1.0)
-        base = ChannelOperator("pauli_minus", 0, mesh, diag, off, False,
-                               1.0, 0.0)
+        base = ChannelOperator("pauli_minus", 0, mesh, diag, off, 1.0)
         bumped_diag = diag.copy()
         bumped_diag[17] += 0.8
         bumped = ChannelOperator("pauli_minus", 0, mesh, bumped_diag, off,
-                                 False, 1.0, 0.0)
+                                 1.0)
         lam = np.array([e for e, _ in channel_eigs(base, 1e3)])
         mu = np.array([e for e, _ in channel_eigs(bumped, 1e3)])
         assert np.all(mu - lam > -1e-12)
@@ -430,19 +428,14 @@ class TestInterlacing:
 
 class TestDriftReport:
     def test_matched_labels(self):
-        def shifts_fn(R):
-            base = {(0, 1): 0.01, (1, 1): 0.004, (2, 1): 0.002}
-            if R > 10:
-                return {k: v + 1e-8 for k, v in base.items()} | {(3, 1): 1e-3}
-            return base
-
-        rep = boundary_sensitivity(shifts_fn, 10.0, 12.0)
+        at_R = {(0, 1): 0.01, (1, 1): 0.004, (2, 1): 0.002}
+        at_Rp = {k: v + 1e-8 for k, v in at_R.items()} | {(3, 1): 1e-3}
+        rep = boundary_sensitivity(at_R, at_Rp, 10.0, 12.0)
         assert rep.labels == [(0, 1), (1, 1), (2, 1)]
         assert rep.max_drift == pytest.approx(1e-8)
         assert rep.converged.all()
-        assert rep.drift_for(0, 1) == pytest.approx(1e-8)
-        assert rep.drift_for(9, 9) == rep.max_drift  # unmatched -> worst case
+        assert rep.drift == pytest.approx([1e-8] * 3)
 
     def test_requires_larger_radius(self):
         with pytest.raises(ValueError):
-            boundary_sensitivity(lambda R: {}, 10.0, 10.0)
+            boundary_sensitivity({}, {}, 10.0, 10.0)
