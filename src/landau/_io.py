@@ -13,9 +13,13 @@ def config_hash(raw):
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _flag(x):
+    return "1" if x else "0"
+
+
 def _fmt(x):
     if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
+        return _flag(x)
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if isinstance(x, (int, np.integer)):
@@ -23,14 +27,21 @@ def _fmt(x):
     return str(x)
 
 
+# formatter by exact cell type, each writing what _fmt writes for it; a
+# dict lookup per cell instead of _fmt's isinstance chain
+_CELL = {float: repr, np.float64: lambda x: repr(float(x)), int: str,
+         np.int64: str, bool: _flag, np.bool_: _flag}
+
+
 def write_csv(path, columns, rows, meta):
     """CSV with one leading comment line carrying provenance key=values."""
     head = " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())
+    lines = [f"# {head}", ",".join(columns)]
+    lines.extend(",".join(_CELL.get(type(x), _fmt)(x) for x in row)
+                 for row in rows)
+    lines.append("")
     with open(path, "w") as fh:
-        fh.write(f"# {head}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write("\n".join(lines))
 
 
 def write_json(path, obj):

@@ -86,6 +86,16 @@ def _nonnegative(value, name):
     return value
 
 
+def _ratio_pair(value, name):
+    """Two numbers bracketing 1.0, as a tuple."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        _fail(name, f"must be two numbers, got {value!r}")
+    pair = tuple(_number(x, name) for x in value)
+    if not pair[0] < 1.0 < pair[1]:
+        _fail(name, "must bracket 1.0")
+    return pair
+
+
 def _field_spec(raw, name):
     if raw.get(name) is None:
         return FieldSpec.zero()
@@ -141,13 +151,14 @@ def load_config(path):
         _fail("lambda.per_decade", "must be at least 2")
 
     bands = dict(_BAND_DEFAULTS)
-    bands.update(_section(raw, "bands"))
-    ratio_band = raw.get("ratio_band", bands["ratio"])
-    if not isinstance(ratio_band, (list, tuple)) or len(ratio_band) != 2:
-        _fail("ratio_band", f"must be two numbers, got {ratio_band!r}")
-    ratio_band = tuple(_number(x, "ratio_band") for x in ratio_band)
-    if not ratio_band[0] < 1.0 < ratio_band[1]:
-        _fail("ratio_band", "must bracket 1.0")
+    for key, value in _section(raw, "bands").items():
+        name = f"bands.{key}"
+        if key not in _BAND_DEFAULTS:
+            _fail(name, f"unknown band, known: {', '.join(_BAND_DEFAULTS)}")
+        bands[key] = (_ratio_pair(value, name) if key == "ratio"
+                      else _number(value, name))
+    ratio_band = _ratio_pair(raw.get("ratio_band", bands["ratio"]),
+                             "ratio_band")
 
     basis_m_max = raw.get("basis_m_max")
     basis_m_max = (_nonnegative(basis_m_max, "basis_m_max")

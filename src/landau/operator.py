@@ -100,6 +100,7 @@ class RadialMesh:
         self.n = n
         self.r_max = n * self.h
         self.nodes = self.h * (np.arange(1, n + 1) - 0.5)
+        self.sqrt_nodes = np.sqrt(self.nodes)
 
     @property
     def signature(self):
@@ -263,10 +264,10 @@ def _ladder(g, gauge, m_out, sign_m, sign_A):
     """
     mesh = g.mesh
     r = mesh.nodes
-    f = g.values / np.sqrt(r)
+    f = g.values / mesh.sqrt_nodes
     df = _deriv_centered(f, mesh.h)
     out = df + sign_m * (g.m / r) * f + sign_A * gauge.A_theta * f
-    return RadialFunction(np.sqrt(r) * out, m_out, mesh)
+    return RadialFunction(mesh.sqrt_nodes * out, m_out, mesh)
 
 
 def ladder_raise(g, gauge):

@@ -3,7 +3,10 @@
 Everything here is channel-diagonal for radial data: basis elements live in
 single angular channels and the constructed matrices couple equal channels
 only, so residual and Toeplitz matrices come out diagonal up to the
-discretization error that the tests quantify.
+discretization error that the tests quantify.  For the same reason a
+Toeplitz matrix is block-diagonal by channel, and its spectrum is taken
+block by block rather than by one dense eigensolve, which OpenBLAS threads
+at many times the blocks' cost on a small machine.
 """
 
 import math
@@ -126,18 +129,34 @@ def _symmetrized(mat, where):
 
 @dataclass
 class ToeplitzMatrix:
-    """Compressed operator on a truncated basis (zero modes or cluster)."""
+    """Compressed operator on a truncated basis (zero modes or cluster).
+
+    `channels[i]` is the angular channel m of row i.  Entries couple equal
+    channels only, so the matrix is block-diagonal by channel and its
+    eigenvalues are taken from the blocks: a dense eigensolve of the whole
+    matrix is threaded by OpenBLAS and costs far more on a small machine.
+    """
 
     entries: np.ndarray
+    channels: np.ndarray
 
     def eigenvalues(self):
-        return np.linalg.eigvalsh(self.entries)
+        """Ascending union of the channel blocks' spectra; a one-row block
+        gives its diagonal entry, which is what LAPACK returns for it."""
+        out = []
+        for m in np.unique(self.channels):
+            rows = np.flatnonzero(self.channels == m)
+            if rows.size == 1:
+                out.append(self.entries[rows, rows])
+            else:
+                out.append(np.linalg.eigvalsh(
+                    self.entries[np.ix_(rows, rows)]))
+        return np.sort(np.concatenate(out)) if out else np.empty(0)
 
     def triples(self):
-        k = self.entries.shape[0]
-        for i in range(k):
-            for j in range(k):
-                yield i, j, self.entries[i, j]
+        for i, row in enumerate(self.entries.tolist()):
+            for j, value in enumerate(row):
+                yield i, j, value
 
 
 def build_T0(q, V, basis):
@@ -167,7 +186,8 @@ def build_T0(q, V, basis):
         t = (_pair_matrix(raised1, raised1)
              - lam_next * _pair_matrix(raised, raised)
              + _pair_matrix(raised, raised, wv))
-    return ToeplitzMatrix(_symmetrized(t, "build_T0"))
+    return ToeplitzMatrix(_symmetrized(t, "build_T0"),
+                          np.array([u.m for u in basis.modes], dtype=int))
 
 
 def build_Tq(q, V, cluster):
@@ -189,7 +209,8 @@ def build_Tq(q, V, cluster):
             av += Vv * v.values
         applied.append(RadialFunction(av, v.m, v.mesh))
     t = _pair_matrix(applied, cluster.states)
-    return ToeplitzMatrix(_symmetrized(t, "build_Tq"))
+    return ToeplitzMatrix(_symmetrized(t, "build_Tq"),
+                          np.array([v.m for v in cluster.states], dtype=int))
 
 
 @dataclass

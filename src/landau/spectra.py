@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstebz
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .errors import ConvergenceFailure, InconsistentProvenance
 from .operator import ChannelOperator, RadialFunction
@@ -82,25 +82,28 @@ _BACKWARD_ERROR = 16.0 * np.finfo(float).eps
 def _one_pair(op, e_min, e_max):
     """The eigenpair of the one eigenvalue in (e_min, e_max], or None.
 
-    Inverse iteration at the window midpoint, solved by LAPACK dgtsv, from
-    a vector of ones.  The window holds one eigenvalue and is symmetric
-    about the shift, so that eigenvalue is the one nearest the shift.  The
-    iteration stops when the residual passes the componentwise
+    Inverse iteration at the window midpoint from a vector of ones: LAPACK
+    dgttrf factors the shifted matrix once, and each step is one dgttrs
+    solve with that factorization.  The window holds one eigenvalue and is
+    symmetric about the shift, so that eigenvalue is the one nearest the
+    shift.  The iteration stops when the residual passes the componentwise
     backward-error test ||T v - E v|| <= 16 eps || |T| |v| || with E the
     Rayleigh quotient: (E, v) is then an exact eigenpair of a matrix
     whose entries differ from T's by a few ulps each.  The residual floor
     is eps times the local stencil size (~4 / h^2 in the inner cells), not
     eps |E|, so a test scaled by |E| is never passed.  None (the caller
-    falls back to bisection) when dgtsv reports a singular pivot, when
+    falls back to bisection) when dgttrf reports a singular pivot, when
     the test fails after _MAX_STEPS steps, or when E leaves the window.
     """
     shifted = op.diag - 0.5 * (e_min + e_max)
+    dl, d, du, du2, ipiv, info = dgttrf(op.offdiag, shifted, op.offdiag,
+                                        overwrite_d=1)
+    if info:
+        return None
     abs_diag, abs_off = np.abs(op.diag), np.abs(op.offdiag)
     v = np.ones(op.mesh.n)
     for _ in range(_MAX_STEPS):
-        _, _, _, x, info = dgtsv(op.offdiag, shifted, op.offdiag, v)
-        if info:
-            return None
+        x, _ = dgttrs(dl, d, du, du2, ipiv, v)
         v = x / np.linalg.norm(x)
         tv = op.matvec(v)
         E = float(np.dot(v, tv))
@@ -117,13 +120,13 @@ def _one_pair(op, e_min, e_max):
     return (E, v) if e_min < E <= e_max else None
 
 
-def _count_at_or_below(op, e):
+def _count_at_or_below(op, e, lo):
     """Number of eigenvalues <= e, from one LAPACK Sturm count.
 
-    stebz counts the eigenvalues of (lo, e] at both ends before it
-    bisects; a tolerance wider than the range ends the bisection there.
+    lo is the channel's Gershgorin bound (_lower_bound).  stebz counts the
+    eigenvalues of (lo, e] at both ends before it bisects; a tolerance
+    wider than the range ends the bisection there.
     """
-    lo = _lower_bound(op)
     if lo >= e:
         return 0
     count, _, _, _, info = dstebz(op.diag, op.offdiag, 1, lo, e, 0, 0,
@@ -159,17 +162,18 @@ def solve_channel(op, e_max, e_min=None):
     below e_min.
 
     Without e_min this is channel_eigs.  With it, two Sturm counts, at
-    e_min (kept as `first`) and at e_max, certify how many eigenvalues lie
-    in the window.  None: no LAPACK solve runs.  One: it comes from
-    inverse iteration (_one_pair), checked by a backward-error test and
-    polished like a channel_eigs pair.  Two or more, or an inverse
+    e_min (kept as `first`) and at e_max, both from one Gershgorin bound,
+    certify how many eigenvalues lie in the window.  None: no LAPACK solve
+    runs.  One: it comes from inverse iteration (_one_pair), checked by a
+    backward-error test and polished like a channel_eigs pair.  Two or more, or an inverse
     iteration that gives up: channel_eigs bisects the window.
     """
     if e_min is None:
         first, pairs = 0, channel_eigs(op, e_max)
     else:
-        first = _count_at_or_below(op, e_min)
-        inside = _count_at_or_below(op, e_max) - first
+        lo = _lower_bound(op)
+        first = _count_at_or_below(op, e_min, lo)
+        inside = _count_at_or_below(op, e_max, lo) - first
         pair = _one_pair(op, e_min, e_max) if inside == 1 else None
         if pair is not None:
             pairs = [pair]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landau import asymptotics, fields, spectra
+from landau import asymptotics, fields, projections, spectra
 from landau.cli import load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,6 +86,12 @@ class TestConfigValidation:
         ({"basis_m_max": -1}, "config field 'basis_m_max': must be >= 0"),
         ({"mesh": {"r_max": 16.0, "h": 0.02, "m_max": -3}},
          "config field 'mesh.m_max': must be >= 0"),
+        ({"bands": {"min_decades": "x"}},
+         "config field 'bands.min_decades': must be a number, got 'x'"),
+        ({"bands": {"min_decade": 5}},
+         "config field 'bands.min_decade': unknown band"),
+        ({"bands": {"ratio": [1.1, 1.2]}},
+         "config field 'bands.ratio': must bracket 1.0"),
     ])
     def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
                                     message):
@@ -358,24 +364,62 @@ class TestVerify:
         # every cluster and defect-floor channel holds at most one
         # eigenvalue of its window, so the Sturm counts and inverse
         # iteration solve them all; the stebz bisection never runs
-        bisections, steps = [], []
-        eigh_tridiagonal, dgtsv = spectra.eigh_tridiagonal, spectra.dgtsv
+        bisections, factors, steps = [], [], []
+        eigh_tridiagonal = spectra.eigh_tridiagonal
+        dgttrf, dgttrs = spectra.dgttrf, spectra.dgttrs
 
         def bisecting(*args, **kwargs):
             bisections.append(None)
             return eigh_tridiagonal(*args, **kwargs)
 
+        def factoring(*args, **kwargs):
+            factors.append(None)
+            return dgttrf(*args, **kwargs)
+
         def stepping(*args):
             steps.append(None)
-            return dgtsv(*args)
+            return dgttrs(*args)
 
         monkeypatch.setattr(spectra, "eigh_tridiagonal", bisecting)
-        monkeypatch.setattr(spectra, "dgtsv", stepping)
+        monkeypatch.setattr(spectra, "dgttrf", factoring)
+        monkeypatch.setattr(spectra, "dgttrs", stepping)
         code = main(["verify", "--config", str(CONFIGS / "quick.json"),
                      "--out", str(tmp_path / "out"), "--q", "1,2"])
         assert code == 0
         assert len(bisections) == 0
         assert len(steps) > 100
+        # one factorization per one-pair channel, 3 to 6 steps on each
+        assert 3 * len(factors) <= len(steps) <= 6 * len(factors)
+
+    def test_toeplitz_spectra_per_channel_block(self, tmp_path, monkeypatch):
+        # T_q and T_0 couple equal channels only, so their spectra come
+        # from the channel blocks: no eigvalsh call is larger than a block
+        calls, sizes = [], []
+        eigenvalues = projections.ToeplitzMatrix.eigenvalues
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigenvalues(self):
+            before = len(sizes)
+            out = eigenvalues(self)
+            _, rows = np.unique(self.channels, return_counts=True)
+            calls.append((self.entries.shape[0], rows.max(), sizes[before:]))
+            return out
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            sizes.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(projections.ToeplitzMatrix, "eigenvalues",
+                            recording_eigenvalues)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        code = main(["verify", "--config", str(CONFIGS / "quick.json"),
+                     "--out", str(tmp_path / "out"), "--q", "1,2"])
+        assert code == 0
+        assert len(calls) == 4  # T_q and T_0 at q = 1 and q = 2
+        assert sum(len(inside) for _, _, inside in calls) == len(sizes)
+        for dim, block, inside in calls:
+            assert dim > 20
+            assert all(size <= block for size in inside)
 
     def test_json_summary_only(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,8 +1,13 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
 from conftest import BasisTooSmall, build_Sq_action
+from landau import asymptotics
+from landau.cli import load_config
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
 from landau.operator import RadialMesh, build_channel
 from landau import projections
@@ -10,8 +15,10 @@ from landau.projections import (build_T0, build_Tq, coupling_constant,
                                 gram_identity_residual,
                                 linear_coupling_constant, offdiag_smallness,
                                 weighted_identity_residual, zero_mode_basis)
-from landau.spectra import (ClusterWindow, assemble_spectrum, cluster_states,
-                            solve_channels)
+from landau.spectra import (ClusterStates, ClusterWindow, assemble_spectrum,
+                            cluster_states, solve_channels)
+
+QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +289,48 @@ class TestTq:
         # V + 2 q b >= 0 pointwise implies T_q >= 0 up to mesh defect
         Tq = build_Tq(1, None, cluster_q1)
         assert np.min(Tq.eigenvalues()) > -1e-6
+
+
+class TestToeplitzSpectrum:
+    # T_q and T_0 couple equal channels only; their spectra are the union
+    # of the channel blocks' spectra
+
+    def test_quick_config_matches_dense_bit_for_bit(self):
+        cfg = load_config(str(QUICK))
+        comp = asymptotics.compute_cluster(replace(cfg, q=1))
+        basis = zero_mode_basis(comp.gauge, comp.mesh,
+                                min(int(np.max(comp.cluster.ms)) + 1,
+                                    cfg.m_max))
+        for T in (build_Tq(1, None, comp.cluster), build_T0(1, cfg.V, basis)):
+            assert T.channels.size == T.entries.shape[0] > 20
+            assert np.array_equal(T.eigenvalues(),
+                                  np.linalg.eigvalsh(T.entries))
+
+    def test_two_states_in_one_channel(self, mesh_small, gauge_power):
+        # levels 1 and 2 of channel 0 next to level 1 of channels 1 and 2;
+        # V couples the two channel-0 states, so one 2 x 2 block is dense
+        ops = [build_channel("pauli_minus", m, gauge_power, None, mesh_small)
+               for m in range(3)]
+        channels = solve_channels(ops, 4.6)
+        table = assemble_spectrum(channels)
+        labels = [(0, 1), (1, 1), (0, 2), (2, 1)]
+        E = {(int(m), int(n)): e for m, n, e, _ in table.rows()}
+        cluster = ClusterStates(
+            1.0, np.array([E[k] - 2.0 for k in labels]),
+            np.array([m for m, _ in labels]), np.array([n for _, n in labels]),
+            [table.state(m, n, mesh_small) for m, n in labels],
+            {ch.op.m: ch.op for ch in channels})
+        T = build_Tq(1, FieldSpec.power(0.3, -2.8), cluster)
+        assert T.channels.tolist() == [0, 1, 0, 2]
+        assert abs(T.entries[0, 2]) > 1e-3
+        got, ref = T.eigenvalues(), np.linalg.eigvalsh(T.entries)
+        assert np.all(np.diff(got) >= 0)
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+    def test_empty(self):
+        T = projections.ToeplitzMatrix(np.zeros((0, 0)),
+                                       np.zeros(0, dtype=int))
+        assert T.eigenvalues().size == 0
 
 
 class TestOffdiag:

@@ -164,9 +164,11 @@ class TestOnePairSolve:
     def test_one_eigenvalue_by_inverse_iteration(self, monkeypatch):
         ops, e_min, e_max = window_ops()
         bisections = recorded(monkeypatch, "eigh_tridiagonal")
-        steps = recorded(monkeypatch, "dgtsv")
+        factors = recorded(monkeypatch, "dgttrf")
+        steps = recorded(monkeypatch, "dgttrs")
         channels = solve_channels(ops, e_max, e_min)
         assert bisections == []
+        assert len(factors) == len(ops)  # one factorization per channel
         assert 3 * len(ops) <= len(steps) <= 6 * len(ops)
         for ch in channels:
             (E, v), = channel_eigs(ch.op, e_max, e_min)
@@ -185,9 +187,10 @@ class TestOnePairSolve:
         e_max = 0.5 * (ref[101] + ref[102])
         bisect = channel_eigs(op, e_max, e_min)
         full = [(E, v) for E, v in channel_eigs(op, e_max) if E > e_min]
-        steps = recorded(monkeypatch, "dgtsv")
+        factors = recorded(monkeypatch, "dgttrf")
+        steps = recorded(monkeypatch, "dgttrs")
         ch = solve_channel(op, e_max, e_min)
-        assert steps == []
+        assert factors == [] and steps == []
         assert ch.first == 100
         assert ch.energies.tolist() == [E for E, _ in bisect]
         assert np.array_equal(ch.vectors, np.column_stack([v for _, v in bisect]))
@@ -201,10 +204,10 @@ class TestOnePairSolve:
         ops, e_min, e_max = window_ops()
         op = ops[1]  # m = 0: its level-1 state
         (E, v), = channel_eigs(op, e_max, e_min)
-        if failure == "singular pivot":  # the solution, flagged singular
-            dgtsv = spectra.dgtsv
-            monkeypatch.setattr(spectra, "dgtsv",
-                                lambda *args: dgtsv(*args)[:4] + (1,))
+        if failure == "singular pivot":  # the factors, flagged singular
+            dgttrf = spectra.dgttrf
+            monkeypatch.setattr(spectra, "dgttrf", lambda *args, **kwargs:
+                                dgttrf(*args, **kwargs)[:5] + (1,))
         else:
             monkeypatch.setattr(spectra, "_MAX_STEPS", 1)
         bisections = recorded(monkeypatch, "eigh_tridiagonal")
@@ -232,13 +235,14 @@ class TestOnePairSolve:
     def test_empty_window_solves_nothing(self, monkeypatch):
         ops, _, _ = window_ops()
         bisections = recorded(monkeypatch, "eigh_tridiagonal")
-        steps = recorded(monkeypatch, "dgtsv")
+        factors = recorded(monkeypatch, "dgttrf")
+        steps = recorded(monkeypatch, "dgttrs")
         # levels 0 and 2 only: the gap (0.5, 1.5] holds no eigenvalue
         for op in ops[1:6]:
             ch = solve_channel(op, 1.5, 0.5)
             assert ch.energies.size == 0 and ch.vectors.shape == (op.mesh.n, 0)
             assert ch.first == (1 if op.m >= 0 else 0)
-        assert bisections == [] and steps == []
+        assert bisections == [] and factors == [] and steps == []
 
 
 def small_table(gauge, mesh, m_range, e_max=3.0, V=None, kind="pauli_minus"):
