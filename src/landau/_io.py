@@ -17,7 +17,16 @@ def _flag(x):
     return "1" if x else "0"
 
 
+# formatter by exact type for the common cells, a dict lookup instead of
+# the isinstance chain below, which every other type goes through
+_BY_TYPE = {float: repr, np.float64: lambda x: repr(float(x)), int: str,
+            np.int64: str, bool: _flag, np.bool_: _flag}
+
+
 def _fmt(x):
+    by_type = _BY_TYPE.get(type(x))
+    if by_type is not None:
+        return by_type(x)
     if isinstance(x, (bool, np.bool_)):
         return _flag(x)
     if isinstance(x, (float, np.floating)):
@@ -27,18 +36,11 @@ def _fmt(x):
     return str(x)
 
 
-# formatter by exact cell type, each writing what _fmt writes for it; a
-# dict lookup per cell instead of _fmt's isinstance chain
-_CELL = {float: repr, np.float64: lambda x: repr(float(x)), int: str,
-         np.int64: str, bool: _flag, np.bool_: _flag}
-
-
 def write_csv(path, columns, rows, meta):
     """CSV with one leading comment line carrying provenance key=values."""
     head = " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())
     lines = [f"# {head}", ",".join(columns)]
-    lines.extend(",".join(_CELL.get(type(x), _fmt)(x) for x in row)
-                 for row in rows)
+    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     lines.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

@@ -3,10 +3,7 @@
 Everything here is channel-diagonal for radial data: basis elements live in
 single angular channels and the constructed matrices couple equal channels
 only, so residual and Toeplitz matrices come out diagonal up to the
-discretization error that the tests quantify.  For the same reason a
-Toeplitz matrix is block-diagonal by channel, and its spectrum is taken
-block by block rather than by one dense eigensolve, which OpenBLAS threads
-at many times the blocks' cost on a small machine.
+discretization error that the tests quantify.
 """
 
 import math
@@ -141,16 +138,11 @@ class ToeplitzMatrix:
     channels: np.ndarray
 
     def eigenvalues(self):
-        """Ascending union of the channel blocks' spectra; a one-row block
-        gives its diagonal entry, which is what LAPACK returns for it."""
+        """Ascending union of the channel blocks' spectra."""
         out = []
         for m in np.unique(self.channels):
             rows = np.flatnonzero(self.channels == m)
-            if rows.size == 1:
-                out.append(self.entries[rows, rows])
-            else:
-                out.append(np.linalg.eigvalsh(
-                    self.entries[np.ix_(rows, rows)]))
+            out.append(np.linalg.eigvalsh(self.entries[np.ix_(rows, rows)]))
         return np.sort(np.concatenate(out)) if out else np.empty(0)
 
     def triples(self):

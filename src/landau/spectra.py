@@ -165,8 +165,9 @@ def solve_channel(op, e_max, e_min=None):
     e_min (kept as `first`) and at e_max, both from one Gershgorin bound,
     certify how many eigenvalues lie in the window.  None: no LAPACK solve
     runs.  One: it comes from inverse iteration (_one_pair), checked by a
-    backward-error test and polished like a channel_eigs pair.  Two or more, or an inverse
-    iteration that gives up: channel_eigs bisects the window.
+    backward-error test and polished like a channel_eigs pair.  Two or
+    more, or an inverse iteration that gives up: channel_eigs bisects the
+    window.
     """
     if e_min is None:
         first, pairs = 0, channel_eigs(op, e_max)
