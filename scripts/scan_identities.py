@@ -30,7 +30,7 @@ def main():
     for h in args.steps:
         mesh = RadialMesh(args.r_max, h)
         gauge = build_gauge(b, 1.0, mesh)
-        basis = zero_mode_basis(gauge, mesh, args.modes - 1)
+        basis = zero_mode_basis(gauge, args.modes - 1)
         r1 = np.max(np.abs(gram_identity_residual(1, basis, b, 1.0)))
         r2 = np.max(np.abs(gram_identity_residual(2, basis, b, 1.0)))
         rows.append((h, r1, r2))

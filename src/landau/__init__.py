@@ -11,7 +11,7 @@ from .fields import (EffectiveWeight, FieldSpec, GaugeData, ProfileTerm,
                      effective_weight)
 from .operator import (ChannelOperator, RadialFunction, RadialMesh,
                        build_channel, default_channel_cut, ladder_apply,
-                       ladder_lower, ladder_raise, zero_mode)
+                       ladder_raise, zero_mode)
 
 __version__ = "0.1.0"
 
@@ -20,6 +20,5 @@ __all__ = [
     "build_gauge", "check_regularity", "counting_measure",
     "effective_weight",
     "ChannelOperator", "RadialFunction", "RadialMesh", "build_channel",
-    "default_channel_cut", "ladder_apply", "ladder_lower", "ladder_raise",
-    "zero_mode",
+    "default_channel_cut", "ladder_apply", "ladder_raise", "zero_mode",
 ]

@@ -1,8 +1,8 @@
 """Vectorized adaptive Gauss-Kronrod (G7/K15) panel quadrature.
 
 All gauge integrals go through `panel_integrals`, which refines panels by
-bisection until the K15-G7 error estimate meets an absolute tolerance
-allocated proportionally to panel width.
+bisection until the K15-G7 error estimate meets the absolute tolerance
+_TOL, allocated proportionally to panel width.
 """
 
 import numpy as np
@@ -36,13 +36,18 @@ _WG7 = np.array([
 
 _EPS = np.finfo(float).eps
 
+# absolute tolerance over all panels together, and bisection levels allowed;
+# gauge errors feed quadratically into eigenvalues, hence the tight tolerance
+_TOL = 1e-10
+_MAX_DEPTH = 48
 
-def panel_integrals(f, edges, tol=1e-10, max_depth=48):
+
+def panel_integrals(f, edges):
     """Integrate `f` over each panel [edges[i], edges[i+1]].
 
     `f` must accept an ndarray and evaluate elementwise.  Returns one value
     per input panel; panels are bisected until the local error estimate is
-    below `tol * width / total_width` (plus a roundoff floor).  Raises
+    below `_TOL * width / total_width` (plus a roundoff floor).  Raises
     QuadratureFailure if the recursion depth is exhausted.
     """
     edges = np.asarray(edges, dtype=float)
@@ -57,7 +62,7 @@ def panel_integrals(f, edges, tol=1e-10, max_depth=48):
     hi = edges[1:].copy()
     owner = np.arange(total.size)
 
-    for depth in range(max_depth + 1):
+    for _ in range(_MAX_DEPTH + 1):
         if lo.size == 0:
             return total
         mid = 0.5 * (lo + hi)
@@ -67,7 +72,7 @@ def panel_integrals(f, edges, tol=1e-10, max_depth=48):
         k15 = half * (fv @ _WGK)
         g7 = half * (fv[:, _GAUSS_IDX] @ _WG7)
         err = np.abs(k15 - g7)
-        budget = tol * (hi - lo) / span
+        budget = _TOL * (hi - lo) / span
         floor = 50.0 * _EPS * np.abs(k15) + 1e-300
         done = err <= np.maximum(budget, floor)
 
@@ -81,6 +86,6 @@ def panel_integrals(f, edges, tol=1e-10, max_depth=48):
 
     raise QuadratureFailure(
         f"adaptive quadrature stalled: {lo.size} panels above tolerance "
-        f"{tol:g} after {max_depth} bisection levels"
+        f"{_TOL:g} after {_MAX_DEPTH} bisection levels"
     )
 

@@ -24,9 +24,8 @@ from .fields import (FieldSpec, GaugeData, build_gauge, check_regularity,
                      effective_weight, superlevel_measure, superlevel_scan)
 from .operator import (KINDS, RadialMesh, build_channel, default_channel_cut,
                        spin_down_form)
-from .spectra import (BoundaryPolicy, ClusterWindow, CountingReport,
-                      assemble_spectrum, cluster_states, counting_function,
-                      solve_channels)
+from .spectra import (ClusterWindow, CountingReport, assemble_spectrum,
+                      cluster_states, counting_function, solve_channels)
 
 # fewest states a trusted lambda row counts; the trust floor's multiple of
 # the drift and defect estimates; the drift is estimated for R -> 1.2 R
@@ -37,7 +36,7 @@ DRIFT_FACTOR = 1.2
 
 @dataclass
 class VerificationConfig:
-    """One cluster-verification scenario (fields, mesh, policies)."""
+    """One cluster-verification scenario (fields, mesh, window, grid)."""
 
     B0: float = 1.0
     operator: str = "pauli_minus"
@@ -51,7 +50,6 @@ class VerificationConfig:
     gamma: float = None
     per_decade: int = 24
     ratio_band: tuple = (0.8, 1.2)
-    boundary_policy: BoundaryPolicy = field(default_factory=BoundaryPolicy)
 
     def __post_init__(self):
         if self.B0 <= 0:
@@ -122,10 +120,10 @@ def compute_cluster(cfg):
     # visible to ClusterWindow.nudged
     e_min = center - rcfg.gamma_eff - 1e-6
     e_max = center + rcfg.gamma_eff + 1e-6
-    ops = [build_channel("pauli_minus", m, gauge, rcfg.V, mesh) for m in ms]
+    ops = [build_channel("pauli_minus", m, gauge, rcfg.V) for m in ms]
     channels = solve_channels(ops, e_max, e_min)
     floor = _defect_floor(rcfg, gauge, e_min, e_max, channels)
-    table = assemble_spectrum(channels, rcfg.boundary_policy)
+    table = assemble_spectrum(channels)
     window = ClusterWindow.default(rcfg.q, rcfg.B0, rcfg.gamma_eff).nudged(table)
     cluster = cluster_states(table, window, mesh, channels)
     return ClusterComputation(rcfg, mesh, gauge, channels, table, window,
@@ -150,20 +148,19 @@ def _defect_floor(cfg, gauge, e_min, e_max, channels):
     """
     mesh = gauge.mesh
     fine = RadialMesh(0.5 * mesh.r_max, 0.5 * mesh.h)
-    runs = ((gauge, cfg.V, mesh),
-            (build_gauge(cfg.b, cfg.B0, fine), cfg.V, fine),
-            (build_gauge(FieldSpec.zero(), cfg.B0, mesh), None, mesh))
+    runs = ((gauge, cfg.V), (build_gauge(cfg.b, cfg.B0, fine), cfg.V),
+            (build_gauge(FieldSpec.zero(), cfg.B0, mesh), None))
     center = 2.0 * cfg.q * cfg.B0
     worst = 0.0
     for m in range(-cfg.q, 2):
         level = cfg.q + min(m, 0)  # per-channel index of the level-q state
         E = []
-        for g, V, msh in runs:
+        for g, V in runs:
             if g is gauge and m + cfg.q < len(channels):
                 ch = channels[m + cfg.q]
             else:
                 ch = spectra.solve_channel(
-                    build_channel("pauli_minus", m, g, V, msh), e_max, e_min)
+                    build_channel("pauli_minus", m, g, V), e_max, e_min)
             k = level - ch.first
             E.append(float(ch.energies[k]) if 0 <= k < ch.energies.size
                      else math.nan)
@@ -193,8 +190,7 @@ def boundary_sensitivity(comp):
     slope = np.array([-2.0 * w.values[-1] / comp.mesh.h for w in c.states])
     at_R = dict(zip(labels, c.shifts.tolist()))
     at_Rp = dict(zip(labels, (c.shifts - (R_prime - R) * slope ** 2).tolist()))
-    return spectra.boundary_sensitivity(at_R, at_Rp, R, R_prime,
-                                        safety=TRUST_SAFETY)
+    return spectra.boundary_sensitivity(at_R, at_Rp, R, R_prime)
 
 
 def _lambda_grid(lo, hi, per_decade):
@@ -239,9 +235,9 @@ def cluster_asymptotics_report(comp):
         lams = _lambda_grid(gamma * 1e-3, gamma * 0.999, rcfg.per_decade)
         N = np.array([count(l) for l in lams])
         return CountingReport(
-            q=rcfg.q, sign=rcfg.sign, lambdas=lams, N=N,
-            E_measure=np.zeros_like(lams), ratio=np.full_like(lams, np.nan),
-            trust_lo=math.nan, trust_hi=math.nan, note="degenerate-weight")
+            lambdas=lams, N=N, E_measure=np.zeros_like(lams),
+            ratio=np.full_like(lams, np.nan), trust_lo=math.nan,
+            trust_hi=math.nan, note="degenerate-weight")
 
     # regularity probe (a lambda -> 0 condition): keep the probe grid above
     # the level the probe reach can still contain
@@ -308,7 +304,7 @@ def cluster_asymptotics_report(comp):
     else:
         note = "" if regularity.regular_ok else "regularity-marginal"
     report = CountingReport(
-        q=rcfg.q, sign=rcfg.sign, lambdas=lams, N=N, E_measure=E, ratio=ratio,
+        lambdas=lams, N=N, E_measure=E, ratio=ratio,
         trust_lo=float(lams.min()), trust_hi=float(lams.max()), note=note)
     report.band_lo, report.band_hi = report.band_window(rcfg.ratio_band)
     return report

@@ -9,8 +9,10 @@ Subcommands map to the headline operation of each module:
     toeplitz    zero-mode-basis Toeplitz operator and its eigenvalues
     identities  ladder Gram identity residuals
 
-Exit codes: 0 pass, 1 verification failure, 2 config error, 3 numeric
-failure.  LANDAU_LOG selects verbosity (debug / info / quiet).
+Each command returns its exit code and summary; main writes the summary to
+<command>_summary.json and, with --json, prints it.  Exit codes: 0 pass,
+1 verification failure, 2 config error, 3 numeric failure.  LANDAU_LOG
+selects verbosity (debug / info / quiet).
 """
 
 import argparse
@@ -65,10 +67,12 @@ def _fail(field_name, message):
 
 
 def _number(value, name, kind=float):
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
+    """A finite JSON number (not a boolean or a string), converted by kind."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(name, f"must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, huge ints
+        _fail(name, f"must be a finite number, got {value!r}")
+    return kind(value)
 
 
 def _section(raw, name):
@@ -124,8 +128,9 @@ def load_config(path):
     V = _field_spec(raw, "V")
 
     q_raw = raw.get("q", [0, 1])
-    q_list = [q_raw] if isinstance(q_raw, int) else list(q_raw)
-    if not q_list or any((not isinstance(q, int)) or q < 0 for q in q_list):
+    q_list = q_raw if isinstance(q_raw, list) else [q_raw]
+    if not q_list or any(isinstance(q, bool) or not isinstance(q, int)
+                         or q < 0 for q in q_list):
         _fail("q", "must be a nonnegative integer or list of them")
 
     mesh = _section(raw, "mesh")
@@ -193,7 +198,7 @@ def cmd_spectrum(cfg, out, as_json):
     write_csv(os.path.join(out, "gauge.csv"),
               ["r", "B", "A_theta", "psi", "Psi"], gauge.rows(), _meta(cfg))
 
-    ops = [build_channel(cfg.operator, m, gauge, cfg.V, mesh)
+    ops = [build_channel(cfg.operator, m, gauge, cfg.V)
            for m in range(-cfg.m_max, cfg.m_max + 1)]
     channels = spectra.solve_channels(ops, cfg.e_max)
     table = spectra.assemble_spectrum(channels, keep_vectors=False)
@@ -218,10 +223,7 @@ def cmd_spectrum(cfg, out, as_json):
         if not as_json:
             print(f"q={q}: level {center:g}, {n_in} states within "
                   f"+/- {cfg.gamma:g}")
-    write_json(os.path.join(out, "spectrum_summary.json"), summary)
-    if as_json:
-        print(json.dumps(summary, sort_keys=True))
-    return 0
+    return 0, summary
 
 
 def cmd_weights(cfg, out, as_json):
@@ -250,16 +252,12 @@ def cmd_weights(cfg, out, as_json):
         except LandauError as exc:
             summary["weights"][str(q)] = {"degenerate": True,
                                           "detail": str(exc)}
-    write_json(os.path.join(out, "weights_summary.json"), summary)
-    if as_json:
-        print(json.dumps(summary, sort_keys=True))
-    return 0
+    return 0, summary
 
 
 def cmd_toeplitz(cfg, out, as_json):
-    mesh = RadialMesh(cfg.r_max, cfg.h)
-    gauge = build_gauge(cfg.b, cfg.B0, mesh)
-    basis = projections.zero_mode_basis(gauge, mesh, cfg.basis_m_max)
+    gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
+    basis = projections.zero_mode_basis(gauge, cfg.basis_m_max)
     summary = {"config": cfg.hash, "basis_m_max": cfg.basis_m_max,
                "toeplitz": {}}
     for q in cfg.q_list:
@@ -271,16 +269,12 @@ def cmd_toeplitz(cfg, out, as_json):
                    {"config": cfg.hash, "q": q, "eigenvalues": eigs})
         summary["toeplitz"][str(q)] = {"dim": len(basis), "min": min(eigs),
                                        "max": max(eigs)}
-    write_json(os.path.join(out, "toeplitz_summary.json"), summary)
-    if as_json:
-        print(json.dumps(summary, sort_keys=True))
-    return 0
+    return 0, summary
 
 
 def cmd_identities(cfg, out, as_json):
-    mesh = RadialMesh(cfg.r_max, cfg.h)
-    gauge = build_gauge(cfg.b, cfg.B0, mesh)
-    basis = projections.zero_mode_basis(gauge, mesh, cfg.basis_m_max)
+    gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
+    basis = projections.zero_mode_basis(gauge, cfg.basis_m_max)
     summary = {"config": cfg.hash, "identities": {}}
     for q in cfg.q_list:
         if q < 1:
@@ -296,10 +290,7 @@ def cmd_identities(cfg, out, as_json):
             "gram_frobenius": float(np.linalg.norm(G)),
             "weighted_max": float(np.max(np.abs(X))),
         }
-    write_json(os.path.join(out, "identities_summary.json"), summary)
-    if as_json:
-        print(json.dumps(summary, sort_keys=True))
-    return 0
+    return 0, summary
 
 
 def _verify_one_q(cfg, q, out):
@@ -350,8 +341,7 @@ def _verify_one_q(cfg, q, out):
         # again would count it twice
         Tq = projections.build_Tq(q, None, comp.cluster)
         basis = projections.zero_mode_basis(
-            comp.gauge, comp.mesh,
-            min(int(np.max(comp.cluster.ms)) + q, cfg.m_max))
+            comp.gauge, min(int(np.max(comp.cluster.ms)) + q, cfg.m_max))
         T0 = projections.build_T0(q, cfg.V, basis)
         c_q = projections.coupling_constant(q, cfg.B0)
         tq = np.sort(Tq.eigenvalues())[::-1]
@@ -369,8 +359,7 @@ def _verify_one_q(cfg, q, out):
                     "Tq": [float(x) for x in tq],
                     "T0_over_Cq": [float(x) for x in t0]})
 
-        ident_basis = projections.zero_mode_basis(comp.gauge, comp.mesh,
-                                                  cfg.basis_m_max)
+        ident_basis = projections.zero_mode_basis(comp.gauge, cfg.basis_m_max)
         G = projections.gram_identity_residual(1, ident_basis, cfg.b, cfg.B0)
         checks["gram_identity_q1"] = {
             "passed": bool(np.max(np.abs(G)) < bands["gram_max"]),
@@ -394,12 +383,8 @@ def cmd_verify(cfg, out, as_json):
             for name, chk in detail["checks"].items():
                 print(f"  {name}: {'pass' if chk['passed'] else 'FAIL'} "
                       + json.dumps({k: v for k, v in chk.items()
-                                    if k != 'passed'}, sort_keys=True,
-                                   default=str))
-    write_json(os.path.join(out, "verify_summary.json"), summary)
-    if as_json:
-        print(json.dumps(summary, sort_keys=True, default=str))
-    return 0 if summary["passed"] else 1
+                                    if k != 'passed'}, sort_keys=True))
+    return (0 if summary["passed"] else 1), summary
 
 
 _COMMANDS = {
@@ -443,7 +428,11 @@ def main(argv=None):
             if any(q < 0 for q in cfg.q_list) or not cfg.q_list:
                 raise ConfigError("--q entries must be nonnegative")
         out = ensure_dir(args.out)
-        return _COMMANDS[args.command](cfg, out, args.json)
+        code, summary = _COMMANDS[args.command](cfg, out, args.json)
+        write_json(os.path.join(out, f"{args.command}_summary.json"), summary)
+        if args.json:
+            print(json.dumps(summary, sort_keys=True))
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

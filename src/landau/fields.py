@@ -101,8 +101,8 @@ class FieldSpec:
             raise ValueError("decay exponent beta must be negative")
 
     @staticmethod
-    def zero(beta=-3.0):
-        return FieldSpec((), beta=beta)
+    def zero():
+        return FieldSpec((), beta=-3.0)
 
     @staticmethod
     def power(amplitude, beta):
@@ -196,12 +196,11 @@ def _face_psi(psi):
     return f
 
 
-def build_gauge(b, B0, mesh, tol=1e-10):
+def build_gauge(b, B0, mesh):
     """Construct gauge samples for field B0 + b on the mesh.
 
     The circulation integral and the psi increments are done with adaptive
-    panel quadrature at absolute tolerance `tol`; gauge errors feed
-    quadratically into eigenvalues, hence the tight default.
+    panel quadrature (`panel_integrals`, absolute tolerance 1e-10).
     """
     if B0 <= 0:
         raise ValueError("B0 must be positive")
@@ -213,13 +212,13 @@ def build_gauge(b, B0, mesh, tol=1e-10):
         return GaugeData(mesh, B0, b, np.full_like(r, B0), base_A, zero, base_Psi)
 
     edges = np.concatenate([[0.0], r])
-    tb = panel_integrals(lambda t: t * b.evaluate(t), edges, tol)
+    tb = panel_integrals(lambda t: t * b.evaluate(t), edges)
     circ = np.cumsum(tb)
     A_theta = base_A + circ / r
 
     # psi(r_i) - psi(r_{i-1}) = circ_{i-1} log(r_i/r_{i-1})
     #                           + int_panel t b(t) log(r_i/t) dt
-    tb_log = panel_integrals(lambda t: t * b.evaluate(t) * np.log(t), edges, tol)
+    tb_log = panel_integrals(lambda t: t * b.evaluate(t) * np.log(t), edges)
     incr = np.empty_like(r)
     incr[0] = math.log(r[0]) * tb[0] - tb_log[0]
     incr[1:] = (circ[:-1] * np.log(r[1:] / r[:-1])
@@ -273,12 +272,14 @@ def _parse_sign(sign):
     return 1.0 if sign == "+" else -1.0
 
 
-# superlevel_scan: sampling grid cells and bisection steps per crossing
+# superlevel_scan: sampling grid cells, bisection steps per crossing, and
+# crossings a closed set may have
 _N_GRID = 8192
 _N_BISECT = 60
+_MAX_CROSSINGS = 64
 
 
-def superlevel_scan(weight, lams, sign="+", *, r_max, max_crossings=64):
+def superlevel_scan(weight, lams, sign="+", *, r_max):
     """Maximal intervals of {r in [0, r_max] : sign * W(r) > lam} for every
     lam of `lams` at once.
 
@@ -288,7 +289,7 @@ def superlevel_scan(weight, lams, sign="+", *, r_max, max_crossings=64):
     grid.  sign * W is sampled once on the grid; every crossing of every lam
     is then located by one shared bisection of _N_BISECT steps (about 1e-12
     absolute in r).  The first lam in order that is not positive, or whose
-    closed set has more than `max_crossings` crossings, raises ValueError.
+    closed set has more than _MAX_CROSSINGS crossings, raises ValueError.
     """
     lams = np.asarray(lams, dtype=float)
     s = _parse_sign(sign)
@@ -309,11 +310,11 @@ def superlevel_scan(weight, lams, sign="+", *, r_max, max_crossings=64):
     crossings = np.bincount(which, minlength=lams.size)
 
     is_open = sw[-1] > lams
-    bad = (lams <= 0) | (~is_open & (crossings > max_crossings))
+    bad = (lams <= 0) | (~is_open & (crossings > _MAX_CROSSINGS))
     if np.any(bad):
         if lams[np.argmax(bad)] <= 0:
             raise ValueError("lambda must be positive")
-        raise ValueError(f"more than {max_crossings} crossings of W - lambda")
+        raise ValueError(f"more than {_MAX_CROSSINGS} crossings of W - lambda")
 
     # grouped by lam, each group in grid order; open sets are not bisected
     keep = np.lexsort((step, which))

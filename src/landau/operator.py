@@ -106,11 +106,6 @@ class RadialMesh:
     def signature(self):
         return (self.n, self.h)
 
-    def outer_slice(self, fraction=0.1):
-        """Index slice of the outer `fraction` of the domain."""
-        cut = (1.0 - fraction) * self.r_max
-        return self.nodes > cut
-
 
 def default_channel_cut(r_max, B0):
     """Largest retained angular momentum, 3 R^2 B0 / 16 rounded down.
@@ -189,15 +184,16 @@ def _log_weight_steps(m, gauge):
 _LOG_RHO_CUT = -4.0 * math.log(np.finfo(float).eps)
 
 
-def build_channel(kind, m, gauge, V, mesh):
-    """Assemble the channel-m operator of the requested kind.
+def build_channel(kind, m, gauge, V):
+    """Assemble the channel-m operator of the requested kind on the gauge's
+    mesh.
 
     V is the electric FieldSpec (or None).  The Schroedinger and spin-up
     kinds reuse the spin-down assembly with electric part V + b resp.
     V + 2b, then add the constant shift B0 resp. 2 B0 last.
     """
     electric, shift_B0 = spin_down_form(kind, V, gauge.source)
-    _check_mesh(gauge, mesh)
+    mesh = gauge.mesh
     r = mesh.nodes
     A = gauge.A_theta
     h2 = mesh.h * mesh.h
@@ -224,15 +220,16 @@ def build_channel(kind, m, gauge, V, mesh):
     return ChannelOperator(kind, m, mesh, diag, offdiag, gauge.B0)
 
 
-def zero_mode(m, gauge, mesh):
-    """Exact channel-m zero mode sqrt(r) r^m exp(-Psi), unit discrete norm.
+def zero_mode(m, gauge):
+    """Exact channel-m zero mode sqrt(r) r^m exp(-Psi), unit discrete norm,
+    on the gauge's mesh.
 
     Computed through log magnitudes so large m and large Psi cannot
     underflow before normalization.
     """
     if m < 0:
         raise ValueError("zero modes exist for m >= 0 only")
-    _check_mesh(gauge, mesh)
+    mesh = gauge.mesh
     r = mesh.nodes
     logw = (m + 0.5) * np.log(r) - gauge.Psi_total
     w = np.exp(logw - np.max(logw))
@@ -257,10 +254,12 @@ def _deriv_centered(f, h):
 
 
 def _ladder(g, gauge, m_out, sign_m, sign_A):
-    """Shared body of the two ladder actions.
+    """Ladder action g' + sign_m (m/r) g + sign_A A g, channel m -> m_out.
 
     The action is applied in the unsubstituted variable f = w / sqrt(r) and
-    mapped back; the derivative uses centered differences.
+    mapped back; the derivative uses centered differences.  The raise
+    action is (m - 1, +1, -1); tests/conftest.py builds the annihilation
+    action (m + 1, -1, +1) from it as an oracle.
     """
     mesh = g.mesh
     r = mesh.nodes
@@ -278,12 +277,6 @@ def ladder_raise(g, gauge):
     """
     _check_mesh(gauge, g.mesh)
     return _ladder(g, gauge, g.m - 1, +1.0, -1.0)
-
-
-def ladder_lower(g, gauge):
-    """Annihilation action g' - (m/r) g + A g, channel m -> m + 1."""
-    _check_mesh(gauge, g.mesh)
-    return _ladder(g, gauge, g.m + 1, -1.0, +1.0)
 
 
 def ladder_apply(g, gauge, q):

@@ -1,4 +1,4 @@
-"""Zero-mode Gram identities, approximate projections, Toeplitz matrices.
+"""Zero-mode Gram identities and Toeplitz matrices.
 
 Everything here is channel-diagonal for radial data: basis elements live in
 single angular channels and the constructed matrices couple equal channels
@@ -54,9 +54,10 @@ class ZeroModeBasis:
         return level
 
 
-def zero_mode_basis(gauge, mesh, m_max):
-    """Zero modes m = 0..m_max; cross-channel orthogonality is exact."""
-    modes = [zero_mode(m, gauge, mesh) for m in range(m_max + 1)]
+def zero_mode_basis(gauge, m_max):
+    """Zero modes m = 0..m_max on the gauge's mesh; cross-channel
+    orthogonality is exact."""
+    modes = [zero_mode(m, gauge) for m in range(m_max + 1)]
     return ZeroModeBasis(modes, gauge)
 
 
@@ -204,43 +205,3 @@ def build_Tq(q, V, cluster):
     return ToeplitzMatrix(_symmetrized(t, "build_Tq"),
                           np.array([v.m for v in cluster.states], dtype=int))
 
-
-@dataclass
-class OffdiagReport:
-    """Singular values of (1 - P_q) V P_q on the truncated space."""
-
-    q: int
-    singular_values: np.ndarray  # descending
-    sigma_max: float
-    labels: list                 # (m, n) per singular value
-
-
-def offdiag_smallness(q, V, cluster):
-    """Largest singular value (and the full list) of (1 - P_q) V P_q.
-
-    For radial V the operator is channel-diagonal, so the singular values
-    are the norms of (1 - P_q) V v per cluster state v.
-    """
-    mesh = cluster.states[0].mesh if len(cluster) else None
-    if mesh is None:
-        return OffdiagReport(q, np.empty(0), 0.0, [])
-    Vv = V.evaluate(mesh.nodes)
-    by_channel = {}
-    for i, v in enumerate(cluster.states):
-        by_channel.setdefault(v.m, []).append(i)
-    sigmas = []
-    labels = []
-    for m, idxs in by_channel.items():
-        for i in idxs:
-            v = cluster.states[i]
-            w = Vv * v.values
-            for j in idxs:  # remove all cluster components in this channel
-                u = cluster.states[j]
-                w = w - u.values * (mesh.h * float(np.dot(u.values, w)))
-            sigmas.append(math.sqrt(mesh.h * float(np.dot(w, w))))
-            labels.append((int(cluster.ms[i]), int(cluster.ns[i])))
-    order = np.argsort(sigmas)[::-1]
-    sigmas = np.array(sigmas)[order]
-    labels = [labels[k] for k in order]
-    sigma_max = float(sigmas[0]) if sigmas.size else 0.0
-    return OffdiagReport(q, sigmas, sigma_max, labels)

@@ -196,12 +196,10 @@ def solve_channels(ops, e_max, e_min=None):
     return [solve_channel(op, e_max, e_min) for op in ops]
 
 
-@dataclass(frozen=True)
-class BoundaryPolicy:
-    """Flag states whose norm fraction in the outer mesh region is too big."""
-
-    outer_fraction: float = 0.1
-    norm_fraction: float = 1e-6
+# a state is boundary-flagged when its norm fraction in the outer tenth of
+# the domain exceeds 1e-6
+_OUTER_FRACTION = 0.1
+_NORM_FRACTION = 1e-6
 
 
 @dataclass
@@ -227,7 +225,7 @@ class SpectrumTable:
         return RadialFunction(v, int(m), mesh)
 
 
-def assemble_spectrum(channels, policy=BoundaryPolicy(), keep_vectors=True):
+def assemble_spectrum(channels, keep_vectors=True):
     """Merge per-channel eigenpairs into one sorted, boundary-flagged table."""
     if not channels:
         raise InconsistentProvenance("no channels to assemble")
@@ -243,7 +241,7 @@ def assemble_spectrum(channels, policy=BoundaryPolicy(), keep_vectors=True):
             )
 
     mesh = channels[0].op.mesh
-    outer = mesh.outer_slice(policy.outer_fraction)
+    outer = mesh.nodes > (1.0 - _OUTER_FRACTION) * mesh.r_max
     ms, ns, Es, flags = [], [], [], []
     vectors = {}
     for ch in channels:
@@ -254,7 +252,7 @@ def assemble_spectrum(channels, policy=BoundaryPolicy(), keep_vectors=True):
             ms.append(ch.m)
             ns.append(ch.first + k)
             Es.append(ch.energies[k])
-            flags.append(frac > policy.norm_fraction)
+            flags.append(frac > _NORM_FRACTION)
             if keep_vectors:
                 vectors[(ch.m, ch.first + k)] = v
 
@@ -295,14 +293,15 @@ class ClusterWindow:
         center = 2.0 * q * B0
         return ClusterWindow(q, B0, gamma, center - gamma, center + gamma)
 
-    def nudged(self, table, step=1e-9, atol=1e-12):
-        """Move endpoints off any eigenvalue of the table (outward)."""
+    def nudged(self, table):
+        """Move endpoints outward in steps of 1e-9 until no eigenvalue of the
+        table lies within 1e-12 of them."""
         lam_m, lam_p = self.lambda_minus, self.lambda_plus
         E = table.E
-        while np.any(np.abs(E - lam_m) < atol):
-            lam_m -= step
-        while np.any(np.abs(E - lam_p) < atol):
-            lam_p += step
+        while np.any(np.abs(E - lam_m) < 1e-12):
+            lam_m -= 1e-9
+        while np.any(np.abs(E - lam_p) < 1e-12):
+            lam_p += 1e-9
         return replace(self, lambda_minus=lam_m, lambda_plus=lam_p)
 
 
@@ -362,15 +361,13 @@ class DriftReport:
     shifts: np.ndarray           # at R
     drift: np.ndarray
     max_drift: float
-    converged: np.ndarray        # |shift| >= safety |drift|
 
 
-def boundary_sensitivity(at_R, at_Rp, R, R_prime, safety=10.0):
+def boundary_sensitivity(at_R, at_Rp, R, R_prime):
     """Compare labeled cluster shifts at two truncation radii.
 
     `at_R` and `at_Rp` map (m, n) to the shift at R resp. R_prime; states
-    are matched by label and a shift counts as converged in the
-    domain-truncation sense when it exceeds `safety` times its own drift.
+    are matched by label.
     """
     if R_prime <= R:
         raise ValueError("need R_prime > R")
@@ -379,16 +376,13 @@ def boundary_sensitivity(at_R, at_Rp, R, R_prime, safety=10.0):
     sp = np.array([at_Rp[k] for k in labels])
     drift = sp - s
     max_drift = float(np.max(np.abs(drift))) if labels else 0.0
-    converged = np.abs(s) >= safety * np.abs(drift)
-    return DriftReport(R, R_prime, labels, s, drift, max_drift, converged)
+    return DriftReport(R, R_prime, labels, s, drift, max_drift)
 
 
 @dataclass
 class CountingReport:
     """Rows of the cluster-counting comparison N vs E over a lambda grid."""
 
-    q: int
-    sign: str
     lambdas: np.ndarray
     N: np.ndarray
     E_measure: np.ndarray

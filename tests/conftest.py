@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from scipy import integrate
 
 from landau.errors import LandauError, QuadratureFailure, UnboundedSet
 from landau.fields import FieldSpec, build_gauge
-from landau.operator import (RadialFunction, RadialMesh, ladder_apply,
-                             ladder_lower, ladder_raise)
+from landau.operator import (RadialFunction, RadialMesh, _check_mesh, _ladder,
+                             ladder_apply, ladder_raise)
 from landau.projections import _symmetrized, coupling_constant
 from landau.spectra import _cluster_rows
 
@@ -150,6 +151,13 @@ def channel_potential_direct(kind, m, gauge, V):
             + _SPIN[kind] * gauge.B_total + v)
 
 
+def ladder_lower(g, gauge):
+    """Annihilation action g' - (m/r) g + A g, channel m -> m + 1; the
+    counterpart of operator.ladder_raise, which the pipeline alone uses."""
+    _check_mesh(gauge, g.mesh)
+    return _ladder(g, gauge, g.m + 1, -1.0, +1.0)
+
+
 def commutator_action(g, gauge):
     """Pointwise ladder-commutator action on g; equals 2 B(r) g in the
     continuum.
@@ -242,3 +250,44 @@ def build_Sq_action(q, cluster, zero_basis, gauge):
             if v_j.m == v_i.m:
                 s[i, j] = phase * coeffs[i] * back.dot(v_j) / c_q
     return _symmetrized(s, "build_Sq_action")
+
+
+@dataclass
+class OffdiagReport:
+    """Singular values of (1 - P_q) V P_q on the truncated space."""
+
+    q: int
+    singular_values: np.ndarray  # descending
+    sigma_max: float
+    labels: list                 # (m, n) per singular value
+
+
+def offdiag_smallness(q, V, cluster):
+    """Largest singular value (and the full list) of (1 - P_q) V P_q.
+
+    For radial V the operator is channel-diagonal, so the singular values
+    are the norms of (1 - P_q) V v per cluster state v.
+    """
+    mesh = cluster.states[0].mesh if len(cluster) else None
+    if mesh is None:
+        return OffdiagReport(q, np.empty(0), 0.0, [])
+    Vv = V.evaluate(mesh.nodes)
+    by_channel = {}
+    for i, v in enumerate(cluster.states):
+        by_channel.setdefault(v.m, []).append(i)
+    sigmas = []
+    labels = []
+    for m, idxs in by_channel.items():
+        for i in idxs:
+            v = cluster.states[i]
+            w = Vv * v.values
+            for j in idxs:  # remove all cluster components in this channel
+                u = cluster.states[j]
+                w = w - u.values * (mesh.h * float(np.dot(u.values, w)))
+            sigmas.append(math.sqrt(mesh.h * float(np.dot(w, w))))
+            labels.append((int(cluster.ms[i]), int(cluster.ns[i])))
+    order = np.argsort(sigmas)[::-1]
+    sigmas = np.array(sigmas)[order]
+    labels = [labels[k] for k in order]
+    sigma_max = float(sigmas[0]) if sigmas.size else 0.0
+    return OffdiagReport(q, sigmas, sigma_max, labels)

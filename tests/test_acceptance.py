@@ -22,12 +22,12 @@ from landau.asymptotics import (VerificationConfig, boundary_sensitivity,
 from landau.fields import (FieldSpec, build_gauge, counting_measure,
                            effective_weight)
 from landau.operator import RadialMesh, build_channel, default_channel_cut
-from landau.projections import (build_Tq,
-                                gram_identity_residual, offdiag_smallness,
+from landau.projections import (build_Tq, gram_identity_residual,
                                 zero_mode_basis)
 from landau.spectra import assemble_spectrum, channel_eigs, solve_channels
 
-from conftest import brute_force_measure, perturbation_inequality_check
+from conftest import (brute_force_measure, offdiag_smallness,
+                      perturbation_inequality_check)
 
 B_HEADLINE = FieldSpec.power(0.05, -3.0)
 
@@ -63,7 +63,7 @@ def test_acceptance_01_unperturbed_exactness():
     worst = {"schroedinger": 0.0, "pauli_minus": 0.0}
     pattern_ok = True
     for kind, offset in (("schroedinger", 1.0), ("pauli_minus", 0.0)):
-        ops = [build_channel(kind, m, gauge, None, mesh)
+        ops = [build_channel(kind, m, gauge, None)
                for m in range(-40, 41)]
         channels = solve_channels(ops, 10.0)
         table = assemble_spectrum(channels, keep_vectors=False)
@@ -99,7 +99,7 @@ def test_acceptance_02_zero_mode_exactness():
         gauge = build_gauge(b, 1.0, mesh)
         vals = []
         for m in range(m_top + 1):
-            op = build_channel("pauli_minus", m, gauge, None, mesh)
+            op = build_channel("pauli_minus", m, gauge, None)
             pairs = channel_eigs(op, 0.5)
             vals.append(pairs[0][0])
         lowest[h] = np.array(vals)
@@ -128,7 +128,7 @@ def test_acceptance_03_gram_identity_q1():
     for h in (0.005, 0.0025):
         mesh = RadialMesh(20.0, h)
         gauge = build_gauge(B_HEADLINE, 1.0, mesh)
-        basis = zero_mode_basis(gauge, mesh, 11)  # first 12 zero modes
+        basis = zero_mode_basis(gauge, 11)  # first 12 zero modes
         G = gram_identity_residual(1, basis, B_HEADLINE, 1.0)
         res[h] = float(np.max(np.abs(G)))
     ratio = res[0.005] / res[0.0025]
@@ -208,9 +208,8 @@ def test_acceptance_07_family_reduction_exact():
         B0 = float(rng.uniform(0.7, 1.4))
         gauge = build_gauge(b, B0, mesh)
         for m in range(-3, 4):
-            H = build_channel("schroedinger", m, gauge, V, mesh)
-            P = build_channel("pauli_minus", m, gauge, FieldSpec.sum(V, b),
-                              mesh)
+            H = build_channel("schroedinger", m, gauge, V)
+            P = build_channel("pauli_minus", m, gauge, FieldSpec.sum(V, b))
             worst = max(worst, float(np.max(np.abs(H.diag - (P.diag + B0)))))
             worst = max(worst, float(np.max(np.abs(H.offdiag - P.offdiag))))
     passed = worst <= 1e-12

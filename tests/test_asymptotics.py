@@ -73,26 +73,25 @@ class TestFamilyReduction:
                           beta=-3.0)
             gauge = build_gauge(b, 1.0, mesh_small)
             for m in (-2, 0, 3):
-                H = build_channel("schroedinger", m, gauge, V, mesh_small)
-                P = build_channel("pauli_minus", m, gauge, FieldSpec.sum(V, b),
-                                  mesh_small)
+                H = build_channel("schroedinger", m, gauge, V)
+                P = build_channel("pauli_minus", m, gauge, FieldSpec.sum(V, b))
                 assert np.array_equal(H.diag, P.diag + 1.0)
                 assert np.array_equal(H.offdiag, P.offdiag)
-                Pp = build_channel("pauli_plus", m, gauge, V, mesh_small)
+                Pp = build_channel("pauli_plus", m, gauge, V)
                 P2 = build_channel(
                     "pauli_minus", m, gauge,
-                    FieldSpec.sum(V, b.scaled(2.0)), mesh_small)
+                    FieldSpec.sum(V, b.scaled(2.0)))
                 assert np.array_equal(Pp.diag, P2.diag + 2.0)
 
     def test_pauli_plus_lowest_cluster(self, mesh_small, gauge_zero):
         from landau.spectra import channel_eigs
-        op = build_channel("pauli_plus", 0, gauge_zero, None, mesh_small)
+        op = build_channel("pauli_plus", 0, gauge_zero, None)
         vals = [e for e, _ in channel_eigs(op, 3.0)]
         assert vals[0] == pytest.approx(2.0, abs=1e-4)
 
     def test_zero_fields_pure_shift(self, mesh_small, gauge_zero):
-        H = build_channel("schroedinger", 1, gauge_zero, None, mesh_small)
-        P = build_channel("pauli_minus", 1, gauge_zero, None, mesh_small)
+        H = build_channel("schroedinger", 1, gauge_zero, None)
+        P = build_channel("pauli_minus", 1, gauge_zero, None)
         assert np.array_equal(H.diag, P.diag + 1.0)
 
     @pytest.mark.parametrize("kind, copies", [("schroedinger", 1.0),
@@ -178,7 +177,6 @@ class TestPerturbationInequality:
 class TestClusterReport:
     def test_small_run_structure(self, small_run):
         _, drift, report = small_run
-        assert report.q == 1 and report.sign == "+"
         assert np.all(np.diff(report.N) <= 0)  # N nonincreasing in lambda
         assert np.all(report.E_measure > 0)
         assert report.trust_lo >= 10.0 * drift.max_drift
@@ -294,18 +292,20 @@ class TestBoundarySensitivity:
     def test_interior_states_converged(self, small_cfg, small_run):
         comp, drift, _ = small_run
         assert drift.max_drift < 1e-6
-        assert drift.converged.all()
+        # every shift exceeds 10 times its own drift
+        assert np.all(np.abs(drift.shifts) >= 10.0 * np.abs(drift.drift))
         assert drift.R_prime > drift.R
 
     @pytest.mark.parametrize("R", [8.0, 12.0])
-    def test_estimate_brackets_two_radius_drift(self, b_power, R):
+    def test_estimate_brackets_two_radius_drift(self, b_power, R,
+                                                monkeypatch):
         # oracle: solve the cluster again at R' and match states by label.
         # No state is boundary-flagged, so the outer ones really drift
         # (up to 2.3e-2 at R = 8); the single-solve estimate must bound each
         # drift without inflating it beyond 200x (measured 23x-76x)
-        cfg = VerificationConfig(
-            B0=1.0, b=b_power, q=1, sign="+", r_max=R, h=0.02,
-            boundary_policy=spectra.BoundaryPolicy(norm_fraction=1.0))
+        monkeypatch.setattr(spectra, "_NORM_FRACTION", 1.0)
+        cfg = VerificationConfig(B0=1.0, b=b_power, q=1, sign="+", r_max=R,
+                                 h=0.02)
         comp = compute_cluster(cfg)
         estimate = boundary_sensitivity(comp)
         R_prime = estimate.R_prime
@@ -349,8 +349,7 @@ class TestSecondCluster:
         Tq = build_Tq(2, None, cl)
         tq = np.sort(Tq.eigenvalues())[::-1]
         sh = np.sort(cl.shifts)[::-1]
-        basis = zero_mode_basis(comp.gauge, comp.mesh,
-                                int(np.max(cl.ms)) + 2)
+        basis = zero_mode_basis(comp.gauge, int(np.max(cl.ms)) + 2)
         T0 = build_T0(2, None, basis)
         t0 = np.sort(T0.eigenvalues())[::-1] / coupling_constant(2, 1.0)
         k = len(sh) // 4

@@ -92,6 +92,16 @@ class TestConfigValidation:
          "config field 'bands.min_decade': unknown band"),
         ({"bands": {"ratio": [1.1, 1.2]}},
          "config field 'bands.ratio': must bracket 1.0"),
+        # JSON reads NaN and Infinity; booleans and strings are no numbers
+        ({"B0": float("nan")}, "config field 'B0': must be a finite number"),
+        ({"B0": float("inf")}, "config field 'B0': must be a finite number"),
+        ({"e_max": float("nan")},
+         "config field 'e_max': must be a finite number"),
+        ({"B0": "1.0"}, "config field 'B0': must be a number, got '1.0'"),
+        ({"B0": True}, "config field 'B0': must be a number, got True"),
+        ({"q": True}, "config field 'q': must be a nonnegative integer"),
+        ({"q": [1, False]}, "config field 'q': must be a nonnegative integer"),
+        ({"q": 1.5}, "config field 'q': must be a nonnegative integer"),
     ])
     def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
                                     message):
@@ -128,6 +138,19 @@ class TestConfigValidation:
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "weights",
+                                     "toeplitz", "identities"])
+def test_json_stdout_is_the_written_summary(command, tmp_path, capsys):
+    # main alone writes <command>_summary.json and prints it for --json
+    out = tmp_path / "out"
+    code = main([command, "--config", str(CONFIGS / "quick.json"),
+                 "--out", str(out), "--json"])
+    assert code == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == json.loads(
+        (out / f"{command}_summary.json").read_text())
 
 
 class TestSpectrum:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from landau import fields
 from landau.errors import DegenerateWeight, UnboundedSet
 from landau.fields import (FieldSpec, ProfileTerm, build_gauge,
                            check_regularity, counting_measure, effective_weight,
@@ -286,23 +287,25 @@ class TestSuperlevelScan:
         if case.startswith("split"):
             assert max(len(iv) for iv in ref) >= 2
 
-    def test_max_crossings(self):
+    def test_max_crossings(self, monkeypatch):
         weight, sign, r_max, _ = _scan_cases()["split-minus"]
         lams = [0.3, 0.05]  # two annuli each: 4 crossings
+        monkeypatch.setattr(fields, "_MAX_CROSSINGS", 4)
         assert [len(iv) for iv in superlevel_scan(weight, lams, sign,
-                                                  r_max=r_max,
-                                                  max_crossings=4)] == [2, 2]
+                                                  r_max=r_max)] == [2, 2]
+        monkeypatch.setattr(fields, "_MAX_CROSSINGS", 3)
         with pytest.raises(ValueError, match="more than 3 crossings"):
-            superlevel_scan(weight, lams, sign, r_max=r_max, max_crossings=3)
+            superlevel_scan(weight, lams, sign, r_max=r_max)
 
     @pytest.mark.parametrize("lams", [[0.05, -1.0], [-1.0, 0.05], [0.3, 0.0]])
-    def test_first_error_in_order(self, lams):
+    def test_first_error_in_order(self, lams, monkeypatch):
         # the error the one-by-one loop meets first is the one raised
         weight, sign, r_max, _ = _scan_cases()["split-minus"]
         expected = _first_error(lambda: _per_lambda(
             weight, lams, sign, r_max, max_crossings=3))
+        monkeypatch.setattr(fields, "_MAX_CROSSINGS", 3)
         assert _first_error(lambda: superlevel_scan(
-            weight, lams, sign, r_max=r_max, max_crossings=3)) == expected
+            weight, lams, sign, r_max=r_max)) == expected
 
     @pytest.mark.parametrize("grid, lam", [
         (np.geomspace(1e-2, 1e-6, 9), 10.0 ** -4.5),  # in the first sweep

@@ -7,11 +7,12 @@ from scipy.linalg import eigh_tridiagonal
 from landau.errors import MeshMismatch
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
 from landau.operator import (KINDS, RadialFunction, RadialMesh, build_channel,
-                             default_channel_cut, ladder_apply, ladder_lower,
-                             ladder_raise, zero_mode)
+                             default_channel_cut, ladder_apply, ladder_raise,
+                             zero_mode)
 from landau.spectra import channel_eigs
 
-from conftest import channel_potential_direct, commutator_action, dense
+from conftest import (channel_potential_direct, commutator_action, dense,
+                      ladder_lower)
 
 
 def lowest_eigs(op, e_max):
@@ -45,11 +46,11 @@ class TestChannelMatrix:
         # P_- channel m=0: levels {0, 2, 4}; Schroedinger: +B0; P_+: +2B0
         mesh = RadialMesh(20.0, 0.005)
         gauge = build_gauge(FieldSpec.zero(), 1.0, mesh)
-        vals = lowest_eigs(build_channel("pauli_minus", 0, gauge, None, mesh), 5.0)
+        vals = lowest_eigs(build_channel("pauli_minus", 0, gauge, None), 5.0)
         assert np.allclose(vals, [0.0, 2.0, 4.0], atol=1e-4)
-        vals = lowest_eigs(build_channel("schroedinger", 0, gauge, None, mesh), 2.0)
+        vals = lowest_eigs(build_channel("schroedinger", 0, gauge, None), 2.0)
         assert vals[0] == pytest.approx(1.0, abs=1e-4)
-        vals = lowest_eigs(build_channel("pauli_plus", 0, gauge, None, mesh), 3.0)
+        vals = lowest_eigs(build_channel("pauli_plus", 0, gauge, None), 3.0)
         assert vals[0] == pytest.approx(2.0, abs=1e-4)
 
     def test_diagonal_matches_direct_formula(self, b_power):
@@ -67,7 +68,7 @@ class TestChannelMatrix:
             inner = (r > 1.0) & (r < 10.0)
             for kind in KINDS:
                 for m in (-2, 0, 3):
-                    op = build_channel(kind, m, gauge, V, mesh)
+                    op = build_channel(kind, m, gauge, V)
                     q = (channel_potential_direct(kind, m, gauge, V)
                          - 0.25 / (r * r))
                     err = np.abs(op.matvec(w) - (minus_w2 + q * w))[inner]
@@ -79,7 +80,7 @@ class TestChannelMatrix:
     def test_offdiagonal_face_weights(self, mesh_small, gauge_zero):
         # b = 0, m = 0: rho = r exp(-B0 r^2 / 2) gives the rho = r face
         # weights i / sqrt(i^2 - 1/4) times exp(B0 h^2 / 8)
-        op = build_channel("pauli_minus", 0, gauge_zero, None, mesh_small)
+        op = build_channel("pauli_minus", 0, gauge_zero, None)
         h = mesh_small.h
         i = np.arange(1, mesh_small.n, dtype=float)
         weights = i / np.sqrt(i * i - 0.25)
@@ -87,15 +88,18 @@ class TestChannelMatrix:
         assert np.allclose(op.offdiag, expected, rtol=1e-14, atol=0.0)
 
     def test_matvec_matches_dense(self, mesh_small, gauge_power):
-        op = build_channel("schroedinger", -2, gauge_power, None, mesh_small)
+        op = build_channel("schroedinger", -2, gauge_power, None)
         rng = np.random.default_rng(7)
         v = rng.normal(size=mesh_small.n)
         assert np.allclose(op.matvec(v), dense(op) @ v, rtol=1e-13, atol=1e-10)
 
     def test_mesh_mismatch(self, gauge_power):
+        # the builders read the mesh off the gauge; a ladder action takes
+        # the function's mesh and the gauge's as two inputs
         other = RadialMesh(12.0, 0.02)
+        g = RadialFunction(np.ones(other.n), 1, other)
         with pytest.raises(MeshMismatch):
-            build_channel("pauli_minus", 0, gauge_power, None, other)
+            ladder_raise(g, gauge_power)
 
     def test_large_m_entries_finite(self, b_power):
         # the first-cell entry of the weighted flux form, 4^(|m|+1/2) / h^2,
@@ -103,7 +107,7 @@ class TestChannelMatrix:
         mesh = RadialMesh(50.0, 0.02)
         gauge = build_gauge(b_power, 1.0, mesh)
         with np.errstate(over="raise", invalid="raise"):
-            ops = {m: build_channel("pauli_minus", m, gauge, None, mesh)
+            ops = {m: build_channel("pauli_minus", m, gauge, None)
                    for m in (600, -600)}
         for op in ops.values():
             assert np.all(np.isfinite(op.diag))
@@ -123,7 +127,7 @@ class TestChannelMatrix:
             for h in (0.04, 0.02, 0.01, 0.005):
                 mesh = RadialMesh(12.0, h)
                 gauge = build_gauge(b, 1.0, mesh)
-                op = build_channel("pauli_minus", m, gauge, None, mesh)
+                op = build_channel("pauli_minus", m, gauge, None)
                 eigs.append(lowest_eigs(op, 2.5)[1])
             diffs[m] = np.abs(np.diff(eigs))
         ratios = diffs[0][:-1] / diffs[0][1:]
@@ -133,7 +137,7 @@ class TestChannelMatrix:
 
 class TestZeroModes:
     def test_unperturbed_profile(self, mesh_small, gauge_zero):
-        u = zero_mode(0, gauge_zero, mesh_small)
+        u = zero_mode(0, gauge_zero)
         r = mesh_small.nodes
         ref = np.sqrt(r) * np.exp(-0.25 * r * r)
         ref /= math.sqrt(mesh_small.h * np.dot(ref, ref))
@@ -141,10 +145,10 @@ class TestZeroModes:
 
     def test_negative_channel_rejected(self, mesh_small, gauge_zero):
         with pytest.raises(ValueError):
-            zero_mode(-1, gauge_zero, mesh_small)
+            zero_mode(-1, gauge_zero)
 
     def test_large_m_no_underflow(self, mesh_small, gauge_power):
-        u = zero_mode(60, gauge_power, mesh_small)
+        u = zero_mode(60, gauge_power)
         assert np.all(np.isfinite(u.values))
         assert u.norm() == pytest.approx(1.0, rel=1e-12)
 
@@ -155,16 +159,16 @@ class TestZeroModes:
         for h in (0.01, 0.005):
             mesh = RadialMesh(12.0, h)
             gauge = build_gauge(b_power, 1.0, mesh)
-            u = zero_mode(3, gauge, mesh)
-            op = build_channel("pauli_minus", 3, gauge, None, mesh)
+            u = zero_mode(3, gauge)
+            op = build_channel("pauli_minus", 3, gauge, None)
             norm = math.sqrt(mesh.h * np.sum(op.matvec(u.values) ** 2))
             assert norm < 1e3 * eps / (h * h)
 
     def test_rayleigh_quotient_m5(self, b_power):
         mesh = RadialMesh(20.0, 0.005)
         gauge = build_gauge(b_power, 1.0, mesh)
-        u = zero_mode(5, gauge, mesh)
-        op = build_channel("pauli_minus", 5, gauge, None, mesh)
+        u = zero_mode(5, gauge)
+        op = build_channel("pauli_minus", 5, gauge, None)
         rq = mesh.h * float(np.dot(u.values, op.matvec(u.values)))
         # the zero mode is exact for the matrix: the quotient is roundoff
         # (measured 8e-13 here)
@@ -174,14 +178,14 @@ class TestZeroModes:
 
 class TestLadders:
     def test_channel_labels(self, mesh_small, gauge_power):
-        u = zero_mode(2, gauge_power, mesh_small)
+        u = zero_mode(2, gauge_power)
         assert ladder_raise(u, gauge_power).m == 1
         assert ladder_lower(u, gauge_power).m == 3
 
     def test_gram_norm_unperturbed(self, mesh_small, gauge_zero):
         # ||Qbar^q u||^2 = C_q = q! (2 B0)^q at b = 0
         for m in (0, 1, 4):
-            u = zero_mode(m, gauge_zero, mesh_small)
+            u = zero_mode(m, gauge_zero)
             r1 = ladder_apply(u, gauge_zero, 1)
             assert mesh_small.h * np.dot(r1.values, r1.values) == pytest.approx(
                 2.0, abs=2e-5)
@@ -193,7 +197,7 @@ class TestLadders:
         # ||Qbar u||^2 = 2 B0 + 2 (b u, u), by quadrature
         bv = b_power.evaluate(mesh_small.nodes)
         for m in (0, 3, 7):
-            u = zero_mode(m, gauge_power, mesh_small)
+            u = zero_mode(m, gauge_power)
             ru = ladder_raise(u, gauge_power)
             lhs = mesh_small.h * np.dot(ru.values, ru.values)
             bu = mesh_small.h * np.dot(u.values * bv, u.values)
@@ -201,7 +205,7 @@ class TestLadders:
 
     def test_lower_annihilates_zero_modes(self, mesh_small, gauge_power):
         for m in (0, 4):
-            u = zero_mode(m, gauge_power, mesh_small)
+            u = zero_mode(m, gauge_power)
             assert ladder_lower(u, gauge_power).norm() < 1e-8
 
     def test_commutator_pointwise(self, b_power):
@@ -240,7 +244,7 @@ class TestLadders:
             r = mesh.nodes
             g = RadialFunction(np.sqrt(r) * np.exp(-0.5 * (r - 5.0) ** 2),
                                2, mesh).normalized()
-            op = build_channel("pauli_minus", 2, gauge, None, mesh)
+            op = build_channel("pauli_minus", 2, gauge, None)
             qg = ladder_lower(g, gauge)
             lhs = mesh.h * float(np.dot(g.values, op.matvec(g.values)))
             rhs = mesh.h * float(np.dot(qg.values, qg.values))
@@ -251,10 +255,10 @@ class TestLadders:
     def test_lower_drops_one_level(self, mesh_small, gauge_zero):
         # Q applied to a level-1 eigenfunction lands in the zero-mode space:
         # the Rayleigh quotient drops by 2 B0
-        u = zero_mode(3, gauge_zero, mesh_small)
+        u = zero_mode(3, gauge_zero)
         level1 = ladder_raise(u, gauge_zero)  # channel 2, level 1
         lowered = ladder_lower(level1, gauge_zero)
-        op = build_channel("pauli_minus", 3, gauge_zero, None, mesh_small)
+        op = build_channel("pauli_minus", 3, gauge_zero, None)
         rq = (mesh_small.h * float(np.dot(lowered.values,
                                           op.matvec(lowered.values)))
               / (mesh_small.h * float(np.dot(lowered.values, lowered.values))))
@@ -263,9 +267,9 @@ class TestLadders:
     def test_raise_maps_to_level_one(self, mesh_small, gauge_zero):
         # Qbar u is an eigenvector of the next Landau level: Rayleigh
         # quotient of P_- at Qbar u equals 2 B0
-        u = zero_mode(3, gauge_zero, mesh_small)
+        u = zero_mode(3, gauge_zero)
         ru = ladder_raise(u, gauge_zero)
-        op = build_channel("pauli_minus", 2, gauge_zero, None, mesh_small)
+        op = build_channel("pauli_minus", 2, gauge_zero, None)
         rq = (mesh_small.h * float(np.dot(ru.values, op.matvec(ru.values)))
               / (mesh_small.h * float(np.dot(ru.values, ru.values))))
         # the level-1 state at b = 0 is a zero mode times a polynomial in

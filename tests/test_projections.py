@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
-from conftest import BasisTooSmall, build_Sq_action
+from conftest import BasisTooSmall, build_Sq_action, offdiag_smallness
 from landau import asymptotics
 from landau.cli import load_config
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
@@ -13,7 +13,7 @@ from landau.operator import RadialMesh, build_channel
 from landau import projections
 from landau.projections import (build_T0, build_Tq, coupling_constant,
                                 gram_identity_residual,
-                                linear_coupling_constant, offdiag_smallness,
+                                linear_coupling_constant,
                                 weighted_identity_residual, zero_mode_basis)
 from landau.spectra import (ClusterStates, ClusterWindow, assemble_spectrum,
                             cluster_states, solve_channels)
@@ -23,17 +23,17 @@ QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
 
 @pytest.fixture(scope="module")
 def basis_zero(mesh_small, gauge_zero):
-    return zero_mode_basis(gauge_zero, mesh_small, 9)
+    return zero_mode_basis(gauge_zero, 9)
 
 
 @pytest.fixture(scope="module")
 def basis_power(mesh_small, gauge_power):
-    return zero_mode_basis(gauge_power, mesh_small, 9)
+    return zero_mode_basis(gauge_power, 9)
 
 
 @pytest.fixture(scope="module")
 def cluster_q1(mesh_small, gauge_power):
-    ops = [build_channel("pauli_minus", m, gauge_power, None, mesh_small)
+    ops = [build_channel("pauli_minus", m, gauge_power, None)
            for m in range(-1, 12)]
     channels = solve_channels(ops, 2.6)
     table = assemble_spectrum(channels)
@@ -65,8 +65,7 @@ class TestBasis:
             steps.append(q)
             return ladder_apply(g, gauge, q)
 
-        basis = zero_mode_basis(basis_power.gauge, basis_power.modes[0].mesh,
-                                len(basis_power) - 1)
+        basis = zero_mode_basis(basis_power.gauge, len(basis_power) - 1)
         monkeypatch.setattr(projections, "ladder_apply", counting)
         for q in (1, 2, 2, 3, 1, 3):
             level = basis.raised(q)
@@ -91,7 +90,7 @@ class TestGramIdentity:
         for h in (0.02, 0.01):
             mesh = RadialMesh(12.0, h)
             gauge = build_gauge(b_power, 1.0, mesh)
-            basis = zero_mode_basis(gauge, mesh, 9)
+            basis = zero_mode_basis(gauge, 9)
             G = gram_identity_residual(1, basis, b_power, 1.0)
             res.append(np.max(np.abs(G)))
         assert res[0] / res[1] > 3.2
@@ -105,7 +104,7 @@ class TestGramIdentity:
         b = FieldSpec((ProfileTerm("bump", amp, inner=11.0, outer=13.0),),
                       beta=-3.0)
         gauge = build_gauge(b, 1.0, mesh)
-        basis = zero_mode_basis(gauge, mesh, 3)
+        basis = zero_mode_basis(gauge, 3)
         G = gram_identity_residual(2, basis, b, 1.0)
         assert np.diag(G) == pytest.approx(8.0 * amp ** 2, rel=1e-2)
 
@@ -116,7 +115,7 @@ class TestGramIdentity:
         mesh = RadialMesh(16.0, 0.01)
         gauge0 = build_gauge(FieldSpec.zero(), 1.0, mesh)
         floor = np.max(np.abs(gram_identity_residual(
-            2, zero_mode_basis(gauge0, mesh, 3), FieldSpec.zero(), 1.0)))
+            2, zero_mode_basis(gauge0, 3), FieldSpec.zero(), 1.0)))
         maxima = []
         for center in (5.0, 8.0, 12.0):
             b = FieldSpec(
@@ -126,7 +125,7 @@ class TestGramIdentity:
                              outer=center - 0.5, sign=-1.0)),
                 beta=-3.0)
             gauge = build_gauge(b, 1.0, mesh)
-            basis = zero_mode_basis(gauge, mesh, 3)
+            basis = zero_mode_basis(gauge, 3)
             G = gram_identity_residual(2, basis, b, 1.0)
             maxima.append(np.max(np.abs(G)))
         # decays with distance until the ladder discretization floor
@@ -197,7 +196,7 @@ class TestT0:
         mesh = RadialMesh(14.0, 0.01)
         gauge = build_gauge(FieldSpec.zero(), 1.0, mesh)
         V = FieldSpec((ProfileTerm("power", 0.1, beta=-3.0),), beta=-3.0)
-        basis = zero_mode_basis(gauge, mesh, 8)
+        basis = zero_mode_basis(gauge, 8)
         T0 = build_T0(1, V, basis)
         nodes, weights = np.polynomial.laguerre.laggauss(170)
 
@@ -221,32 +220,32 @@ class TestT0:
 
 class TestSq:
     def test_identity_on_unperturbed_subspace(self, mesh_small, gauge_zero):
-        ops = [build_channel("pauli_minus", m, gauge_zero, None, mesh_small)
+        ops = [build_channel("pauli_minus", m, gauge_zero, None)
                for m in range(-1, 8)]
         channels = solve_channels(ops, 2.6)
         table = assemble_spectrum(channels)
         window = ClusterWindow.default(1, 1.0).nudged(table)
         cl = cluster_states(table, window, mesh_small, channels)
-        basis = zero_mode_basis(gauge_zero, mesh_small, 10)
+        basis = zero_mode_basis(gauge_zero, 10)
         S = build_Sq_action(1, cl, basis, gauge_zero)
         assert np.max(np.abs(S - np.eye(S.shape[0]))) < 1e-6
 
     def test_leading_deviation_tracks_shifts(self, mesh_small, gauge_power,
                                              cluster_q1):
-        basis = zero_mode_basis(gauge_power, mesh_small, 13)
+        basis = zero_mode_basis(gauge_power, 13)
         S = build_Sq_action(1, cluster_q1, basis, gauge_power)
         resid = np.diag(S) - 1.0
         pred = cluster_q1.shifts / 2.0  # (P_- - Lambda_q) P_q term over 2 B0
         assert np.max(np.abs(resid - pred)) < 0.1 * np.max(cluster_q1.shifts)
 
     def test_trace_near_dimension(self, mesh_small, gauge_power, cluster_q1):
-        basis = zero_mode_basis(gauge_power, mesh_small, 13)
+        basis = zero_mode_basis(gauge_power, 13)
         S = build_Sq_action(1, cluster_q1, basis, gauge_power)
         dim = len(cluster_q1)
         assert abs(np.trace(S) - dim) < 0.01 * dim
 
     def test_basis_too_small(self, mesh_small, gauge_power, cluster_q1):
-        basis = zero_mode_basis(gauge_power, mesh_small, 3)
+        basis = zero_mode_basis(gauge_power, 3)
         with pytest.raises(BasisTooSmall):
             build_Sq_action(1, cluster_q1, basis, gauge_power)
 
@@ -276,7 +275,7 @@ class TestTq:
         # both routes approximate the same cluster: leading eigenvalues of
         # T_q and of T0 / C_q agree
         m_max = int(np.max(cluster_q1.ms)) + 1
-        basis = zero_mode_basis(gauge_power, mesh_small, m_max)
+        basis = zero_mode_basis(gauge_power, m_max)
         T0 = build_T0(1, None, basis)
         Tq = build_Tq(1, None, cluster_q1)
         t0 = np.sort(T0.eigenvalues())[::-1] / coupling_constant(1, 1.0)
@@ -298,9 +297,8 @@ class TestToeplitzSpectrum:
     def test_quick_config_matches_dense_bit_for_bit(self):
         cfg = load_config(str(QUICK))
         comp = asymptotics.compute_cluster(replace(cfg, q=1))
-        basis = zero_mode_basis(comp.gauge, comp.mesh,
-                                min(int(np.max(comp.cluster.ms)) + 1,
-                                    cfg.m_max))
+        basis = zero_mode_basis(
+            comp.gauge, min(int(np.max(comp.cluster.ms)) + 1, cfg.m_max))
         for T in (build_Tq(1, None, comp.cluster), build_T0(1, cfg.V, basis)):
             assert T.channels.size == T.entries.shape[0] > 20
             assert np.array_equal(T.eigenvalues(),
@@ -309,7 +307,7 @@ class TestToeplitzSpectrum:
     def test_two_states_in_one_channel(self, mesh_small, gauge_power):
         # levels 1 and 2 of channel 0 next to level 1 of channels 1 and 2;
         # V couples the two channel-0 states, so one 2 x 2 block is dense
-        ops = [build_channel("pauli_minus", m, gauge_power, None, mesh_small)
+        ops = [build_channel("pauli_minus", m, gauge_power, None)
                for m in range(3)]
         channels = solve_channels(ops, 4.6)
         table = assemble_spectrum(channels)
@@ -348,7 +346,7 @@ class TestOffdiag:
 
     def test_far_supported_potential(self, mesh_small, gauge_power):
         # annular potential beyond all cluster-state localization
-        ops = [build_channel("pauli_minus", m, gauge_power, None, mesh_small)
+        ops = [build_channel("pauli_minus", m, gauge_power, None)
                for m in range(-1, 7)]
         channels = solve_channels(ops, 2.6)
         table = assemble_spectrum(channels)

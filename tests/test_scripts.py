@@ -1,0 +1,38 @@
+"""The scripts under scripts/ run end to end on small meshes.
+
+Each runs in its own interpreter with `src/` on the path, as a user would
+run it from a source checkout.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+                           *args], cwd=cwd, env=env, capture_output=True,
+                          text=True)
+
+
+def test_scan_identities(tmp_path):
+    done = run_script("scan_identities.py", "--r-max", "8", "--steps",
+                      "0.04", "0.02", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 3  # header and one row per h
+
+
+def test_run_headline(tmp_path):
+    out = tmp_path / "headline"
+    done = run_script("run_headline.py", "--r-max", "16", "--h", "0.02",
+                      "--out", str(out), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (out / "counting_q1.csv").is_file()
+    assert (out / "headline_summary.json").is_file()
