@@ -48,7 +48,8 @@ def panel_integrals(f, edges):
     `f` must accept an ndarray and evaluate elementwise.  Returns one value
     per input panel; panels are bisected until the local error estimate is
     below `_TOL * width / total_width` (plus a roundoff floor).  Raises
-    QuadratureFailure if the recursion depth is exhausted.
+    QuadratureFailure on a non-finite value of `f`, which no bisection can
+    resolve, or if the recursion depth is exhausted.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
@@ -69,6 +70,9 @@ def panel_integrals(f, edges):
         half = 0.5 * (hi - lo)
         nodes = mid[:, None] + half[:, None] * _XGK[None, :]
         fv = np.asarray(f(nodes), dtype=float)
+        if not np.all(np.isfinite(fv)):
+            raise QuadratureFailure(
+                "adaptive quadrature met a non-finite integrand value")
         k15 = half * (fv @ _WGK)
         g7 = half * (fv[:, _GAUSS_IDX] @ _WG7)
         err = np.abs(k15 - g7)

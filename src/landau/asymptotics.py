@@ -2,9 +2,12 @@
 
 The pipeline fixes a Landau index q, diagonalizes the channels that can
 contribute to the q-th cluster, and compares the eigenvalue counting
-function N(Lambda_q + lambda, lambda_plus) against E_+(lambda, V + 2q b)
+function N(Lambda_q + lambda, Lambda_q + gamma) against E_+(lambda, V + 2q b)
 over a lambda grid restricted to a trust region where the finite domain,
 the boundary drift, and the mesh defect cannot distort the comparison.
+One rule decides both the cluster and N: a non-boundary state belongs to
+the cluster when |E - Lambda_q| < gamma, Lambda_q = 2 q B0, and N counts
+the cluster states beyond lambda on the side of `sign`.
 
 The stages form one data flow: compute_cluster(cfg) solves the cluster
 once and returns a ClusterComputation; boundary_sensitivity(comp) estimates
@@ -20,12 +23,12 @@ import numpy as np
 
 from . import spectra
 from .errors import TrustRegionEmpty
-from .fields import (FieldSpec, GaugeData, build_gauge, check_regularity,
-                     effective_weight, superlevel_measure, superlevel_scan)
+from .fields import (FieldSpec, GaugeData, build_gauge, effective_weight,
+                     superlevel_measure, superlevel_scan)
 from .operator import (KINDS, RadialMesh, build_channel, default_channel_cut,
                        spin_down_form)
-from .spectra import (ClusterWindow, CountingReport, assemble_spectrum,
-                      cluster_states, counting_function, solve_channels)
+from .spectra import (CountingReport, assemble_spectrum, cluster_states,
+                      counting_function, solve_channels)
 
 # fewest states a trusted lambda row counts; the trust floor's multiple of
 # the drift and defect estimates; the drift is estimated for R -> 1.2 R
@@ -95,11 +98,8 @@ class ClusterComputation:
     """Everything the q-th cluster run produced, for reuse downstream."""
 
     cfg: VerificationConfig  # reduced to the spin-down form
-    mesh: RadialMesh
     gauge: GaugeData
-    channels: list
     table: spectra.SpectrumTable
-    window: ClusterWindow
     cluster: spectra.ClusterStates
     defect_floor: float
 
@@ -115,19 +115,16 @@ def compute_cluster(cfg):
     mesh = RadialMesh(rcfg.r_max, rcfg.h)
     gauge = build_gauge(rcfg.b, rcfg.B0, mesh)
     ms = range(-rcfg.q, rcfg.channel_cut() + 1)
-    center = 2.0 * rcfg.q * rcfg.B0
-    # the margins keep every eigenvalue near the window's endpoints
-    # visible to ClusterWindow.nudged
-    e_min = center - rcfg.gamma_eff - 1e-6
-    e_max = center + rcfg.gamma_eff + 1e-6
+    center, gamma = 2.0 * rcfg.q * rcfg.B0, rcfg.gamma_eff
+    # an eigenvalue within roundoff of a window endpoint is still solved;
+    # the strict test of cluster_states decides whether it belongs
+    e_min, e_max = center - gamma - 1e-6, center + gamma + 1e-6
     ops = [build_channel("pauli_minus", m, gauge, rcfg.V) for m in ms]
     channels = solve_channels(ops, e_max, e_min)
     floor = _defect_floor(rcfg, gauge, e_min, e_max, channels)
     table = assemble_spectrum(channels)
-    window = ClusterWindow.default(rcfg.q, rcfg.B0, rcfg.gamma_eff).nudged(table)
-    cluster = cluster_states(table, window, mesh, channels)
-    return ClusterComputation(rcfg, mesh, gauge, channels, table, window,
-                              cluster, floor)
+    cluster = cluster_states(table, center, gamma, mesh, channels)
+    return ClusterComputation(rcfg, gauge, table, cluster, floor)
 
 
 def _defect_floor(cfg, gauge, e_min, e_max, channels):
@@ -187,7 +184,7 @@ def boundary_sensitivity(comp):
     R_prime = round(DRIFT_FACTOR * R / h) * h
     c = comp.cluster
     labels = [(int(m), int(n)) for m, n in zip(c.ms, c.ns)]
-    slope = np.array([-2.0 * w.values[-1] / comp.mesh.h for w in c.states])
+    slope = np.array([-2.0 * w.values[-1] / h for w in c.states])
     at_R = dict(zip(labels, c.shifts.tolist()))
     at_Rp = dict(zip(labels, (c.shifts - (R_prime - R) * slope ** 2).tolist()))
     return spectra.boundary_sensitivity(at_R, at_Rp, R, R_prime)
@@ -217,16 +214,12 @@ def cluster_asymptotics_report(comp):
     """
     rcfg = comp.cfg
     weight = effective_weight(rcfg.V, rcfg.b, rcfg.q, rcfg.B0)
-    gamma = rcfg.gamma_eff
-    center = comp.window.center
-    table = comp.table
+    center, gamma = 2.0 * rcfg.q * rcfg.B0, rcfg.gamma_eff
 
-    def count(lam):
+    def count(lam):  # the cluster states beyond lambda
         if rcfg.sign == "+":
-            return counting_function(table, center + lam,
-                                     comp.window.lambda_plus)
-        return counting_function(table, comp.window.lambda_minus,
-                                 center - lam)
+            return counting_function(comp.table, center + lam, center + gamma)
+        return counting_function(comp.table, center - gamma, center - lam)
 
     # degenerate weight: no superlevel set of the requested sign at all
     probe = weight(np.linspace(0.0, rcfg.r_max, 4097))
@@ -238,19 +231,6 @@ def cluster_asymptotics_report(comp):
             lambdas=lams, N=N, E_measure=np.zeros_like(lams),
             ratio=np.full_like(lams, np.nan), trust_lo=math.nan,
             trust_hi=math.nan, note="degenerate-weight")
-
-    # regularity probe (a lambda -> 0 condition): keep the probe grid above
-    # the level the probe reach can still contain
-    reach = 4.0 * rcfg.r_max
-    tail_grid = np.linspace(0.9 * reach, reach, 65)
-    tail = float(np.max((weight(tail_grid) if rcfg.sign == "+"
-                         else -weight(tail_grid))))
-    reg_lo = max(1e-4 * sup, 2.0 * max(tail, 0.0))
-    regularity = None
-    if reg_lo < 0.15 * sup:
-        reg_grid = np.geomspace(0.2 * sup, reg_lo, 13)
-        regularity = check_regularity(weight, reg_grid, 0.1, rcfg.sign,
-                                      r_max=reach)
 
     floor_drift = TRUST_SAFETY * boundary_sensitivity(comp).max_drift
     floor_defect = TRUST_SAFETY * comp.defect_floor
@@ -299,13 +279,9 @@ def cluster_asymptotics_report(comp):
     E = np.array([r[2] for r in rows])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(E > 0, N / E, np.nan)
-    if regularity is None:
-        note = "regularity-unprobed"
-    else:
-        note = "" if regularity.regular_ok else "regularity-marginal"
     report = CountingReport(
         lambdas=lams, N=N, E_measure=E, ratio=ratio,
-        trust_lo=float(lams.min()), trust_hi=float(lams.max()), note=note)
+        trust_lo=float(lams.min()), trust_hi=float(lams.max()))
     report.band_lo, report.band_hi = report.band_window(rcfg.ratio_band)
     return report
 
@@ -325,12 +301,10 @@ def upper_estimate_check(comp, report):
     """Fit log N against log lambda over the report's rows; the fitted slope
     should approach the decay-class exponent 2 / beta of the effective
     weight."""
-    good = report.N >= MIN_COUNT
-    if report.note == "degenerate-weight" or not np.any(good):
+    if report.note == "degenerate-weight":
         return ExponentReport(math.nan, math.nan, "empty-cluster")
     rcfg = comp.cfg
     weight = effective_weight(rcfg.V, rcfg.b, rcfg.q, rcfg.B0)
-    slope = float(np.polyfit(np.log(report.lambdas[good]),
-                             np.log(report.N[good]), 1)[0])
+    slope = float(np.polyfit(np.log(report.lambdas), np.log(report.N), 1)[0])
     return ExponentReport(slope, 2.0 / weight.beta_eff)
 

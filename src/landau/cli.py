@@ -67,11 +67,14 @@ def _fail(field_name, message):
 
 
 def _number(value, name, kind=float):
-    """A finite JSON number (not a boolean or a string), converted by kind."""
+    """A finite JSON number (not a boolean or a string), converted by kind;
+    an int kind takes integral values only (24 or 24.0)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(name, f"must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, huge ints
         _fail(name, f"must be a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        _fail(name, f"must be an integer, got {value!r}")
     return kind(value)
 
 
@@ -104,7 +107,9 @@ def _field_spec(raw, name):
     if raw.get(name) is None:
         return FieldSpec.zero()
     try:
-        return FieldSpec.from_dict(_section(raw, name))
+        return FieldSpec.from_dict(
+            _section(raw, name),
+            lambda value, key: _number(value, f"{name}.{key}"))
     except (KeyError, TypeError, ValueError) as exc:
         _fail(name, str(exc))
 
@@ -162,8 +167,8 @@ def load_config(path):
             _fail(name, f"unknown band, known: {', '.join(_BAND_DEFAULTS)}")
         bands[key] = (_ratio_pair(value, name) if key == "ratio"
                       else _number(value, name))
-    ratio_band = _ratio_pair(raw.get("ratio_band", bands["ratio"]),
-                             "ratio_band")
+    if "ratio_band" in raw:
+        _fail("ratio_band", "is no longer read; set bands.ratio instead")
 
     basis_m_max = raw.get("basis_m_max")
     basis_m_max = (_nonnegative(basis_m_max, "basis_m_max")
@@ -177,7 +182,7 @@ def load_config(path):
         return RunConfig(raw=raw, B0=B0, operator=operator, b=b, V=V,
                          q_list=q_list, sign=raw.get("sign", "+"),
                          r_max=r_max, h=h, m_max=m_max, gamma=gamma,
-                         per_decade=per_decade, ratio_band=ratio_band,
+                         per_decade=per_decade, ratio_band=bands["ratio"],
                          bands=bands, basis_m_max=basis_m_max, e_max=e_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -264,7 +269,7 @@ def cmd_toeplitz(cfg, out, as_json):
         T0 = projections.build_T0(q, cfg.V, basis)
         write_csv(os.path.join(out, f"toeplitz_T0_q{q}.csv"),
                   ["i", "j", "value"], T0.triples(), _meta(cfg, q=q))
-        eigs = sorted(float(x) for x in T0.eigenvalues())
+        eigs = T0.eigenvalues().tolist()
         write_json(os.path.join(out, f"toeplitz_T0_q{q}.json"),
                    {"config": cfg.hash, "q": q, "eigenvalues": eigs})
         summary["toeplitz"][str(q)] = {"dim": len(basis), "min": min(eigs),
@@ -344,8 +349,8 @@ def _verify_one_q(cfg, q, out):
             comp.gauge, min(int(np.max(comp.cluster.ms)) + q, cfg.m_max))
         T0 = projections.build_T0(q, cfg.V, basis)
         c_q = projections.coupling_constant(q, cfg.B0)
-        tq = np.sort(Tq.eigenvalues())[::-1]
-        t0 = np.sort(T0.eigenvalues())[::-1] / c_q
+        tq = Tq.eigenvalues()[::-1]
+        t0 = T0.eigenvalues()[::-1] / c_q
         k = max(1, min(tq.size, t0.size) // 4)
         top_tq = tq[:k]
         top_t0 = t0[:k]

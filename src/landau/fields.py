@@ -40,7 +40,7 @@ class ProfileTerm:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "power" and self.beta >= 0:
+        if self.kind == "power" and not self.beta < 0:
             raise ValueError("power profile needs beta < 0")
         if self.kind == "gaussian" and self.width <= 0:
             raise ValueError("gaussian profile needs width > 0")
@@ -61,20 +61,20 @@ class ProfileTerm:
         return self.sign * val
 
     @staticmethod
-    def from_dict(d):
+    def from_dict(d, number):
         kind = d["kind"]
-        sign = float(d.get("sign", 1.0))
+        sign = number(d.get("sign", 1.0), "sign")
         if kind == "power":
-            return ProfileTerm("power", float(d["c"]), beta=float(d["beta"]),
-                               sign=sign)
+            return ProfileTerm("power", number(d["c"], "c"),
+                               beta=number(d["beta"], "beta"), sign=sign)
         if kind == "gaussian":
-            return ProfileTerm("gaussian", float(d["amp"]),
-                               center=float(d["center"]),
-                               width=float(d["width"]), sign=sign)
+            return ProfileTerm("gaussian", number(d["amp"], "amp"),
+                               center=number(d["center"], "center"),
+                               width=number(d["width"], "width"), sign=sign)
         if kind == "bump":
-            return ProfileTerm("bump", float(d["amp"]),
-                               inner=float(d["inner"]),
-                               outer=float(d["outer"]), sign=sign)
+            return ProfileTerm("bump", number(d["amp"], "amp"),
+                               inner=number(d["inner"], "inner"),
+                               outer=number(d["outer"], "outer"), sign=sign)
         raise ValueError(f"unknown profile kind {kind!r}")
 
 
@@ -97,7 +97,7 @@ class FieldSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.beta >= 0:
+        if not self.beta < 0:
             raise ValueError("decay exponent beta must be negative")
 
     @staticmethod
@@ -132,9 +132,14 @@ class FieldSpec:
         return FieldSpec(a.terms + b.terms, beta=max(a.beta, b.beta))
 
     @staticmethod
-    def from_dict(d):
-        terms = tuple(ProfileTerm.from_dict(t) for t in d.get("terms", []))
-        return FieldSpec(terms, beta=float(d["beta"]))
+    def from_dict(d, number):
+        """The spec of a config section; number(value, key) converts each
+        numeric field, `key` naming it within the section (`terms[0].c`)."""
+        terms = tuple(
+            ProfileTerm.from_dict(
+                t, lambda value, key, i=i: number(value, f"terms[{i}].{key}"))
+            for i, t in enumerate(d.get("terms", [])))
+        return FieldSpec(terms, beta=number(d["beta"], "beta"))
 
 
 @dataclass

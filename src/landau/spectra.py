@@ -1,7 +1,13 @@
-"""Channel diagonalization, labeled spectra, clusters, counting functions."""
+"""Channel diagonalization, labeled spectra, clusters, counting functions.
+
+A cluster is the set of non-boundary states strictly inside
+(center - gamma, center + gamma); counting_function uses the same strict
+test, so counting over (center + lambda, center + gamma) gives the number
+of cluster states beyond lambda.
+"""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -268,55 +274,6 @@ def assemble_spectrum(channels, keep_vectors=True):
 
 
 @dataclass
-class ClusterWindow:
-    """Window (Lambda_q - gamma, Lambda_q + gamma) around a Landau level.
-
-    lambda_minus / lambda_plus are the outer endpoints used by the counting
-    intervals; endpoints colliding with an eigenvalue are nudged by 1e-9.
-    """
-
-    q: int
-    B0: float
-    gamma: float
-    lambda_minus: float
-    lambda_plus: float
-
-    @property
-    def center(self):
-        return 2.0 * self.q * self.B0
-
-    @staticmethod
-    def default(q, B0, gamma=None):
-        gamma = 0.5 * B0 if gamma is None else gamma
-        if not 0.0 < gamma < B0:
-            raise ValueError("window half-width must lie in (0, B0)")
-        center = 2.0 * q * B0
-        return ClusterWindow(q, B0, gamma, center - gamma, center + gamma)
-
-    def nudged(self, table):
-        """Move endpoints outward in steps of 1e-9 until no eigenvalue of the
-        table lies within 1e-12 of them."""
-        lam_m, lam_p = self.lambda_minus, self.lambda_plus
-        E = table.E
-        while np.any(np.abs(E - lam_m) < 1e-12):
-            lam_m -= 1e-9
-        while np.any(np.abs(E - lam_p) < 1e-12):
-            lam_p += 1e-9
-        return replace(self, lambda_minus=lam_m, lambda_plus=lam_p)
-
-
-def _cluster_rows(table, window):
-    """Table row indices of the non-boundary eigenvalues inside the window,
-    ordered by |E - Lambda_q| descending."""
-    center = window.center
-    keep = np.flatnonzero(~table.boundary
-                          & (table.E > center - window.gamma)
-                          & (table.E < center + window.gamma))
-    order = np.argsort(-np.abs(table.E[keep] - center), kind="stable")
-    return keep[order]
-
-
-@dataclass
 class ClusterStates:
     """Cluster eigenstates with labels, |shift| descending."""
 
@@ -331,16 +288,18 @@ class ClusterStates:
         return self.shifts.size
 
 
-def cluster_states(table, window, mesh, channels):
-    """Signed shifts E - Lambda_q of the non-boundary states inside the
-    window, with their labels, eigenvectors and channel matrices; an empty
-    cluster is legal."""
-    rows = _cluster_rows(table, window)
-    shifts = table.E[rows] - window.center
+def cluster_states(table, center, gamma, mesh, channels):
+    """Signed shifts E - center of the non-boundary states strictly inside
+    (center - gamma, center + gamma), with their labels, eigenvectors and
+    channel matrices, |shift| descending; an empty cluster is legal."""
+    keep = np.flatnonzero(~table.boundary & (table.E > center - gamma)
+                          & (table.E < center + gamma))
+    rows = keep[np.argsort(-np.abs(table.E[keep] - center), kind="stable")]
+    shifts = table.E[rows] - center
     ms, ns = table.m[rows], table.n[rows]
     states = [table.state(m, n, mesh) for m, n in zip(ms, ns)]
     ops = {ch.op.m: ch.op for ch in channels}
-    return ClusterStates(window.B0, shifts, ms, ns, states, ops)
+    return ClusterStates(table.provenance["B0"], shifts, ms, ns, states, ops)
 
 
 def counting_function(table, mu1, mu2):

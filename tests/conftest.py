@@ -10,7 +10,6 @@ from landau.fields import FieldSpec, build_gauge
 from landau.operator import (RadialFunction, RadialMesh, _check_mesh, _ladder,
                              ladder_apply, ladder_raise)
 from landau.projections import _symmetrized, coupling_constant
-from landau.spectra import _cluster_rows
 
 
 @pytest.fixture(scope="session")
@@ -171,11 +170,13 @@ def commutator_action(g, gauge):
     return RadialFunction(-(up_down.values - down_up.values), g.m, g.mesh)
 
 
-def cluster_shifts(table, window):
-    """Signed shifts E - Lambda_q of the table's cluster rows (non-boundary,
-    inside the window), |shift| descending, as spectra.cluster_states
-    orders them."""
-    return table.E[_cluster_rows(table, window)] - window.center
+def cluster_shifts(table, center, gamma):
+    """Signed shifts E - center of the table's cluster rows (non-boundary,
+    strictly inside (center - gamma, center + gamma)), |shift| descending
+    with ties in table order, as spectra.cluster_states orders them."""
+    shifts = [e - center for e, flagged in zip(table.E, table.boundary)
+              if not flagged and center - gamma < e < center + gamma]
+    return np.array(sorted(shifts, key=lambda s: -abs(s)))
 
 
 def perturbation_inequality_check(L0, L1, mu1, mu2, tau1, tau2):

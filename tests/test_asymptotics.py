@@ -30,6 +30,14 @@ def small_run(small_cfg):
     return comp, boundary_sensitivity(comp), cluster_asymptotics_report(comp)
 
 
+@pytest.fixture(scope="module")
+def minus_run(b_power):
+    """The small run with the field flipped, counted below the level."""
+    comp = compute_cluster(VerificationConfig(
+        B0=1.0, b=b_power.scaled(-1.0), q=1, sign="-", r_max=16.0, h=0.02))
+    return comp, cluster_asymptotics_report(comp)
+
+
 def labeled(c):
     """Cluster shifts keyed by their (m, n) labels."""
     return {(int(m), int(n)): float(s)
@@ -182,6 +190,16 @@ class TestClusterReport:
         assert report.trust_lo >= 10.0 * drift.max_drift
         assert np.all(report.N >= 5)
 
+    def test_count_is_cluster_beyond_lambda(self, small_run, minus_run):
+        # one window rule: each row's N is the number of cluster states
+        # whose shift lies beyond lambda on the side of the sign
+        for comp, report in ((small_run[0], small_run[2]), minus_run):
+            side = 1.0 if comp.cfg.sign == "+" else -1.0
+            beyond = [int(np.count_nonzero(side * comp.cluster.shifts > lam))
+                      for lam in report.lambdas]
+            assert report.N.size >= 5
+            assert report.N.tolist() == beyond
+
     def test_ratio_near_one(self, small_run):
         _, _, report = small_run
         assert 0.7 < np.nanmin(report.ratio)
@@ -235,13 +253,11 @@ class TestClusterReport:
             em = counting_measure(w_neg, lam, "-", r_max=1e4)
             assert em == pytest.approx(ep, rel=1e-12, abs=1e-15)
 
-    def test_sign_flip_counting_mirror(self, small_cfg, small_run, b_power):
+    def test_sign_flip_counting_mirror(self, small_run, minus_run):
         # flipped fields with the lower window approximately mirror the
         # upper-window counts (exact only asymptotically)
         _, _, plus = small_run
-        cfg_neg = VerificationConfig(B0=1.0, b=b_power.scaled(-1.0), q=1,
-                                     sign="-", r_max=16.0, h=0.02)
-        minus = cluster_asymptotics_report(compute_cluster(cfg_neg))
+        _, minus = minus_run
         lam_common = [l for l in plus.lambdas if minus.trust_lo <= l <= minus.trust_hi]
         assert len(lam_common) >= 5
         for lam in lam_common[:: max(1, len(lam_common) // 6)]:
@@ -269,7 +285,7 @@ class TestDefectFloor:
         # m_max = 0 channel 1 is solved for the floor alone, and the floor
         # is the same number
         cut = compute_cluster(replace(small_cfg, m_max=0))
-        assert [ch.m for ch in cut.channels] == [-1, 0]
+        assert cut.table.provenance["channels"] == [-1, 0]
         assert cut.defect_floor == small_run[0].defect_floor
 
 

@@ -78,9 +78,11 @@ class TestConfigValidation:
         ({"mesh": {"r_max": 16.0, "h": 0.03}},
          "config error: config field 'mesh': r_max must be an integer "
          "multiple of h"),
-        ({"ratio_band": 5}, "config field 'ratio_band': must be two numbers"),
-        ({"ratio_band": [0.8, "x"]},
-         "config field 'ratio_band': must be a number, got 'x'"),
+        # the retired second spelling of bands.ratio, valid or not
+        ({"ratio_band": [0.8, 1.2]},
+         "config field 'ratio_band': is no longer read; set bands.ratio"),
+        ({"ratio_band": 5},
+         "config field 'ratio_band': is no longer read; set bands.ratio"),
         ({"window": 3}, "config field 'window': must be an object"),
         ({"mesh": [1, 2]}, "config field 'mesh': must be an object"),
         ({"basis_m_max": -1}, "config field 'basis_m_max': must be >= 0"),
@@ -102,6 +104,36 @@ class TestConfigValidation:
         ({"q": True}, "config field 'q': must be a nonnegative integer"),
         ({"q": [1, False]}, "config field 'q': must be a nonnegative integer"),
         ({"q": 1.5}, "config field 'q': must be a nonnegative integer"),
+        ({"bands": {"ratio": 5}},
+         "config field 'bands.ratio': must be two numbers"),
+        ({"bands": {"ratio": [0.8, "x"]}},
+         "config field 'bands.ratio': must be a number, got 'x'"),
+        # profile numbers take the same check, named by their path
+        ({"b": {"terms": [{"kind": "power", "c": float("nan"), "beta": -3.0}],
+                "beta": -3.0}},
+         "config field 'b.terms[0].c': must be a finite number"),
+        ({"b": {"terms": [{"kind": "power", "c": "0.05", "beta": -3.0}],
+                "beta": -3.0}},
+         "config field 'b.terms[0].c': must be a number, got '0.05'"),
+        ({"b": {"terms": [{"kind": "power", "c": True, "beta": -3.0}],
+                "beta": -3.0}},
+         "config field 'b.terms[0].c': must be a number, got True"),
+        ({"b": {"terms": [{"kind": "power", "c": 0.05, "beta": -3.0}],
+                "beta": float("nan")}},
+         "config field 'b.beta': must be a finite number"),
+        ({"b": {"terms": [{"kind": "power", "c": 0.05,
+                           "beta": float("nan")}], "beta": -3.0}},
+         "config field 'b.terms[0].beta': must be a finite number"),
+        ({"V": {"terms": [{"kind": "gaussian", "amp": 0.1, "center": 2.0,
+                           "width": 1.0, "sign": None}], "beta": -3.0}},
+         "config field 'V.terms[0].sign': must be a number, got None"),
+        # integer fields take integral values only
+        ({"lambda": {"per_decade": 2.9}},
+         "config field 'lambda.per_decade': must be an integer, got 2.9"),
+        ({"mesh": {"r_max": 16.0, "h": 0.02, "m_max": 5.5}},
+         "config field 'mesh.m_max': must be an integer, got 5.5"),
+        ({"basis_m_max": 3.5},
+         "config field 'basis_m_max': must be an integer, got 3.5"),
     ])
     def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
                                     message):
@@ -128,6 +160,15 @@ class TestConfigValidation:
         assert len({plain.hash, extra.hash, delta.hash}) == 3
         assert (extra.e_max, extra.m_max, extra.gamma) == (
             plain.e_max, plain.m_max, plain.gamma)
+
+    def test_integral_floats_accepted(self, tmp_path):
+        cfg = load_config(str(write_config(
+            tmp_path / "a.json", basis_m_max=4.0,
+            mesh={"r_max": 16.0, "h": 0.02, "m_max": 6.0},
+            **{"lambda": {"per_decade": 24.0}})))
+        assert (cfg.per_decade, cfg.m_max, cfg.basis_m_max) == (24, 6, 4)
+        assert all(type(v) is int
+                   for v in (cfg.per_decade, cfg.m_max, cfg.basis_m_max))
 
     def test_import_skips_scipy_integrate(self):
         env = dict(os.environ)
@@ -357,7 +398,7 @@ class TestVerify:
     def test_cluster_solve_stays_in_window(self, tmp_path, monkeypatch):
         # compute_cluster solves only the window around level q; no
         # eigenpair of a lower level is computed again
-        solved, windows = [], []
+        solved, comps = [], []
         solve_channels = spectra.solve_channels
         compute_cluster = asymptotics.compute_cluster
 
@@ -368,7 +409,7 @@ class TestVerify:
 
         def recording_cluster(*args, **kwargs):
             comp = compute_cluster(*args, **kwargs)
-            windows.append(comp.window)
+            comps.append(comp)
             return comp
 
         # asymptotics looks the solver up under its own name
@@ -377,11 +418,12 @@ class TestVerify:
         monkeypatch.setattr(asymptotics, "compute_cluster", recording_cluster)
         main(["verify", "--config", str(CONFIGS / "quick.json"),
               "--out", str(tmp_path / "out"), "--q", "1,2"])
-        assert [w.q for w in windows] == [1, 2]
+        assert [c.cfg.q for c in comps] == [1, 2]
         assert len(solved) == 2
-        for E, window in zip(solved, windows):
+        for E, c in zip(solved, comps):
             assert E.size >= 20
-            assert np.all((E > window.lambda_minus) & (E < window.lambda_plus))
+            assert np.all(np.abs(E - 2.0 * c.cfg.q * c.cfg.B0)
+                          < c.cfg.gamma_eff)
 
     def test_window_solves_need_no_bisection(self, tmp_path, monkeypatch):
         # every cluster and defect-floor channel holds at most one

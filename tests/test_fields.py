@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from landau import fields
-from landau.errors import DegenerateWeight, UnboundedSet
+from landau.errors import DegenerateWeight, QuadratureFailure, UnboundedSet
 from landau.fields import (FieldSpec, ProfileTerm, build_gauge,
                            check_regularity, counting_measure, effective_weight,
                            superlevel_radius, superlevel_scan)
@@ -51,10 +51,14 @@ class TestProfiles:
             ProfileTerm("gaussian", 1.0, width=0.0)
         with pytest.raises(ValueError):
             ProfileTerm("exotic", 1.0)
+        with pytest.raises(ValueError):  # NaN fails every comparison
+            ProfileTerm("power", 1.0, beta=math.nan)
 
     def test_fieldspec_validation(self):
         with pytest.raises(ValueError):
             FieldSpec((), beta=1.0)
+        with pytest.raises(ValueError):
+            FieldSpec((), beta=math.nan)
 
     def test_json_roundtrip(self):
         # the config form of every term kind; a "delta" key is ignored
@@ -69,7 +73,7 @@ class TestProfiles:
                        {"kind": "bump", "amp": 0.2, "inner": 1.0,
                         "outer": 3.0, "sign": -1.0}],
              "beta": -2.5, "delta": 0.4}
-        assert FieldSpec.from_dict(d) == spec
+        assert FieldSpec.from_dict(d, lambda value, key: float(value)) == spec
 
     @given(st.floats(0.0, 50.0))
     @settings(max_examples=60, deadline=None)
@@ -130,6 +134,12 @@ class TestGauge:
     def test_quadrature_failure_objection(self, mesh_small):
         with pytest.raises(ValueError):
             build_gauge(FieldSpec.zero(), -1.0, mesh_small)
+
+    def test_non_finite_profile_fails_quadrature(self, mesh_small):
+        # a NaN error estimate never converges; bisecting it again would
+        # double the panels at every level
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            build_gauge(FieldSpec.power(math.nan, -3.0), 1.0, mesh_small)
 
 
 class TestEffectiveWeight:

@@ -15,8 +15,8 @@ from landau.projections import (build_T0, build_Tq, coupling_constant,
                                 gram_identity_residual,
                                 linear_coupling_constant,
                                 weighted_identity_residual, zero_mode_basis)
-from landau.spectra import (ClusterStates, ClusterWindow, assemble_spectrum,
-                            cluster_states, solve_channels)
+from landau.spectra import (ClusterStates, assemble_spectrum, cluster_states,
+                            solve_channels)
 
 QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
 
@@ -37,8 +37,7 @@ def cluster_q1(mesh_small, gauge_power):
            for m in range(-1, 12)]
     channels = solve_channels(ops, 2.6)
     table = assemble_spectrum(channels)
-    window = ClusterWindow.default(1, 1.0).nudged(table)
-    return cluster_states(table, window, mesh_small, channels)
+    return cluster_states(table, 2.0, 0.5, mesh_small, channels)
 
 
 class TestBasis:
@@ -224,8 +223,7 @@ class TestSq:
                for m in range(-1, 8)]
         channels = solve_channels(ops, 2.6)
         table = assemble_spectrum(channels)
-        window = ClusterWindow.default(1, 1.0).nudged(table)
-        cl = cluster_states(table, window, mesh_small, channels)
+        cl = cluster_states(table, 2.0, 0.5, mesh_small, channels)
         basis = zero_mode_basis(gauge_zero, 10)
         S = build_Sq_action(1, cl, basis, gauge_zero)
         assert np.max(np.abs(S - np.eye(S.shape[0]))) < 1e-6
@@ -350,8 +348,7 @@ class TestOffdiag:
                for m in range(-1, 7)]
         channels = solve_channels(ops, 2.6)
         table = assemble_spectrum(channels)
-        window = ClusterWindow.default(1, 1.0).nudged(table)
-        compact = cluster_states(table, window, mesh_small, channels)
+        compact = cluster_states(table, 2.0, 0.5, mesh_small, channels)
         V = FieldSpec(
             (ProfileTerm("bump", 0.3, inner=10.8, outer=11.8),
              ProfileTerm("bump", 0.3, inner=9.8, outer=10.8, sign=-1.0)),

@@ -9,9 +9,9 @@ from landau.errors import InconsistentProvenance
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
 from landau.operator import (ChannelOperator, RadialMesh, build_channel,
                              default_channel_cut)
-from landau.spectra import (ClusterWindow, assemble_spectrum,
-                            boundary_sensitivity, channel_eigs, cluster_states,
-                            counting_function, solve_channel, solve_channels)
+from landau.spectra import (assemble_spectrum, boundary_sensitivity,
+                            channel_eigs, cluster_states, counting_function,
+                            solve_channel, solve_channels)
 
 
 def synthetic_op(diag, offdiag, m=0, kind="pauli_minus"):
@@ -301,27 +301,23 @@ class TestAssemble:
 class TestClusters:
     def test_unperturbed_shifts_vanish(self, mesh_small, gauge_zero):
         table, _ = small_table(gauge_zero, mesh_small, range(-1, 15))
-        window = ClusterWindow.default(1, 1.0).nudged(table)
-        shifts = cluster_shifts(table, window)
+        shifts = cluster_shifts(table, 2.0, 0.5)
         assert shifts.size >= 10  # wide level-1 states lose retention first
         assert np.max(np.abs(shifts)) < 1e-4
 
     def test_positive_field_pushes_up(self, mesh_small, gauge_power):
         table, _ = small_table(gauge_power, mesh_small, range(-1, 15))
-        window = ClusterWindow.default(1, 1.0).nudged(table)
-        shifts = cluster_shifts(table, window)
+        shifts = cluster_shifts(table, 2.0, 0.5)
         assert np.min(shifts) > -1e-5  # 2b > 0, up to mesh defect
 
     def test_q0_zero_modes_exact(self, mesh_small, gauge_power):
         table, _ = small_table(gauge_power, mesh_small, range(0, 20), e_max=1.0)
-        window = ClusterWindow.default(0, 1.0).nudged(table)
-        shifts = cluster_shifts(table, window)
+        shifts = cluster_shifts(table, 0.0, 0.5)
         assert np.max(np.abs(shifts)) < 1e-5
 
     def test_shift_ordering(self, mesh_small, gauge_power):
-        table, _ = small_table(gauge_power, mesh_small, range(-1, 15))
-        window = ClusterWindow.default(1, 1.0).nudged(table)
-        shifts = cluster_shifts(table, window)
+        table, channels = small_table(gauge_power, mesh_small, range(-1, 15))
+        shifts = cluster_states(table, 2.0, 0.5, mesh_small, channels).shifts
         assert np.all(np.diff(np.abs(shifts)) <= 1e-15)
 
     def test_shift_monotonicity_in_coupling(self, mesh_small):
@@ -331,9 +327,7 @@ class TestClusters:
             b = FieldSpec.power(amp, -3.0)
             gauge = build_gauge(b, 1.0, mesh_small)
             table, _ = small_table(gauge, mesh_small, range(-1, 10))
-            window = ClusterWindow.default(1, 1.0).nudged(table)
-            keep = (~table.boundary
-                    & (np.abs(table.E - 2.0) < window.gamma))
+            keep = ~table.boundary & (np.abs(table.E - 2.0) < 0.5)
             shifts_by_label[amp] = {
                 (int(m), int(n)): float(e - 2.0)
                 for m, n, e in zip(table.m[keep], table.n[keep],
@@ -346,23 +340,10 @@ class TestClusters:
 
     def test_cluster_states_match_extract(self, mesh_small, gauge_power):
         table, channels = small_table(gauge_power, mesh_small, range(-1, 15))
-        window = ClusterWindow.default(1, 1.0).nudged(table)
-        states = cluster_states(table, window, mesh_small, channels)
-        assert np.array_equal(states.shifts, cluster_shifts(table, window))
+        states = cluster_states(table, 2.0, 0.5, mesh_small, channels)
+        assert np.array_equal(states.shifts, cluster_shifts(table, 2.0, 0.5))
         for s in states.states:
             assert s.norm() == pytest.approx(1.0, rel=1e-10)
-
-    def test_window_nudging(self, mesh_small, gauge_zero):
-        table, _ = small_table(gauge_zero, mesh_small, range(0, 5), e_max=1.0)
-        collide = float(table.E[0])
-        window = ClusterWindow(0, 1.0, 0.5, collide, 0.5)
-        nudged = window.nudged(table)
-        assert nudged.lambda_minus < collide
-        assert np.all(np.abs(table.E - nudged.lambda_minus) > 1e-10)
-
-    def test_gamma_bound(self):
-        with pytest.raises(ValueError):
-            ClusterWindow.default(1, 1.0, gamma=1.5)
 
 
 class TestCounting:
