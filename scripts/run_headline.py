@@ -49,7 +49,7 @@ def main():
         # single-solve Hadamard estimate of the drift from R to 1.2 R
         "max_drift_estimate": drift.max_drift,
         "trust": [report.trust_lo, report.trust_hi],
-        "band_window": [report.band_lo, report.band_hi],
+        "band_window": list(report.band_window((0.8, 1.2))),
         "ratio_min": float(np.nanmin(report.ratio)),
         "ratio_max": float(np.nanmax(report.ratio)),
         "exponent": fit.exponent,

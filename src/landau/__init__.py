@@ -2,8 +2,8 @@
 
 Modules: fields (profiles, gauge, counting measure), operator (channel
 matrices, zero modes, ladders), spectra (eigensolves, clusters, counting),
-projections (Gram identities, Toeplitz operators, approximate projections),
-asymptotics (verification harness), cli (command-line front end).
+projections (Gram identities, Toeplitz operators), asymptotics
+(verification harness), cli (command-line front end).
 """
 
 from .fields import (EffectiveWeight, FieldSpec, GaugeData, ProfileTerm,
@@ -14,11 +14,3 @@ from .operator import (ChannelOperator, RadialFunction, RadialMesh,
                        ladder_raise, zero_mode)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EffectiveWeight", "FieldSpec", "GaugeData", "ProfileTerm",
-    "build_gauge", "check_regularity", "counting_measure",
-    "effective_weight",
-    "ChannelOperator", "RadialFunction", "RadialMesh", "build_channel",
-    "default_channel_cut", "ladder_apply", "ladder_raise", "zero_mode",
-]

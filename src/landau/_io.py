@@ -13,27 +13,13 @@ def config_hash(raw):
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _flag(x):
-    return "1" if x else "0"
-
-
-# formatter by exact type for the common cells, a dict lookup instead of
-# the isinstance chain below, which every other type goes through
+# formatter by exact type; every other type is written with str
 _BY_TYPE = {float: repr, np.float64: lambda x: repr(float(x)), int: str,
-            np.int64: str, bool: _flag, np.bool_: _flag}
+            np.int64: str}
 
 
 def _fmt(x):
-    by_type = _BY_TYPE.get(type(x))
-    if by_type is not None:
-        return by_type(x)
-    if isinstance(x, (bool, np.bool_)):
-        return _flag(x)
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
+    return _BY_TYPE.get(type(x), str)(x)
 
 
 def write_csv(path, columns, rows, meta):

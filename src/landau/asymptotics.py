@@ -49,14 +49,17 @@ class VerificationConfig:
     sign: str = "+"
     r_max: float = 30.0
     h: float = 0.005
-    m_max: int = None
-    gamma: float = None
+    m_max: int = None    # None: default_channel_cut(r_max, B0)
+    gamma: float = None  # None: B0 / 2
     per_decade: int = 24
-    ratio_band: tuple = (0.8, 1.2)
 
     def __post_init__(self):
         if self.B0 <= 0:
             raise ValueError("B0 must be positive")
+        if self.m_max is None:
+            self.m_max = default_channel_cut(self.r_max, self.B0)
+        if self.gamma is None:
+            self.gamma = 0.5 * self.B0
         if self.operator not in KINDS:
             raise ValueError(f"operator must be one of {KINDS}")
         if self.q < 0:
@@ -66,19 +69,10 @@ class VerificationConfig:
                 raise ValueError(
                     f"{name}.beta = {spec.beta} violates the decay "
                     f"requirement beta < -2")
-        if self.gamma is not None and not 0.0 < self.gamma < self.B0:
+        if not 0.0 < self.gamma < self.B0:
             raise ValueError("gamma must lie in (0, B0)")
         if self.sign not in ("+", "-"):
             raise ValueError("sign must be '+' or '-'")
-
-    @property
-    def gamma_eff(self):
-        return 0.5 * self.B0 if self.gamma is None else self.gamma
-
-    def channel_cut(self):
-        if self.m_max is not None:
-            return self.m_max
-        return default_channel_cut(self.r_max, self.B0)
 
 
 def family_reduction(cfg):
@@ -114,8 +108,8 @@ def compute_cluster(cfg):
     rcfg = family_reduction(cfg)
     mesh = RadialMesh(rcfg.r_max, rcfg.h)
     gauge = build_gauge(rcfg.b, rcfg.B0, mesh)
-    ms = range(-rcfg.q, rcfg.channel_cut() + 1)
-    center, gamma = 2.0 * rcfg.q * rcfg.B0, rcfg.gamma_eff
+    ms = range(-rcfg.q, rcfg.m_max + 1)
+    center, gamma = 2.0 * rcfg.q * rcfg.B0, rcfg.gamma
     # an eigenvalue within roundoff of a window endpoint is still solved;
     # the strict test of cluster_states decides whether it belongs
     e_min, e_max = center - gamma - 1e-6, center + gamma + 1e-6
@@ -214,7 +208,7 @@ def cluster_asymptotics_report(comp):
     """
     rcfg = comp.cfg
     weight = effective_weight(rcfg.V, rcfg.b, rcfg.q, rcfg.B0)
-    center, gamma = 2.0 * rcfg.q * rcfg.B0, rcfg.gamma_eff
+    center, gamma = 2.0 * rcfg.q * rcfg.B0, rcfg.gamma
 
     def count(lam):  # the cluster states beyond lambda
         if rcfg.sign == "+":
@@ -279,11 +273,9 @@ def cluster_asymptotics_report(comp):
     E = np.array([r[2] for r in rows])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(E > 0, N / E, np.nan)
-    report = CountingReport(
+    return CountingReport(
         lambdas=lams, N=N, E_measure=E, ratio=ratio,
         trust_lo=float(lams.min()), trust_hi=float(lams.max()))
-    report.band_lo, report.band_hi = report.band_window(rcfg.ratio_band)
-    return report
 
 
 @dataclass

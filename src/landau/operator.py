@@ -55,9 +55,9 @@ from .fields import FieldSpec
 
 KINDS = ("pauli_minus", "pauli_plus", "schroedinger")
 
-# copies of b folded into the electric part, and constant shift in units of B0
+# copies of b folded into the electric part, also the constant shift in
+# units of B0
 _B_COPIES = {"pauli_minus": 0, "schroedinger": 1, "pauli_plus": 2}
-_SHIFT_B0 = {"pauli_minus": 0.0, "schroedinger": 1.0, "pauli_plus": 2.0}
 
 
 def spin_down_form(kind, V, b):
@@ -71,11 +71,11 @@ def spin_down_form(kind, V, b):
     if kind not in _B_COPIES:
         raise ValueError(f"unknown operator kind {kind!r}")
     electric = V if V is not None else FieldSpec.zero()
-    copies = _B_COPIES[kind]
+    copies = float(_B_COPIES[kind])
     if copies:
-        extra = b.scaled(float(copies))
+        extra = b.scaled(copies)
         electric = extra if electric.is_zero else FieldSpec.sum(electric, extra)
-    return electric, _SHIFT_B0[kind]
+    return electric, copies
 
 
 @dataclass

@@ -348,8 +348,6 @@ class CountingReport:
     ratio: np.ndarray
     trust_lo: float
     trust_hi: float
-    band_lo: float | None = None
-    band_hi: float | None = None
     note: str = ""
 
     def rows(self):

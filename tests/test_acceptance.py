@@ -147,7 +147,7 @@ def test_acceptance_04_headline_asymptotics(headline_run):
     exact = 0.5 * ((0.1 / lam) ** (2.0 / 3.0) - 1.0)
     measure_ok = np.allclose(report.E_measure, exact, rtol=1e-9)
 
-    lo, hi = report.band_lo, report.band_hi
+    lo, hi = report.band_window((0.8, 1.2))
     window_ok = lo is not None and hi / lo >= 10.0
     in_window = (lam >= lo) & (lam <= hi) if lo else np.zeros_like(lam, bool)
     peak = int(report.N[in_window].max()) if np.any(in_window) else 0

@@ -59,7 +59,7 @@ class TestConfig:
 
     def test_channel_cut_default(self, b_power):
         cfg = VerificationConfig(b=b_power, r_max=30.0)
-        assert cfg.channel_cut() == 168
+        assert cfg.m_max == 168
 
 
 class TestFamilyReduction:
@@ -326,7 +326,8 @@ class TestBoundarySensitivity:
         estimate = boundary_sensitivity(comp)
         R_prime = estimate.R_prime
         assert R_prime == pytest.approx(1.2 * R)
-        wide = compute_cluster(replace(cfg, r_max=R_prime))
+        # m_max=None: the channel cut is derived again at R'
+        wide = compute_cluster(replace(cfg, r_max=R_prime, m_max=None))
         oracle = spectra.boundary_sensitivity(
             labeled(comp.cluster), labeled(wide.cluster), R, R_prime)
         assert estimate.labels == oracle.labels

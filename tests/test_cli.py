@@ -66,9 +66,11 @@ class TestConfigValidation:
         assert code == 2
 
     def test_bad_q_override(self, cfg_path, tmp_path, capsys):
-        code = main(["spectrum", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "out"), "--q", "x"])
-        assert code == 2
+        for q in ("x", "-1"):
+            code = main(["spectrum", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out"), "--q", q])
+            assert code == 2
+            assert "config field '--q'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, message", [
         ({"window": {"gamma": 1.2}}, "gamma must lie in (0, B0)"),
@@ -134,6 +136,12 @@ class TestConfigValidation:
          "config field 'mesh.m_max': must be an integer, got 5.5"),
         ({"basis_m_max": 3.5},
          "config field 'basis_m_max': must be an integer, got 3.5"),
+        ({"operator": "bogus"}, "operator must be one of"),
+        # the mesh's own checks cover nonpositive r_max and h
+        ({"mesh": {"r_max": 16.0, "h": 0.0}},
+         "config field 'mesh': mesh step h must be positive"),
+        ({"mesh": {"r_max": -16.0, "h": 0.02}},
+         "config field 'mesh': mesh needs at least 16 nodes"),
     ])
     def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
                                     message):
@@ -271,6 +279,24 @@ class TestSpectrum:
             assert message.startswith(f"q={q}:")
             assert f" {flagged} boundary-flagged" in message
             assert "enlarge r_max" in message
+
+    def test_q_override_sets_e_max(self, tmp_path):
+        # --q 3 on a q = [1] config solves up to the level above q = 3,
+        # as "q": [3] in the config does
+        config = json.loads((CONFIGS / "quick.json").read_text())
+        path = tmp_path / "q3.json"
+        path.write_text(json.dumps(dict(config, q=[3])))
+        counts = {}
+        for name, argv in (("flag", ["--config", str(CONFIGS / "quick.json"),
+                                     "--q", "3"]),
+                           ("config", ["--config", str(path)])):
+            out = tmp_path / name
+            assert main(["spectrum", "--out", str(out)] + argv) == 0
+            header = (out / "spectrum_pauli_minus.csv").read_text()
+            assert "e_max=8.0" in header.splitlines()[0]
+            summary = json.loads((out / "spectrum_summary.json").read_text())
+            counts[name] = summary["clusters"]["3"]["count"]
+        assert counts["flag"] == counts["config"] > 0
 
     def test_full_window_does_not_warn(self, cfg_path, tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="landau"):
@@ -423,7 +449,7 @@ class TestVerify:
         for E, c in zip(solved, comps):
             assert E.size >= 20
             assert np.all(np.abs(E - 2.0 * c.cfg.q * c.cfg.B0)
-                          < c.cfg.gamma_eff)
+                          < c.cfg.gamma)
 
     def test_window_solves_need_no_bisection(self, tmp_path, monkeypatch):
         # every cluster and defect-floor channel holds at most one
@@ -501,6 +527,20 @@ class TestVerify:
         assert code == 0
         summary = json.loads((out / "verify_summary.json").read_text())
         assert summary["per_q"]["0"]["checks"]["counting_degenerate"]["passed"]
+
+    def test_unperturbed_toeplitz_degenerate(self, tmp_path):
+        # b = V = 0: T_q and T_0 vanish, so their relative deviation is
+        # noise over noise; verify passes and still checks the identity
+        path = write_config(tmp_path / "free.json", b=None, q=[1, 2])
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "verify_summary.json").read_text())
+        for q in ("1", "2"):
+            checks = summary["per_q"][q]["checks"]
+            assert set(checks) == {"counting_degenerate",
+                                   "toeplitz_degenerate", "gram_identity_q1"}
+            assert all(c["passed"] for c in checks.values())
+        assert not list(out.glob("toeplitz_eigs_*"))
 
 
 class TestToeplitzIdentities:

@@ -2,7 +2,7 @@
 
 perfbench/tracing.py looks every `(module, attr)` of its TARGETS up when a
 Tracer is built, so a function deleted or renamed in src breaks
-`perfbench/run.py --trace 1` only then; this test names it first.  The
+`perfbench/run.py --trace 1` only then; these tests name it first.  The
 tracer module is loaded from its file without writing bytecode next to it.
 """
 
@@ -11,7 +11,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from landau import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+QUICK = ROOT / "configs" / "quick.json"
 
 
 def load_tracing():
@@ -34,3 +38,26 @@ def test_trace_targets_resolve():
                                        None))]
     assert len(targets) >= 20
     assert missing == []
+
+
+def test_tracer_runs_every_command(tmp_path):
+    # every counter hook reads the result of the function it wraps, so a
+    # field the hook reads and src no longer has fails here; cli.io.bytes
+    # sums the bytes of every file the writers leave
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for command in ("spectrum", "verify", "weights", "toeplitz",
+                        "identities"):
+            assert cli.main([command, "--config", str(QUICK),
+                             "--out", str(tmp_path / command)]) == 0
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts[None]
+    written = sum(path.stat().st_size for path in tmp_path.rglob("*")
+                  if path.is_file())
+    assert set(counts) == {"cli.io.bytes", "spectra.channels",
+                           "spectra.eigenpairs", "spectra.vector_bytes",
+                           "spectra.cluster_size", "projections.basis_dim"}
+    assert counts["cli.io.bytes"] == written
+    assert all(value > 0 for value in counts.values())
