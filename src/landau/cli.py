@@ -9,7 +9,9 @@ Subcommands map to the headline operation of each module:
     toeplitz    zero-mode-basis Toeplitz operator and its eigenvalues
     identities  ladder Gram identity residuals
 
-Each command returns its exit code and summary; main writes the summary to
+Only spectrum and verify run eigensolves: main loads scipy's LAPACK when it
+dispatches one of them, and the other commands never import scipy.  Each
+command returns its exit code and summary; main writes the summary to
 <command>_summary.json and, with --json, prints it.  Exit codes: 0 pass,
 1 verification failure, 2 config error, 3 numeric failure.  LANDAU_LOG
 selects verbosity (debug / info / quiet).
@@ -267,6 +269,8 @@ def cmd_weights(cfg, out, as_json):
 def cmd_toeplitz(cfg, out, as_json):
     gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
     basis = projections.zero_mode_basis(gauge, cfg.basis_m_max)
+    basis.record(need for q in cfg.q_list
+                 for need in projections.t0_forms(q, cfg.V))
     summary = {"config": cfg.hash, "basis_m_max": cfg.basis_m_max,
                "toeplitz": {}}
     for q in cfg.q_list:
@@ -284,10 +288,11 @@ def cmd_toeplitz(cfg, out, as_json):
 def cmd_identities(cfg, out, as_json):
     gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
     basis = projections.zero_mode_basis(gauge, cfg.basis_m_max)
+    qs = [q for q in cfg.q_list if q >= 1]
+    basis.record(need for q in qs for need in projections.gram_forms(q, cfg.b)
+                 + projections.weighted_forms(q, cfg.V))
     summary = {"config": cfg.hash, "identities": {}}
-    for q in cfg.q_list:
-        if q < 1:
-            continue
+    for q in qs:
         G = projections.gram_identity_residual(q, basis, cfg.b, cfg.B0)
         X = projections.weighted_identity_residual(q, basis, cfg.V, cfg.B0)
         rows = [(m, G[m, m], X[m, m]) for m in range(len(basis))]
@@ -302,8 +307,9 @@ def cmd_identities(cfg, out, as_json):
     return 0, summary
 
 
-def _verify_one_q(cfg, q, out):
-    """Counting, Toeplitz, and identity checks for one Landau index."""
+def _verify_one_q(cfg, q, out, shared):
+    """Counting, Toeplitz, and identity checks for one Landau index; the
+    checks that do not depend on q are kept in `shared`."""
     log.info("verify q=%d: solving channels m in [%d, %d]", q, -q, cfg.m_max)
     comp = asymptotics.compute_cluster(replace(cfg, q=q))
     log.info("verify q=%d: %d cluster states, defect floor %.3g",
@@ -372,22 +378,31 @@ def _verify_one_q(cfg, q, out):
                         "Tq": [float(x) for x in tq],
                         "T0_over_Cq": [float(x) for x in t0]})
 
-        ident_basis = projections.zero_mode_basis(comp.gauge, cfg.basis_m_max)
-        G = projections.gram_identity_residual(1, ident_basis, cfg.b, cfg.B0)
-        checks["gram_identity_q1"] = {
-            "passed": bool(np.max(np.abs(G)) < bands["gram_max"]),
-            "max_residual": float(np.max(np.abs(G)))}
+        if "gram_identity_q1" not in shared:
+            shared["gram_identity_q1"] = _gram_check(cfg, comp.gauge)
+        checks["gram_identity_q1"] = shared["gram_identity_q1"]
 
     detail["checks"] = checks
     detail["passed"] = all(c["passed"] for c in checks.values())
     return detail
 
 
+def _gram_check(cfg, gauge):
+    """The q = 1 Gram identity on the basis_m_max zero modes.  It depends on
+    neither q nor the cluster (every q solves on the same gauge), so verify
+    runs it once."""
+    basis = projections.zero_mode_basis(gauge, cfg.basis_m_max)
+    G = projections.gram_identity_residual(1, basis, cfg.b, cfg.B0)
+    return {"passed": bool(np.max(np.abs(G)) < cfg.bands["gram_max"]),
+            "max_residual": float(np.max(np.abs(G)))}
+
+
 def cmd_verify(cfg, out, as_json):
     summary = {"config": cfg.hash, "operator": cfg.operator, "per_q": {},
                "passed": True}
+    shared = {}  # checks that every q reports alike
     for q in cfg.q_list:
-        detail = _verify_one_q(cfg, q, out)
+        detail = _verify_one_q(cfg, q, out, shared)
         summary["per_q"][str(q)] = detail
         summary["passed"] = summary["passed"] and detail["passed"]
         if not as_json:
@@ -407,6 +422,8 @@ _COMMANDS = {
     "toeplitz": cmd_toeplitz,
     "identities": cmd_identities,
 }
+# the commands that run eigensolves, and so need LAPACK
+_SOLVES = ("spectrum", "verify")
 
 
 def _setup_logging():
@@ -433,6 +450,10 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, args.q)
         out = ensure_dir(args.out)
+        if args.command in _SOLVES:
+            # here, before the command allocates anything; see the README,
+            # "Start-up and memory"
+            spectra.load_lapack()
         code, summary = _COMMANDS[args.command](cfg, out, args.json)
         write_json(os.path.join(out, f"{args.command}_summary.json"), summary)
         if args.json:

@@ -7,7 +7,7 @@ total exponent Psi on a uniform mesh.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -158,10 +158,20 @@ class GaugeData:
     A_theta: np.ndarray
     psi: np.ndarray
     Psi_total: np.ndarray
+    _samples: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def b_values(self):
         return self.B_total - self.B0
+
+    def sample(self, spec):
+        """spec evaluated at the mesh nodes, once per gauge and spec: every
+        channel of a solve adds the same electric part."""
+        values = self._samples.get(spec)
+        if values is None:
+            values = self._samples[spec] = spec.evaluate(self.mesh.nodes)
+        return values
 
     @cached_property
     def face_steps(self):

@@ -136,10 +136,6 @@ class RadialFunction:
     def normalized(self):
         return RadialFunction(self.values / self.norm(), self.m, self.mesh)
 
-    def weighted(self, profile_values):
-        """Pointwise multiplication by a radial profile (same channel)."""
-        return RadialFunction(self.values * profile_values, self.m, self.mesh)
-
 
 @dataclass
 class ChannelOperator:
@@ -215,7 +211,7 @@ def build_channel(kind, m, gauge, V):
     rest[:cut] = (2.0 / h2 + (m * m) / (rc * rc) - (2.0 * m) * (Ac / rc)
                   + Ac * Ac - gauge.B_total[:cut])
 
-    core = flux / h2 + rest + electric.evaluate(r)
+    core = flux / h2 + rest + gauge.sample(electric)
     diag = core + shift_B0 * gauge.B0
     return ChannelOperator(kind, m, mesh, diag, offdiag, gauge.B0)
 

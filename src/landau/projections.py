@@ -7,7 +7,7 @@ discretization error that the tests quantify.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,32 +26,61 @@ def linear_coupling_constant(q):
 
 @dataclass
 class ZeroModeBasis:
-    """Orthonormal zero modes for channels m = 0, 1, ... (one per channel)."""
+    """Orthonormal zero modes for channels m = 0, 1, ... (one per channel),
+    with the diagonal forms of their ladder images recorded so far.
+
+    The raise action R (ladder_apply) maps channel m to m - 1, so every
+    pair matrix of the basis or of one ladder level of it couples equal
+    channels only: it is diagonal.  A form is named (L, weight) and holds
+    h <w R^L u_i, R^L u_i> for every mode u_i: w = 1 for the weight None,
+    and w = spec - copies * b for (spec, copies), with b the gauge's field
+    and a None spec read as 0.
+    """
 
     modes: list
     gauge: object
-
-    def __post_init__(self):
-        self._chain = (0, self.modes)
+    forms: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
         return len(self.modes)
 
-    def raised(self, q):
-        """[Qbar^q u_m for each mode u_m].
+    def record(self, needs):
+        """Record the forms named in `needs`, in one pass up the ladder.
 
-        The last level asked for is kept, so raising to q = 1, 2, 3 in turn
-        applies one ladder step per level; a lower q starts again from the
-        modes.  Each step is the one ladder_apply takes, so a level equals
-        ladder_apply(u_m, gauge, q) bit for bit.
+        Each mode is raised one ladder step per level, up to the highest
+        level asked for, and dropped then: one raised mode is held at a
+        time, never a whole level.  The steps are the ones ladder_apply
+        takes, so a form equals the one of ladder_apply(u_i, gauge, L) bit
+        for bit.
         """
-        k, level = self._chain
-        if q < k:
-            k, level = 0, self.modes
-        for _ in range(q - k):
-            level = [ladder_apply(u, self.gauge, 1) for u in level]
-        self._chain = (q, level)
-        return level
+        by_level = {}
+        for level, weight in set(needs):
+            by_level.setdefault(level, []).append(weight)
+        if not by_level:
+            return
+        mesh = self.gauge.mesh
+        values = {}
+        for weight in {w for ws in by_level.values() for w in ws} - {None}:
+            spec, copies = weight
+            v = np.zeros(mesh.n) if spec is None else spec.evaluate(mesh.nodes)
+            values[weight] = v - copies * self.gauge.b_values if copies else v
+        out = {(level, w): np.empty(len(self.modes))
+               for level, ws in by_level.items() for w in ws}
+        for i, u in enumerate(self.modes):
+            for level in range(max(by_level) + 1):
+                if level:
+                    u = ladder_apply(u, self.gauge, 1)
+                for w in by_level.get(level, ()):
+                    x = u.values if w is None else u.values * values[w]
+                    out[(level, w)][i] = mesh.h * float(np.dot(x, u.values))
+        self.forms.update(out)
+
+    def diagonal(self, *needs):
+        """The forms named in `needs`, recording those not yet recorded."""
+        missing = [need for need in needs if need not in self.forms]
+        if missing:
+            self.record(missing)
+        return [self.forms[need] for need in needs]
 
 
 def zero_mode_basis(gauge, m_max):
@@ -61,8 +90,8 @@ def zero_mode_basis(gauge, m_max):
     return ZeroModeBasis(modes, gauge)
 
 
-def _pair_matrix(left, right, weights=None):
-    """Matrix of inner products <w left_i, right_j>.
+def _pair_matrix(left, right):
+    """Matrix of inner products <left_i, right_j>.
 
     Distinct channels are orthogonal exactly (RadialFunction.dot), so only
     the pairs of equal m are formed; every other entry stays 0.0.
@@ -72,12 +101,26 @@ def _pair_matrix(left, right, weights=None):
         by_channel.setdefault(r.m, []).append(j)
     out = np.zeros((len(left), len(right)))
     for i, li in enumerate(left):
-        js = by_channel.get(li.m, ())
-        if js and weights is not None:
-            li = li.weighted(weights)
-        for j in js:
+        for j in by_channel.get(li.m, ()):
             out[i, j] = li.dot(right[j])
     return out
+
+
+# the forms (ZeroModeBasis) that each identity and build_T0 read; a command
+# that runs several of them on one basis records their union first, so the
+# whole command takes one ladder step per mode and level
+def gram_forms(q, b):
+    return [(q, None), (0, (b, 0))]
+
+
+def weighted_forms(q, U):
+    return [(q, (U, 0)), (0, (U, 0))]
+
+
+def t0_forms(q, V):
+    if q == 0:
+        return [(0, (V, 0))]
+    return [(q + 1, None), (q, None), (q, (V, 2.0))]
 
 
 def gram_identity_residual(q, basis, b, B0):
@@ -92,12 +135,10 @@ def gram_identity_residual(q, basis, b, B0):
     """
     if q < 1:
         raise ValueError("gram identity needs q >= 1")
-    raised = basis.raised(q)
-    bv = b.evaluate(basis.modes[0].mesh.nodes)
-    G = _pair_matrix(raised, raised)
+    raised, bform = basis.diagonal(*gram_forms(q, b))
+    G = np.diag(raised)
     G -= coupling_constant(q, B0) * np.eye(len(basis.modes))
-    G -= (linear_coupling_constant(q) * B0 ** (q - 1)
-          * _pair_matrix(basis.modes, basis.modes, bv))
+    G -= linear_coupling_constant(q) * B0 ** (q - 1) * np.diag(bform)
     return G
 
 
@@ -109,12 +150,9 @@ def weighted_identity_residual(q, basis, U, B0):
     """
     if q < 1:
         raise ValueError("weighted identity needs q >= 1")
-    mesh = basis.modes[0].mesh
-    raised = basis.raised(q)
-    Uv = U.evaluate(mesh.nodes)
+    raised, modes = basis.diagonal(*weighted_forms(q, U))
     lead = linear_coupling_constant(q) * B0 ** q
-    return (_pair_matrix(raised, raised, Uv)
-            - lead * _pair_matrix(basis.modes, basis.modes, Uv))
+    return np.diag(raised) - lead * np.diag(modes)
 
 
 def _symmetrized(mat, where):
@@ -166,21 +204,14 @@ def build_T0(q, V, basis):
     V quadrature survives (T0 = 0 identically for q = 0, V = 0).  b enters
     through the basis gauge.
     """
-    gauge = basis.gauge
-    mesh = basis.modes[0].mesh
-    Vv = V.evaluate(mesh.nodes) if V is not None else np.zeros(mesh.n)
     if q == 0:
-        t = _pair_matrix(basis.modes, basis.modes, Vv)
+        t = np.diag(basis.diagonal(*t0_forms(q, V))[0])
     else:
-        raised = basis.raised(q)
-        raised1 = basis.raised(q + 1)
-        lam_next = 2.0 * (q + 1) * gauge.B0
-        wv = Vv - 2.0 * gauge.b_values
-        t = (_pair_matrix(raised1, raised1)
-             - lam_next * _pair_matrix(raised, raised)
-             + _pair_matrix(raised, raised, wv))
-    return ToeplitzMatrix(_symmetrized(t, "build_T0"),
-                          np.array([u.m for u in basis.modes], dtype=int))
+        raised1, raised, weighted = basis.diagonal(*t0_forms(q, V))
+        lam_next = 2.0 * (q + 1) * basis.gauge.B0
+        t = (np.diag(raised1) - lam_next * np.diag(raised)
+             + np.diag(weighted))
+    return ToeplitzMatrix(t, np.array([u.m for u in basis.modes], dtype=int))
 
 
 def build_Tq(q, V, cluster):

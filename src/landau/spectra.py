@@ -10,11 +10,42 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .errors import ConvergenceFailure, InconsistentProvenance
 from .operator import ChannelOperator, RadialFunction
+
+
+def load_lapack():
+    """Import the scipy.linalg routines the eigensolves call.
+
+    The import costs more than a small solve, and the commands that solve
+    nothing (weights, toeplitz, identities) never need it, so importing
+    this module does not load scipy.  cli.main calls this when it
+    dispatches a solve command; otherwise the first call of one of the
+    wrappers below loads it.
+    """
+    import scipy.linalg.lapack  # noqa: F401
+
+
+# scipy.linalg routines, imported on their first call (load_lapack)
+def eigh_tridiagonal(*args, **kwargs):
+    import scipy.linalg
+    return scipy.linalg.eigh_tridiagonal(*args, **kwargs)
+
+
+def dgttrf(*args, **kwargs):
+    import scipy.linalg.lapack
+    return scipy.linalg.lapack.dgttrf(*args, **kwargs)
+
+
+def dgttrs(*args, **kwargs):
+    import scipy.linalg.lapack
+    return scipy.linalg.lapack.dgttrs(*args, **kwargs)
+
+
+def dstebz(*args, **kwargs):
+    import scipy.linalg.lapack
+    return scipy.linalg.lapack.dstebz(*args, **kwargs)
 
 
 # absolute bisection tolerance; see channel_eigs

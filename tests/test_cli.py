@@ -189,6 +189,30 @@ class TestConfigValidation:
         assert out.stdout.strip() == "False"
 
 
+def test_only_solve_commands_load_scipy(tmp_path):
+    # in a fresh interpreter, the commands that solve nothing run without
+    # scipy; verify loads it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = (
+        "import json, sys\n"
+        "import landau.cli\n"
+        "seen = ['scipy' in sys.modules]\n"
+        "for command in ('weights', 'toeplitz', 'identities', 'verify'):\n"
+        "    code = landau.cli.main([command, '--config', sys.argv[1],\n"
+        "                            '--out', sys.argv[2]])\n"
+        "    seen.append((command, code, 'scipy' in sys.modules))\n"
+        "print(json.dumps(seen))\n")
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(CONFIGS / "quick.json"),
+         str(tmp_path / "out")], env=env, capture_output=True, text=True,
+        check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen == [False, ["weights", 0, False], ["toeplitz", 0, False],
+                    ["identities", 0, False], ["verify", 0, True]]
+
+
 @pytest.mark.parametrize("command", ["spectrum", "verify", "weights",
                                      "toeplitz", "identities"])
 def test_json_stdout_is_the_written_summary(command, tmp_path, capsys):
@@ -450,6 +474,28 @@ class TestVerify:
             assert E.size >= 20
             assert np.all(np.abs(E - 2.0 * c.cfg.q * c.cfg.B0)
                           < c.cfg.gamma)
+
+    def test_gram_identity_once_per_verify(self, tmp_path, monkeypatch):
+        # the q = 1 Gram identity depends on neither q nor the cluster, so
+        # verify --q 1,2 runs it once and reports it for both q
+        calls = []
+        gram_identity_residual = projections.gram_identity_residual
+
+        def recording(*args):
+            calls.append(args[0])
+            return gram_identity_residual(*args)
+
+        monkeypatch.setattr(projections, "gram_identity_residual", recording)
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(CONFIGS / "quick.json"),
+                     "--out", str(out), "--q", "1,2"])
+        assert code == 0
+        assert calls == [1]
+        with open(out / "verify_summary.json") as fh:
+            per_q = json.load(fh)["per_q"]
+        r1, r2 = (per_q[q]["checks"]["gram_identity_q1"]["max_residual"]
+                  for q in ("1", "2"))
+        assert r1 == r2 > 0.0
 
     def test_window_solves_need_no_bisection(self, tmp_path, monkeypatch):
         # every cluster and defect-floor channel holds at most one

@@ -53,6 +53,28 @@ class TestChannelMatrix:
         vals = lowest_eigs(build_channel("pauli_plus", 0, gauge, None), 3.0)
         assert vals[0] == pytest.approx(2.0, abs=1e-4)
 
+    def test_electric_part_sampled_once_per_gauge(self, b_power,
+                                                  monkeypatch):
+        # the electric part V + b of every schroedinger channel is evaluated
+        # once per gauge; the matrices equal those of a fresh gauge
+        mesh = RadialMesh(16.0, 0.02)
+        V = FieldSpec.power(0.03, -2.8)
+        fresh = [build_channel("schroedinger", m, build_gauge(b_power, 1.0,
+                                                              mesh), V)
+                 for m in range(-3, 4)]
+        gauge = build_gauge(b_power, 1.0, mesh)
+        calls = []
+        evaluate = FieldSpec.evaluate
+        monkeypatch.setattr(FieldSpec, "evaluate",
+                            lambda self, r: calls.append(self)
+                            or evaluate(self, r))
+        ops = [build_channel("schroedinger", m, gauge, V)
+               for m in range(-3, 4)]
+        assert len(calls) == 1
+        for op, ref in zip(ops, fresh):
+            assert np.array_equal(op.diag, ref.diag)
+            assert np.array_equal(op.offdiag, ref.offdiag)
+
     def test_diagonal_matches_direct_formula(self, b_power):
         # on a smooth interior state the matrix acts as -w'' + q_m w, with
         # q_m from the textbook formula, up to O(h^2)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -54,9 +55,9 @@ class TestBasis:
 
 
     def test_raised_levels_share_one_chain(self, basis_power, monkeypatch):
-        # raising to q = 1, 2, 3 takes one ladder step per mode and level; a
-        # lower q starts again from the modes; each level equals the
-        # q-fold ladder_apply bit for bit
+        # recording the forms of T0 for q = 1, 2, 3 takes one ladder step
+        # per mode and level (levels 1..4), and T0 then takes none; each
+        # form equals the one of the q-fold ladder_apply bit for bit
         steps = []
         ladder_apply = projections.ladder_apply
 
@@ -64,14 +65,37 @@ class TestBasis:
             steps.append(q)
             return ladder_apply(g, gauge, q)
 
+        V = FieldSpec.power(0.03, -2.8)
         basis = zero_mode_basis(basis_power.gauge, len(basis_power) - 1)
         monkeypatch.setattr(projections, "ladder_apply", counting)
-        for q in (1, 2, 2, 3, 1, 3):
-            level = basis.raised(q)
-            for u, v in zip(basis.modes, level):
-                w = ladder_apply(u, basis.gauge, q)
-                assert v.m == w.m and np.array_equal(v.values, w.values)
-        assert steps == [1] * len(basis) * (3 + 1 + 2)
+        basis.record(need for q in (1, 2, 3)
+                     for need in projections.t0_forms(q, V))
+        assert steps == [1] * len(basis) * 4
+        for q in (1, 2, 3):
+            build_T0(q, V, basis)
+        assert len(steps) == len(basis) * 4
+        gauge, h = basis.gauge, basis.gauge.mesh.h
+        weight = V.evaluate(gauge.mesh.nodes) - 2.0 * gauge.b_values
+        assert set(basis.forms) == ({(L, None) for L in (1, 2, 3, 4)}
+                                    | {(q, (V, 2.0)) for q in (1, 2, 3)})
+        for (level, w), form in basis.forms.items():
+            for u, value in zip(basis.modes, form):
+                r = ladder_apply(u, gauge, level).values
+                x = r if w is None else r * weight
+                assert value == h * float(np.dot(x, r))
+
+    def test_T0_peak_memory_below_one_level(self, gauge_power):
+        # T0 is built mode by mode: its peak allocation stays below the
+        # size of one ladder level of the 61-mode basis
+        basis = zero_mode_basis(gauge_power, 60)
+        level_bytes = len(basis) * gauge_power.mesh.n * 8
+        tracemalloc.start()
+        try:
+            build_T0(2, FieldSpec.power(0.03, -2.8), basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < level_bytes / 4
 
 
 class TestGramIdentity:
@@ -249,17 +273,13 @@ class TestSq:
 
 
 class TestTq:
-    def test_pair_matrix_equals_all_pairs(self, mesh_small, basis_power,
-                                          cluster_q1):
+    def test_pair_matrix_equals_all_pairs(self, basis_power, cluster_q1):
         # only pairs of equal m are formed; the result still equals the
         # loop over every pair bit for bit (the reference kept here)
         left = list(cluster_q1.states) + basis_power.modes
         right = left[::-1]
-        for w in (None, np.linspace(1.0, 2.0, mesh_small.n)):
-            ref = np.array([[(u if w is None else u.weighted(w)).dot(v)
-                             for v in right] for u in left])
-            assert np.array_equal(projections._pair_matrix(left, right, w),
-                                  ref)
+        ref = np.array([[u.dot(v) for v in right] for u in left])
+        assert np.array_equal(projections._pair_matrix(left, right), ref)
 
     def test_no_potential_diagonal_of_shifts(self, cluster_q1, b_power):
         Tq = build_Tq(1, None, cluster_q1)

@@ -36,3 +36,17 @@ def test_run_headline(tmp_path):
     assert done.returncode == 0, done.stderr
     assert (out / "counting_q1.csv").is_file()
     assert (out / "headline_summary.json").is_file()
+
+
+def test_time_commands(tmp_path):
+    # two alternating pairs against this same checkout: one table row per
+    # command, with both medians and the faster-pair count
+    done = run_script("time_commands.py", "--pairs", "2", "--commands",
+                      "weights", "--against", str(ROOT), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    rows = [ln for ln in done.stdout.splitlines()
+            if ln.startswith("| weights")]
+    assert len(rows) == 1
+    cells = [c.strip() for c in rows[0].strip("|").split("|")]
+    assert float(cells[1]) > 0 and float(cells[2]) > 0
+    assert cells[3] in ("0/2", "1/2", "2/2")
