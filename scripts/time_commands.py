@@ -1,21 +1,17 @@
 #!/usr/bin/env python3
-"""Cold-start wall time of each `landau` command, in fresh processes.
+"""Cold-start wall time of each `landau` command, against another checkout.
 
-    python3 scripts/time_commands.py [--against OTHER] [--pairs 10]
-        [--config configs/quick.json] [--commands weights,toeplitz]
+    python3 scripts/time_commands.py --against OTHER [--pairs 10]
 
-Each call is `python -m landau.cli COMMAND --config CONFIG` in a new
-interpreter with the `src/` of a checkout on PYTHONPATH, so the time
+Each call is `python -m landau.cli COMMAND --config configs/quick.json` in
+a new interpreter with the `src/` of a checkout on PYTHONPATH, so the time
 includes the interpreter start and every import the command pays for.
 One untimed call per checkout and command comes first, so bytecode
-compilation is not timed.
-
-With `--against OTHER` (the root of another checkout, e.g. the parent
-commit) each pair runs the command once on each checkout, in alternating
-order, on the same config; the table gives both medians and the number of
-pairs in which this checkout was faster.  Without it, this checkout alone
-is timed `--pairs` times.  A call that exits with 2 (config error) or 3
-(numeric failure) stops the script with exit status 1.
+compilation is not timed.  Each pair then runs the command once on this
+checkout and once on OTHER (the root of another checkout, e.g. the parent
+commit), in alternating order; the table gives both medians and the number
+of pairs in which this checkout was faster.  A call that exits with 2
+(config error) or 3 (numeric failure) stops the script with exit status 1.
 """
 
 import argparse
@@ -27,16 +23,17 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIG = os.path.join(ROOT, "configs", "quick.json")
 COMMANDS = ("spectrum", "verify", "weights", "toeplitz", "identities")
 
 
-def timed_call(tree, command, config, out):
+def timed_call(tree, command, out):
     """Wall seconds of one fresh-process call on the checkout `tree`."""
     env = dict(os.environ, LANDAU_LOG="quiet",
                PYTHONPATH=os.path.join(tree, "src"))
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-m", "landau.cli", command, "--config", config,
+        [sys.executable, "-m", "landau.cli", command, "--config", CONFIG,
          "--out", out], env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE, text=True, timeout=600)
     wall = time.perf_counter() - start
@@ -48,53 +45,36 @@ def timed_call(tree, command, config, out):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", help="root of another checkout")
+    parser.add_argument("--against", required=True,
+                        help="root of another checkout")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--config",
-                        default=os.path.join(ROOT, "configs", "quick.json"))
-    parser.add_argument("--commands", default=",".join(COMMANDS),
-                        help="comma-separated commands to time")
     args = parser.parse_args(argv)
-    commands = [c for c in args.commands.split(",") if c]
-    unknown = set(commands) - set(COMMANDS)
-    if unknown or args.pairs < 1:
-        parser.error(f"need --pairs >= 1 and commands among {COMMANDS}")
-    trees = [ROOT] + ([os.path.abspath(args.against)] if args.against else [])
-    config = os.path.abspath(args.config)
+    if args.pairs < 1:
+        parser.error("need --pairs >= 1")
+    trees = (ROOT, os.path.abspath(args.against))
 
-    walls = [{c: [] for c in commands} for _ in trees]
+    walls = [{c: [] for c in COMMANDS} for _ in trees]
     with tempfile.TemporaryDirectory() as work:
         out = os.path.join(work, "out")
         for tree in trees:
-            for command in commands:
-                timed_call(tree, command, config, out)
+            for command in COMMANDS:
+                timed_call(tree, command, out)
         for k in range(args.pairs):
-            order = list(range(len(trees)))
-            if k % 2:
-                order.reverse()
-            for command in commands:
+            order = (1, 0) if k % 2 else (0, 1)
+            for command in COMMANDS:
                 for i in order:
                     walls[i][command].append(
-                        timed_call(trees[i], command, config, out))
+                        timed_call(trees[i], command, out))
 
-    print(f"config {config}, {args.pairs} "
-          + ("alternating pairs" if args.against else "runs")
-          + ", wall seconds per fresh-process call (median)")
-    if args.against:
-        print("| command | this checkout | --against | faster pairs |")
-        print("|---|---|---|---|")
-    else:
-        print("| command | this checkout |")
-        print("|---|---|")
-    for command in commands:
-        mine = walls[0][command]
-        row = f"| {command} | {statistics.median(mine):.3f} |"
-        if args.against:
-            theirs = walls[1][command]
-            wins = sum(a < b for a, b in zip(mine, theirs))
-            row += (f" {statistics.median(theirs):.3f} |"
-                    f" {wins}/{args.pairs} |")
-        print(row)
+    print(f"config {CONFIG}, {args.pairs} alternating pairs, "
+          "wall seconds per fresh-process call (median)")
+    print("| command | this checkout | --against | faster pairs |")
+    print("|---|---|---|---|")
+    for command in COMMANDS:
+        mine, theirs = walls[0][command], walls[1][command]
+        wins = sum(a < b for a, b in zip(mine, theirs))
+        print(f"| {command} | {statistics.median(mine):.3f} |"
+              f" {statistics.median(theirs):.3f} | {wins}/{args.pairs} |")
     return 0
 
 

@@ -9,12 +9,11 @@ Subcommands map to the headline operation of each module:
     toeplitz    zero-mode-basis Toeplitz operator and its eigenvalues
     identities  ladder Gram identity residuals
 
-Only spectrum and verify run eigensolves: main loads scipy's LAPACK when it
-dispatches one of them, and the other commands never import scipy.  Each
-command returns its exit code and summary; main writes the summary to
-<command>_summary.json and, with --json, prints it.  Exit codes: 0 pass,
-1 verification failure, 2 config error, 3 numeric failure.  LANDAU_LOG
-selects verbosity (debug / info / quiet).
+Only spectrum and verify run eigensolves, so only they import scipy (in
+their first solve).  Each command returns its exit code and summary; main
+writes the summary to <command>_summary.json and, with --json, prints it.
+Exit codes: 0 pass, 1 verification failure, 2 config error, 3 numeric
+failure.  LANDAU_LOG selects verbosity (debug / info / quiet).
 """
 
 import argparse
@@ -269,8 +268,7 @@ def cmd_weights(cfg, out, as_json):
 def cmd_toeplitz(cfg, out, as_json):
     gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
     basis = projections.zero_mode_basis(gauge, cfg.basis_m_max)
-    basis.record(need for q in cfg.q_list
-                 for need in projections.t0_forms(q, cfg.V))
+    basis.record(cfg.q_list, T0=cfg.V)
     summary = {"config": cfg.hash, "basis_m_max": cfg.basis_m_max,
                "toeplitz": {}}
     for q in cfg.q_list:
@@ -289,8 +287,7 @@ def cmd_identities(cfg, out, as_json):
     gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
     basis = projections.zero_mode_basis(gauge, cfg.basis_m_max)
     qs = [q for q in cfg.q_list if q >= 1]
-    basis.record(need for q in qs for need in projections.gram_forms(q, cfg.b)
-                 + projections.weighted_forms(q, cfg.V))
+    basis.record(qs, gram=cfg.b, weighted=cfg.V)
     summary = {"config": cfg.hash, "identities": {}}
     for q in qs:
         G = projections.gram_identity_residual(q, basis, cfg.b, cfg.B0)
@@ -422,8 +419,6 @@ _COMMANDS = {
     "toeplitz": cmd_toeplitz,
     "identities": cmd_identities,
 }
-# the commands that run eigensolves, and so need LAPACK
-_SOLVES = ("spectrum", "verify")
 
 
 def _setup_logging():
@@ -450,10 +445,6 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, args.q)
         out = ensure_dir(args.out)
-        if args.command in _SOLVES:
-            # here, before the command allocates anything; see the README,
-            # "Start-up and memory"
-            spectra.load_lapack()
         code, summary = _COMMANDS[args.command](cfg, out, args.json)
         write_json(os.path.join(out, f"{args.command}_summary.json"), summary)
         if args.json:

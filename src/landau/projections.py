@@ -44,8 +44,23 @@ class ZeroModeBasis:
     def __len__(self):
         return len(self.modes)
 
-    def record(self, needs):
-        """Record the forms named in `needs`, in one pass up the ladder.
+    def record(self, qs, **fields):
+        """Record, in one pass up the ladder, every form that the named
+        quantities read for each q in `qs`:
+
+            T0=V        build_T0(q, V, self)
+            gram=b      gram_identity_residual(q, self, b, B0)
+            weighted=U  weighted_identity_residual(q, self, U, B0)
+
+        A command that records its whole q list first takes one ladder
+        step per mode and level; a quantity asked for a form not recorded
+        yet walks the ladder again for it.
+        """
+        self._record({need for name, U in fields.items() for q in qs
+                      for need in _READS[name](q, U)})
+
+    def _record(self, needs):
+        """Record the forms named in `needs`.
 
         Each mode is raised one ladder step per level, up to the highest
         level asked for, and dropped then: one raised mode is held at a
@@ -54,7 +69,7 @@ class ZeroModeBasis:
         for bit.
         """
         by_level = {}
-        for level, weight in set(needs):
+        for level, weight in needs:
             by_level.setdefault(level, []).append(weight)
         if not by_level:
             return
@@ -75,12 +90,21 @@ class ZeroModeBasis:
                     out[(level, w)][i] = mesh.h * float(np.dot(x, u.values))
         self.forms.update(out)
 
-    def diagonal(self, *needs):
-        """The forms named in `needs`, recording those not yet recorded."""
-        missing = [need for need in needs if need not in self.forms]
-        if missing:
-            self.record(missing)
+    def diagonal(self, name, q, U):
+        """The forms that quantity `name` (see record) reads for (q, U),
+        recording those not yet recorded."""
+        needs = _READS[name](q, U)
+        self._record({need for need in needs if need not in self.forms})
         return [self.forms[need] for need in needs]
+
+
+# the forms (L, weight) of ZeroModeBasis that each quantity reads for (q, U)
+_READS = {
+    "gram": lambda q, b: [(q, None), (0, (b, 0))],
+    "weighted": lambda q, U: [(q, (U, 0)), (0, (U, 0))],
+    "T0": lambda q, V: ([(0, (V, 0))] if q == 0 else
+                        [(q + 1, None), (q, None), (q, (V, 2.0))]),
+}
 
 
 def zero_mode_basis(gauge, m_max):
@@ -106,23 +130,6 @@ def _pair_matrix(left, right):
     return out
 
 
-# the forms (ZeroModeBasis) that each identity and build_T0 read; a command
-# that runs several of them on one basis records their union first, so the
-# whole command takes one ladder step per mode and level
-def gram_forms(q, b):
-    return [(q, None), (0, (b, 0))]
-
-
-def weighted_forms(q, U):
-    return [(q, (U, 0)), (0, (U, 0))]
-
-
-def t0_forms(q, V):
-    if q == 0:
-        return [(0, (V, 0))]
-    return [(q + 1, None), (q, None), (q, (V, 2.0))]
-
-
 def gram_identity_residual(q, basis, b, B0):
     """Residual of the ladder Gram identity on the zero-mode basis.
 
@@ -135,7 +142,7 @@ def gram_identity_residual(q, basis, b, B0):
     """
     if q < 1:
         raise ValueError("gram identity needs q >= 1")
-    raised, bform = basis.diagonal(*gram_forms(q, b))
+    raised, bform = basis.diagonal("gram", q, b)
     G = np.diag(raised)
     G -= coupling_constant(q, B0) * np.eye(len(basis.modes))
     G -= linear_coupling_constant(q) * B0 ** (q - 1) * np.diag(bform)
@@ -150,7 +157,7 @@ def weighted_identity_residual(q, basis, U, B0):
     """
     if q < 1:
         raise ValueError("weighted identity needs q >= 1")
-    raised, modes = basis.diagonal(*weighted_forms(q, U))
+    raised, modes = basis.diagonal("weighted", q, U)
     lead = linear_coupling_constant(q) * B0 ** q
     return np.diag(raised) - lead * np.diag(modes)
 
@@ -205,9 +212,9 @@ def build_T0(q, V, basis):
     through the basis gauge.
     """
     if q == 0:
-        t = np.diag(basis.diagonal(*t0_forms(q, V))[0])
+        t = np.diag(basis.diagonal("T0", q, V)[0])
     else:
-        raised1, raised, weighted = basis.diagonal(*t0_forms(q, V))
+        raised1, raised, weighted = basis.diagonal("T0", q, V)
         lam_next = 2.0 * (q + 1) * basis.gauge.B0
         t = (np.diag(raised1) - lam_next * np.diag(raised)
              + np.diag(weighted))

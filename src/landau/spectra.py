@@ -15,19 +15,10 @@ from .errors import ConvergenceFailure, InconsistentProvenance
 from .operator import ChannelOperator, RadialFunction
 
 
-def load_lapack():
-    """Import the scipy.linalg routines the eigensolves call.
-
-    The import costs more than a small solve, and the commands that solve
-    nothing (weights, toeplitz, identities) never need it, so importing
-    this module does not load scipy.  cli.main calls this when it
-    dispatches a solve command; otherwise the first call of one of the
-    wrappers below loads it.
-    """
-    import scipy.linalg.lapack  # noqa: F401
-
-
-# scipy.linalg routines, imported on their first call (load_lapack)
+# scipy.linalg routines, imported on their first call: the import costs
+# more than a small solve, and the commands that solve nothing (weights,
+# toeplitz, identities) never need it, so importing this module loads no
+# scipy.  Tests patch these names by module attribute.
 def eigh_tridiagonal(*args, **kwargs):
     import scipy.linalg
     return scipy.linalg.eigh_tridiagonal(*args, **kwargs)

@@ -68,8 +68,7 @@ class TestBasis:
         V = FieldSpec.power(0.03, -2.8)
         basis = zero_mode_basis(basis_power.gauge, len(basis_power) - 1)
         monkeypatch.setattr(projections, "ladder_apply", counting)
-        basis.record(need for q in (1, 2, 3)
-                     for need in projections.t0_forms(q, V))
+        basis.record((1, 2, 3), T0=V)
         assert steps == [1] * len(basis) * 4
         for q in (1, 2, 3):
             build_T0(q, V, basis)
