@@ -134,9 +134,9 @@ def load_config(path, q=None):
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -267,8 +267,8 @@ def cmd_weights(cfg, out, as_json):
 
 def cmd_toeplitz(cfg, out, as_json):
     gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
-    basis = projections.zero_mode_basis(gauge, cfg.basis_m_max)
-    basis.record(cfg.q_list, T0=cfg.V)
+    basis = projections.zero_mode_basis(gauge, cfg.basis_m_max, cfg.q_list,
+                                        T0=cfg.V)
     summary = {"config": cfg.hash, "basis_m_max": cfg.basis_m_max,
                "toeplitz": {}}
     for q in cfg.q_list:
@@ -285,9 +285,9 @@ def cmd_toeplitz(cfg, out, as_json):
 
 def cmd_identities(cfg, out, as_json):
     gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
-    basis = projections.zero_mode_basis(gauge, cfg.basis_m_max)
     qs = [q for q in cfg.q_list if q >= 1]
-    basis.record(qs, gram=cfg.b, weighted=cfg.V)
+    basis = projections.zero_mode_basis(gauge, cfg.basis_m_max, qs,
+                                        gram=cfg.b, weighted=cfg.V)
     summary = {"config": cfg.hash, "identities": {}}
     for q in qs:
         G = projections.gram_identity_residual(q, basis, cfg.b, cfg.B0)
@@ -359,7 +359,8 @@ def _verify_one_q(cfg, q, out, shared):
             # V again would count it twice
             Tq = projections.build_Tq(q, None, comp.cluster)
             basis = projections.zero_mode_basis(
-                comp.gauge, min(int(np.max(comp.cluster.ms)) + q, cfg.m_max))
+                comp.gauge, min(int(np.max(comp.cluster.ms)) + q, cfg.m_max),
+                [q], T0=cfg.V)
             T0 = projections.build_T0(q, cfg.V, basis)
             c_q = projections.coupling_constant(q, cfg.B0)
             tq = Tq.eigenvalues()[::-1]
@@ -388,7 +389,8 @@ def _gram_check(cfg, gauge):
     """The q = 1 Gram identity on the basis_m_max zero modes.  It depends on
     neither q nor the cluster (every q solves on the same gauge), so verify
     runs it once."""
-    basis = projections.zero_mode_basis(gauge, cfg.basis_m_max)
+    basis = projections.zero_mode_basis(gauge, cfg.basis_m_max, [1],
+                                        gram=cfg.b)
     G = projections.gram_identity_residual(1, basis, cfg.b, cfg.B0)
     return {"passed": bool(np.max(np.abs(G)) < cfg.bands["gram_max"]),
             "max_residual": float(np.max(np.abs(G)))}
@@ -459,6 +461,9 @@ def main(argv=None):
     except LandauError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # --out cannot be created or written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

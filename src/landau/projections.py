@@ -7,11 +7,11 @@ discretization error that the tests quantify.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import RadialFunction, ladder_apply, zero_mode
+from .operator import ladder_apply, zero_mode
 
 
 def coupling_constant(q, B0):
@@ -26,76 +26,29 @@ def linear_coupling_constant(q):
 
 @dataclass
 class ZeroModeBasis:
-    """Orthonormal zero modes for channels m = 0, 1, ... (one per channel),
-    with the diagonal forms of their ladder images recorded so far.
+    """The zero modes of channels m = 0 .. len - 1 (one per channel), known
+    by the diagonal forms of their ladder images that the basis was built
+    with (see zero_mode_basis).
 
     The raise action R (ladder_apply) maps channel m to m - 1, so every
     pair matrix of the basis or of one ladder level of it couples equal
     channels only: it is diagonal.  A form is named (L, weight) and holds
-    h <w R^L u_i, R^L u_i> for every mode u_i: w = 1 for the weight None,
+    h <w R^L u_m, R^L u_m> for every mode u_m: w = 1 for the weight None,
     and w = spec - copies * b for (spec, copies), with b the gauge's field
     and a None spec read as 0.
     """
 
-    modes: list
     gauge: object
-    forms: dict = field(default_factory=dict, repr=False)
+    size: int
+    forms: dict
 
     def __len__(self):
-        return len(self.modes)
-
-    def record(self, qs, **fields):
-        """Record, in one pass up the ladder, every form that the named
-        quantities read for each q in `qs`:
-
-            T0=V        build_T0(q, V, self)
-            gram=b      gram_identity_residual(q, self, b, B0)
-            weighted=U  weighted_identity_residual(q, self, U, B0)
-
-        A command that records its whole q list first takes one ladder
-        step per mode and level; a quantity asked for a form not recorded
-        yet walks the ladder again for it.
-        """
-        self._record({need for name, U in fields.items() for q in qs
-                      for need in _READS[name](q, U)})
-
-    def _record(self, needs):
-        """Record the forms named in `needs`.
-
-        Each mode is raised one ladder step per level, up to the highest
-        level asked for, and dropped then: one raised mode is held at a
-        time, never a whole level.  The steps are the ones ladder_apply
-        takes, so a form equals the one of ladder_apply(u_i, gauge, L) bit
-        for bit.
-        """
-        by_level = {}
-        for level, weight in needs:
-            by_level.setdefault(level, []).append(weight)
-        if not by_level:
-            return
-        mesh = self.gauge.mesh
-        values = {}
-        for weight in {w for ws in by_level.values() for w in ws} - {None}:
-            spec, copies = weight
-            v = np.zeros(mesh.n) if spec is None else spec.evaluate(mesh.nodes)
-            values[weight] = v - copies * self.gauge.b_values if copies else v
-        out = {(level, w): np.empty(len(self.modes))
-               for level, ws in by_level.items() for w in ws}
-        for i, u in enumerate(self.modes):
-            for level in range(max(by_level) + 1):
-                if level:
-                    u = ladder_apply(u, self.gauge, 1)
-                for w in by_level.get(level, ()):
-                    x = u.values if w is None else u.values * values[w]
-                    out[(level, w)][i] = mesh.h * float(np.dot(x, u.values))
-        self.forms.update(out)
+        return self.size
 
     def diagonal(self, name, q, U):
-        """The forms that quantity `name` (see record) reads for (q, U),
-        recording those not yet recorded."""
-        needs = _READS[name](q, U)
-        self._record({need for need in needs if need not in self.forms})
-        return [self.forms[need] for need in needs]
+        """The forms that quantity `name` (see zero_mode_basis) reads for
+        (q, U); KeyError if the basis was not built with them."""
+        return [self.forms[need] for need in _READS[name](q, U)]
 
 
 # the forms (L, weight) of ZeroModeBasis that each quantity reads for (q, U)
@@ -107,27 +60,42 @@ _READS = {
 }
 
 
-def zero_mode_basis(gauge, m_max):
-    """Zero modes m = 0..m_max on the gauge's mesh; cross-channel
-    orthogonality is exact."""
-    modes = [zero_mode(m, gauge) for m in range(m_max + 1)]
-    return ZeroModeBasis(modes, gauge)
+def zero_mode_basis(gauge, m_max, qs, **fields):
+    """Zero modes m = 0..m_max on the gauge's mesh, built with every form
+    that the named quantities read for each q in `qs`:
 
+        T0=V        build_T0(q, V, basis)
+        gram=b      gram_identity_residual(q, basis, b, B0)
+        weighted=U  weighted_identity_residual(q, basis, U, B0)
 
-def _pair_matrix(left, right):
-    """Matrix of inner products <left_i, right_j>.
-
-    Distinct channels are orthogonal exactly (RadialFunction.dot), so only
-    the pairs of equal m are formed; every other entry stays 0.0.
+    Each mode is made, raised one ladder step per level up to the highest
+    level asked for, and dropped: one mode is held at a time, and each
+    mode takes one ladder step per level.  The steps are the ones
+    ladder_apply takes, so a form equals the one of
+    ladder_apply(zero_mode(m, gauge), gauge, L) bit for bit.
     """
-    by_channel = {}
-    for j, r in enumerate(right):
-        by_channel.setdefault(r.m, []).append(j)
-    out = np.zeros((len(left), len(right)))
-    for i, li in enumerate(left):
-        for j in by_channel.get(li.m, ()):
-            out[i, j] = li.dot(right[j])
-    return out
+    by_level = {}
+    for name, U in fields.items():
+        for q in qs:
+            for level, weight in _READS[name](q, U):
+                by_level.setdefault(level, set()).add(weight)
+    mesh = gauge.mesh
+    values = {}
+    for weight in set().union(*by_level.values()) - {None}:
+        spec, copies = weight
+        v = np.zeros(mesh.n) if spec is None else spec.evaluate(mesh.nodes)
+        values[weight] = v - copies * gauge.b_values if copies else v
+    forms = {(level, w): np.empty(m_max + 1)
+             for level, ws in by_level.items() for w in ws}
+    for m in range(m_max + 1):
+        u = zero_mode(m, gauge)
+        for level in range(max(by_level, default=0) + 1):
+            if level:
+                u = ladder_apply(u, gauge, 1)
+            for w in by_level.get(level, ()):
+                x = u.values if w is None else u.values * values[w]
+                forms[(level, w)][m] = mesh.h * float(np.dot(x, u.values))
+    return ZeroModeBasis(gauge, m_max + 1, forms)
 
 
 def gram_identity_residual(q, basis, b, B0):
@@ -144,7 +112,7 @@ def gram_identity_residual(q, basis, b, B0):
         raise ValueError("gram identity needs q >= 1")
     raised, bform = basis.diagonal("gram", q, b)
     G = np.diag(raised)
-    G -= coupling_constant(q, B0) * np.eye(len(basis.modes))
+    G -= coupling_constant(q, B0) * np.eye(len(basis))
     G -= linear_coupling_constant(q) * B0 ** (q - 1) * np.diag(bform)
     return G
 
@@ -218,7 +186,7 @@ def build_T0(q, V, basis):
         lam_next = 2.0 * (q + 1) * basis.gauge.B0
         t = (np.diag(raised1) - lam_next * np.diag(raised)
              + np.diag(weighted))
-    return ToeplitzMatrix(t, np.array([u.m for u in basis.modes], dtype=int))
+    return ToeplitzMatrix(t, np.arange(len(basis)))
 
 
 def build_Tq(q, V, cluster):
@@ -227,19 +195,23 @@ def build_Tq(q, V, cluster):
     t[i][j] = <(P_- - Lambda_q + V) v_i, v_j> with the channel matrix
     (solved without V) applied to the eigenvectors and V added by
     quadrature.  With V = 0 this is diagonal with the cluster shifts.
+    Each applied state is paired as soon as it is formed, so one is held
+    at a time.
     """
-    mesh = cluster.states[0].mesh if len(cluster) else None
+    states = cluster.states
     lam = 2.0 * q * cluster.B0
-    Vv = (V.evaluate(mesh.nodes) if (V is not None and mesh is not None)
+    Vv = (V.evaluate(states[0].mesh.nodes) if V is not None and states
           else None)
-    applied = []
-    for v in cluster.states:
+    by_channel = {}
+    for j, v in enumerate(states):
+        by_channel.setdefault(v.m, []).append(j)
+    t = np.zeros((len(states), len(states)))
+    for i, v in enumerate(states):
         av = cluster.operators[v.m].matvec(v.values)
         av -= lam * v.values
         if Vv is not None:
             av += Vv * v.values
-        applied.append(RadialFunction(av, v.m, v.mesh))
-    t = _pair_matrix(applied, cluster.states)
+        for j in by_channel[v.m]:  # distinct channels are orthogonal
+            t[i, j] = v.mesh.h * float(np.dot(av, states[j].values))
     return ToeplitzMatrix(_symmetrized(t, "build_Tq"),
-                          np.array([v.m for v in cluster.states], dtype=int))
-
+                          np.array([v.m for v in states], dtype=int))

@@ -8,7 +8,7 @@ from scipy import integrate
 from landau.errors import LandauError, QuadratureFailure, UnboundedSet
 from landau.fields import FieldSpec, build_gauge
 from landau.operator import (RadialFunction, RadialMesh, _check_mesh, _ladder,
-                             ladder_apply, ladder_raise)
+                             ladder_apply, ladder_raise, zero_mode)
 from landau.projections import _symmetrized, coupling_constant
 
 
@@ -206,12 +206,13 @@ class BasisTooSmall(LandauError):
     """Zero-mode basis loses too much norm when projecting a cluster state."""
 
 
-def build_Sq_action(q, cluster, zero_basis, gauge):
+def build_Sq_action(q, cluster, m_max, gauge):
     """Gram matrix of the approximate spectral projection on the cluster.
 
     S_q = C_q^{-1} Qbar^q P_0 Q^q applied to each cluster eigenvector;
-    returns <S_q v_i, v_j>.  Raises BasisTooSmall when the zero-mode
-    projection loses more than 1% of a lowered state's norm.
+    returns <S_q v_i, v_j>.  P_0 projects onto the zero modes
+    m = 0..m_max; raises BasisTooSmall when it loses more than 1% of a
+    lowered state's norm.
 
     The ladder actions drop one unimodular factor per application, so the
     one-sided composition here regains (-1)^q relative to the raw raise /
@@ -228,12 +229,12 @@ def build_Sq_action(q, cluster, zero_basis, gauge):
         for _ in range(q):
             lowered = ladder_lower(lowered, gauge)
         target = lowered.m
-        if not 0 <= target < len(zero_basis):
+        if not 0 <= target <= m_max:
             raise BasisTooSmall(
                 f"cluster state m={v.m} lowers to channel {target} outside "
-                f"the zero-mode basis [0, {len(zero_basis) - 1}]"
+                f"the zero-mode basis [0, {m_max}]"
             )
-        u = zero_basis.modes[target]
+        u = zero_mode(target, gauge)
         c = lowered.dot(u)
         if abs(c) < 0.99 * lowered.norm():
             raise BasisTooSmall(

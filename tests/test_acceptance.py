@@ -128,7 +128,7 @@ def test_acceptance_03_gram_identity_q1():
     for h in (0.005, 0.0025):
         mesh = RadialMesh(20.0, h)
         gauge = build_gauge(B_HEADLINE, 1.0, mesh)
-        basis = zero_mode_basis(gauge, 11)  # first 12 zero modes
+        basis = zero_mode_basis(gauge, 11, [1], gram=B_HEADLINE)  # 12 modes
         G = gram_identity_residual(1, basis, B_HEADLINE, 1.0)
         res[h] = float(np.max(np.abs(G)))
     ratio = res[0.005] / res[0.0025]

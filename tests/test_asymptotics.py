@@ -366,7 +366,8 @@ class TestSecondCluster:
         Tq = build_Tq(2, None, cl)
         tq = np.sort(Tq.eigenvalues())[::-1]
         sh = np.sort(cl.shifts)[::-1]
-        basis = zero_mode_basis(comp.gauge, int(np.max(cl.ms)) + 2)
+        basis = zero_mode_basis(comp.gauge, int(np.max(cl.ms)) + 2, [2],
+                                T0=None)
         T0 = build_T0(2, None, basis)
         t0 = np.sort(T0.eigenvalues())[::-1] / coupling_constant(2, 1.0)
         k = len(sh) // 4

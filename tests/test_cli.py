@@ -65,6 +65,15 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_invalid_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"B0": 1.0, "operator": "pauli_minus\xff"}')
+        code = main(["weights", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error: config is not valid JSON" in (
+            capsys.readouterr().err)
+
     def test_bad_q_override(self, cfg_path, tmp_path, capsys):
         for q in ("x", "-1"):
             code = main(["spectrum", "--config", str(cfg_path),
@@ -224,6 +233,19 @@ def test_json_stdout_is_the_written_summary(command, tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed == json.loads(
         (out / f"{command}_summary.json").read_text())
+
+
+def test_out_that_is_a_file_exits_2(tmp_path, capsys):
+    # --out names an existing file: one error line, no traceback
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    code = main(["weights", "--config", str(CONFIGS / "quick.json"),
+                 "--out", str(taken)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert taken.read_text() == "kept\n"
 
 
 class TestSpectrum:

@@ -10,7 +10,8 @@ from conftest import BasisTooSmall, build_Sq_action, offdiag_smallness
 from landau import asymptotics
 from landau.cli import load_config
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
-from landau.operator import RadialMesh, build_channel
+from landau.operator import (RadialFunction, RadialMesh, build_channel,
+                             zero_mode)
 from landau import projections
 from landau.projections import (build_T0, build_Tq, coupling_constant,
                                 gram_identity_residual,
@@ -23,16 +24,6 @@ QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
 
 
 @pytest.fixture(scope="module")
-def basis_zero(mesh_small, gauge_zero):
-    return zero_mode_basis(gauge_zero, 9)
-
-
-@pytest.fixture(scope="module")
-def basis_power(mesh_small, gauge_power):
-    return zero_mode_basis(gauge_power, 9)
-
-
-@pytest.fixture(scope="module")
 def cluster_q1(mesh_small, gauge_power):
     ops = [build_channel("pauli_minus", m, gauge_power, None)
            for m in range(-1, 12)]
@@ -41,11 +32,17 @@ def cluster_q1(mesh_small, gauge_power):
     return cluster_states(table, 2.0, 0.5, mesh_small, channels)
 
 
+@pytest.fixture(scope="module")
+def quick_q1():
+    cfg = load_config(str(QUICK))
+    return cfg, asymptotics.compute_cluster(replace(cfg, q=1))
+
+
 class TestBasis:
-    def test_gram_is_identity(self, basis_power):
-        g = np.array([[u.dot(v) for v in basis_power.modes]
-                      for u in basis_power.modes])
-        assert np.max(np.abs(g - np.eye(len(basis_power)))) < 1e-10
+    def test_gram_is_identity(self, gauge_power):
+        modes = [zero_mode(m, gauge_power) for m in range(10)]
+        g = np.array([[u.dot(v) for v in modes] for u in modes])
+        assert np.max(np.abs(g - np.eye(len(modes)))) < 1e-10
 
     def test_coupling_constants(self):
         assert coupling_constant(1, 1.0) == 2.0
@@ -54,21 +51,27 @@ class TestBasis:
         assert linear_coupling_constant(2) == 16.0
 
 
-    def test_raised_levels_share_one_chain(self, basis_power, monkeypatch):
-        # recording the forms of T0 for q = 1, 2, 3 takes one ladder step
-        # per mode and level (levels 1..4), and T0 then takes none; each
-        # form equals the one of the q-fold ladder_apply bit for bit
-        steps = []
+    def test_raised_levels_share_one_chain(self, gauge_power, monkeypatch):
+        # building the basis with the forms of T0 for q = 1, 2, 3 makes each
+        # zero mode once and takes one ladder step per mode and level
+        # (levels 1..4), and T0 then takes none; each form equals the one
+        # of the q-fold ladder_apply bit for bit
+        steps, made = [], []
         ladder_apply = projections.ladder_apply
 
         def counting(g, gauge, q):
             steps.append(q)
             return ladder_apply(g, gauge, q)
 
+        def making(m, gauge):
+            made.append(m)
+            return zero_mode(m, gauge)
+
         V = FieldSpec.power(0.03, -2.8)
-        basis = zero_mode_basis(basis_power.gauge, len(basis_power) - 1)
         monkeypatch.setattr(projections, "ladder_apply", counting)
-        basis.record((1, 2, 3), T0=V)
+        monkeypatch.setattr(projections, "zero_mode", making)
+        basis = zero_mode_basis(gauge_power, 9, (1, 2, 3), T0=V)
+        assert made == list(range(len(basis)))
         assert steps == [1] * len(basis) * 4
         for q in (1, 2, 3):
             build_T0(q, V, basis)
@@ -78,32 +81,47 @@ class TestBasis:
         assert set(basis.forms) == ({(L, None) for L in (1, 2, 3, 4)}
                                     | {(q, (V, 2.0)) for q in (1, 2, 3)})
         for (level, w), form in basis.forms.items():
-            for u, value in zip(basis.modes, form):
-                r = ladder_apply(u, gauge, level).values
+            for m, value in enumerate(form):
+                r = ladder_apply(zero_mode(m, gauge), gauge, level).values
                 x = r if w is None else r * weight
                 assert value == h * float(np.dot(x, r))
 
     def test_T0_peak_memory_below_one_level(self, gauge_power):
-        # T0 is built mode by mode: its peak allocation stays below the
-        # size of one ladder level of the 61-mode basis
-        basis = zero_mode_basis(gauge_power, 60)
-        level_bytes = len(basis) * gauge_power.mesh.n * 8
+        # the basis is built mode by mode: building it with the T0 forms
+        # peaks below the size of one ladder level of its 61 modes
+        level_bytes = 61 * gauge_power.mesh.n * 8
         tracemalloc.start()
         try:
-            build_T0(2, FieldSpec.power(0.03, -2.8), basis)
+            zero_mode_basis(gauge_power, 60, [2],
+                            T0=FieldSpec.power(0.03, -2.8))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < level_bytes / 4
 
+    def test_form_not_built_raises(self, gauge_power, b_power):
+        # a basis holds the forms it was built with and walks no ladder
+        # for another
+        basis = zero_mode_basis(gauge_power, 3, [1], gram=b_power)
+        gram_identity_residual(1, basis, b_power, 1.0)
+        for read in (lambda: gram_identity_residual(2, basis, b_power, 1.0),
+                     lambda: weighted_identity_residual(1, basis, b_power,
+                                                        1.0),
+                     lambda: build_T0(1, None, basis)):
+            with pytest.raises(KeyError):
+                read()
+
 
 class TestGramIdentity:
-    def test_unperturbed_exact(self, basis_zero):
-        G = gram_identity_residual(1, basis_zero, FieldSpec.zero(), 1.0)
+    def test_unperturbed_exact(self, gauge_zero):
+        b = FieldSpec.zero()
+        basis = zero_mode_basis(gauge_zero, 9, [1], gram=b)
+        G = gram_identity_residual(1, basis, b, 1.0)
         assert np.max(np.abs(G)) < 2e-5  # pure ladder discretization error
 
-    def test_offdiagonal_exact_zero(self, basis_power, b_power):
-        G = gram_identity_residual(1, basis_power, b_power, 1.0)
+    def test_offdiagonal_exact_zero(self, gauge_power, b_power):
+        basis = zero_mode_basis(gauge_power, 9, [1], gram=b_power)
+        G = gram_identity_residual(1, basis, b_power, 1.0)
         off = G - np.diag(np.diag(G))
         assert np.max(np.abs(off)) == 0.0
 
@@ -112,7 +130,7 @@ class TestGramIdentity:
         for h in (0.02, 0.01):
             mesh = RadialMesh(12.0, h)
             gauge = build_gauge(b_power, 1.0, mesh)
-            basis = zero_mode_basis(gauge, 9)
+            basis = zero_mode_basis(gauge, 9, [1], gram=b_power)
             G = gram_identity_residual(1, basis, b_power, 1.0)
             res.append(np.max(np.abs(G)))
         assert res[0] / res[1] > 3.2
@@ -126,7 +144,7 @@ class TestGramIdentity:
         b = FieldSpec((ProfileTerm("bump", amp, inner=11.0, outer=13.0),),
                       beta=-3.0)
         gauge = build_gauge(b, 1.0, mesh)
-        basis = zero_mode_basis(gauge, 3)
+        basis = zero_mode_basis(gauge, 3, [2], gram=b)
         G = gram_identity_residual(2, basis, b, 1.0)
         assert np.diag(G) == pytest.approx(8.0 * amp ** 2, rel=1e-2)
 
@@ -136,8 +154,9 @@ class TestGramIdentity:
         # the basis localization, must leave a rapidly shrinking residual
         mesh = RadialMesh(16.0, 0.01)
         gauge0 = build_gauge(FieldSpec.zero(), 1.0, mesh)
+        zero = FieldSpec.zero()
         floor = np.max(np.abs(gram_identity_residual(
-            2, zero_mode_basis(gauge0, 3), FieldSpec.zero(), 1.0)))
+            2, zero_mode_basis(gauge0, 3, [2], gram=zero), zero, 1.0)))
         maxima = []
         for center in (5.0, 8.0, 12.0):
             b = FieldSpec(
@@ -147,7 +166,7 @@ class TestGramIdentity:
                              outer=center - 0.5, sign=-1.0)),
                 beta=-3.0)
             gauge = build_gauge(b, 1.0, mesh)
-            basis = zero_mode_basis(gauge, 3)
+            basis = zero_mode_basis(gauge, 3, [2], gram=b)
             G = gram_identity_residual(2, basis, b, 1.0)
             maxima.append(np.max(np.abs(G)))
         # decays with distance until the ladder discretization floor
@@ -155,59 +174,63 @@ class TestGramIdentity:
         assert maxima[1] < 2.0 * floor
         assert maxima[2] < 2.0 * floor
 
-    def test_requires_positive_q(self, basis_zero):
+    def test_requires_positive_q(self, gauge_zero):
         with pytest.raises(ValueError):
-            gram_identity_residual(0, basis_zero, FieldSpec.zero(), 1.0)
+            gram_identity_residual(0, zero_mode_basis(gauge_zero, 9, []),
+                                   FieldSpec.zero(), 1.0)
 
 
 class TestWeightedIdentity:
-    def test_zero_weight(self, basis_power, b_power):
+    def test_zero_weight(self, gauge_power, b_power):
         U = FieldSpec.zero()
-        X = weighted_identity_residual(1, basis_power, U, 1.0)
+        basis = zero_mode_basis(gauge_power, 9, [1], weighted=U)
+        X = weighted_identity_residual(1, basis, U, 1.0)
         assert np.max(np.abs(X)) == 0.0
 
-    def test_constant_weight_expansion(self, mesh_small, basis_power, b_power):
+    def test_constant_weight_expansion(self, mesh_small, gauge_power,
+                                       b_power):
         # for U = c: residual diagonal equals 2 c (b u, u) exactly in the
         # continuum (X_1 correction); realize the constant as a plateau
         # covering the modes
         c = 0.3
         U = FieldSpec((ProfileTerm("bump", c, inner=11.0, outer=11.5),),
                       beta=-3.0)
-        X = weighted_identity_residual(1, basis_power, U, 1.0)
+        basis = zero_mode_basis(gauge_power, 9, [1], weighted=U)
+        X = weighted_identity_residual(1, basis, U, 1.0)
         bv = b_power.evaluate(mesh_small.nodes)
         for m in range(6):  # modes localized well inside r < 11
-            u = basis_power.modes[m]
+            u = zero_mode(m, gauge_power)
             bu = mesh_small.h * float(np.dot(u.values * bv, u.values))
             assert X[m, m] == pytest.approx(2.0 * c * bu, abs=3e-5)
 
-    def test_flattening_weight(self, mesh_small, gauge_power, basis_power,
-                               b_power):
+    def test_flattening_weight(self, mesh_small, gauge_power, b_power):
         # U(r/s) with s growing: residual / <U u, u> -> 0
         ratios = []
         for s in (1.0, 3.0, 9.0):
             U = FieldSpec((ProfileTerm("gaussian", 0.2, center=0.0,
                                        width=2.0 * s),), beta=-3.0)
-            X = weighted_identity_residual(1, basis_power, U, 1.0)
+            basis = zero_mode_basis(gauge_power, 9, [1], weighted=U)
+            X = weighted_identity_residual(1, basis, U, 1.0)
             Uv = U.evaluate(mesh_small.nodes)
-            u = basis_power.modes[3]
+            u = zero_mode(3, gauge_power)
             uu = mesh_small.h * float(np.dot(u.values * Uv, u.values))
             ratios.append(abs(X[3, 3]) / abs(uu))
         assert ratios[0] > ratios[1] > ratios[2]
 
 
 class TestT0:
-    def test_q0_no_potential_is_exactly_zero(self, basis_power, b_power):
-        T0 = build_T0(0, None, basis_power)
+    def test_q0_no_potential_is_exactly_zero(self, gauge_power, b_power):
+        T0 = build_T0(0, None, zero_mode_basis(gauge_power, 9, [0], T0=None))
         assert np.max(np.abs(T0.entries)) == 0.0
 
-    def test_q0_reduces_to_potential_quadrature(self, mesh_small, basis_power,
+    def test_q0_reduces_to_potential_quadrature(self, mesh_small, gauge_power,
                                                 b_power):
         V = FieldSpec((ProfileTerm("gaussian", 0.1, center=1.0, width=1.0),),
                       beta=-3.0)
-        T0 = build_T0(0, V, basis_power)
+        T0 = build_T0(0, V, zero_mode_basis(gauge_power, 9, [0], T0=V))
         Vv = V.evaluate(mesh_small.nodes)
-        for m in range(len(basis_power)):
-            u = basis_power.modes[m]
+        for m in range(10):
+            u = zero_mode(m, gauge_power)
             assert T0.entries[m, m] == pytest.approx(
                 mesh_small.h * float(np.dot(u.values * Vv, u.values)),
                 rel=1e-12)
@@ -218,7 +241,7 @@ class TestT0:
         mesh = RadialMesh(14.0, 0.01)
         gauge = build_gauge(FieldSpec.zero(), 1.0, mesh)
         V = FieldSpec((ProfileTerm("power", 0.1, beta=-3.0),), beta=-3.0)
-        basis = zero_mode_basis(gauge, 8)
+        basis = zero_mode_basis(gauge, 8, [1], T0=V)
         T0 = build_T0(1, V, basis)
         nodes, weights = np.polynomial.laguerre.laggauss(170)
 
@@ -233,10 +256,10 @@ class TestT0:
         for m in range(9):
             assert T0.entries[m, m] == pytest.approx(oracle(m), rel=5e-3)
 
-    def test_symmetric(self, basis_power, b_power):
+    def test_symmetric(self, gauge_power, b_power):
         V = FieldSpec((ProfileTerm("gaussian", 0.1, center=2.0, width=1.0),),
                       beta=-3.0)
-        T1 = build_T0(1, V, basis_power)
+        T1 = build_T0(1, V, zero_mode_basis(gauge_power, 9, [1], T0=V))
         assert np.array_equal(T1.entries, T1.entries.T)
 
 
@@ -247,38 +270,59 @@ class TestSq:
         channels = solve_channels(ops, 2.6)
         table = assemble_spectrum(channels)
         cl = cluster_states(table, 2.0, 0.5, mesh_small, channels)
-        basis = zero_mode_basis(gauge_zero, 10)
-        S = build_Sq_action(1, cl, basis, gauge_zero)
+        S = build_Sq_action(1, cl, 10, gauge_zero)
         assert np.max(np.abs(S - np.eye(S.shape[0]))) < 1e-6
 
     def test_leading_deviation_tracks_shifts(self, mesh_small, gauge_power,
                                              cluster_q1):
-        basis = zero_mode_basis(gauge_power, 13)
-        S = build_Sq_action(1, cluster_q1, basis, gauge_power)
+        S = build_Sq_action(1, cluster_q1, 13, gauge_power)
         resid = np.diag(S) - 1.0
         pred = cluster_q1.shifts / 2.0  # (P_- - Lambda_q) P_q term over 2 B0
         assert np.max(np.abs(resid - pred)) < 0.1 * np.max(cluster_q1.shifts)
 
     def test_trace_near_dimension(self, mesh_small, gauge_power, cluster_q1):
-        basis = zero_mode_basis(gauge_power, 13)
-        S = build_Sq_action(1, cluster_q1, basis, gauge_power)
+        S = build_Sq_action(1, cluster_q1, 13, gauge_power)
         dim = len(cluster_q1)
         assert abs(np.trace(S) - dim) < 0.01 * dim
 
     def test_basis_too_small(self, mesh_small, gauge_power, cluster_q1):
-        basis = zero_mode_basis(gauge_power, 3)
         with pytest.raises(BasisTooSmall):
-            build_Sq_action(1, cluster_q1, basis, gauge_power)
+            build_Sq_action(1, cluster_q1, 3, gauge_power)
 
 
 class TestTq:
-    def test_pair_matrix_equals_all_pairs(self, basis_power, cluster_q1):
-        # only pairs of equal m are formed; the result still equals the
-        # loop over every pair bit for bit (the reference kept here)
-        left = list(cluster_q1.states) + basis_power.modes
-        right = left[::-1]
-        ref = np.array([[u.dot(v) for v in right] for u in left])
-        assert np.array_equal(projections._pair_matrix(left, right), ref)
+    def test_pair_matrix_equals_all_pairs(self, cluster_q1):
+        # build_Tq forms only the pairs of equal m; the result still equals
+        # the loop over every pair bit for bit (the reference kept here)
+        V = FieldSpec.power(0.3, -2.8)
+        states = cluster_q1.states
+        Vv = V.evaluate(states[0].mesh.nodes)
+        applied = []
+        for v in states:
+            av = cluster_q1.operators[v.m].matvec(v.values)
+            av -= 2.0 * cluster_q1.B0 * v.values
+            av += Vv * v.values
+            applied.append(RadialFunction(av, v.m, v.mesh))
+        ref = np.array([[a.dot(v) for v in states] for a in applied])
+        assert np.array_equal(build_Tq(1, V, cluster_q1).entries,
+                              0.5 * (ref + ref.T))
+
+    def test_peak_memory_holds_one_applied_state(self, quick_q1):
+        # each applied state is paired as soon as it is formed, so the peak
+        # allocation stays below a few state vectors next to the k x k
+        # matrix and its symmetrization temporaries (all k states at once
+        # would be k = 37 state vectors)
+        _, comp = quick_q1
+        k = len(comp.cluster)
+        state_bytes = comp.gauge.mesh.n * 8
+        tracemalloc.start()
+        try:
+            build_Tq(1, None, comp.cluster)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert k > 20
+        assert peak < 4 * state_bytes + 4 * k * k * 8
 
     def test_no_potential_diagonal_of_shifts(self, cluster_q1, b_power):
         Tq = build_Tq(1, None, cluster_q1)
@@ -292,7 +336,7 @@ class TestTq:
         # both routes approximate the same cluster: leading eigenvalues of
         # T_q and of T0 / C_q agree
         m_max = int(np.max(cluster_q1.ms)) + 1
-        basis = zero_mode_basis(gauge_power, m_max)
+        basis = zero_mode_basis(gauge_power, m_max, [1], T0=None)
         T0 = build_T0(1, None, basis)
         Tq = build_Tq(1, None, cluster_q1)
         t0 = np.sort(T0.eigenvalues())[::-1] / coupling_constant(1, 1.0)
@@ -311,11 +355,11 @@ class TestToeplitzSpectrum:
     # T_q and T_0 couple equal channels only; their spectra are the union
     # of the channel blocks' spectra
 
-    def test_quick_config_matches_dense_bit_for_bit(self):
-        cfg = load_config(str(QUICK))
-        comp = asymptotics.compute_cluster(replace(cfg, q=1))
+    def test_quick_config_matches_dense_bit_for_bit(self, quick_q1):
+        cfg, comp = quick_q1
         basis = zero_mode_basis(
-            comp.gauge, min(int(np.max(comp.cluster.ms)) + 1, cfg.m_max))
+            comp.gauge, min(int(np.max(comp.cluster.ms)) + 1, cfg.m_max),
+            [1], T0=cfg.V)
         for T in (build_Tq(1, None, comp.cluster), build_T0(1, cfg.V, basis)):
             assert T.channels.size == T.entries.shape[0] > 20
             assert np.array_equal(T.eigenvalues(),

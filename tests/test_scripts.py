@@ -5,12 +5,22 @@ run it from a source checkout (time_commands.py starts one per call).
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script(name):
+    """The script as a module, so a test can patch its constants."""
+    spec = importlib.util.spec_from_file_location(
+        name.removesuffix(".py"), ROOT / "scripts" / name)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def run_script(name, *args, cwd):
@@ -43,10 +53,7 @@ def test_time_commands(monkeypatch, capsys):
     # two alternating pairs of `weights` against this same checkout: one
     # table row, with both medians and the faster-pair count.  The script
     # is loaded as a module so that it times one command, not all five.
-    spec = importlib.util.spec_from_file_location(
-        "time_commands", ROOT / "scripts" / "time_commands.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("time_commands.py")
     monkeypatch.setattr(script, "COMMANDS", ("weights",))
     assert script.main(["--against", str(ROOT), "--pairs", "2"]) == 0
     rows = [ln for ln in capsys.readouterr().out.splitlines()
@@ -56,3 +63,34 @@ def test_time_commands(monkeypatch, capsys):
     assert cells[0] == "weights"
     assert float(cells[1]) > 0 and float(cells[2]) > 0
     assert cells[3] in ("0/2", "1/2", "2/2")
+
+
+def test_compare_artifacts(tmp_path, monkeypatch, capsys):
+    # two runs of the same calls compare equal; a float changed in one CSV
+    # is listed with its largest absolute and relative difference.  The
+    # script runs two quick calls instead of its full list.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    monkeypatch.setenv("LANDAU_LOG", "quiet")  # the script sets it
+    script = load_script("compare_artifacts.py")
+    quick = json.loads((ROOT / "configs" / "quick.json").read_text())
+    monkeypatch.setattr(script, "calls", lambda: [
+        (command, script.workloads.Call(command, quick))
+        for command in ("weights", "toeplitz")])
+    first, second, third = (str(tmp_path / name) for name in "abc")
+    assert script.main([first]) == 0
+    assert script.main([second, "--against", first]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" 0 differ")
+
+    csv = tmp_path / "a" / "weights" / "weights_q1_+.csv"
+    lines = csv.read_text().splitlines(keepends=True)
+    lam, old = lines[2].rstrip("\n").split(",")
+    new = float(old) * (1.0 + 1e-6)
+    lines[2] = f"{lam},{new!r}\n"
+    csv.write_text("".join(lines))
+    assert script.main([third, "--against", first]) == 1
+    out = capsys.readouterr().out.splitlines()
+    err = abs(new - float(old))
+    rel = err / max(abs(new), abs(float(old)))
+    assert "differs: weights/weights_q1_+.csv" in out
+    assert f"  E_measure: max abs {err:.3g}, max rel {rel:.3g}" in out
+    assert out[-1].endswith(" 1 differ")
