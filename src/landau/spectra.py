@@ -6,8 +6,11 @@ test, so counting over (center + lambda, center + gamma) gives the number
 of cluster states beyond lambda.
 """
 
+import ctypes
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,9 +37,35 @@ def dgttrs(*args, **kwargs):
     return scipy.linalg.lapack.dgttrs(*args, **kwargs)
 
 
-def dstebz(*args, **kwargs):
-    import scipy.linalg.lapack
-    return scipy.linalg.lapack.dstebz(*args, **kwargs)
+def dlaebz(d, e, e2, pivmin, ab):
+    """LAPACK dlaebz, IJOB = 1, on one interval ab = [lo, hi]: (nab, info),
+    nab the numbers of eigenvalues <= lo and <= hi.  ctypes calls the
+    pointer that scipy.linalg.cython_lapack exports (scipy.linalg.lapack
+    has no dlaebz); LAPACK reads raw memory, so the arrays go in as
+    C-contiguous float64 of checked sizes."""
+    d, e, e2, ab = (np.ascontiguousarray(a, dtype=float) for a in (d, e, e2, ab))
+    if min(e.size, e2.size) < d.size - 1 or ab.size != 2:
+        raise ValueError("dlaebz needs n - 1 off-diagonals and two ends")
+    nab = np.zeros(2, dtype=np.intc)
+    one, zero, n, mout, info = (ctypes.c_int(k) for k in (1, 0, d.size, 0, 0))
+    x, pivmin, p = ctypes.c_double(), ctypes.c_double(pivmin), ctypes.byref
+    _dlaebz()(p(one), p(zero), p(n), p(one), p(one), p(zero), p(x), p(x),
+              p(pivmin), d.ctypes.data, e.ctypes.data, e2.ctypes.data, p(zero),
+              ab.ctypes.data, p(x), p(mout), nab.ctypes.data, p(x), p(zero),
+              p(info))  # x, zero: arguments IJOB = 1 does not read
+    return nab, info.value
+
+
+@functools.cache
+def _dlaebz():
+    import scipy.linalg.cython_lapack
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dlaebz"]
+    api, obj, name = ctypes.pythonapi, ctypes.py_object, ctypes.c_char_p
+    get_name = ctypes.PYFUNCTYPE(name, obj)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, name)(
+        ("PyCapsule_GetPointer", api))
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)(address)
 
 
 # absolute bisection tolerance; see channel_eigs
@@ -128,17 +157,14 @@ def _one_pair(op, e_min, e_max):
                                         overwrite_d=1)
     if info:
         return None
-    abs_diag, abs_off = np.abs(op.diag), np.abs(op.offdiag)
+    magnitudes = replace(op, diag=np.abs(op.diag), offdiag=np.abs(op.offdiag))
     v = np.ones(op.mesh.n)
     for _ in range(_MAX_STEPS):
         x, _ = dgttrs(dl, d, du, du2, ipiv, v)
         v = x / np.linalg.norm(x)
         tv = op.matvec(v)
         E = float(np.dot(v, tv))
-        av = np.abs(v)
-        scale = abs_diag * av
-        scale[:-1] += abs_off * av[1:]
-        scale[1:] += abs_off * av[:-1]
+        scale = magnitudes.matvec(np.abs(v))  # |T| |v|
         if (np.linalg.norm(tv - E * v)
                 <= _BACKWARD_ERROR * np.linalg.norm(scale)):
             break
@@ -148,22 +174,19 @@ def _one_pair(op, e_min, e_max):
     return (E, v) if e_min < E <= e_max else None
 
 
-def _count_at_or_below(op, e, lo):
-    """Number of eigenvalues <= e, from one LAPACK Sturm count.
-
-    lo is the channel's Gershgorin bound (_lower_bound).  stebz counts the
-    eigenvalues of (lo, e] at both ends before it bisects; a tolerance
-    wider than the range ends the bisection there.
+def _window_counts(op, e_min, e_max):
+    """Numbers of eigenvalues <= e_min and <= e_max, from one dlaebz call:
+    the Sturm count of dstebz, with dstebz's pivmin (a pivot of magnitude
+    below it counts as negative), so both counts are the ones dstebz gives.
     """
-    if lo >= e:
-        return 0
-    count, _, _, _, info = dstebz(op.diag, op.offdiag, 1, lo, e, 0, 0,
-                                  2.0 * (e - lo), b"E")
+    e2 = np.square(op.offdiag, dtype=float)
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    nab, info = dlaebz(op.diag, op.offdiag, e2, pivmin, [e_min, e_max])
     if info:
         raise ConvergenceFailure(
             f"Sturm count failed for kind={op.kind} m={op.m} "
             f"(n={op.mesh.n}, h={op.mesh.h}, info={info})")
-    return int(count)
+    return int(nab[0]), int(nab[1])
 
 
 @dataclass
@@ -180,42 +203,29 @@ class ChannelResult:
     vectors: np.ndarray  # columns
     first: int
 
-    @property
-    def m(self):
-        return self.op.m
-
 
 def solve_channel(op, e_max, e_min=None):
     """Eigenpairs in (e_min, e_max] and the number of eigenvalues at or
     below e_min.
 
-    Without e_min this is channel_eigs.  With it, two Sturm counts, at
-    e_min (kept as `first`) and at e_max, both from one Gershgorin bound,
-    certify how many eigenvalues lie in the window.  None: no LAPACK solve
-    runs.  One: it comes from inverse iteration (_one_pair), checked by a
-    backward-error test and polished like a channel_eigs pair.  Two or
-    more, or an inverse iteration that gives up: channel_eigs bisects the
-    window.
+    Without e_min this is channel_eigs.  With it, the Sturm counts at
+    e_min (kept as `first`) and at e_max, both from one LAPACK dlaebz call
+    (_window_counts), certify how many eigenvalues lie in the window.
+    None: nothing else runs.  One: it comes from inverse iteration
+    (_one_pair), checked by a backward-error test and polished like a
+    channel_eigs pair.  Two or more, or an inverse iteration that gives
+    up: channel_eigs bisects the window.
     """
     if e_min is None:
         first, pairs = 0, channel_eigs(op, e_max)
     else:
-        lo = _lower_bound(op)
-        first = _count_at_or_below(op, e_min, lo)
-        inside = _count_at_or_below(op, e_max, lo) - first
-        pair = _one_pair(op, e_min, e_max) if inside == 1 else None
-        if pair is not None:
-            pairs = [pair]
-        elif inside:
-            pairs = channel_eigs(op, e_max, e_min)
-        else:
-            pairs = []
-    if pairs:
-        energies = np.array([e for e, _ in pairs])
-        vectors = np.column_stack([v for _, v in pairs])
-    else:
-        energies = np.empty(0)
-        vectors = np.empty((op.mesh.n, 0))
+        first, top = _window_counts(op, e_min, e_max)
+        pair = _one_pair(op, e_min, e_max) if top - first == 1 else None
+        pairs = ([pair] if pair else
+                 channel_eigs(op, e_max, e_min) if top > first else [])
+    energies = np.array([e for e, _ in pairs], dtype=float)
+    vectors = np.column_stack([v for _, v in pairs]
+                              or [np.empty((op.mesh.n, 0))])
     return ChannelResult(op, energies, vectors, first)
 
 
@@ -257,18 +267,15 @@ def assemble_spectrum(channels, keep_vectors=True):
     """Merge per-channel eigenpairs into one sorted, boundary-flagged table."""
     if not channels:
         raise InconsistentProvenance("no channels to assemble")
-    kind = channels[0].op.kind
-    sig = channels[0].op.mesh.signature
-    B0 = channels[0].op.B0
+    mesh = channels[0].op.mesh
+    kind, sig, B0 = channels[0].op.kind, mesh.signature, channels[0].op.B0
     for ch in channels:
-        if ch.op.kind != kind or ch.op.mesh.signature != sig or ch.op.B0 != B0:
+        if (ch.op.kind, ch.op.mesh.signature, ch.op.B0) != (kind, sig, B0):
             raise InconsistentProvenance(
                 f"channel m={ch.op.m} has kind/mesh/B0 "
                 f"({ch.op.kind}, {ch.op.mesh.signature}, {ch.op.B0}) != "
-                f"({kind}, {sig}, {B0})"
-            )
+                f"({kind}, {sig}, {B0})")
 
-    mesh = channels[0].op.mesh
     outer = mesh.nodes > (1.0 - _OUTER_FRACTION) * mesh.r_max
     ms, ns, Es, flags = [], [], [], []
     vectors = {}
@@ -277,12 +284,12 @@ def assemble_spectrum(channels, keep_vectors=True):
             v = ch.vectors[:, k]
             frac = math.sqrt(float(np.dot(v[outer], v[outer]))
                              / float(np.dot(v, v)))
-            ms.append(ch.m)
+            ms.append(ch.op.m)
             ns.append(ch.first + k)
             Es.append(ch.energies[k])
             flags.append(frac > _NORM_FRACTION)
             if keep_vectors:
-                vectors[(ch.m, ch.first + k)] = v
+                vectors[(ch.op.m, ch.first + k)] = v
 
     ms = np.array(ms, dtype=int)
     ns = np.array(ns, dtype=int)
@@ -290,7 +297,7 @@ def assemble_spectrum(channels, keep_vectors=True):
     flags = np.array(flags, dtype=bool)
     order = np.lexsort((ns, ms, Es))
     prov = {"kind": kind, "n": sig[0], "h": sig[1], "r_max": mesh.r_max,
-            "B0": B0, "channels": sorted(ch.m for ch in channels)}
+            "B0": B0, "channels": sorted(ch.op.m for ch in channels)}
     return SpectrumTable(ms[order], ns[order], Es[order], flags[order],
                          prov, vectors)
 
@@ -379,18 +386,11 @@ class CountingReport:
         """Largest contiguous lambda window whose ratios stay inside band."""
         lo, hi = band
         ok = (self.ratio >= lo) & (self.ratio <= hi) & np.isfinite(self.ratio)
-        best = (None, None)
-        best_span = 0.0
-        start = None
-        lams = self.lambdas
-        for k in range(ok.size + 1):
-            if k < ok.size and ok[k]:
-                if start is None:
-                    start = k
-            elif start is not None:
-                a, b = min(lams[start], lams[k - 1]), max(lams[start], lams[k - 1])
-                if b / a > best_span:
-                    best_span = b / a
-                    best = (a, b)
-                start = None
+        best, best_span = (None, None), 0.0
+        for inside, run in itertools.groupby(zip(ok, self.lambdas),
+                                             key=lambda row: row[0]):
+            run = [lam for _, lam in run]
+            a, b = sorted((run[0], run[-1]))
+            if inside and b / a > best_span:
+                best, best_span = (a, b), b / a
         return best

@@ -200,26 +200,30 @@ class TestConfigValidation:
 
 def test_only_solve_commands_load_scipy(tmp_path):
     # in a fresh interpreter, the commands that solve nothing run without
-    # scipy; verify loads it
+    # scipy, and so without the LAPACK pointers of its cython_lapack; verify
+    # loads both
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     probe = (
         "import json, sys\n"
         "import landau.cli\n"
-        "seen = ['scipy' in sys.modules]\n"
+        "lapack = 'scipy.linalg.cython_lapack'\n"
+        "seen = ['scipy' in sys.modules, lapack in sys.modules]\n"
         "for command in ('weights', 'toeplitz', 'identities', 'verify'):\n"
         "    code = landau.cli.main([command, '--config', sys.argv[1],\n"
         "                            '--out', sys.argv[2]])\n"
-        "    seen.append((command, code, 'scipy' in sys.modules))\n"
+        "    seen.append((command, code, 'scipy' in sys.modules,\n"
+        "                 lapack in sys.modules))\n"
         "print(json.dumps(seen))\n")
     out = subprocess.run(
         [sys.executable, "-c", probe, str(CONFIGS / "quick.json"),
          str(tmp_path / "out")], env=env, capture_output=True, text=True,
         check=True)
     seen = json.loads(out.stdout.splitlines()[-1])
-    assert seen == [False, ["weights", 0, False], ["toeplitz", 0, False],
-                    ["identities", 0, False], ["verify", 0, True]]
+    assert seen == [False, False, ["weights", 0, False, False],
+                    ["toeplitz", 0, False, False],
+                    ["identities", 0, False, False], ["verify", 0, True, True]]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify", "weights",
@@ -522,10 +526,12 @@ class TestVerify:
     def test_window_solves_need_no_bisection(self, tmp_path, monkeypatch):
         # every cluster and defect-floor channel holds at most one
         # eigenvalue of its window, so the Sturm counts and inverse
-        # iteration solve them all; the stebz bisection never runs
-        bisections, factors, steps = [], [], []
+        # iteration solve them all; the stebz bisection never runs, and
+        # one dlaebz call counts each windowed channel
+        bisections, factors, steps, counts, windowed = [], [], [], [], []
         eigh_tridiagonal = spectra.eigh_tridiagonal
         dgttrf, dgttrs = spectra.dgttrf, spectra.dgttrs
+        dlaebz, solve_channel = spectra.dlaebz, spectra.solve_channel
 
         def bisecting(*args, **kwargs):
             bisections.append(None)
@@ -539,9 +545,19 @@ class TestVerify:
             steps.append(None)
             return dgttrs(*args)
 
+        def counting(*args):
+            counts.append(None)
+            return dlaebz(*args)
+
+        def solving(op, e_max, e_min=None):
+            windowed.append(e_min is not None)
+            return solve_channel(op, e_max, e_min)
+
         monkeypatch.setattr(spectra, "eigh_tridiagonal", bisecting)
         monkeypatch.setattr(spectra, "dgttrf", factoring)
         monkeypatch.setattr(spectra, "dgttrs", stepping)
+        monkeypatch.setattr(spectra, "dlaebz", counting)
+        monkeypatch.setattr(spectra, "solve_channel", solving)
         code = main(["verify", "--config", str(CONFIGS / "quick.json"),
                      "--out", str(tmp_path / "out"), "--q", "1,2"])
         assert code == 0
@@ -549,6 +565,15 @@ class TestVerify:
         assert len(steps) > 100
         # one factorization per one-pair channel, 3 to 6 steps on each
         assert 3 * len(factors) <= len(steps) <= 6 * len(factors)
+        assert len(windowed) > 100 and all(windowed)
+        assert len(counts) == len(windowed)
+        # spectrum solves every channel from the bottom: no count runs
+        del windowed[:], counts[:]
+        code = main(["spectrum", "--config", str(CONFIGS / "quick.json"),
+                     "--out", str(tmp_path / "spectrum")])
+        assert code == 0
+        assert len(windowed) > 50 and not any(windowed)
+        assert counts == []
 
     def test_toeplitz_spectra_per_channel_block(self, tmp_path, monkeypatch):
         # T_q and T_0 couple equal channels only, so their spectra come

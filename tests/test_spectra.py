@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import cluster_shifts, dense
 from landau import spectra
-from landau.errors import InconsistentProvenance
+from landau.cli import load_config
+from landau.errors import ConvergenceFailure, InconsistentProvenance
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
 from landau.operator import (ChannelOperator, RadialMesh, build_channel,
                              default_channel_cut)
 from landau.spectra import (assemble_spectrum, boundary_sensitivity,
                             channel_eigs, cluster_states, counting_function,
                             solve_channel, solve_channels)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def synthetic_op(diag, offdiag, m=0, kind="pauli_minus"):
@@ -84,7 +90,8 @@ class TestWindowSolve:
         mesh = RadialMesh(16.0, 0.02)
         gauge = build_gauge(FieldSpec.power(0.05, -3.0), 1.0, mesh)
         e_min, e_max = 2.0 * q - 0.5 - 1e-6, 2.0 * q + 0.5 + 1e-6
-        # m = -32: Gershgorin bound above e_max, so no solve and no count
+        # m = -32: Gershgorin bound above e_max, so nothing is solved and
+        # the count returns (0, 0)
         ms = [-32] + list(range(-q, default_channel_cut(16.0, 1.0) + 1))
         ops = [build_channel("pauli_minus", m, gauge, V) for m in ms]
         assert spectra._lower_bound(ops[0]) > e_max
@@ -130,6 +137,98 @@ class TestWindowSolve:
         assert mid.first == 4 and mid.energies.tolist() == full[4:]
 
 
+def eigvalsh_counts(op, e_min, e_max):
+    ref = np.linalg.eigvalsh(dense(op))
+    return (int(np.count_nonzero(ref <= e_min)),
+            int(np.count_nonzero(ref <= e_max)))
+
+
+def dstebz_count(op, e):
+    """Eigenvalues <= e by LAPACK dstebz on (Gershgorin bound, e]."""
+    from scipy.linalg import lapack
+    lo = spectra._lower_bound(op)
+    if lo >= e:
+        return 0
+    count, _, _, _, info = lapack.dstebz(op.diag, op.offdiag, 1, lo, e, 0, 0,
+                                         2.0 * (e - lo), b"E")
+    assert info == 0
+    return int(count)
+
+
+class TestWindowCounts:
+    # both Sturm counts of a window come from one dlaebz call
+
+    def test_random_matrix_matches_eigvalsh(self):
+        rng = np.random.default_rng(3)
+        n = 200
+        op = ChannelOperator("pauli_minus", 0, RadialMesh(float(n), 1.0),
+                             rng.uniform(-1.0, 1.0, n),
+                             rng.uniform(-1.0, 1.0, n - 1), 1.0)
+        ref = np.linalg.eigvalsh(dense(op))
+        gaps = 0.5 * (ref[:-1] + ref[1:])
+        sigmas = [ref[0] - 1.0, *gaps[[0, 17, 99, 150, -1]], ref[-1] + 1.0]
+        for e_min in sigmas:
+            for e_max in sigmas:
+                if e_min < e_max:
+                    assert (spectra._window_counts(op, e_min, e_max)
+                            == eigvalsh_counts(op, e_min, e_max))
+
+    def test_quick_channels_match_dstebz(self):
+        cfg = load_config(str(CONFIGS / "quick.json"))
+        gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
+        ops = [build_channel("pauli_minus", m, gauge, cfg.V)
+               for m in range(-2, cfg.m_max + 1)]
+        for q in (0, 1, 2):
+            center = 2.0 * q * cfg.B0
+            e_min = center - cfg.gamma - 1e-6
+            e_max = center + cfg.gamma + 1e-6
+            for op in ops:
+                assert spectra._window_counts(op, e_min, e_max) == (
+                    dstebz_count(op, e_min), dstebz_count(op, e_max))
+
+    def test_zero_pivot_counts_as_negative(self):
+        # the first pivot of [[1, 1, 0], [1, 1, 1], [0, 1, 5]] - 1 is
+        # exactly 0; pivmin turns it negative, so one eigenvalue is <= 1
+        # (a count that ignores pivmin gives 2).  Padded to 16 by a
+        # decoupled diagonal above the window.
+        diag = np.concatenate([[1.0, 1.0, 5.0], np.arange(10.0, 23.0)])
+        off = np.zeros(15)
+        off[:2] = 1.0
+        op = synthetic_op(diag, off)
+        assert eigvalsh_counts(op, 1.0, 1.5) == (1, 1)
+        assert spectra._window_counts(op, 1.0, 1.5) == (1, 1)
+
+    def test_diagonal_matrix(self):
+        op = synthetic_op(np.arange(1.0, 17.0), np.zeros(15))
+        assert spectra._window_counts(op, 4.0, 16.0) == (4, 16)
+
+    @pytest.mark.parametrize("layout", ["strided", "int"])
+    def test_non_contiguous_and_int_data(self, layout):
+        # LAPACK reads the raw data: a strided view or int entries must be
+        # handed over as contiguous float64
+        rng = np.random.default_rng(7)
+        if layout == "strided":
+            diag = rng.uniform(0.0, 10.0, 32)[::2]
+            off = rng.uniform(-1.0, 1.0, 30)[::2]
+        else:
+            diag = np.arange(1, 17)
+            off = np.ones(15, dtype=int)
+        op = ChannelOperator("pauli_minus", 0, RadialMesh(16.0, 1.0), diag,
+                             off, 1.0)
+        for e_min, e_max in ((2.5, 6.5), (-5.0, 4.25), (3.1, 30.0)):
+            expected = eigvalsh_counts(op, e_min, e_max)
+            assert spectra._window_counts(op, e_min, e_max) == expected
+            assert solve_channel(op, e_max, e_min).first == expected[0]
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        op = synthetic_op(np.arange(1.0, 17.0), np.zeros(15))
+        dlaebz = spectra.dlaebz
+        monkeypatch.setattr(spectra, "dlaebz", lambda *args:
+                            (dlaebz(*args)[0], 1))
+        with pytest.raises(ConvergenceFailure, match="Sturm count failed"):
+            solve_channel(op, 6.5, 2.5)
+
+
 def recorded(monkeypatch, name):
     """Calls of spectra.<name>; the wrapped function still runs."""
     calls = []
@@ -163,8 +262,10 @@ class TestOnePairSolve:
         bisections = recorded(monkeypatch, "eigh_tridiagonal")
         factors = recorded(monkeypatch, "dgttrf")
         steps = recorded(monkeypatch, "dgttrs")
+        counts = recorded(monkeypatch, "dlaebz")
         channels = solve_channels(ops, e_max, e_min)
         assert bisections == []
+        assert len(counts) == len(ops)  # one count call per channel
         assert len(factors) == len(ops)  # one factorization per channel
         assert 3 * len(ops) <= len(steps) <= 6 * len(ops)
         for ch in channels:
@@ -172,6 +273,15 @@ class TestOnePairSolve:
             assert ch.energies.size == 1
             assert abs(ch.energies[0] - E) <= 1e-11
             assert np.max(np.abs(ch.vectors[:, 0] - v)) <= 1e-10
+
+    def test_full_solve_counts_nothing(self, monkeypatch):
+        # without e_min (landau spectrum) every eigenvalue up to e_max is
+        # solved from the bottom: no Sturm count runs
+        ops, _, e_max = window_ops()
+        counts = recorded(monkeypatch, "dlaebz")
+        channels = solve_channels(ops[:4], e_max)
+        assert counts == []
+        assert all(ch.first == 0 and ch.energies.size for ch in channels)
 
     def test_two_eigenvalues_fall_back_to_bisection(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -186,8 +296,9 @@ class TestOnePairSolve:
         full = [(E, v) for E, v in channel_eigs(op, e_max) if E > e_min]
         factors = recorded(monkeypatch, "dgttrf")
         steps = recorded(monkeypatch, "dgttrs")
+        counts = recorded(monkeypatch, "dlaebz")
         ch = solve_channel(op, e_max, e_min)
-        assert factors == [] and steps == []
+        assert factors == [] and steps == [] and len(counts) == 1
         assert ch.first == 100
         assert ch.energies.tolist() == [E for E, _ in bisect]
         assert np.array_equal(ch.vectors, np.column_stack([v for _, v in bisect]))
@@ -234,12 +345,14 @@ class TestOnePairSolve:
         bisections = recorded(monkeypatch, "eigh_tridiagonal")
         factors = recorded(monkeypatch, "dgttrf")
         steps = recorded(monkeypatch, "dgttrs")
+        counts = recorded(monkeypatch, "dlaebz")
         # levels 0 and 2 only: the gap (0.5, 1.5] holds no eigenvalue
         for op in ops[1:6]:
             ch = solve_channel(op, 1.5, 0.5)
             assert ch.energies.size == 0 and ch.vectors.shape == (op.mesh.n, 0)
             assert ch.first == (1 if op.m >= 0 else 0)
         assert bisections == [] and factors == [] and steps == []
+        assert len(counts) == 5
 
 
 def small_table(gauge, mesh, m_range, e_max=3.0, V=None, kind="pauli_minus"):
