@@ -220,6 +220,15 @@ class TestWindowCounts:
             assert spectra._window_counts(op, e_min, e_max) == expected
             assert solve_channel(op, e_max, e_min).first == expected[0]
 
+    def test_short_arrays_rejected(self):
+        # LAPACK would read past the end of a short off-diagonal
+        d = np.ones(16)
+        for e, e2, ab in ((np.ones(14), np.ones(15), [0.0, 1.0]),
+                          (np.ones(15), np.ones(14), [0.0, 1.0]),
+                          (np.ones(15), np.ones(15), [0.0])):
+            with pytest.raises(ValueError):
+                spectra.dlaebz(d, e, e2, 1e-300, ab)
+
     def test_nonzero_info_raises(self, monkeypatch):
         op = synthetic_op(np.arange(1.0, 17.0), np.zeros(15))
         dlaebz = spectra.dlaebz
