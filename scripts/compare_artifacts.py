@@ -24,7 +24,8 @@ largest absolute and relative difference of every float column (CSV), key
 (JSON, list indices folded into `[]`) or number in a line of text is
 printed; differences that are not between two finite floats (row or list
 counts, integers, flags, strings, NaN) are listed apart, after all files,
-as OTHER's value -> OUT's value.
+as OTHER's value -> OUT's value.  Two CSVs with different row counts are
+listed by their counts only, not compared row by row.
 OUT must be empty or absent.
 """
 
@@ -165,8 +166,9 @@ def _diff_csv(a, b, diff):
     if not rows_a or not rows_b or head != rows_b[0]:
         diff.note("columns", f"{rows_a[:1]} -> {rows_b[:1]}")
         return
-    if len(rows_a) != len(rows_b):
+    if len(rows_a) != len(rows_b):  # rows no longer pair up by position
         diff.note("rows", f"{len(rows_a) - 1} -> {len(rows_b) - 1}")
+        return
     for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
         for name, x, y in zip(head, row_a, row_b):
             diff.value(name, _scalar(x), _scalar(y))

@@ -2,8 +2,8 @@
 
 Everything here is channel-diagonal for radial data: basis elements live in
 single angular channels and the constructed matrices couple equal channels
-only, so residual and Toeplitz matrices come out diagonal up to the
-discretization error that the tests quantify.
+only, so residual matrices come out diagonal and Toeplitz matrices are held
+as their channel blocks.
 """
 
 import math
@@ -140,29 +140,29 @@ def _symmetrized(mat, where):
 
 @dataclass
 class ToeplitzMatrix:
-    """Compressed operator on a truncated basis (zero modes or cluster).
+    """Compressed operator on a truncated basis (zero modes or cluster),
+    held as its channel blocks.
 
-    `channels[i]` is the angular channel m of row i.  Entries couple equal
-    channels only, so the matrix is block-diagonal by channel and its
-    eigenvalues are taken from the blocks: a dense eigensolve of the whole
-    matrix is threaded by OpenBLAS and costs far more on a small machine.
+    Entries couple equal angular channels only.  `blocks[m]` is
+    (rows, block): the basis rows in channel m, ascending, and the
+    symmetric block of entries over them.  A zero-mode basis has one row
+    per channel, so each of its blocks is 1 x 1.
     """
 
-    entries: np.ndarray
-    channels: np.ndarray
+    blocks: dict
 
     def eigenvalues(self):
         """Ascending union of the channel blocks' spectra."""
-        out = []
-        for m in np.unique(self.channels):
-            rows = np.flatnonzero(self.channels == m)
-            out.append(np.linalg.eigvalsh(self.entries[np.ix_(rows, rows)]))
+        out = [block[0] if len(rows) == 1 else np.linalg.eigvalsh(block)
+               for rows, block in self.blocks.values()]
         return np.sort(np.concatenate(out)) if out else np.empty(0)
 
     def triples(self):
-        for i, row in enumerate(self.entries.tolist()):
-            for j, value in enumerate(row):
-                yield i, j, value
+        """(i, j, value) of every in-channel entry, channel by channel."""
+        for rows, block in self.blocks.values():
+            for i, values in zip(rows, block.tolist()):
+                for j, value in zip(rows, values):
+                    yield i, j, value
 
 
 def build_T0(q, V, basis):
@@ -180,13 +180,12 @@ def build_T0(q, V, basis):
     through the basis gauge.
     """
     if q == 0:
-        t = np.diag(basis.diagonal("T0", q, V)[0])
+        t = basis.diagonal("T0", q, V)[0]
     else:
         raised1, raised, weighted = basis.diagonal("T0", q, V)
         lam_next = 2.0 * (q + 1) * basis.gauge.B0
-        t = (np.diag(raised1) - lam_next * np.diag(raised)
-             + np.diag(weighted))
-    return ToeplitzMatrix(t, np.arange(len(basis)))
+        t = raised1 - lam_next * raised + weighted
+    return ToeplitzMatrix({m: ((m,), t[m:m + 1, None]) for m in range(len(t))})
 
 
 def build_Tq(q, V, cluster):
@@ -195,23 +194,24 @@ def build_Tq(q, V, cluster):
     t[i][j] = <(P_- - Lambda_q + V) v_i, v_j> with the channel matrix
     (solved without V) applied to the eigenvectors and V added by
     quadrature.  With V = 0 this is diagonal with the cluster shifts.
-    Each applied state is paired as soon as it is formed, so one is held
-    at a time.
+    Each applied state fills its row of its channel's block as soon as it
+    is formed, so one is held at a time.
     """
     states = cluster.states
     lam = 2.0 * q * cluster.B0
     Vv = (V.evaluate(states[0].mesh.nodes) if V is not None and states
           else None)
-    by_channel = {}
-    for j, v in enumerate(states):
-        by_channel.setdefault(v.m, []).append(j)
-    t = np.zeros((len(states), len(states)))
+    rows = {}
+    for i, v in enumerate(states):
+        rows.setdefault(v.m, []).append(i)
+    blocks = {m: np.empty((len(r), len(r))) for m, r in sorted(rows.items())}
     for i, v in enumerate(states):
         av = cluster.operators[v.m].matvec(v.values)
         av -= lam * v.values
         if Vv is not None:
             av += Vv * v.values
-        for j in by_channel[v.m]:  # distinct channels are orthogonal
-            t[i, j] = v.mesh.h * float(np.dot(av, states[j].values))
-    return ToeplitzMatrix(_symmetrized(t, "build_Tq"),
-                          np.array([v.m for v in states], dtype=int))
+        row = rows[v.m]  # distinct channels are orthogonal
+        blocks[v.m][row.index(i)] = [
+            v.mesh.h * float(np.dot(av, states[j].values)) for j in row]
+    return ToeplitzMatrix({m: (tuple(rows[m]), _symmetrized(block, "build_Tq"))
+                           for m, block in blocks.items()})

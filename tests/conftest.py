@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,24 @@ from landau.fields import FieldSpec, build_gauge
 from landau.operator import (RadialFunction, RadialMesh, _check_mesh, _ladder,
                              ladder_apply, ladder_raise, zero_mode)
 from landau.projections import _symmetrized, coupling_constant
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py as a module, loaded from its file without
+    writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -577,17 +577,15 @@ class TestVerify:
 
     def test_toeplitz_spectra_per_channel_block(self, tmp_path, monkeypatch):
         # T_q and T_0 couple equal channels only, so their spectra come
-        # from the channel blocks: no eigvalsh call is larger than a block
+        # from the channel blocks.  On quick every block is 1 x 1, and a
+        # 1 x 1 block's entry is its eigenvalue: no eigvalsh call runs
         calls, sizes = [], []
         eigenvalues = projections.ToeplitzMatrix.eigenvalues
         eigvalsh = np.linalg.eigvalsh
 
         def recording_eigenvalues(self):
-            before = len(sizes)
-            out = eigenvalues(self)
-            _, rows = np.unique(self.channels, return_counts=True)
-            calls.append((self.entries.shape[0], rows.max(), sizes[before:]))
-            return out
+            calls.append([len(rows) for rows, _ in self.blocks.values()])
+            return eigenvalues(self)
 
         def recording_eigvalsh(a, *args, **kwargs):
             sizes.append(len(a))
@@ -600,10 +598,10 @@ class TestVerify:
                      "--out", str(tmp_path / "out"), "--q", "1,2"])
         assert code == 0
         assert len(calls) == 4  # T_q and T_0 at q = 1 and q = 2
-        assert sum(len(inside) for _, _, inside in calls) == len(sizes)
-        for dim, block, inside in calls:
-            assert dim > 20
-            assert all(size <= block for size in inside)
+        for block_rows in calls:
+            assert len(block_rows) > 20
+            assert set(block_rows) == {1}
+        assert sizes == []
 
     def test_json_summary_only(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -644,6 +642,26 @@ class TestToeplitzIdentities:
         eigs = json.loads((out / "toeplitz_T0_q1.json").read_text())
         assert len(eigs["eigenvalues"]) == 12  # default basis 0..11
         assert eigs["eigenvalues"] == sorted(eigs["eigenvalues"])
+
+    def test_toeplitz_csv_lists_channel_entries(self, tmp_path):
+        # T0 couples equal channels only and the basis holds one mode per
+        # channel, so each CSV lists one (m, m) row per mode, and the
+        # sorted values are the eigenvalues
+        out = tmp_path / "out"
+        assert main(["toeplitz", "--config", str(CONFIGS / "quick.json"),
+                     "--out", str(out), "--q", "1,2"]) == 0
+        dim = load_config(str(CONFIGS / "quick.json")).basis_m_max + 1
+        paths = sorted(out.glob("toeplitz_T0_q*.csv"))
+        assert [p.name for p in paths] == ["toeplitz_T0_q1.csv",
+                                           "toeplitz_T0_q2.csv"]
+        for path in paths:
+            lines = path.read_text().splitlines()
+            assert lines[1] == "i,j,value"
+            rows = [line.split(",") for line in lines[2:]]
+            assert [(int(i), int(j)) for i, j, _ in rows] == [
+                (m, m) for m in range(dim)]
+            eigs = json.loads(path.with_suffix(".json").read_text())
+            assert sorted(float(v) for _, _, v in rows) == eigs["eigenvalues"]
 
     def test_identities_outputs(self, cfg_path, tmp_path):
         out = tmp_path / "out"

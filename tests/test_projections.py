@@ -23,6 +23,17 @@ from landau.spectra import (ClusterStates, assemble_spectrum, cluster_states,
 QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
 
 
+def scattered(T):
+    """T's channel blocks scattered into one k x k matrix, zero between
+    channels; the blocks' rows must partition 0..k-1."""
+    rows = [i for r, _ in T.blocks.values() for i in r]
+    assert sorted(rows) == list(range(len(rows)))
+    t = np.zeros((len(rows), len(rows)))
+    for r, block in T.blocks.values():
+        t[np.ix_(r, r)] = block
+    return t
+
+
 @pytest.fixture(scope="module")
 def cluster_q1(mesh_small, gauge_power):
     ops = [build_channel("pauli_minus", m, gauge_power, None)
@@ -221,7 +232,7 @@ class TestWeightedIdentity:
 class TestT0:
     def test_q0_no_potential_is_exactly_zero(self, gauge_power, b_power):
         T0 = build_T0(0, None, zero_mode_basis(gauge_power, 9, [0], T0=None))
-        assert np.max(np.abs(T0.entries)) == 0.0
+        assert np.max(np.abs(scattered(T0))) == 0.0
 
     def test_q0_reduces_to_potential_quadrature(self, mesh_small, gauge_power,
                                                 b_power):
@@ -229,9 +240,10 @@ class TestT0:
                       beta=-3.0)
         T0 = build_T0(0, V, zero_mode_basis(gauge_power, 9, [0], T0=V))
         Vv = V.evaluate(mesh_small.nodes)
+        t = scattered(T0)
         for m in range(10):
             u = zero_mode(m, gauge_power)
-            assert T0.entries[m, m] == pytest.approx(
+            assert t[m, m] == pytest.approx(
                 mesh_small.h * float(np.dot(u.values * Vv, u.values)),
                 rel=1e-12)
 
@@ -253,14 +265,19 @@ class TestT0:
             vv = V.evaluate(np.sqrt(2.0 * nodes))
             return coupling_constant(1, 1.0) * float(np.sum(weights * dens * vv))
 
+        t = scattered(T0)
         for m in range(9):
-            assert T0.entries[m, m] == pytest.approx(oracle(m), rel=5e-3)
+            assert t[m, m] == pytest.approx(oracle(m), rel=5e-3)
 
     def test_symmetric(self, gauge_power, b_power):
+        # symmetric by construction: one 1 x 1 block per basis mode
         V = FieldSpec((ProfileTerm("gaussian", 0.1, center=2.0, width=1.0),),
                       beta=-3.0)
         T1 = build_T0(1, V, zero_mode_basis(gauge_power, 9, [1], T0=V))
-        assert np.array_equal(T1.entries, T1.entries.T)
+        assert list(T1.blocks) == list(range(10))
+        for m, (rows, block) in T1.blocks.items():
+            assert rows == (m,) and block.shape == (1, 1)
+        assert np.array_equal(scattered(T1), scattered(T1).T)
 
 
 class TestSq:
@@ -304,14 +321,14 @@ class TestTq:
             av += Vv * v.values
             applied.append(RadialFunction(av, v.m, v.mesh))
         ref = np.array([[a.dot(v) for v in states] for a in applied])
-        assert np.array_equal(build_Tq(1, V, cluster_q1).entries,
+        assert np.array_equal(scattered(build_Tq(1, V, cluster_q1)),
                               0.5 * (ref + ref.T))
 
     def test_peak_memory_holds_one_applied_state(self, quick_q1):
-        # each applied state is paired as soon as it is formed, so the peak
-        # allocation stays below a few state vectors next to the k x k
-        # matrix and its symmetrization temporaries (all k states at once
-        # would be k = 37 state vectors)
+        # each applied state is paired as soon as it is formed and only
+        # channel blocks are stored, so the peak allocation stays below a
+        # few state vectors (all k states at once would be k = 37 state
+        # vectors, a k x k matrix 1.7 state vectors)
         _, comp = quick_q1
         k = len(comp.cluster)
         state_bytes = comp.gauge.mesh.n * 8
@@ -322,13 +339,13 @@ class TestTq:
         finally:
             tracemalloc.stop()
         assert k > 20
-        assert peak < 4 * state_bytes + 4 * k * k * 8
+        assert peak < 6 * state_bytes
 
     def test_no_potential_diagonal_of_shifts(self, cluster_q1, b_power):
         Tq = build_Tq(1, None, cluster_q1)
-        diag = np.diag(Tq.entries)
+        diag = np.diag(scattered(Tq))
         assert np.max(np.abs(diag - cluster_q1.shifts)) < 1e-6
-        off = Tq.entries - np.diag(diag)
+        off = scattered(Tq) - np.diag(diag)
         assert np.max(np.abs(off)) < 1e-9
 
     def test_chain_agreement_with_T0(self, mesh_small, gauge_power, cluster_q1,
@@ -361,9 +378,9 @@ class TestToeplitzSpectrum:
             comp.gauge, min(int(np.max(comp.cluster.ms)) + 1, cfg.m_max),
             [1], T0=cfg.V)
         for T in (build_Tq(1, None, comp.cluster), build_T0(1, cfg.V, basis)):
-            assert T.channels.size == T.entries.shape[0] > 20
-            assert np.array_equal(T.eigenvalues(),
-                                  np.linalg.eigvalsh(T.entries))
+            t = scattered(T)
+            assert t.shape[0] > 20
+            assert np.array_equal(T.eigenvalues(), np.linalg.eigvalsh(t))
 
     def test_two_states_in_one_channel(self, mesh_small, gauge_power):
         # levels 1 and 2 of channel 0 next to level 1 of channels 1 and 2;
@@ -380,15 +397,15 @@ class TestToeplitzSpectrum:
             [table.state(m, n, mesh_small) for m, n in labels],
             {ch.op.m: ch.op for ch in channels})
         T = build_Tq(1, FieldSpec.power(0.3, -2.8), cluster)
-        assert T.channels.tolist() == [0, 1, 0, 2]
-        assert abs(T.entries[0, 2]) > 1e-3
-        got, ref = T.eigenvalues(), np.linalg.eigvalsh(T.entries)
+        assert {m: rows for m, (rows, _) in T.blocks.items()} == {
+            0: (0, 2), 1: (1,), 2: (3,)}
+        assert abs(scattered(T)[0, 2]) > 1e-3
+        got, ref = T.eigenvalues(), np.linalg.eigvalsh(scattered(T))
         assert np.all(np.diff(got) >= 0)
         assert np.max(np.abs(got - ref)) <= 1e-14
 
     def test_empty(self):
-        T = projections.ToeplitzMatrix(np.zeros((0, 0)),
-                                       np.zeros(0, dtype=int))
+        T = projections.ToeplitzMatrix({})
         assert T.eigenvalues().size == 0
 
 

@@ -94,3 +94,18 @@ def test_compare_artifacts(tmp_path, monkeypatch, capsys):
     assert "differs: weights/weights_q1_+.csv" in out
     assert f"  E_measure: max abs {err:.3g}, max rel {rel:.3g}" in out
     assert out[-1].endswith(" 1 differ")
+
+    # a dropped row is listed by the row counts alone: the rows after it
+    # are not compared with their neighbours by position
+    lines = csv.read_text().splitlines(keepends=True)
+    del lines[3]
+    csv.write_text("".join(lines))
+    fourth = str(tmp_path / "d")
+    assert script.main([fourth, "--against", first]) == 1
+    out = capsys.readouterr().out.splitlines()
+    rows = len(lines) - 2  # the comment and the column header
+    assert "differs: weights/weights_q1_+.csv" in out
+    assert not any(line.startswith("  E_measure:") for line in out)
+    assert (f"  weights/weights_q1_+.csv: rows: 1 (first {rows} -> "
+            f"{rows + 1})") in out
+    assert out[-1].endswith(" 1 differ")

@@ -7,32 +7,16 @@ tracer module is loaded from its file without writing bytecode next to it.
 """
 
 import importlib
-import importlib.util
-import sys
 from pathlib import Path
 
+from conftest import load_perfbench
 from landau import cli
 
-ROOT = Path(__file__).resolve().parent.parent
-TRACING = ROOT / "perfbench" / "tracing.py"
-QUICK = ROOT / "configs" / "quick.json"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  TRACING)
-    module = importlib.util.module_from_spec(spec)
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
+QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.json"
 
 
 def test_trace_targets_resolve():
-    targets = load_tracing().TARGETS
+    targets = load_perfbench("tracing").TARGETS
     missing = [f"{module}.{attr}" for module, attr, *_ in targets
                if not callable(getattr(importlib.import_module(module), attr,
                                        None))]
@@ -44,7 +28,7 @@ def test_tracer_runs_every_command(tmp_path):
     # every counter hook reads the result of the function it wraps, so a
     # field the hook reads and src no longer has fails here; cli.io.bytes
     # sums the bytes of every file the writers leave
-    tracer = load_tracing().Tracer()
+    tracer = load_perfbench("tracing").Tracer()
     tracer.install()
     try:
         for command in ("spectrum", "verify", "weights", "toeplitz",
