@@ -24,8 +24,9 @@ largest absolute and relative difference of every float column (CSV), key
 (JSON, list indices folded into `[]`) or number in a line of text is
 printed; differences that are not between two finite floats (row or list
 counts, integers, flags, strings, NaN) are listed apart, after all files,
-as OTHER's value -> OUT's value.  Two CSVs with different row counts are
-listed by their counts only, not compared row by row.
+as OTHER's value -> OUT's value.  Two CSVs with different row counts, and
+two JSON lists of different lengths, are listed by their counts only, not
+compared element by element.
 OUT must be empty or absent.
 """
 
@@ -183,8 +184,9 @@ def _diff_json(a, b, diff, name=""):
             else:
                 diff.note(sub, "only in " + ("OTHER" if key in a else "OUT"))
     elif isinstance(a, list) and isinstance(b, list):
-        if len(a) != len(b):
+        if len(a) != len(b):  # elements no longer pair up by position
             diff.note(name + "[]", f"length {len(a)} -> {len(b)}")
+            return
         for x, y in zip(a, b):
             _diff_json(x, y, diff, name + "[]")
     else:

@@ -39,7 +39,7 @@ DRIFT_FACTOR = 1.2
 
 @dataclass
 class VerificationConfig:
-    """One cluster-verification scenario (fields, mesh, window, grid)."""
+    """One cluster-verification scenario (fields, mesh, grid)."""
 
     B0: float = 1.0
     operator: str = "pauli_minus"
@@ -50,7 +50,6 @@ class VerificationConfig:
     r_max: float = 30.0
     h: float = 0.005
     m_max: int = None    # None: default_channel_cut(r_max, B0)
-    gamma: float = None  # None: B0 / 2
     per_decade: int = 24
 
     def __post_init__(self):
@@ -58,8 +57,6 @@ class VerificationConfig:
             raise ValueError("B0 must be positive")
         if self.m_max is None:
             self.m_max = default_channel_cut(self.r_max, self.B0)
-        if self.gamma is None:
-            self.gamma = 0.5 * self.B0
         if self.operator not in KINDS:
             raise ValueError(f"operator must be one of {KINDS}")
         if self.q < 0:
@@ -69,10 +66,13 @@ class VerificationConfig:
                 raise ValueError(
                     f"{name}.beta = {spec.beta} violates the decay "
                     f"requirement beta < -2")
-        if not 0.0 < self.gamma < self.B0:
-            raise ValueError("gamma must lie in (0, B0)")
         if self.sign not in ("+", "-"):
             raise ValueError("sign must be '+' or '-'")
+
+    @property
+    def gamma(self):
+        """Half-width of the cluster window around the level 2 q B0."""
+        return 0.5 * self.B0
 
 
 def family_reduction(cfg):
@@ -226,7 +226,8 @@ def cluster_asymptotics_report(comp):
             ratio=np.full_like(lams, np.nan), trust_lo=math.nan,
             trust_hi=math.nan, note="degenerate-weight")
 
-    floor_drift = TRUST_SAFETY * boundary_sensitivity(comp).max_drift
+    drift = boundary_sensitivity(comp).max_drift
+    floor_drift = TRUST_SAFETY * drift
     floor_defect = TRUST_SAFETY * comp.defect_floor
     lam_floor = max(floor_drift, floor_defect, 1e-12)
     if lam_floor >= 0.999 * gamma:
@@ -275,7 +276,8 @@ def cluster_asymptotics_report(comp):
         ratio = np.where(E > 0, N / E, np.nan)
     return CountingReport(
         lambdas=lams, N=N, E_measure=E, ratio=ratio,
-        trust_lo=float(lams.min()), trust_hi=float(lams.max()))
+        trust_lo=float(lams.min()), trust_hi=float(lams.max()),
+        drift_estimate=drift)
 
 
 @dataclass

@@ -45,15 +45,17 @@ class RunConfig(asymptotics.VerificationConfig):
     q_list: list
     bands: dict
     basis_m_max: int = None  # None: min(m_max, 11)
-    e_max: float = None      # None: one level above the top cluster
 
     def __post_init__(self):
         super().__post_init__()
         if self.basis_m_max is None:
             self.basis_m_max = min(self.m_max, 11)
-        if self.e_max is None:  # past the operator's level shift
-            shift = spin_down_form(self.operator, self.V, self.b)[1]
-            self.e_max = (2.0 * max(self.q_list) + 2.0 + shift) * self.B0
+
+    @property
+    def e_max(self):
+        """One level above the top cluster, past the operator's shift."""
+        shift = spin_down_form(self.operator, self.V, self.b)[1]
+        return (2.0 * max(self.q_list) + 2.0 + shift) * self.B0
 
     @property
     def hash(self):
@@ -61,13 +63,19 @@ class RunConfig(asymptotics.VerificationConfig):
 
 
 _BAND_DEFAULTS = {
-    "ratio": [0.8, 1.2],
     "min_decades": 1.0,
     "min_peak_count": 20,
     "exponent_tol": 0.1,
     "gram_max": 1e-5,
-    "toeplitz_rel": 0.1,
 }
+# the band N/E must stay in, and the largest relative deviation allowed
+# between the top eigenvalues of T_q and T_0 / C_q
+RATIO_BAND = (0.8, 1.2)
+TOEPLITZ_REL = 0.1
+# top-level keys that once set what is now fixed or derived
+_RETIRED = {"window": "the window half-width gamma is B0 / 2",
+            "e_max": "spectrum solves up to one level above the top cluster",
+            "ratio_band": f"the ratio band is fixed at {RATIO_BAND}"}
 
 
 def _fail(field_name, message):
@@ -95,26 +103,14 @@ def _section(raw, name):
 
 
 def _nonnegative(value, name):
+    """A nonnegative integer field; None (the config type's default) for an
+    absent one."""
+    if value is None:
+        return None
     value = _number(value, name, int)
     if value < 0:
         _fail(name, f"must be >= 0, got {value}")
     return value
-
-
-def _optional(check, value, name):
-    """check(value, name) for a given field; None (the config type's
-    default) for an absent one."""
-    return None if value is None else check(value, name)
-
-
-def _ratio_pair(value, name):
-    """Two numbers bracketing 1.0, as a tuple."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        _fail(name, f"must be two numbers, got {value!r}")
-    pair = tuple(_number(x, name) for x in value)
-    if not pair[0] < 1.0 < pair[1]:
-        _fail(name, "must bracket 1.0")
-    return pair
 
 
 def _field_spec(raw, name):
@@ -171,10 +167,10 @@ def load_config(path, q=None):
         name = f"bands.{key}"
         if key not in _BAND_DEFAULTS:
             _fail(name, f"unknown band, known: {', '.join(_BAND_DEFAULTS)}")
-        bands[key] = (_ratio_pair(value, name) if key == "ratio"
-                      else _number(value, name))
-    if "ratio_band" in raw:
-        _fail("ratio_band", "is no longer read; set bands.ratio instead")
+        bands[key] = _number(value, name)
+    for key, reason in _RETIRED.items():
+        if key in raw:
+            _fail(key, f"must be removed: {reason}")
 
     try:
         return RunConfig(
@@ -182,13 +178,9 @@ def load_config(path, q=None):
             operator=raw.get("operator", "pauli_minus"),
             b=_field_spec(raw, "b"), V=_field_spec(raw, "V"), q_list=q_list,
             sign=raw.get("sign", "+"), r_max=r_max, h=h,
-            m_max=_optional(_nonnegative, mesh.get("m_max"), "mesh.m_max"),
-            gamma=_optional(_number, _section(raw, "window").get("gamma"),
-                            "window.gamma"),
+            m_max=_nonnegative(mesh.get("m_max"), "mesh.m_max"),
             per_decade=per_decade, bands=bands,
-            basis_m_max=_optional(_nonnegative, raw.get("basis_m_max"),
-                                  "basis_m_max"),
-            e_max=_optional(_number, raw.get("e_max"), "e_max"))
+            basis_m_max=_nonnegative(raw.get("basis_m_max"), "basis_m_max"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -327,7 +319,7 @@ def _verify_one_q(cfg, q, out, shared):
 
     bands = cfg.bands
     if report.note != "degenerate-weight":
-        lo, hi = report.band_window(bands["ratio"])
+        lo, hi = report.band_window(RATIO_BAND)
         decades = math.log10(hi / lo) if lo else 0.0
         in_window = ((report.lambdas >= lo) & (report.lambdas <= hi)
                      if lo else np.zeros_like(report.lambdas, dtype=bool))
@@ -342,6 +334,9 @@ def _verify_one_q(cfg, q, out, shared):
             "passed": bool(exp.deviation <= bands["exponent_tol"]),
             "fitted": exp.exponent, "expected": exp.expected}
         detail["trust"] = [report.trust_lo, report.trust_hi]
+        detail["cluster_size"] = len(comp.cluster)
+        detail["defect_floor"] = comp.defect_floor
+        detail["drift_estimate"] = report.drift_estimate
         detail["ratio_min"] = float(np.nanmin(report.ratio))
         detail["ratio_max"] = float(np.nanmax(report.ratio))
     else:
@@ -369,7 +364,7 @@ def _verify_one_q(cfg, q, out, shared):
             rel = np.max(np.abs(tq[:k] - t0[:k])
                          / np.maximum(np.abs(tq[:k]), 1e-300))
             checks["toeplitz_agreement"] = {
-                "passed": bool(rel <= bands["toeplitz_rel"]),
+                "passed": bool(rel <= TOEPLITZ_REL),
                 "max_rel_dev": float(rel), "compared": int(k)}
             write_json(os.path.join(out, f"toeplitz_eigs_q{q}.json"),
                        {"config": cfg.hash, "q": q,

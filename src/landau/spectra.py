@@ -378,6 +378,7 @@ class CountingReport:
     trust_lo: float
     trust_hi: float
     note: str = ""
+    drift_estimate: float = math.nan  # max_drift of boundary_sensitivity
 
     def rows(self):
         return zip(self.lambdas, self.N, self.E_measure, self.ratio)

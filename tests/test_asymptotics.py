@@ -49,9 +49,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             VerificationConfig(b=FieldSpec.power(0.1, -1.5))
 
-    def test_rejects_bad_gamma(self, b_power):
-        with pytest.raises(ValueError):
-            VerificationConfig(b=b_power, gamma=1.2)
+    def test_gamma_follows_B0(self, b_power):
+        # the window half-width is derived, not set, so replace() moves it
+        cfg = VerificationConfig(b=b_power)
+        assert cfg.gamma == 0.5
+        assert replace(cfg, B0=4.0).gamma == 2.0
+        with pytest.raises(TypeError):
+            VerificationConfig(b=b_power, gamma=0.4)
 
     def test_rejects_unknown_operator(self):
         with pytest.raises(ValueError, match="operator must be one of"):
@@ -188,6 +192,7 @@ class TestClusterReport:
         assert np.all(np.diff(report.N) <= 0)  # N nonincreasing in lambda
         assert np.all(report.E_measure > 0)
         assert report.trust_lo >= 10.0 * drift.max_drift
+        assert report.drift_estimate == drift.max_drift
         assert np.all(report.N >= 5)
 
     def test_count_is_cluster_beyond_lambda(self, small_run, minus_run):

@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,19 +83,22 @@ class TestConfigValidation:
             assert "config field '--q'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, message", [
-        ({"window": {"gamma": 1.2}}, "gamma must lie in (0, B0)"),
+        # keys that set what is now fixed or derived, valid or not
+        ({"window": {"gamma": 0.4}},
+         "config field 'window': must be removed: the window half-width "
+         "gamma is B0 / 2"),
         ({"sign": "x"}, "sign must be '+' or '-'"),
         ({"B0": -1.0}, "B0 must be positive"),
         ({"B0": "one"}, "config error: config field 'B0': must be a number"),
         ({"mesh": {"r_max": 16.0, "h": 0.03}},
          "config error: config field 'mesh': r_max must be an integer "
          "multiple of h"),
-        # the retired second spelling of bands.ratio, valid or not
         ({"ratio_band": [0.8, 1.2]},
-         "config field 'ratio_band': is no longer read; set bands.ratio"),
+         "config field 'ratio_band': must be removed: the ratio band is "
+         "fixed at (0.8, 1.2)"),
         ({"ratio_band": 5},
-         "config field 'ratio_band': is no longer read; set bands.ratio"),
-        ({"window": 3}, "config field 'window': must be an object"),
+         "config field 'ratio_band': must be removed: the ratio band"),
+        ({"window": 3}, "config field 'window': must be removed"),
         ({"mesh": [1, 2]}, "config field 'mesh': must be an object"),
         ({"basis_m_max": -1}, "config field 'basis_m_max': must be >= 0"),
         ({"mesh": {"r_max": 16.0, "h": 0.02, "m_max": -3}},
@@ -103,22 +107,23 @@ class TestConfigValidation:
          "config field 'bands.min_decades': must be a number, got 'x'"),
         ({"bands": {"min_decade": 5}},
          "config field 'bands.min_decade': unknown band"),
-        ({"bands": {"ratio": [1.1, 1.2]}},
-         "config field 'bands.ratio': must bracket 1.0"),
+        ({"bands": {"ratio": [0.9, 1.1]}},
+         "config field 'bands.ratio': unknown band, known: min_decades, "
+         "min_peak_count, exponent_tol, gram_max"),
         # JSON reads NaN and Infinity; booleans and strings are no numbers
         ({"B0": float("nan")}, "config field 'B0': must be a finite number"),
         ({"B0": float("inf")}, "config field 'B0': must be a finite number"),
         ({"e_max": float("nan")},
-         "config field 'e_max': must be a finite number"),
+         "config field 'e_max': must be removed: spectrum solves up to one "
+         "level above the top cluster"),
         ({"B0": "1.0"}, "config field 'B0': must be a number, got '1.0'"),
         ({"B0": True}, "config field 'B0': must be a number, got True"),
         ({"q": True}, "config field 'q': must be a nonnegative integer"),
         ({"q": [1, False]}, "config field 'q': must be a nonnegative integer"),
         ({"q": 1.5}, "config field 'q': must be a nonnegative integer"),
-        ({"bands": {"ratio": 5}},
-         "config field 'bands.ratio': must be two numbers"),
+        ({"bands": {"ratio": 5}}, "config field 'bands.ratio': unknown band"),
         ({"bands": {"ratio": [0.8, "x"]}},
-         "config field 'bands.ratio': must be a number, got 'x'"),
+         "config field 'bands.ratio': unknown band"),
         # profile numbers take the same check, named by their path
         ({"b": {"terms": [{"kind": "power", "c": float("nan"), "beta": -3.0}],
                 "beta": -3.0}},
@@ -151,6 +156,10 @@ class TestConfigValidation:
          "config field 'mesh': mesh step h must be positive"),
         ({"mesh": {"r_max": -16.0, "h": 0.02}},
          "config field 'mesh': mesh needs at least 16 nodes"),
+        ({"bands": {"toeplitz_rel": 0.2}},
+         "config field 'bands.toeplitz_rel': unknown band"),
+        ({"e_max": 6.0}, "config field 'e_max': must be removed"),
+        ({"window": {}}, "config field 'window': must be removed"),
     ])
     def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
                                     message):
@@ -177,6 +186,12 @@ class TestConfigValidation:
         assert len({plain.hash, extra.hash, delta.hash}) == 3
         assert (extra.e_max, extra.m_max, extra.gamma) == (
             plain.e_max, plain.m_max, plain.gamma)
+
+    def test_derived_values_follow_replace(self, cfg_path):
+        cfg = load_config(str(cfg_path))
+        assert (cfg.gamma, cfg.e_max) == (0.5, 4.0)
+        moved = replace(cfg, B0=4.0, q_list=[2])
+        assert (moved.gamma, moved.e_max) == (2.0, 24.0)
 
     def test_integral_floats_accepted(self, tmp_path):
         cfg = load_config(str(write_config(
@@ -402,6 +417,13 @@ class TestVerify:
         assert checks["exponent"]["passed"]
         assert checks["toeplitz_agreement"]["passed"]
         assert checks["gram_identity_q1"]["passed"]
+        # the floors the trust region starts from, and the cluster they bound
+        detail = summary["per_q"]["1"]
+        rows = (out / "clusters_q1.csv").read_text().splitlines()[2:]
+        assert detail["cluster_size"] == len(rows) > 0
+        assert detail["defect_floor"] > 0 and detail["drift_estimate"] >= 0
+        assert detail["trust"][0] >= asymptotics.TRUST_SAFETY * max(
+            detail["defect_floor"], detail["drift_estimate"])
 
     def test_toeplitz_counts_V_once(self, tmp_path):
         # the cluster matrices carry V already, so the cluster-side Toeplitz

@@ -40,15 +40,6 @@ def test_scan_identities(tmp_path):
     assert len(done.stdout.splitlines()) == 3  # header and one row per h
 
 
-def test_run_headline(tmp_path):
-    out = tmp_path / "headline"
-    done = run_script("run_headline.py", "--r-max", "16", "--h", "0.02",
-                      "--out", str(out), cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert (out / "counting_q1.csv").is_file()
-    assert (out / "headline_summary.json").is_file()
-
-
 def test_time_commands(monkeypatch, capsys):
     # two alternating pairs of `weights` against this same checkout: one
     # table row, with both medians and the faster-pair count.  The script
@@ -109,3 +100,14 @@ def test_compare_artifacts(tmp_path, monkeypatch, capsys):
     assert (f"  weights/weights_q1_+.csv: rows: 1 (first {rows} -> "
             f"{rows + 1})") in out
     assert out[-1].endswith(" 1 differ")
+
+
+def test_compare_artifacts_json_lists(monkeypatch):
+    # JSON lists of different lengths are listed by their lengths alone,
+    # like CSVs with different row counts: a dropped element changes no value
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    script = load_script("compare_artifacts.py")
+    diff = script.FileDiff()
+    script._diff_json({"e": [1.0, 2.0, 3.0]}, {"e": [2.0, 3.0]}, diff)
+    assert diff.floats == {}
+    assert diff.other == {"e[]": [1, "length 3 -> 2"]}
