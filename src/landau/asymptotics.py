@@ -37,9 +37,10 @@ TRUST_SAFETY = 10.0
 DRIFT_FACTOR = 1.2
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationConfig:
-    """One cluster-verification scenario (fields, mesh, grid)."""
+    """One cluster-verification scenario (fields, mesh, grid): its inputs
+    only; the channel cut and the window half-width are derived from them."""
 
     B0: float = 1.0
     operator: str = "pauli_minus"
@@ -49,14 +50,11 @@ class VerificationConfig:
     sign: str = "+"
     r_max: float = 30.0
     h: float = 0.005
-    m_max: int = None    # None: default_channel_cut(r_max, B0)
     per_decade: int = 24
 
     def __post_init__(self):
         if self.B0 <= 0:
             raise ValueError("B0 must be positive")
-        if self.m_max is None:
-            self.m_max = default_channel_cut(self.r_max, self.B0)
         if self.operator not in KINDS:
             raise ValueError(f"operator must be one of {KINDS}")
         if self.q < 0:
@@ -68,6 +66,11 @@ class VerificationConfig:
                     f"requirement beta < -2")
         if self.sign not in ("+", "-"):
             raise ValueError("sign must be '+' or '-'")
+
+    @property
+    def m_max(self):
+        """Top angular channel of the solves, floor(3 r_max^2 B0 / 16)."""
+        return default_channel_cut(self.r_max, self.B0)
 
     @property
     def gamma(self):
@@ -280,25 +283,14 @@ def cluster_asymptotics_report(comp):
         drift_estimate=drift)
 
 
-@dataclass
-class ExponentReport:
-    exponent: float
-    expected: float
-    note: str = ""
-
-    @property
-    def deviation(self):
-        return abs(self.exponent - self.expected)
-
-
 def upper_estimate_check(comp, report):
-    """Fit log N against log lambda over the report's rows; the fitted slope
-    should approach the decay-class exponent 2 / beta of the effective
-    weight."""
+    """(fitted, expected): the slope of log N against log lambda over the
+    report's rows, and the decay-class exponent 2 / beta of the effective
+    weight it should approach; both NaN for a degenerate report."""
     if report.note == "degenerate-weight":
-        return ExponentReport(math.nan, math.nan, "empty-cluster")
+        return math.nan, math.nan
     rcfg = comp.cfg
     weight = effective_weight(rcfg.V, rcfg.b, rcfg.q, rcfg.B0)
     slope = float(np.polyfit(np.log(report.lambdas), np.log(report.N), 1)[0])
-    return ExponentReport(slope, 2.0 / weight.beta_eff)
+    return slope, 2.0 / weight.beta_eff
 

@@ -29,14 +29,14 @@ import numpy as np
 from . import asymptotics, projections, spectra
 from ._io import config_hash, ensure_dir, write_csv, write_json
 from .errors import ConfigError, LandauError, TrustRegionEmpty
-from .fields import (FieldSpec, build_gauge, check_regularity,
+from .fields import (FieldSpec, ProfileTerm, build_gauge, check_regularity,
                      counting_measures, effective_weight)
 from .operator import RadialMesh, build_channel, spin_down_form
 
 log = logging.getLogger("landau")
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig(asymptotics.VerificationConfig):
     """Validated run configuration for all subcommands: the scenario fields
     of VerificationConfig plus what the commands alone read."""
@@ -44,12 +44,12 @@ class RunConfig(asymptotics.VerificationConfig):
     raw: dict
     q_list: list
     bands: dict
-    basis_m_max: int = None  # None: min(m_max, 11)
+    basis_cut: int = None  # the basis_m_max key; None: min(m_max, 11)
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.basis_m_max is None:
-            self.basis_m_max = min(self.m_max, 11)
+    @property
+    def basis_m_max(self):
+        """Top channel of the zero-mode bases of toeplitz and identities."""
+        return min(self.m_max, 11) if self.basis_cut is None else self.basis_cut
 
     @property
     def e_max(self):
@@ -72,10 +72,23 @@ _BAND_DEFAULTS = {
 # between the top eigenvalues of T_q and T_0 / C_q
 RATIO_BAND = (0.8, 1.2)
 TOEPLITZ_REL = 0.1
-# top-level keys that once set what is now fixed or derived
+# the top-level config keys; keys that once set what is now fixed or derived
+# exit 2 with the reason, and the legacy keys that shipped configs still
+# carry set nothing and are ignored
+_KEYS = ("B0", "operator", "b", "V", "q", "sign", "mesh", "lambda", "bands",
+         "basis_m_max")
 _RETIRED = {"window": "the window half-width gamma is B0 / 2",
             "e_max": "spectrum solves up to one level above the top cluster",
-            "ratio_band": f"the ratio band is fixed at {RATIO_BAND}"}
+            "ratio_band": f"the ratio band is fixed at {RATIO_BAND}",
+            "mesh.m_max": "the channel cut is floor(3 r_max^2 B0 / 16)"}
+_LEGACY = ("seed", "threads", "b.delta", "V.delta")
+# the config keys of each profile kind and the ProfileTerm field each sets;
+# every term also takes a `sign`, 1 or -1, folded into its amplitude
+_TERM_KEYS = {
+    "power": {"c": "amplitude", "beta": "beta"},
+    "gaussian": {"amp": "amplitude", "center": "center", "width": "width"},
+    "bump": {"amp": "amplitude", "inner": "inner", "outer": "outer"},
+}
 
 
 def _fail(field_name, message):
@@ -94,33 +107,55 @@ def _number(value, name, kind=float):
     return kind(value)
 
 
-def _section(raw, name):
-    """The object-valued config field `name` ({} when absent)."""
-    value = raw.get(name, {})
+def _object(value, name):
     if not isinstance(value, dict):
         _fail(name, f"must be an object, got {value!r}")
     return value
 
 
-def _nonnegative(value, name):
-    """A nonnegative integer field; None (the config type's default) for an
-    absent one."""
-    if value is None:
-        return None
-    value = _number(value, name, int)
-    if value < 0:
-        _fail(name, f"must be >= 0, got {value}")
-    return value
+def _section(raw, name):
+    """The object-valued config field `name` ({} when absent)."""
+    return _object(raw.get(name, {}), name)
+
+
+def _check_keys(section, name, known, what="key"):
+    """Fail on the first key of config object `name` that is not known,
+    naming it: a retired key with its reason; a legacy key passes."""
+    for key in section:
+        path = f"{name}.{key}" if name else key
+        if path in _RETIRED:
+            _fail(path, f"must be removed: {_RETIRED[path]}")
+        if key not in known and path not in _LEGACY:
+            _fail(path, f"unknown {what}, known: {', '.join(known)}")
+
+
+def _term(raw, name):
+    """The ProfileTerm of config term `name`, its sign in the amplitude."""
+    keys = _TERM_KEYS.get(_object(raw, name).get("kind"))
+    if keys is None:
+        _fail(f"{name}.kind", f"must be one of {', '.join(_TERM_KEYS)}, "
+              f"got {raw.get('kind')!r}")
+    _check_keys(raw, name, ("kind", "sign", *keys))
+    sign = _number(raw.get("sign", 1.0), f"{name}.sign")
+    if sign not in (1.0, -1.0):
+        _fail(f"{name}.sign", f"must be 1 or -1, got {sign:g}")
+    args = {attr: _number(raw.get(key), f"{name}.{key}")
+            for key, attr in keys.items()}
+    args["amplitude"] *= sign  # exact: a sign flip at most
+    return ProfileTerm(raw["kind"], **args)
 
 
 def _field_spec(raw, name):
+    """The FieldSpec of config field `name` (zero when absent or null)."""
     if raw.get(name) is None:
         return FieldSpec.zero()
+    spec = _section(raw, name)
+    _check_keys(spec, name, ("terms", "beta"))
     try:
-        return FieldSpec.from_dict(
-            _section(raw, name),
-            lambda value, key: _number(value, f"{name}.{key}"))
-    except (KeyError, TypeError, ValueError) as exc:
+        terms = tuple(_term(t, f"{name}.terms[{i}]")
+                      for i, t in enumerate(spec.get("terms", [])))
+        return FieldSpec(terms, beta=_number(spec.get("beta"), f"{name}.beta"))
+    except (TypeError, ValueError) as exc:
         _fail(name, str(exc))
 
 
@@ -136,6 +171,7 @@ def load_config(path, q=None):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    _check_keys(raw, "", _KEYS)
 
     q_name, q_list = "q", raw.get("q", [0, 1])
     if q is not None:
@@ -150,6 +186,7 @@ def load_config(path, q=None):
         _fail(q_name, "must be a nonnegative integer or list of them")
 
     mesh = _section(raw, "mesh")
+    _check_keys(mesh, "mesh", ("r_max", "h"))
     r_max = _number(mesh.get("r_max", 20.0), "mesh.r_max")
     h = _number(mesh.get("h", 0.01), "mesh.h")
     try:  # h > 0, at least 16 cells, r_max a multiple of h
@@ -158,19 +195,21 @@ def load_config(path, q=None):
         _fail("mesh", str(exc))
 
     lam = _section(raw, "lambda")
+    _check_keys(lam, "lambda", ("per_decade",))
     per_decade = _number(lam.get("per_decade", 24), "lambda.per_decade", int)
     if per_decade < 2:
         _fail("lambda.per_decade", "must be at least 2")
 
-    bands = dict(_BAND_DEFAULTS)
-    for key, value in _section(raw, "bands").items():
-        name = f"bands.{key}"
-        if key not in _BAND_DEFAULTS:
-            _fail(name, f"unknown band, known: {', '.join(_BAND_DEFAULTS)}")
-        bands[key] = _number(value, name)
-    for key, reason in _RETIRED.items():
-        if key in raw:
-            _fail(key, f"must be removed: {reason}")
+    bands = _section(raw, "bands")
+    _check_keys(bands, "bands", tuple(_BAND_DEFAULTS), "band")
+    bands = {**_BAND_DEFAULTS,
+             **{key: _number(value, f"bands.{key}")
+                for key, value in bands.items()}}
+    basis_cut = raw.get("basis_m_max")
+    if basis_cut is not None:
+        basis_cut = _number(basis_cut, "basis_m_max", int)
+        if basis_cut < 0:
+            _fail("basis_m_max", f"must be >= 0, got {basis_cut}")
 
     try:
         return RunConfig(
@@ -178,9 +217,7 @@ def load_config(path, q=None):
             operator=raw.get("operator", "pauli_minus"),
             b=_field_spec(raw, "b"), V=_field_spec(raw, "V"), q_list=q_list,
             sign=raw.get("sign", "+"), r_max=r_max, h=h,
-            m_max=_nonnegative(mesh.get("m_max"), "mesh.m_max"),
-            per_decade=per_decade, bands=bands,
-            basis_m_max=_nonnegative(raw.get("basis_m_max"), "basis_m_max"))
+            per_decade=per_decade, bands=bands, basis_cut=basis_cut)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -244,13 +281,9 @@ def cmd_weights(cfg, out, as_json):
         try:
             # regularity is a lambda -> 0 statement; probe well below sup
             reg_grid = np.geomspace(0.2 * sup, 1e-4 * sup, 40)
-            reg = check_regularity(weight, reg_grid, 0.1, cfg.sign,
-                                   r_max=8.0 * cfg.r_max)
             summary["weights"][str(q)] = {
-                "sup": sup, "max_ratio": reg.max_ratio,
-                "exponent": reg.exponent, "expected_ratio": reg.expected_ratio,
-                "regular_ok": bool(reg.regular_ok),
-                "lower_ok": bool(reg.lower_ok)}
+                "sup": sup, **check_regularity(weight, reg_grid, 0.1, cfg.sign,
+                                               r_max=8.0 * cfg.r_max)}
         except LandauError as exc:
             summary["weights"][str(q)] = {"degenerate": True,
                                           "detail": str(exc)}
@@ -329,10 +362,10 @@ def _verify_one_q(cfg, q, out, shared):
                            and decades >= bands["min_decades"]
                            and peak >= bands["min_peak_count"]),
             "band_window": [lo, hi], "decades": decades, "peak_count": peak}
-        exp = asymptotics.upper_estimate_check(comp, report)
+        fitted, expected = asymptotics.upper_estimate_check(comp, report)
         checks["exponent"] = {
-            "passed": bool(exp.deviation <= bands["exponent_tol"]),
-            "fitted": exp.exponent, "expected": exp.expected}
+            "passed": bool(abs(fitted - expected) <= bands["exponent_tol"]),
+            "fitted": fitted, "expected": expected}
         detail["trust"] = [report.trust_lo, report.trust_hi]
         detail["cluster_size"] = len(comp.cluster)
         detail["defect_floor"] = comp.defect_floor

@@ -22,9 +22,9 @@ _KINDS = ("power", "gaussian", "bump")
 class ProfileTerm:
     """One additive piece of a radial profile.
 
-    power:    sign * c * (1 + r^2)^(beta/2), beta < 0
-    gaussian: sign * amplitude * exp(-(r - center)^2 / (2 width^2))
-    bump:     sign * amplitude * cutoff(r), smooth, equal to amplitude for
+    power:    amplitude * (1 + r^2)^(beta/2), beta < 0
+    gaussian: amplitude * exp(-(r - center)^2 / (2 width^2))
+    bump:     amplitude * cutoff(r), smooth, equal to amplitude for
               r <= inner and identically 0 for r >= outer
     """
 
@@ -35,7 +35,6 @@ class ProfileTerm:
     width: float = 1.0
     inner: float = 0.0
     outer: float = 1.0
-    sign: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -50,32 +49,12 @@ class ProfileTerm:
     def evaluate(self, r):
         r = np.asarray(r, dtype=float)
         if self.kind == "power":
-            val = self.amplitude * (1.0 + r * r) ** (0.5 * self.beta)
-        elif self.kind == "gaussian":
+            return self.amplitude * (1.0 + r * r) ** (0.5 * self.beta)
+        if self.kind == "gaussian":
             arg = (r - self.center) / self.width
-            val = self.amplitude * np.exp(-0.5 * arg * arg)
-        else:
-            val = self.amplitude * _smooth_cutoff(
-                (r - self.inner) / (self.outer - self.inner)
-            )
-        return self.sign * val
-
-    @staticmethod
-    def from_dict(d, number):
-        kind = d["kind"]
-        sign = number(d.get("sign", 1.0), "sign")
-        if kind == "power":
-            return ProfileTerm("power", number(d["c"], "c"),
-                               beta=number(d["beta"], "beta"), sign=sign)
-        if kind == "gaussian":
-            return ProfileTerm("gaussian", number(d["amp"], "amp"),
-                               center=number(d["center"], "center"),
-                               width=number(d["width"], "width"), sign=sign)
-        if kind == "bump":
-            return ProfileTerm("bump", number(d["amp"], "amp"),
-                               inner=number(d["inner"], "inner"),
-                               outer=number(d["outer"], "outer"), sign=sign)
-        raise ValueError(f"unknown profile kind {kind!r}")
+            return self.amplitude * np.exp(-0.5 * arg * arg)
+        return self.amplitude * _smooth_cutoff(
+            (r - self.inner) / (self.outer - self.inner))
 
 
 def _smooth_cutoff(t):
@@ -111,7 +90,7 @@ class FieldSpec:
 
     @property
     def is_zero(self):
-        return all(t.amplitude * t.sign == 0.0 for t in self.terms)
+        return all(t.amplitude == 0.0 for t in self.terms)
 
     def evaluate(self, r):
         r = np.asarray(r, dtype=float)
@@ -130,16 +109,6 @@ class FieldSpec:
     def sum(a, b):
         """Concatenate term lists; the slower decay dominates the class."""
         return FieldSpec(a.terms + b.terms, beta=max(a.beta, b.beta))
-
-    @staticmethod
-    def from_dict(d, number):
-        """The spec of a config section; number(value, key) converts each
-        numeric field, `key` naming it within the section (`terms[0].c`)."""
-        terms = tuple(
-            ProfileTerm.from_dict(
-                t, lambda value, key, i=i: number(value, f"terms[{i}].{key}"))
-            for i, t in enumerate(d.get("terms", [])))
-        return FieldSpec(terms, beta=number(d["beta"], "beta"))
 
 
 @dataclass
@@ -354,20 +323,11 @@ def superlevel_scan(weight, lams, sign="+", *, r_max):
 
     scans = []
     for k in range(lams.size):
-        if is_open[k]:
-            scans.append(None)
-            continue
-        intervals = []
-        inside = sw[0] > lams[k]
-        start = 0.0
-        for x in roots[k]:
-            if inside:
-                intervals.append((start, float(x)))
-                inside = False
-            else:
-                start = float(x)
-                inside = True
-        scans.append(intervals)
+        # the set starts at 0 when it holds the origin; the crossings then
+        # alternate between its interval starts and ends
+        points = [0.0] * bool(sw[0] > lams[k]) + roots[k].tolist()
+        scans.append(None if is_open[k]
+                     else list(zip(points[::2], points[1::2])))
     return scans
 
 
@@ -410,23 +370,15 @@ def counting_measure(weight, lam, sign="+", *, r_max):
     return counting_measures(weight, [lam], sign, r_max=r_max)[0]
 
 
-@dataclass
-class RegularityReport:
-    max_ratio: float
-    exponent: float
-    expected_ratio: float
-    regular_ok: bool
-    lower_ok: bool
-
-
 def check_regularity(weight, lambda_grid, eps, sign="+", *, r_max):
     """Probe the counting-measure regularity and lower-bound conditions.
 
-    Reports max over the grid of E(lam (1-eps)) / E(lam) and the log-log
-    slope of E; both are compared with the values the declared decay class
-    predicts: the ratio within 5% of (1 - eps)^(2 / beta), the slope at
-    most 2 / beta + 0.1.  Raises DegenerateWeight when E vanishes on the
-    whole grid.
+    Returns max over the grid of E(lam (1-eps)) / E(lam) (`max_ratio`) and
+    the log-log slope of E (`exponent`), and compares both with the values
+    the declared decay class predicts: `regular_ok` when the ratio stays
+    within 5% of `expected_ratio` = (1 - eps)^(2 / beta), `lower_ok` when
+    the slope is at most 2 / beta + 0.1.  Raises DegenerateWeight when E
+    vanishes on the whole grid.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
@@ -447,7 +399,7 @@ def check_regularity(weight, lambda_grid, eps, sign="+", *, r_max):
     beta_eff = weight.beta_eff
     slope = float(np.polyfit(np.log(lambdas[mask]), np.log(E[mask]), 1)[0])
     expected_ratio = (1.0 - eps) ** (2.0 / beta_eff)
-    return RegularityReport(
-        max_ratio=max_ratio, exponent=slope, expected_ratio=expected_ratio,
-        regular_ok=max_ratio <= 1.05 * expected_ratio,
-        lower_ok=slope <= 2.0 / beta_eff + 0.1)
+    return {"max_ratio": max_ratio, "exponent": slope,
+            "expected_ratio": expected_ratio,
+            "regular_ok": max_ratio <= 1.05 * expected_ratio,
+            "lower_ok": slope <= 2.0 / beta_eff + 0.1}

@@ -169,13 +169,13 @@ def test_acceptance_04_headline_asymptotics(headline_run):
 
 def test_acceptance_05_exponent_fits(headline_run, beta4_report):
     _, comp, _, report, _ = headline_run
-    fit3 = upper_estimate_check(comp, report)
-    fit4 = upper_estimate_check(*beta4_report)
-    ok3 = abs(fit3.exponent - (-2.0 / 3.0)) <= 0.1
-    ok4 = abs(fit4.exponent - (-0.5)) <= 0.1
+    fit3, _ = upper_estimate_check(comp, report)
+    fit4, _ = upper_estimate_check(*beta4_report)
+    ok3 = abs(fit3 - (-2.0 / 3.0)) <= 0.1
+    ok4 = abs(fit4 - (-0.5)) <= 0.1
     report_line(5, ok3 and ok4,
-                f"beta=-3 slope {fit3.exponent:.4f} (target -2/3 +- 0.1), "
-                f"beta=-4 slope {fit4.exponent:.4f} (target -1/2 +- 0.1)")
+                f"beta=-3 slope {fit3:.4f} (target -2/3 +- 0.1), "
+                f"beta=-4 slope {fit4:.4f} (target -1/2 +- 0.1)")
     assert ok3
     assert ok4
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import perturbation_inequality_check
-from landau import spectra
+from landau import asymptotics, spectra
 from landau.asymptotics import (VerificationConfig, _lambda_grid,
                                 boundary_sensitivity,
                                 cluster_asymptotics_report, compute_cluster,
@@ -64,6 +64,14 @@ class TestConfig:
     def test_channel_cut_default(self, b_power):
         cfg = VerificationConfig(b=b_power, r_max=30.0)
         assert cfg.m_max == 168
+
+    def test_channel_cut_derived(self, b_power):
+        # the cut is no field: replace() moves it with R and B0, and the
+        # magnetic scaling R -> R / 2, B0 -> 4 B0 keeps it
+        cfg = VerificationConfig(b=b_power, r_max=30.0)
+        assert replace(cfg, r_max=15.0, B0=4.0).m_max == 168
+        with pytest.raises(TypeError):
+            VerificationConfig(b=b_power, m_max=10)
 
 
 class TestFamilyReduction:
@@ -285,11 +293,14 @@ class TestDefectFloor:
                     for k, s in shifts.items())
         assert worst <= comp.defect_floor <= 1.5 * worst
 
-    def test_floor_independent_of_channel_cut(self, small_cfg, small_run):
+    def test_floor_independent_of_channel_cut(self, small_cfg, small_run,
+                                              monkeypatch):
         # the floor reads E_h of channels -q..1 from the cluster solve; with
         # m_max = 0 channel 1 is solved for the floor alone, and the floor
         # is the same number
-        cut = compute_cluster(replace(small_cfg, m_max=0))
+        monkeypatch.setattr(asymptotics, "default_channel_cut",
+                            lambda r_max, B0: 0)
+        cut = compute_cluster(small_cfg)
         assert cut.table.provenance["channels"] == [-1, 0]
         assert cut.defect_floor == small_run[0].defect_floor
 
@@ -297,16 +308,18 @@ class TestDefectFloor:
 class TestExponentFit:
     def test_small_run_exponent(self, small_run):
         comp, _, report = small_run
-        rep = upper_estimate_check(comp, report)
-        assert rep.expected == pytest.approx(-2.0 / 3.0)
-        assert rep.deviation < 0.15  # coarse mesh, narrow trust region
+        fitted, expected = upper_estimate_check(comp, report)
+        assert expected == pytest.approx(-2.0 / 3.0)
+        # coarse mesh, narrow trust region
+        assert abs(fitted - expected) < 0.15
 
     def test_empty_cluster_note(self):
         cfg = VerificationConfig(B0=1.0, q=1, sign="+", r_max=12.0, h=0.02)
         comp = compute_cluster(cfg)
-        rep = upper_estimate_check(comp, cluster_asymptotics_report(comp))
-        assert rep.note == "empty-cluster"
-        assert math.isnan(rep.exponent)
+        fitted, expected = upper_estimate_check(
+            comp, cluster_asymptotics_report(comp))
+        assert math.isnan(fitted)
+        assert math.isnan(expected)
 
 
 class TestBoundarySensitivity:
@@ -331,8 +344,8 @@ class TestBoundarySensitivity:
         estimate = boundary_sensitivity(comp)
         R_prime = estimate.R_prime
         assert R_prime == pytest.approx(1.2 * R)
-        # m_max=None: the channel cut is derived again at R'
-        wide = compute_cluster(replace(cfg, r_max=R_prime, m_max=None))
+        # the channel cut is derived again at R'
+        wide = compute_cluster(replace(cfg, r_max=R_prime))
         oracle = spectra.boundary_sensitivity(
             labeled(comp.cluster), labeled(wide.cluster), R, R_prime)
         assert estimate.labels == oracle.labels
@@ -360,8 +373,8 @@ class TestSecondCluster:
 
     def test_exponent(self, q2_run):
         _, comp, report = q2_run
-        fit = upper_estimate_check(comp, report)
-        assert abs(fit.exponent - (-2.0 / 3.0)) < 0.15
+        fitted, _ = upper_estimate_check(comp, report)
+        assert abs(fitted - (-2.0 / 3.0)) < 0.15
 
     def test_toeplitz_chain(self, q2_run, b_power):
         from landau.projections import (build_T0, build_Tq,

@@ -11,6 +11,7 @@ import pytest
 
 from landau import asymptotics, fields, projections, spectra
 from landau.cli import load_config, main
+from landau.operator import default_channel_cut
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -102,7 +103,8 @@ class TestConfigValidation:
         ({"mesh": [1, 2]}, "config field 'mesh': must be an object"),
         ({"basis_m_max": -1}, "config field 'basis_m_max': must be >= 0"),
         ({"mesh": {"r_max": 16.0, "h": 0.02, "m_max": -3}},
-         "config field 'mesh.m_max': must be >= 0"),
+         "config field 'mesh.m_max': must be removed: the channel cut is "
+         "floor(3 r_max^2 B0 / 16)"),
         ({"bands": {"min_decades": "x"}},
          "config field 'bands.min_decades': must be a number, got 'x'"),
         ({"bands": {"min_decade": 5}},
@@ -146,8 +148,8 @@ class TestConfigValidation:
         # integer fields take integral values only
         ({"lambda": {"per_decade": 2.9}},
          "config field 'lambda.per_decade': must be an integer, got 2.9"),
-        ({"mesh": {"r_max": 16.0, "h": 0.02, "m_max": 5.5}},
-         "config field 'mesh.m_max': must be an integer, got 5.5"),
+        ({"mesh": {"r_max": 16.0, "h": 0.02, "m_max": 48}},
+         "config field 'mesh.m_max': must be removed"),
         ({"basis_m_max": 3.5},
          "config field 'basis_m_max': must be an integer, got 3.5"),
         ({"operator": "bogus"}, "operator must be one of"),
@@ -160,6 +162,35 @@ class TestConfigValidation:
          "config field 'bands.toeplitz_rel': unknown band"),
         ({"e_max": 6.0}, "config field 'e_max': must be removed"),
         ({"window": {}}, "config field 'window': must be removed"),
+        # a term's sign is an orientation, not a second amplitude
+        ({"b": {"terms": [{"kind": "power", "c": 0.05, "beta": -3.0,
+                           "sign": 2.0}], "beta": -3.0}},
+         "config field 'b.terms[0].sign': must be 1 or -1, got 2"),
+        ({"b": {"terms": [{"kind": "power", "c": 0.05, "beta": -3.0,
+                           "sign": 0}], "beta": -3.0}},
+         "config field 'b.terms[0].sign': must be 1 or -1, got 0"),
+        # a misspelled key is no default: every section names it
+        ({"sgin": "-"}, "config field 'sgin': unknown key, known: B0, "
+         "operator, b, V, q, sign, mesh, lambda, bands, basis_m_max"),
+        ({"mesh": {"r_mx": 16.0, "h": 0.02}},
+         "config field 'mesh.r_mx': unknown key, known: r_max, h"),
+        ({"lambda": {"per_decad": 12}},
+         "config field 'lambda.per_decad': unknown key, known: per_decade"),
+        ({"b": {"terms": [{"kind": "power", "c": 0.05, "beta": -3.0}],
+                "beta": -3.0, "term": []}},
+         "config field 'b.term': unknown key, known: terms, beta"),
+        ({"V": {"terms": [{"kind": "gaussian", "amp": 0.1, "center": 2.0,
+                           "width": 1.0, "sgin": -1}], "beta": -3.0}},
+         "config field 'V.terms[0].sgin': unknown key, known: kind, sign, "
+         "amp, center, width"),
+        ({"b": {"terms": [{"kind": "power", "amp": 0.05, "beta": -3.0}],
+                "beta": -3.0}},
+         "config field 'b.terms[0].amp': unknown key, known: kind, sign, c, "
+         "beta"),
+        ({"b": {"terms": [{"kind": "Power", "c": 0.05, "beta": -3.0}],
+                "beta": -3.0}},
+         "config field 'b.terms[0].kind': must be one of power, gaussian, "
+         "bump, got 'Power'"),
     ])
     def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
                                     message):
@@ -196,11 +227,20 @@ class TestConfigValidation:
     def test_integral_floats_accepted(self, tmp_path):
         cfg = load_config(str(write_config(
             tmp_path / "a.json", basis_m_max=4.0,
-            mesh={"r_max": 16.0, "h": 0.02, "m_max": 6.0},
             **{"lambda": {"per_decade": 24.0}})))
-        assert (cfg.per_decade, cfg.m_max, cfg.basis_m_max) == (24, 6, 4)
+        assert (cfg.per_decade, cfg.m_max, cfg.basis_m_max) == (24, 48, 4)
         assert all(type(v) is int
                    for v in (cfg.per_decade, cfg.m_max, cfg.basis_m_max))
+
+    def test_channel_cut_follows_replace(self, cfg_path):
+        # m_max and the default basis_m_max are derived when read, so
+        # replace() moves them with r_max (R = 16: 48 and 11)
+        cfg = load_config(str(cfg_path))
+        assert (cfg.m_max, cfg.basis_m_max) == (48, 11)
+        small = replace(cfg, r_max=6.0)
+        assert small.m_max == default_channel_cut(6.0, 1.0) == 6
+        assert small.basis_m_max == 6
+        assert replace(small, basis_cut=3).basis_m_max == 3
 
     def test_import_skips_scipy_integrate(self):
         env = dict(os.environ)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from landau import fields
+from landau.cli import load_config
 from landau.errors import DegenerateWeight, QuadratureFailure, UnboundedSet
 from landau.fields import (FieldSpec, ProfileTerm, build_gauge,
                            check_regularity, counting_measure, effective_weight,
@@ -60,12 +62,13 @@ class TestProfiles:
         with pytest.raises(ValueError):
             FieldSpec((), beta=math.nan)
 
-    def test_json_roundtrip(self):
-        # the config form of every term kind; a "delta" key is ignored
+    def test_json_roundtrip(self, tmp_path):
+        # the config form of every term kind, as load_config reads it: a
+        # sign folds into the amplitude, and a "delta" key is ignored
         spec = FieldSpec(
             (ProfileTerm("power", 0.3, beta=-2.5),
              ProfileTerm("gaussian", -0.1, center=2.0, width=0.7),
-             ProfileTerm("bump", 0.2, inner=1.0, outer=3.0, sign=-1.0)),
+             ProfileTerm("bump", -0.2, inner=1.0, outer=3.0)),
             beta=-2.5)
         d = {"terms": [{"kind": "power", "c": 0.3, "beta": -2.5},
                        {"kind": "gaussian", "amp": -0.1, "center": 2.0,
@@ -73,7 +76,9 @@ class TestProfiles:
                        {"kind": "bump", "amp": 0.2, "inner": 1.0,
                         "outer": 3.0, "sign": -1.0}],
              "beta": -2.5, "delta": 0.4}
-        assert FieldSpec.from_dict(d, lambda value, key: float(value)) == spec
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"b": d}))
+        assert load_config(str(path)).b == spec
 
     @given(st.floats(0.0, 50.0))
     @settings(max_examples=60, deadline=None)
@@ -338,16 +343,17 @@ class TestRegularity:
         rep = check_regularity(w, np.geomspace(1e-4, 1e-6, 9), eps, "+",
                                r_max=1e5)
         # analytic ratio tends to (1 - eps)^(-2/3) from above as lam -> 0
-        assert rep.max_ratio == pytest.approx((1 - eps) ** (-2.0 / 3.0), rel=2e-3)
-        assert rep.regular_ok
-        assert rep.lower_ok
-        assert rep.exponent == pytest.approx(-2.0 / 3.0, abs=0.01)
+        assert rep["max_ratio"] == pytest.approx((1 - eps) ** (-2.0 / 3.0),
+                                                 rel=2e-3)
+        assert rep["regular_ok"]
+        assert rep["lower_ok"]
+        assert rep["exponent"] == pytest.approx(-2.0 / 3.0, abs=0.01)
 
     def test_eps_to_zero_ratio_to_one(self):
         w = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)
         rep = check_regularity(w, np.geomspace(1e-3, 1e-4, 4), 1e-4, "+",
                                r_max=1e4)
-        assert rep.max_ratio == pytest.approx(1.0, abs=1e-3)
+        assert rep["max_ratio"] == pytest.approx(1.0, abs=1e-3)
 
     def test_wrong_sign_degenerate(self):
         w = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)

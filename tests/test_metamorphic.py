@@ -5,8 +5,9 @@
   one resp. two copies of b added to V, shifted by B0 resp. 2 B0.
 - Magnetic scaling: B0 -> s B0, b -> s b(sqrt(s) r), V -> s V(sqrt(s) r)
   with the mesh (R, h) -> (R / sqrt(s), h / sqrt(s)) multiplies every
-  eigenvalue by s.  Power profiles carry a fixed length scale, so the
-  scaled fields are gaussians.
+  eigenvalue by s, and so every `verify` cluster shift and Toeplitz
+  eigenvalue.  Power profiles carry a fixed length scale, so the scaled
+  fields are gaussians and bumps.
 
 Both sides are written as JSON configs and read by `landau`, so every
 derived value (channel cut, window, e_max) is the CLI's own.
@@ -120,11 +121,17 @@ def test_verify_toeplitz_family_identity(family_verify):
     assert code == code_red
 
 
+# the length parameters of the profile kinds that scale onto themselves
+LENGTHS = {"gaussian": ("center", "width"), "bump": ("inner", "outer")}
+
+
 def scaled(field, s):
-    """field(r) -> s field(sqrt(s) r) for gaussian terms; s a square."""
+    """field(r) -> s field(sqrt(s) r) for gaussian and bump terms; s a
+    square."""
     root = s ** 0.5
-    return {"terms": [dict(t, amp=s * t["amp"], center=t["center"] / root,
-                           width=t["width"] / root) for t in field["terms"]],
+    return {"terms": [dict(t, amp=s * t["amp"],
+                           **{k: t[k] / root for k in LENGTHS[t["kind"]]})
+                      for t in field["terms"]],
             "beta": field["beta"]}
 
 
@@ -153,3 +160,45 @@ def test_spectrum_magnetic_scaling(tmp_path, kind):
     # O(h^2) mesh error: the scaled fields on R = 8 with the unscaled step
     # h = 0.02 miss 4E by 7.5e-4 (pauli_minus).
     assert max(abs(E_s[label][0] - s * E[label][0]) for label in E) <= 1e-11
+
+
+@pytest.mark.parametrize("kind", ["pauli_minus", "schroedinger",
+                                  "pauli_plus"])
+def test_verify_magnetic_scaling(tmp_path, kind):
+    s = 4.0  # every scaled number is exact in binary
+    b = {"terms": [{"kind": "gaussian", "amp": 0.05, "center": 2.0,
+                    "width": 1.5}], "beta": -3.0}
+    V = {"terms": [{"kind": "bump", "amp": 0.1, "inner": 2.0,
+                    "outer": 6.0}], "beta": -3.0}
+    config = dict(QUICK, operator=kind, b=b, V=V, q=[1, 2])
+    config_s = dict(config, B0=s * QUICK["B0"], b=scaled(b, s),
+                    V=scaled(V, s), mesh={"r_max": 8.0, "h": 0.01})
+    code, out = run(tmp_path, "verify", config, "one")
+    code_s, out_s = run(tmp_path, "verify", config_s, "scaled")
+    # The verdicts need not agree: the counting rows sit on fixed lambda
+    # grid points, which do not scale with s, and bands.gram_max is an
+    # absolute bound.  Both runs must get through every stage.
+    assert code in (0, 1) and code_s in (0, 1)
+    for q in (1, 2):
+        cl = rows(out / f"clusters_q{q}.csv")[1:]
+        cl_s = rows(out_s / f"clusters_q{q}.csv")[1:]
+        # floor(3 R^2 B0 / 16) is invariant, so the same states are solved
+        assert [r[:2] for r in cl] == [r[:2] for r in cl_s]
+        assert len(cl) >= 30
+        eigs, eigs_s = (json.loads((o / f"toeplitz_eigs_q{q}.json")
+                                   .read_text()) for o in (out, out_s))
+        # Measured worst |x' - 4 x| over the three kinds (x' up to 1.4):
+        # shifts 9.3e-13 and Tq 7.1e-13, both from the eigensolves; the
+        # zero-mode forms of T0 / C_q carry no eigensolve and miss by
+        # 1.1e-14.  Small values make relative errors meaningless (with a
+        # bump b, a Tq eigenvalue near 1e-7 missed by 1.3e-6 relative), so
+        # the bounds are absolute: about ten resp. a hundred times the
+        # measured error, and far below the 7.5e-4 mesh error of a step
+        # left unscaled.
+        for got, want, tol in (
+                ([float(r[2]) for r in cl_s], [float(r[2]) for r in cl],
+                 1e-11),
+                (eigs_s["Tq"], eigs["Tq"], 1e-11),
+                (eigs_s["T0_over_Cq"], eigs["T0_over_Cq"], 1e-12)):
+            assert len(got) == len(want) == len(cl)
+            assert max(abs(x_s - s * x) for x_s, x in zip(got, want)) <= tol

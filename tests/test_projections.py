@@ -173,8 +173,8 @@ class TestGramIdentity:
             b = FieldSpec(
                 (ProfileTerm("bump", 0.05, inner=center + 0.5,
                              outer=center + 1.5),
-                 ProfileTerm("bump", 0.05, inner=center - 1.5,
-                             outer=center - 0.5, sign=-1.0)),
+                 ProfileTerm("bump", -0.05, inner=center - 1.5,
+                             outer=center - 0.5)),
                 beta=-3.0)
             gauge = build_gauge(b, 1.0, mesh)
             basis = zero_mode_basis(gauge, 3, [2], gram=b)
@@ -431,7 +431,7 @@ class TestOffdiag:
         compact = cluster_states(table, 2.0, 0.5, mesh_small, channels)
         V = FieldSpec(
             (ProfileTerm("bump", 0.3, inner=10.8, outer=11.8),
-             ProfileTerm("bump", 0.3, inner=9.8, outer=10.8, sign=-1.0)),
+             ProfileTerm("bump", -0.3, inner=9.8, outer=10.8)),
             beta=-3.0)
         rep = offdiag_smallness(1, V, compact)
         assert rep.sigma_max < 1e-6
