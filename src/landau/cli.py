@@ -420,8 +420,11 @@ def _gram_check(cfg, gauge):
     basis = projections.zero_mode_basis(gauge, cfg.basis_m_max, [1],
                                         gram=cfg.b)
     G = projections.gram_identity_residual(1, basis, cfg.b, cfg.B0)
-    return {"passed": bool(np.max(np.abs(G)) < cfg.bands["gram_max"]),
-            "max_residual": float(np.max(np.abs(G)))}
+    # the residual scales with B0 (B0 -> s B0 multiplies it by s), so the
+    # bound does too
+    residual = float(np.max(np.abs(G)))
+    return {"passed": residual < cfg.bands["gram_max"] * cfg.B0,
+            "max_residual": residual}
 
 
 def cmd_verify(cfg, out, as_json):

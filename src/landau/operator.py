@@ -1,4 +1,4 @@
-"""Channel-reduced radial operators, zero modes, and ladder actions.
+"""Channel-reduced radial operators, zero modes, and the creation ladder.
 
 A radially symmetric 2D operator splits into angular-momentum channels.  In
 the sqrt(r)-substituted variable w(r) = sqrt(r) f(r) the channel-m operator
@@ -127,12 +127,6 @@ class RadialFunction:
     def norm(self):
         return math.sqrt(self.mesh.h * float(np.dot(self.values, self.values)))
 
-    def dot(self, other):
-        """Inner product; distinct channels are orthogonal exactly."""
-        if self.m != other.m:
-            return 0.0
-        return self.mesh.h * float(np.dot(self.values, other.values))
-
     def normalized(self):
         return RadialFunction(self.values / self.norm(), self.m, self.mesh)
 
@@ -249,34 +243,20 @@ def _deriv_centered(f, h):
     return df
 
 
-def _ladder(g, gauge, m_out, sign_m, sign_A):
-    """Ladder action g' + sign_m (m/r) g + sign_A A g, channel m -> m_out.
+def ladder_apply(g, gauge, q):
+    """Apply the creation action g' + (m/r) g - A g, channel m -> m - 1,
+    q times.
 
-    The action is applied in the unsubstituted variable f = w / sqrt(r) and
-    mapped back; the derivative uses centered differences.  The raise
-    action is (m - 1, +1, -1); tests/conftest.py builds the annihilation
-    action (m + 1, -1, +1) from it as an oracle.
-    """
-    mesh = g.mesh
-    r = mesh.nodes
-    f = g.values / mesh.sqrt_nodes
-    df = _deriv_centered(f, mesh.h)
-    out = df + sign_m * (g.m / r) * f + sign_A * gauge.A_theta * f
-    return RadialFunction(mesh.sqrt_nodes * out, m_out, mesh)
-
-
-def ladder_raise(g, gauge):
-    """Creation action g' + (m/r) g - A g, channel m -> m - 1.
-
-    The uniform unimodular factor of the creation operator is dropped;
-    norms and inner products are unaffected.
+    Each step acts in the unsubstituted variable f = w / sqrt(r) and maps
+    back; the derivative uses centered differences.  The uniform unimodular
+    factor of the creation operator is dropped; norms and inner products
+    are unaffected.
     """
     _check_mesh(gauge, g.mesh)
-    return _ladder(g, gauge, g.m - 1, +1.0, -1.0)
-
-
-def ladder_apply(g, gauge, q):
-    """Apply the raise action q times."""
+    mesh = g.mesh
+    r = mesh.nodes
     for _ in range(q):
-        g = ladder_raise(g, gauge)
+        f = g.values / mesh.sqrt_nodes
+        out = _deriv_centered(f, mesh.h) + (g.m / r) * f - gauge.A_theta * f
+        g = RadialFunction(mesh.sqrt_nodes * out, g.m - 1, mesh)
     return g

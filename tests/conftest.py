@@ -10,8 +10,8 @@ from scipy import integrate
 
 from landau.errors import LandauError, QuadratureFailure, UnboundedSet
 from landau.fields import FieldSpec, build_gauge
-from landau.operator import (RadialFunction, RadialMesh, _check_mesh, _ladder,
-                             ladder_apply, ladder_raise, zero_mode)
+from landau.operator import (RadialFunction, RadialMesh, _check_mesh,
+                             _deriv_centered, ladder_apply, zero_mode)
 from landau.projections import _symmetrized, coupling_constant
 
 
@@ -171,11 +171,24 @@ def channel_potential_direct(kind, m, gauge, V):
             + _SPIN[kind] * gauge.B_total + v)
 
 
+def inner(f, g):
+    """Inner product of two RadialFunctions; distinct channels are
+    orthogonal exactly."""
+    if f.m != g.m:
+        return 0.0
+    return f.mesh.h * float(np.dot(f.values, g.values))
+
+
 def ladder_lower(g, gauge):
     """Annihilation action g' - (m/r) g + A g, channel m -> m + 1; the
-    counterpart of operator.ladder_raise, which the pipeline alone uses."""
+    counterpart of the creation step of operator.ladder_apply, which the
+    pipeline alone uses."""
     _check_mesh(gauge, g.mesh)
-    return _ladder(g, gauge, g.m + 1, -1.0, +1.0)
+    mesh = g.mesh
+    f = g.values / mesh.sqrt_nodes
+    out = (_deriv_centered(f, mesh.h) - (g.m / mesh.nodes) * f
+           + gauge.A_theta * f)
+    return RadialFunction(mesh.sqrt_nodes * out, g.m + 1, mesh)
 
 
 def commutator_action(g, gauge):
@@ -186,8 +199,8 @@ def commutator_action(g, gauge):
     roundtrip acquires one minus sign, so the commutator is
     -(lower(raise g) - raise(lower g)).
     """
-    up_down = ladder_lower(ladder_raise(g, gauge), gauge)
-    down_up = ladder_raise(ladder_lower(g, gauge), gauge)
+    up_down = ladder_lower(ladder_apply(g, gauge, 1), gauge)
+    down_up = ladder_apply(ladder_lower(g, gauge), gauge, 1)
     return RadialFunction(-(up_down.values - down_up.values), g.m, g.mesh)
 
 
@@ -256,7 +269,7 @@ def build_Sq_action(q, cluster, m_max, gauge):
                 f"the zero-mode basis [0, {m_max}]"
             )
         u = zero_mode(target, gauge)
-        c = lowered.dot(u)
+        c = inner(lowered, u)
         if abs(c) < 0.99 * lowered.norm():
             raise BasisTooSmall(
                 f"projection keeps only {abs(c) / lowered.norm():.3f} of the "
@@ -271,7 +284,7 @@ def build_Sq_action(q, cluster, m_max, gauge):
         back = raised_cache[v_i.m + q]
         for j, v_j in enumerate(cluster.states):
             if v_j.m == v_i.m:
-                s[i, j] = phase * coeffs[i] * back.dot(v_j) / c_q
+                s[i, j] = phase * coeffs[i] * inner(back, v_j) / c_q
     return _symmetrized(s, "build_Sq_action")
 
 

@@ -76,6 +76,15 @@ class TestConfigValidation:
         assert "config error: config is not valid JSON" in (
             capsys.readouterr().err)
 
+    def test_config_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code = main(["spectrum", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error: config must be a JSON object" in (
+            capsys.readouterr().err)
+
     def test_bad_q_override(self, cfg_path, tmp_path, capsys):
         for q in ("x", "-1"):
             code = main(["spectrum", "--config", str(cfg_path),
@@ -191,6 +200,21 @@ class TestConfigValidation:
                 "beta": -3.0}},
          "config field 'b.terms[0].kind': must be one of power, gaussian, "
          "bump, got 'Power'"),
+        # a profile term that describes no profile
+        ({"b": {"terms": [{"kind": "gaussian", "amp": 0.05, "center": 11.0,
+                           "width": 0.0}], "beta": -3.0}},
+         "config field 'b': gaussian profile needs width > 0"),
+        ({"b": {"terms": [{"kind": "bump", "amp": 0.05, "inner": 6.0,
+                           "outer": 5.0}], "beta": -3.0}},
+         "config field 'b': bump profile needs 0 <= inner < outer"),
+        ({"b": {"terms": [{"kind": "power", "c": 0.05, "beta": 0.0}],
+                "beta": -3.0}},
+         "config field 'b': power profile needs beta < 0"),
+        ({"b": {"terms": [{"kind": "power", "c": 0.05, "beta": -3.0}],
+                "beta": 0.0}},
+         "config field 'b': decay exponent beta must be negative"),
+        ({"lambda": {"per_decade": 1}},
+         "config field 'lambda.per_decade': must be at least 2"),
     ])
     def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
                                     message):
@@ -437,6 +461,18 @@ class TestWeights:
         summary = json.loads((out / "weights_summary.json").read_text())
         assert summary["weights"]["1"]["degenerate"] is True
 
+    def test_zero_fields_degenerate(self, tmp_path):
+        # b = V = 0: the effective weight vanishes, so no superlevel set
+        # and no measure exist for any lambda
+        path = write_config(tmp_path / "zero.json",
+                            b={"terms": [], "beta": -3.0},
+                            V={"terms": [], "beta": -3.0})
+        out = tmp_path / "out"
+        assert main(["weights", "--config", str(path),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "weights_summary.json").read_text())
+        assert summary["weights"] == {"1": {"degenerate": True}}
+
     def test_regularity_pass_for_power(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         main(["weights", "--config", str(cfg_path), "--out", str(out)])
@@ -489,6 +525,37 @@ class TestVerify:
         # the mesh defect at h = 0.05 on [0, 3] binds; both floors are named
         assert "trust region empty: the defect floor" in err
         assert "defect floor 3.22, drift floor 0)" in err
+
+    @pytest.mark.parametrize("b, reason", [
+        # too weak a field: the cluster holds too few states at any lambda
+        ({"terms": [{"kind": "power", "c": 0.0005, "beta": -3.0}],
+          "beta": -3.0}, "(N < 5 everywhere above the floor)"),
+        # a ring near the wall: every superlevel set reaches past R / 2
+        ({"terms": [{"kind": "gaussian", "amp": 0.05, "center": 11.0,
+                     "width": 1.0}], "beta": -3.0},
+         "(superlevel radius exceeds r_max/2 = 8 down to the floor)"),
+    ])
+    def test_no_trusted_lambda_fails(self, tmp_path, capsys, b, reason):
+        path = write_config(tmp_path / "cfg.json", b=b)
+        code = main(["verify", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert ("verification failed: no lambda satisfies the trust "
+                "constraints " + reason) in capsys.readouterr().err
+
+    def test_lapack_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a Sturm count LAPACK reports as failed is a numeric failure,
+        # not a verdict
+        def failing(*args):
+            return np.zeros(2), 1
+
+        monkeypatch.setattr(spectra, "dlaebz", failing)
+        code = main(["verify", "--config", str(CONFIGS / "quick.json"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: Sturm count failed")
+        assert "info=1" in err
 
     def test_one_cluster_solve_per_q(self, tmp_path, monkeypatch):
         # the domain drift comes from the one solve at r_max; no channel

@@ -7,8 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 from landau.errors import MeshMismatch
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
 from landau.operator import (KINDS, RadialFunction, RadialMesh, build_channel,
-                             default_channel_cut, ladder_apply, ladder_raise,
-                             zero_mode)
+                             default_channel_cut, ladder_apply, zero_mode)
 from landau.spectra import channel_eigs
 
 from conftest import (channel_potential_direct, commutator_action, dense,
@@ -121,7 +120,7 @@ class TestChannelMatrix:
         other = RadialMesh(12.0, 0.02)
         g = RadialFunction(np.ones(other.n), 1, other)
         with pytest.raises(MeshMismatch):
-            ladder_raise(g, gauge_power)
+            ladder_apply(g, gauge_power, 1)
 
     def test_large_m_entries_finite(self, b_power):
         # the first-cell entry of the weighted flux form, 4^(|m|+1/2) / h^2,
@@ -201,7 +200,7 @@ class TestZeroModes:
 class TestLadders:
     def test_channel_labels(self, mesh_small, gauge_power):
         u = zero_mode(2, gauge_power)
-        assert ladder_raise(u, gauge_power).m == 1
+        assert ladder_apply(u, gauge_power, 1).m == 1
         assert ladder_lower(u, gauge_power).m == 3
 
     def test_gram_norm_unperturbed(self, mesh_small, gauge_zero):
@@ -220,7 +219,7 @@ class TestLadders:
         bv = b_power.evaluate(mesh_small.nodes)
         for m in (0, 3, 7):
             u = zero_mode(m, gauge_power)
-            ru = ladder_raise(u, gauge_power)
+            ru = ladder_apply(u, gauge_power, 1)
             lhs = mesh_small.h * np.dot(ru.values, ru.values)
             bu = mesh_small.h * np.dot(u.values * bv, u.values)
             assert lhs == pytest.approx(2.0 + 2.0 * bu, abs=2e-5)
@@ -278,7 +277,7 @@ class TestLadders:
         # Q applied to a level-1 eigenfunction lands in the zero-mode space:
         # the Rayleigh quotient drops by 2 B0
         u = zero_mode(3, gauge_zero)
-        level1 = ladder_raise(u, gauge_zero)  # channel 2, level 1
+        level1 = ladder_apply(u, gauge_zero, 1)  # channel 2, level 1
         lowered = ladder_lower(level1, gauge_zero)
         op = build_channel("pauli_minus", 3, gauge_zero, None)
         rq = (mesh_small.h * float(np.dot(lowered.values,
@@ -290,7 +289,7 @@ class TestLadders:
         # Qbar u is an eigenvector of the next Landau level: Rayleigh
         # quotient of P_- at Qbar u equals 2 B0
         u = zero_mode(3, gauge_zero)
-        ru = ladder_raise(u, gauge_zero)
+        ru = ladder_apply(u, gauge_zero, 1)
         op = build_channel("pauli_minus", 2, gauge_zero, None)
         rq = (mesh_small.h * float(np.dot(ru.values, op.matvec(ru.values)))
               / (mesh_small.h * float(np.dot(ru.values, ru.values))))

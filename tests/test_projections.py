@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
-from conftest import BasisTooSmall, build_Sq_action, offdiag_smallness
+from conftest import BasisTooSmall, build_Sq_action, inner, offdiag_smallness
 from landau import asymptotics
 from landau.cli import load_config
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
@@ -52,7 +52,7 @@ def quick_q1():
 class TestBasis:
     def test_gram_is_identity(self, gauge_power):
         modes = [zero_mode(m, gauge_power) for m in range(10)]
-        g = np.array([[u.dot(v) for v in modes] for u in modes])
+        g = np.array([[inner(u, v) for v in modes] for u in modes])
         assert np.max(np.abs(g - np.eye(len(modes)))) < 1e-10
 
     def test_coupling_constants(self):
@@ -320,7 +320,7 @@ class TestTq:
             av -= 2.0 * cluster_q1.B0 * v.values
             av += Vv * v.values
             applied.append(RadialFunction(av, v.m, v.mesh))
-        ref = np.array([[a.dot(v) for v in states] for a in applied])
+        ref = np.array([[inner(a, v) for v in states] for a in applied])
         assert np.array_equal(scattered(build_Tq(1, V, cluster_q1)),
                               0.5 * (ref + ref.T))
 
