@@ -31,8 +31,8 @@ def main():
         mesh = RadialMesh(args.r_max, h)
         gauge = build_gauge(b, 1.0, mesh)
         basis = zero_mode_basis(gauge, args.modes - 1, (1, 2), gram=b)
-        r1 = np.max(np.abs(gram_identity_residual(1, basis, b, 1.0)))
-        r2 = np.max(np.abs(gram_identity_residual(2, basis, b, 1.0)))
+        r1 = np.max(np.abs(gram_identity_residual(1, basis, b)))
+        r2 = np.max(np.abs(gram_identity_residual(2, basis, b)))
         rows.append((h, r1, r2))
 
     print(f"{'h':>8} {'q=1 residual':>14} {'q=2 residual':>14} "

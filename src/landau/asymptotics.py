@@ -9,15 +9,20 @@ One rule decides both the cluster and N: a non-boundary state belongs to
 the cluster when |E - Lambda_q| < gamma, Lambda_q = 2 q B0, and N counts
 the cluster states beyond lambda on the side of `sign`.
 
-The stages form one data flow: compute_cluster(cfg) solves the cluster
-once and returns a ClusterComputation; boundary_sensitivity(comp) estimates
-the domain drift from it; cluster_asymptotics_report(comp) builds the
-counting report (taking the drift from boundary_sensitivity); and
-upper_estimate_check(comp, report) fits the exponent on that report.
+Every operator kind is solved as the spin-down one (operator.spin_down_form):
+H(V) = P_-(V + b) + B0 and P_+(V) = P_-(V + 2b) + 2 B0, so a run needs its
+config, q, and the spin-down electric part V.
+
+The stages form one data flow: compute_cluster(cfg, q) solves the cluster
+once and returns a ClusterComputation holding cfg, q and the spin-down V;
+boundary_sensitivity(comp) estimates the domain drift from it;
+cluster_asymptotics_report(comp) builds the counting report (taking the
+drift from boundary_sensitivity); and upper_estimate_check(comp, report)
+fits the exponent on that report.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,14 +44,14 @@ DRIFT_FACTOR = 1.2
 
 @dataclass(frozen=True)
 class VerificationConfig:
-    """One cluster-verification scenario (fields, mesh, grid): its inputs
-    only; the channel cut and the window half-width are derived from them."""
+    """One cluster-verification scenario (fields, mesh, grid) for any
+    Landau index: its inputs only; the channel cut and the window
+    half-width are derived from them."""
 
     B0: float = 1.0
     operator: str = "pauli_minus"
     b: FieldSpec = field(default_factory=FieldSpec.zero)
     V: FieldSpec = field(default_factory=FieldSpec.zero)
-    q: int = 1
     sign: str = "+"
     r_max: float = 30.0
     h: float = 0.005
@@ -57,8 +62,6 @@ class VerificationConfig:
             raise ValueError("B0 must be positive")
         if self.operator not in KINDS:
             raise ValueError(f"operator must be one of {KINDS}")
-        if self.q < 0:
-            raise ValueError("q must be >= 0")
         for name, spec in (("b", self.b), ("V", self.V)):
             if not spec.is_zero and spec.beta >= -2.0:
                 raise ValueError(
@@ -74,57 +77,48 @@ class VerificationConfig:
 
     @property
     def gamma(self):
-        """Half-width of the cluster window around the level 2 q B0."""
+        """Half-width of the cluster window around each level 2 q B0."""
         return 0.5 * self.B0
-
-
-def family_reduction(cfg):
-    """Reduce a Schroedinger / spin-up scenario to the spin-down one.
-
-    Returns the config with operator "pauli_minus" and electric part V + b
-    resp. V + 2b (cfg itself for "pauli_minus"); spectra of the original
-    operators equal the reduced spin-down spectra plus the level shift B0
-    resp. 2 B0 (operator.spin_down_form), channel matrix by channel matrix.
-    """
-    V, _ = spin_down_form(cfg.operator, cfg.V, cfg.b)
-    return cfg if V is cfg.V else replace(cfg, V=V, operator="pauli_minus")
 
 
 @dataclass
 class ClusterComputation:
     """Everything the q-th cluster run produced, for reuse downstream."""
 
-    cfg: VerificationConfig  # reduced to the spin-down form
+    cfg: VerificationConfig
+    q: int
+    V: FieldSpec  # the spin-down electric part the channels were built with
     gauge: GaugeData
     table: spectra.SpectrumTable
     cluster: spectra.ClusterStates
     defect_floor: float
 
 
-def compute_cluster(cfg):
-    """Diagonalize the channels feeding the q-th cluster of the reduced
-    spin-down operator and extract the cluster states.
+def compute_cluster(cfg, q):
+    """Diagonalize the channels feeding the q-th cluster of the spin-down
+    form of cfg's operator and extract the cluster states.
 
     Only the window around the level is solved; the table keeps the
     per-channel labels n of the full spectrum (spectra.ChannelResult).
     """
-    rcfg = family_reduction(cfg)
-    mesh = RadialMesh(rcfg.r_max, rcfg.h)
-    gauge = build_gauge(rcfg.b, rcfg.B0, mesh)
-    ms = range(-rcfg.q, rcfg.m_max + 1)
-    center, gamma = 2.0 * rcfg.q * rcfg.B0, rcfg.gamma
+    if q < 0:
+        raise ValueError("q must be >= 0")
+    V = spin_down_form(cfg.operator, cfg.V, cfg.b)[0]
+    gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
+    center, gamma = 2.0 * q * cfg.B0, cfg.gamma
     # an eigenvalue within roundoff of a window endpoint is still solved;
     # the strict test of cluster_states decides whether it belongs
     e_min, e_max = center - gamma - 1e-6, center + gamma + 1e-6
-    ops = [build_channel("pauli_minus", m, gauge, rcfg.V) for m in ms]
+    ops = [build_channel("pauli_minus", m, gauge, V)
+           for m in range(-q, cfg.m_max + 1)]
     channels = solve_channels(ops, e_max, e_min)
-    floor = _defect_floor(rcfg, gauge, e_min, e_max, channels)
+    floor = _defect_floor(q, V, gauge, e_min, e_max, channels)
     table = assemble_spectrum(channels)
-    cluster = cluster_states(table, center, gamma, mesh, channels)
-    return ClusterComputation(rcfg, gauge, table, cluster, floor)
+    cluster = cluster_states(table, center, gamma, channels)
+    return ClusterComputation(cfg, q, V, gauge, table, cluster, floor)
 
 
-def _defect_floor(cfg, gauge, e_min, e_max, channels):
+def _defect_floor(q, V, gauge, e_min, e_max, channels):
     """Mesh-error bound for the level-q eigenvalues of the channel matrices.
 
     The zero-mode weighted flux form is exact on the zero modes; its O(h^2)
@@ -142,19 +136,19 @@ def _defect_floor(cfg, gauge, e_min, e_max, channels):
     """
     mesh = gauge.mesh
     fine = RadialMesh(0.5 * mesh.r_max, 0.5 * mesh.h)
-    runs = ((gauge, cfg.V), (build_gauge(cfg.b, cfg.B0, fine), cfg.V),
-            (build_gauge(FieldSpec.zero(), cfg.B0, mesh), None))
-    center = 2.0 * cfg.q * cfg.B0
+    runs = ((gauge, V), (build_gauge(gauge.source, gauge.B0, fine), V),
+            (build_gauge(FieldSpec.zero(), gauge.B0, mesh), None))
+    center = 2.0 * q * gauge.B0
     worst = 0.0
-    for m in range(-cfg.q, 2):
-        level = cfg.q + min(m, 0)  # per-channel index of the level-q state
+    for m in range(-q, 2):
+        level = q + min(m, 0)  # per-channel index of the level-q state
         E = []
-        for g, V in runs:
-            if g is gauge and m + cfg.q < len(channels):
-                ch = channels[m + cfg.q]
+        for g, electric in runs:
+            if g is gauge and m + q < len(channels):
+                ch = channels[m + q]
             else:
                 ch = spectra.solve_channel(
-                    build_channel("pauli_minus", m, g, V), e_max, e_min)
+                    build_channel("pauli_minus", m, g, electric), e_max, e_min)
             k = level - ch.first
             E.append(float(ch.energies[k]) if 0 <= k < ch.energies.size
                      else math.nan)
@@ -209,20 +203,20 @@ def cluster_asymptotics_report(comp):
     qualifies; a weight with no part of the requested sign produces a
     degenerate report with E = 0 instead, before any drift estimate.
     """
-    rcfg = comp.cfg
-    weight = effective_weight(rcfg.V, rcfg.b, rcfg.q, rcfg.B0)
-    center, gamma = 2.0 * rcfg.q * rcfg.B0, rcfg.gamma
+    cfg = comp.cfg
+    weight = effective_weight(comp.V, cfg.b, comp.q, cfg.B0)
+    center, gamma = 2.0 * comp.q * cfg.B0, cfg.gamma
 
     def count(lam):  # the cluster states beyond lambda
-        if rcfg.sign == "+":
+        if cfg.sign == "+":
             return counting_function(comp.table, center + lam, center + gamma)
         return counting_function(comp.table, center - gamma, center - lam)
 
     # degenerate weight: no superlevel set of the requested sign at all
-    probe = weight(np.linspace(0.0, rcfg.r_max, 4097))
-    sup = float(np.max(probe if rcfg.sign == "+" else -probe))
+    probe = weight(np.linspace(0.0, cfg.r_max, 4097))
+    sup = float(np.max(probe if cfg.sign == "+" else -probe))
     if weight.is_zero or sup <= 0.0:
-        lams = _lambda_grid(gamma * 1e-3, gamma * 0.999, rcfg.per_decade)
+        lams = _lambda_grid(gamma * 1e-3, gamma * 0.999, cfg.per_decade)
         N = np.array([count(l) for l in lams])
         return CountingReport(
             lambdas=lams, N=N, E_measure=np.zeros_like(lams),
@@ -245,12 +239,12 @@ def cluster_asymptotics_report(comp):
     # intervals it is read from also give the measure
     def trusted(intervals):
         return intervals is not None and not (
-            intervals and intervals[-1][1] > 0.5 * rcfg.r_max)
+            intervals and intervals[-1][1] > 0.5 * cfg.r_max)
 
-    lams = _lambda_grid(lam_floor, gamma * 0.999, rcfg.per_decade)
+    lams = _lambda_grid(lam_floor, gamma * 0.999, cfg.per_decade)
     rows = []
-    for lam, intervals in zip(lams, superlevel_scan(weight, lams, rcfg.sign,
-                                                    r_max=rcfg.r_max)):
+    for lam, intervals in zip(lams, superlevel_scan(weight, lams, cfg.sign,
+                                                    r_max=cfg.r_max)):
         if not trusted(intervals):
             continue
         n_val = count(lam)
@@ -261,10 +255,10 @@ def cluster_asymptotics_report(comp):
     if not rows:
         reasons = []
         lam = max(lam_floor, gamma * 1e-3)
-        if not trusted(superlevel_scan(weight, [lam], rcfg.sign,
-                                       r_max=rcfg.r_max)[0]):
+        if not trusted(superlevel_scan(weight, [lam], cfg.sign,
+                                       r_max=cfg.r_max)[0]):
             reasons.append(
-                f"superlevel radius exceeds r_max/2 = {rcfg.r_max / 2:g} "
+                f"superlevel radius exceeds r_max/2 = {cfg.r_max / 2:g} "
                 f"down to the floor")
         if count(lam) < MIN_COUNT:
             reasons.append(f"N < {MIN_COUNT} everywhere above the floor")
@@ -289,8 +283,8 @@ def upper_estimate_check(comp, report):
     weight it should approach; both NaN for a degenerate report."""
     if report.note == "degenerate-weight":
         return math.nan, math.nan
-    rcfg = comp.cfg
-    weight = effective_weight(rcfg.V, rcfg.b, rcfg.q, rcfg.B0)
+    cfg = comp.cfg
+    weight = effective_weight(comp.V, cfg.b, comp.q, cfg.B0)
     slope = float(np.polyfit(np.log(report.lambdas), np.log(report.N), 1)[0])
     return slope, 2.0 / weight.beta_eff
 

@@ -2,8 +2,9 @@
 
 Everything here is channel-diagonal for radial data: basis elements live in
 single angular channels and the constructed matrices couple equal channels
-only, so residual matrices come out diagonal and Toeplitz matrices are held
-as their channel blocks.
+only: on the zero-mode basis (one mode per channel) residual matrices come
+out diagonal and T_0 is its diagonal, and on a cluster T_q is held as its
+channel blocks.
 """
 
 import math
@@ -65,8 +66,8 @@ def zero_mode_basis(gauge, m_max, qs, **fields):
     that the named quantities read for each q in `qs`:
 
         T0=V        build_T0(q, V, basis)
-        gram=b      gram_identity_residual(q, basis, b, B0)
-        weighted=U  weighted_identity_residual(q, basis, U, B0)
+        gram=b      gram_identity_residual(q, basis, b)
+        weighted=U  weighted_identity_residual(q, basis, U)
 
     Each mode is made, raised one ladder step per level up to the highest
     level asked for, and dropped: one mode is held at a time, and each
@@ -98,7 +99,7 @@ def zero_mode_basis(gauge, m_max, qs, **fields):
     return ZeroModeBasis(gauge, m_max + 1, forms)
 
 
-def gram_identity_residual(q, basis, b, B0):
+def gram_identity_residual(q, basis, b):
     """Residual of the ladder Gram identity on the zero-mode basis.
 
     G[i][j] = <Qbar^q u_i, Qbar^q u_j> - C_q delta_ij
@@ -107,9 +108,11 @@ def gram_identity_residual(q, basis, b, B0):
     For q = 1 the identity is exact in the continuum (the correction is
     2 b), so the residual is pure discretization error; for q >= 2 it
     estimates the sub-leading, faster-decaying part of the correction.
+    B0 is read from the basis gauge.
     """
     if q < 1:
         raise ValueError("gram identity needs q >= 1")
+    B0 = basis.gauge.B0
     raised, bform = basis.diagonal("gram", q, b)
     G = np.diag(raised)
     G -= coupling_constant(q, B0) * np.eye(len(basis))
@@ -117,20 +120,22 @@ def gram_identity_residual(q, basis, b, B0):
     return G
 
 
-def weighted_identity_residual(q, basis, U, B0):
+def weighted_identity_residual(q, basis, U):
     """Residual of the weighted Gram identity against its leading term.
 
-    Returns <U Qbar^q u_i, Qbar^q u_j> - C'_q B0^q <U u_i, u_j>.  The
-    magnetic perturbation enters through the basis gauge.
+    Returns <U Qbar^q u_i, Qbar^q u_j> - C'_q B0^q <U u_i, u_j>.  B0 and
+    the magnetic perturbation enter through the basis gauge.
     """
     if q < 1:
         raise ValueError("weighted identity needs q >= 1")
     raised, modes = basis.diagonal("weighted", q, U)
-    lead = linear_coupling_constant(q) * B0 ** q
+    lead = linear_coupling_constant(q) * basis.gauge.B0 ** q
     return np.diag(raised) - lead * np.diag(modes)
 
 
 def _symmetrized(mat, where):
+    if mat.size == 1:  # a 1 x 1 block cannot be skew
+        return mat
     skew = np.max(np.abs(mat - mat.T))
     scale = max(np.max(np.abs(mat)), 1.0)
     if skew > 1e-12 * scale:
@@ -140,13 +145,11 @@ def _symmetrized(mat, where):
 
 @dataclass
 class ToeplitzMatrix:
-    """Compressed operator on a truncated basis (zero modes or cluster),
-    held as its channel blocks.
+    """Compressed operator on a cluster, held as its channel blocks.
 
     Entries couple equal angular channels only.  `blocks[m]` is
-    (rows, block): the basis rows in channel m, ascending, and the
-    symmetric block of entries over them.  A zero-mode basis has one row
-    per channel, so each of its blocks is 1 x 1.
+    (rows, block): the cluster rows in channel m, ascending, and the
+    symmetric block of entries over them.
     """
 
     blocks: dict
@@ -157,16 +160,10 @@ class ToeplitzMatrix:
                for rows, block in self.blocks.values()]
         return np.sort(np.concatenate(out)) if out else np.empty(0)
 
-    def triples(self):
-        """(i, j, value) of every in-channel entry, channel by channel."""
-        for rows, block in self.blocks.values():
-            for i, values in zip(rows, block.tolist()):
-                for j, value in zip(rows, values):
-                    yield i, j, value
-
 
 def build_T0(q, V, basis):
-    """Toeplitz-type operator on the zero-mode basis via ladder forms.
+    """Toeplitz-type operator on the zero-mode basis via ladder forms, as
+    its diagonal t[m] (the basis modes lie in distinct channels).
 
     t[i][j] = <(P_- - Lambda_q + V) Qbar^q u_i, Qbar^q u_j>, evaluated
     through the quadratic-form identity
@@ -180,12 +177,10 @@ def build_T0(q, V, basis):
     through the basis gauge.
     """
     if q == 0:
-        t = basis.diagonal("T0", q, V)[0]
-    else:
-        raised1, raised, weighted = basis.diagonal("T0", q, V)
-        lam_next = 2.0 * (q + 1) * basis.gauge.B0
-        t = raised1 - lam_next * raised + weighted
-    return ToeplitzMatrix({m: ((m,), t[m:m + 1, None]) for m in range(len(t))})
+        return basis.diagonal("T0", q, V)[0]
+    raised1, raised, weighted = basis.diagonal("T0", q, V)
+    lam_next = 2.0 * (q + 1) * basis.gauge.B0
+    return raised1 - lam_next * raised + weighted
 
 
 def build_Tq(q, V, cluster):

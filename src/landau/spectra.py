@@ -317,7 +317,7 @@ class ClusterStates:
         return self.shifts.size
 
 
-def cluster_states(table, center, gamma, mesh, channels):
+def cluster_states(table, center, gamma, channels):
     """Signed shifts E - center of the non-boundary states strictly inside
     (center - gamma, center + gamma), with their labels, eigenvectors and
     channel matrices, |shift| descending; an empty cluster is legal."""
@@ -326,8 +326,8 @@ def cluster_states(table, center, gamma, mesh, channels):
     rows = keep[np.argsort(-np.abs(table.E[keep] - center), kind="stable")]
     shifts = table.E[rows] - center
     ms, ns = table.m[rows], table.n[rows]
-    states = [table.state(m, n, mesh) for m, n in zip(ms, ns)]
     ops = {ch.op.m: ch.op for ch in channels}
+    states = [table.state(m, n, ops[m].mesh) for m, n in zip(ms, ns)]
     return ClusterStates(table.provenance["B0"], shifts, ms, ns, states, ops)
 
 

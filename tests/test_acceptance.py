@@ -38,10 +38,10 @@ def report_line(num, passed, detail):
 
 @pytest.fixture(scope="module")
 def headline_run():
-    cfg = VerificationConfig(B0=1.0, b=B_HEADLINE, q=1, sign="+",
-                             r_max=30.0, h=0.005)
+    cfg = VerificationConfig(B0=1.0, b=B_HEADLINE, sign="+", r_max=30.0,
+                             h=0.005)
     t0 = time.monotonic()
-    comp = compute_cluster(cfg)
+    comp = compute_cluster(cfg, 1)
     drift = boundary_sensitivity(comp)
     report = cluster_asymptotics_report(comp)
     elapsed = time.monotonic() - t0
@@ -50,9 +50,9 @@ def headline_run():
 
 @pytest.fixture(scope="module")
 def beta4_report():
-    cfg = VerificationConfig(B0=1.0, b=FieldSpec.power(0.05, -4.0), q=1,
+    cfg = VerificationConfig(B0=1.0, b=FieldSpec.power(0.05, -4.0),
                              sign="+", r_max=30.0, h=0.005)
-    comp = compute_cluster(cfg)
+    comp = compute_cluster(cfg, 1)
     return comp, cluster_asymptotics_report(comp)
 
 
@@ -129,7 +129,7 @@ def test_acceptance_03_gram_identity_q1():
         mesh = RadialMesh(20.0, h)
         gauge = build_gauge(B_HEADLINE, 1.0, mesh)
         basis = zero_mode_basis(gauge, 11, [1], gram=B_HEADLINE)  # 12 modes
-        G = gram_identity_residual(1, basis, B_HEADLINE, 1.0)
+        G = gram_identity_residual(1, basis, B_HEADLINE)
         res[h] = float(np.max(np.abs(G)))
     ratio = res[0.005] / res[0.0025]
     passed = res[0.005] < 1e-5 and 3.2 <= ratio <= 5.5

@@ -11,7 +11,7 @@ from landau import asymptotics, spectra
 from landau.asymptotics import (VerificationConfig, _lambda_grid,
                                 boundary_sensitivity,
                                 cluster_asymptotics_report, compute_cluster,
-                                family_reduction, upper_estimate_check)
+                                upper_estimate_check)
 from landau.errors import TrustRegionEmpty
 from landau.fields import (FieldSpec, ProfileTerm, build_gauge,
                            counting_measure, effective_weight)
@@ -20,13 +20,13 @@ from landau.operator import build_channel, spin_down_form
 
 @pytest.fixture(scope="module")
 def small_cfg(b_power):
-    return VerificationConfig(B0=1.0, b=b_power, q=1, sign="+",
-                              r_max=16.0, h=0.02)
+    return VerificationConfig(B0=1.0, b=b_power, sign="+", r_max=16.0,
+                              h=0.02)
 
 
 @pytest.fixture(scope="module")
 def small_run(small_cfg):
-    comp = compute_cluster(small_cfg)
+    comp = compute_cluster(small_cfg, 1)
     return comp, boundary_sensitivity(comp), cluster_asymptotics_report(comp)
 
 
@@ -34,7 +34,7 @@ def small_run(small_cfg):
 def minus_run(b_power):
     """The small run with the field flipped, counted below the level."""
     comp = compute_cluster(VerificationConfig(
-        B0=1.0, b=b_power.scaled(-1.0), q=1, sign="-", r_max=16.0, h=0.02))
+        B0=1.0, b=b_power.scaled(-1.0), sign="-", r_max=16.0, h=0.02), 1)
     return comp, cluster_asymptotics_report(comp)
 
 
@@ -73,11 +73,18 @@ class TestConfig:
         with pytest.raises(TypeError):
             VerificationConfig(b=b_power, m_max=10)
 
+    def test_q_is_an_argument(self, small_cfg):
+        # the scenario holds no Landau index; compute_cluster checks its q
+        with pytest.raises(TypeError):
+            VerificationConfig(q=1)
+        with pytest.raises(ValueError, match="q must be >= 0"):
+            compute_cluster(small_cfg, -1)
+
 
 class TestFamilyReduction:
-    def test_identity_for_pauli_minus(self, small_cfg):
+    def test_identity_for_pauli_minus(self, small_cfg, small_run):
         assert small_cfg.operator == "pauli_minus"
-        assert family_reduction(small_cfg) is small_cfg
+        assert small_run[0].V is small_cfg.V
         _, shift = spin_down_form("pauli_minus", small_cfg.V, small_cfg.b)
         assert shift == 0.0
 
@@ -120,26 +127,19 @@ class TestFamilyReduction:
         # with V = 0 the electric part is the copies of b alone;
         # FieldSpec.sum(zero, b) would report beta = max(-3, -4) = -3
         b = FieldSpec.power(0.05, -4.0)
-        cfg = VerificationConfig(B0=1.0, operator=kind, b=b, q=1, r_max=16.0,
-                                 h=0.02)
-        rcfg = family_reduction(cfg)
-        assert rcfg.operator == "pauli_minus" and cfg.operator == kind
-        assert rcfg.V.beta == -4.0
-        assert spin_down_form(kind, cfg.V, b)[1] == copies
+        V, shift = spin_down_form(kind, FieldSpec.zero(), b)
+        assert V.beta == -4.0
+        assert shift == copies
         r = np.linspace(0.0, 10.0, 50)
-        assert np.array_equal(rcfg.V.evaluate(r), copies * b.evaluate(r))
+        assert np.array_equal(V.evaluate(r), copies * b.evaluate(r))
 
     def test_reduced_weight_matches_theorem(self, b_power):
         # for H(V): counting weight becomes (V + b) + 2 q b
-        cfg = VerificationConfig(B0=1.0, operator="schroedinger", b=b_power,
-                                 V=b_power, q=1, r_max=16.0, h=0.02)
-        rcfg = family_reduction(cfg)
-        assert rcfg.operator == "pauli_minus"
-        assert spin_down_form("schroedinger", cfg.V, cfg.b)[1] == 1.0
+        V, shift = spin_down_form("schroedinger", b_power, b_power)
+        assert shift == 1.0
         r = np.linspace(0.0, 10.0, 50)
-        w = effective_weight(rcfg.V, rcfg.b, 1, 1.0)
-        expected = (cfg.V.evaluate(r) + cfg.b.evaluate(r)
-                    + 2.0 * cfg.b.evaluate(r))
+        w = effective_weight(V, b_power, 1, 1.0)
+        expected = 4.0 * b_power.evaluate(r)
         assert np.allclose(w(r), expected, rtol=1e-13)
 
 
@@ -244,17 +244,17 @@ class TestClusterReport:
                               10.0 ** (k / small_cfg.per_decade))
 
     def test_q0_degenerate_counting(self, b_power):
-        cfg = VerificationConfig(B0=1.0, b=b_power, q=0, sign="+",
-                                 r_max=12.0, h=0.02)
-        report = cluster_asymptotics_report(compute_cluster(cfg))
+        cfg = VerificationConfig(B0=1.0, b=b_power, sign="+", r_max=12.0,
+                                 h=0.02)
+        report = cluster_asymptotics_report(compute_cluster(cfg, 0))
         assert report.note == "degenerate-weight"
         assert np.all(report.N == 0)  # zero modes stay exactly at the level
         assert np.all(report.E_measure == 0.0)
 
     def test_trust_region_empty_srinks_with_radius(self, b_power):
-        cfg = VerificationConfig(B0=1.0, b=b_power, q=1, sign="+",
-                                 r_max=4.0, h=0.02)
-        comp = compute_cluster(cfg)
+        cfg = VerificationConfig(B0=1.0, b=b_power, sign="+", r_max=4.0,
+                                 h=0.02)
+        comp = compute_cluster(cfg, 1)
         with pytest.raises(TrustRegionEmpty):
             cluster_asymptotics_report(comp)
 
@@ -285,7 +285,7 @@ class TestDefectFloor:
         # measured against Richardson on h/2 and h/4, without inflating it
         comp = small_run[0]
         half, quarter = (
-            labeled(compute_cluster(replace(small_cfg, h=h)).cluster)
+            labeled(compute_cluster(replace(small_cfg, h=h), 1).cluster)
             for h in (0.01, 0.005))
         shifts = labeled(comp.cluster)
         assert set(shifts) <= set(half) & set(quarter)
@@ -300,9 +300,34 @@ class TestDefectFloor:
         # is the same number
         monkeypatch.setattr(asymptotics, "default_channel_cut",
                             lambda r_max, B0: 0)
-        cut = compute_cluster(small_cfg)
+        cut = compute_cluster(small_cfg, 1)
         assert cut.table.provenance["channels"] == [-1, 0]
         assert cut.defect_floor == small_run[0].defect_floor
+
+    @pytest.mark.parametrize("kind, s", [("pauli_minus", 0),
+                                         ("schroedinger", 1),
+                                         ("pauli_plus", 2)])
+    def test_floor_bounds_plateau_closed_form(self, kind, s):
+        # closed-form oracle: on the plateau of the bump b = a on [0, 9],
+        # the field is B0 + a and the spin-down electric part is s a, so a
+        # state whose orbit lies deep inside (m <= 6) sits at the level
+        # 2 q (B0 + a) + s a: its shift is exactly (2 q + s) a up to
+        # exponentially small tails.  Floor over error reads 1.00008,
+        # 1.00091 and 1.036 for q = 1, 2, 3 on every kind: the margin here
+        # is thin, and TRUST_SAFETY = 10 is the real one.  A failure is a
+        # defect of the floor, not a tolerance to loosen.
+        a = 0.05
+        b = FieldSpec((ProfileTerm("bump", a, inner=9.0, outer=11.0),),
+                      beta=-3.0)
+        cfg = VerificationConfig(B0=1.0, operator=kind, b=b, r_max=16.0,
+                                 h=0.02)
+        for q in (1, 2, 3):
+            comp = compute_cluster(cfg, q)
+            deep = comp.cluster.ms <= 6
+            assert np.count_nonzero(deep) == q + 7  # channels -q..6
+            error = np.max(np.abs(comp.cluster.shifts[deep]
+                                  - (2 * q + s) * a))
+            assert comp.defect_floor >= error
 
 
 class TestExponentFit:
@@ -314,8 +339,8 @@ class TestExponentFit:
         assert abs(fitted - expected) < 0.15
 
     def test_empty_cluster_note(self):
-        cfg = VerificationConfig(B0=1.0, q=1, sign="+", r_max=12.0, h=0.02)
-        comp = compute_cluster(cfg)
+        cfg = VerificationConfig(B0=1.0, sign="+", r_max=12.0, h=0.02)
+        comp = compute_cluster(cfg, 1)
         fitted, expected = upper_estimate_check(
             comp, cluster_asymptotics_report(comp))
         assert math.isnan(fitted)
@@ -338,14 +363,13 @@ class TestBoundarySensitivity:
         # (up to 2.3e-2 at R = 8); the single-solve estimate must bound each
         # drift without inflating it beyond 200x (measured 23x-76x)
         monkeypatch.setattr(spectra, "_NORM_FRACTION", 1.0)
-        cfg = VerificationConfig(B0=1.0, b=b_power, q=1, sign="+", r_max=R,
-                                 h=0.02)
-        comp = compute_cluster(cfg)
+        cfg = VerificationConfig(B0=1.0, b=b_power, sign="+", r_max=R, h=0.02)
+        comp = compute_cluster(cfg, 1)
         estimate = boundary_sensitivity(comp)
         R_prime = estimate.R_prime
         assert R_prime == pytest.approx(1.2 * R)
         # the channel cut is derived again at R'
-        wide = compute_cluster(replace(cfg, r_max=R_prime))
+        wide = compute_cluster(replace(cfg, r_max=R_prime), 1)
         oracle = spectra.boundary_sensitivity(
             labeled(comp.cluster), labeled(wide.cluster), R, R_prime)
         assert estimate.labels == oracle.labels
@@ -359,9 +383,8 @@ class TestBoundarySensitivity:
 
 @pytest.fixture(scope="module")
 def q2_run(b_power):
-    cfg = VerificationConfig(B0=1.0, b=b_power, q=2, sign="+",
-                             r_max=20.0, h=0.01)
-    comp = compute_cluster(cfg)
+    cfg = VerificationConfig(B0=1.0, b=b_power, sign="+", r_max=20.0, h=0.01)
+    comp = compute_cluster(cfg, 2)
     return cfg, comp, cluster_asymptotics_report(comp)
 
 
@@ -386,8 +409,8 @@ class TestSecondCluster:
         sh = np.sort(cl.shifts)[::-1]
         basis = zero_mode_basis(comp.gauge, int(np.max(cl.ms)) + 2, [2],
                                 T0=None)
-        T0 = build_T0(2, None, basis)
-        t0 = np.sort(T0.eigenvalues())[::-1] / coupling_constant(2, 1.0)
+        t0 = np.sort(build_T0(2, None, basis))[::-1]
+        t0 /= coupling_constant(2, 1.0)
         k = len(sh) // 4
         assert np.max(np.abs(tq[:k] - sh[:k]) / sh[:k]) < 1e-8
         # the q >= 2 ladder route carries the genuine sub-leading field
@@ -396,7 +419,7 @@ class TestSecondCluster:
 
     def test_schroedinger_family_report(self, b_power):
         cfg = VerificationConfig(B0=1.0, operator="schroedinger", b=b_power,
-                                 q=1, sign="+", r_max=16.0, h=0.02)
-        report = cluster_asymptotics_report(compute_cluster(cfg))
+                                 sign="+", r_max=16.0, h=0.02)
+        report = cluster_asymptotics_report(compute_cluster(cfg, 1))
         assert report.ratio[0] == pytest.approx(1.0, abs=0.1)
         assert report.trust_hi > report.trust_lo

@@ -563,9 +563,9 @@ class TestVerify:
         solved = []
         compute_cluster = asymptotics.compute_cluster
 
-        def counting(cfg, *args, **kwargs):
-            solved.append(cfg.q)
-            return compute_cluster(cfg, *args, **kwargs)
+        def counting(cfg, q):
+            solved.append(q)
+            return compute_cluster(cfg, q)
 
         monkeypatch.setattr(asymptotics, "compute_cluster", counting)
         code = main(["verify", "--config", str(CONFIGS / "quick.json"),
@@ -623,12 +623,11 @@ class TestVerify:
         monkeypatch.setattr(asymptotics, "compute_cluster", recording_cluster)
         main(["verify", "--config", str(CONFIGS / "quick.json"),
               "--out", str(tmp_path / "out"), "--q", "1,2"])
-        assert [c.cfg.q for c in comps] == [1, 2]
+        assert [c.q for c in comps] == [1, 2]
         assert len(solved) == 2
         for E, c in zip(solved, comps):
             assert E.size >= 20
-            assert np.all(np.abs(E - 2.0 * c.cfg.q * c.cfg.B0)
-                          < c.cfg.gamma)
+            assert np.all(np.abs(E - 2.0 * c.q * c.cfg.B0) < c.cfg.gamma)
 
     def test_gram_identity_once_per_verify(self, tmp_path, monkeypatch):
         # the q = 1 Gram identity depends on neither q nor the cluster, so
@@ -705,9 +704,10 @@ class TestVerify:
         assert counts == []
 
     def test_toeplitz_spectra_per_channel_block(self, tmp_path, monkeypatch):
-        # T_q and T_0 couple equal channels only, so their spectra come
-        # from the channel blocks.  On quick every block is 1 x 1, and a
-        # 1 x 1 block's entry is its eigenvalue: no eigvalsh call runs
+        # T_q couples equal channels only, so its spectrum comes from the
+        # channel blocks, and T_0 is a diagonal, sorted.  On quick every
+        # block is 1 x 1, and a 1 x 1 block's entry is its eigenvalue: no
+        # eigvalsh call runs
         calls, sizes = [], []
         eigenvalues = projections.ToeplitzMatrix.eigenvalues
         eigvalsh = np.linalg.eigvalsh
@@ -726,7 +726,7 @@ class TestVerify:
         code = main(["verify", "--config", str(CONFIGS / "quick.json"),
                      "--out", str(tmp_path / "out"), "--q", "1,2"])
         assert code == 0
-        assert len(calls) == 4  # T_q and T_0 at q = 1 and q = 2
+        assert len(calls) == 2  # T_q at q = 1 and q = 2
         for block_rows in calls:
             assert len(block_rows) > 20
             assert set(block_rows) == {1}

@@ -439,7 +439,7 @@ class TestClusters:
 
     def test_shift_ordering(self, mesh_small, gauge_power):
         table, channels = small_table(gauge_power, mesh_small, range(-1, 15))
-        shifts = cluster_states(table, 2.0, 0.5, mesh_small, channels).shifts
+        shifts = cluster_states(table, 2.0, 0.5, channels).shifts
         assert np.all(np.diff(np.abs(shifts)) <= 1e-15)
 
     def test_shift_monotonicity_in_coupling(self, mesh_small):
@@ -462,7 +462,7 @@ class TestClusters:
 
     def test_cluster_states_match_extract(self, mesh_small, gauge_power):
         table, channels = small_table(gauge_power, mesh_small, range(-1, 15))
-        states = cluster_states(table, 2.0, 0.5, mesh_small, channels)
+        states = cluster_states(table, 2.0, 0.5, channels)
         assert np.array_equal(states.shifts, cluster_shifts(table, 2.0, 0.5))
         for s in states.states:
             assert s.norm() == pytest.approx(1.0, rel=1e-10)

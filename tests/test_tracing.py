@@ -27,8 +27,13 @@ def test_trace_targets_resolve():
 def test_tracer_runs_every_command(tmp_path):
     # every counter hook reads the result of the function it wraps, so a
     # field the hook reads and src no longer has fails here; cli.io.bytes
-    # sums the bytes of every file the writers leave
-    tracer = load_perfbench("tracing").Tracer()
+    # sums the bytes of every file the writers leave.  Every span name but
+    # fields.superlevel records a span: a function the pipeline stops
+    # calling would otherwise zero its per-layer metric without a failure.
+    # fields.superlevel wraps superlevel_radius and counting_measure, which
+    # no command calls; the scan the commands run is not wrapped.
+    tracing = load_perfbench("tracing")
+    tracer = tracing.Tracer()
     tracer.install()
     try:
         for command in ("spectrum", "verify", "weights", "toeplitz",
@@ -45,3 +50,6 @@ def test_tracer_runs_every_command(tmp_path):
                            "spectra.cluster_size", "projections.basis_dim"}
     assert counts["cli.io.bytes"] == written
     assert all(value > 0 for value in counts.values())
+    recorded = {span[0] for span in tracer.spans}
+    expected = {name for _, _, name, _ in tracing.TARGETS}
+    assert expected - recorded <= {"fields.superlevel"}
