@@ -14,11 +14,12 @@ H(V) = P_-(V + b) + B0 and P_+(V) = P_-(V + 2b) + 2 B0, so a run needs its
 config, q, and the spin-down electric part V.
 
 The stages form one data flow: compute_cluster(cfg, q) solves the cluster
-once and returns a ClusterComputation holding cfg, q and the spin-down V;
+once and returns a ClusterComputation, which every later stage reads: cfg,
+q, the cluster and its weight W = V + 2 q b, V the spin-down electric part;
 boundary_sensitivity(comp) estimates the domain drift from it;
-cluster_asymptotics_report(comp) builds the counting report (taking the
-drift from boundary_sensitivity); and upper_estimate_check(comp, report)
-fits the exponent on that report.
+cluster_asymptotics_report(comp) counts N on the cluster against the measure
+of W (taking the drift from boundary_sensitivity); and
+upper_estimate_check(comp, report) fits the exponent on that report.
 """
 
 import math
@@ -28,12 +29,12 @@ import numpy as np
 
 from . import spectra
 from .errors import TrustRegionEmpty
-from .fields import (FieldSpec, GaugeData, build_gauge, effective_weight,
-                     superlevel_measure, superlevel_scan)
+from .fields import (EffectiveWeight, FieldSpec, GaugeData, build_gauge,
+                     effective_weight, superlevel_measure, superlevel_scan)
 from .operator import (KINDS, RadialMesh, build_channel, default_channel_cut,
                        spin_down_form)
 from .spectra import (CountingReport, assemble_spectrum, cluster_states,
-                      counting_function, solve_channels)
+                      solve_channels)
 
 # fewest states a trusted lambda row counts; the trust floor's multiple of
 # the drift and defect estimates; the drift is estimated for R -> 1.2 R
@@ -87,9 +88,8 @@ class ClusterComputation:
 
     cfg: VerificationConfig
     q: int
-    V: FieldSpec  # the spin-down electric part the channels were built with
+    weight: EffectiveWeight  # V + 2 q b, V the channels' spin-down part
     gauge: GaugeData
-    table: spectra.SpectrumTable
     cluster: spectra.ClusterStates
     defect_floor: float
 
@@ -98,7 +98,7 @@ def compute_cluster(cfg, q):
     """Diagonalize the channels feeding the q-th cluster of the spin-down
     form of cfg's operator and extract the cluster states.
 
-    Only the window around the level is solved; the table keeps the
+    Only the window around the level is solved; the cluster keeps the
     per-channel labels n of the full spectrum (spectra.ChannelResult).
     """
     if q < 0:
@@ -113,9 +113,10 @@ def compute_cluster(cfg, q):
            for m in range(-q, cfg.m_max + 1)]
     channels = solve_channels(ops, e_max, e_min)
     floor = _defect_floor(q, V, gauge, e_min, e_max, channels)
-    table = assemble_spectrum(channels)
-    cluster = cluster_states(table, center, gamma, channels)
-    return ClusterComputation(cfg, q, V, gauge, table, cluster, floor)
+    cluster = cluster_states(assemble_spectrum(channels), center, gamma,
+                             channels)
+    return ClusterComputation(cfg, q, effective_weight(V, cfg.b, q, cfg.B0),
+                              gauge, cluster, floor)
 
 
 def _defect_floor(q, V, gauge, e_min, e_max, channels):
@@ -203,19 +204,19 @@ def cluster_asymptotics_report(comp):
     qualifies; a weight with no part of the requested sign produces a
     degenerate report with E = 0 instead, before any drift estimate.
     """
-    cfg = comp.cfg
-    weight = effective_weight(comp.V, cfg.b, comp.q, cfg.B0)
+    cfg, weight = comp.cfg, comp.weight
     center, gamma = 2.0 * comp.q * cfg.B0, cfg.gamma
+    E = center + comp.cluster.shifts  # exact: for q >= 1 by Sterbenz
 
     def count(lam):  # the cluster states beyond lambda
         if cfg.sign == "+":
-            return counting_function(comp.table, center + lam, center + gamma)
-        return counting_function(comp.table, center - gamma, center - lam)
+            return int(np.count_nonzero(E > center + lam))
+        return int(np.count_nonzero(E < center - lam))
 
     # degenerate weight: no superlevel set of the requested sign at all
     probe = weight(np.linspace(0.0, cfg.r_max, 4097))
     sup = float(np.max(probe if cfg.sign == "+" else -probe))
-    if weight.is_zero or sup <= 0.0:
+    if sup <= 0.0:
         lams = _lambda_grid(gamma * 1e-3, gamma * 0.999, cfg.per_decade)
         N = np.array([count(l) for l in lams])
         return CountingReport(
@@ -283,8 +284,6 @@ def upper_estimate_check(comp, report):
     weight it should approach; both NaN for a degenerate report."""
     if report.note == "degenerate-weight":
         return math.nan, math.nan
-    cfg = comp.cfg
-    weight = effective_weight(comp.V, cfg.b, comp.q, cfg.B0)
     slope = float(np.polyfit(np.log(report.lambdas), np.log(report.N), 1)[0])
-    return slope, 2.0 / weight.beta_eff
+    return slope, 2.0 / comp.weight.beta_eff
 

@@ -41,7 +41,7 @@ class RunConfig(asymptotics.VerificationConfig):
     """Validated run configuration for all subcommands: the scenario fields
     of VerificationConfig plus what the commands alone read."""
 
-    raw: dict
+    hash: str  # of the config file's JSON, as _io.config_hash gives it
     q_list: list
     bands: dict
     basis_cut: int = None  # the basis_m_max key; None: min(m_max, 11)
@@ -56,10 +56,6 @@ class RunConfig(asymptotics.VerificationConfig):
         """One level above the top cluster, past the operator's shift."""
         shift = spin_down_form(self.operator, self.V, self.b)[1]
         return (2.0 * max(self.q_list) + 2.0 + shift) * self.B0
-
-    @property
-    def hash(self):
-        return config_hash(self.raw)
 
 
 _BAND_DEFAULTS = {
@@ -213,7 +209,7 @@ def load_config(path, q=None):
 
     try:
         return RunConfig(
-            raw=raw, B0=_number(raw.get("B0", 1.0), "B0"),
+            hash=config_hash(raw), B0=_number(raw.get("B0", 1.0), "B0"),
             operator=raw.get("operator", "pauli_minus"),
             b=_field_spec(raw, "b"), V=_field_spec(raw, "V"), q_list=q_list,
             sign=raw.get("sign", "+"), r_max=r_max, h=h,
@@ -240,7 +236,7 @@ def cmd_spectrum(cfg, out, as_json):
     ops = [build_channel(cfg.operator, m, gauge, cfg.V)
            for m in range(-cfg.m_max, cfg.m_max + 1)]
     channels = spectra.solve_channels(ops, cfg.e_max)
-    table = spectra.assemble_spectrum(channels, keep_vectors=False)
+    table = spectra.assemble_spectrum(channels)
     write_csv(os.path.join(out, f"spectrum_{cfg.operator}.csv"),
               ["m", "n", "E", "boundary_flag"], table.rows(),
               _meta(cfg, e_max=cfg.e_max))
@@ -378,7 +374,7 @@ def _verify_one_q(cfg, q, out, shared):
             "passed": True, "note": "weight vanishes for this q/sign"}
 
     if q >= 1 and len(comp.cluster):
-        if cfg.b.is_zero and comp.V.is_zero:
+        if cfg.b.is_zero and comp.weight.V.is_zero:
             # T_q and T_0 vanish: their eigenvalues are roundoff and mesh
             # noise, and a relative deviation between them means nothing
             checks["toeplitz_degenerate"] = {

@@ -237,10 +237,6 @@ class EffectiveWeight:
             betas.append(self.b.beta)
         return max(betas) if betas else None
 
-    @property
-    def is_zero(self):
-        return self.V.is_zero and (self.q == 0 or self.b.is_zero)
-
 
 def effective_weight(V, b, q, B0):
     if q < 0:

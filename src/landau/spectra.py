@@ -263,7 +263,7 @@ class SpectrumTable:
         return RadialFunction(v, int(m), mesh)
 
 
-def assemble_spectrum(channels, keep_vectors=True):
+def assemble_spectrum(channels):
     """Merge per-channel eigenpairs into one sorted, boundary-flagged table."""
     if not channels:
         raise InconsistentProvenance("no channels to assemble")
@@ -288,8 +288,7 @@ def assemble_spectrum(channels, keep_vectors=True):
             ns.append(ch.first + k)
             Es.append(ch.energies[k])
             flags.append(frac > _NORM_FRACTION)
-            if keep_vectors:
-                vectors[(ch.op.m, ch.first + k)] = v
+            vectors[(ch.op.m, ch.first + k)] = v
 
     ms = np.array(ms, dtype=int)
     ns = np.array(ns, dtype=int)

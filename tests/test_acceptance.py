@@ -66,7 +66,7 @@ def test_acceptance_01_unperturbed_exactness():
         ops = [build_channel(kind, m, gauge, None)
                for m in range(-40, 41)]
         channels = solve_channels(ops, 10.0)
-        table = assemble_spectrum(channels, keep_vectors=False)
+        table = assemble_spectrum(channels)
         keep = ~table.boundary
         E = table.E[keep]
         m_arr = table.m[keep]

@@ -84,7 +84,7 @@ class TestConfig:
 class TestFamilyReduction:
     def test_identity_for_pauli_minus(self, small_cfg, small_run):
         assert small_cfg.operator == "pauli_minus"
-        assert small_run[0].V is small_cfg.V
+        assert small_run[0].weight.V is small_cfg.V
         _, shift = spin_down_form("pauli_minus", small_cfg.V, small_cfg.b)
         assert shift == 0.0
 
@@ -301,7 +301,7 @@ class TestDefectFloor:
         monkeypatch.setattr(asymptotics, "default_channel_cut",
                             lambda r_max, B0: 0)
         cut = compute_cluster(small_cfg, 1)
-        assert cut.table.provenance["channels"] == [-1, 0]
+        assert sorted(cut.cluster.operators) == [-1, 0]
         assert cut.defect_floor == small_run[0].defect_floor
 
     @pytest.mark.parametrize("kind, s", [("pauli_minus", 0),
