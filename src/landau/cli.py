@@ -29,8 +29,8 @@ import numpy as np
 from . import asymptotics, projections, spectra
 from ._io import config_hash, ensure_dir, write_csv, write_json
 from .errors import ConfigError, LandauError, TrustRegionEmpty
-from .fields import (FieldSpec, ProfileTerm, build_gauge, check_regularity,
-                     counting_measures, effective_weight)
+from .fields import (_N_BISECT, FieldSpec, ProfileTerm, build_gauge,
+                     check_regularity, counting_measures, effective_weight)
 from .operator import RadialMesh, build_channel, spin_down_form
 
 log = logging.getLogger("landau")
@@ -69,15 +69,13 @@ _BAND_DEFAULTS = {
 RATIO_BAND = (0.8, 1.2)
 TOEPLITZ_REL = 0.1
 # the top-level config keys; keys that once set what is now fixed or derived
-# exit 2 with the reason, and the legacy keys that shipped configs still
-# carry set nothing and are ignored
+# exit 2 with the reason
 _KEYS = ("B0", "operator", "b", "V", "q", "sign", "mesh", "lambda", "bands",
          "basis_m_max")
 _RETIRED = {"window": "the window half-width gamma is B0 / 2",
             "e_max": "spectrum solves up to one level above the top cluster",
             "ratio_band": f"the ratio band is fixed at {RATIO_BAND}",
             "mesh.m_max": "the channel cut is floor(3 r_max^2 B0 / 16)"}
-_LEGACY = ("seed", "threads", "b.delta", "V.delta")
 # the config keys of each profile kind and the ProfileTerm field each sets;
 # every term also takes a `sign`, 1 or -1, folded into its amplitude
 _TERM_KEYS = {
@@ -116,12 +114,12 @@ def _section(raw, name):
 
 def _check_keys(section, name, known, what="key"):
     """Fail on the first key of config object `name` that is not known,
-    naming it: a retired key with its reason; a legacy key passes."""
+    naming it, and a retired key with its reason."""
     for key in section:
         path = f"{name}.{key}" if name else key
         if path in _RETIRED:
             _fail(path, f"must be removed: {_RETIRED[path]}")
-        if key not in known and path not in _LEGACY:
+        if key not in known:
             _fail(path, f"unknown {what}, known: {', '.join(known)}")
 
 
@@ -155,6 +153,39 @@ def _field_spec(raw, name):
         _fail(name, str(exc))
 
 
+# the most work a config may ask for (see _check_work): about 50 times the
+# largest shipped load, 6000 cells x 338 channels on the headline mesh
+MAX_WORK = 1e8
+
+
+def _check_work(r_max, h, B0, q_max, basis_cut, per_decade, q_name):
+    """Fail on a config that asks for more than MAX_WORK, computed in floats
+    before any array exists: mesh cells times the channels a command solves
+    (at most 2 m_max + max q + 1); cells times the zero-mode basis modes
+    times their ladder levels (max q + 2); and lambda points times the
+    bisection steps of each (per_decade points a decade, over the 1e-12 to
+    gamma = B0 / 2 of verify's grid, which holds weights' 8 decades)."""
+    cells = abs(r_max) / h if h > 0 else 0.0  # RadialMesh rejects h <= 0
+    m_max = max(0.0, 3.0 * r_max * r_max * B0 / 16.0)  # default_channel_cut
+    modes = (min(m_max, 11.0) if basis_cut is None else basis_cut) + 1.0
+    q = min(q_max, MAX_WORK)  # a larger q fails either way, and is no float
+    points = per_decade * (12.0 + math.log10(max(B0, 1.0)))
+    for names, parts in (
+            (("mesh", "B0", q_name),
+             ((cells, "cells"), (2.0 * m_max + q + 1.0, "channels"))),
+            (("mesh", "basis_m_max", q_name),
+             ((cells, "cells"), (modes, "basis modes"),
+              (q + 2.0, "ladder levels"))),
+            (("lambda.per_decade", "B0"),
+             ((points, "lambda points"), (_N_BISECT, "bisection steps")))):
+        work = math.prod(x for x, _ in parts)
+        if not work <= MAX_WORK:
+            raise ConfigError(
+                "config fields " + ", ".join(f"'{n}'" for n in names) + ": "
+                + " x ".join(f"{x:.3g} {what}" for x, what in parts)
+                + f" = {work:.3g} exceeds the work bound {MAX_WORK:g}")
+
+
 def load_config(path, q=None):
     """The checked RunConfig of the JSON file at path; q, the --q string
     of comma-separated Landau indices, replaces the config's q list."""
@@ -185,10 +216,6 @@ def load_config(path, q=None):
     _check_keys(mesh, "mesh", ("r_max", "h"))
     r_max = _number(mesh.get("r_max", 20.0), "mesh.r_max")
     h = _number(mesh.get("h", 0.01), "mesh.h")
-    try:  # h > 0, at least 16 cells, r_max a multiple of h
-        RadialMesh(r_max, h)
-    except ValueError as exc:
-        _fail("mesh", str(exc))
 
     lam = _section(raw, "lambda")
     _check_keys(lam, "lambda", ("per_decade",))
@@ -207,9 +234,15 @@ def load_config(path, q=None):
         if basis_cut < 0:
             _fail("basis_m_max", f"must be >= 0, got {basis_cut}")
 
+    B0 = _number(raw.get("B0", 1.0), "B0")
+    _check_work(r_max, h, B0, max(q_list), basis_cut, per_decade, q_name)
+    try:  # h > 0, at least 16 cells, r_max a multiple of h
+        RadialMesh(r_max, h)
+    except ValueError as exc:
+        _fail("mesh", str(exc))
     try:
         return RunConfig(
-            hash=config_hash(raw), B0=_number(raw.get("B0", 1.0), "B0"),
+            hash=config_hash(raw), B0=B0,
             operator=raw.get("operator", "pauli_minus"),
             b=_field_spec(raw, "b"), V=_field_spec(raw, "V"), q_list=q_list,
             sign=raw.get("sign", "+"), r_max=r_max, h=h,
@@ -266,7 +299,7 @@ def cmd_weights(cfg, out, as_json):
     for q in cfg.q_list:
         weight = effective_weight(cfg.V, cfg.b, q, cfg.B0)
         sup = float(np.max(np.abs(weight(np.linspace(0, cfg.r_max, 4097)))))
-        if sup == 0.0:
+        if not 1e-5 * sup > 0.0:  # zero, or too small for the lambda table
             summary["weights"][str(q)] = {"degenerate": True}
             continue
         lams = np.geomspace(0.9 * sup, 1e-5 * sup, 8 * cfg.per_decade)
@@ -485,7 +518,7 @@ def main(argv=None):
     except TrustRegionEmpty as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except LandauError as exc:
+    except (LandauError, ArithmeticError) as exc:  # e.g. a float overflow
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # --out cannot be created or written

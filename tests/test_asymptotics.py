@@ -15,7 +15,7 @@ from landau.asymptotics import (VerificationConfig, _lambda_grid,
 from landau.errors import TrustRegionEmpty
 from landau.fields import (FieldSpec, ProfileTerm, build_gauge,
                            counting_measure, effective_weight)
-from landau.operator import build_channel, spin_down_form
+from landau.operator import KINDS, build_channel, spin_down_form
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +212,41 @@ class TestClusterReport:
                       for lam in report.lambdas]
             assert report.N.size >= 5
             assert report.N.tolist() == beyond
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("V", [None, FieldSpec.power(-0.03, -2.8)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_count_matches_merged_table(self, b_power, monkeypatch, kind, V,
+                                        sign, q):
+        # N counts the cluster alone; the oracle is counting_function on the
+        # merged table of the same channel solves, at every row.  The grid
+        # also gets every |shift| in its range: a state exactly at lambda is
+        # a tie that both strict counts leave out.  The fields flip with the
+        # sign, so each sign counts a side that holds states.
+        tables, grid = [], asymptotics._lambda_grid
+
+        def merged(channels):
+            tables.append(spectra.assemble_spectrum(channels))
+            return tables[-1]
+
+        monkeypatch.setattr(asymptotics, "assemble_spectrum", merged)
+        side = 1.0 if sign == "+" else -1.0
+        V = FieldSpec.zero() if V is None else V
+        comp = compute_cluster(VerificationConfig(
+            operator=kind, b=b_power.scaled(side), V=V.scaled(side),
+            sign=sign, r_max=16.0, h=0.02), q)
+        ties = np.abs(comp.cluster.shifts)
+        monkeypatch.setattr(asymptotics, "_lambda_grid", lambda lo, hi, k:
+                            np.union1d(grid(lo, hi, k),
+                                       ties[(ties >= lo) & (ties <= hi)]))
+        report = cluster_asymptotics_report(comp)
+        center, gamma = 2.0 * q, comp.cfg.gamma
+        window = [(center + lam, center + gamma) if sign == "+"
+                  else (center - gamma, center - lam)
+                  for lam in report.lambdas]
+        assert report.N.tolist() == [spectra.counting_function(tables[0], *w)
+                                     for w in window]
 
     def test_ratio_near_one(self, small_run):
         _, _, report = small_run

@@ -22,15 +22,14 @@ def write_config(path, **overrides):
         "B0": 1.0,
         "operator": "pauli_minus",
         "b": {"terms": [{"kind": "power", "c": 0.05, "beta": -3.0}],
-              "beta": -3.0, "delta": 0.5},
-        "V": {"terms": [], "beta": -3.0, "delta": 0.5},
+              "beta": -3.0},
+        "V": {"terms": [], "beta": -3.0},
         "q": [1],
         "sign": "+",
         "mesh": {"r_max": 16.0, "h": 0.02},
         "lambda": {"per_decade": 24},
         "bands": {"gram_max": 1e-4, "min_peak_count": 8, "min_decades": 0.3,
                   "exponent_tol": 0.15},
-        "seed": 0,
     }
     cfg.update(overrides)
     with open(path, "w") as fh:
@@ -48,7 +47,7 @@ class TestConfigValidation:
         path = write_config(
             tmp_path / "bad.json",
             b={"terms": [{"kind": "power", "c": 0.05, "beta": -1.5}],
-               "beta": -1.5, "delta": 0.5})
+               "beta": -1.5})
         code = main(["spectrum", "--config", str(path),
                      "--out", str(tmp_path / "out")])
         assert code == 2
@@ -215,6 +214,17 @@ class TestConfigValidation:
          "config field 'b': decay exponent beta must be negative"),
         ({"lambda": {"per_decade": 1}},
          "config field 'lambda.per_decade': must be at least 2"),
+        # work past the bound: once an OverflowError and two allocations
+        # of tens of TiB, each a traceback and exit 1
+        ({"B0": 1e308},
+         "config fields 'mesh', 'B0', 'q': 800 cells x inf channels = inf "
+         "exceeds the work bound 1e+08"),
+        ({"mesh": {"r_max": 1e13, "h": 1}},
+         "config fields 'mesh', 'B0', 'q': 1e+13 cells x 3.75e+25 channels "
+         "= 3.75e+38 exceeds the work bound 1e+08"),
+        ({"lambda": {"per_decade": 1e12}},
+         "config fields 'lambda.per_decade', 'B0': 1.2e+13 lambda points x "
+         "60 bisection steps = 7.2e+14 exceeds the work bound 1e+08"),
     ])
     def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
                                     message):
@@ -224,23 +234,22 @@ class TestConfigValidation:
         code = main(["spectrum", "--config", str(path),
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
 
-    def test_retired_keys_ignored(self, tmp_path):
-        # threads, seed and a field's delta are unknown keys now; the hash
-        # still covers them.  delta = 4.0 lies outside the old (0, -beta)
-        plain = load_config(str(write_config(tmp_path / "a.json")))
-        extra = load_config(str(write_config(tmp_path / "b.json", threads=3,
-                                             seed=7)))
-        delta = load_config(str(write_config(
-            tmp_path / "c.json",
-            b={"terms": [{"kind": "power", "c": 0.05, "beta": -3.0}],
-               "beta": -3.0, "delta": 4.0})))
-        assert not hasattr(extra, "threads") and not hasattr(extra, "seed")
-        assert not hasattr(delta.b, "delta") and delta.b == plain.b
-        assert len({plain.hash, extra.hash, delta.hash}) == 3
-        assert (extra.e_max, extra.m_max, extra.gamma) == (
-            plain.e_max, plain.m_max, plain.gamma)
+    def test_legacy_keys_exit_2(self, tmp_path, capsys):
+        # seed, threads and a field's delta once shipped in the configs and
+        # were ignored; they are unknown keys like any other now
+        for path, override in (
+                ("seed", {"seed": 0}), ("threads", {"threads": 3}),
+                ("b.delta", {"b": {"terms": [], "beta": -3.0, "delta": 0.5}}),
+                ("V.delta", {"V": {"terms": [], "beta": -3.0, "delta": 0.5}})):
+            code = main(["weights", "--config",
+                         str(write_config(tmp_path / "cfg.json", **override)),
+                         "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert (f"config field '{path}': unknown key"
+                    in capsys.readouterr().err)
 
     def test_derived_values_follow_replace(self, cfg_path):
         cfg = load_config(str(cfg_path))

@@ -64,7 +64,7 @@ class TestProfiles:
 
     def test_json_roundtrip(self, tmp_path):
         # the config form of every term kind, as load_config reads it: a
-        # sign folds into the amplitude, and a "delta" key is ignored
+        # sign folds into the amplitude
         spec = FieldSpec(
             (ProfileTerm("power", 0.3, beta=-2.5),
              ProfileTerm("gaussian", -0.1, center=2.0, width=0.7),
@@ -75,7 +75,7 @@ class TestProfiles:
                         "width": 0.7},
                        {"kind": "bump", "amp": 0.2, "inner": 1.0,
                         "outer": 3.0, "sign": -1.0}],
-             "beta": -2.5, "delta": 0.4}
+             "beta": -2.5}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"b": d}))
         assert load_config(str(path)).b == spec

@@ -56,3 +56,13 @@ def test_shipped_configs_load():
                 cli.load_config(str(path))
         else:
             cli.load_config(str(path))
+
+
+def test_work_bound_margin(monkeypatch, tmp_path):
+    # the largest shipped load (6000 cells x 338 channels, and the
+    # zero-modes bases of up to 63 modes x 5 ladder levels) sits about 50
+    # times under the work bound: every config still loads at a 40th of it
+    monkeypatch.setattr(cli, "MAX_WORK", cli.MAX_WORK / 40)
+    test_shipped_configs_load()
+    for workload in workloads.WORKLOADS:
+        test_generated_configs_load(workload, tmp_path)
