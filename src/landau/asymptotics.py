@@ -206,7 +206,7 @@ def cluster_asymptotics_report(comp):
     """
     cfg, weight = comp.cfg, comp.weight
     center, gamma = 2.0 * comp.q * cfg.B0, cfg.gamma
-    E = center + comp.cluster.shifts  # exact: for q >= 1 by Sterbenz
+    E = center + comp.cluster.shifts  # exactly the solved E (Sterbenz, q >= 1)
 
     def count(lam):  # the cluster states beyond lambda
         if cfg.sign == "+":

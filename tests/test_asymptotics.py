@@ -215,7 +215,8 @@ class TestClusterReport:
 
     @pytest.mark.parametrize("q", [0, 1, 2])
     @pytest.mark.parametrize("sign", ["+", "-"])
-    @pytest.mark.parametrize("V", [None, FieldSpec.power(-0.03, -2.8)])
+    @pytest.mark.parametrize("V", [FieldSpec.zero(),
+                                   FieldSpec.power(-0.03, -2.8)])
     @pytest.mark.parametrize("kind", KINDS)
     def test_count_matches_merged_table(self, b_power, monkeypatch, kind, V,
                                         sign, q):
@@ -232,7 +233,6 @@ class TestClusterReport:
 
         monkeypatch.setattr(asymptotics, "assemble_spectrum", merged)
         side = 1.0 if sign == "+" else -1.0
-        V = FieldSpec.zero() if V is None else V
         comp = compute_cluster(VerificationConfig(
             operator=kind, b=b_power.scaled(side), V=V.scaled(side),
             sign=sign, r_max=16.0, h=0.02), q)
