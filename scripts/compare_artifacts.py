@@ -6,7 +6,8 @@
 Runs `landau.cli.main` in-process, from the `src/` of the checkout this
 script sits in, over:
 
-- the five commands on every `configs/*.json`;
+- the five commands on every `configs/*.json`, and `verify --q 2,3` on
+  `configs/headline.json`;
 - every call of the `sweep` workload at seeds 0 and 1;
 - every call of the `zero-modes` workload at seed 0;
 - the `headline` workload.
@@ -61,6 +62,9 @@ def calls():
         for command in COMMANDS:
             yield (os.path.join("configs", name, command),
                    workloads.Call(command, config))
+        if name == "headline":  # T_q against T_0 past q = 1 on the fine mesh
+            yield (os.path.join("configs", name, "verify-q2,3"),
+                   workloads.Call("verify", config, [2, 3]))
     runs = [("sweep", 0), ("sweep", 1), ("zero-modes", 0), ("headline", 0)]
     for workload, seed in runs:
         for scenario in workloads.WORKLOADS[workload](seed):

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectra
-from .errors import TrustRegionEmpty
+from .errors import TrustRegionEmpty, UnboundedSet
 from .fields import (EffectiveWeight, FieldSpec, GaugeData, build_gauge,
-                     effective_weight, superlevel_measure, superlevel_scan)
+                     effective_weight, superlevel_measure, superlevel_radius,
+                     superlevel_scan)
 from .operator import (KINDS, RadialMesh, build_channel, default_channel_cut,
                        spin_down_form)
 from .spectra import (CountingReport, assemble_spectrum, cluster_states,
@@ -59,8 +60,9 @@ class VerificationConfig:
     per_decade: int = 24
 
     def __post_init__(self):
-        if self.B0 <= 0:
-            raise ValueError("B0 must be positive")
+        if not self.gamma > 0:  # B0 / 2 is 0 for the least subnormal B0
+            raise ValueError(f"B0 must be positive, and so B0 / 2, got "
+                             f"{self.B0!r}")
         if self.operator not in KINDS:
             raise ValueError(f"operator must be one of {KINDS}")
         for name, spec in (("b", self.b), ("V", self.V)):
@@ -206,21 +208,22 @@ def cluster_asymptotics_report(comp):
     """
     cfg, weight = comp.cfg, comp.weight
     center, gamma = 2.0 * comp.q * cfg.B0, cfg.gamma
-    E = center + comp.cluster.shifts  # exactly the solved E (Sterbenz, q >= 1)
+    # exactly the solved E (Sterbenz, q >= 1), sorted once for the counts
+    energies = np.sort(center + comp.cluster.shifts)
 
-    def count(lam):  # the cluster states beyond lambda
+    def count(lams):  # the cluster states beyond each lambda
         if cfg.sign == "+":
-            return int(np.count_nonzero(E > center + lam))
-        return int(np.count_nonzero(E < center - lam))
+            return energies.size - np.searchsorted(energies, center + lams,
+                                                   side="right")
+        return np.searchsorted(energies, center - lams, side="left")
 
     # degenerate weight: no superlevel set of the requested sign at all
     probe = weight(np.linspace(0.0, cfg.r_max, 4097))
     sup = float(np.max(probe if cfg.sign == "+" else -probe))
     if sup <= 0.0:
         lams = _lambda_grid(gamma * 1e-3, gamma * 0.999, cfg.per_decade)
-        N = np.array([count(l) for l in lams])
         return CountingReport(
-            lambdas=lams, N=N, E_measure=np.zeros_like(lams),
+            lambdas=lams, N=count(lams), E_measure=np.zeros_like(lams),
             ratio=np.full_like(lams, np.nan), trust_lo=math.nan,
             trust_hi=math.nan, note="degenerate-weight")
 
@@ -236,30 +239,27 @@ def cluster_asymptotics_report(comp):
             f"{floor_defect:.3g}, drift floor {floor_drift:.3g}); enlarge "
             f"r_max or refine h")
 
-    # radius constraint: superlevel set must fit inside r_max / 2; the
-    # intervals it is read from also give the measure
-    def trusted(intervals):
-        return intervals is not None and not (
-            intervals and intervals[-1][1] > 0.5 * cfg.r_max)
-
+    # a trusted row counts MIN_COUNT states or more, and its superlevel set
+    # fits inside r_max / 2; the intervals it is read from give the measure
+    r_half = 0.5 * cfg.r_max
     lams = _lambda_grid(lam_floor, gamma * 0.999, cfg.per_decade)
-    rows = []
-    for lam, intervals in zip(lams, superlevel_scan(weight, lams, cfg.sign,
-                                                    r_max=cfg.r_max)):
-        if not trusted(intervals):
-            continue
-        n_val = count(lam)
-        if n_val < MIN_COUNT:
-            continue
-        rows.append((lam, n_val, superlevel_measure(weight, intervals)))
+    scans = superlevel_scan(weight, lams, cfg.sign, r_max=cfg.r_max)
+    inside = np.array([iv is not None and not (iv and iv[-1][1] > r_half)
+                       for iv in scans], dtype=bool)
+    N = count(lams)
+    keep = inside & (N >= MIN_COUNT)
 
-    if not rows:
+    if not np.any(keep):
         reasons = []
         lam = max(lam_floor, gamma * 1e-3)
-        if not trusted(superlevel_scan(weight, [lam], cfg.sign,
-                                       r_max=cfg.r_max)[0]):
+        try:
+            fits = superlevel_radius(weight, lam, cfg.sign,
+                                     r_max=cfg.r_max) <= r_half
+        except UnboundedSet:
+            fits = False
+        if not fits:
             reasons.append(
-                f"superlevel radius exceeds r_max/2 = {cfg.r_max / 2:g} "
+                f"superlevel radius exceeds r_max/2 = {r_half:g} "
                 f"down to the floor")
         if count(lam) < MIN_COUNT:
             reasons.append(f"N < {MIN_COUNT} everywhere above the floor")
@@ -267,9 +267,9 @@ def cluster_asymptotics_report(comp):
             "no lambda satisfies the trust constraints ("
             + "; ".join(reasons or ["all constraints interact"]) + ")")
 
-    lams = np.array([r[0] for r in rows])
-    N = np.array([r[1] for r in rows])
-    E = np.array([r[2] for r in rows])
+    lams, N = lams[keep], N[keep]
+    E = np.array([superlevel_measure(weight, iv)
+                  for iv, kept in zip(scans, keep) if kept])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(E > 0, N / E, np.nan)
     return CountingReport(

@@ -30,7 +30,7 @@ from . import asymptotics, projections, spectra
 from ._io import config_hash, ensure_dir, write_csv, write_json
 from .errors import ConfigError, LandauError, TrustRegionEmpty
 from .fields import (_N_BISECT, FieldSpec, ProfileTerm, build_gauge,
-                     check_regularity, counting_measures, effective_weight)
+                     check_regularity, counting_measure, effective_weight)
 from .operator import RadialMesh, build_channel, spin_down_form
 
 log = logging.getLogger("landau")
@@ -303,8 +303,8 @@ def cmd_weights(cfg, out, as_json):
             summary["weights"][str(q)] = {"degenerate": True}
             continue
         lams = np.geomspace(0.9 * sup, 1e-5 * sup, 8 * cfg.per_decade)
-        rows = zip(lams, counting_measures(weight, lams, cfg.sign,
-                                           r_max=8.0 * cfg.r_max))
+        rows = zip(lams, counting_measure(weight, lams, cfg.sign,
+                                          r_max=8.0 * cfg.r_max))
         write_csv(os.path.join(out, f"weights_q{q}_{cfg.sign}.csv"),
                   ["lambda", "E_measure"], rows, _meta(cfg, q=q, sign=cfg.sign))
         try:
@@ -413,15 +413,12 @@ def _verify_one_q(cfg, q, out, shared):
             checks["toeplitz_degenerate"] = {
                 "passed": True, "note": "b and V vanish for this operator"}
         else:
-            # the cluster was solved with V in its channel matrices; adding
-            # V again would count it twice
-            Tq = projections.build_Tq(q, None, comp.cluster)
             basis = projections.zero_mode_basis(
                 comp.gauge, min(int(np.max(comp.cluster.ms)) + q, cfg.m_max),
                 [q], T0=cfg.V)
             t0 = np.sort(projections.build_T0(q, cfg.V, basis))[::-1]
             t0 /= projections.coupling_constant(q, cfg.B0)
-            tq = Tq.eigenvalues()[::-1]
+            tq = np.sort(projections.build_Tq(q, comp.cluster))[::-1]
             k = max(1, min(tq.size, t0.size) // 4)
             rel = np.max(np.abs(tq[:k] - t0[:k])
                          / np.maximum(np.abs(tq[:k]), 1e-300))

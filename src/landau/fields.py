@@ -349,8 +349,9 @@ def superlevel_measure(weight, intervals):
     return 0.5 * weight.B0 * sum(b * b - a * a for a, b in intervals)
 
 
-def counting_measures(weight, lams, sign="+", *, r_max):
-    """E_pm(lam, W) for every lam of `lams`, from one superlevel scan.
+def counting_measure(weight, lams, sign="+", *, r_max):
+    """E_pm(lam, W) = (B0 / 2) * sum of lengths of {r^2 : sign W(r) > lam}
+    for every lam of `lams`, from one superlevel scan.
 
     The first lam in order whose set is still open at r_max raises
     UnboundedSet; on a decreasing grid that is the lam a one-by-one sweep
@@ -359,11 +360,6 @@ def counting_measures(weight, lams, sign="+", *, r_max):
     scans = superlevel_scan(weight, lams, sign, r_max=r_max)
     return [superlevel_measure(weight, intervals)
             for intervals in _closed(scans, lams, r_max)]
-
-
-def counting_measure(weight, lam, sign="+", *, r_max):
-    """E_pm(lam, W) = (B0 / 2) * sum of lengths of {r^2 : sign W(r) > lam}."""
-    return counting_measures(weight, [lam], sign, r_max=r_max)[0]
 
 
 def check_regularity(weight, lambda_grid, eps, sign="+", *, r_max):
@@ -382,14 +378,14 @@ def check_regularity(weight, lambda_grid, eps, sign="+", *, r_max):
     if lambdas.size < 2 or np.any(np.diff(lambdas) >= 0) or np.any(lambdas <= 0):
         raise ValueError("lambda_grid must be positive and strictly decreasing")
 
-    E = np.array(counting_measures(weight, lambdas, sign, r_max=r_max))
+    E = np.array(counting_measure(weight, lambdas, sign, r_max=r_max))
     mask = E > 0.0
     if not np.any(mask):
         raise DegenerateWeight(
             f"E_{sign}(lambda) = 0 on the whole grid; weight has no {sign} part"
         )
-    E_shift = np.array(counting_measures(weight, lambdas[mask] * (1.0 - eps),
-                                         sign, r_max=r_max))
+    E_shift = np.array(counting_measure(weight, lambdas[mask] * (1.0 - eps),
+                                        sign, r_max=r_max))
     max_ratio = float(np.max(E_shift / E[mask]))
 
     beta_eff = weight.beta_eff

@@ -2,9 +2,9 @@
 
 Everything here is channel-diagonal for radial data: basis elements live in
 single angular channels and the constructed matrices couple equal channels
-only: on the zero-mode basis (one mode per channel) residual matrices come
-out diagonal and T_0 is its diagonal, and on a cluster T_q is held as its
-channel blocks.
+only.  On the zero-mode basis (one mode per channel) the residual matrices
+come out diagonal, and both Toeplitz compressions are per-state diagonals:
+T_0 on the zero modes, T_q on the cluster eigenvectors.
 """
 
 import math
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import LandauError
 from .operator import ladder_apply, zero_mode
 
 
@@ -61,6 +62,13 @@ _READS = {
 }
 
 
+# how far the unweighted form h <R^L u, R^L u> of a zero mode's level-L
+# ladder image may be from C_L, in units of C_L: below level 6 the forms
+# stay within 0.5 C_L of it (b up to 0.3), and at level 6 the images of the
+# modes m = 0 and 1 are 1.7 C_L or more off it, whatever the mesh
+LADDER_TOL = 1.0
+
+
 def zero_mode_basis(gauge, m_max, qs, **fields):
     """Zero modes m = 0..m_max on the gauge's mesh, built with every form
     that the named quantities read for each q in `qs`:
@@ -73,13 +81,17 @@ def zero_mode_basis(gauge, m_max, qs, **fields):
     level asked for, and dropped: one mode is held at a time, and each
     mode takes one ladder step per level.  The steps are the ones
     ladder_apply takes, so a form equals the one of
-    ladder_apply(zero_mode(m, gauge), gauge, L) bit for bit.
+    ladder_apply(zero_mode(m, gauge), gauge, L) bit for bit.  A level L the
+    walk reaches whose unweighted form h <R^L u, R^L u> is more than
+    LADDER_TOL C_L off C_L = L! (2 B0)^L raises LandauError naming q, the
+    level and the mode.
     """
-    by_level = {}
+    by_level, reach = {}, {}  # level -> its weights; q -> its top level
     for name, U in fields.items():
         for q in qs:
             for level, weight in _READS[name](q, U):
                 by_level.setdefault(level, set()).add(weight)
+                reach[q] = max(level, reach.get(q, level))
     mesh = gauge.mesh
     values = {}
     for weight in set().union(*by_level.values()) - {None}:
@@ -90,12 +102,22 @@ def zero_mode_basis(gauge, m_max, qs, **fields):
              for level, ws in by_level.items() for w in ws}
     for m in range(m_max + 1):
         u = zero_mode(m, gauge)
-        for level in range(max(by_level, default=0) + 1):
+        c = 1.0  # C_L at the level L reached
+        for level in range(max(by_level, default=-1) + 1):
             if level:
                 u = ladder_apply(u, gauge, 1)
+                c *= 2.0 * level * gauge.B0
             for w in by_level.get(level, ()):
                 x = u.values if w is None else u.values * values[w]
                 forms[(level, w)][m] = mesh.h * float(np.dot(x, u.values))
+            x = mesh.h * float(np.dot(u.values, u.values))
+            if not abs(x - c) <= LADDER_TOL * c < math.inf:
+                first = min(q for q, top in reach.items() if top >= level)
+                raise LandauError(
+                    f"q={first}: the ladder image of zero mode m={m} at level "
+                    f"{level} has h <R^L u, R^L u> = {x:.4g}, more than "
+                    f"{LADDER_TOL:g} C_L off C_L = {c:.4g}; the zero-mode "
+                    f"ladder has lost its accuracy there")
     return ZeroModeBasis(gauge, m_max + 1, forms)
 
 
@@ -133,34 +155,6 @@ def weighted_identity_residual(q, basis, U):
     return np.diag(raised) - lead * np.diag(modes)
 
 
-def _symmetrized(mat, where):
-    if mat.size == 1:  # a 1 x 1 block cannot be skew
-        return mat
-    skew = np.max(np.abs(mat - mat.T))
-    scale = max(np.max(np.abs(mat)), 1.0)
-    if skew > 1e-12 * scale:
-        raise AssertionError(f"{where}: asymmetry {skew:g} above tolerance")
-    return 0.5 * (mat + mat.T)
-
-
-@dataclass
-class ToeplitzMatrix:
-    """Compressed operator on a cluster, held as its channel blocks.
-
-    Entries couple equal angular channels only.  `blocks[m]` is
-    (rows, block): the cluster rows in channel m, ascending, and the
-    symmetric block of entries over them.
-    """
-
-    blocks: dict
-
-    def eigenvalues(self):
-        """Ascending union of the channel blocks' spectra."""
-        out = [block[0] if len(rows) == 1 else np.linalg.eigvalsh(block)
-               for rows, block in self.blocks.values()]
-        return np.sort(np.concatenate(out)) if out else np.empty(0)
-
-
 def build_T0(q, V, basis):
     """Toeplitz-type operator on the zero-mode basis via ladder forms, as
     its diagonal t[m] (the basis modes lie in distinct channels).
@@ -183,30 +177,19 @@ def build_T0(q, V, basis):
     return raised1 - lam_next * raised + weighted
 
 
-def build_Tq(q, V, cluster):
-    """Toeplitz-type operator compressed onto cluster eigenvectors.
+def build_Tq(q, cluster):
+    """Toeplitz-type operator compressed onto the q-th cluster, as its
+    diagonal t[i] = h <(P_- - Lambda_q) v_i, v_i>, in cluster order.
 
-    t[i][j] = <(P_- - Lambda_q + V) v_i, v_j> with the channel matrix
-    (solved without V) applied to the eigenvectors and V added by
-    quadrature.  With V = 0 this is diagonal with the cluster shifts.
-    Each applied state fills its row of its channel's block as soon as it
-    is formed, so one is held at a time.
+    The cluster is solved with V in its channel matrices, so its states are
+    their eigenvectors: T_q = P_- - Lambda_q + V compressed onto them is
+    diagonal, with the cluster shifts on the diagonal.  One applied state
+    is held at a time.
     """
-    states = cluster.states
     lam = 2.0 * q * cluster.B0
-    Vv = (V.evaluate(states[0].mesh.nodes) if V is not None and states
-          else None)
-    rows = {}
-    for i, v in enumerate(states):
-        rows.setdefault(v.m, []).append(i)
-    blocks = {m: np.empty((len(r), len(r))) for m, r in sorted(rows.items())}
-    for i, v in enumerate(states):
+    t = np.empty(len(cluster.states))
+    for i, v in enumerate(cluster.states):
         av = cluster.operators[v.m].matvec(v.values)
         av -= lam * v.values
-        if Vv is not None:
-            av += Vv * v.values
-        row = rows[v.m]  # distinct channels are orthogonal
-        blocks[v.m][row.index(i)] = [
-            v.mesh.h * float(np.dot(av, states[j].values)) for j in row]
-    return ToeplitzMatrix({m: (tuple(rows[m]), _symmetrized(block, "build_Tq"))
-                           for m, block in blocks.items()})
+        t[i] = v.mesh.h * float(np.dot(av, v.values))
+    return t

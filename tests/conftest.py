@@ -12,7 +12,7 @@ from landau.errors import LandauError, QuadratureFailure, UnboundedSet
 from landau.fields import FieldSpec, build_gauge
 from landau.operator import (RadialFunction, RadialMesh, _check_mesh,
                              _deriv_centered, ladder_apply, zero_mode)
-from landau.projections import _symmetrized, coupling_constant
+from landau.projections import coupling_constant
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -238,6 +238,16 @@ def perturbation_inequality_check(L0, L1, mu1, mu2, tau1, tau2):
 
 class BasisTooSmall(LandauError):
     """Zero-mode basis loses too much norm when projecting a cluster state."""
+
+
+def _symmetrized(mat, where):
+    if mat.size == 1:  # a 1 x 1 block cannot be skew
+        return mat
+    skew = np.max(np.abs(mat - mat.T))
+    scale = max(np.max(np.abs(mat)), 1.0)
+    if skew > 1e-12 * scale:
+        raise AssertionError(f"{where}: asymmetry {skew:g} above tolerance")
+    return 0.5 * (mat + mat.T)
 
 
 def build_Sq_action(q, cluster, m_max, gauge):

@@ -297,8 +297,8 @@ class TestClusterReport:
         w_pos = effective_weight(None, b_power, 1, 1.0)
         w_neg = effective_weight(None, b_power.scaled(-1.0), 1, 1.0)
         for lam in np.geomspace(0.05, 1e-4, 9):
-            ep = counting_measure(w_pos, lam, "+", r_max=1e4)
-            em = counting_measure(w_neg, lam, "-", r_max=1e4)
+            ep = counting_measure(w_pos, [lam], "+", r_max=1e4)[0]
+            em = counting_measure(w_neg, [lam], "-", r_max=1e4)[0]
             assert em == pytest.approx(ep, rel=1e-12, abs=1e-15)
 
     def test_sign_flip_counting_mirror(self, small_run, minus_run):
@@ -439,8 +439,7 @@ class TestSecondCluster:
                                         coupling_constant, zero_mode_basis)
         _, comp, _ = q2_run
         cl = comp.cluster
-        Tq = build_Tq(2, None, cl)
-        tq = np.sort(Tq.eigenvalues())[::-1]
+        tq = np.sort(build_Tq(2, cl))[::-1]
         sh = np.sort(cl.shifts)[::-1]
         basis = zero_mode_basis(comp.gauge, int(np.max(cl.ms)) + 2, [2],
                                 T0=None)

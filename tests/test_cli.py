@@ -225,6 +225,9 @@ class TestConfigValidation:
         ({"lambda": {"per_decade": 1e12}},
          "config fields 'lambda.per_decade', 'B0': 1.2e+13 lambda points x "
          "60 bisection steps = 7.2e+14 exceeds the work bound 1e+08"),
+        # the window half-width B0 / 2 underflows to 0: spectrum once
+        # raised ValueError from an empty window
+        ({"B0": 5e-324}, "B0 must be positive, and so B0 / 2, got 5e-324"),
     ])
     def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
                                     message):
@@ -713,32 +716,30 @@ class TestVerify:
         assert counts == []
 
     def test_toeplitz_spectra_per_channel_block(self, tmp_path, monkeypatch):
-        # T_q couples equal channels only, so its spectrum comes from the
-        # channel blocks, and T_0 is a diagonal, sorted.  On quick every
-        # block is 1 x 1, and a 1 x 1 block's entry is its eigenvalue: no
-        # eigvalsh call runs
+        # T_q and T_0 are per-state diagonals, sorted for their spectra.  On
+        # quick every channel holds one cluster state, so its diagonal entry
+        # is its eigenvalue: no eigvalsh call runs
         calls, sizes = [], []
-        eigenvalues = projections.ToeplitzMatrix.eigenvalues
+        build_Tq = projections.build_Tq
         eigvalsh = np.linalg.eigvalsh
 
-        def recording_eigenvalues(self):
-            calls.append([len(rows) for rows, _ in self.blocks.values()])
-            return eigenvalues(self)
+        def recording_build_Tq(q, cluster):
+            calls.append(cluster.ms.tolist())
+            return build_Tq(q, cluster)
 
         def recording_eigvalsh(a, *args, **kwargs):
             sizes.append(len(a))
             return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(projections.ToeplitzMatrix, "eigenvalues",
-                            recording_eigenvalues)
+        monkeypatch.setattr(projections, "build_Tq", recording_build_Tq)
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         code = main(["verify", "--config", str(CONFIGS / "quick.json"),
                      "--out", str(tmp_path / "out"), "--q", "1,2"])
         assert code == 0
         assert len(calls) == 2  # T_q at q = 1 and q = 2
-        for block_rows in calls:
-            assert len(block_rows) > 20
-            assert set(block_rows) == {1}
+        for ms in calls:
+            assert len(ms) > 20
+            assert len(set(ms)) == len(ms)
         assert sizes == []
 
     def test_json_summary_only(self, cfg_path, tmp_path, capsys):
@@ -800,6 +801,34 @@ class TestToeplitzIdentities:
                 (m, m) for m in range(dim)]
             eigs = json.loads(path.with_suffix(".json").read_text())
             assert sorted(float(v) for _, _, v in rows) == eigs["eigenvalues"]
+
+    @pytest.mark.parametrize("command, q, via_flag", [
+        ("toeplitz", 5, True), ("identities", 6, True),
+        ("toeplitz", 170, False), ("identities", 170, False)])
+    def test_ladder_past_its_accuracy_exits_3(self, command, q, via_flag,
+                                              tmp_path, capsys):
+        # on quick the level-6 images of the zero modes m = 0 and 1 read
+        # 12.9 and 164 C_6 (toeplitz reads level q + 1, identities level q);
+        # the walk stops there, before the higher levels leave the float
+        # range
+        argv = [command, "--out", str(tmp_path / "out")]
+        if via_flag:
+            argv += ["--config", str(CONFIGS / "quick.json"), "--q", str(q)]
+        else:
+            argv += ["--config", str(write_config(tmp_path / "cfg.json",
+                                                  q=[q]))]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"numeric failure: q={q}: the ladder image "
+                              f"of zero mode m=0 at level 6 ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / f"{command}_summary.json").exists()
+
+    def test_ladder_below_level_6_passes(self, tmp_path):
+        for command, q in (("toeplitz", 4), ("identities", 5)):
+            assert main([command, "--config", str(CONFIGS / "quick.json"),
+                         "--out", str(tmp_path / command), "--q", str(q)]) == 0
 
     def test_identities_outputs(self, cfg_path, tmp_path):
         out = tmp_path / "out"

@@ -4,9 +4,11 @@ One field of configs/quick.json at a time is replaced by a value of another
 type or by an extreme finite number, and `weights`, `toeplitz` and
 `identities` run in-process on the result.  Each must exit 0, 2 (config
 error) or 3 (numeric failure), a non-zero exit with one line on stderr;
-an exception escaping `main` fails the test with its traceback.  `spectrum`
-and `verify` are not run: the work bound keeps their runtime finite, not
-short.
+an exception escaping `main` fails the test with its traceback.  The solve
+commands `spectrum` and `verify` run on the values that keep the work near
+quick's, since the work bound keeps their runtime finite, not short;
+`verify` may also exit 1 (verification failure), with one stderr line or,
+for a failed check, none.
 """
 
 import contextlib
@@ -55,6 +57,21 @@ def _with(path, value):
     return config
 
 
+def _exit(work, command):
+    """main's exit code for command on work/config.json, and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(work / "config.json"),
+                     "--out", str(work / command)])
+    # a failed verdict (exit 1) prints its checks on stdout alone; every
+    # other non-zero exit explains itself in one stderr line
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 or (code == 1 and not lines), err.getvalue()
+    return code, err.getvalue()
+
+
 # extreme values overflow on purpose; the configs of the examples once
 # crashed: a weight whose lambda table underflows, a C_q past the float
 # range, and an r_max whose cell count overflows
@@ -68,11 +85,22 @@ def test_every_config_ends_in_a_typed_exit(tmp_path_factory, path, value):
     work = tmp_path_factory.mktemp("config")
     (work / "config.json").write_text(json.dumps(_with(path, value)))
     for command in ("weights", "toeplitz", "identities"):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(work / "config.json"),
-                         "--out", str(work / command)])
-        assert code in (0, 2, 3), (command, err.getvalue())
-        if code:
-            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        code, err = _exit(work, command)
+        assert code in (0, 2, 3), (command, err)
+
+
+# values that keep the work near quick's in any field: no large count, and
+# no step or radius that multiplies the mesh
+SMALL_VALUES = [0, -1, 2, -0.0, 1.5, 5e-324, 1e-300, -1e-300, True, None,
+                "x", [], ["x"], {}, {"kind": "power"}]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(path=st.sampled_from(PATHS), value=st.sampled_from(SMALL_VALUES))
+def test_solve_commands_end_in_a_typed_exit(tmp_path_factory, path, value):
+    work = tmp_path_factory.mktemp("config")
+    (work / "config.json").write_text(json.dumps(_with(path, value)))
+    for command, codes in (("spectrum", (0, 2, 3)), ("verify", (0, 1, 2, 3))):
+        code, err = _exit(work, command)
+        assert code in codes, (command, err)

@@ -179,21 +179,21 @@ class TestCountingMeasure:
         c = 0.05
         w = effective_weight(None, power_spec(c, -3.0), 1, 1.0)
         for lam in np.geomspace(0.09, 1e-6, 25):
-            got = counting_measure(w, lam, "+", r_max=1e4)
+            got = counting_measure(w, [lam], "+", r_max=1e4)[0]
             assert got == pytest.approx(analytic_E_plus(lam, 2 * c), rel=1e-9)
 
     def test_empty_above_sup(self):
         w = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)
-        assert counting_measure(w, 0.2, "+", r_max=100.0) == 0.0
+        assert counting_measure(w, [0.2], "+", r_max=100.0)[0] == 0.0
 
     def test_wrong_sign_empty(self):
         w = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)
-        assert counting_measure(w, 1e-3, "-", r_max=1e4) == 0.0
+        assert counting_measure(w, [1e-3], "-", r_max=1e4)[0] == 0.0
 
     def test_unbounded_set_detected(self):
         w = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)
         with pytest.raises(UnboundedSet):
-            counting_measure(w, 1e-6, "+", r_max=10.0)
+            counting_measure(w, [1e-6], "+", r_max=10.0)[0]
 
     def test_annulus_weight_two_intervals(self):
         # gaussian ring: superlevel set is an annulus, length in r^2 checked
@@ -202,7 +202,7 @@ class TestCountingMeasure:
                          beta=-3.0)
         w = effective_weight(spec, None, 0, 1.0)
         for lam in (0.8, 0.5, 0.2):
-            got = counting_measure(w, lam, "+", r_max=50.0)
+            got = counting_measure(w, [lam], "+", r_max=50.0)[0]
             ref = brute_force_measure(w, lam, "+", 50.0)
             assert got == pytest.approx(ref, rel=1e-8)
 
@@ -218,7 +218,7 @@ class TestCountingMeasure:
         w = effective_weight(spec, None, 0, 1.0)
         for sign in ("+", "-"):
             for lam in (0.3, 0.12, 0.05):
-                got = counting_measure(w, lam, sign, r_max=60.0)
+                got = counting_measure(w, [lam], sign, r_max=60.0)[0]
                 ref = brute_force_measure(w, lam, sign, 60.0)
                 assert got == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
@@ -236,8 +236,8 @@ class TestCountingMeasure:
         c = 0.05
         w = effective_weight(None, power_spec(c, -3.0), 1, 1.0)
         ws = effective_weight(None, power_spec(c * scale, -3.0), 1, 1.0)
-        base = counting_measure(w, lam, "+", r_max=1e5)
-        scaled = counting_measure(ws, scale * lam, "+", r_max=1e5)
+        base = counting_measure(w, [lam], "+", r_max=1e5)[0]
+        scaled = counting_measure(ws, [scale * lam], "+", r_max=1e5)[0]
         assert scaled == pytest.approx(base, rel=1e-8, abs=1e-12)
 
 

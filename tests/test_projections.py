@@ -22,17 +22,6 @@ from landau.spectra import (ClusterStates, assemble_spectrum, cluster_states,
 QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
 
 
-def scattered(T):
-    """T's channel blocks scattered into one k x k matrix, zero between
-    channels; the blocks' rows must partition 0..k-1."""
-    rows = [i for r, _ in T.blocks.values() for i in r]
-    assert sorted(rows) == list(range(len(rows)))
-    t = np.zeros((len(rows), len(rows)))
-    for r, block in T.blocks.values():
-        t[np.ix_(r, r)] = block
-    return t
-
-
 @pytest.fixture(scope="module")
 def cluster_q1(mesh_small, gauge_power):
     ops = [build_channel("pauli_minus", m, gauge_power, None)
@@ -303,34 +292,38 @@ class TestSq:
             build_Sq_action(1, cluster_q1, 3, gauge_power)
 
 
+def applied(cluster, q):
+    """(P_- - Lambda_q) v for every cluster state v, in cluster order."""
+    out = []
+    for v in cluster.states:
+        av = cluster.operators[v.m].matvec(v.values)
+        av -= 2.0 * q * cluster.B0 * v.values
+        out.append(RadialFunction(av, v.m, v.mesh))
+    return out
+
+
 class TestTq:
     def test_pair_matrix_equals_all_pairs(self, cluster_q1):
-        # build_Tq forms only the pairs of equal m; the result still equals
-        # the loop over every pair bit for bit (the reference kept here)
-        V = FieldSpec.power(0.3, -2.8)
+        # build_Tq pairs each applied state with itself alone; the result
+        # equals the diagonal of the loop over every pair bit for bit (the
+        # reference kept here), whose other entries pair distinct channels
         states = cluster_q1.states
-        Vv = V.evaluate(states[0].mesh.nodes)
-        applied = []
-        for v in states:
-            av = cluster_q1.operators[v.m].matvec(v.values)
-            av -= 2.0 * cluster_q1.B0 * v.values
-            av += Vv * v.values
-            applied.append(RadialFunction(av, v.m, v.mesh))
-        ref = np.array([[inner(a, v) for v in states] for a in applied])
-        assert np.array_equal(scattered(build_Tq(1, V, cluster_q1)),
-                              0.5 * (ref + ref.T))
+        ref = np.array([[inner(a, v) for v in states]
+                        for a in applied(cluster_q1, 1)])
+        assert np.array_equal(build_Tq(1, cluster_q1), np.diag(ref))
+        assert np.array_equal(ref, np.diag(np.diag(ref)))
 
     def test_peak_memory_holds_one_applied_state(self, quick_q1):
-        # each applied state is paired as soon as it is formed and only
-        # channel blocks are stored, so the peak allocation stays below a
-        # few state vectors (all k states at once would be k = 37 state
-        # vectors, a k x k matrix 1.7 state vectors)
+        # each applied state is paired as soon as it is formed and only the
+        # diagonal is stored, so the peak allocation stays below a few state
+        # vectors (all k states at once would be k = 37 state vectors, a
+        # k x k matrix 1.7 state vectors)
         _, comp = quick_q1
         k = len(comp.cluster)
         state_bytes = comp.gauge.mesh.n * 8
         tracemalloc.start()
         try:
-            build_Tq(1, None, comp.cluster)
+            build_Tq(1, comp.cluster)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -338,11 +331,11 @@ class TestTq:
         assert peak < 6 * state_bytes
 
     def test_no_potential_diagonal_of_shifts(self, cluster_q1, b_power):
-        Tq = build_Tq(1, None, cluster_q1)
-        diag = np.diag(scattered(Tq))
+        # one state per channel: distinct channels are orthogonal, so the
+        # compression is the diagonal, and that holds the shifts
+        diag = build_Tq(1, cluster_q1)
         assert np.max(np.abs(diag - cluster_q1.shifts)) < 1e-6
-        off = scattered(Tq) - np.diag(diag)
-        assert np.max(np.abs(off)) < 1e-9
+        assert len(set(cluster_q1.ms.tolist())) == len(cluster_q1)
 
     def test_chain_agreement_with_T0(self, mesh_small, gauge_power, cluster_q1,
                                      b_power):
@@ -350,40 +343,38 @@ class TestTq:
         # T_q and of T0 / C_q agree
         m_max = int(np.max(cluster_q1.ms)) + 1
         basis = zero_mode_basis(gauge_power, m_max, [1], T0=None)
-        Tq = build_Tq(1, None, cluster_q1)
         t0 = np.sort(build_T0(1, None, basis))[::-1]
         t0 /= coupling_constant(1, 1.0)
-        tq = np.sort(Tq.eigenvalues())[::-1]
+        tq = np.sort(build_Tq(1, cluster_q1))[::-1]
         k = max(1, len(tq) // 4)
         rel = np.abs(t0[:k] - tq[:k]) / np.abs(tq[:k])
         assert np.max(rel) < 0.1
 
     def test_positive_weight_gives_psd(self, cluster_q1, b_power):
         # V + 2 q b >= 0 pointwise implies T_q >= 0 up to mesh defect
-        Tq = build_Tq(1, None, cluster_q1)
-        assert np.min(Tq.eigenvalues()) > -1e-6
+        assert np.min(build_Tq(1, cluster_q1)) > -1e-6
 
 
 class TestToeplitzSpectrum:
-    # T_q couples equal channels only, and T_0 is diagonal; their spectra
-    # are the union of the channel blocks' spectra resp. the sorted
-    # diagonal
+    # T_q and T_0 are per-state diagonals; their spectra are the sorted
+    # diagonals
 
     def test_quick_config_matches_dense_bit_for_bit(self, quick_q1):
         cfg, comp = quick_q1
         basis = zero_mode_basis(
             comp.gauge, min(int(np.max(comp.cluster.ms)) + 1, cfg.m_max),
             [1], T0=cfg.V)
-        Tq = build_Tq(1, None, comp.cluster)
+        tq = build_Tq(1, comp.cluster)
         t0 = build_T0(1, cfg.V, basis)
-        for eigs, t in ((Tq.eigenvalues(), scattered(Tq)),
-                        (np.sort(t0), np.diag(t0))):
-            assert t.shape[0] > 20
-            assert np.array_equal(eigs, np.linalg.eigvalsh(t))
+        for t in (tq, t0):
+            assert t.size > 20
+            assert np.array_equal(np.sort(t), np.linalg.eigvalsh(np.diag(t)))
 
     def test_two_states_in_one_channel(self, mesh_small, gauge_power):
-        # levels 1 and 2 of channel 0 next to level 1 of channels 1 and 2;
-        # V couples the two channel-0 states, so one 2 x 2 block is dense
+        # levels 1 and 2 of channel 0 next to level 1 of channels 1 and 2,
+        # solved without V: the two channel-0 states are eigenvectors of one
+        # channel matrix, so their pair entries are roundoff and the
+        # compression is its diagonal
         ops = [build_channel("pauli_minus", m, gauge_power, None)
                for m in range(3)]
         channels = solve_channels(ops, 4.6)
@@ -395,17 +386,16 @@ class TestToeplitzSpectrum:
             np.array([m for m, _ in labels]), np.array([n for _, n in labels]),
             [table.state(m, n, mesh_small) for m, n in labels],
             {ch.op.m: ch.op for ch in channels})
-        T = build_Tq(1, FieldSpec.power(0.3, -2.8), cluster)
-        assert {m: rows for m, (rows, _) in T.blocks.items()} == {
-            0: (0, 2), 1: (1,), 2: (3,)}
-        assert abs(scattered(T)[0, 2]) > 1e-3
-        got, ref = T.eigenvalues(), np.linalg.eigvalsh(scattered(T))
-        assert np.all(np.diff(got) >= 0)
-        assert np.max(np.abs(got - ref)) <= 1e-14
+        ref = np.array([[inner(a, v) for v in cluster.states]
+                        for a in applied(cluster, 1)])
+        off = ref - np.diag(np.diag(ref))
+        assert np.max(np.abs(off)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(build_Tq(1, cluster), np.diag(ref))
 
     def test_empty(self):
-        T = projections.ToeplitzMatrix({})
-        assert T.eigenvalues().size == 0
+        cluster = ClusterStates(1.0, np.empty(0), np.empty(0, dtype=int),
+                                np.empty(0, dtype=int), [], {})
+        assert build_Tq(1, cluster).size == 0
 
 
 class TestOffdiag:

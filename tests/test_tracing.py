@@ -27,11 +27,9 @@ def test_trace_targets_resolve():
 def test_tracer_runs_every_command(tmp_path):
     # every counter hook reads the result of the function it wraps, so a
     # field the hook reads and src no longer has fails here; cli.io.bytes
-    # sums the bytes of every file the writers leave.  Every span name but
-    # fields.superlevel records a span: a function the pipeline stops
-    # calling would otherwise zero its per-layer metric without a failure.
-    # fields.superlevel wraps superlevel_radius and counting_measure, which
-    # no command calls; the scan the commands run is not wrapped.
+    # sums the bytes of every file the writers leave.  Every span name
+    # records a span: a function the pipeline stops calling would otherwise
+    # zero its per-layer metric without a failure.
     tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     tracer.install()
@@ -52,4 +50,4 @@ def test_tracer_runs_every_command(tmp_path):
     assert all(value > 0 for value in counts.values())
     recorded = {span[0] for span in tracer.spans}
     expected = {name for _, _, name, _ in tracing.TARGETS}
-    assert expected - recorded <= {"fields.superlevel"}
+    assert expected - recorded == set()
