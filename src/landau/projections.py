@@ -62,11 +62,12 @@ _READS = {
 }
 
 
-# how far the unweighted form h <R^L u, R^L u> of a zero mode's level-L
-# ladder image may be from C_L, in units of C_L: below level 6 the forms
-# stay within 0.5 C_L of it (b up to 0.3), and at level 6 the images of the
-# modes m = 0 and 1 are 1.7 C_L or more off it, whatever the mesh
-LADDER_TOL = 1.0
+# the highest ladder level the zero-mode forms hold at: at level 6 the
+# forms h <R^6 u, R^6 u> of the zero modes m = 0 and 1 read 1.4 to 164
+# times C_6 = 6! (2 B0)^6 (m = 1 about 100 C_6 at b = 0, whatever B0 and
+# the mesh), and higher levels are further off; up to level 5 they stay
+# within 0.06 C_L of C_L at small b
+MAX_LADDER_LEVEL = 5
 
 
 def zero_mode_basis(gauge, m_max, qs, **fields):
@@ -81,17 +82,21 @@ def zero_mode_basis(gauge, m_max, qs, **fields):
     level asked for, and dropped: one mode is held at a time, and each
     mode takes one ladder step per level.  The steps are the ones
     ladder_apply takes, so a form equals the one of
-    ladder_apply(zero_mode(m, gauge), gauge, L) bit for bit.  A level L the
-    walk reaches whose unweighted form h <R^L u, R^L u> is more than
-    LADDER_TOL C_L off C_L = L! (2 B0)^L raises LandauError naming q, the
-    level and the mode.
+    ladder_apply(zero_mode(m, gauge), gauge, L) bit for bit.  A q whose
+    reads reach past MAX_LADDER_LEVEL raises LandauError naming the first
+    such q and the level it reads.
     """
-    by_level, reach = {}, {}  # level -> its weights; q -> its top level
-    for name, U in fields.items():
-        for q in qs:
+    by_level = {}
+    for q in sorted(qs):
+        for name, U in fields.items():
             for level, weight in _READS[name](q, U):
+                if level > MAX_LADDER_LEVEL:
+                    raise LandauError(
+                        f"q={q} reads zero-mode ladder level {level}; from "
+                        f"level {MAX_LADDER_LEVEL + 1} on the ladder images "
+                        f"of the zero modes m = 0 and 1 have lost their "
+                        f"accuracy")
                 by_level.setdefault(level, set()).add(weight)
-                reach[q] = max(level, reach.get(q, level))
     mesh = gauge.mesh
     values = {}
     for weight in set().union(*by_level.values()) - {None}:
@@ -102,22 +107,12 @@ def zero_mode_basis(gauge, m_max, qs, **fields):
              for level, ws in by_level.items() for w in ws}
     for m in range(m_max + 1):
         u = zero_mode(m, gauge)
-        c = 1.0  # C_L at the level L reached
-        for level in range(max(by_level, default=-1) + 1):
+        for level in range(max(by_level, default=0) + 1):
             if level:
                 u = ladder_apply(u, gauge, 1)
-                c *= 2.0 * level * gauge.B0
             for w in by_level.get(level, ()):
                 x = u.values if w is None else u.values * values[w]
                 forms[(level, w)][m] = mesh.h * float(np.dot(x, u.values))
-            x = mesh.h * float(np.dot(u.values, u.values))
-            if not abs(x - c) <= LADDER_TOL * c < math.inf:
-                first = min(q for q, top in reach.items() if top >= level)
-                raise LandauError(
-                    f"q={first}: the ladder image of zero mode m={m} at level "
-                    f"{level} has h <R^L u, R^L u> = {x:.4g}, more than "
-                    f"{LADDER_TOL:g} C_L off C_L = {c:.4g}; the zero-mode "
-                    f"ladder has lost its accuracy there")
     return ZeroModeBasis(gauge, m_max + 1, forms)
 
 

@@ -802,15 +802,14 @@ class TestToeplitzIdentities:
             eigs = json.loads(path.with_suffix(".json").read_text())
             assert sorted(float(v) for _, _, v in rows) == eigs["eigenvalues"]
 
-    @pytest.mark.parametrize("command, q, via_flag", [
-        ("toeplitz", 5, True), ("identities", 6, True),
-        ("toeplitz", 170, False), ("identities", 170, False)])
+    @pytest.mark.parametrize("command, q, via_flag, level", [
+        ("toeplitz", 5, True, 6), ("identities", 6, True, 6),
+        ("toeplitz", 170, False, 171), ("identities", 170, False, 170)])
     def test_ladder_past_its_accuracy_exits_3(self, command, q, via_flag,
-                                              tmp_path, capsys):
+                                              level, tmp_path, capsys):
         # on quick the level-6 images of the zero modes m = 0 and 1 read
         # 12.9 and 164 C_6 (toeplitz reads level q + 1, identities level q);
-        # the walk stops there, before the higher levels leave the float
-        # range
+        # no ladder walk starts, so no level leaves the float range
         argv = [command, "--out", str(tmp_path / "out")]
         if via_flag:
             argv += ["--config", str(CONFIGS / "quick.json"), "--q", str(q)]
@@ -820,8 +819,9 @@ class TestToeplitzIdentities:
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith(f"numeric failure: q={q}: the ladder image "
-                              f"of zero mode m=0 at level 6 ")
+        assert err.startswith(f"numeric failure: q={q} reads zero-mode "
+                              f"ladder level {level}; ")
+        assert "zero modes m = 0 and 1" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / f"{command}_summary.json").exists()
 
@@ -829,6 +829,26 @@ class TestToeplitzIdentities:
         for command, q in (("toeplitz", 4), ("identities", 5)):
             assert main([command, "--config", str(CONFIGS / "quick.json"),
                          "--out", str(tmp_path / command), "--q", str(q)]) == 0
+
+    @pytest.mark.parametrize("amplitude", [1.5, 5.0])
+    def test_strong_b_is_not_a_ladder_failure(self, amplitude,
+                                              tmp_path, capsys):
+        # with b at or above B0 the ladder forms carry the physical
+        # linear-in-b Gram term, far from C_L at level 1 and 2 (4.2 C_1 at
+        # amplitude 5); the ladder limit is a level, so these still run.
+        # verify fails its own checks here (b is not small), and says so
+        # on stdout with exit 1
+        cfg = json.loads((CONFIGS / "quick.json").read_text())
+        cfg["b"]["terms"][0]["c"] = amplitude
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for command, code in (("identities", 0), ("toeplitz", 0),
+                              ("verify", 1)):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out),
+                         "--q", "1"]) == code
+            assert capsys.readouterr().err == ""
+            assert (out / f"{command}_summary.json").exists()
 
     def test_identities_outputs(self, cfg_path, tmp_path):
         out = tmp_path / "out"
