@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Cold-start wall time of each `landau` command, against another checkout.
+"""Cold-start wall time and peak RSS of each `landau` command, against
+another checkout.
 
     python3 scripts/time_commands.py --against OTHER [--pairs 10]
 
 Each call is `python -m landau.cli COMMAND --config configs/quick.json` in
 a new interpreter with the `src/` of a checkout on PYTHONPATH, so the time
-includes the interpreter start and every import the command pays for.
-One untimed call per checkout and command comes first, so bytecode
-compilation is not timed.  Each pair then runs the command once on this
-checkout and once on OTHER (the root of another checkout, e.g. the parent
-commit), in alternating order; the table gives both medians and the number
-of pairs in which this checkout was faster.  A call that exits with 2
-(config error) or 3 (numeric failure) stops the script with exit status 1.
+includes the interpreter start and every import the command pays for, and
+the peak resident set size (`ru_maxrss` of the call's own rusage, from
+`os.wait4`) includes every module it loads.  One untimed call per checkout
+and command comes first, so bytecode compilation is not timed.  Each pair
+then runs the command once on this checkout and once on OTHER (the root of
+another checkout, e.g. the parent commit), in alternating order; the table
+gives both medians of each measure and the number of pairs in which this
+checkout was faster.  A call that exits with 2 (config error) or 3 (numeric
+failure) stops the script with exit status 1.
 """
 
 import argparse
@@ -20,6 +23,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -28,19 +32,28 @@ COMMANDS = ("spectrum", "verify", "weights", "toeplitz", "identities")
 
 
 def timed_call(tree, command, out):
-    """Wall seconds of one fresh-process call on the checkout `tree`."""
+    """Wall seconds and peak RSS in MiB of one fresh-process call on the
+    checkout `tree`."""
     env = dict(os.environ, LANDAU_LOG="quiet",
                PYTHONPATH=os.path.join(tree, "src"))
-    start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "landau.cli", command, "--config", CONFIG,
-         "--out", out], env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True, timeout=600)
-    wall = time.perf_counter() - start
-    if done.returncode not in (0, 1):
-        raise SystemExit(f"{command} on {tree} exited {done.returncode}: "
-                         f"{done.stderr.strip()}")
-    return wall
+    with tempfile.TemporaryFile(mode="w+") as err:
+        start = time.perf_counter()
+        call = subprocess.Popen(
+            [sys.executable, "-m", "landau.cli", command, "--config", CONFIG,
+             "--out", out], env=env, stdout=subprocess.DEVNULL, stderr=err)
+        watchdog = threading.Timer(600.0, call.kill)  # a hung call
+        watchdog.start()
+        try:
+            _, status, usage = os.wait4(call.pid, 0)
+        finally:
+            watchdog.cancel()
+        wall = time.perf_counter() - start
+        call.returncode = os.waitstatus_to_exitcode(status)  # reaped here
+        if call.returncode not in (0, 1):
+            err.seek(0)
+            raise SystemExit(f"{command} on {tree} exited {call.returncode}: "
+                             f"{err.read().strip()}")
+    return wall, usage.ru_maxrss / 1024.0  # Linux reports KiB
 
 
 def main(argv=None):
@@ -53,7 +66,7 @@ def main(argv=None):
         parser.error("need --pairs >= 1")
     trees = (ROOT, os.path.abspath(args.against))
 
-    walls = [{c: [] for c in COMMANDS} for _ in trees]
+    calls = [{c: [] for c in COMMANDS} for _ in trees]  # (wall, rss)
     with tempfile.TemporaryDirectory() as work:
         out = os.path.join(work, "out")
         for tree in trees:
@@ -63,18 +76,22 @@ def main(argv=None):
             order = (1, 0) if k % 2 else (0, 1)
             for command in COMMANDS:
                 for i in order:
-                    walls[i][command].append(
+                    calls[i][command].append(
                         timed_call(trees[i], command, out))
 
-    print(f"config {CONFIG}, {args.pairs} alternating pairs, "
-          "wall seconds per fresh-process call (median)")
-    print("| command | this checkout | --against | faster pairs |")
-    print("|---|---|---|---|")
+    print(f"config {CONFIG}, {args.pairs} alternating pairs, medians of "
+          "each fresh-process call: wall seconds and peak RSS (MiB)")
+    print("| command | this checkout | --against | faster pairs "
+          "| this checkout MiB | --against MiB |")
+    print("|---|---|---|---|---|---|")
     for command in COMMANDS:
-        mine, theirs = walls[0][command], walls[1][command]
+        (mine, mine_rss), (theirs, theirs_rss) = (
+            zip(*side[command]) for side in calls)
         wins = sum(a < b for a, b in zip(mine, theirs))
         print(f"| {command} | {statistics.median(mine):.3f} |"
-              f" {statistics.median(theirs):.3f} | {wins}/{args.pairs} |")
+              f" {statistics.median(theirs):.3f} | {wins}/{args.pairs} |"
+              f" {statistics.median(mine_rss):.1f} |"
+              f" {statistics.median(theirs_rss):.1f} |")
     return 0
 
 

@@ -9,10 +9,11 @@ Subcommands map to the headline operation of each module:
     toeplitz    zero-mode-basis Toeplitz operator and its eigenvalues
     identities  ladder Gram identity residuals
 
-Only spectrum and verify run eigensolves, so only they import scipy (in
-their first solve).  Each command returns its exit code and summary; main
-writes the summary to <command>_summary.json and, with --json, prints it.
-Exit codes: 0 pass, 1 verification failure, 2 config error, 3 numeric
+Only spectrum and verify run eigensolves, so only they load LAPACK: their
+first solve loads scipy's compiled LAPACK modules (spectra._lapack), never
+the scipy.linalg package.  Each command returns its exit code and summary;
+main writes the summary to <command>_summary.json and, with --json, prints
+it.  Exit codes: 0 pass, 1 verification failure, 2 config error, 3 numeric
 failure.  LANDAU_LOG selects verbosity (debug / info / quiet).
 """
 

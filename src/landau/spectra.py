@@ -8,8 +8,12 @@ of cluster states beyond lambda.
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,23 +22,70 @@ from .errors import ConvergenceFailure, InconsistentProvenance
 from .operator import ChannelOperator, RadialFunction
 
 
-# scipy.linalg routines, imported on their first call: the import costs
-# more than a small solve, and the commands that solve nothing (weights,
-# toeplitz, identities) never need it, so importing this module loads no
-# scipy.  Tests patch these names by module attribute.
-def eigh_tridiagonal(*args, **kwargs):
-    import scipy.linalg
-    return scipy.linalg.eigh_tridiagonal(*args, **kwargs)
+# LAPACK, loaded on the first solve: importing this module loads no scipy,
+# so the commands that solve nothing (weights, toeplitz, identities) never
+# do.  The routines come from two compiled modules of scipy's linalg
+# directory, loaded by file without running scipy/linalg/__init__.py, which
+# imports scipy's array-API shim and with it numpy.random, numpy.f2py,
+# numpy.testing and numpy.ma (about 22 MiB and 0.27 s more per process):
+# _flapack holds the f2py wrappers that scipy.linalg.lapack exports, and
+# cython_lapack the function pointers of scipy.linalg.cython_lapack.  A
+# module already imported is reused, and one loaded here is registered
+# under its scipy name, so a later `import scipy.linalg` reuses it too
+# (but does not bind it as a package attribute: from-imports find it).
+# Tests patch the four routines below by module attribute.
+@functools.cache
+def _lapack(name):
+    """The compiled module scipy.linalg.<name>."""
+    full = f"scipy.linalg.{name}"
+    if full not in sys.modules:
+        import scipy
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy.__path__[0], "linalg"),
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(full)
+        if spec is None:
+            raise ImportError(f"no compiled module {full} in this scipy",
+                              name=full)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+# absolute bisection tolerance; see channel_eigs
+_BISECT_TOL = 1e-14
+
+
+def eigh_tridiagonal(d, e, lo, hi):
+    """Eigenvalues in (lo, hi] of the symmetric tridiagonal matrix (d, e),
+    ascending, and their eigenvectors as columns: the LAPACK calls of
+    scipy.linalg.eigh_tridiagonal(d, e, select="v", select_range=(lo, hi),
+    lapack_driver="stebz", tol=_BISECT_TOL), which are dstebz (RANGE = 'V',
+    ORDER = 'B') and dstein, and so the same floats.  A non-finite entry,
+    which scipy rejects before LAPACK sees it, or a LAPACK failure raises
+    LinAlgError."""
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise np.linalg.LinAlgError("matrix entries must be finite")
+    flapack = _lapack("_flapack")
+    m, w, iblock, isplit, info = flapack.dstebz(d, e, 1, lo, hi, 1, 1,
+                                                _BISECT_TOL, "B")
+    if info == 0:
+        w = w[:m]
+        v, info = flapack.dstein(d, e, w, iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"dstebz / dstein failed (info={info})")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def dgttrf(*args, **kwargs):
-    import scipy.linalg.lapack
-    return scipy.linalg.lapack.dgttrf(*args, **kwargs)
+    return _lapack("_flapack").dgttrf(*args, **kwargs)
 
 
 def dgttrs(*args, **kwargs):
-    import scipy.linalg.lapack
-    return scipy.linalg.lapack.dgttrs(*args, **kwargs)
+    return _lapack("_flapack").dgttrs(*args, **kwargs)
 
 
 def dlaebz(d, e, e2, pivmin, ab):
@@ -42,34 +93,35 @@ def dlaebz(d, e, e2, pivmin, ab):
     nab the numbers of eigenvalues <= lo and <= hi.  ctypes calls the
     pointer that scipy.linalg.cython_lapack exports (scipy.linalg.lapack
     has no dlaebz); LAPACK reads raw memory, so the arrays go in as
-    C-contiguous float64 of checked sizes."""
-    d, e, e2, ab = (np.ascontiguousarray(a, dtype=float) for a in (d, e, e2, ab))
-    if min(e.size, e2.size) < d.size - 1 or ab.size != 2:
+    C-contiguous float64 of checked sizes.  Every argument goes in as an
+    integer address, which ctypes passes faster than a byref: the scalars
+    live in one float64 workspace, the integers in its upper half."""
+    d, e, e2 = (np.ascontiguousarray(a, dtype=float) for a in (d, e, e2))
+    if min(e.size, e2.size) < d.size - 1 or len(ab) != 2:
         raise ValueError("dlaebz needs n - 1 off-diagonals and two ends")
-    nab = np.zeros(2, dtype=np.intc)
-    one, zero, n, mout, info = (ctypes.c_int(k) for k in (1, 0, d.size, 0, 0))
-    x, pivmin, p = ctypes.c_double(), ctypes.c_double(pivmin), ctypes.byref
-    _dlaebz()(p(one), p(zero), p(n), p(one), p(one), p(zero), p(x), p(x),
-              p(pivmin), d.ctypes.data, e.ctypes.data, e2.ctypes.data, p(zero),
-              ab.ctypes.data, p(x), p(mout), nab.ctypes.data, p(x), p(zero),
-              p(info))  # x, zero: arguments IJOB = 1 does not read
-    return nab, info.value
+    # doubles lo, hi, pivmin, x, then C ints one, zero, n, mout, info, nab[2]
+    work = np.zeros(8)
+    work[:3] = ab[0], ab[1], pivmin
+    ints = work[4:].view(np.intc)
+    ints[:3] = 1, 0, d.size
+    bounds = work.ctypes.data
+    piv, x = bounds + 16, bounds + 24
+    one, zero, n, mout, info, nab = (bounds + 32 + 4 * k for k in range(6))
+    _dlaebz()(one, zero, n, one, one, zero, x, x, piv, d.ctypes.data,
+              e.ctypes.data, e2.ctypes.data, zero, bounds, x, mout, nab, x,
+              zero, info)  # x, zero: arguments IJOB = 1 does not read
+    return ints[5:7], int(ints[4])
 
 
 @functools.cache
 def _dlaebz():
-    import scipy.linalg.cython_lapack
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dlaebz"]
+    capsule = _lapack("cython_lapack").__pyx_capi__["dlaebz"]
     api, obj, name = ctypes.pythonapi, ctypes.py_object, ctypes.c_char_p
     get_name = ctypes.PYFUNCTYPE(name, obj)(("PyCapsule_GetName", api))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, name)(
         ("PyCapsule_GetPointer", api))
     address = get_pointer(capsule, get_name(capsule))
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)(address)
-
-
-# absolute bisection tolerance; see channel_eigs
-_BISECT_TOL = 1e-14
 
 
 def _lower_bound(op):
@@ -110,10 +162,8 @@ def channel_eigs(op, e_max, e_min=None):
     if lo >= e_max:  # Gershgorin: no eigenvalue in (lo, e_max]
         return []
     try:
-        vals, vecs = eigh_tridiagonal(
-            op.diag, op.offdiag, select="v", select_range=(lo, e_max),
-            lapack_driver="stebz", tol=_BISECT_TOL)
-    except Exception as exc:  # LAPACK failures carry no useful type
+        vals, vecs = eigh_tridiagonal(op.diag, op.offdiag, lo, e_max)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(
             f"tridiagonal solve failed for kind={op.kind} m={op.m} "
             f"(n={op.mesh.n}, h={op.mesh.h})"
@@ -200,7 +250,7 @@ class ChannelResult:
 
     op: ChannelOperator
     energies: np.ndarray
-    vectors: np.ndarray  # columns
+    vectors: np.ndarray  # columns, each contiguous
     first: int
 
 
@@ -224,8 +274,11 @@ def solve_channel(op, e_max, e_min=None):
         pairs = ([pair] if pair else
                  channel_eigs(op, e_max, e_min) if top > first else [])
     energies = np.array([e for e, _ in pairs], dtype=float)
-    vectors = np.column_stack([v for _, v in pairs]
-                              or [np.empty((op.mesh.n, 0))])
+    # each eigenvector column is contiguous: one pair's vector is kept as
+    # it is (a copy per channel churns the heap top; README, "Heap churn"),
+    # more pairs are copied in as rows and transposed
+    vectors = (pairs[0][1][:, None] if len(pairs) == 1 else
+               np.array([v for _, v in pairs]).reshape(-1, op.mesh.n).T)
     return ChannelResult(op, energies, vectors, first)
 
 
@@ -257,9 +310,13 @@ class SpectrumTable:
     def rows(self):
         return zip(self.m, self.n, self.E, self.boundary.astype(int))
 
-    def state(self, m, n, mesh):
-        """Eigenvector as a RadialFunction with unit discrete norm."""
-        v = self.vectors[(int(m), int(n))] / math.sqrt(mesh.h)
+    def take_state(self, m, n, mesh):
+        """The (m, n) eigenvector as a RadialFunction with unit discrete
+        norm, v / sqrt(h).  The table hands its vector over: it is divided
+        in place, so the state shares memory with the solved channel
+        vectors, and it leaves the table, so a label is taken once."""
+        v = self.vectors.pop((int(m), int(n)))
+        v /= math.sqrt(mesh.h)
         return RadialFunction(v, int(m), mesh)
 
 
@@ -319,14 +376,16 @@ class ClusterStates:
 def cluster_states(table, center, gamma, channels):
     """Signed shifts E - center of the non-boundary states strictly inside
     (center - gamma, center + gamma), with their labels, eigenvectors and
-    channel matrices, |shift| descending; an empty cluster is legal."""
+    channel matrices, |shift| descending; an empty cluster is legal.  The
+    cluster takes its eigenvectors from the table (SpectrumTable.take_state),
+    so they are the only copy."""
     keep = np.flatnonzero(~table.boundary & (table.E > center - gamma)
                           & (table.E < center + gamma))
     rows = keep[np.argsort(-np.abs(table.E[keep] - center), kind="stable")]
     shifts = table.E[rows] - center
     ms, ns = table.m[rows], table.n[rows]
     ops = {ch.op.m: ch.op for ch in channels}
-    states = [table.state(m, n, ops[m].mesh) for m, n in zip(ms, ns)]
+    states = [table.take_state(m, n, ops[m].mesh) for m, n in zip(ms, ns)]
     return ClusterStates(table.provenance["B0"], shifts, ms, ns, states, ops)
 
 

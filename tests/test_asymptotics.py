@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +13,15 @@ from landau.asymptotics import (VerificationConfig, _lambda_grid,
                                 boundary_sensitivity,
                                 cluster_asymptotics_report, compute_cluster,
                                 upper_estimate_check)
+from landau.cli import load_config
 from landau.errors import TrustRegionEmpty
 from landau.fields import (FieldSpec, ProfileTerm, build_gauge,
                            counting_measure, effective_weight)
-from landau.operator import KINDS, build_channel, spin_down_form
+from landau.operator import (KINDS, RadialMesh, build_channel,
+                             spin_down_form)
+
+
+QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +48,33 @@ def labeled(c):
     """Cluster shifts keyed by their (m, n) labels."""
     return {(int(m), int(n)): float(s)
             for m, n, s in zip(c.ms, c.ns, c.shifts)}
+
+
+def test_cluster_states_are_the_only_copy(monkeypatch):
+    # compute_cluster keeps one copy of each cluster eigenvector: every
+    # state is a view of the vectors its channel solve returned, scaled in
+    # place, and holds the floats v / sqrt(h) of an independent solve
+    cfg = load_config(str(QUICK))
+    solved = []
+
+    def recording(ops, e_max, e_min=None):
+        solved.extend(spectra.solve_channels(ops, e_max, e_min))
+        return solved[-len(ops):]
+
+    monkeypatch.setattr(asymptotics, "solve_channels", recording)
+    cluster = compute_cluster(cfg, 1).cluster
+    monkeypatch.undo()
+    gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
+    fresh = {ch.op.m: ch for ch in spectra.solve_channels(
+        [build_channel("pauli_minus", ch.op.m, gauge, cfg.V)
+         for ch in solved], 2.5 + 1e-6, 1.5 - 1e-6)}
+    by_m = {ch.op.m: ch for ch in solved}
+    assert len(cluster) > 20
+    for m, n, state in zip(cluster.ms, cluster.ns, cluster.states):
+        assert np.shares_memory(state.values, by_m[m].vectors)
+        ch = fresh[m]
+        v = ch.vectors[:, n - ch.first]
+        assert np.array_equal(state.values, v / math.sqrt(cfg.h))
 
 
 class TestConfig:

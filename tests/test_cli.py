@@ -292,7 +292,9 @@ class TestConfigValidation:
 def test_only_solve_commands_load_scipy(tmp_path):
     # in a fresh interpreter, the commands that solve nothing run without
     # scipy, and so without the LAPACK pointers of its cython_lapack; verify
-    # loads both
+    # loads both, and spectrum scipy alone (it counts nothing).  Neither
+    # runs scipy.linalg's __init__: they load LAPACK from its compiled
+    # modules
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -301,20 +303,28 @@ def test_only_solve_commands_load_scipy(tmp_path):
         "import landau.cli\n"
         "lapack = 'scipy.linalg.cython_lapack'\n"
         "seen = ['scipy' in sys.modules, lapack in sys.modules]\n"
-        "for command in ('weights', 'toeplitz', 'identities', 'verify'):\n"
+        "for command in sys.argv[3:]:\n"
         "    code = landau.cli.main([command, '--config', sys.argv[1],\n"
         "                            '--out', sys.argv[2]])\n"
         "    seen.append((command, code, 'scipy' in sys.modules,\n"
-        "                 lapack in sys.modules))\n"
+        "                 lapack in sys.modules,\n"
+        "                 'scipy.linalg' in sys.modules))\n"
         "print(json.dumps(seen))\n")
-    out = subprocess.run(
-        [sys.executable, "-c", probe, str(CONFIGS / "quick.json"),
-         str(tmp_path / "out")], env=env, capture_output=True, text=True,
-        check=True)
-    seen = json.loads(out.stdout.splitlines()[-1])
-    assert seen == [False, False, ["weights", 0, False, False],
-                    ["toeplitz", 0, False, False],
-                    ["identities", 0, False, False], ["verify", 0, True, True]]
+
+    def fresh(*commands):
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(CONFIGS / "quick.json"),
+             str(tmp_path / "out"), *commands], env=env, capture_output=True,
+            text=True, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    seen = fresh("weights", "toeplitz", "identities", "verify")
+    assert seen == [False, False, ["weights", 0, False, False, False],
+                    ["toeplitz", 0, False, False, False],
+                    ["identities", 0, False, False, False],
+                    ["verify", 0, True, True, False]]
+    assert fresh("spectrum") == [False, False,
+                                 ["spectrum", 0, True, False, False]]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify", "weights",

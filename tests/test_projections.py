@@ -384,7 +384,7 @@ class TestToeplitzSpectrum:
         cluster = ClusterStates(
             1.0, np.array([E[k] - 2.0 for k in labels]),
             np.array([m for m, _ in labels]), np.array([n for _, n in labels]),
-            [table.state(m, n, mesh_small) for m, n in labels],
+            [table.take_state(m, n, mesh_small) for m, n in labels],
             {ch.op.m: ch.op for ch in channels})
         ref = np.array([[inner(a, v) for v in cluster.states]
                         for a in applied(cluster, 1)])

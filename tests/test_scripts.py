@@ -42,8 +42,9 @@ def test_scan_identities(tmp_path):
 
 def test_time_commands(monkeypatch, capsys):
     # two alternating pairs of `weights` against this same checkout: one
-    # table row, with both medians and the faster-pair count.  The script
-    # is loaded as a module so that it times one command, not all five.
+    # table row, with both wall-time medians, the faster-pair count and
+    # both peak-RSS medians.  The script is loaded as a module so that it
+    # times one command, not all five.
     script = load_script("time_commands.py")
     monkeypatch.setattr(script, "COMMANDS", ("weights",))
     assert script.main(["--against", str(ROOT), "--pairs", "2"]) == 0
@@ -54,6 +55,8 @@ def test_time_commands(monkeypatch, capsys):
     assert cells[0] == "weights"
     assert float(cells[1]) > 0 and float(cells[2]) > 0
     assert cells[3] in ("0/2", "1/2", "2/2")
+    # an interpreter with numpy loaded holds well over 10 MiB
+    assert float(cells[4]) > 10 and float(cells[5]) > 10
 
 
 def test_compare_artifacts(tmp_path, monkeypatch, capsys):

@@ -238,6 +238,93 @@ class TestWindowCounts:
             solve_channel(op, 6.5, 2.5)
 
 
+def binding_ops():
+    """Channels of quick size (n = 800) and of headline size (n = 6000),
+    each with its cluster window of level 1."""
+    cfg = load_config(str(CONFIGS / "quick.json"))
+    ops = []
+    for r_max, h in ((cfg.r_max, cfg.h), (30.0, 0.005)):
+        gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(r_max, h))
+        ops += [build_channel("pauli_minus", m, gauge, cfg.V)
+                for m in (-1, 0, 1, 7, default_channel_cut(r_max, cfg.B0))]
+    return ops, 1.5 - 1e-6, 2.5 + 1e-6
+
+
+class TestLapackBindings:
+    # spectra loads LAPACK from scipy's compiled modules; each routine must
+    # give scipy's own wrapper's floats bit for bit
+
+    def test_eigh_tridiagonal_matches_scipy(self):
+        import scipy.linalg
+        ops, e_min, e_max = binding_ops()
+        gaps = []
+        for op in ops:
+            lo = spectra._lower_bound(op)
+            # the full solve to the window's top, the window, and the gap
+            # (0.5, 1.5), which holds no eigenvalue
+            for a, b in ((lo, e_max), (max(lo, e_min), e_max), (0.5, 1.5)):
+                w, v = spectra.eigh_tridiagonal(op.diag, op.offdiag, a, b)
+                w_ref, v_ref = scipy.linalg.eigh_tridiagonal(
+                    op.diag, op.offdiag, select="v", select_range=(a, b),
+                    lapack_driver="stebz", tol=1e-14)
+                assert np.array_equal(w, w_ref)
+                assert np.array_equal(v, v_ref)
+                assert v.shape == (op.mesh.n, w.size)
+            gaps.append(w.size)
+        assert gaps == [0] * len(ops)
+
+    def test_tridiagonal_factor_and_solve_match_scipy(self):
+        import scipy.linalg.lapack
+        ops, e_min, e_max = binding_ops()
+        for op in ops:
+            shifted = op.diag - 0.5 * (e_min + e_max)
+            got = spectra.dgttrf(op.offdiag, shifted.copy(), op.offdiag,
+                                 overwrite_d=1)
+            ref = scipy.linalg.lapack.dgttrf(op.offdiag, shifted, op.offdiag)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
+            b = np.ones(op.mesh.n)
+            x, info = spectra.dgttrs(*got[:5], b)
+            x_ref, info_ref = scipy.linalg.lapack.dgttrs(*ref[:5], b)
+            assert info == info_ref == 0
+            assert np.array_equal(x, x_ref)
+
+    def test_gershgorin_exit_runs_no_lapack(self, monkeypatch):
+        # m = -600 on the quick mesh: every eigenvalue lies far above the
+        # window, so channel_eigs returns before any LAPACK call, as scipy
+        # finds nothing there either
+        import scipy.linalg
+        cfg = load_config(str(CONFIGS / "quick.json"))
+        gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
+        op = build_channel("pauli_minus", -600, gauge, cfg.V)
+        assert spectra._lower_bound(op) >= 2.5
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        assert channel_eigs(op, 2.5, 1.5) == channel_eigs(op, 2.5) == []
+        assert bisections == []
+        w, v = scipy.linalg.eigh_tridiagonal(
+            op.diag, op.offdiag, select="v", select_range=(1.5, 2.5),
+            lapack_driver="stebz", tol=1e-14)
+        assert w.size == 0 and v.shape == (op.mesh.n, 0)
+
+    @pytest.mark.parametrize("where", ["diag", "offdiag"])
+    def test_non_finite_entry_is_a_convergence_failure(self, where):
+        # scipy rejects the matrix before LAPACK sees it; so does spectra,
+        # and channel_eigs reports it as a numeric failure (exit 3)
+        import scipy.linalg
+        op = binding_ops()[0][1]
+        getattr(op, where)[17] = np.nan
+        with pytest.raises(ValueError):
+            scipy.linalg.eigh_tridiagonal(
+                op.diag, op.offdiag, select="v", select_range=(1.0, 2.5),
+                lapack_driver="stebz", tol=1e-14)
+        with pytest.raises(np.linalg.LinAlgError):
+            spectra.eigh_tridiagonal(op.diag, op.offdiag, 1.0, 2.5)
+        for e_min in (None, 1.5 - 1e-6):
+            with pytest.raises(ConvergenceFailure,
+                               match="tridiagonal solve failed"):
+                channel_eigs(op, 2.5 + 1e-6, e_min)
+
+
 def recorded(monkeypatch, name):
     """Calls of spectra.<name>; the wrapped function still runs."""
     calls = []
