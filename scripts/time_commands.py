@@ -3,9 +3,10 @@
 another checkout.
 
     python3 scripts/time_commands.py --against OTHER [--pairs 10]
+                                     [--config configs/quick.json]
 
-Each call is `python -m landau.cli COMMAND --config configs/quick.json` in
-a new interpreter with the `src/` of a checkout on PYTHONPATH, so the time
+Each call is `python -m landau.cli COMMAND --config CONFIG` in a new
+interpreter with the `src/` of a checkout on PYTHONPATH, so the time
 includes the interpreter start and every import the command pays for, and
 the peak resident set size (`ru_maxrss` of the call's own rusage, from
 `os.wait4`) includes every module it loads.  One untimed call per checkout
@@ -15,6 +16,10 @@ another checkout, e.g. the parent commit), in alternating order; the table
 gives both medians of each measure and the number of pairs in which this
 checkout was faster.  A call that exits with 2 (config error) or 3 (numeric
 failure) stops the script with exit status 1.
+
+CONFIG defaults to this checkout's configs/quick.json.  On
+configs/headline.json (the fine mesh) `toeplitz` and `identities` spend
+most of their time in the zero-mode ladder.
 """
 
 import argparse
@@ -31,7 +36,7 @@ CONFIG = os.path.join(ROOT, "configs", "quick.json")
 COMMANDS = ("spectrum", "verify", "weights", "toeplitz", "identities")
 
 
-def timed_call(tree, command, out):
+def timed_call(tree, command, config, out):
     """Wall seconds and peak RSS in MiB of one fresh-process call on the
     checkout `tree`."""
     env = dict(os.environ, LANDAU_LOG="quiet",
@@ -39,7 +44,7 @@ def timed_call(tree, command, out):
     with tempfile.TemporaryFile(mode="w+") as err:
         start = time.perf_counter()
         call = subprocess.Popen(
-            [sys.executable, "-m", "landau.cli", command, "--config", CONFIG,
+            [sys.executable, "-m", "landau.cli", command, "--config", config,
              "--out", out], env=env, stdout=subprocess.DEVNULL, stderr=err)
         watchdog = threading.Timer(600.0, call.kill)  # a hung call
         watchdog.start()
@@ -61,25 +66,31 @@ def main(argv=None):
     parser.add_argument("--against", required=True,
                         help="root of another checkout")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--config", default=CONFIG,
+                        help="config file of every call (default: "
+                             "configs/quick.json of this checkout)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("need --pairs >= 1")
     trees = (ROOT, os.path.abspath(args.against))
+    config = os.path.abspath(args.config)
+    if not os.path.isfile(config):
+        parser.error(f"no config file {config}")
 
     calls = [{c: [] for c in COMMANDS} for _ in trees]  # (wall, rss)
     with tempfile.TemporaryDirectory() as work:
         out = os.path.join(work, "out")
         for tree in trees:
             for command in COMMANDS:
-                timed_call(tree, command, out)
+                timed_call(tree, command, config, out)
         for k in range(args.pairs):
             order = (1, 0) if k % 2 else (0, 1)
             for command in COMMANDS:
                 for i in order:
                     calls[i][command].append(
-                        timed_call(trees[i], command, out))
+                        timed_call(trees[i], command, config, out))
 
-    print(f"config {CONFIG}, {args.pairs} alternating pairs, medians of "
+    print(f"config {config}, {args.pairs} alternating pairs, medians of "
           "each fresh-process call: wall seconds and peak RSS (MiB)")
     print("| command | this checkout | --against | faster pairs "
           "| this checkout MiB | --against MiB |")

@@ -49,14 +49,22 @@ _BLOCK = 512
 
 
 def panel_integrals(f, edges):
-    """Integrate `f` over each panel [edges[i], edges[i+1]].
+    """Integrate each integrand of `f` over each panel [edges[i], edges[i+1]].
 
-    `f` must accept an ndarray and evaluate elementwise.  Returns one value
-    per input panel; panels are bisected until the local error estimate is
-    below `_TOL * width / total_width` (plus a roundoff floor).  Raises
+    `f` maps an ndarray of nodes to a sequence of arrays, one per
+    integrand, each evaluated elementwise.  Returns one row per integrand
+    with one value per input panel.  The nodes of the input panels are
+    built once and `f` is evaluated on them once for all integrands; then
+    each integrand is refined on its own.  Its panels are bisected until
+    the local error estimate is below `_TOL * width / total_width` (plus
+    a roundoff floor), and `f` is evaluated on that integrand's bisected
+    panels alone (its other outputs are dropped), so every row is bit for
+    bit the values of integrating that integrand alone.  Raises
     QuadratureFailure on a non-finite value of `f`, which no bisection can
     resolve, or if the recursion depth is exhausted.  Panels are refined in
-    blocks of _BLOCK; each panel's value does not depend on the blocking.
+    blocks of _BLOCK.  The blocking can move a value by an ulp or two: the
+    BLAS sums the last (rows mod 4) rows of the K15 and G7 products in
+    another order than the rest, so which panels share a product counts.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
@@ -65,28 +73,37 @@ def panel_integrals(f, edges):
         raise ValueError("edges must be strictly increasing")
 
     span = edges[-1] - edges[0]
-    total = np.zeros(edges.size - 1)
-    for start in range(0, total.size, _BLOCK):
+    blocks = []
+    for start in range(0, edges.size - 1, _BLOCK):
         block = edges[start:start + _BLOCK + 1]
-        total[start:start + block.size - 1] = _refine(f, block, span)
-    return total
+        lo, hi = block[:-1], block[1:]
+        mid, half, nodes = _panels(lo, hi)
+        blocks.append([
+            _refine(lambda t, k=k: f(t)[k], lo, hi, (mid, half, fv), span)
+            for k, fv in enumerate(f(nodes))])
+    return np.concatenate(blocks, axis=1)
 
 
-def _refine(f, edges, span):
-    """panel_integrals on the panels of `edges`, with the error budget of a
-    total width `span`."""
-    total = np.zeros(edges.size - 1)
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
-    owner = np.arange(total.size)
+def _panels(lo, hi):
+    """Midpoints, half widths and K15 nodes of the panels [lo, hi]."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return mid, half, mid[:, None] + half[:, None] * _XGK[None, :]
+
+
+def _refine(f, lo, hi, first, span):
+    """The values of the one integrand `f` on the panels [lo, hi], with the
+    error budget of a total width `span`; `first` holds the panels'
+    midpoints, half widths and the values of `f` at their nodes."""
+    total = np.zeros(lo.size)
+    owner = np.arange(lo.size)
+    mid, half, fv = first
 
     for _ in range(_MAX_DEPTH + 1):
-        if lo.size == 0:
-            return total
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes = mid[:, None] + half[:, None] * _XGK[None, :]
-        fv = np.asarray(f(nodes), dtype=float)
+        if fv is None:
+            mid, half, nodes = _panels(lo, hi)
+            fv = f(nodes)
+        fv = np.asarray(fv, dtype=float)
         if not np.all(np.isfinite(fv)):
             raise QuadratureFailure(
                 "adaptive quadrature met a non-finite integrand value")
@@ -104,6 +121,7 @@ def _refine(f, edges, span):
         lo = np.concatenate([lo[bad], mid[bad]])
         hi = np.concatenate([mid[bad], hi[bad]])
         owner = np.concatenate([owner[bad], owner[bad]])
+        fv = None
 
     raise QuadratureFailure(
         f"adaptive quadrature stalled: {lo.size} panels above tolerance "

@@ -195,14 +195,17 @@ def build_gauge(b, B0, mesh):
         zero = np.zeros_like(r)
         return GaugeData(mesh, B0, b, np.full_like(r, B0), base_A, zero, base_Psi)
 
-    edges = np.concatenate([[0.0], r])
-    tb = panel_integrals(lambda t: t * b.evaluate(t), edges)
+    def integrands(t):
+        tb = t * b.evaluate(t)
+        return tb, tb * np.log(t)
+
+    # both integrals share the nodes of the mesh panels and b on them
+    tb, tb_log = panel_integrals(integrands, np.concatenate([[0.0], r]))
     circ = np.cumsum(tb)
     A_theta = base_A + circ / r
 
     # psi(r_i) - psi(r_{i-1}) = circ_{i-1} log(r_i/r_{i-1})
     #                           + int_panel t b(t) log(r_i/t) dt
-    tb_log = panel_integrals(lambda t: t * b.evaluate(t) * np.log(t), edges)
     incr = np.empty_like(r)
     incr[0] = math.log(r[0]) * tb[0] - tb_log[0]
     incr[1:] = (circ[:-1] * np.log(r[1:] / r[:-1])

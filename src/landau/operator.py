@@ -101,6 +101,7 @@ class RadialMesh:
         self.r_max = n * self.h
         self.nodes = self.h * (np.arange(1, n + 1) - 0.5)
         self.sqrt_nodes = np.sqrt(self.nodes)
+        self.log_nodes = np.log(self.nodes)
 
     @property
     def signature(self):
@@ -142,10 +143,14 @@ class ChannelOperator:
     offdiag: np.ndarray
     B0: float
 
-    def matvec(self, v):
-        out = self.diag * v
-        out[:-1] += self.offdiag * v[1:]
-        out[1:] += self.offdiag * v[:-1]
+    def matvec(self, v, out=None, work=None):
+        """T v, written into `out` when given; `work` (n entries) takes
+        the off-diagonal products."""
+        out = np.multiply(self.diag, v, out=out)
+        part = np.multiply(self.offdiag, v[1:],
+                           out=None if work is None else work[:-1])
+        out[:-1] += part
+        out[1:] += np.multiply(self.offdiag, v[:-1], out=part)
         return out
 
 
@@ -167,7 +172,11 @@ def _log_weight_steps(m, gauge):
     """
     p = 2.0 * abs(m) + 1.0
     log_left, psi_left, log_right, psi_right = gauge.face_steps
-    return p * log_left - psi_left, -p * log_right + psi_right
+    left = np.multiply(log_left, p)
+    left -= psi_left
+    right = np.multiply(log_right, -p)
+    right += psi_right
+    return left, right
 
 
 # rho below eps^4 of its maximum: the zero mode is below eps^2 of its peak
@@ -189,24 +198,35 @@ def build_channel(kind, m, gauge, V):
     h2 = mesh.h * mesh.h
 
     left, right = _log_weight_steps(m, gauge)
-    log_rho = np.concatenate([[0.0], np.cumsum(left[:-1] - right)])
+    log_rho = np.zeros(mesh.n)
+    np.cumsum(np.subtract(left[:-1], right, out=log_rho[1:]), out=log_rho[1:])
     # cells [0, cut) lie below the weight cut next to the origin
     cut = int(np.argmax(log_rho >= np.max(log_rho) - _LOG_RHO_CUT))
 
-    flux = np.zeros_like(r)
-    flux[cut:] = np.exp(left[cut:])
-    flux[cut + 1:] += np.exp(right[cut:])
+    # assembled in place, each entry by the operations of
+    # -exp((left + right) / 2) / h^2 and flux / h^2 + rest + electric + shift
     offdiag = np.zeros(mesh.n - 1)
-    offdiag[cut:] = -np.exp(0.5 * (left[cut:-1] + right[cut:])) / h2
-    # the channel potential the flux form leaves out; the cut cells get
-    # their bare diagonal instead
-    rest = np.zeros_like(r) if m >= 0 else (2.0 * (abs(m) - m)) * (A / r)
+    off = np.add(left[cut:-1], right[cut:], out=offdiag[cut:])
+    off *= 0.5
+    np.exp(off, out=off)
+    np.negative(off, out=off)
+    off /= h2
+    diag = np.zeros(mesh.n)
+    np.exp(left[cut:], out=diag[cut:])
+    diag[cut + 1:] += np.exp(right[cut:], out=right[cut:])
+    diag /= h2
+    # the channel potential the flux form leaves out (zero for m >= 0, and
+    # the flux part is never -0, so adding that zero changes no bit); the
+    # cut cells get their bare diagonal instead
+    if m < 0:
+        rest = np.divide(A[cut:], r[cut:])
+        rest *= 2.0 * (abs(m) - m)
+        diag[cut:] += rest
     rc, Ac = r[:cut], A[:cut]
-    rest[:cut] = (2.0 / h2 + (m * m) / (rc * rc) - (2.0 * m) * (Ac / rc)
-                  + Ac * Ac - gauge.B_total[:cut])
-
-    core = flux / h2 + rest + gauge.sample(electric)
-    diag = core + shift_B0 * gauge.B0
+    diag[:cut] += (2.0 / h2 + (m * m) / (rc * rc) - (2.0 * m) * (Ac / rc)
+                   + Ac * Ac - gauge.B_total[:cut])
+    diag += gauge.sample(electric)
+    diag += shift_B0 * gauge.B0
     return ChannelOperator(kind, m, mesh, diag, offdiag, gauge.B0)
 
 
@@ -220,26 +240,33 @@ def zero_mode(m, gauge):
     if m < 0:
         raise ValueError("zero modes exist for m >= 0 only")
     mesh = gauge.mesh
-    r = mesh.nodes
-    logw = (m + 0.5) * np.log(r) - gauge.Psi_total
-    w = np.exp(logw - np.max(logw))
-    fn = RadialFunction(w, m, mesh)
-    return fn.normalized()
+    logw = np.multiply(mesh.log_nodes, m + 0.5)
+    logw -= gauge.Psi_total
+    logw -= np.max(logw)
+    fn = RadialFunction(np.exp(logw, out=logw), m, mesh)
+    fn.values /= fn.norm()
+    return fn
 
 
-def _deriv_centered(f, h):
+def _deriv_centered(f, h, out=None):
     """First derivative by 5-point centered differences (one-sided 5-point
-    formulas at the two nodes next to each end)."""
-    df = np.empty_like(f)
-    df[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
-    df[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2]
-             + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    df[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2]
-             - 6.0 * f[3] + f[4]) / (12.0 * h)
-    df[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3]
-              + 6.0 * f[-4] - f[-5]) / (12.0 * h)
-    df[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3]
-              - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
+    formulas at the two nodes next to each end), written into `out` when
+    given.  The interior is (8 f[i+1] - f[i+2] - 8 f[i-1] + f[i-2]) / 12h
+    in that order, and the ends are Python float arithmetic."""
+    df = np.empty_like(f) if out is None else out
+    inner = np.multiply(f[3:-1], 8.0, out=df[2:-2])
+    inner -= f[4:]
+    inner -= 8.0 * f[1:-3]
+    inner += f[:-4]
+    inner /= 12.0 * h
+    f0, f1, f2, f3, f4 = f[:5].tolist()
+    b4, b3, b2, b1, b0 = f[-5:].tolist()
+    df[0] = (-25.0 * f0 + 48.0 * f1 - 36.0 * f2
+             + 16.0 * f3 - 3.0 * f4) / (12.0 * h)
+    df[1] = (-3.0 * f0 - 10.0 * f1 + 18.0 * f2 - 6.0 * f3 + f4) / (12.0 * h)
+    df[-2] = (3.0 * b0 + 10.0 * b1 - 18.0 * b2 + 6.0 * b3 - b4) / (12.0 * h)
+    df[-1] = (25.0 * b0 - 48.0 * b1 + 36.0 * b2
+              - 16.0 * b3 + 3.0 * b4) / (12.0 * h)
     return df
 
 
@@ -251,12 +278,20 @@ def ladder_apply(g, gauge, q):
     back; the derivative uses centered differences.  The uniform unimodular
     factor of the creation operator is dropped; norms and inner products
     are unaffected.
+
+    Each step is sqrt(r) ((f' + (m / r) f) - A f) with f = g / sqrt(r),
+    taken in place in two scratch arrays and the step's output, so it
+    rounds exactly as that expression evaluated array by array.
     """
     _check_mesh(gauge, g.mesh)
     mesh = g.mesh
-    r = mesh.nodes
+    f, part = np.empty(mesh.n), np.empty(mesh.n)
     for _ in range(q):
-        f = g.values / mesh.sqrt_nodes
-        out = _deriv_centered(f, mesh.h) + (g.m / r) * f - gauge.A_theta * f
-        g = RadialFunction(mesh.sqrt_nodes * out, g.m - 1, mesh)
+        np.divide(g.values, mesh.sqrt_nodes, out=f)
+        out = _deriv_centered(f, mesh.h)
+        np.divide(g.m, mesh.nodes, out=part)
+        out += np.multiply(part, f, out=part)
+        out -= np.multiply(gauge.A_theta, f, out=part)
+        out *= mesh.sqrt_nodes
+        g = RadialFunction(out, g.m - 1, mesh)
     return g

@@ -173,20 +173,32 @@ def channel_eigs(op, e_max, e_min=None):
     return pairs
 
 
-def _polished(op, v):
-    """(Rayleigh quotient, v) with v's largest-magnitude component positive."""
-    pivot = int(np.argmax(np.abs(v)))
-    if v[pivot] < 0:
-        v = -v
-    return float(np.dot(v, op.matvec(v)) / np.dot(v, v)), v
+def _polished(op, v, work=(None, None, None)):
+    """(Rayleigh quotient, v) with v's largest-magnitude component positive.
+    With `work`, three n-sized rows, v is flipped in place and the products
+    go into the rows."""
+    magnitude, tv, part = work
+    if v[int(np.argmax(np.abs(v, out=magnitude)))] < 0:
+        v = -v if magnitude is None else np.negative(v, out=v)
+    return float(np.dot(v, op.matvec(v, tv, part)) / np.dot(v, v)), v
 
 
 # inverse iteration: step limit and backward-error factor; see _one_pair
 _MAX_STEPS = 12
 _BACKWARD_ERROR = 16.0 * np.finfo(float).eps
+# rows of the scratch array of a windowed solve: the factors d, dl, du,
+# |T| (diagonal, off-diagonal) and four per-step vectors
+_SCRATCH_ROWS = 9
 
 
-def _one_pair(op, e_min, e_max):
+def _scratch(n, work=None):
+    """`work` if it is a scratch array for n cells, else a new one."""
+    if work is None or work.shape[1] != n:
+        work = np.empty((_SCRATCH_ROWS, n))
+    return work
+
+
+def _one_pair(op, e_min, e_max, work=None):
     """The eigenpair of the one eigenvalue in (e_min, e_max], or None.
 
     Inverse iteration at the window midpoint from a vector of ones: LAPACK
@@ -201,35 +213,50 @@ def _one_pair(op, e_min, e_max):
     eps |E|, so a test scaled by |E| is never passed.  None (the caller
     falls back to bisection) when dgttrf reports a singular pivot, when
     the test fails after _MAX_STEPS steps, or when E leaves the window.
+
+    Every n-sized array except the returned vector lives in `work`, a
+    (_SCRATCH_ROWS, n) array that the channels of one solve_channels call
+    share (made here when None or of another n), and each step runs in
+    place: a solve allocates no per-step temporaries, so its cost does not
+    depend on where the heap trims (README, "Heap churn").  The norms are
+    sqrt(x.dot(x)), as np.linalg.norm computes them, and every vector
+    operation is the one a version with fresh arrays takes, so the pair is
+    the same bit for bit.
     """
-    shifted = op.diag - 0.5 * (e_min + e_max)
-    dl, d, du, du2, ipiv, info = dgttrf(op.offdiag, shifted, op.offdiag,
-                                        overwrite_d=1)
+    n = op.mesh.n
+    d, dl, du, abs_d, abs_off, tv, scale, res, part = _scratch(n, work)
+    np.subtract(op.diag, 0.5 * (e_min + e_max), out=d)
+    dl, du = dl[:-1], du[:-1]
+    dl[:], du[:] = op.offdiag, op.offdiag
+    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du, overwrite_dl=1,
+                                        overwrite_d=1, overwrite_du=1)
     if info:
         return None
-    magnitudes = replace(op, diag=np.abs(op.diag), offdiag=np.abs(op.offdiag))
-    v = np.ones(op.mesh.n)
+    magnitudes = replace(op, diag=np.abs(op.diag, out=abs_d),
+                         offdiag=np.abs(op.offdiag, out=abs_off[:-1]))
+    v = np.ones(n)
     for _ in range(_MAX_STEPS):
-        x, _ = dgttrs(dl, d, du, du2, ipiv, v)
-        v = x / np.linalg.norm(x)
-        tv = op.matvec(v)
-        E = float(np.dot(v, tv))
-        scale = magnitudes.matvec(np.abs(v))  # |T| |v|
-        if (np.linalg.norm(tv - E * v)
-                <= _BACKWARD_ERROR * np.linalg.norm(scale)):
+        v, _ = dgttrs(dl, d, du, du2, ipiv, v, "N", 1)  # solved in place
+        v /= math.sqrt(v.dot(v))
+        E = float(np.dot(v, op.matvec(v, tv, part)))
+        magnitudes.matvec(np.abs(v, out=res), scale, part)  # |T| |v|
+        np.subtract(tv, np.multiply(v, E, out=res), out=res)
+        if (math.sqrt(res.dot(res))
+                <= _BACKWARD_ERROR * math.sqrt(scale.dot(scale))):
             break
     else:
         return None
-    E, v = _polished(op, v)
+    E, v = _polished(op, v, (res, tv, part))
     return (E, v) if e_min < E <= e_max else None
 
 
-def _window_counts(op, e_min, e_max):
+def _window_counts(op, e_min, e_max, e2=None):
     """Numbers of eigenvalues <= e_min and <= e_max, from one dlaebz call:
     the Sturm count of dstebz, with dstebz's pivmin (a pivot of magnitude
     below it counts as negative), so both counts are the ones dstebz gives.
+    `e2` (n - 1 entries) takes the squared off-diagonal when given.
     """
-    e2 = np.square(op.offdiag, dtype=float)
+    e2 = np.square(op.offdiag, out=e2, dtype=float)
     pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
     nab, info = dlaebz(op.diag, op.offdiag, e2, pivmin, [e_min, e_max])
     if info:
@@ -254,7 +281,7 @@ class ChannelResult:
     first: int
 
 
-def solve_channel(op, e_max, e_min=None):
+def solve_channel(op, e_max, e_min=None, work=None):
     """Eigenpairs in (e_min, e_max] and the number of eigenvalues at or
     below e_min.
 
@@ -264,13 +291,16 @@ def solve_channel(op, e_max, e_min=None):
     None: nothing else runs.  One: it comes from inverse iteration
     (_one_pair), checked by a backward-error test and polished like a
     channel_eigs pair.  Two or more, or an inverse iteration that gives
-    up: channel_eigs bisects the window.
+    up: channel_eigs bisects the window.  `work` is the scratch array of
+    _one_pair, which also takes the squared off-diagonal of the counts.
     """
     if e_min is None:
         first, pairs = 0, channel_eigs(op, e_max)
     else:
-        first, top = _window_counts(op, e_min, e_max)
-        pair = _one_pair(op, e_min, e_max) if top - first == 1 else None
+        work = _scratch(op.mesh.n, work)
+        first, top = _window_counts(op, e_min, e_max, work[0, :-1])
+        pair = (_one_pair(op, e_min, e_max, work) if top - first == 1
+                else None)
         pairs = ([pair] if pair else
                  channel_eigs(op, e_max, e_min) if top > first else [])
     energies = np.array([e for e, _ in pairs], dtype=float)
@@ -283,8 +313,10 @@ def solve_channel(op, e_max, e_min=None):
 
 
 def solve_channels(ops, e_max, e_min=None):
-    """Solve many channels in order."""
-    return [solve_channel(op, e_max, e_min) for op in ops]
+    """Solve many channels in order; the windowed solves share one scratch
+    array (see _one_pair)."""
+    work = _scratch(ops[0].mesh.n) if ops and e_min is not None else None
+    return [solve_channel(op, e_max, e_min, work=work) for op in ops]
 
 
 # a state is boundary-flagged when its norm fraction in the outer tenth of

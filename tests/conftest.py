@@ -1,7 +1,7 @@
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +9,11 @@ import pytest
 from scipy import integrate
 
 from landau.errors import LandauError, QuadratureFailure, UnboundedSet
+from landau import spectra
 from landau.fields import FieldSpec, build_gauge
-from landau.operator import (RadialFunction, RadialMesh, _check_mesh,
-                             _deriv_centered, ladder_apply, zero_mode)
+from landau.operator import (_LOG_RHO_CUT, RadialFunction, RadialMesh,
+                             _check_mesh, _deriv_centered, ladder_apply,
+                             spin_down_form, zero_mode)
 from landau.projections import coupling_constant
 
 
@@ -51,6 +53,14 @@ def b_power():
 @pytest.fixture(scope="session")
 def gauge_power(mesh_small, b_power):
     return build_gauge(b_power, 1.0, mesh_small)
+
+
+@pytest.fixture(scope="session")
+def gauge_headline():
+    """The headline field b = 0.05 (1 + r^2)^(-3/2), B0 = 1, on the
+    headline mesh R = 30, h = 0.005."""
+    return build_gauge(FieldSpec.power(0.05, -3.0), 1.0,
+                       RadialMesh(30.0, 0.005))
 
 
 def brute_force_measure(profile, lam, sign, r_max, B0=1.0, base=4096,
@@ -169,6 +179,104 @@ def channel_potential_direct(kind, m, gauge, V):
     v = V.evaluate(r) if V is not None else np.zeros_like(r)
     return ((m * m) / (r * r) - (2.0 * m) * (A / r) + A * A
             + _SPIN[kind] * gauge.B_total + v)
+
+
+# The kernels as they read before they were rewritten in place: each one
+# allocated a fresh array per operation.  The rewritten kernels must match
+# them bit for bit (np.array_equal), so these stay as test oracles.
+
+def reference_deriv(f, h):
+    """operator._deriv_centered, one fresh array per operation."""
+    df = np.empty_like(f)
+    df[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
+    df[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2]
+             + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
+    df[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2]
+             - 6.0 * f[3] + f[4]) / (12.0 * h)
+    df[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3]
+              + 6.0 * f[-4] - f[-5]) / (12.0 * h)
+    df[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3]
+              - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
+    return df
+
+
+def reference_ladder_apply(g, gauge, q):
+    """operator.ladder_apply, one fresh array per operation."""
+    mesh = g.mesh
+    r = mesh.nodes
+    for _ in range(q):
+        f = g.values / mesh.sqrt_nodes
+        out = reference_deriv(f, mesh.h) + (g.m / r) * f - gauge.A_theta * f
+        g = RadialFunction(mesh.sqrt_nodes * out, g.m - 1, mesh)
+    return g
+
+
+def reference_zero_mode(m, gauge):
+    """operator.zero_mode, with log(r) taken per call."""
+    mesh = gauge.mesh
+    logw = (m + 0.5) * np.log(mesh.nodes) - gauge.Psi_total
+    return RadialFunction(np.exp(logw - np.max(logw)), m, mesh).normalized()
+
+
+def reference_build_channel(kind, m, gauge, V):
+    """operator.build_channel as (diag, offdiag), one fresh array per
+    operation."""
+    electric, shift_B0 = spin_down_form(kind, V, gauge.source)
+    mesh = gauge.mesh
+    r = mesh.nodes
+    A = gauge.A_theta
+    h2 = mesh.h * mesh.h
+    p = 2.0 * abs(m) + 1.0
+    log_left, psi_left, log_right, psi_right = gauge.face_steps
+    left, right = p * log_left - psi_left, -p * log_right + psi_right
+    log_rho = np.concatenate([[0.0], np.cumsum(left[:-1] - right)])
+    cut = int(np.argmax(log_rho >= np.max(log_rho) - _LOG_RHO_CUT))
+    flux = np.zeros_like(r)
+    flux[cut:] = np.exp(left[cut:])
+    flux[cut + 1:] += np.exp(right[cut:])
+    offdiag = np.zeros(mesh.n - 1)
+    offdiag[cut:] = -np.exp(0.5 * (left[cut:-1] + right[cut:])) / h2
+    rest = np.zeros_like(r) if m >= 0 else (2.0 * (abs(m) - m)) * (A / r)
+    rc, Ac = r[:cut], A[:cut]
+    rest[:cut] = (2.0 / h2 + (m * m) / (rc * rc) - (2.0 * m) * (Ac / rc)
+                  + Ac * Ac - gauge.B_total[:cut])
+    core = flux / h2 + rest + gauge.sample(electric)
+    return core + shift_B0 * gauge.B0, offdiag
+
+
+def reference_one_pair(op, e_min, e_max):
+    """spectra._one_pair, one fresh array per operation and
+    np.linalg.norm for the norms."""
+    shifted = op.diag - 0.5 * (e_min + e_max)
+    dl, d, du, du2, ipiv, info = spectra.dgttrf(op.offdiag, shifted,
+                                                op.offdiag, overwrite_d=1)
+    if info:
+        return None
+    magnitudes = replace(op, diag=np.abs(op.diag), offdiag=np.abs(op.offdiag))
+    v = np.ones(op.mesh.n)
+    for _ in range(spectra._MAX_STEPS):
+        x, _ = spectra.dgttrs(dl, d, du, du2, ipiv, v)
+        v = x / np.linalg.norm(x)
+        tv = op.diag * v
+        tv[:-1] += op.offdiag * v[1:]
+        tv[1:] += op.offdiag * v[:-1]
+        E = float(np.dot(v, tv))
+        av = np.abs(v)
+        scale = magnitudes.diag * av
+        scale[:-1] += magnitudes.offdiag * av[1:]
+        scale[1:] += magnitudes.offdiag * av[:-1]
+        if (np.linalg.norm(tv - E * v)
+                <= spectra._BACKWARD_ERROR * np.linalg.norm(scale)):
+            break
+    else:
+        return None
+    if v[int(np.argmax(np.abs(v)))] < 0:
+        v = -v
+    tv = op.diag * v
+    tv[:-1] += op.offdiag * v[1:]
+    tv[1:] += op.offdiag * v[:-1]
+    E = float(np.dot(v, tv) / np.dot(v, v))
+    return (E, v) if e_min < E <= e_max else None
 
 
 def inner(f, g):

@@ -699,9 +699,9 @@ class TestVerify:
             counts.append(None)
             return dlaebz(*args)
 
-        def solving(op, e_max, e_min=None):
+        def solving(op, e_max, e_min=None, **scratch):
             windowed.append(e_min is not None)
-            return solve_channel(op, e_max, e_min)
+            return solve_channel(op, e_max, e_min, **scratch)
 
         monkeypatch.setattr(spectra, "eigh_tridiagonal", bisecting)
         monkeypatch.setattr(spectra, "dgttrf", factoring)

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from landau import fields
+from landau import _quadrature, fields
 from landau.cli import load_config
 from landau.errors import DegenerateWeight, QuadratureFailure, UnboundedSet
 from landau.fields import (FieldSpec, ProfileTerm, build_gauge,
@@ -145,6 +146,88 @@ class TestGauge:
         # double the panels at every level
         with pytest.raises(QuadratureFailure, match="non-finite"):
             build_gauge(FieldSpec.power(math.nan, -3.0), 1.0, mesh_small)
+
+
+def _gauge_integrands(b, calls):
+    """The two integrands of build_gauge, t b(t) and t b(t) log t, as one
+    panel_integrals function; `calls` records the number of panels of
+    each evaluation."""
+    def integrands(t):
+        calls.append(t.shape[0])
+        tb = t * b.evaluate(t)
+        return tb, tb * np.log(t)
+    return integrands
+
+
+class TestPanelIntegrals:
+    # (field, panel width, mesh radius): the headline power field, whose
+    # t b log t is bisected next to the origin; a gaussian half a panel
+    # wide, whose two integrands are bisected on different panels; a
+    # compact bump
+    CASES = {
+        "power": (FieldSpec.power(0.05, -3.0), 0.005, 30.0),
+        "gaussian": (FieldSpec((ProfileTerm("gaussian", 5.0, center=3.0,
+                                            width=0.01),), beta=-3.0),
+                     0.02, 16.0),
+        "bump": (FieldSpec((ProfileTerm("bump", 0.4, inner=1.0, outer=3.0),),
+                           beta=-3.0), 0.01, 12.0),
+    }
+
+    @staticmethod
+    def integrate(b, edges, block, monkeypatch):
+        """(both integrands together, each alone) at the blocking `block`,
+        and the panel counts of every evaluation of each run."""
+        monkeypatch.setattr(_quadrature, "_BLOCK", block)
+        calls = [[], [], []]
+        joint = _quadrature.panel_integrals(_gauge_integrands(b, calls[0]),
+                                            edges)
+        alone = [_quadrature.panel_integrals(
+            lambda t, k=k: (_gauge_integrands(b, calls[k + 1])(t)[k],),
+            edges)[0] for k in range(2)]
+        return joint, alone, calls
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_integrand_as_if_alone(self, case, monkeypatch):
+        b, h, r_max = self.CASES[case]
+        edges = np.concatenate([[0.0], RadialMesh(r_max, h).nodes])
+        panels = edges.size - 1
+        results = {}
+        for block in (7, 512, 10**6):
+            joint, alone, calls = self.integrate(b, edges, block, monkeypatch)
+            assert joint.shape == (2, panels)
+            for k in range(2):
+                assert np.array_equal(joint[k], alone[k])
+            # one evaluation per block serves both integrands; each
+            # bisected panel is evaluated for its own integrand only
+            first = [block] * (panels // block) + [panels % block] * bool(
+                panels % block)
+            assert (Counter(calls[1]) + Counter(calls[2])
+                    == Counter(calls[0]) + Counter(first))
+            results[block] = joint, calls
+        joint, calls = results[512]
+        blocks = -(-panels // 512)
+        if case == "power":  # t b log t is bisected next to the origin
+            assert len(calls[1]) == blocks < len(calls[2])
+        if case == "gaussian":  # both, on different panels
+            assert len(calls[1]) > blocks and calls[1] != calls[2]
+        # the blocking moves a value by at most a few ulps: the BLAS sums
+        # the last (rows mod 4) rows of a matrix-vector product in another
+        # order than the rest, so a blocking that is a multiple of 4
+        # changes nothing on these panels and 7 changes some
+        assert np.array_equal(results[10**6][0], joint)
+        assert np.allclose(results[7][0], joint, rtol=4 * np.finfo(float).eps,
+                           atol=0.0)
+
+    def test_non_finite_integrand_raises(self):
+        # a NaN in either integrand, at the first level or in a bisection
+        edges = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            _quadrature.panel_integrals(
+                lambda t: (t, np.where(t > 0.5, np.nan, t)), edges)
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            _quadrature.panel_integrals(
+                lambda t: (t, np.where(t.shape[0] > 2, np.sqrt(t), np.nan)),
+                edges)
 
 
 class TestEffectiveWeight:

@@ -11,7 +11,8 @@ from landau.operator import (KINDS, RadialFunction, RadialMesh, build_channel,
 from landau.spectra import channel_eigs
 
 from conftest import (channel_potential_direct, commutator_action, dense,
-                      ladder_lower)
+                      ladder_lower, reference_build_channel,
+                      reference_ladder_apply, reference_zero_mode)
 
 
 def lowest_eigs(op, e_max):
@@ -296,3 +297,32 @@ class TestLadders:
         # the level-1 state at b = 0 is a zero mode times a polynomial in
         # r^2, which the matrix resolves to roundoff (measured -3e-13 here)
         assert rq == pytest.approx(2.0, abs=1e-4)
+
+
+class TestInPlaceKernels:
+    # the kernels that work in place round exactly as the expressions they
+    # replaced (conftest's reference_* oracles), on the headline field
+
+    @pytest.mark.parametrize("m", [0, 1, 30, 60])
+    def test_zero_mode(self, gauge_headline, m):
+        assert np.array_equal(zero_mode(m, gauge_headline).values,
+                              reference_zero_mode(m, gauge_headline).values)
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_ladder_apply(self, gauge_headline, level):
+        for m in (0, 1, 30, 60):
+            u = zero_mode(m, gauge_headline)
+            got = ladder_apply(u, gauge_headline, level)
+            want = reference_ladder_apply(u, gauge_headline, level)
+            assert got.m == want.m == m - level
+            assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_build_channel(self, gauge_headline, kind):
+        V = FieldSpec.power(0.03, -2.8)
+        for m in (-3, 0, 5, default_channel_cut(30.0, 1.0)):
+            op = build_channel(kind, m, gauge_headline, V)
+            diag, offdiag = reference_build_channel(kind, m, gauge_headline,
+                                                    V)
+            assert np.array_equal(op.diag, diag)
+            assert np.array_equal(op.offdiag, offdiag)

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -41,15 +43,15 @@ def test_scan_identities(tmp_path):
 
 
 def test_time_commands(monkeypatch, capsys):
-    # two alternating pairs of `weights` against this same checkout: one
-    # table row, with both wall-time medians, the faster-pair count and
-    # both peak-RSS medians.  The script is loaded as a module so that it
-    # times one command, not all five.
+    # two alternating pairs of `weights` against this same checkout on the
+    # default config: one table row, with both wall-time medians, the
+    # faster-pair count and both peak-RSS medians.  The script is loaded as
+    # a module so that it times one command, not all five.
     script = load_script("time_commands.py")
     monkeypatch.setattr(script, "COMMANDS", ("weights",))
     assert script.main(["--against", str(ROOT), "--pairs", "2"]) == 0
-    rows = [ln for ln in capsys.readouterr().out.splitlines()
-            if ln.startswith("| ")]
+    out = capsys.readouterr().out.splitlines()
+    rows = [ln for ln in out if ln.startswith("| ")]
     assert len(rows) == 2  # header and weights
     cells = [c.strip() for c in rows[1].strip("|").split("|")]
     assert cells[0] == "weights"
@@ -57,6 +59,26 @@ def test_time_commands(monkeypatch, capsys):
     assert cells[3] in ("0/2", "1/2", "2/2")
     # an interpreter with numpy loaded holds well over 10 MiB
     assert float(cells[4]) > 10 and float(cells[5]) > 10
+    assert out[0].startswith(f"config {ROOT / 'configs' / 'quick.json'},")
+
+    # --config reaches every call: the headline config runs and is named in
+    # the header, a config that `landau` rejects (exit 2) stops the script,
+    # and a missing file is a usage error
+    monkeypatch.setattr(script, "COMMANDS", ("toeplitz",))
+    headline = ROOT / "configs" / "headline.json"
+    assert script.main(["--against", str(ROOT), "--pairs", "1",
+                        "--config", str(headline)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith(f"config {headline},")
+    assert [ln.split("|")[1].strip() for ln in out
+            if ln.startswith("| ")] == ["command", "toeplitz"]
+    with pytest.raises(SystemExit, match="toeplitz on .* exited 2"):
+        script.main(["--against", str(ROOT), "--pairs", "1",
+                     "--config", str(ROOT / "configs" / "bad_beta.json")])
+    with pytest.raises(SystemExit):
+        script.main(["--against", str(ROOT), "--config",
+                     str(ROOT / "configs" / "missing.json")])
+    assert "no config file" in capsys.readouterr().err
 
 
 def test_compare_artifacts(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cluster_shifts, dense
+from conftest import cluster_shifts, dense, reference_one_pair
 from landau import spectra
 from landau.cli import load_config
 from landau.errors import ConvergenceFailure, InconsistentProvenance
@@ -435,6 +435,22 @@ class TestOnePairSolve:
         ch = solve_channel(op, 10.05, 9.05)
         assert len(bisections) == 1
         assert (ch.first, ch.energies.tolist()) == (8, [10.0])
+
+    def test_headline_pairs_match_oracle(self, monkeypatch, gauge_headline):
+        # the in-place iteration, its scratch array shared by the channels
+        # of one solve, gives conftest's fresh-array iteration bit for bit
+        cut = default_channel_cut(30.0, 1.0)
+        ops = [build_channel("pauli_minus", m, gauge_headline, None)
+               for m in (-1, 0, 1, 2, 7, 30, 100, cut)]
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        channels = solve_channels(ops, 2.5, 1.5)
+        assert bisections == []
+        for ch in channels:
+            E, v = reference_one_pair(ch.op, 1.5, 2.5)
+            assert ch.energies.tolist() == [E]
+            assert np.array_equal(ch.vectors[:, 0], v)
+            E_alone, v_alone = spectra._one_pair(ch.op, 1.5, 2.5)
+            assert E_alone == E and np.array_equal(v_alone, v)
 
     def test_empty_window_solves_nothing(self, monkeypatch):
         ops, _, _ = window_ops()
