@@ -52,19 +52,15 @@ def panel_integrals(f, edges):
     """Integrate each integrand of `f` over each panel [edges[i], edges[i+1]].
 
     `f` maps an ndarray of nodes to a sequence of arrays, one per
-    integrand, each evaluated elementwise.  Returns one row per integrand
-    with one value per input panel.  The nodes of the input panels are
-    built once and `f` is evaluated on them once for all integrands; then
-    each integrand is refined on its own.  Its panels are bisected until
-    the local error estimate is below `_TOL * width / total_width` (plus
-    a roundoff floor), and `f` is evaluated on that integrand's bisected
-    panels alone (its other outputs are dropped), so every row is bit for
-    bit the values of integrating that integrand alone.  Raises
-    QuadratureFailure on a non-finite value of `f`, which no bisection can
-    resolve, or if the recursion depth is exhausted.  Panels are refined in
-    blocks of _BLOCK.  The blocking can move a value by an ulp or two: the
-    BLAS sums the last (rows mod 4) rows of the K15 and G7 products in
-    another order than the rest, so which panels share a product counts.
+    integrand, each evaluated elementwise; returns one row of panel values
+    per integrand.  `f` runs once on the input panels for all integrands,
+    then each integrand bisects its own panels (dropping the other outputs)
+    until the local error estimate is below `_TOL * width / total_width`
+    (plus a roundoff floor), so a row is bit for bit its integrand's alone.
+    Raises QuadratureFailure on a non-finite value of `f`, which no
+    bisection can resolve, or if the recursion depth is exhausted.  Panels
+    are refined in blocks of _BLOCK, which can move a value by an ulp or
+    two: the BLAS sums the last (rows mod 4) rows of a product apart.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
@@ -77,33 +73,28 @@ def panel_integrals(f, edges):
     for start in range(0, edges.size - 1, _BLOCK):
         block = edges[start:start + _BLOCK + 1]
         lo, hi = block[:-1], block[1:]
-        mid, half, nodes = _panels(lo, hi)
-        blocks.append([
-            _refine(lambda t, k=k: f(t)[k], lo, hi, (mid, half, fv), span)
-            for k, fv in enumerate(f(nodes))])
+        values = f(_nodes(0.5 * (lo + hi), 0.5 * (hi - lo)))
+        blocks.append([_refine(lambda t, k=k: f(t)[k], lo, hi, span, fv)
+                       for k, fv in enumerate(values)])
     return np.concatenate(blocks, axis=1)
 
 
-def _panels(lo, hi):
-    """Midpoints, half widths and K15 nodes of the panels [lo, hi]."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return mid, half, mid[:, None] + half[:, None] * _XGK[None, :]
+def _nodes(mid, half):
+    """The K15 nodes of the panels mid +- half, one row per panel."""
+    return mid[:, None] + half[:, None] * _XGK[None, :]
 
 
-def _refine(f, lo, hi, first, span):
-    """The values of the one integrand `f` on the panels [lo, hi], with the
-    error budget of a total width `span`; `first` holds the panels'
-    midpoints, half widths and the values of `f` at their nodes."""
+def _refine(f, lo, hi, span, fv):
+    """The one integrand `f` on the panels [lo, hi], with the error budget
+    of a total width `span`, from its values `fv` at their nodes."""
     total = np.zeros(lo.size)
     owner = np.arange(lo.size)
-    mid, half, fv = first
 
     for _ in range(_MAX_DEPTH + 1):
-        if fv is None:
-            mid, half, nodes = _panels(lo, hi)
-            fv = f(nodes)
-        fv = np.asarray(fv, dtype=float)
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fv = np.asarray(f(_nodes(mid, half)) if fv is None else fv,
+                        dtype=float)
         if not np.all(np.isfinite(fv)):
             raise QuadratureFailure(
                 "adaptive quadrature met a non-finite integrand value")

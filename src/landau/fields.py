@@ -195,11 +195,9 @@ def build_gauge(b, B0, mesh):
         zero = np.zeros_like(r)
         return GaugeData(mesh, B0, b, np.full_like(r, B0), base_A, zero, base_Psi)
 
-    def integrands(t):
+    def integrands(t):  # both integrals share the nodes and b on them
         tb = t * b.evaluate(t)
         return tb, tb * np.log(t)
-
-    # both integrals share the nodes of the mesh panels and b on them
     tb, tb_log = panel_integrals(integrands, np.concatenate([[0.0], r]))
     circ = np.cumsum(tb)
     A_theta = base_A + circ / r

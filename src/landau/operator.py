@@ -144,11 +144,9 @@ class ChannelOperator:
     B0: float
 
     def matvec(self, v, out=None, work=None):
-        """T v, written into `out` when given; `work` (n entries) takes
-        the off-diagonal products."""
+        """T v, into `out`; `work` (n - 1 entries) takes the products."""
         out = np.multiply(self.diag, v, out=out)
-        part = np.multiply(self.offdiag, v[1:],
-                           out=None if work is None else work[:-1])
+        part = np.multiply(self.offdiag, v[1:], out=work)
         out[:-1] += part
         out[1:] += np.multiply(self.offdiag, v[:-1], out=part)
         return out
@@ -172,11 +170,7 @@ def _log_weight_steps(m, gauge):
     """
     p = 2.0 * abs(m) + 1.0
     log_left, psi_left, log_right, psi_right = gauge.face_steps
-    left = np.multiply(log_left, p)
-    left -= psi_left
-    right = np.multiply(log_right, -p)
-    right += psi_right
-    return left, right
+    return p * log_left - psi_left, -p * log_right + psi_right
 
 
 # rho below eps^4 of its maximum: the zero mode is below eps^2 of its peak
@@ -203,25 +197,20 @@ def build_channel(kind, m, gauge, V):
     # cells [0, cut) lie below the weight cut next to the origin
     cut = int(np.argmax(log_rho >= np.max(log_rho) - _LOG_RHO_CUT))
 
-    # assembled in place, each entry by the operations of
-    # -exp((left + right) / 2) / h^2 and flux / h^2 + rest + electric + shift
+    # in place, as -exp((left + right) / 2) / h2 and flux / h2 + rest +
+    # electric + shift; rest (the potential the flux form leaves out) is +0
+    # for m >= 0, a no-op on flux / h2 >= +0; cut cells get a bare diagonal
     offdiag = np.zeros(mesh.n - 1)
     off = np.add(left[cut:-1], right[cut:], out=offdiag[cut:])
     off *= 0.5
     np.exp(off, out=off)
-    np.negative(off, out=off)
-    off /= h2
+    off /= -h2
     diag = np.zeros(mesh.n)
     np.exp(left[cut:], out=diag[cut:])
     diag[cut + 1:] += np.exp(right[cut:], out=right[cut:])
     diag /= h2
-    # the channel potential the flux form leaves out (zero for m >= 0, and
-    # the flux part is never -0, so adding that zero changes no bit); the
-    # cut cells get their bare diagonal instead
     if m < 0:
-        rest = np.divide(A[cut:], r[cut:])
-        rest *= 2.0 * (abs(m) - m)
-        diag[cut:] += rest
+        diag[cut:] += (2.0 * (abs(m) - m)) * (A[cut:] / r[cut:])
     rc, Ac = r[:cut], A[:cut]
     diag[:cut] += (2.0 / h2 + (m * m) / (rc * rc) - (2.0 * m) * (Ac / rc)
                    + Ac * Ac - gauge.B_total[:cut])
@@ -240,20 +229,15 @@ def zero_mode(m, gauge):
     if m < 0:
         raise ValueError("zero modes exist for m >= 0 only")
     mesh = gauge.mesh
-    logw = np.multiply(mesh.log_nodes, m + 0.5)
-    logw -= gauge.Psi_total
+    logw = (m + 0.5) * mesh.log_nodes - gauge.Psi_total
     logw -= np.max(logw)
-    fn = RadialFunction(np.exp(logw, out=logw), m, mesh)
-    fn.values /= fn.norm()
-    return fn
+    return RadialFunction(np.exp(logw, out=logw), m, mesh).normalized()
 
 
-def _deriv_centered(f, h, out=None):
+def _deriv_centered(f, h):
     """First derivative by 5-point centered differences (one-sided 5-point
-    formulas at the two nodes next to each end), written into `out` when
-    given.  The interior is (8 f[i+1] - f[i+2] - 8 f[i-1] + f[i-2]) / 12h
-    in that order, and the ends are Python float arithmetic."""
-    df = np.empty_like(f) if out is None else out
+    formulas at the two nodes next to each end), in place in its output."""
+    df = np.empty_like(f)
     inner = np.multiply(f[3:-1], 8.0, out=df[2:-2])
     inner -= f[4:]
     inner -= 8.0 * f[1:-3]
@@ -278,10 +262,8 @@ def ladder_apply(g, gauge, q):
     back; the derivative uses centered differences.  The uniform unimodular
     factor of the creation operator is dropped; norms and inner products
     are unaffected.
-
-    Each step is sqrt(r) ((f' + (m / r) f) - A f) with f = g / sqrt(r),
-    taken in place in two scratch arrays and the step's output, so it
-    rounds exactly as that expression evaluated array by array.
+    Each step sqrt(r) ((f' + (m / r) f) - A f), f = g / sqrt(r), runs in
+    place and rounds as that expression does array by array.
     """
     _check_mesh(gauge, g.mesh)
     mesh = g.mesh
@@ -289,8 +271,7 @@ def ladder_apply(g, gauge, q):
     for _ in range(q):
         np.divide(g.values, mesh.sqrt_nodes, out=f)
         out = _deriv_centered(f, mesh.h)
-        np.divide(g.m, mesh.nodes, out=part)
-        out += np.multiply(part, f, out=part)
+        out += np.multiply(np.divide(g.m, mesh.nodes, out=part), f, out=part)
         out -= np.multiply(gauge.A_theta, f, out=part)
         out *= mesh.sqrt_nodes
         g = RadialFunction(out, g.m - 1, mesh)

@@ -103,21 +103,17 @@ def zero_mode_basis(gauge, m_max, qs, **fields):
         spec, copies = weight
         v = np.zeros(mesh.n) if spec is None else spec.evaluate(mesh.nodes)
         values[weight] = v - copies * gauge.b_values if copies else v
-    forms = {(level, w): np.empty(m_max + 1)
-             for level, ws in by_level.items() for w in ws}
-    # per level, its (form, weight values) pairs, looked up once
-    fills = [[(forms[(level, w)], values.get(w))
-              for w in by_level.get(level, ())]
+    forms = {}  # and per level, its (form, weight values) pairs
+    fills = [[(forms.setdefault((level, w), np.empty(m_max + 1)),
+               values.get(w)) for w in by_level.get(level, ())]
              for level in range(max(by_level, default=0) + 1)]
-    weighted = np.empty(mesh.n)
     for m in range(m_max + 1):
         u = zero_mode(m, gauge)
         for level, pairs in enumerate(fills):
             if level:
                 u = ladder_apply(u, gauge, 1)
             for form, w in pairs:
-                x = (u.values if w is None else
-                     np.multiply(u.values, w, out=weighted))
+                x = u.values if w is None else u.values * w
                 form[m] = mesh.h * float(np.dot(x, u.values))
     return ZeroModeBasis(gauge, m_max + 1, forms)
 

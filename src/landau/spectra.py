@@ -174,9 +174,8 @@ def channel_eigs(op, e_max, e_min=None):
 
 
 def _polished(op, v, work=(None, None, None)):
-    """(Rayleigh quotient, v) with v's largest-magnitude component positive.
-    With `work`, three n-sized rows, v is flipped in place and the products
-    go into the rows."""
+    """(Rayleigh quotient, v) with v's largest-magnitude component positive;
+    with `work` (rows of n, n, n - 1) v flips in place, products go there."""
     magnitude, tv, part = work
     if v[int(np.argmax(np.abs(v, out=magnitude)))] < 0:
         v = -v if magnitude is None else np.negative(v, out=v)
@@ -186,16 +185,7 @@ def _polished(op, v, work=(None, None, None)):
 # inverse iteration: step limit and backward-error factor; see _one_pair
 _MAX_STEPS = 12
 _BACKWARD_ERROR = 16.0 * np.finfo(float).eps
-# rows of the scratch array of a windowed solve: the factors d, dl, du,
-# |T| (diagonal, off-diagonal) and four per-step vectors
-_SCRATCH_ROWS = 9
-
-
-def _scratch(n, work=None):
-    """`work` if it is a scratch array for n cells, else a new one."""
-    if work is None or work.shape[1] != n:
-        work = np.empty((_SCRATCH_ROWS, n))
-    return work
+_SCRATCH_ROWS = 9  # _one_pair's factors d, dl, du, |T| (2) and step vectors
 
 
 def _one_pair(op, e_min, e_max, work=None):
@@ -213,18 +203,13 @@ def _one_pair(op, e_min, e_max, work=None):
     eps |E|, so a test scaled by |E| is never passed.  None (the caller
     falls back to bisection) when dgttrf reports a singular pivot, when
     the test fails after _MAX_STEPS steps, or when E leaves the window.
-
-    Every n-sized array except the returned vector lives in `work`, a
-    (_SCRATCH_ROWS, n) array that the channels of one solve_channels call
-    share (made here when None or of another n), and each step runs in
-    place: a solve allocates no per-step temporaries, so its cost does not
-    depend on where the heap trims (README, "Heap churn").  The norms are
-    sqrt(x.dot(x)), as np.linalg.norm computes them, and every vector
-    operation is the one a version with fresh arrays takes, so the pair is
-    the same bit for bit.
+    All other n-sized arrays live in `work` ((_SCRATCH_ROWS, n), shared by
+    a solve_channels call), so no step allocates; each operation and norm
+    (sqrt(x.dot(x)), as np.linalg.norm) rounds as with fresh arrays.
     """
     n = op.mesh.n
-    d, dl, du, abs_d, abs_off, tv, scale, res, part = _scratch(n, work)
+    work = np.empty((_SCRATCH_ROWS, n)) if work is None else work
+    d, dl, du, abs_d, abs_off, tv, scale, res, part = work
     np.subtract(op.diag, 0.5 * (e_min + e_max), out=d)
     dl, du = dl[:-1], du[:-1]
     dl[:], du[:] = op.offdiag, op.offdiag
@@ -238,25 +223,24 @@ def _one_pair(op, e_min, e_max, work=None):
     for _ in range(_MAX_STEPS):
         v, _ = dgttrs(dl, d, du, du2, ipiv, v, "N", 1)  # solved in place
         v /= math.sqrt(v.dot(v))
-        E = float(np.dot(v, op.matvec(v, tv, part)))
-        magnitudes.matvec(np.abs(v, out=res), scale, part)  # |T| |v|
+        E = float(np.dot(v, op.matvec(v, tv, part[:-1])))
+        magnitudes.matvec(np.abs(v, out=res), scale, part[:-1])  # |T| |v|
         np.subtract(tv, np.multiply(v, E, out=res), out=res)
         if (math.sqrt(res.dot(res))
                 <= _BACKWARD_ERROR * math.sqrt(scale.dot(scale))):
             break
     else:
         return None
-    E, v = _polished(op, v, (res, tv, part))
+    E, v = _polished(op, v, (res, tv, part[:-1]))
     return (E, v) if e_min < E <= e_max else None
 
 
-def _window_counts(op, e_min, e_max, e2=None):
+def _window_counts(op, e_min, e_max):
     """Numbers of eigenvalues <= e_min and <= e_max, from one dlaebz call:
     the Sturm count of dstebz, with dstebz's pivmin (a pivot of magnitude
     below it counts as negative), so both counts are the ones dstebz gives.
-    `e2` (n - 1 entries) takes the squared off-diagonal when given.
     """
-    e2 = np.square(op.offdiag, out=e2, dtype=float)
+    e2 = np.square(op.offdiag, dtype=float)
     pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
     nab, info = dlaebz(op.diag, op.offdiag, e2, pivmin, [e_min, e_max])
     if info:
@@ -291,16 +275,13 @@ def solve_channel(op, e_max, e_min=None, work=None):
     None: nothing else runs.  One: it comes from inverse iteration
     (_one_pair), checked by a backward-error test and polished like a
     channel_eigs pair.  Two or more, or an inverse iteration that gives
-    up: channel_eigs bisects the window.  `work` is the scratch array of
-    _one_pair, which also takes the squared off-diagonal of the counts.
+    up: channel_eigs bisects the window.  `work` goes to _one_pair.
     """
     if e_min is None:
         first, pairs = 0, channel_eigs(op, e_max)
     else:
-        work = _scratch(op.mesh.n, work)
-        first, top = _window_counts(op, e_min, e_max, work[0, :-1])
-        pair = (_one_pair(op, e_min, e_max, work) if top - first == 1
-                else None)
+        first, top = _window_counts(op, e_min, e_max)
+        pair = _one_pair(op, e_min, e_max, work) if top - first == 1 else None
         pairs = ([pair] if pair else
                  channel_eigs(op, e_max, e_min) if top > first else [])
     energies = np.array([e for e, _ in pairs], dtype=float)
@@ -313,9 +294,8 @@ def solve_channel(op, e_max, e_min=None, work=None):
 
 
 def solve_channels(ops, e_max, e_min=None):
-    """Solve many channels in order; the windowed solves share one scratch
-    array (see _one_pair)."""
-    work = _scratch(ops[0].mesh.n) if ops and e_min is not None else None
+    """Solve channels of one mesh in order, sharing _one_pair's scratch."""
+    work = np.empty((_SCRATCH_ROWS, ops[0].mesh.n)) if ops else None
     return [solve_channel(op, e_max, e_min, work=work) for op in ops]
 
 
