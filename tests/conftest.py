@@ -10,6 +10,7 @@ from scipy import integrate
 
 from landau.errors import LandauError, QuadratureFailure, UnboundedSet
 from landau import spectra
+from landau._quadrature import panel_integrals
 from landau.fields import FieldSpec, build_gauge
 from landau.operator import (_LOG_RHO_CUT, RadialFunction, RadialMesh,
                              _check_mesh, _deriv_centered, ladder_apply,
@@ -242,6 +243,22 @@ def reference_build_channel(kind, m, gauge, V):
                   + Ac * Ac - gauge.B_total[:cut])
     core = flux / h2 + rest + gauge.sample(electric)
     return core + shift_B0 * gauge.B0, offdiag
+
+
+def reference_gauge(b, B0, mesh):
+    """(A_theta, psi) of fields.build_gauge for a nonzero b, from one
+    panel_integrals call per integral."""
+    r = mesh.nodes
+    edges = np.concatenate([[0.0], r])
+    tb = panel_integrals(lambda t: (t * b.evaluate(t),), edges)[0]
+    circ = np.cumsum(tb)
+    tb_log = panel_integrals(lambda t: (t * b.evaluate(t) * np.log(t),),
+                             edges)[0]
+    incr = np.empty_like(r)
+    incr[0] = math.log(r[0]) * tb[0] - tb_log[0]
+    incr[1:] = (circ[:-1] * np.log(r[1:] / r[:-1])
+                + np.log(r[1:]) * tb[1:] - tb_log[1:])
+    return 0.5 * B0 * r + circ / r, np.cumsum(incr)
 
 
 def reference_one_pair(op, e_min, e_max):

@@ -16,8 +16,8 @@ from landau.fields import (FieldSpec, ProfileTerm, build_gauge,
                            superlevel_radius, superlevel_scan)
 from landau.operator import RadialMesh
 
-from conftest import (brute_force_measure, superlevel_intervals_per_lambda,
-                      total_flux)
+from conftest import (brute_force_measure, reference_gauge,
+                      superlevel_intervals_per_lambda, total_flux)
 
 
 def power_spec(c, beta):
@@ -217,6 +217,17 @@ class TestPanelIntegrals:
         assert np.array_equal(results[10**6][0], joint)
         assert np.allclose(results[7][0], joint, rtol=4 * np.finfo(float).eps,
                            atol=0.0)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_gauge_as_with_one_call_per_integral(self, case):
+        # build_gauge evaluates its two integrands together and gets the
+        # floats of integrating each alone
+        b, h, r_max = self.CASES[case]
+        mesh = RadialMesh(r_max, h)
+        gauge = build_gauge(b, 1.0, mesh)
+        A_theta, psi = reference_gauge(b, 1.0, mesh)
+        assert np.array_equal(gauge.A_theta, A_theta)
+        assert np.array_equal(gauge.psi, psi)
 
     def test_non_finite_integrand_raises(self):
         # a NaN in either integrand, at the first level or in a bisection
