@@ -17,9 +17,9 @@ gives both medians of each measure and the number of pairs in which this
 checkout was faster.  A call that exits with 2 (config error) or 3 (numeric
 failure) stops the script with exit status 1.
 
-CONFIG defaults to this checkout's configs/quick.json.  On
-configs/headline.json (the fine mesh) `toeplitz` and `identities` spend
-most of their time in the zero-mode ladder.
+CONFIG defaults to this checkout's configs/quick.json;
+configs/headline.json runs every command on the fine mesh (R = 30,
+h = 0.005).
 """
 
 import argparse

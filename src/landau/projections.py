@@ -103,7 +103,7 @@ def zero_mode_basis(gauge, m_max, qs, **fields):
         spec, copies = weight
         v = np.zeros(mesh.n) if spec is None else spec.evaluate(mesh.nodes)
         values[weight] = v - copies * gauge.b_values if copies else v
-    forms = {}  # and per level, its (form, weight values) pairs
+    forms = {}  # filled through `fills`: per level, (form, weight values)
     fills = [[(forms.setdefault((level, w), np.empty(m_max + 1)),
                values.get(w)) for w in by_level.get(level, ())]
              for level in range(max(by_level, default=0) + 1)]

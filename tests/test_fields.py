@@ -230,7 +230,8 @@ class TestPanelIntegrals:
         assert np.array_equal(gauge.psi, psi)
 
     def test_non_finite_integrand_raises(self):
-        # a NaN in either integrand, at the first level or in a bisection
+        # a NaN in the second integrand, at the first level or in a
+        # bisection
         edges = np.linspace(0.0, 1.0, 11)
         with pytest.raises(QuadratureFailure, match="non-finite"):
             _quadrature.panel_integrals(
