@@ -1,7 +1,7 @@
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +261,14 @@ def reference_gauge(b, B0, mesh):
     return 0.5 * B0 * r + circ / r, np.cumsum(incr)
 
 
+def _reference_matvec(diag, offdiag, v):
+    """ChannelOperator.matvec, one fresh array per operation."""
+    out = diag * v
+    out[:-1] += offdiag * v[1:]
+    out[1:] += offdiag * v[:-1]
+    return out
+
+
 def reference_one_pair(op, e_min, e_max):
     """spectra._one_pair, one fresh array per operation and
     np.linalg.norm for the norms."""
@@ -269,19 +277,14 @@ def reference_one_pair(op, e_min, e_max):
                                                 op.offdiag, overwrite_d=1)
     if info:
         return None
-    magnitudes = replace(op, diag=np.abs(op.diag), offdiag=np.abs(op.offdiag))
+    abs_diag, abs_off = np.abs(op.diag), np.abs(op.offdiag)
     v = np.ones(op.mesh.n)
     for _ in range(spectra._MAX_STEPS):
         x, _ = spectra.dgttrs(dl, d, du, du2, ipiv, v)
         v = x / np.linalg.norm(x)
-        tv = op.diag * v
-        tv[:-1] += op.offdiag * v[1:]
-        tv[1:] += op.offdiag * v[:-1]
+        tv = _reference_matvec(op.diag, op.offdiag, v)
         E = float(np.dot(v, tv))
-        av = np.abs(v)
-        scale = magnitudes.diag * av
-        scale[:-1] += magnitudes.offdiag * av[1:]
-        scale[1:] += magnitudes.offdiag * av[:-1]
+        scale = _reference_matvec(abs_diag, abs_off, np.abs(v))
         if (np.linalg.norm(tv - E * v)
                 <= spectra._BACKWARD_ERROR * np.linalg.norm(scale)):
             break
@@ -289,9 +292,7 @@ def reference_one_pair(op, e_min, e_max):
         return None
     if v[int(np.argmax(np.abs(v)))] < 0:
         v = -v
-    tv = op.diag * v
-    tv[:-1] += op.offdiag * v[1:]
-    tv[1:] += op.offdiag * v[:-1]
+    tv = _reference_matvec(op.diag, op.offdiag, v)
     E = float(np.dot(v, tv) / np.dot(v, v))
     return (E, v) if e_min < E <= e_max else None
 
