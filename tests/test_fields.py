@@ -192,7 +192,7 @@ class TestPanelIntegrals:
         edges = np.concatenate([[0.0], RadialMesh(r_max, h).nodes])
         panels = edges.size - 1
         results = {}
-        for block in (7, 512, 10**6):
+        for block in (7, 64, 512, 10**6):
             joint, alone, calls = self.integrate(b, edges, block, monkeypatch)
             assert joint.shape == (2, panels)
             for k in range(2):
@@ -212,11 +212,14 @@ class TestPanelIntegrals:
             assert len(calls[1]) > blocks and calls[1] != calls[2]
         # the blocking moves a value by at most a few ulps: the BLAS sums
         # the last (rows mod 4) rows of a matrix-vector product in another
-        # order than the rest, so a blocking that is a multiple of 4
-        # changes nothing on these panels and 7 changes some
-        assert np.array_equal(results[10**6][0], joint)
-        assert np.allclose(results[7][0], joint, rtol=4 * np.finfo(float).eps,
-                           atol=0.0)
+        # order than the rest, so blocks of 7 change some values, and one
+        # block of the whole mesh can too where the BLAS splits its product
+        # among threads; blocks of 64 and 512 panels (multiples of 4, below
+        # its threading size) change none of these
+        assert np.array_equal(results[64][0], joint)
+        for block in (7, 10**6):
+            assert np.allclose(results[block][0], joint,
+                               rtol=4 * np.finfo(float).eps, atol=0.0)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_gauge_as_with_one_call_per_integral(self, case):
