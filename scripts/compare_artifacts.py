@@ -8,6 +8,9 @@ script sits in, over:
 
 - the five commands on every `configs/*.json`, and `verify --q 2,3` on
   `configs/headline.json`;
+- `spectrum --q 0,1,2` on `configs/quick.json`, and `spectrum` and
+  `weights` on it with `mesh`, `lambda` and `bands` removed, so the top
+  of the solve and the defaults of the config record are read;
 - every call of the `sweep` workload at seeds 0 and 1;
 - every call of the `zero-modes` workload at seed 0;
 - the `headline` workload.
@@ -65,6 +68,14 @@ def calls():
         if name == "headline":  # T_q against T_0 past q = 1 on the fine mesh
             yield (os.path.join("configs", name, "verify-q2,3"),
                    workloads.Call("verify", config, [2, 3]))
+        if name == "quick":  # e_max from max q = 2; the record's defaults
+            yield (os.path.join("configs", name, "spectrum-q0,1,2"),
+                   workloads.Call("spectrum", config, [0, 1, 2]))
+            bare = {key: value for key, value in config.items()
+                    if key not in ("mesh", "lambda", "bands")}
+            for command in ("spectrum", "weights"):
+                yield (os.path.join("configs", "quick-defaults", command),
+                       workloads.Call(command, bare))
     runs = [("sweep", 0), ("sweep", 1), ("zero-modes", 0), ("headline", 0)]
     for workload, seed in runs:
         for scenario in workloads.WORKLOADS[workload](seed):

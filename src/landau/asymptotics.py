@@ -11,7 +11,8 @@ the cluster states beyond lambda on the side of `sign`.
 
 Every operator kind is solved as the spin-down one (operator.spin_down_form):
 H(V) = P_-(V + b) + B0 and P_+(V) = P_-(V + 2b) + 2 B0, so a run needs its
-config, q, and the spin-down electric part V.
+config, q, and the spin-down electric part V.  The config is a
+VerificationConfig, the one config record (cli.load_config returns it).
 
 The stages form one data flow: compute_cluster(cfg, q) solves the cluster
 once and returns a ClusterComputation, which every later stage reads: cfg,
@@ -43,21 +44,29 @@ MIN_COUNT = 5
 TRUST_SAFETY = 10.0
 DRIFT_FACTOR = 1.2
 
+# verify's pass/fail bands, each of which a config may override
+_BAND_DEFAULTS = {"min_decades": 1.0, "min_peak_count": 20,
+                  "exponent_tol": 0.1, "gram_max": 1e-5}
+
 
 @dataclass(frozen=True)
 class VerificationConfig:
-    """One cluster-verification scenario (fields, mesh, grid) for any
-    Landau index: its inputs only; the channel cut and the window
-    half-width are derived from them."""
+    """One verification scenario (fields, mesh, grid, Landau indices,
+    bands): its inputs only, each default a config file's; the channel cut,
+    window half-width, basis cut and spectrum top derive from them."""
 
     B0: float = 1.0
     operator: str = "pauli_minus"
     b: FieldSpec = field(default_factory=FieldSpec.zero)
     V: FieldSpec = field(default_factory=FieldSpec.zero)
     sign: str = "+"
-    r_max: float = 30.0
-    h: float = 0.005
+    r_max: float = 20.0
+    h: float = 0.01
     per_decade: int = 24
+    q_list: tuple = (0, 1)
+    bands: dict = field(default_factory=_BAND_DEFAULTS.copy)
+    basis_cut: int = None  # the basis_m_max key; None: min(m_max, 11)
+    hash: str = ""  # of the config file's JSON, as _io.config_hash gives it
 
     def __post_init__(self):
         if not self.gamma > 0:  # B0 / 2 is 0 for the least subnormal B0
@@ -82,6 +91,17 @@ class VerificationConfig:
     def gamma(self):
         """Half-width of the cluster window around each level 2 q B0."""
         return 0.5 * self.B0
+
+    @property
+    def basis_m_max(self):
+        """Top channel of the zero-mode bases of toeplitz and identities."""
+        return min(self.m_max, 11) if self.basis_cut is None else self.basis_cut
+
+    @property
+    def e_max(self):
+        """One level above the top cluster, past the operator's shift."""
+        shift = spin_down_form(self.operator, self.V, self.b)[1]
+        return (2.0 * max(self.q_list) + 2.0 + shift) * self.B0
 
 
 @dataclass

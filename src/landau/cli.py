@@ -23,12 +23,12 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import asymptotics, projections, spectra
 from ._io import config_hash, ensure_dir, write_csv, write_json
+from .asymptotics import _BAND_DEFAULTS, VerificationConfig
 from .errors import ConfigError, LandauError, TrustRegionEmpty
 from .fields import (_N_BISECT, FieldSpec, ProfileTerm, build_gauge,
                      check_regularity, counting_measure, effective_weight)
@@ -37,34 +37,6 @@ from .operator import RadialMesh, build_channel, spin_down_form
 log = logging.getLogger("landau")
 
 
-@dataclass(frozen=True, kw_only=True)
-class RunConfig(asymptotics.VerificationConfig):
-    """Validated run configuration for all subcommands: the scenario fields
-    of VerificationConfig plus what the commands alone read."""
-
-    hash: str  # of the config file's JSON, as _io.config_hash gives it
-    q_list: list
-    bands: dict
-    basis_cut: int = None  # the basis_m_max key; None: min(m_max, 11)
-
-    @property
-    def basis_m_max(self):
-        """Top channel of the zero-mode bases of toeplitz and identities."""
-        return min(self.m_max, 11) if self.basis_cut is None else self.basis_cut
-
-    @property
-    def e_max(self):
-        """One level above the top cluster, past the operator's shift."""
-        shift = spin_down_form(self.operator, self.V, self.b)[1]
-        return (2.0 * max(self.q_list) + 2.0 + shift) * self.B0
-
-
-_BAND_DEFAULTS = {
-    "min_decades": 1.0,
-    "min_peak_count": 20,
-    "exponent_tol": 0.1,
-    "gram_max": 1e-5,
-}
 # the band N/E must stay in, and the largest relative deviation allowed
 # between the top eigenvalues of T_q and T_0 / C_q
 RATIO_BAND = (0.8, 1.2)
@@ -141,9 +113,7 @@ def _term(raw, name):
 
 
 def _field_spec(raw, name):
-    """The FieldSpec of config field `name` (zero when absent or null)."""
-    if raw.get(name) is None:
-        return FieldSpec.zero()
+    """The FieldSpec of the config field `name`, present and not null."""
     spec = _section(raw, name)
     _check_keys(spec, name, ("terms", "beta"))
     try:
@@ -188,8 +158,8 @@ def _check_work(r_max, h, B0, q_max, basis_cut, per_decade, q_name):
 
 
 def load_config(path, q=None):
-    """The checked RunConfig of the JSON file at path; q, the --q string
-    of comma-separated Landau indices, replaces the config's q list."""
+    """The checked VerificationConfig of the JSON file at path (the record's
+    defaults for the keys it omits); q, a --q string, replaces the q list."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -201,26 +171,27 @@ def load_config(path, q=None):
         raise ConfigError("config must be a JSON object")
     _check_keys(raw, "", _KEYS)
 
-    q_name, q_list = "q", raw.get("q", [0, 1])
+    q_name, q_list = "q", raw.get("q", VerificationConfig.q_list)
     if q is not None:
         q_name = "--q"
         try:
             q_list = [int(tok) for tok in q.split(",") if tok]
         except ValueError:
             q_list = q  # a string, rejected below
-    q_list = q_list if isinstance(q_list, list) else [q_list]
+    q_list = q_list if isinstance(q_list, (list, tuple)) else [q_list]
     if not q_list or any(isinstance(x, bool) or not isinstance(x, int)
                          or x < 0 for x in q_list):
         _fail(q_name, "must be a nonnegative integer or list of them")
 
     mesh = _section(raw, "mesh")
     _check_keys(mesh, "mesh", ("r_max", "h"))
-    r_max = _number(mesh.get("r_max", 20.0), "mesh.r_max")
-    h = _number(mesh.get("h", 0.01), "mesh.h")
+    r_max = _number(mesh.get("r_max", VerificationConfig.r_max), "mesh.r_max")
+    h = _number(mesh.get("h", VerificationConfig.h), "mesh.h")
 
     lam = _section(raw, "lambda")
     _check_keys(lam, "lambda", ("per_decade",))
-    per_decade = _number(lam.get("per_decade", 24), "lambda.per_decade", int)
+    per_decade = _number(lam.get("per_decade", VerificationConfig.per_decade),
+                         "lambda.per_decade", int)
     if per_decade < 2:
         _fail("lambda.per_decade", "must be at least 2")
 
@@ -229,25 +200,26 @@ def load_config(path, q=None):
     bands = {**_BAND_DEFAULTS,
              **{key: _number(value, f"bands.{key}")
                 for key, value in bands.items()}}
-    basis_cut = raw.get("basis_m_max")
+    basis_cut = raw.get("basis_m_max", VerificationConfig.basis_cut)
     if basis_cut is not None:
         basis_cut = _number(basis_cut, "basis_m_max", int)
         if basis_cut < 0:
             _fail("basis_m_max", f"must be >= 0, got {basis_cut}")
 
-    B0 = _number(raw.get("B0", 1.0), "B0")
+    B0 = _number(raw.get("B0", VerificationConfig.B0), "B0")
     _check_work(r_max, h, B0, max(q_list), basis_cut, per_decade, q_name)
     try:  # h > 0, at least 16 cells, r_max a multiple of h
         RadialMesh(r_max, h)
     except ValueError as exc:
         _fail("mesh", str(exc))
+    # a key left out, and a null b or V, keep the record's default
+    given = {key: raw[key] for key in ("operator", "sign") if key in raw}
+    given.update((name, _field_spec(raw, name)) for name in ("b", "V")
+                 if raw.get(name) is not None)
     try:
-        return RunConfig(
-            hash=config_hash(raw), B0=B0,
-            operator=raw.get("operator", "pauli_minus"),
-            b=_field_spec(raw, "b"), V=_field_spec(raw, "V"), q_list=q_list,
-            sign=raw.get("sign", "+"), r_max=r_max, h=h,
-            per_decade=per_decade, bands=bands, basis_cut=basis_cut)
+        return VerificationConfig(
+            hash=config_hash(raw), B0=B0, r_max=r_max, h=h, q_list=q_list,
+            per_decade=per_decade, bands=bands, basis_cut=basis_cut, **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -304,8 +276,10 @@ def cmd_weights(cfg, out, as_json):
             summary["weights"][str(q)] = {"degenerate": True}
             continue
         lams = np.geomspace(0.9 * sup, 1e-5 * sup, 8 * cfg.per_decade)
-        rows = zip(lams, counting_measure(weight, lams, cfg.sign,
-                                          r_max=8.0 * cfg.r_max))
+        reach = 8.0 * cfg.r_max  # doubled until the least lam's set closes
+        while abs(weight(reach)) > lams[-1]:
+            reach *= 2.0
+        rows = zip(lams, counting_measure(weight, lams, cfg.sign, r_max=reach))
         write_csv(os.path.join(out, f"weights_q{q}_{cfg.sign}.csv"),
                   ["lambda", "E_measure"], rows, _meta(cfg, q=q, sign=cfg.sign))
         try:
@@ -313,7 +287,7 @@ def cmd_weights(cfg, out, as_json):
             reg_grid = np.geomspace(0.2 * sup, 1e-4 * sup, 40)
             summary["weights"][str(q)] = {
                 "sup": sup, **check_regularity(weight, reg_grid, 0.1, cfg.sign,
-                                               r_max=8.0 * cfg.r_max)}
+                                               r_max=reach)}
         except LandauError as exc:
             summary["weights"][str(q)] = {"degenerate": True,
                                           "detail": str(exc)}

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from landau import asymptotics, fields, projections, spectra
+from landau._io import config_hash
+from landau.asymptotics import VerificationConfig
 from landau.cli import load_config, main
+from landau.fields import FieldSpec
 from landau.operator import default_channel_cut
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -278,6 +281,24 @@ class TestConfigValidation:
         assert small.basis_m_max == 6
         assert replace(small, basis_cut=3).basis_m_max == 3
 
+    def test_defaults_are_the_records(self, tmp_path):
+        # a config that sets only b loads as the record with b and the hash:
+        # mesh, lambda, B0, q, operator, sign and bands at its defaults, and
+        # a null V is the default zero field
+        b = {"terms": [{"kind": "power", "c": 0.05, "beta": -3.0}],
+             "beta": -3.0}
+        for raw in ({"b": b}, {"b": b, "V": None}):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(raw))
+            cfg = load_config(str(path))
+            assert cfg == VerificationConfig(b=FieldSpec.power(0.05, -3.0),
+                                             hash=config_hash(raw))
+        # the defaults of a config file, so every shipped config runs as
+        # it did
+        assert (cfg.r_max, cfg.h, cfg.q_list) == (20.0, 0.01, (0, 1))
+        assert cfg.bands == {"min_decades": 1.0, "min_peak_count": 20,
+                             "exponent_tol": 0.1, "gram_max": 1e-5}
+
     def test_import_skips_scipy_integrate(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -353,6 +374,59 @@ def test_out_that_is_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == "kept\n"
 
 
+def _power(c, sign=1):
+    return {"terms": [{"kind": "power", "c": c, "beta": -3.0, "sign": sign}],
+            "beta": -3.0}
+
+
+# variants of the quick config: (overrides, keys left out)
+EDGE_CONFIGS = {
+    "R2": ({"mesh": {"r_max": 2.0, "h": 0.1}}, ()),  # m_max = 0
+    "R3": ({"mesh": {"r_max": 3.0, "h": 0.1}}, ()),
+    "R4": ({"mesh": {"r_max": 4.0, "h": 0.05}}, ()),
+    "q4": ({"q": [4]}, ()),
+    "q0-3": ({"q": [0, 1, 2, 3]}, ()),
+    "minus-negative-V": ({"sign": "-", "V": _power(0.05, sign=-1)}, ()),
+    "bump-V-q2": ({"q": [2], "V": {"terms": [
+        {"kind": "bump", "amp": 0.05, "inner": 2.0, "outer": 6.0}],
+        "beta": -3.0}}, ()),
+    "gaussian-b": ({"b": {"terms": [
+        {"kind": "gaussian", "amp": 0.05, "center": 3.0, "width": 1.5}],
+        "beta": -3.0}}, ()),
+    "B0-4": ({"B0": 4.0, "mesh": {"r_max": 8.0, "h": 0.01}}, ()),
+    "B0-0.25": ({"B0": 0.25, "mesh": {"r_max": 32.0, "h": 0.04}}, ()),
+    "pauli-plus-q2": ({"operator": "pauli_plus", "q": [2]}, ()),
+    "schroedinger-minus": ({"operator": "schroedinger", "sign": "-"}, ()),
+    "no-b": ({}, ("b",)),
+    "no-b-with-V": ({"V": _power(0.05)}, ("b",)),
+    "b-0.9": ({"b": _power(0.9)}, ()),
+    "b-negative": ({"b": _power(-0.05)}, ()),
+}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "weights",
+                                     "toeplitz", "identities"])
+@pytest.mark.parametrize("variant", sorted(EDGE_CONFIGS))
+def test_edge_configurations(variant, command, tmp_path, capsys):
+    # every command ends in a documented exit on every variant, and says
+    # why a run fails: in one stderr line, or in verify's printed verdict.
+    # verify may pass or fail its checks; the others pass
+    overrides, left_out = EDGE_CONFIGS[variant]
+    path = write_config(tmp_path / "cfg.json", **overrides)
+    raw = json.loads(path.read_text())
+    path.write_text(json.dumps({k: v for k, v in raw.items()
+                                if k not in left_out}))
+    code = main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code in ((0, 1) if command == "verify" else (0,))
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 or (err == "" and "FAIL" in out)
+
+
 class TestSpectrum:
     def test_summary_lists_levels(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -374,14 +448,6 @@ class TestSpectrum:
             assert main(["spectrum", "--config", str(cfg_path),
                          "--out", str(out)]) == 0
         for name in ("spectrum_pauli_minus.csv", "gauge.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_thread_count_does_not_change_bytes(self, cfg_path, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for out in (out1, out2):
-            assert main(["verify", "--config", str(cfg_path), "--out",
-                         str(out)]) == 0
-        for name in ("counting_q1_+.csv", "clusters_q1.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_pauli_plus_window_counts(self, tmp_path):
@@ -474,6 +540,21 @@ class TestWeights:
         measured = rows["E_measure"]
         exact = 0.5 * ((0.1 / lam) ** (2.0 / 3.0) - 1.0)
         assert np.allclose(measured, exact, rtol=1e-8)
+
+    def test_tiny_domain_table(self, tmp_path):
+        # at R = 2 the table's smallest lambda, 1e-5 of sup W, has its
+        # superlevel set past 8 R: the scan reaches out until it closes
+        path = write_config(tmp_path / "tiny.json",
+                            mesh={"r_max": 2.0, "h": 0.1})
+        out = tmp_path / "out"
+        assert main(["weights", "--config", str(path),
+                     "--out", str(out)]) == 0
+        rows = np.genfromtxt(out / "weights_q1_+.csv", delimiter=",",
+                             names=True, comments="#", skip_header=1)
+        lam = rows["lambda"]
+        assert lam.min() < 0.1 * (1.0 + 16.0 ** 2) ** -1.5  # W(8 R)
+        exact = 0.5 * ((0.1 / lam) ** (2.0 / 3.0) - 1.0)
+        assert np.allclose(rows["E_measure"], exact, rtol=1e-12)
 
     def test_empty_sign_degenerate(self, tmp_path):
         path = write_config(tmp_path / "neg.json", sign="-")
@@ -751,6 +832,21 @@ class TestVerify:
             assert len(ms) > 20
             assert len(set(ms)) == len(ms)
         assert sizes == []
+
+    def test_verify_rerun_writes_identical_files(self, tmp_path):
+        # every file of a verify over three indices, q = 0 (a degenerate
+        # count) among them, comes out byte for byte the same twice
+        path = write_config(tmp_path / "cfg.json", q=[0, 1, 2])
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            assert main(["verify", "--config", str(path), "--out",
+                         str(out)]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert {"clusters_q2.csv", "counting_q0_+.csv", "toeplitz_eigs_q2.json",
+                "verify_summary.json"} <= set(names)
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_json_summary_only(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
