@@ -11,6 +11,9 @@ script sits in, over:
 - `spectrum --q 0,1,2` on `configs/quick.json`, and `spectrum` and
   `weights` on it with `mesh`, `lambda` and `bands` removed, so the top
   of the solve and the defaults of the config record are read;
+- `verify` and `weights` on quick with a gaussian b, a field without a
+  power decay class, and `weights` on quick with the `schroedinger`
+  operator, whose weight carries the spin-down copy of b;
 - every call of the `sweep` workload at seeds 0 and 1;
 - every call of the `zero-modes` workload at seed 0;
 - the `headline` workload.
@@ -76,6 +79,15 @@ def calls():
             for command in ("spectrum", "weights"):
                 yield (os.path.join("configs", "quick-defaults", command),
                        workloads.Call(command, bare))
+            gaussian = dict(config, b={"terms": [
+                {"kind": "gaussian", "amp": 0.05, "center": 3.0,
+                 "width": 1.5}], "beta": -3.0})
+            for command in ("verify", "weights"):
+                yield (os.path.join("configs", "quick-gaussian-b", command),
+                       workloads.Call(command, gaussian))
+            yield (os.path.join("configs", "quick-schroedinger", "weights"),
+                   workloads.Call("weights",
+                                  dict(config, operator="schroedinger")))
     runs = [("sweep", 0), ("sweep", 1), ("zero-modes", 0), ("headline", 0)]
     for workload, seed in runs:
         for scenario in workloads.WORKLOADS[workload](seed):

@@ -20,7 +20,9 @@ q, the cluster and its weight W = V + 2 q b, V the spin-down electric part;
 boundary_sensitivity(comp) estimates the domain drift from it;
 cluster_asymptotics_report(comp) counts N on the cluster against the measure
 of W (taking the drift from boundary_sensitivity); and
-upper_estimate_check(comp, report) fits the exponent on that report.
+upper_estimate_check(comp, report) fits the exponent on that report, to be
+compared with 2 / beta for W's decay class beta (fields.FieldSpec.beta).
+A W without power terms decays faster than any power and claims none.
 """
 
 import math
@@ -57,8 +59,8 @@ class VerificationConfig:
 
     B0: float = 1.0
     operator: str = "pauli_minus"
-    b: FieldSpec = field(default_factory=FieldSpec.zero)
-    V: FieldSpec = field(default_factory=FieldSpec.zero)
+    b: FieldSpec = FieldSpec()
+    V: FieldSpec = FieldSpec()
     sign: str = "+"
     r_max: float = 20.0
     h: float = 0.01
@@ -75,12 +77,16 @@ class VerificationConfig:
         if self.operator not in KINDS:
             raise ValueError(f"operator must be one of {KINDS}")
         for name, spec in (("b", self.b), ("V", self.V)):
-            if not spec.is_zero and spec.beta >= -2.0:
+            if spec.beta is not None and spec.beta >= -2.0:
                 raise ValueError(
                     f"{name}.beta = {spec.beta} violates the decay "
                     f"requirement beta < -2")
         if self.sign not in ("+", "-"):
             raise ValueError("sign must be '+' or '-'")
+
+    @staticmethod
+    def basis_top(m_max, basis_cut):  # in floats for the work bound too
+        return min(m_max, 11) if basis_cut is None else basis_cut
 
     @property
     def m_max(self):
@@ -95,7 +101,7 @@ class VerificationConfig:
     @property
     def basis_m_max(self):
         """Top channel of the zero-mode bases of toeplitz and identities."""
-        return min(self.m_max, 11) if self.basis_cut is None else self.basis_cut
+        return self.basis_top(self.m_max, self.basis_cut)
 
     @property
     def e_max(self):
@@ -123,9 +129,8 @@ def compute_cluster(cfg, q):
     Only the window around the level is solved; the cluster keeps the
     per-channel labels n of the full spectrum (spectra.ChannelResult).
     """
-    if q < 0:
-        raise ValueError("q must be >= 0")
     V = spin_down_form(cfg.operator, cfg.V, cfg.b)[0]
+    weight = effective_weight(V, cfg.b, q, cfg.B0)  # raises for q < 0
     gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
     center, gamma = 2.0 * q * cfg.B0, cfg.gamma
     # an eigenvalue within roundoff of a window endpoint is still solved;
@@ -137,8 +142,7 @@ def compute_cluster(cfg, q):
     floor = _defect_floor(q, V, gauge, e_min, e_max, channels)
     cluster = cluster_states(assemble_spectrum(channels), center, gamma,
                              channels)
-    return ClusterComputation(cfg, q, effective_weight(V, cfg.b, q, cfg.B0),
-                              gauge, cluster, floor)
+    return ClusterComputation(cfg, q, weight, gauge, cluster, floor)
 
 
 def _defect_floor(q, V, gauge, e_min, e_max, channels):
@@ -160,7 +164,7 @@ def _defect_floor(q, V, gauge, e_min, e_max, channels):
     mesh = gauge.mesh
     fine = RadialMesh(0.5 * mesh.r_max, 0.5 * mesh.h)
     runs = ((gauge, V), (build_gauge(gauge.source, gauge.B0, fine), V),
-            (build_gauge(FieldSpec.zero(), gauge.B0, mesh), None))
+            (build_gauge(FieldSpec(), gauge.B0, mesh), FieldSpec()))
     center = 2.0 * q * gauge.B0
     worst = 0.0
     for m in range(-q, 2):
@@ -300,10 +304,13 @@ def cluster_asymptotics_report(comp):
 
 def upper_estimate_check(comp, report):
     """(fitted, expected): the slope of log N against log lambda over the
-    report's rows, and the decay-class exponent 2 / beta of the effective
-    weight it should approach; both NaN for a degenerate report."""
+    report's rows (None below two rows), and the exponent 2 / beta of the
+    weight's power class it should approach (None without one); both NaN
+    for a degenerate report."""
     if report.note == "degenerate-weight":
         return math.nan, math.nan
-    slope = float(np.polyfit(np.log(report.lambdas), np.log(report.N), 1)[0])
-    return slope, 2.0 / comp.weight.beta_eff
+    fitted = (float(np.polyfit(np.log(report.lambdas), np.log(report.N), 1)[0])
+              if report.lambdas.size > 1 else None)
+    beta = comp.weight.beta_eff
+    return fitted, None if beta is None else 2.0 / beta
 

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import asymptotics, projections, spectra
+from . import asymptotics, operator, projections, spectra
 from ._io import config_hash, ensure_dir, write_csv, write_json
 from .asymptotics import _BAND_DEFAULTS, VerificationConfig
 from .errors import ConfigError, LandauError, TrustRegionEmpty
@@ -117,9 +117,8 @@ def _field_spec(raw, name):
     spec = _section(raw, name)
     _check_keys(spec, name, ("terms", "beta"))
     try:
-        terms = tuple(_term(t, f"{name}.terms[{i}]")
-                      for i, t in enumerate(spec.get("terms", [])))
-        return FieldSpec(terms, beta=_number(spec.get("beta"), f"{name}.beta"))
+        return FieldSpec(_term(t, f"{name}.terms[{i}]")
+                         for i, t in enumerate(spec.get("terms", [])))
     except (TypeError, ValueError) as exc:
         _fail(name, str(exc))
 
@@ -137,8 +136,8 @@ def _check_work(r_max, h, B0, q_max, basis_cut, per_decade, q_name):
     bisection steps of each (per_decade points a decade, over the 1e-12 to
     gamma = B0 / 2 of verify's grid, which holds weights' 8 decades)."""
     cells = abs(r_max) / h if h > 0 else 0.0  # RadialMesh rejects h <= 0
-    m_max = max(0.0, 3.0 * r_max * r_max * B0 / 16.0)  # default_channel_cut
-    modes = (min(m_max, 11.0) if basis_cut is None else basis_cut) + 1.0
+    m_max = max(0.0, operator.channel_reach(r_max, B0))
+    modes = VerificationConfig.basis_top(m_max, basis_cut) + 1.0
     q = min(q_max, MAX_WORK)  # a larger q fails either way, and is no float
     points = per_decade * (12.0 + math.log10(max(B0, 1.0)))
     for names, parts in (
@@ -217,11 +216,18 @@ def load_config(path, q=None):
     given.update((name, _field_spec(raw, name)) for name in ("b", "V")
                  if raw.get(name) is not None)
     try:
-        return VerificationConfig(
+        cfg = VerificationConfig(
             hash=config_hash(raw), B0=B0, r_max=r_max, h=h, q_list=q_list,
             per_decade=per_decade, bands=bands, basis_cut=basis_cut, **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for name, beta in (("b", cfg.b.beta), ("V", cfg.V.beta)):
+        # the key restates the power terms' decay class; unread without one
+        if beta is not None and _number(raw[name].get("beta"),
+                                        f"{name}.beta") != beta:
+            _fail(f"{name}.beta", f"must be {beta:g}, the decay class of "
+                  f"the power terms, got {raw[name]['beta']:g}")
+    return cfg
 
 
 def _meta(cfg, **extra):
@@ -269,8 +275,9 @@ def cmd_spectrum(cfg, out, as_json):
 
 def cmd_weights(cfg, out, as_json):
     summary = {"config": cfg.hash, "weights": {}}
+    V = spin_down_form(cfg.operator, cfg.V, cfg.b)[0]
     for q in cfg.q_list:
-        weight = effective_weight(cfg.V, cfg.b, q, cfg.B0)
+        weight = effective_weight(V, cfg.b, q, cfg.B0)
         sup = float(np.max(np.abs(weight(np.linspace(0, cfg.r_max, 4097)))))
         if not 1e-5 * sup > 0.0:  # zero, or too small for the lambda table
             summary["weights"][str(q)] = {"degenerate": True}
@@ -368,8 +375,9 @@ def _verify_one_q(cfg, q, out, shared):
                            and peak >= bands["min_peak_count"]),
             "band_window": [lo, hi], "decades": decades, "peak_count": peak}
         fitted, expected = asymptotics.upper_estimate_check(comp, report)
-        checks["exponent"] = {
-            "passed": bool(abs(fitted - expected) <= bands["exponent_tol"]),
+        checks["exponent"] = {  # no power class claims no exponent
+            "passed": expected is None or fitted is not None
+            and abs(fitted - expected) <= bands["exponent_tol"],
             "fitted": fitted, "expected": expected}
         detail["trust"] = [report.trust_lo, report.trust_hi]
         detail["cluster_size"] = len(comp.cluster)

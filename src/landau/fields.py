@@ -1,9 +1,11 @@
 """Radial field profiles, gauge construction, effective weights, counting measure.
 
 Profiles are sums of smooth radial terms (power decay, Gaussian, compactly
-supported bump).  The gauge solves the radial Poisson problem for the scalar
-potential of the field perturbation and carries sampled A_theta, psi and the
-total exponent Psi on a uniform mesh.
+supported bump), and their decay class beta derives from the terms: the
+slowest nonzero power term, none for gaussian and bump terms, which decay
+faster than any power.  The gauge solves the radial Poisson problem for the
+scalar potential of the field perturbation and carries sampled A_theta, psi
+and the total exponent Psi on a uniform mesh.
 """
 
 import math
@@ -69,24 +71,24 @@ def _smooth_cutoff(t):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A radial profile together with its declared decay exponent `beta`."""
+    """A radial profile, the sum of its terms (FieldSpec() is zero)."""
 
-    terms: tuple
-    beta: float
+    terms: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.beta < 0:
-            raise ValueError("decay exponent beta must be negative")
-
-    @staticmethod
-    def zero():
-        return FieldSpec((), beta=-3.0)
 
     @staticmethod
     def power(amplitude, beta):
-        return FieldSpec((ProfileTerm("power", amplitude, beta=beta),),
-                         beta=beta)
+        return FieldSpec((ProfileTerm("power", amplitude, beta=beta),))
+
+    @property
+    def beta(self):
+        """Decay class: the slowest beta among the nonzero power terms, or
+        None without one (the zero field, or gaussian and bump terms, which
+        decay faster than any power)."""
+        return max((t.beta for t in self.terms
+                    if t.kind == "power" and t.amplitude != 0.0), default=None)
 
     @property
     def is_zero(self):
@@ -102,13 +104,12 @@ class FieldSpec:
     __call__ = evaluate
 
     def scaled(self, factor):
-        terms = tuple(replace(t, amplitude=t.amplitude * factor) for t in self.terms)
-        return FieldSpec(terms, beta=self.beta)
+        return FieldSpec(replace(t, amplitude=t.amplitude * factor)
+                         for t in self.terms)
 
     @staticmethod
     def sum(a, b):
-        """Concatenate term lists; the slower decay dominates the class."""
-        return FieldSpec(a.terms + b.terms, beta=max(a.beta, b.beta))
+        return FieldSpec(a.terms + b.terms)
 
 
 @dataclass
@@ -230,20 +231,13 @@ class EffectiveWeight:
 
     @property
     def beta_eff(self):
-        """Slowest declared decay among the contributing parts."""
-        betas = []
-        if not self.V.is_zero:
-            betas.append(self.V.beta)
-        if self.q > 0 and not self.b.is_zero:
-            betas.append(self.b.beta)
-        return max(betas) if betas else None
+        """Decay class of V + 2 q b (FieldSpec.beta)."""
+        return FieldSpec.sum(self.V, self.b.scaled(2.0 * self.q)).beta
 
 
 def effective_weight(V, b, q, B0):
     if q < 0:
         raise ValueError("Landau index q must be >= 0")
-    V = V if V is not None else FieldSpec.zero()
-    b = b if b is not None else FieldSpec.zero()
     return EffectiveWeight(V=V, b=b, q=int(q), B0=float(B0))
 
 
@@ -367,11 +361,12 @@ def check_regularity(weight, lambda_grid, eps, sign="+", *, r_max):
     """Probe the counting-measure regularity and lower-bound conditions.
 
     Returns max over the grid of E(lam (1-eps)) / E(lam) (`max_ratio`) and
-    the log-log slope of E (`exponent`), and compares both with the values
-    the declared decay class predicts: `regular_ok` when the ratio stays
-    within 5% of `expected_ratio` = (1 - eps)^(2 / beta), `lower_ok` when
-    the slope is at most 2 / beta + 0.1.  Raises DegenerateWeight when E
-    vanishes on the whole grid.
+    the log-log slope of E (`exponent`).  A weight with a decay class beta
+    (EffectiveWeight.beta_eff) also gets both compared with the values it
+    predicts: `regular_ok` when the ratio stays within 5% of
+    `expected_ratio` = (1 - eps)^(2 / beta), `lower_ok` when the slope is
+    at most 2 / beta + 0.1.  Raises DegenerateWeight when E vanishes on the
+    whole grid.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
@@ -389,10 +384,12 @@ def check_regularity(weight, lambda_grid, eps, sign="+", *, r_max):
                                         sign, r_max=r_max))
     max_ratio = float(np.max(E_shift / E[mask]))
 
-    beta_eff = weight.beta_eff
     slope = float(np.polyfit(np.log(lambdas[mask]), np.log(E[mask]), 1)[0])
-    expected_ratio = (1.0 - eps) ** (2.0 / beta_eff)
-    return {"max_ratio": max_ratio, "exponent": slope,
-            "expected_ratio": expected_ratio,
-            "regular_ok": max_ratio <= 1.05 * expected_ratio,
-            "lower_ok": slope <= 2.0 / beta_eff + 0.1}
+    result = {"max_ratio": max_ratio, "exponent": slope}
+    beta = weight.beta_eff
+    if beta is not None:
+        expected_ratio = (1.0 - eps) ** (2.0 / beta)
+        result.update(expected_ratio=expected_ratio,
+                      regular_ok=max_ratio <= 1.05 * expected_ratio,
+                      lower_ok=slope <= 2.0 / beta + 0.1)
+    return result

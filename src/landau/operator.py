@@ -65,17 +65,12 @@ def spin_down_form(kind, V, b):
     operator whose spectrum, shifted, is that of the operator `kind`.
 
     The electric part is V plus 0 / 1 / 2 copies of b: H(V) = P_-(V + b) + B0
-    and P_+(V) = P_-(V + 2b) + 2 B0.  When V is zero (or None) it is the
-    copies of b alone, so their decay class carries over unchanged.
+    and P_+(V) = P_-(V + 2b) + 2 B0.
     """
     if kind not in _B_COPIES:
         raise ValueError(f"unknown operator kind {kind!r}")
-    electric = V if V is not None else FieldSpec.zero()
     copies = float(_B_COPIES[kind])
-    if copies:
-        extra = b.scaled(copies)
-        electric = extra if electric.is_zero else FieldSpec.sum(electric, extra)
-    return electric, copies
+    return (FieldSpec.sum(V, b.scaled(copies)) if copies else V), copies
 
 
 @dataclass
@@ -108,13 +103,16 @@ class RadialMesh:
         return (self.n, self.h)
 
 
-def default_channel_cut(r_max, B0):
-    """Largest retained angular momentum, 3 R^2 B0 / 16 rounded down.
+def channel_reach(r_max, B0):
+    """3 R^2 B0 / 16 in floats, as the work bound of cli.load_config reads
+    it: the classical orbit radius of the highest retained cluster state
+    stays within r_max / 2."""
+    return 3.0 * r_max * r_max * B0 / 16.0
 
-    Chosen so the classical orbit radius of the highest retained cluster
-    state stays within r_max / 2.
-    """
-    return int(math.floor(3.0 * r_max * r_max * B0 / 16.0))
+
+def default_channel_cut(r_max, B0):
+    """Largest retained angular momentum, channel_reach rounded down."""
+    return int(math.floor(channel_reach(r_max, B0)))
 
 
 @dataclass
@@ -181,9 +179,9 @@ def build_channel(kind, m, gauge, V):
     """Assemble the channel-m operator of the requested kind on the gauge's
     mesh.
 
-    V is the electric FieldSpec (or None).  The Schroedinger and spin-up
-    kinds reuse the spin-down assembly with electric part V + b resp.
-    V + 2b, then add the constant shift B0 resp. 2 B0 last.
+    V is the electric FieldSpec.  The Schroedinger and spin-up kinds reuse
+    the spin-down assembly with electric part V + b resp. V + 2b, then add
+    the constant shift B0 resp. 2 B0 last.
     """
     electric, shift_B0 = spin_down_form(kind, V, gauge.source)
     mesh = gauge.mesh

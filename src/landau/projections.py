@@ -36,8 +36,7 @@ class ZeroModeBasis:
     pair matrix of the basis or of one ladder level of it couples equal
     channels only: it is diagonal.  A form is named (L, weight) and holds
     h <w R^L u_m, R^L u_m> for every mode u_m: w = 1 for the weight None,
-    and w = spec - copies * b for (spec, copies), with b the gauge's field
-    and a None spec read as 0.
+    and w = spec - copies * b for (spec, copies), with b the gauge's field.
     """
 
     gauge: object
@@ -101,7 +100,7 @@ def zero_mode_basis(gauge, m_max, qs, **fields):
     values = {}
     for weight in set().union(*by_level.values()) - {None}:
         spec, copies = weight
-        v = np.zeros(mesh.n) if spec is None else spec.evaluate(mesh.nodes)
+        v = spec.evaluate(mesh.nodes)
         values[weight] = v - copies * gauge.b_values if copies else v
     forms = {}  # filled through `fills`: per level, (form, weight values)
     fills = [[(forms.setdefault((level, w), np.empty(m_max + 1)),

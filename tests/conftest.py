@@ -43,7 +43,7 @@ def mesh_small():
 
 @pytest.fixture(scope="session")
 def gauge_zero(mesh_small):
-    return build_gauge(FieldSpec.zero(), 1.0, mesh_small)
+    return build_gauge(FieldSpec(), 1.0, mesh_small)
 
 
 @pytest.fixture(scope="session")

@@ -59,11 +59,11 @@ def beta4_report():
 def test_acceptance_01_unperturbed_exactness():
     t0 = time.monotonic()
     mesh = RadialMesh(20.0, 0.005)
-    gauge = build_gauge(FieldSpec.zero(), 1.0, mesh)
+    gauge = build_gauge(FieldSpec(), 1.0, mesh)
     worst = {"schroedinger": 0.0, "pauli_minus": 0.0}
     pattern_ok = True
     for kind, offset in (("schroedinger", 1.0), ("pauli_minus", 0.0)):
-        ops = [build_channel(kind, m, gauge, None)
+        ops = [build_channel(kind, m, gauge, FieldSpec())
                for m in range(-40, 41)]
         channels = solve_channels(ops, 10.0)
         table = assemble_spectrum(channels)
@@ -99,7 +99,7 @@ def test_acceptance_02_zero_mode_exactness():
         gauge = build_gauge(b, 1.0, mesh)
         vals = []
         for m in range(m_top + 1):
-            op = build_channel("pauli_minus", m, gauge, None)
+            op = build_channel("pauli_minus", m, gauge, FieldSpec())
             pairs = channel_eigs(op, 0.5)
             vals.append(pairs[0][0])
         lowest[h] = np.array(vals)
@@ -237,7 +237,8 @@ def test_acceptance_08_perturbation_inequality():
 
 
 def test_acceptance_09_counting_measure_oracle():
-    weight = effective_weight(None, B_HEADLINE, 1, 1.0)  # W = 0.1 (1+r^2)^-1.5
+    # W = 0.1 (1+r^2)^-1.5
+    weight = effective_weight(FieldSpec(), B_HEADLINE, 1, 1.0)
     lams = np.geomspace(0.09, 1e-5, 50)
     worst_oracle = 0.0
     worst_lib = 0.0

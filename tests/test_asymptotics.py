@@ -125,12 +125,10 @@ class TestFamilyReduction:
         rng = np.random.default_rng(5)
         for _ in range(3):
             b = FieldSpec((ProfileTerm("power", rng.uniform(-0.2, 0.2),
-                                       beta=rng.uniform(-4.0, -2.5)),),
-                          beta=-2.5)
+                                       beta=rng.uniform(-4.0, -2.5)),))
             V = FieldSpec((ProfileTerm("gaussian", rng.uniform(-0.2, 0.2),
                                        center=rng.uniform(0.5, 3.0),
-                                       width=rng.uniform(0.5, 2.0)),),
-                          beta=-3.0)
+                                       width=rng.uniform(0.5, 2.0)),))
             gauge = build_gauge(b, 1.0, mesh_small)
             for m in (-2, 0, 3):
                 H = build_channel("schroedinger", m, gauge, V)
@@ -145,22 +143,22 @@ class TestFamilyReduction:
 
     def test_pauli_plus_lowest_cluster(self, mesh_small, gauge_zero):
         from landau.spectra import channel_eigs
-        op = build_channel("pauli_plus", 0, gauge_zero, None)
+        op = build_channel("pauli_plus", 0, gauge_zero, FieldSpec())
         vals = [e for e, _ in channel_eigs(op, 3.0)]
         assert vals[0] == pytest.approx(2.0, abs=1e-4)
 
     def test_zero_fields_pure_shift(self, mesh_small, gauge_zero):
-        H = build_channel("schroedinger", 1, gauge_zero, None)
-        P = build_channel("pauli_minus", 1, gauge_zero, None)
+        H = build_channel("schroedinger", 1, gauge_zero, FieldSpec())
+        P = build_channel("pauli_minus", 1, gauge_zero, FieldSpec())
         assert np.array_equal(H.diag, P.diag + 1.0)
 
     @pytest.mark.parametrize("kind, copies", [("schroedinger", 1.0),
                                               ("pauli_plus", 2.0)])
     def test_zero_V_keeps_decay_class(self, kind, copies):
-        # with V = 0 the electric part is the copies of b alone;
-        # FieldSpec.sum(zero, b) would report beta = max(-3, -4) = -3
+        # with V = 0 the electric part is the copies of b alone, and the
+        # zero field adds no decay class to theirs
         b = FieldSpec.power(0.05, -4.0)
-        V, shift = spin_down_form(kind, FieldSpec.zero(), b)
+        V, shift = spin_down_form(kind, FieldSpec(), b)
         assert V.beta == -4.0
         assert shift == copies
         r = np.linspace(0.0, 10.0, 50)
@@ -248,7 +246,7 @@ class TestClusterReport:
 
     @pytest.mark.parametrize("q", [0, 1, 2])
     @pytest.mark.parametrize("sign", ["+", "-"])
-    @pytest.mark.parametrize("V", [FieldSpec.zero(),
+    @pytest.mark.parametrize("V", [FieldSpec(),
                                    FieldSpec.power(-0.03, -2.8)])
     @pytest.mark.parametrize("kind", KINDS)
     def test_count_matches_merged_table(self, b_power, monkeypatch, kind, V,
@@ -327,8 +325,8 @@ class TestClusterReport:
             cluster_asymptotics_report(comp)
 
     def test_sign_flip_measure_identity(self, b_power):
-        w_pos = effective_weight(None, b_power, 1, 1.0)
-        w_neg = effective_weight(None, b_power.scaled(-1.0), 1, 1.0)
+        w_pos = effective_weight(FieldSpec(), b_power, 1, 1.0)
+        w_neg = effective_weight(FieldSpec(), b_power.scaled(-1.0), 1, 1.0)
         for lam in np.geomspace(0.05, 1e-4, 9):
             ep = counting_measure(w_pos, [lam], "+", r_max=1e4)[0]
             em = counting_measure(w_neg, [lam], "-", r_max=1e4)[0]
@@ -385,8 +383,7 @@ class TestDefectFloor:
         # is thin, and TRUST_SAFETY = 10 is the real one.  A failure is a
         # defect of the floor, not a tolerance to loosen.
         a = 0.05
-        b = FieldSpec((ProfileTerm("bump", a, inner=9.0, outer=11.0),),
-                      beta=-3.0)
+        b = FieldSpec((ProfileTerm("bump", a, inner=9.0, outer=11.0),))
         cfg = VerificationConfig(B0=1.0, operator=kind, b=b, r_max=16.0,
                                  h=0.02)
         for q in (1, 2, 3):
@@ -475,8 +472,8 @@ class TestSecondCluster:
         tq = np.sort(build_Tq(2, cl))[::-1]
         sh = np.sort(cl.shifts)[::-1]
         basis = zero_mode_basis(comp.gauge, int(np.max(cl.ms)) + 2, [2],
-                                T0=None)
-        t0 = np.sort(build_T0(2, None, basis))[::-1]
+                                T0=FieldSpec())
+        t0 = np.sort(build_T0(2, FieldSpec(), basis))[::-1]
         t0 /= coupling_constant(2, 1.0)
         k = len(sh) // 4
         assert np.max(np.abs(tq[:k] - sh[:k]) / sh[:k]) < 1e-8

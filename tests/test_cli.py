@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landau import asymptotics, fields, projections, spectra
+from landau import asymptotics, fields, operator, projections, spectra
 from landau._io import config_hash
 from landau.asymptotics import VerificationConfig
 from landau.cli import load_config, main
@@ -55,6 +55,36 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "beta < -2" in capsys.readouterr().err
+
+    def test_beta_key_unread_without_power_class(self, tmp_path):
+        # gaussian and bump terms decay faster than any power: a field of
+        # them has no class, so its key is not read, whatever it holds
+        terms = [{"kind": "gaussian", "amp": 0.05, "center": 3.0,
+                  "width": 1.5},
+                 {"kind": "power", "c": 0.0, "beta": -1.0}]
+        for field in ({"terms": terms}, {"terms": terms, "beta": "x"}):
+            cfg = load_config(str(write_config(tmp_path / "cfg.json",
+                                               b=field, V=field)))
+            assert cfg.b.beta is None and cfg.V.beta is None
+
+    def test_work_bound_reads_the_records_cuts(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the channel cut and the basis default each have one float-valued
+        # owner, which the record and the work bound both read
+        argv = ["verify", "--config", str(write_config(tmp_path / "a.json")),
+                "--out", str(tmp_path / "out")]
+        monkeypatch.setattr(VerificationConfig, "basis_top",
+                            staticmethod(lambda m_max, basis_cut: 1e6))
+        assert VerificationConfig().basis_m_max == 1e6
+        assert main(argv) == 2
+        assert ("800 cells x 1e+06 basis modes x 3 ladder levels = 2.4e+09 "
+                "exceeds" in capsys.readouterr().err)
+        monkeypatch.setattr(operator, "channel_reach",
+                            lambda r_max, B0: 1e5)
+        assert VerificationConfig().m_max == 100000
+        assert main(argv) == 2
+        assert ("800 cells x 2e+05 channels = 1.6e+08 exceeds"
+                in capsys.readouterr().err)
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["spectrum", "--config", str(tmp_path / "nope.json"),
@@ -214,7 +244,8 @@ class TestConfigValidation:
          "config field 'b': power profile needs beta < 0"),
         ({"b": {"terms": [{"kind": "power", "c": 0.05, "beta": -3.0}],
                 "beta": 0.0}},
-         "config field 'b': decay exponent beta must be negative"),
+         "config field 'b.beta': must be -3, the decay class of the power "
+         "terms, got 0"),
         ({"lambda": {"per_decade": 1}},
          "config field 'lambda.per_decade': must be at least 2"),
         # work past the bound: once an OverflowError and two allocations
@@ -231,6 +262,15 @@ class TestConfigValidation:
         # the window half-width B0 / 2 underflows to 0: spectrum once
         # raised ValueError from an empty window
         ({"B0": 5e-324}, "B0 must be positive, and so B0 / 2, got 5e-324"),
+        # the decay class is the power terms', and the beta key restates
+        # it; both once loaded and verified against 2 / -3 resp. 2 / -4
+        ({"b": {"terms": [{"kind": "power", "c": 0.05, "beta": -1.5}],
+                "beta": -3.0}},
+         "b.beta = -1.5 violates the decay requirement beta < -2"),
+        ({"b": {"terms": [{"kind": "power", "c": 0.05, "beta": -3.0}],
+                "beta": -4.0}},
+         "config field 'b.beta': must be -3, the decay class of the power "
+         "terms, got -4"),
     ])
     def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
                                     message):
@@ -401,6 +441,8 @@ EDGE_CONFIGS = {
     "no-b-with-V": ({"V": _power(0.05)}, ("b",)),
     "b-0.9": ({"b": _power(0.9)}, ()),
     "b-negative": ({"b": _power(-0.05)}, ()),
+    # one trusted row (lambda = 1e-3, N = 6), which fits no slope
+    "one-row": ({"b": _power(0.02), "lambda": {"per_decade": 2}}, ()),
 }
 
 
@@ -575,6 +617,34 @@ class TestWeights:
                      "--out", str(out)]) == 0
         summary = json.loads((out / "weights_summary.json").read_text())
         assert summary["weights"] == {"1": {"degenerate": True}}
+
+    def test_operator_family_weight(self, tmp_path):
+        # weights tabulates the measure of W = V_sd + 2 q b, V_sd the
+        # spin-down electric part: V + b for the Schroedinger operator, the
+        # same as pauli_minus with V = b
+        b = _power(0.05)
+        tables = []
+        for name, extra in (("schroedinger", {}),
+                            ("pauli_minus", {"V": b})):
+            path = write_config(tmp_path / f"{name}.json", operator=name,
+                                b=b, **extra)
+            out = tmp_path / name
+            assert main(["weights", "--config", str(path),
+                         "--out", str(out)]) == 0
+            summary = json.loads((out / "weights_summary.json").read_text())
+            rows = (out / "weights_q1_+.csv").read_text().splitlines()[1:]
+            tables.append((summary["weights"], rows))
+        assert tables[0] == tables[1]
+
+    def test_no_power_class_no_regularity_claim(self, tmp_path):
+        path = write_config(tmp_path / "gauss.json", b={"terms": [
+            {"kind": "gaussian", "amp": 0.05, "center": 3.0, "width": 1.5}]})
+        out = tmp_path / "out"
+        assert main(["weights", "--config", str(path),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "weights_summary.json").read_text())
+        assert set(summary["weights"]["1"]) == {"sup", "max_ratio",
+                                                "exponent"}
 
     def test_regularity_pass_for_power(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -855,6 +925,34 @@ class TestVerify:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
+
+    def test_no_power_class_no_exponent_claim(self, tmp_path):
+        # a gaussian b decays faster than any power: N/E stays in band over
+        # 2.29 decades while N's slope reads -0.270, and no 2 / beta exists
+        # to compare it with
+        path = write_config(tmp_path / "gauss.json", b={"terms": [
+            {"kind": "gaussian", "amp": 0.05, "center": 3.0, "width": 1.5}],
+            "beta": -3.0})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+        checks = json.loads((out / "verify_summary.json").read_text())[
+            "per_q"]["1"]["checks"]
+        assert checks["exponent"]["expected"] is None
+        assert checks["exponent"]["fitted"] == pytest.approx(-0.27, abs=0.01)
+        assert checks["ratio_band"]["decades"] > 2.0
+
+    def test_one_row_fits_no_exponent(self, tmp_path, capsys):
+        path = write_config(tmp_path / "one.json", b=_power(0.02),
+                            **{"lambda": {"per_decade": 2}})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        detail = json.loads((out / "verify_summary.json").read_text())[
+            "per_q"]["1"]
+        rows = (out / "counting_q1_+.csv").read_text().splitlines()[2:]
+        assert len(rows) == 1
+        assert detail["checks"]["exponent"] == {
+            "passed": False, "fitted": None, "expected": -2.0 / 3.0}
 
     def test_q0_degenerate_passes(self, cfg_path, tmp_path):
         out = tmp_path / "out"

@@ -34,7 +34,7 @@ class TestProfiles:
             0.125, rel=1e-14)
 
     def test_bump_outside_support(self):
-        spec = FieldSpec((ProfileTerm("bump", 1.0, inner=1.0, outer=2.0),), beta=-3.0)
+        spec = FieldSpec((ProfileTerm("bump", 1.0, inner=1.0, outer=2.0),))
         assert float(spec(3.0)) == 0.0
         assert float(spec(0.5)) == 1.0
 
@@ -58,10 +58,21 @@ class TestProfiles:
             ProfileTerm("power", 1.0, beta=math.nan)
 
     def test_fieldspec_validation(self):
-        with pytest.raises(ValueError):
-            FieldSpec((), beta=1.0)
-        with pytest.raises(ValueError):
-            FieldSpec((), beta=math.nan)
+        # the decay class is derived from the terms, never declared: the
+        # slowest nonzero power term, None without one
+        with pytest.raises(TypeError):
+            FieldSpec((), beta=-3.0)
+        power = FieldSpec.sum(FieldSpec.power(0.1, -4.0),
+                              FieldSpec.power(-0.2, -2.5))
+        assert power.beta == -2.5
+        assert power.scaled(0.0).beta is None
+        assert FieldSpec.sum(power.scaled(0.0),
+                             FieldSpec.power(0.1, -3.5)).beta == -3.5
+        gauss = FieldSpec((ProfileTerm("gaussian", 0.1, width=1.0),
+                           ProfileTerm("bump", 0.1, inner=1.0, outer=2.0)))
+        assert FieldSpec().beta is None and gauss.beta is None
+        with pytest.raises(AttributeError):
+            power.beta = -3.0
 
     def test_json_roundtrip(self, tmp_path):
         # the config form of every term kind, as load_config reads it: a
@@ -69,8 +80,7 @@ class TestProfiles:
         spec = FieldSpec(
             (ProfileTerm("power", 0.3, beta=-2.5),
              ProfileTerm("gaussian", -0.1, center=2.0, width=0.7),
-             ProfileTerm("bump", -0.2, inner=1.0, outer=3.0)),
-            beta=-2.5)
+             ProfileTerm("bump", -0.2, inner=1.0, outer=3.0)))
         d = {"terms": [{"kind": "power", "c": 0.3, "beta": -2.5},
                        {"kind": "gaussian", "amp": -0.1, "center": 2.0,
                         "width": 0.7},
@@ -87,8 +97,7 @@ class TestProfiles:
         spec = FieldSpec(
             (ProfileTerm("power", 1.0, beta=-3.0),
              ProfileTerm("gaussian", 0.5, center=3.0, width=1.0),
-             ProfileTerm("bump", 0.25, inner=0.5, outer=4.0)),
-            beta=-3.0)
+             ProfileTerm("bump", 0.25, inner=0.5, outer=4.0)))
         assert math.isfinite(float(spec(r)))
 
 
@@ -110,7 +119,7 @@ class TestGauge:
 
     def test_flux_tail_of_compact_bump(self):
         mesh = RadialMesh(12.0, 0.01)
-        b = FieldSpec((ProfileTerm("bump", 0.4, inner=1.0, outer=3.0),), beta=-3.0)
+        b = FieldSpec((ProfileTerm("bump", 0.4, inner=1.0, outer=3.0),))
         gauge = build_gauge(b, 1.0, mesh)
         flux = total_flux(b)
         r = mesh.nodes
@@ -139,7 +148,7 @@ class TestGauge:
 
     def test_quadrature_failure_objection(self, mesh_small):
         with pytest.raises(ValueError):
-            build_gauge(FieldSpec.zero(), -1.0, mesh_small)
+            build_gauge(FieldSpec(), -1.0, mesh_small)
 
     def test_non_finite_profile_fails_quadrature(self, mesh_small):
         # a NaN error estimate never converges; bisecting it again would
@@ -167,10 +176,10 @@ class TestPanelIntegrals:
     CASES = {
         "power": (FieldSpec.power(0.05, -3.0), 0.005, 30.0),
         "gaussian": (FieldSpec((ProfileTerm("gaussian", 5.0, center=3.0,
-                                            width=0.01),), beta=-3.0),
+                                            width=0.01),)),
                      0.02, 16.0),
-        "bump": (FieldSpec((ProfileTerm("bump", 0.4, inner=1.0, outer=3.0),),
-                           beta=-3.0), 0.01, 12.0),
+        "bump": (FieldSpec((ProfileTerm("bump", 0.4, inner=1.0,
+                                        outer=3.0),)), 0.01, 12.0),
     }
 
     @staticmethod
@@ -255,14 +264,14 @@ class TestEffectiveWeight:
 
     def test_q1_closed_form(self):
         c = 0.3
-        w = effective_weight(None, power_spec(c, -3.0), 1, 1.0)
+        w = effective_weight(FieldSpec(), power_spec(c, -3.0), 1, 1.0)
         r = np.linspace(0.0, 10.0, 100)
         exact = 2.0 * c * (1.0 + r * r) ** -1.5
         assert np.max(np.abs(w(r) - exact)) < 1e-15
 
     def test_negative_q_rejected(self):
         with pytest.raises(ValueError):
-            effective_weight(None, None, -1, 1.0)
+            effective_weight(FieldSpec(), FieldSpec(), -1, 1.0)
 
 
 def analytic_E_plus(lam, twoc, B0=1.0):
@@ -275,30 +284,30 @@ def analytic_E_plus(lam, twoc, B0=1.0):
 class TestCountingMeasure:
     def test_monotone_closed_form(self):
         c = 0.05
-        w = effective_weight(None, power_spec(c, -3.0), 1, 1.0)
+        w = effective_weight(FieldSpec(), power_spec(c, -3.0), 1, 1.0)
         for lam in np.geomspace(0.09, 1e-6, 25):
             got = counting_measure(w, [lam], "+", r_max=1e4)[0]
             assert got == pytest.approx(analytic_E_plus(lam, 2 * c), rel=1e-9)
 
     def test_empty_above_sup(self):
-        w = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)
+        w = effective_weight(FieldSpec(), power_spec(0.05, -3.0), 1, 1.0)
         assert counting_measure(w, [0.2], "+", r_max=100.0)[0] == 0.0
 
     def test_wrong_sign_empty(self):
-        w = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)
+        w = effective_weight(FieldSpec(), power_spec(0.05, -3.0), 1, 1.0)
         assert counting_measure(w, [1e-3], "-", r_max=1e4)[0] == 0.0
 
     def test_unbounded_set_detected(self):
-        w = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)
+        w = effective_weight(FieldSpec(), power_spec(0.05, -3.0), 1, 1.0)
         with pytest.raises(UnboundedSet):
             counting_measure(w, [1e-6], "+", r_max=10.0)[0]
 
     def test_annulus_weight_two_intervals(self):
         # gaussian ring: superlevel set is an annulus, length in r^2 checked
         # against the brute-force indicator oracle
-        spec = FieldSpec((ProfileTerm("gaussian", 1.0, center=3.0, width=0.5),),
-                         beta=-3.0)
-        w = effective_weight(spec, None, 0, 1.0)
+        spec = FieldSpec((ProfileTerm("gaussian", 1.0, center=3.0,
+                                      width=0.5),))
+        w = effective_weight(spec, FieldSpec(), 0, 1.0)
         for lam in (0.8, 0.5, 0.2):
             got = counting_measure(w, [lam], "+", r_max=50.0)[0]
             ref = brute_force_measure(w, lam, "+", 50.0)
@@ -311,9 +320,8 @@ class TestCountingMeasure:
         spec = FieldSpec(
             (ProfileTerm("power", 0.4, beta=-3.0),
              ProfileTerm("gaussian", -0.6, center=2.5, width=0.4),
-             ProfileTerm("gaussian", -0.5, center=5.0, width=0.3)),
-            beta=-3.0)
-        w = effective_weight(spec, None, 0, 1.0)
+             ProfileTerm("gaussian", -0.5, center=5.0, width=0.3)))
+        w = effective_weight(spec, FieldSpec(), 0, 1.0)
         for sign in ("+", "-"):
             for lam in (0.3, 0.12, 0.05):
                 got = counting_measure(w, [lam], sign, r_max=60.0)[0]
@@ -322,7 +330,7 @@ class TestCountingMeasure:
 
     def test_superlevel_radius(self):
         c = 0.05
-        w = effective_weight(None, power_spec(c, -3.0), 1, 1.0)
+        w = effective_weight(FieldSpec(), power_spec(c, -3.0), 1, 1.0)
         lam = 1e-3
         exact = math.sqrt((2 * c / lam) ** (2.0 / 3.0) - 1.0)
         assert superlevel_radius(w, lam, "+", r_max=1e3) == pytest.approx(exact, abs=1e-9)
@@ -332,27 +340,27 @@ class TestCountingMeasure:
     def test_scaling_covariance(self, scale, lam):
         # E(c W, c lam) = E(W, lam)
         c = 0.05
-        w = effective_weight(None, power_spec(c, -3.0), 1, 1.0)
-        ws = effective_weight(None, power_spec(c * scale, -3.0), 1, 1.0)
+        w = effective_weight(FieldSpec(), power_spec(c, -3.0), 1, 1.0)
+        ws = effective_weight(FieldSpec(), power_spec(c * scale, -3.0), 1, 1.0)
         base = counting_measure(w, [lam], "+", r_max=1e5)[0]
         scaled = counting_measure(ws, [scale * lam], "+", r_max=1e5)[0]
         assert scaled == pytest.approx(base, rel=1e-8, abs=1e-12)
 
 
 def _scan_cases():
-    power = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)
+    power = effective_weight(FieldSpec(), power_spec(0.05, -3.0), 1, 1.0)
     ring = effective_weight(
-        FieldSpec((ProfileTerm("gaussian", 1.0, center=3.0, width=0.5),),
-                  beta=-3.0), None, 0, 1.0)
+        FieldSpec((ProfileTerm("gaussian", 1.0, center=3.0, width=0.5),)),
+        FieldSpec(), 0, 1.0)
     bump = effective_weight(
         FieldSpec((ProfileTerm("power", 0.035, beta=-3.0),
-                   ProfileTerm("bump", 0.02, inner=1.25, outer=3.25)),
-                  beta=-3.0), None, 0, 1.0)
+                   ProfileTerm("bump", 0.02, inner=1.25, outer=3.25))),
+        FieldSpec(), 0, 1.0)
     split = effective_weight(
         FieldSpec((ProfileTerm("power", 0.4, beta=-3.0),
                    ProfileTerm("gaussian", -0.6, center=2.5, width=0.4),
-                   ProfileTerm("gaussian", -0.5, center=5.0, width=0.3)),
-                  beta=-3.0), None, 0, 1.0)
+                   ProfileTerm("gaussian", -0.5, center=5.0, width=0.3))),
+        FieldSpec(), 0, 1.0)
     rng = np.random.default_rng(7)
     return {
         # the lowest lambdas are still open at r_max = 10
@@ -426,7 +434,7 @@ class TestSuperlevelScan:
     ])
     def test_regularity_names_first_open_lambda(self, grid, lam):
         # W = 0.1 (1 + r^2)^(-3/2) is 9.85e-5 at r_max = 10
-        w = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)
+        w = effective_weight(FieldSpec(), power_spec(0.05, -3.0), 1, 1.0)
         with pytest.raises(UnboundedSet) as info:
             check_regularity(w, grid, 0.1, "+", r_max=10.0)
         assert str(info.value) == ("superlevel set still open at r_max=10 "
@@ -436,7 +444,7 @@ class TestSuperlevelScan:
 class TestRegularity:
     def test_power_ratio_limit(self):
         c = 0.05
-        w = effective_weight(None, power_spec(c, -3.0), 1, 1.0)
+        w = effective_weight(FieldSpec(), power_spec(c, -3.0), 1, 1.0)
         eps = 0.1
         rep = check_regularity(w, np.geomspace(1e-4, 1e-6, 9), eps, "+",
                                r_max=1e5)
@@ -448,13 +456,13 @@ class TestRegularity:
         assert rep["exponent"] == pytest.approx(-2.0 / 3.0, abs=0.01)
 
     def test_eps_to_zero_ratio_to_one(self):
-        w = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)
+        w = effective_weight(FieldSpec(), power_spec(0.05, -3.0), 1, 1.0)
         rep = check_regularity(w, np.geomspace(1e-3, 1e-4, 4), 1e-4, "+",
                                r_max=1e4)
         assert rep["max_ratio"] == pytest.approx(1.0, abs=1e-3)
 
     def test_wrong_sign_degenerate(self):
-        w = effective_weight(None, power_spec(0.05, -3.0), 1, 1.0)
+        w = effective_weight(FieldSpec(), power_spec(0.05, -3.0), 1, 1.0)
         with pytest.raises(DegenerateWeight):
             check_regularity(w, np.geomspace(1e-3, 1e-5, 5), 0.1, "-",
                              r_max=1e4)

@@ -45,12 +45,13 @@ class TestChannelMatrix:
     def test_unperturbed_landau_levels(self):
         # P_- channel m=0: levels {0, 2, 4}; Schroedinger: +B0; P_+: +2B0
         mesh = RadialMesh(20.0, 0.005)
-        gauge = build_gauge(FieldSpec.zero(), 1.0, mesh)
-        vals = lowest_eigs(build_channel("pauli_minus", 0, gauge, None), 5.0)
+        gauge = build_gauge(FieldSpec(), 1.0, mesh)
+        zero = FieldSpec()
+        vals = lowest_eigs(build_channel("pauli_minus", 0, gauge, zero), 5.0)
         assert np.allclose(vals, [0.0, 2.0, 4.0], atol=1e-4)
-        vals = lowest_eigs(build_channel("schroedinger", 0, gauge, None), 2.0)
+        vals = lowest_eigs(build_channel("schroedinger", 0, gauge, zero), 2.0)
         assert vals[0] == pytest.approx(1.0, abs=1e-4)
-        vals = lowest_eigs(build_channel("pauli_plus", 0, gauge, None), 3.0)
+        vals = lowest_eigs(build_channel("pauli_plus", 0, gauge, zero), 3.0)
         assert vals[0] == pytest.approx(2.0, abs=1e-4)
 
     def test_electric_part_sampled_once_per_gauge(self, b_power,
@@ -78,8 +79,7 @@ class TestChannelMatrix:
     def test_diagonal_matches_direct_formula(self, b_power):
         # on a smooth interior state the matrix acts as -w'' + q_m w, with
         # q_m from the textbook formula, up to O(h^2)
-        V = FieldSpec((ProfileTerm("gaussian", 0.2, center=2.0, width=1.0),),
-                      beta=-3.0)
+        V = FieldSpec((ProfileTerm("gaussian", 0.2, center=2.0, width=1.0),))
         errs = {}
         for h in (0.01, 0.005):
             mesh = RadialMesh(12.0, h)
@@ -102,7 +102,7 @@ class TestChannelMatrix:
     def test_offdiagonal_face_weights(self, mesh_small, gauge_zero):
         # b = 0, m = 0: rho = r exp(-B0 r^2 / 2) gives the rho = r face
         # weights i / sqrt(i^2 - 1/4) times exp(B0 h^2 / 8)
-        op = build_channel("pauli_minus", 0, gauge_zero, None)
+        op = build_channel("pauli_minus", 0, gauge_zero, FieldSpec())
         h = mesh_small.h
         i = np.arange(1, mesh_small.n, dtype=float)
         weights = i / np.sqrt(i * i - 0.25)
@@ -110,7 +110,7 @@ class TestChannelMatrix:
         assert np.allclose(op.offdiag, expected, rtol=1e-14, atol=0.0)
 
     def test_matvec_matches_dense(self, mesh_small, gauge_power):
-        op = build_channel("schroedinger", -2, gauge_power, None)
+        op = build_channel("schroedinger", -2, gauge_power, FieldSpec())
         rng = np.random.default_rng(7)
         v = rng.normal(size=mesh_small.n)
         assert np.allclose(op.matvec(v), dense(op) @ v, rtol=1e-13, atol=1e-10)
@@ -129,7 +129,7 @@ class TestChannelMatrix:
         mesh = RadialMesh(50.0, 0.02)
         gauge = build_gauge(b_power, 1.0, mesh)
         with np.errstate(over="raise", invalid="raise"):
-            ops = {m: build_channel("pauli_minus", m, gauge, None)
+            ops = {m: build_channel("pauli_minus", m, gauge, FieldSpec())
                    for m in (600, -600)}
         for op in ops.values():
             assert np.all(np.isfinite(op.diag))
@@ -149,7 +149,7 @@ class TestChannelMatrix:
             for h in (0.04, 0.02, 0.01, 0.005):
                 mesh = RadialMesh(12.0, h)
                 gauge = build_gauge(b, 1.0, mesh)
-                op = build_channel("pauli_minus", m, gauge, None)
+                op = build_channel("pauli_minus", m, gauge, FieldSpec())
                 eigs.append(lowest_eigs(op, 2.5)[1])
             diffs[m] = np.abs(np.diff(eigs))
         ratios = diffs[0][:-1] / diffs[0][1:]
@@ -182,7 +182,7 @@ class TestZeroModes:
             mesh = RadialMesh(12.0, h)
             gauge = build_gauge(b_power, 1.0, mesh)
             u = zero_mode(3, gauge)
-            op = build_channel("pauli_minus", 3, gauge, None)
+            op = build_channel("pauli_minus", 3, gauge, FieldSpec())
             norm = math.sqrt(mesh.h * np.sum(op.matvec(u.values) ** 2))
             assert norm < 1e3 * eps / (h * h)
 
@@ -190,7 +190,7 @@ class TestZeroModes:
         mesh = RadialMesh(20.0, 0.005)
         gauge = build_gauge(b_power, 1.0, mesh)
         u = zero_mode(5, gauge)
-        op = build_channel("pauli_minus", 5, gauge, None)
+        op = build_channel("pauli_minus", 5, gauge, FieldSpec())
         rq = mesh.h * float(np.dot(u.values, op.matvec(u.values)))
         # the zero mode is exact for the matrix: the quotient is roundoff
         # (measured 8e-13 here)
@@ -266,7 +266,7 @@ class TestLadders:
             r = mesh.nodes
             g = RadialFunction(np.sqrt(r) * np.exp(-0.5 * (r - 5.0) ** 2),
                                2, mesh).normalized()
-            op = build_channel("pauli_minus", 2, gauge, None)
+            op = build_channel("pauli_minus", 2, gauge, FieldSpec())
             qg = ladder_lower(g, gauge)
             lhs = mesh.h * float(np.dot(g.values, op.matvec(g.values)))
             rhs = mesh.h * float(np.dot(qg.values, qg.values))
@@ -280,7 +280,7 @@ class TestLadders:
         u = zero_mode(3, gauge_zero)
         level1 = ladder_apply(u, gauge_zero, 1)  # channel 2, level 1
         lowered = ladder_lower(level1, gauge_zero)
-        op = build_channel("pauli_minus", 3, gauge_zero, None)
+        op = build_channel("pauli_minus", 3, gauge_zero, FieldSpec())
         rq = (mesh_small.h * float(np.dot(lowered.values,
                                           op.matvec(lowered.values)))
               / (mesh_small.h * float(np.dot(lowered.values, lowered.values))))
@@ -291,7 +291,7 @@ class TestLadders:
         # quotient of P_- at Qbar u equals 2 B0
         u = zero_mode(3, gauge_zero)
         ru = ladder_apply(u, gauge_zero, 1)
-        op = build_channel("pauli_minus", 2, gauge_zero, None)
+        op = build_channel("pauli_minus", 2, gauge_zero, FieldSpec())
         rq = (mesh_small.h * float(np.dot(ru.values, op.matvec(ru.values)))
               / (mesh_small.h * float(np.dot(ru.values, ru.values))))
         # the level-1 state at b = 0 is a zero mode times a polynomial in

@@ -24,7 +24,7 @@ QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
 
 @pytest.fixture(scope="module")
 def cluster_q1(mesh_small, gauge_power):
-    ops = [build_channel("pauli_minus", m, gauge_power, None)
+    ops = [build_channel("pauli_minus", m, gauge_power, FieldSpec())
            for m in range(-1, 12)]
     channels = solve_channels(ops, 2.6)
     table = assemble_spectrum(channels)
@@ -105,14 +105,14 @@ class TestBasis:
         gram_identity_residual(1, basis, b_power)
         for read in (lambda: gram_identity_residual(2, basis, b_power),
                      lambda: weighted_identity_residual(1, basis, b_power),
-                     lambda: build_T0(1, None, basis)):
+                     lambda: build_T0(1, FieldSpec(), basis)):
             with pytest.raises(KeyError):
                 read()
 
 
 class TestGramIdentity:
     def test_unperturbed_exact(self, gauge_zero):
-        b = FieldSpec.zero()
+        b = FieldSpec()
         basis = zero_mode_basis(gauge_zero, 9, [1], gram=b)
         G = gram_identity_residual(1, basis, b)
         assert np.max(np.abs(G)) < 2e-5  # pure ladder discretization error
@@ -139,8 +139,7 @@ class TestGramIdentity:
         # linear term is the pure quadratic piece 8 amp^2 (at q = 2, B0 = 1)
         mesh = RadialMesh(16.0, 0.01)
         amp = 0.05
-        b = FieldSpec((ProfileTerm("bump", amp, inner=11.0, outer=13.0),),
-                      beta=-3.0)
+        b = FieldSpec((ProfileTerm("bump", amp, inner=11.0, outer=13.0),))
         gauge = build_gauge(b, 1.0, mesh)
         basis = zero_mode_basis(gauge, 3, [2], gram=b)
         G = gram_identity_residual(2, basis, b)
@@ -151,8 +150,8 @@ class TestGramIdentity:
         # and squares of b: an annular field translated outward, away from
         # the basis localization, must leave a rapidly shrinking residual
         mesh = RadialMesh(16.0, 0.01)
-        gauge0 = build_gauge(FieldSpec.zero(), 1.0, mesh)
-        zero = FieldSpec.zero()
+        gauge0 = build_gauge(FieldSpec(), 1.0, mesh)
+        zero = FieldSpec()
         floor = np.max(np.abs(gram_identity_residual(
             2, zero_mode_basis(gauge0, 3, [2], gram=zero), zero)))
         maxima = []
@@ -161,8 +160,7 @@ class TestGramIdentity:
                 (ProfileTerm("bump", 0.05, inner=center + 0.5,
                              outer=center + 1.5),
                  ProfileTerm("bump", -0.05, inner=center - 1.5,
-                             outer=center - 0.5)),
-                beta=-3.0)
+                             outer=center - 0.5)))
             gauge = build_gauge(b, 1.0, mesh)
             basis = zero_mode_basis(gauge, 3, [2], gram=b)
             G = gram_identity_residual(2, basis, b)
@@ -175,12 +173,12 @@ class TestGramIdentity:
     def test_requires_positive_q(self, gauge_zero):
         with pytest.raises(ValueError):
             gram_identity_residual(0, zero_mode_basis(gauge_zero, 9, []),
-                                   FieldSpec.zero())
+                                   FieldSpec())
 
 
 class TestWeightedIdentity:
     def test_zero_weight(self, gauge_power, b_power):
-        U = FieldSpec.zero()
+        U = FieldSpec()
         basis = zero_mode_basis(gauge_power, 9, [1], weighted=U)
         X = weighted_identity_residual(1, basis, U)
         assert np.max(np.abs(X)) == 0.0
@@ -191,8 +189,7 @@ class TestWeightedIdentity:
         # continuum (X_1 correction); realize the constant as a plateau
         # covering the modes
         c = 0.3
-        U = FieldSpec((ProfileTerm("bump", c, inner=11.0, outer=11.5),),
-                      beta=-3.0)
+        U = FieldSpec((ProfileTerm("bump", c, inner=11.0, outer=11.5),))
         basis = zero_mode_basis(gauge_power, 9, [1], weighted=U)
         X = weighted_identity_residual(1, basis, U)
         bv = b_power.evaluate(mesh_small.nodes)
@@ -206,7 +203,7 @@ class TestWeightedIdentity:
         ratios = []
         for s in (1.0, 3.0, 9.0):
             U = FieldSpec((ProfileTerm("gaussian", 0.2, center=0.0,
-                                       width=2.0 * s),), beta=-3.0)
+                                       width=2.0 * s),))
             basis = zero_mode_basis(gauge_power, 9, [1], weighted=U)
             X = weighted_identity_residual(1, basis, U)
             Uv = U.evaluate(mesh_small.nodes)
@@ -218,13 +215,13 @@ class TestWeightedIdentity:
 
 class TestT0:
     def test_q0_no_potential_is_exactly_zero(self, gauge_power, b_power):
-        t = build_T0(0, None, zero_mode_basis(gauge_power, 9, [0], T0=None))
+        zero = FieldSpec()
+        t = build_T0(0, zero, zero_mode_basis(gauge_power, 9, [0], T0=zero))
         assert np.max(np.abs(t)) == 0.0
 
     def test_q0_reduces_to_potential_quadrature(self, mesh_small, gauge_power,
                                                 b_power):
-        V = FieldSpec((ProfileTerm("gaussian", 0.1, center=1.0, width=1.0),),
-                      beta=-3.0)
+        V = FieldSpec((ProfileTerm("gaussian", 0.1, center=1.0, width=1.0),))
         t = build_T0(0, V, zero_mode_basis(gauge_power, 9, [0], T0=V))
         Vv = V.evaluate(mesh_small.nodes)
         for m in range(10):
@@ -237,8 +234,8 @@ class TestT0:
         # at b = 0 the T0 diagonal equals C_q <V e, e> over the unperturbed
         # level-q eigenfunctions; evaluate that with Gauss-Laguerre
         mesh = RadialMesh(14.0, 0.01)
-        gauge = build_gauge(FieldSpec.zero(), 1.0, mesh)
-        V = FieldSpec((ProfileTerm("power", 0.1, beta=-3.0),), beta=-3.0)
+        gauge = build_gauge(FieldSpec(), 1.0, mesh)
+        V = FieldSpec((ProfileTerm("power", 0.1, beta=-3.0),))
         basis = zero_mode_basis(gauge, 8, [1], T0=V)
         t = build_T0(1, V, basis)
         nodes, weights = np.polynomial.laguerre.laggauss(170)
@@ -257,8 +254,7 @@ class TestT0:
     def test_symmetric(self, gauge_power, b_power):
         # symmetric by construction: the basis modes lie in distinct
         # channels, so T0 is its diagonal, one entry per mode
-        V = FieldSpec((ProfileTerm("gaussian", 0.1, center=2.0, width=1.0),),
-                      beta=-3.0)
+        V = FieldSpec((ProfileTerm("gaussian", 0.1, center=2.0, width=1.0),))
         basis = zero_mode_basis(gauge_power, 9, [1], T0=V)
         t = build_T0(1, V, basis)
         assert t.shape == (len(basis),) == (10,)
@@ -267,7 +263,7 @@ class TestT0:
 
 class TestSq:
     def test_identity_on_unperturbed_subspace(self, mesh_small, gauge_zero):
-        ops = [build_channel("pauli_minus", m, gauge_zero, None)
+        ops = [build_channel("pauli_minus", m, gauge_zero, FieldSpec())
                for m in range(-1, 8)]
         channels = solve_channels(ops, 2.6)
         table = assemble_spectrum(channels)
@@ -342,8 +338,8 @@ class TestTq:
         # both routes approximate the same cluster: leading eigenvalues of
         # T_q and of T0 / C_q agree
         m_max = int(np.max(cluster_q1.ms)) + 1
-        basis = zero_mode_basis(gauge_power, m_max, [1], T0=None)
-        t0 = np.sort(build_T0(1, None, basis))[::-1]
+        basis = zero_mode_basis(gauge_power, m_max, [1], T0=FieldSpec())
+        t0 = np.sort(build_T0(1, FieldSpec(), basis))[::-1]
         t0 /= coupling_constant(1, 1.0)
         tq = np.sort(build_Tq(1, cluster_q1))[::-1]
         k = max(1, len(tq) // 4)
@@ -375,7 +371,7 @@ class TestToeplitzSpectrum:
         # solved without V: the two channel-0 states are eigenvectors of one
         # channel matrix, so their pair entries are roundoff and the
         # compression is its diagonal
-        ops = [build_channel("pauli_minus", m, gauge_power, None)
+        ops = [build_channel("pauli_minus", m, gauge_power, FieldSpec())
                for m in range(3)]
         channels = solve_channels(ops, 4.6)
         table = assemble_spectrum(channels)
@@ -400,35 +396,33 @@ class TestToeplitzSpectrum:
 
 class TestOffdiag:
     def test_zero_potential(self, cluster_q1):
-        rep = offdiag_smallness(1, FieldSpec.zero(), cluster_q1)
+        rep = offdiag_smallness(1, FieldSpec(), cluster_q1)
         assert rep.sigma_max == 0.0
 
     def test_constant_covering_potential_commutes(self, cluster_q1):
         # a plateau covering every cluster state acts as a constant and
         # commutes with the projector
-        V = FieldSpec((ProfileTerm("bump", 0.3, inner=10.0, outer=11.5),),
-                      beta=-3.0)
+        V = FieldSpec((ProfileTerm("bump", 0.3, inner=10.0, outer=11.5),))
         rep = offdiag_smallness(1, V, cluster_q1)
         assert rep.sigma_max < 1e-6
 
     def test_far_supported_potential(self, mesh_small, gauge_power):
         # annular potential beyond all cluster-state localization
-        ops = [build_channel("pauli_minus", m, gauge_power, None)
+        ops = [build_channel("pauli_minus", m, gauge_power, FieldSpec())
                for m in range(-1, 7)]
         channels = solve_channels(ops, 2.6)
         table = assemble_spectrum(channels)
         compact = cluster_states(table, 2.0, 0.5, channels)
         V = FieldSpec(
             (ProfileTerm("bump", 0.3, inner=10.8, outer=11.8),
-             ProfileTerm("bump", -0.3, inner=9.8, outer=10.8)),
-            beta=-3.0)
+             ProfileTerm("bump", -0.3, inner=9.8, outer=10.8)))
         rep = offdiag_smallness(1, V, compact)
         assert rep.sigma_max < 1e-6
 
     def test_direct_svd_oracle(self, mesh_small, gauge_power, cluster_q1):
         # assemble (1 - P_q) V P_q explicitly on one channel and compare the
         # largest singular value with the per-channel shortcut
-        V = FieldSpec((ProfileTerm("power", 0.05, beta=-3.0),), beta=-3.0)
+        V = FieldSpec((ProfileTerm("power", 0.05, beta=-3.0),))
         rep = offdiag_smallness(1, V, cluster_q1)
         Vv = V.evaluate(mesh_small.nodes)
         h = mesh_small.h

@@ -55,7 +55,7 @@ class TestChannelEigs:
         assert np.max(np.abs(got - ref)) < 1e-10
 
     def test_unperturbed_landau_levels(self, mesh_small, gauge_zero):
-        op = build_channel("pauli_minus", 0, gauge_zero, None)
+        op = build_channel("pauli_minus", 0, gauge_zero, FieldSpec())
         vals = [e for e, _ in channel_eigs(op, 5.0)]
         assert vals == pytest.approx([0.0, 2.0, 4.0], abs=1e-4)
 
@@ -64,7 +64,7 @@ class TestChannelEigs:
         # at the working bisection tolerance equal those bisected to 2 tiny
         mesh = RadialMesh(20.0, 0.005)
         gauge = build_gauge(FieldSpec.power(0.05, -3.0), 1.0, mesh)
-        ops = [build_channel("pauli_minus", m, gauge, None)
+        ops = [build_channel("pauli_minus", m, gauge, FieldSpec())
                for m in range(-2, default_channel_cut(20.0, 1.0) + 1)]
         working = [[e for e, _ in channel_eigs(op, 4.5)] for op in ops]
         monkeypatch.setattr(spectra, "_BISECT_TOL",
@@ -73,7 +73,7 @@ class TestChannelEigs:
         assert working == tight
 
     def test_eigenvector_sign_deterministic(self, mesh_small, gauge_zero):
-        op = build_channel("pauli_minus", 1, gauge_zero, None)
+        op = build_channel("pauli_minus", 1, gauge_zero, FieldSpec())
         a = channel_eigs(op, 1.0)[0][1]
         b = channel_eigs(op, 1.0)[0][1]
         assert np.array_equal(a, b)
@@ -85,7 +85,9 @@ class TestWindowSolve:
     # eigenvalues at or below e_min keeps every (m, n) label of the full solve
 
     @pytest.mark.parametrize("q", [1, 2])
-    @pytest.mark.parametrize("V", [None, FieldSpec.power(0.03, -2.8)])
+    # "None": no electric part
+    @pytest.mark.parametrize("V", [FieldSpec(), FieldSpec.power(0.03, -2.8)],
+                             ids=["None", "V1"])
     def test_matches_full_solve_in_window(self, q, V):
         mesh = RadialMesh(16.0, 0.02)
         gauge = build_gauge(FieldSpec.power(0.05, -3.0), 1.0, mesh)
@@ -120,7 +122,7 @@ class TestWindowSolve:
         for q in (1, 2):
             e_min = 2.0 * q - 0.5 - 1e-6
             for m in range(-q - 1, 6):
-                op = build_channel("pauli_minus", m, gauge, None)
+                op = build_channel("pauli_minus", m, gauge, FieldSpec())
                 ref = np.linalg.eigvalsh(dense(op))
                 ch = solve_channel(op, e_min + 1.0, e_min)
                 assert ch.first == np.count_nonzero(ref <= e_min)
@@ -440,7 +442,7 @@ class TestOnePairSolve:
         # the in-place iteration, its scratch array shared by the channels
         # of one solve, gives conftest's fresh-array iteration bit for bit
         cut = default_channel_cut(30.0, 1.0)
-        ops = [build_channel("pauli_minus", m, gauge_headline, None)
+        ops = [build_channel("pauli_minus", m, gauge_headline, FieldSpec())
                for m in (-1, 0, 1, 2, 7, 30, 100, cut)]
         bisections = recorded(monkeypatch, "eigh_tridiagonal")
         channels = solve_channels(ops, 2.5, 1.5)
@@ -467,7 +469,8 @@ class TestOnePairSolve:
         assert len(counts) == 5
 
 
-def small_table(gauge, mesh, m_range, e_max=3.0, V=None, kind="pauli_minus"):
+def small_table(gauge, mesh, m_range, e_max=3.0, V=FieldSpec(),
+                kind="pauli_minus"):
     ops = [build_channel(kind, m, gauge, V) for m in m_range]
     channels = solve_channels(ops, e_max)
     return assemble_spectrum(channels), channels
@@ -497,8 +500,7 @@ class TestAssemble:
 
     def test_perturbed_levels_stay_near_bands(self, mesh_small, gauge_power,
                                               b_power):
-        V = FieldSpec((ProfileTerm("gaussian", 0.05, center=1.0, width=1.5),),
-                      beta=-3.0)
+        V = FieldSpec((ProfileTerm("gaussian", 0.05, center=1.0, width=1.5),))
         table, _ = small_table(gauge_power, mesh_small, range(-2, 12),
                                e_max=4.5, V=V)
         bound = 0.05 + 2 * 0.05 + 1e-3  # ||V|| + 2 ||b|| + mesh slack
@@ -507,9 +509,10 @@ class TestAssemble:
         assert np.max(dist) <= bound
 
     def test_inconsistent_provenance(self, mesh_small, gauge_power):
-        a = solve_channel(build_channel("pauli_minus", 0, gauge_power, None),
+        zero = FieldSpec()
+        a = solve_channel(build_channel("pauli_minus", 0, gauge_power, zero),
                           1.0)
-        b = solve_channel(build_channel("schroedinger", 1, gauge_power, None),
+        b = solve_channel(build_channel("schroedinger", 1, gauge_power, zero),
                           2.0)
         with pytest.raises(InconsistentProvenance):
             assemble_spectrum([a, b])
@@ -517,7 +520,7 @@ class TestAssemble:
     def test_boundary_flagging(self):
         # a channel whose cluster state localizes at the outer region
         mesh = RadialMesh(8.0, 0.01)
-        gauge = build_gauge(FieldSpec.zero(), 1.0, mesh)
+        gauge = build_gauge(FieldSpec(), 1.0, mesh)
         m_far = 18  # orbit radius sqrt(2*19) ~ 6.2, tail well into 0.9 * 8
         table, _ = small_table(gauge, mesh, [m_far], e_max=1.5)
         assert table.E.size and bool(np.all(table.boundary))
@@ -602,8 +605,7 @@ class TestCounting:
 
     def test_monotonicity_under_positive_potential(self, mesh_small,
                                                    gauge_power):
-        V = FieldSpec((ProfileTerm("gaussian", 0.08, center=0.0, width=2.0),),
-                      beta=-3.0)
+        V = FieldSpec((ProfileTerm("gaussian", 0.08, center=0.0, width=2.0),))
         plain, _ = small_table(gauge_power, mesh_small, range(-1, 10))
         bumped, _ = small_table(gauge_power, mesh_small, range(-1, 10), V=V)
         # min-max: every eigenvalue moves up under V >= 0
