@@ -117,9 +117,13 @@ class ClusterComputation:
     cfg: VerificationConfig
     q: int
     weight: EffectiveWeight  # V + 2 q b, V the channels' spin-down part
-    gauge: GaugeData
+    gauge: GaugeData  # on the config mesh h
     cluster: spectra.ClusterStates
     defect_floor: float
+
+
+# the near-origin channels m = -q..NEAR_TOP, whose level-q states reach r = 0
+NEAR_TOP = 1
 
 
 def compute_cluster(cfg, q):
@@ -128,62 +132,53 @@ def compute_cluster(cfg, q):
 
     Only the window around the level is solved; the cluster keeps the
     per-channel labels n of the full spectrum (spectra.ChannelResult).
+    The O(h^2) level-q error of the channel matrices sits in the
+    near-origin channels (h^2 B0^2 / 12 at q = 1, m = 0) and is orders of
+    magnitude smaller elsewhere.  So every channel is solved on the coarse
+    mesh H of n // 2 cells (RadialMesh.coarsened), and the near-origin ones
+    again on h.  A near-origin state matched by its label on both is
+    reported at (rho^2 E_h - E_H) / (rho^2 - 1), rho = H / h, every other
+    state at its raw E_H; each keeps the vector and channel matrix of its
+    own mesh.  The defect floor is the largest correction |E_h - E_H| /
+    (rho^2 - 1), the estimated error of the raw E_h; channel 1 enters it
+    even when m_max = 0, so it does not depend on the cut.
     """
     V = spin_down_form(cfg.operator, cfg.V, cfg.b)[0]
     weight = effective_weight(V, cfg.b, q, cfg.B0)  # raises for q < 0
-    gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
+    mesh = RadialMesh(cfg.r_max, cfg.h)
+    gauge = build_gauge(cfg.b, cfg.B0, mesh)
+    coarse = build_gauge(cfg.b, cfg.B0, mesh.coarsened())
     center, gamma = 2.0 * q * cfg.B0, cfg.gamma
     # an eigenvalue within roundoff of a window endpoint is still solved;
     # the strict test of cluster_states decides whether it belongs
     e_min, e_max = center - gamma - 1e-6, center + gamma + 1e-6
-    ops = [build_channel("pauli_minus", m, gauge, V)
-           for m in range(-q, cfg.m_max + 1)]
-    channels = solve_channels(ops, e_max, e_min)
-    floor = _defect_floor(q, V, gauge, e_min, e_max, channels)
-    cluster = cluster_states(assemble_spectrum(channels), center, gamma,
-                             channels)
+
+    def solve(g, top):
+        channels = solve_channels([build_channel("pauli_minus", m, g, V)
+                                   for m in range(-q, top + 1)], e_max, e_min)
+        return channels, {(ch.op.m, ch.first + k): E for ch in channels
+                          for k, E in enumerate(ch.energies)}
+
+    near, E_h = solve(gauge, NEAR_TOP)
+    bulk, E_H = solve(coarse, max(cfg.m_max, NEAR_TOP))
+    rho2 = (mesh.n / coarse.mesh.n) ** 2
+    correction = {k: float(E - E_H[k]) / (rho2 - 1.0)
+                  for k, E in E_h.items() if k in E_H}
+    floor = max(map(abs, correction.values()), default=0.0)
+
+    parts = [cluster_states(assemble_spectrum(chs), center, gamma, chs)
+             for chs in (near[:q + 1 + min(cfg.m_max, NEAR_TOP)],
+                         bulk[q + NEAR_TOP + 1:]) if chs]
+    ms, ns, shifts = (np.concatenate([getattr(p, key) for p in parts])
+                      for key in ("ms", "ns", "shifts"))
+    shifts += [correction.get(k, 0.0) for k in zip(ms.tolist(), ns.tolist())]
+    order = np.argsort(-np.abs(shifts), kind="stable")
+    states = [v for p in parts for v in p.states]
+    cluster = spectra.ClusterStates(
+        cfg.B0, shifts[order], ms[order], ns[order],
+        [states[i] for i in order],
+        {m: op for p in parts for m, op in p.operators.items()})
     return ClusterComputation(cfg, q, weight, gauge, cluster, floor)
-
-
-def _defect_floor(q, V, gauge, e_min, e_max, channels):
-    """Mesh-error bound for the level-q eigenvalues of the channel matrices.
-
-    The zero-mode weighted flux form is exact on the zero modes; its O(h^2)
-    defect sits in the channels m = -q..1, whose level-q states reach the
-    origin (h^2 B0^2 / 12 at q = 1, m = 0), and is orders of magnitude
-    smaller elsewhere.  For each of those channels the floor takes the
-    larger of two estimates of the level-q error: the unperturbed defect
-    |E - 2 q B0| on the same mesh, and the Richardson estimate
-    4/3 |E_h - E_{h/2}| of the actual channel.  Each alone can fall short of
-    the true error by its O(h^4) part, of either sign.  The h/2 solve runs
-    on [0, r_max/2], with as many cells as the mesh h: these states live
-    near the origin, and a truncation effect could only raise the floor.
-    On the working mesh E_h is read from `channels`, the cluster solve of
-    the channels -q, -q + 1, ...; a channel it leaves out is solved here.
-    """
-    mesh = gauge.mesh
-    fine = RadialMesh(0.5 * mesh.r_max, 0.5 * mesh.h)
-    runs = ((gauge, V), (build_gauge(gauge.source, gauge.B0, fine), V),
-            (build_gauge(FieldSpec(), gauge.B0, mesh), FieldSpec()))
-    center = 2.0 * q * gauge.B0
-    worst = 0.0
-    for m in range(-q, 2):
-        level = q + min(m, 0)  # per-channel index of the level-q state
-        E = []
-        for g, electric in runs:
-            if g is gauge and m + q < len(channels):
-                ch = channels[m + q]
-            else:
-                ch = spectra.solve_channel(
-                    build_channel("pauli_minus", m, g, electric), e_max, e_min)
-            k = level - ch.first
-            E.append(float(ch.energies[k]) if 0 <= k < ch.energies.size
-                     else math.nan)
-        E_h, E_fine, E_free = E
-        for err in (abs(E_free - center), abs(E_h - E_fine) * 4.0 / 3.0):
-            if not math.isnan(err):
-                worst = max(worst, err)
-    return worst
 
 
 def boundary_sensitivity(comp):
@@ -193,16 +188,16 @@ def boundary_sensitivity(comp):
     The shifts at R' are predicted from the one solve at R by the Dirichlet
     domain-variation formula dE/dR = -|w'(R)|^2 (Hadamard) for the state w
     at unit L^2 norm: shift(R') = shift(R) - (R' - R) w'(R)^2.  The ghost
-    cell of the outer Dirichlet condition gives w'(R) = -2 w_n / h.  The
-    outer slope of a bound state shrinks as R grows, so the linear step
-    over-estimates the true drift (tests/test_asymptotics.py brackets it
-    against a second solve at R').
+    cell of the outer Dirichlet condition gives w'(R) = -2 w_n / h, h the
+    step of the state's own mesh.  The outer slope of a bound state shrinks
+    as R grows, so the linear step over-estimates the true drift
+    (tests/test_asymptotics.py brackets it against a second solve at R').
     """
     R, h = comp.cfg.r_max, comp.cfg.h
     R_prime = round(DRIFT_FACTOR * R / h) * h
     c = comp.cluster
     labels = [(int(m), int(n)) for m, n in zip(c.ms, c.ns)]
-    slope = np.array([-2.0 * w.values[-1] / h for w in c.states])
+    slope = np.array([-2.0 * w.values[-1] / w.mesh.h for w in c.states])
     at_R = dict(zip(labels, c.shifts.tolist()))
     at_Rp = dict(zip(labels, (c.shifts - (R_prime - R) * slope ** 2).tolist()))
     return spectra.boundary_sensitivity(at_R, at_Rp, R, R_prime)

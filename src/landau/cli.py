@@ -266,7 +266,8 @@ def cmd_spectrum(cfg, out, as_json):
             log.warning("q=%d: no state counted in the window, but %d "
                         "boundary-flagged states lie inside it; enlarge "
                         "r_max", q, flagged)
-        summary["clusters"][str(q)] = {"center": center, "count": n_in}
+        summary["clusters"][str(q)] = {"center": center, "count": n_in,
+                                       "flagged": flagged}
         if not as_json:
             print(f"q={q}: level {center:g}, {n_in} states within "
                   f"+/- {cfg.gamma:g}")

@@ -28,11 +28,13 @@ class ProfileTerm:
     gaussian: amplitude * exp(-(r - center)^2 / (2 width^2))
     bump:     amplitude * cutoff(r), smooth, equal to amplitude for
               r <= inner and identically 0 for r >= outer
+
+    Only a power term has a beta; the others decay faster than any power.
     """
 
     kind: str
     amplitude: float
-    beta: float = -3.0
+    beta: float = None
     center: float = 0.0
     width: float = 1.0
     inner: float = 0.0
@@ -41,7 +43,10 @@ class ProfileTerm:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "power" and not self.beta < 0:
+        if self.kind != "power" and self.beta is not None:
+            raise ValueError(f"{self.kind} profile takes no beta")
+        if self.kind == "power" and not (self.beta is not None
+                                         and self.beta < 0):
             raise ValueError("power profile needs beta < 0")
         if self.kind == "gaussian" and self.width <= 0:
             raise ValueError("gaussian profile needs width > 0")
@@ -88,7 +93,8 @@ class FieldSpec:
         None without one (the zero field, or gaussian and bump terms, which
         decay faster than any power)."""
         return max((t.beta for t in self.terms
-                    if t.kind == "power" and t.amplitude != 0.0), default=None)
+                    if t.beta is not None and t.amplitude != 0.0),
+                   default=None)
 
     @property
     def is_zero(self):

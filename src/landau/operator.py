@@ -46,7 +46,7 @@ floating point when both sides are built from the same gauge data.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -78,20 +78,22 @@ class RadialMesh:
     """Uniform cell-centered mesh: r_i = (i - 1/2) h, i = 1..n, faces at i h.
 
     The node r = 0 is excluded and r_max = n h is the outer face where the
-    Dirichlet condition acts.
+    Dirichlet condition acts.  A mesh has at least 16 cells; the coarsened
+    mesh of a 16-cell mesh (`coarsened`) has 8.
     """
 
     r_max: float
     h: float
+    min_cells: InitVar[int] = 16
 
-    def __post_init__(self):
+    def __post_init__(self, min_cells):
         if self.h <= 0:
             raise ValueError("mesh step h must be positive")
         n = int(round(self.r_max / self.h))
         if abs(n * self.h - self.r_max) > 1e-9 * max(1.0, self.r_max):
             raise ValueError("r_max must be an integer multiple of h")
-        if n < 16:
-            raise ValueError("mesh needs at least 16 nodes")
+        if n < min_cells:
+            raise ValueError(f"mesh needs at least {min_cells} nodes")
         self.n = n
         self.r_max = n * self.h
         self.nodes = self.h * (np.arange(1, n + 1) - 0.5)
@@ -101,6 +103,13 @@ class RadialMesh:
     @property
     def signature(self):
         return (self.n, self.h)
+
+    def coarsened(self):
+        """The mesh of n // 2 cells on the same [0, r_max]: step 2 h for an
+        even n, r_max / (n // 2) for an odd one."""
+        cells = self.n // 2
+        h = 2.0 * self.h if 2 * cells == self.n else self.r_max / cells
+        return RadialMesh(self.r_max, h, min_cells=8)
 
 
 def channel_reach(r_max, B0):

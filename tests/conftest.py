@@ -438,18 +438,19 @@ def offdiag_smallness(q, V, cluster):
     """Largest singular value (and the full list) of (1 - P_q) V P_q.
 
     For radial V the operator is channel-diagonal, so the singular values
-    are the norms of (1 - P_q) V v per cluster state v.
+    are the norms of (1 - P_q) V v per cluster state v.  A channel's states
+    share one mesh, which V is sampled on.
     """
-    mesh = cluster.states[0].mesh if len(cluster) else None
-    if mesh is None:
+    if not len(cluster):
         return OffdiagReport(q, np.empty(0), 0.0, [])
-    Vv = V.evaluate(mesh.nodes)
     by_channel = {}
     for i, v in enumerate(cluster.states):
         by_channel.setdefault(v.m, []).append(i)
     sigmas = []
     labels = []
     for m, idxs in by_channel.items():
+        mesh = cluster.states[idxs[0]].mesh
+        Vv = V.evaluate(mesh.nodes)
         for i in idxs:
             v = cluster.states[i]
             w = Vv * v.values

@@ -264,9 +264,10 @@ def test_acceptance_10_offdiagonal_smallness(headline_run):
     # to each diagonal entry and the compression stays diagonal
     cluster = comp.cluster
     assert len(set(cluster.ms.tolist())) == len(cluster)
-    Vv = V.evaluate(cluster.states[0].mesh.nodes)
+    # each state on its own mesh: h for m <= 1, the coarse mesh elsewhere
     tq_abs = np.sort(np.abs(build_Tq(1, cluster) + [
-        v.mesh.h * float(np.dot(Vv * v.values, v.values))
+        v.mesh.h * float(np.dot(V.evaluate(v.mesh.nodes) * v.values,
+                                v.values))
         for v in cluster.states]))[::-1]
     k = min(rep.singular_values.size, tq_abs.size)
     beyond = slice(5, k)

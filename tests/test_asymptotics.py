@@ -50,10 +50,35 @@ def labeled(c):
             for m, n, s in zip(c.ms, c.ns, c.shifts)}
 
 
+def raw_shifts(cfg, q, h, top=None):
+    """Raw window shifts E - 2 q B0 of the channels -q..top (m_max without
+    one) on the mesh h, keyed by label: every channel solved on one mesh,
+    as an oracle for compute_cluster's two."""
+    V = spin_down_form(cfg.operator, cfg.V, cfg.b)[0]
+    center = 2.0 * q * cfg.B0
+    gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, h))
+    top = cfg.m_max if top is None else top
+    ops = [build_channel("pauli_minus", m, gauge, V)
+           for m in range(-q, top + 1)]
+    channels = spectra.solve_channels(ops, center + cfg.gamma,
+                                      center - cfg.gamma)
+    return {(ch.op.m, ch.first + k): float(E - center)
+            for ch in channels for k, E in enumerate(ch.energies)}
+
+
+def richardson_reference(cfg, q):
+    """Shifts by label from raw one-mesh solves at h / 2 and h / 4,
+    Richardson-extrapolated: (4 E_{h/4} - E_{h/2}) / 3."""
+    half, quarter = (raw_shifts(cfg, q, cfg.h / k) for k in (2, 4))
+    return {k: (4.0 * quarter[k] - half[k]) / 3.0
+            for k in half.keys() & quarter.keys()}
+
+
 def test_cluster_states_are_the_only_copy(monkeypatch):
     # compute_cluster keeps one copy of each cluster eigenvector: every
     # state is a view of the vectors its channel solve returned, scaled in
-    # place, and holds the floats v / sqrt(h) of an independent solve
+    # place, and holds the floats v / sqrt(h) of an independent solve on
+    # the state's own mesh (h for m <= 1, the coarse mesh 2 h elsewhere)
     cfg = load_config(str(QUICK))
     solved = []
 
@@ -64,17 +89,24 @@ def test_cluster_states_are_the_only_copy(monkeypatch):
     monkeypatch.setattr(asymptotics, "solve_channels", recording)
     cluster = compute_cluster(cfg, 1).cluster
     monkeypatch.undo()
-    gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
-    fresh = {ch.op.m: ch for ch in spectra.solve_channels(
-        [build_channel("pauli_minus", ch.op.m, gauge, cfg.V)
-         for ch in solved], 2.5 + 1e-6, 1.5 - 1e-6)}
-    by_m = {ch.op.m: ch for ch in solved}
+    by_op = {id(ch.op): ch for ch in solved}
+    meshes = {op.mesh.h: op.mesh for op in cluster.operators.values()}
+    assert sorted(meshes) == [cfg.h, 2.0 * cfg.h]
+    fresh = {}
+    for mesh in meshes.values():
+        gauge = build_gauge(cfg.b, cfg.B0, mesh)
+        fresh.update((ch.op.m, ch) for ch in spectra.solve_channels(
+            [build_channel("pauli_minus", m, gauge, cfg.V)
+             for m, op in cluster.operators.items() if op.mesh is mesh],
+            2.5 + 1e-6, 1.5 - 1e-6))
     assert len(cluster) > 20
     for m, n, state in zip(cluster.ms, cluster.ns, cluster.states):
-        assert np.shares_memory(state.values, by_m[m].vectors)
+        op = cluster.operators[m]
+        assert state.mesh is op.mesh
+        assert np.shares_memory(state.values, by_op[id(op)].vectors)
         ch = fresh[m]
         v = ch.vectors[:, n - ch.first]
-        assert np.array_equal(state.values, v / math.sqrt(cfg.h))
+        assert np.array_equal(state.values, v / math.sqrt(state.mesh.h))
 
 
 class TestConfig:
@@ -252,32 +284,59 @@ class TestClusterReport:
     def test_count_matches_merged_table(self, b_power, monkeypatch, kind, V,
                                         sign, q):
         # N counts the cluster alone; the oracle is counting_function on the
-        # merged table of the same channel solves, at every row.  The grid
-        # also gets every |shift| in its range: a state exactly at lambda is
-        # a tie that both strict counts leave out.  The fields flip with the
-        # sign, so each sign counts a side that holds states.
-        tables, grid = [], asymptotics._lambda_grid
+        # merged tables of the same channel solves, one table per mesh, at
+        # every row.  The near-origin rows (m <= 1, mesh h) are counted at
+        # their reported energies, which are checked against the Richardson
+        # value (4 E_h - E_2h) / 3 of the same solves; every other cluster
+        # row is the raw 2 h eigenvalue.  The grid also gets every |shift|
+        # in its range: a state exactly at lambda is a tie that both strict
+        # counts leave out.  The fields flip with the sign, so each sign
+        # counts a side that holds states.
+        tables, solves, grid = [], [], asymptotics._lambda_grid
 
         def merged(channels):
             tables.append(spectra.assemble_spectrum(channels))
             return tables[-1]
 
+        def solving(ops, e_max, e_min=None):
+            solves.extend(spectra.solve_channels(ops, e_max, e_min))
+            return solves[-len(ops):]
+
         monkeypatch.setattr(asymptotics, "assemble_spectrum", merged)
+        monkeypatch.setattr(asymptotics, "solve_channels", solving)
         side = 1.0 if sign == "+" else -1.0
         comp = compute_cluster(VerificationConfig(
             operator=kind, b=b_power.scaled(side), V=V.scaled(side),
             sign=sign, r_max=16.0, h=0.02), q)
+        center, gamma = 2.0 * q, comp.cfg.gamma
+        E = {mesh_h: {(ch.op.m, ch.first + k): e for ch in solves
+                      if ch.op.mesh.h == mesh_h
+                      for k, e in enumerate(ch.energies)}
+             for mesh_h in (0.02, 0.04)}
+        reported = labeled(comp.cluster)
+        for (m, n), shift in reported.items():
+            if m <= 1:
+                assert shift == pytest.approx(
+                    (4.0 * E[0.02][m, n] - E[0.04][m, n]) / 3.0 - center,
+                    rel=0.0, abs=1e-14)
+            else:
+                assert shift == E[0.04][m, n] - center
+        assert [t.provenance["h"] for t in tables] == [0.02, 0.04]
+        moved = [replace(t, E=np.array([
+            center + reported[m, n] if (m, n) in reported else e
+            for m, n, e in zip(t.m.tolist(), t.n.tolist(), t.E)]))
+            for t in tables]
         ties = np.abs(comp.cluster.shifts)
         monkeypatch.setattr(asymptotics, "_lambda_grid", lambda lo, hi, k:
                             np.union1d(grid(lo, hi, k),
                                        ties[(ties >= lo) & (ties <= hi)]))
         report = cluster_asymptotics_report(comp)
-        center, gamma = 2.0 * q, comp.cfg.gamma
         window = [(center + lam, center + gamma) if sign == "+"
                   else (center - gamma, center - lam)
                   for lam in report.lambdas]
-        assert report.N.tolist() == [spectra.counting_function(tables[0], *w)
-                                     for w in window]
+        assert report.N.tolist() == [
+            sum(spectra.counting_function(t, *w) for t in moved)
+            for w in window]
 
     def test_ratio_near_one(self, small_run):
         _, _, report = small_run
@@ -347,17 +406,80 @@ class TestClusterReport:
 
 class TestDefectFloor:
     def test_floor_bounds_shift_error(self, small_cfg, small_run):
-        # the trust floor bounds the mesh error of every cluster shift,
-        # measured against Richardson on h/2 and h/4, without inflating it
+        # the floor, the Richardson correction |E_h - E_2h| / 3 of the
+        # near-origin channels m = -q..1, is their raw mesh-h error,
+        # measured against Richardson on h/2 and h/4, without inflating it;
+        # and it bounds the error of every reported shift: extrapolated for
+        # m <= 1, the raw 2 h eigenvalue elsewhere
         comp = small_run[0]
-        half, quarter = (
-            labeled(compute_cluster(replace(small_cfg, h=h), 1).cluster)
-            for h in (0.01, 0.005))
+        ref = richardson_reference(small_cfg, 1)
+        raw = raw_shifts(small_cfg, 1, small_cfg.h, top=1)
         shifts = labeled(comp.cluster)
-        assert set(shifts) <= set(half) & set(quarter)
-        worst = max(abs(s - (4.0 * quarter[k] - half[k]) / 3.0)
-                    for k, s in shifts.items())
+        assert set(shifts) <= set(ref)
+        worst = max(abs(raw[k] - ref[k]) for k in shifts if k[0] <= 1)
         assert worst <= comp.defect_floor <= 1.5 * worst
+        for k, s in shifts.items():
+            assert abs(s - ref[k]) <= comp.defect_floor
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", [
+        ProfileTerm("gaussian", 0.02, center=2.5, width=1.0),
+        ProfileTerm("bump", 0.02, inner=1.25, outer=3.25)])
+    def test_floor_bounds_sweep_fields(self, kind, shape):
+        # the benchmark sweep's q = 2 fields, power plus a gaussian or bump
+        # near the origin, with its V: the floor bounds every reported
+        # shift's error against Richardson on h/2 and h/4.  The raw 2 h
+        # shifts of m >= 2 are the tight part (margin 2.6x for pauli_plus
+        # with the gaussian, against 30x and more for the extrapolated ones)
+        cfg = VerificationConfig(
+            B0=1.0, operator=kind,
+            b=FieldSpec((ProfileTerm("power", 0.035, beta=-3.0), shape)),
+            V=FieldSpec.power(0.03, -2.8), r_max=16.0, h=0.02)
+        comp = compute_cluster(cfg, 2)
+        ref = richardson_reference(cfg, 2)
+        shifts = labeled(comp.cluster)
+        assert len(shifts) > 20
+        for k, s in shifts.items():
+            assert abs(s - ref[k]) <= comp.defect_floor
+
+    @pytest.mark.parametrize("kind, s", [("pauli_minus", 0),
+                                         ("schroedinger", 1),
+                                         ("pauli_plus", 2)])
+    def test_plateau_extrapolation_fourth_order(self, kind, s):
+        # closed form (the bump plateau below): the extrapolated shifts of
+        # the deep near-origin states (m = -q..1) converge at fourth order,
+        # their error falling by 16.00-16.01 per halving of h over
+        # h = 0.04 -> 0.02 -> 0.01 at q = 1, 2, 3, where the raw ones fall
+        # by 4
+        a = 0.05
+        b = FieldSpec((ProfileTerm("bump", a, inner=9.0, outer=11.0),))
+        for q in (1, 2, 3):
+            errors = []
+            for h in (0.04, 0.02, 0.01):
+                cluster = compute_cluster(VerificationConfig(
+                    B0=1.0, operator=kind, b=b, r_max=16.0, h=h), q).cluster
+                near = cluster.ms <= 1
+                assert np.count_nonzero(near) == q + 2
+                errors.append(np.max(np.abs(cluster.shifts[near]
+                                            - (2 * q + s) * a)))
+            ratios = np.array(errors[:-1]) / np.array(errors[1:])
+            assert np.all((15.0 <= ratios) & (ratios <= 17.0)), ratios
+
+    def test_odd_cell_count_takes_the_general_ratio(self, b_power):
+        # n = 801 cells coarsen to 400, rho = 801 / 400, and the near-origin
+        # shifts are (rho^2 E_h - E_H) / (rho^2 - 1): as accurate as at an
+        # even n, with the floor still the raw-h error
+        cfg = VerificationConfig(B0=1.0, b=b_power, r_max=16.02, h=0.02)
+        comp = compute_cluster(cfg, 1)
+        assert {op.mesh.n for op in comp.cluster.operators.values()} == {
+            801, 400}
+        ref = richardson_reference(cfg, 1)
+        raw = raw_shifts(cfg, 1, cfg.h, top=1)
+        shifts = labeled(comp.cluster)
+        worst = max(abs(raw[k] - ref[k]) for k in shifts if k[0] <= 1)
+        assert worst <= comp.defect_floor <= 1.5 * worst
+        for k, s in shifts.items():
+            assert abs(s - ref[k]) <= (0.01 if k[0] <= 1 else 1.0) * worst
 
     def test_floor_independent_of_channel_cut(self, small_cfg, small_run,
                                               monkeypatch):
@@ -378,10 +500,10 @@ class TestDefectFloor:
         # the field is B0 + a and the spin-down electric part is s a, so a
         # state whose orbit lies deep inside (m <= 6) sits at the level
         # 2 q (B0 + a) + s a: its shift is exactly (2 q + s) a up to
-        # exponentially small tails.  Floor over error reads 1.00008,
-        # 1.00091 and 1.036 for q = 1, 2, 3 on every kind: the margin here
-        # is thin, and TRUST_SAFETY = 10 is the real one.  A failure is a
-        # defect of the floor, not a tolerance to loosen.
+        # exponentially small tails.  Floor over error reads 279, 72 and 33
+        # for q = 1, 2, 3 on every kind, the error being the raw 2 h shift
+        # of channel 2.  A failure is a defect of the floor, not a
+        # tolerance to loosen.
         a = 0.05
         b = FieldSpec((ProfileTerm("bump", a, inner=9.0, outer=11.0),))
         cfg = VerificationConfig(B0=1.0, operator=kind, b=b, r_max=16.0,
@@ -471,12 +593,20 @@ class TestSecondCluster:
         cl = comp.cluster
         tq = np.sort(build_Tq(2, cl))[::-1]
         sh = np.sort(cl.shifts)[::-1]
+        # T_q compresses each state with the matrix it was solved with, so
+        # its eigenvalues are the raw shifts on each state's own mesh (h for
+        # m <= 1, 2 h elsewhere), from a second solve of that matrix
+        raw = []
+        for m, n in zip(cl.ms, cl.ns):
+            ch = spectra.solve_channel(cl.operators[m], 4.5, 3.5)
+            raw.append(ch.energies[n - ch.first] - 4.0)
+        raw = np.sort(raw)[::-1]
         basis = zero_mode_basis(comp.gauge, int(np.max(cl.ms)) + 2, [2],
                                 T0=FieldSpec())
         t0 = np.sort(build_T0(2, FieldSpec(), basis))[::-1]
         t0 /= coupling_constant(2, 1.0)
         k = len(sh) // 4
-        assert np.max(np.abs(tq[:k] - sh[:k]) / sh[:k]) < 1e-8
+        assert np.max(np.abs(tq[:k] - raw[:k]) / raw[:k]) < 1e-8
         # the q >= 2 ladder route carries the genuine sub-leading field
         # corrections; agreement on the top quartile stays inside 10%
         assert np.max(np.abs(t0[:k] - sh[:k]) / sh[:k]) < 0.10

@@ -424,6 +424,10 @@ EDGE_CONFIGS = {
     "R2": ({"mesh": {"r_max": 2.0, "h": 0.1}}, ()),  # m_max = 0
     "R3": ({"mesh": {"r_max": 3.0, "h": 0.1}}, ()),
     "R4": ({"mesh": {"r_max": 4.0, "h": 0.05}}, ()),
+    # an odd cell count (801, solved again on 400) and the least one (16,
+    # solved again on 8)
+    "n801": ({"mesh": {"r_max": 16.02, "h": 0.02}}, ()),
+    "n16": ({"mesh": {"r_max": 16.0, "h": 1.0}}, ()),
     "q4": ({"q": [4]}, ()),
     "q0-3": ({"q": [0, 1, 2, 3]}, ()),
     "minus-negative-V": ({"sign": "-", "V": _power(0.05, sign=-1)}, ()),
@@ -535,6 +539,7 @@ class TestSpectrum:
             flagged = int(np.count_nonzero(inside & (table["boundary_flag"]
                                                      == 1)))
             assert flagged > 0 and np.all(table["boundary_flag"][inside] == 1)
+            assert summary["clusters"][str(q)]["flagged"] == flagged
             assert message.startswith(f"q={q}:")
             assert f" {flagged} boundary-flagged" in message
             assert "enlarge r_max" in message
@@ -674,30 +679,68 @@ class TestVerify:
         assert detail["trust"][0] >= asymptotics.TRUST_SAFETY * max(
             detail["defect_floor"], detail["drift_estimate"])
 
-    def test_toeplitz_counts_V_once(self, tmp_path):
+    def test_toeplitz_counts_V_once(self, tmp_path, monkeypatch):
         # the cluster matrices carry V already, so the cluster-side Toeplitz
-        # operator must have the cluster shifts as its eigenvalues
+        # operator must have as its eigenvalues the cluster's raw shifts,
+        # each the eigenvalue of the matrix its state was solved with (mesh
+        # h for m <= 1, 2 h elsewhere), before any extrapolation
         path = write_config(
             tmp_path / "v.json",
             V={"terms": [{"kind": "power", "c": 0.03, "beta": -2.8}],
                "beta": -2.8})
+        solved, comps = {}, []
+        solve_channels = spectra.solve_channels
+        compute_cluster = asymptotics.compute_cluster
+
+        def recording_solve(*args, **kwargs):
+            channels = solve_channels(*args, **kwargs)
+            solved.update((id(ch.op), ch) for ch in channels)
+            return channels
+
+        def recording_cluster(*args, **kwargs):
+            comps.append(compute_cluster(*args, **kwargs))
+            return comps[-1]
+
+        monkeypatch.setattr(asymptotics, "solve_channels", recording_solve)
+        monkeypatch.setattr(asymptotics, "compute_cluster", recording_cluster)
         out = tmp_path / "out"
         main(["verify", "--config", str(path), "--out", str(out)])
         tq = json.loads((out / "toeplitz_eigs_q1.json").read_text())["Tq"]
+        cluster, = (comp.cluster for comp in comps)
+        raw = []
+        for m, n in zip(cluster.ms, cluster.ns):
+            ch = solved[id(cluster.operators[m])]
+            raw.append(ch.energies[n - ch.first] - 2.0)
         shifts = np.loadtxt(out / "clusters_q1.csv", delimiter=",",
                             skiprows=2, usecols=2)
-        assert np.allclose(sorted(tq), np.sort(shifts), rtol=0.0, atol=1e-9)
+        assert np.array_equal(shifts, cluster.shifts)
+        assert np.allclose(sorted(tq), np.sort(raw), rtol=0.0, atol=1e-9)
 
     def test_tiny_domain_fails_trust(self, tmp_path, capsys):
+        # on [0, 3] at h = 0.05 every state of the q = 1 window feels the
+        # wall, so no trusted lambda counts MIN_COUNT states; the defect
+        # floor (5.1e-3, the near-origin Richardson correction) is far below
+        # the window
         path = write_config(tmp_path / "tiny.json",
                             mesh={"r_max": 3.0, "h": 0.05})
         code = main(["verify", "--config", str(path),
                      "--out", str(tmp_path / "out")])
         assert code == 1
+        assert capsys.readouterr().err == (
+            "verification failed: no lambda satisfies the trust constraints "
+            "(N < 5 everywhere above the floor)\n")
+
+    def test_coarse_mesh_fails_on_defect_floor(self, tmp_path, capsys):
+        # the least mesh, 16 cells of h = 1 (solved again on 8): the mesh
+        # defect binds, and both floors are named
+        path = write_config(tmp_path / "coarse.json",
+                            mesh={"r_max": 16.0, "h": 1.0})
+        code = main(["verify", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
         err = capsys.readouterr().err
-        # the mesh defect at h = 0.05 on [0, 3] binds; both floors are named
-        assert "trust region empty: the defect floor" in err
-        assert "defect floor 3.22, drift floor 0)" in err
+        assert "trust region empty: the defect floor 1.1 reaches" in err
+        assert "(defect floor 1.1, drift floor " in err
 
     @pytest.mark.parametrize("b, reason", [
         # too weak a field: the cluster holds too few states at any lambda
@@ -797,8 +840,10 @@ class TestVerify:
         main(["verify", "--config", str(CONFIGS / "quick.json"),
               "--out", str(tmp_path / "out"), "--q", "1,2"])
         assert [c.q for c in comps] == [1, 2]
-        assert len(solved) == 2
-        for E, c in zip(solved, comps):
+        # two solves per q: the near-origin channels on h, all on 2 h
+        assert len(solved) == 4
+        for E, c in zip([np.concatenate(solved[:2]),
+                         np.concatenate(solved[2:])], comps):
             assert E.size >= 20
             assert np.all(np.abs(E - 2.0 * c.q * c.cfg.B0) < c.cfg.gamma)
 

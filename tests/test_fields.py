@@ -56,6 +56,13 @@ class TestProfiles:
             ProfileTerm("exotic", 1.0)
         with pytest.raises(ValueError):  # NaN fails every comparison
             ProfileTerm("power", 1.0, beta=math.nan)
+        # a power term needs its beta; a gaussian or bump term has none
+        with pytest.raises(ValueError, match="power profile needs beta"):
+            ProfileTerm("power", 1.0)
+        for kind in ("gaussian", "bump"):
+            assert ProfileTerm(kind, 1.0).beta is None
+            with pytest.raises(ValueError, match=f"{kind} profile takes no"):
+                ProfileTerm(kind, 1.0, beta=-3.0)
 
     def test_fieldspec_validation(self):
         # the decay class is derived from the terms, never declared: the

@@ -30,6 +30,20 @@ class TestMesh:
         with pytest.raises(ValueError):
             RadialMesh(0.1, 0.01)  # fewer than 16 cells
 
+    def test_coarsened(self):
+        # n // 2 cells on the same domain: 2 h for an even n, r_max / (n // 2)
+        # for an odd one; the least mesh, 16 cells, coarsens to 8, which no
+        # config may ask for
+        even = RadialMesh(16.0, 0.02).coarsened()
+        assert (even.n, even.h, even.r_max) == (400, 0.04, 16.0)
+        odd = RadialMesh(16.02, 0.02).coarsened()
+        assert (odd.n, odd.h) == (400, 16.02 / 400)
+        assert odd.r_max == pytest.approx(16.02, rel=1e-15)
+        least = RadialMesh(16.0, 1.0).coarsened()
+        assert (least.n, least.h) == (8, 2.0)
+        with pytest.raises(ValueError, match="at least 16 nodes"):
+            RadialMesh(16.0, 2.0)
+
     def test_cell_centers(self):
         mesh = RadialMesh(2.0, 0.1)
         assert mesh.n == 20
