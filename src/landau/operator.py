@@ -45,6 +45,7 @@ H(V) = P_-(V + b) + B0 and P_+(V) = P_-(V + 2b) + 2 B0 hold exactly in
 floating point when both sides are built from the same gauge data.
 """
 
+import functools
 import math
 from dataclasses import InitVar, dataclass
 
@@ -60,12 +61,14 @@ KINDS = ("pauli_minus", "pauli_plus", "schroedinger")
 _B_COPIES = {"pauli_minus": 0, "schroedinger": 1, "pauli_plus": 2}
 
 
+@functools.lru_cache(maxsize=16)
 def spin_down_form(kind, V, b):
     """Electric part and level shift (in units of B0) of the spin-down
     operator whose spectrum, shifted, is that of the operator `kind`.
 
     The electric part is V plus 0 / 1 / 2 copies of b: H(V) = P_-(V + b) + B0
-    and P_+(V) = P_-(V + 2b) + 2 B0.
+    and P_+(V) = P_-(V + 2b) + 2 B0.  Cached: every channel of a solve
+    asks for the same form, and a FieldSpec is immutable.
     """
     if kind not in _B_COPIES:
         raise ValueError(f"unknown operator kind {kind!r}")

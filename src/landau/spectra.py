@@ -1,5 +1,12 @@
 """Channel diagonalization, labeled spectra, clusters, counting functions.
 
+Every channel is solved window by window (solve_channel): the cluster
+solve of `landau verify` in the one window around its level, the full
+spectrum of `landau spectrum` in the windows between the midpoints of
+the unperturbed levels.  Sturm counts certify how many eigenvalues each
+window holds; inverse iteration solves a window with one, bisection
+(channel_eigs) any other.
+
 A cluster is the set of non-boundary states strictly inside
 (center - gamma, center + gamma); counting_function uses the same strict
 test, so counting over (center + lambda, center + gamma) gives the number
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceFailure, InconsistentProvenance
-from .operator import ChannelOperator, RadialFunction
+from .operator import _B_COPIES, ChannelOperator, RadialFunction
 
 
 # LAPACK, loaded on the first solve: importing this module loads no scipy,
@@ -89,28 +96,37 @@ def dgttrs(*args, **kwargs):
 
 
 def dlaebz(d, e, e2, pivmin, ab):
-    """LAPACK dlaebz, IJOB = 1, on one interval ab = [lo, hi]: (nab, info),
-    nab the numbers of eigenvalues <= lo and <= hi.  ctypes calls the
-    pointer that scipy.linalg.cython_lapack exports (scipy.linalg.lapack
-    has no dlaebz); LAPACK reads raw memory, so the arrays go in as
-    C-contiguous float64 of checked sizes.  Every argument goes in as an
-    integer address, which ctypes passes faster than a byref: the scalars
-    live in one float64 workspace, the integers in its upper half."""
+    """LAPACK dlaebz, IJOB = 1, on the intervals ab = [[lo, hi], ...]:
+    (nab, info), nab[j] the numbers of eigenvalues <= lo and <= hi of
+    interval j.  ctypes calls the pointer that scipy.linalg.cython_lapack
+    exports (scipy.linalg.lapack has no dlaebz); LAPACK reads raw memory,
+    so the arrays go in as C-contiguous float64 of checked sizes.  Every
+    argument goes in as an integer address, which ctypes passes faster
+    than a byref: the scalars live in one float64 workspace, the integers
+    in its upper part."""
     d, e, e2 = (np.ascontiguousarray(a, dtype=float) for a in (d, e, e2))
-    if min(e.size, e2.size) < d.size - 1 or len(ab) != 2:
-        raise ValueError("dlaebz needs n - 1 off-diagonals and two ends")
-    # doubles lo, hi, pivmin, x, then C ints one, zero, n, mout, info, nab[2]
-    work = np.zeros(8)
-    work[:3] = ab[0], ab[1], pivmin
-    ints = work[4:].view(np.intc)
-    ints[:3] = 1, 0, d.size
+    ab = np.asarray(ab, dtype=float)
+    if (min(e.size, e2.size) < d.size - 1 or ab.ndim != 2
+            or ab.shape[1] != 2 or not ab.size):
+        raise ValueError("dlaebz needs n - 1 off-diagonals and intervals "
+                         "of two ends")
+    k = len(ab)
+    # doubles AB(k, 2) (column-major: the lower ends, then the upper ends),
+    # pivmin, x, then C ints one, zero, n, k, mout, info, NAB(k, 2)
+    work = np.zeros(3 * k + 5)
+    work[:2 * k] = ab.T.ravel()
+    work[2 * k] = pivmin
+    ints = work[2 * k + 2:].view(np.intc)
+    ints[:4] = 1, 0, d.size, k
     bounds = work.ctypes.data
-    piv, x = bounds + 16, bounds + 24
-    one, zero, n, mout, info, nab = (bounds + 32 + 4 * k for k in range(6))
-    _dlaebz()(one, zero, n, one, one, zero, x, x, piv, d.ctypes.data,
-              e.ctypes.data, e2.ctypes.data, zero, bounds, x, mout, nab, x,
-              zero, info)  # x, zero: arguments IJOB = 1 does not read
-    return ints[5:7], int(ints[4])
+    piv, x = bounds + 16 * k, bounds + 16 * k + 8
+    one, zero, n, intervals, mout, info, nab = (bounds + 16 * k + 16 + 4 * j
+                                                for j in range(7))
+    # x, zero: the arguments IJOB = 1 does not read
+    _dlaebz()(one, zero, n, intervals, intervals, zero, x, x, piv,
+              d.ctypes.data, e.ctypes.data, e2.ctypes.data, zero, bounds, x,
+              mout, nab, x, zero, info)
+    return ints[6:].reshape(2, k).T, int(ints[5])
 
 
 @functools.cache
@@ -134,12 +150,12 @@ def channel_eigs(op, e_max, e_min=None):
 
     This is the LAPACK bisection / inverse-iteration path (stebz + stein)
     for symmetric tridiagonal matrices.  Without e_min every eigenpair up
-    to e_max is returned; the full spectrum (`landau spectrum`, the zero-mode
-    exactness check) is always solved here.  With e_min, bisection runs only
-    on (e_min, e_max]; solve_channel takes this path for a window with two
-    or more eigenvalues, or when its one-pair inverse iteration gives up.
-    An eigenvalue within roundoff of e_min may land on either side of it,
-    so callers keep e_min in a gap.
+    to e_max of the raw matrix is returned (the zero-mode exactness check
+    solves here).  With e_min, bisection runs only on (e_min, e_max];
+    solve_channel takes this path for a window with two or more
+    eigenvalues, or when its one-pair inverse iteration gives up.  An
+    eigenvalue within roundoff of e_min may land on either side of it, so
+    callers keep e_min in a gap.
 
     Ordering is ascending and eigenvector signs are fixed so the
     largest-magnitude component is positive.
@@ -188,7 +204,7 @@ _BACKWARD_ERROR = 16.0 * np.finfo(float).eps
 _SCRATCH_ROWS = 9  # _one_pair's factors d, dl, du, |T| (2) and step vectors
 
 
-def _one_pair(op, e_min, e_max, work=None):
+def _one_pair(op, e_min, e_max, work=None, extra=0):
     """The eigenpair of the one eigenvalue in (e_min, e_max], or None.
 
     Inverse iteration at the window midpoint from a vector of ones: LAPACK
@@ -203,6 +219,11 @@ def _one_pair(op, e_min, e_max, work=None):
     eps |E|, so a test scaled by |E| is never passed.  None (the caller
     falls back to bisection) when dgttrf reports a singular pivot, when
     the test fails after _MAX_STEPS steps, or when E leaves the window.
+    `extra` steps more follow the test.  It leaves up to
+    16 eps || |T| |v| || / gap of the neighboring levels in v (6e-11 at
+    R = 12, h = 0.01), where dstein's vectors hold 1e-12; a full spectrum
+    keeps several states of one channel, and one more step, which cuts
+    that part by |E - shift| / gap, makes them orthogonal to roundoff.
     All other n-sized arrays live in `work` ((_SCRATCH_ROWS, n), shared by
     a solve_channels call), so no step allocates; each operation and norm
     (sqrt(x.dot(x)), as np.linalg.norm) rounds as with fresh arrays.
@@ -231,23 +252,56 @@ def _one_pair(op, e_min, e_max, work=None):
             break
     else:
         return None
+    for _ in range(extra):
+        v, _ = dgttrs(dl, d, du, du2, ipiv, v, "N", 1)
+        v /= math.sqrt(v.dot(v))
     E, v = _polished(op, v, (res, tv, part[:-1]))
     return (E, v) if e_min < E <= e_max else None
 
 
-def _window_counts(op, e_min, e_max):
-    """Numbers of eigenvalues <= e_min and <= e_max, from one dlaebz call:
-    the Sturm count of dstebz, with dstebz's pivmin (a pivot of magnitude
-    below it counts as negative), so both counts are the ones dstebz gives.
+def _sturm_counts(op, points):
+    """Numbers of eigenvalues <= each point of the list `points`, from one
+    dlaebz call: the Sturm count of dstebz, with dstebz's pivmin (a pivot
+    of magnitude below it counts as negative), so every count is the one
+    dstebz gives.  The points go in as intervals of two; an odd last one
+    is counted twice.
     """
     e2 = np.square(op.offdiag, dtype=float)
     pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
-    nab, info = dlaebz(op.diag, op.offdiag, e2, pivmin, [e_min, e_max])
+    ends = np.array(points + points[-1:] * (len(points) % 2))
+    nab, info = dlaebz(op.diag, op.offdiag, e2, pivmin, ends.reshape(-1, 2))
     if info:
         raise ConvergenceFailure(
             f"Sturm count failed for kind={op.kind} m={op.m} "
             f"(n={op.mesh.n}, h={op.mesh.h}, info={info})")
-    return int(nab[0]), int(nab[1])
+    return tuple(nab.ravel().tolist()[:len(points)])
+
+
+def _level_edges(op, e_max):
+    """Edges of the level windows that cover (Gershgorin bound, e_max].
+
+    The edges are the midpoints (2k + 1 + s) B0, k >= -1, between the
+    unperturbed levels (2k + s) B0 of op.kind (s its level shift), so
+    each window but the bottom one is centered on its level.  They run
+    from the last one at or below the bound, or the bound itself when it
+    lies below (s - 1) B0, to the first one at or above e_max.  No edge
+    when the bound is at or above e_max; a bound that is not finite raises
+    ConvergenceFailure, as channel_eigs does for such a matrix.
+    """
+    lo = _lower_bound(op)
+    if lo >= e_max:
+        return []
+    if not math.isfinite(lo):  # a NaN, or an infinite off-diagonal
+        raise ConvergenceFailure(
+            f"tridiagonal solve failed for kind={op.kind} m={op.m} "
+            f"(n={op.mesh.n}, h={op.mesh.h}): non-finite matrix entry")
+    s, step = _B_COPIES[op.kind], 2.0 * op.B0
+    k = max(-1, math.floor((lo / op.B0 - 1 - s) / 2))
+    edges = [lo] if lo < (s - 1) * op.B0 else []
+    edges.append((2 * k + 1 + s) * op.B0)
+    while edges[-1] < e_max:
+        edges.append(edges[-1] + step)
+    return edges
 
 
 @dataclass
@@ -269,28 +323,45 @@ def solve_channel(op, e_max, e_min=None, work=None):
     """Eigenpairs in (e_min, e_max] and the number of eigenvalues at or
     below e_min.
 
-    Without e_min this is channel_eigs.  With it, the Sturm counts at
-    e_min (kept as `first`) and at e_max, both from one LAPACK dlaebz call
-    (_window_counts), certify how many eigenvalues lie in the window.
-    None: nothing else runs.  One: it comes from inverse iteration
-    (_one_pair), checked by a backward-error test and polished like a
-    channel_eigs pair.  Two or more, or an inverse iteration that gives
-    up: channel_eigs bisects the window.  `work` goes to _one_pair.
+    The range is solved window by window.  With e_min it is one window;
+    without, the level windows of _level_edges, whose bottom edge lies
+    below the spectrum.  Sturm counts at every edge and at e_max, all
+    from one LAPACK dlaebz call (_sturm_counts), certify how many
+    eigenvalues each window holds; the count at its bottom edge is kept
+    as `first`.  None: nothing else runs.  One: it comes from inverse
+    iteration (_one_pair) on the whole window, checked by a
+    backward-error test and polished like a channel_eigs pair (with one
+    step more in the level windows, whose states share a channel), and
+    the count at e_max decides whether it is kept when the window reaches
+    past e_max.  Two or more, or an inverse iteration that gives up:
+    channel_eigs bisects the window up to e_max.  `work` goes to
+    _one_pair.
     """
     if e_min is None:
-        first, pairs = 0, channel_eigs(op, e_max)
+        edges = _level_edges(op, e_max)
+        # the bottom edge lies below the Gershgorin bound: its count is 0
+        counts = ([0, *_sturm_counts(op, edges[1:] + [e_max])] if edges
+                  else [0, 0])
+        top = counts.pop()
+        extra = 1  # several states of one channel: see _one_pair
     else:
-        first, top = _window_counts(op, e_min, e_max)
-        pair = _one_pair(op, e_min, e_max, work) if top - first == 1 else None
-        pairs = ([pair] if pair else
-                 channel_eigs(op, e_max, e_min) if top > first else [])
+        edges = [e_min, e_max]
+        counts = _sturm_counts(op, edges)
+        top, extra = counts[1], 0
+    pairs = []
+    for lo, hi, below, upto in zip(edges, edges[1:], counts, counts[1:]):
+        if min(upto, top) <= below:
+            continue
+        pair = (_one_pair(op, lo, hi, work, extra) if upto - below == 1
+                else None)
+        pairs += [pair] if pair else channel_eigs(op, min(hi, e_max), lo)
     energies = np.array([e for e, _ in pairs], dtype=float)
     # each eigenvector column is contiguous: one pair's vector is kept as
     # it is (a copy per channel churns the heap top; README, "Heap churn"),
     # more pairs are copied in as rows and transposed
     vectors = (pairs[0][1][:, None] if len(pairs) == 1 else
                np.array([v for _, v in pairs]).reshape(-1, op.mesh.n).T)
-    return ChannelResult(op, energies, vectors, first)
+    return ChannelResult(op, energies, vectors, counts[0])
 
 
 def solve_channels(ops, e_max, e_min=None):

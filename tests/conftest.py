@@ -269,7 +269,7 @@ def _reference_matvec(diag, offdiag, v):
     return out
 
 
-def reference_one_pair(op, e_min, e_max):
+def reference_one_pair(op, e_min, e_max, extra=0):
     """spectra._one_pair, one fresh array per operation and
     np.linalg.norm for the norms."""
     shifted = op.diag - 0.5 * (e_min + e_max)
@@ -290,6 +290,9 @@ def reference_one_pair(op, e_min, e_max):
             break
     else:
         return None
+    for _ in range(extra):
+        x, _ = spectra.dgttrs(dl, d, du, du2, ipiv, v)
+        v = x / np.linalg.norm(x)
     if v[int(np.argmax(np.abs(v)))] < 0:
         v = -v
     tv = _reference_matvec(op.diag, op.offdiag, v)

@@ -353,7 +353,7 @@ class TestConfigValidation:
 def test_only_solve_commands_load_scipy(tmp_path):
     # in a fresh interpreter, the commands that solve nothing run without
     # scipy, and so without the LAPACK pointers of its cython_lapack; verify
-    # loads both, and spectrum scipy alone (it counts nothing).  Neither
+    # and spectrum load both (both Sturm-count their windows).  Neither
     # runs scipy.linalg's __init__: they load LAPACK from its compiled
     # modules
     env = dict(os.environ)
@@ -385,7 +385,7 @@ def test_only_solve_commands_load_scipy(tmp_path):
                     ["identities", 0, False, False, False],
                     ["verify", 0, True, True, False]]
     assert fresh("spectrum") == [False, False,
-                                 ["spectrum", 0, True, False, False]]
+                                 ["spectrum", 0, True, True, False]]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify", "weights",
@@ -873,8 +873,10 @@ class TestVerify:
         # every cluster and defect-floor channel holds at most one
         # eigenvalue of its window, so the Sturm counts and inverse
         # iteration solve them all; the stebz bisection never runs, and
-        # one dlaebz call counts each windowed channel
+        # one dlaebz call counts each windowed channel.  spectrum's level
+        # windows hold at most one eigenvalue each as well
         bisections, factors, steps, counts, windowed = [], [], [], [], []
+        reached = []  # whether the channel's Gershgorin bound is below e_max
         eigh_tridiagonal = spectra.eigh_tridiagonal
         dgttrf, dgttrs = spectra.dgttrf, spectra.dgttrs
         dlaebz, solve_channel = spectra.dlaebz, spectra.solve_channel
@@ -897,6 +899,7 @@ class TestVerify:
 
         def solving(op, e_max, e_min=None, **scratch):
             windowed.append(e_min is not None)
+            reached.append(spectra._lower_bound(op) < e_max)
             return solve_channel(op, e_max, e_min, **scratch)
 
         monkeypatch.setattr(spectra, "eigh_tridiagonal", bisecting)
@@ -913,13 +916,21 @@ class TestVerify:
         assert 3 * len(factors) <= len(steps) <= 6 * len(factors)
         assert len(windowed) > 100 and all(windowed)
         assert len(counts) == len(windowed)
-        # spectrum solves every channel from the bottom: no count runs
-        del windowed[:], counts[:]
+        # spectrum solves every channel by its level windows: one count
+        # for each channel that reaches below e_max, and one inverse
+        # iteration for each state of the table
+        for calls in (bisections, factors, steps, counts, windowed, reached):
+            del calls[:]
         code = main(["spectrum", "--config", str(CONFIGS / "quick.json"),
                      "--out", str(tmp_path / "spectrum")])
         assert code == 0
         assert len(windowed) > 50 and not any(windowed)
-        assert counts == []
+        assert len(counts) == sum(reached) > 50
+        assert len(bisections) == 0
+        with open(tmp_path / "spectrum" / "spectrum_summary.json") as fh:
+            assert len(factors) == json.load(fh)["states"] > 50
+        # a zero mode, the shift of its window, takes one step
+        assert len(factors) <= len(steps) <= 6 * len(factors)
 
     def test_toeplitz_spectra_per_channel_block(self, tmp_path, monkeypatch):
         # T_q and T_0 are per-state diagonals, sorted for their spectra.  On

@@ -7,7 +7,8 @@ from scipy.linalg import eigh_tridiagonal
 from landau.errors import MeshMismatch
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
 from landau.operator import (KINDS, RadialFunction, RadialMesh, build_channel,
-                             default_channel_cut, ladder_apply, zero_mode)
+                             default_channel_cut, ladder_apply,
+                             spin_down_form, zero_mode)
 from landau.spectra import channel_eigs
 
 from conftest import (channel_potential_direct, commutator_action, dense,
@@ -85,6 +86,27 @@ class TestChannelMatrix:
                             or evaluate(self, r))
         ops = [build_channel("schroedinger", m, gauge, V)
                for m in range(-3, 4)]
+        assert len(calls) == 1
+        for op, ref in zip(ops, fresh):
+            assert np.array_equal(op.diag, ref.diag)
+            assert np.array_equal(op.offdiag, ref.offdiag)
+
+    def test_spin_down_form_once_per_solve(self, b_power, monkeypatch):
+        # the electric part V + 2b of the pauli_plus channels is formed once
+        # per (kind, V, b), not once per channel; the matrices equal those
+        # built on a form made afresh for each channel
+        gauge = build_gauge(b_power, 1.0, RadialMesh(16.0, 0.02))
+        V = FieldSpec.power(0.03, -2.8)
+        fresh = []
+        for m in range(-3, 4):
+            spin_down_form.cache_clear()
+            fresh.append(build_channel("pauli_plus", m, gauge, V))
+        spin_down_form.cache_clear()
+        calls = []
+        add = FieldSpec.sum
+        monkeypatch.setattr(FieldSpec, "sum", staticmethod(
+            lambda a, b: calls.append(None) or add(a, b)))
+        ops = [build_channel("pauli_plus", m, gauge, V) for m in range(-3, 4)]
         assert len(calls) == 1
         for op, ref in zip(ops, fresh):
             assert np.array_equal(op.diag, ref.diag)

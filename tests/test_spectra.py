@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -5,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cluster_shifts, dense, reference_one_pair
+from conftest import (cluster_shifts, dense, load_perfbench,
+                      reference_one_pair)
 from landau import spectra
 from landau.cli import load_config
 from landau.errors import ConvergenceFailure, InconsistentProvenance
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
 from landau.operator import (ChannelOperator, RadialMesh, build_channel,
                              default_channel_cut)
-from landau.spectra import (assemble_spectrum, boundary_sensitivity,
-                            channel_eigs, cluster_states, counting_function,
-                            solve_channel, solve_channels)
+from landau.spectra import (ChannelResult, assemble_spectrum,
+                            boundary_sensitivity, channel_eigs,
+                            cluster_states, counting_function, solve_channel,
+                            solve_channels)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -157,8 +160,13 @@ def dstebz_count(op, e):
     return int(count)
 
 
+def dense_counts(op, points):
+    ref = np.linalg.eigvalsh(dense(op))
+    return tuple(int(np.count_nonzero(ref <= p)) for p in points)
+
+
 class TestWindowCounts:
-    # both Sturm counts of a window come from one dlaebz call
+    # every Sturm count of a channel comes from one dlaebz call
 
     def test_random_matrix_matches_eigvalsh(self):
         rng = np.random.default_rng(3)
@@ -172,7 +180,7 @@ class TestWindowCounts:
         for e_min in sigmas:
             for e_max in sigmas:
                 if e_min < e_max:
-                    assert (spectra._window_counts(op, e_min, e_max)
+                    assert (spectra._sturm_counts(op, [e_min, e_max])
                             == eigvalsh_counts(op, e_min, e_max))
 
     def test_quick_channels_match_dstebz(self):
@@ -185,7 +193,7 @@ class TestWindowCounts:
             e_min = center - cfg.gamma - 1e-6
             e_max = center + cfg.gamma + 1e-6
             for op in ops:
-                assert spectra._window_counts(op, e_min, e_max) == (
+                assert spectra._sturm_counts(op, [e_min, e_max]) == (
                     dstebz_count(op, e_min), dstebz_count(op, e_max))
 
     def test_zero_pivot_counts_as_negative(self):
@@ -198,11 +206,44 @@ class TestWindowCounts:
         off[:2] = 1.0
         op = synthetic_op(diag, off)
         assert eigvalsh_counts(op, 1.0, 1.5) == (1, 1)
-        assert spectra._window_counts(op, 1.0, 1.5) == (1, 1)
+        assert spectra._sturm_counts(op, [1.0, 1.5]) == (1, 1)
+
+    def test_several_intervals_match_eigvalsh(self, monkeypatch):
+        # one call counts any number of points, odd or even, in any order
+        rng = np.random.default_rng(13)
+        n = 200
+        op = ChannelOperator("pauli_minus", 0, RadialMesh(float(n), 1.0),
+                             rng.uniform(-1.0, 1.0, n),
+                             rng.uniform(-1.0, 1.0, n - 1), 1.0)
+        ref = np.linalg.eigvalsh(dense(op))
+        gaps = 0.5 * (ref[:-1] + ref[1:])
+        points = [ref[-1] + 1.0, *gaps[[150, 3, 77, 77, 120]], ref[0] - 1.0]
+        calls = recorded(monkeypatch, "dlaebz")
+        for k in range(1, len(points) + 1):
+            assert (spectra._sturm_counts(op, points[:k])
+                    == dense_counts(op, points[:k]))
+        assert len(calls) == len(points)
+        nab, info = spectra.dlaebz(op.diag, op.offdiag, op.offdiag ** 2,
+                                   1e-300, np.reshape(points[:6], (3, 2)))
+        assert info == 0 and nab.shape == (3, 2)
+        assert tuple(nab.ravel().tolist()) == dense_counts(op, points[:6])
+
+    def test_zero_pivot_among_several_intervals(self):
+        # the exact +0 pivot of test_zero_pivot_counts_as_negative, at
+        # either end of an interval and in an odd last one
+        diag = np.concatenate([[1.0, 1.0, 5.0], np.arange(10.0, 23.0)])
+        off = np.zeros(15)
+        off[:2] = 1.0
+        op = synthetic_op(diag, off)
+        for points in ([0.5, 1.0, 1.5, 3.0, 30.0], [1.0, 1.0, 11.5],
+                       [30.0, 1.0]):
+            assert spectra._sturm_counts(op, points) == dense_counts(op,
+                                                                     points)
+        assert spectra._sturm_counts(op, [1.0]) == (1,)
 
     def test_diagonal_matrix(self):
         op = synthetic_op(np.arange(1.0, 17.0), np.zeros(15))
-        assert spectra._window_counts(op, 4.0, 16.0) == (4, 16)
+        assert spectra._sturm_counts(op, [4.0, 16.0]) == (4, 16)
 
     @pytest.mark.parametrize("layout", ["strided", "int"])
     def test_non_contiguous_and_int_data(self, layout):
@@ -219,15 +260,17 @@ class TestWindowCounts:
                              off, 1.0)
         for e_min, e_max in ((2.5, 6.5), (-5.0, 4.25), (3.1, 30.0)):
             expected = eigvalsh_counts(op, e_min, e_max)
-            assert spectra._window_counts(op, e_min, e_max) == expected
+            assert spectra._sturm_counts(op, [e_min, e_max]) == expected
             assert solve_channel(op, e_max, e_min).first == expected[0]
 
     def test_short_arrays_rejected(self):
         # LAPACK would read past the end of a short off-diagonal
         d = np.ones(16)
-        for e, e2, ab in ((np.ones(14), np.ones(15), [0.0, 1.0]),
-                          (np.ones(15), np.ones(14), [0.0, 1.0]),
-                          (np.ones(15), np.ones(15), [0.0])):
+        for e, e2, ab in ((np.ones(14), np.ones(15), [[0.0, 1.0]]),
+                          (np.ones(15), np.ones(14), [[0.0, 1.0]]),
+                          (np.ones(15), np.ones(15), [[0.0]]),
+                          (np.ones(15), np.ones(15), [0.0, 1.0]),
+                          (np.ones(15), np.ones(15), np.empty((0, 2)))):
             with pytest.raises(ValueError):
                 spectra.dlaebz(d, e, e2, 1e-300, ab)
 
@@ -311,7 +354,8 @@ class TestLapackBindings:
     @pytest.mark.parametrize("where", ["diag", "offdiag"])
     def test_non_finite_entry_is_a_convergence_failure(self, where):
         # scipy rejects the matrix before LAPACK sees it; so does spectra,
-        # and channel_eigs reports it as a numeric failure (exit 3)
+        # and channel_eigs reports it as a numeric failure (exit 3), as
+        # does the full solve, whose level windows need a finite bound
         import scipy.linalg
         op = binding_ops()[0][1]
         getattr(op, where)[17] = np.nan
@@ -325,6 +369,9 @@ class TestLapackBindings:
             with pytest.raises(ConvergenceFailure,
                                match="tridiagonal solve failed"):
                 channel_eigs(op, 2.5 + 1e-6, e_min)
+        with pytest.raises(ConvergenceFailure,
+                           match="tridiagonal solve failed"):
+            solve_channel(op, 2.5 + 1e-6)
 
 
 def recorded(monkeypatch, name):
@@ -372,13 +419,15 @@ class TestOnePairSolve:
             assert abs(ch.energies[0] - E) <= 1e-11
             assert np.max(np.abs(ch.vectors[:, 0] - v)) <= 1e-10
 
-    def test_full_solve_counts_nothing(self, monkeypatch):
-        # without e_min (landau spectrum) every eigenvalue up to e_max is
-        # solved from the bottom: no Sturm count runs
+    def test_full_solve_counts_once_per_channel(self, monkeypatch):
+        # without e_min (landau spectrum) one dlaebz call per channel counts
+        # every level window below e_max; each holds at most one eigenvalue,
+        # so inverse iteration solves them all and no bisection runs
         ops, _, e_max = window_ops()
         counts = recorded(monkeypatch, "dlaebz")
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
         channels = solve_channels(ops[:4], e_max)
-        assert counts == []
+        assert len(counts) == 4 and bisections == []
         assert all(ch.first == 0 and ch.energies.size for ch in channels)
 
     def test_two_eigenvalues_fall_back_to_bisection(self, monkeypatch):
@@ -467,6 +516,141 @@ class TestOnePairSolve:
             assert ch.first == (1 if op.m >= 0 else 0)
         assert bisections == [] and factors == [] and steps == []
         assert len(counts) == 5
+
+
+def bisected(op, e_max):
+    """channel_eigs' bisection of every eigenvalue up to e_max, as the
+    ChannelResult of the full solve."""
+    pairs = channel_eigs(op, e_max)
+    vectors = (np.column_stack([v for _, v in pairs]) if pairs
+               else np.empty((op.mesh.n, 0)))
+    return ChannelResult(op, np.array([E for E, _ in pairs]), vectors, 0)
+
+
+def assert_same_states(got, want, tol=1e-11):
+    """Two spectrum tables hold the same labels and flags, and the same
+    energies by label up to tol."""
+    rows = [{(m, n): (E, flag) for m, n, E, flag in zip(
+        t.m.tolist(), t.n.tolist(), t.E.tolist(), t.boundary.tolist())}
+        for t in (got, want)]
+    assert rows[0].keys() == rows[1].keys()
+    for label, (E, flag) in rows[0].items():
+        assert flag == rows[1][label][1]
+        assert abs(E - rows[1][label][0]) <= tol
+
+
+SWEEP_SPECTRA = [call.config
+                 for scenario in load_perfbench("workloads").sweep(0)
+                 for call in scenario.calls if call.command == "spectrum"]
+
+
+class TestLevelWindows:
+    # without e_min, solve_channel splits (Gershgorin bound, e_max] at the
+    # midpoints between the unperturbed levels and solves each window that
+    # holds one eigenvalue by inverse iteration, any other by bisection
+
+    @pytest.mark.parametrize("kind, lowest, e_max, edges", [
+        ("pauli_minus", 0.5, 4.0, [-1.0, 1.0, 3.0, 5.0]),
+        ("schroedinger", 0.5, 4.0, [-0.5, 0.0, 2.0, 4.0]),
+        ("pauli_plus", 0.5, 4.5, [-0.5, 1.0, 3.0, 5.0]),
+        ("pauli_minus", 10.5, 10.0, [9.0, 11.0]),
+        ("pauli_minus", 11.5, 10.0, []),
+    ])
+    def test_edges(self, kind, lowest, e_max, edges):
+        # a diagonal matrix: its Gershgorin bound is lowest - 1
+        op = synthetic_op(np.arange(lowest, lowest + 16.0), np.zeros(15),
+                          kind=kind)
+        assert spectra._level_edges(op, e_max) == edges
+
+    @pytest.mark.parametrize("raw", SWEEP_SPECTRA, ids=lambda raw:
+                             f"{raw['operator']}-q{raw['q'][0]}")
+    def test_sweep_spectra_match_bisection(self, raw, tmp_path,
+                                           monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        cfg = load_config(str(path))
+        gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
+        ops = [build_channel(cfg.operator, m, gauge, cfg.V)
+               for m in range(-cfg.m_max, cfg.m_max + 1)]
+        want = assemble_spectrum([bisected(op, cfg.e_max) for op in ops])
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        got = assemble_spectrum(solve_channels(ops, cfg.e_max))
+        assert bisections == []
+        assert len(got) > 40
+        assert_same_states(got, want)
+
+    def test_two_in_one_window_bisect_that_window_only(self, monkeypatch):
+        # a repulsive well at the origin lifts the two lowest states of
+        # channel 0 into the window (1, 3] of level 2; the states of
+        # channel 8 live off the well and keep one per window
+        gauge = build_gauge(FieldSpec.power(0.05, -3.0), 1.0,
+                            RadialMesh(16.0, 0.02))
+        V = FieldSpec((ProfileTerm("gaussian", 3.0, width=1.0),))
+        ops = [build_channel("pauli_minus", m, gauge, V) for m in (0, 8)]
+        want = assemble_spectrum([bisected(op, 3.0) for op in ops])
+        assert np.count_nonzero((want.m == 0) & (want.E > 1.0)) == 2
+        assert np.count_nonzero(want.m == 8) == 2
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        factors = recorded(monkeypatch, "dgttrf")
+        got = assemble_spectrum(solve_channels(ops, 3.0))
+        assert [args[2:] for args in bisections] == [(1.0, 3.0)]
+        assert len(factors) == 2
+        assert_same_states(got, want)
+
+    def test_give_up_bisects_that_window_only(self, monkeypatch):
+        # the iteration on level 2's window of channel 0 gives up; its
+        # other windows, and every window of the other channels, are still
+        # solved by inverse iteration
+        ops, _, e_max = window_ops()
+        want = assemble_spectrum([bisected(op, e_max) for op in ops])
+        one_pair = spectra._one_pair
+
+        def giving_up(op, e_min, *args, **kwargs):
+            if (op.m, e_min) == (0, 1.0):
+                return None
+            return one_pair(op, e_min, *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "_one_pair", giving_up)
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        got = assemble_spectrum(solve_channels(ops, e_max))
+        # the top window (1, 3] reaches past e_max: bisected up to e_max
+        assert [args[2:] for args in bisections] == [(1.0, e_max)]
+        assert_same_states(got, want)
+
+    @pytest.mark.parametrize("e_max", [4.0, 5.0], ids=["level", "edge"])
+    def test_top_window(self, e_max, monkeypatch):
+        # e_max on level 4 splits its window: the iteration runs on the
+        # whole window, and the Sturm count at e_max keeps its state or
+        # drops it.  An attractive V puts 18 of the 51 level-4 states at or
+        # below 4.  e_max on an edge ends the last window.
+        gauge = build_gauge(FieldSpec.power(0.05, -3.0), 1.0,
+                            RadialMesh(16.0, 0.02))
+        ops = [build_channel("pauli_minus", m, gauge,
+                             FieldSpec.power(-0.12, -2.8))
+               for m in range(-2, default_channel_cut(16.0, 1.0) + 1)]
+        want = assemble_spectrum([bisected(op, e_max) for op in ops])
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        got = assemble_spectrum(solve_channels(ops, e_max))
+        assert bisections == []
+        assert_same_states(got, want)
+        top = np.count_nonzero(want.E > 3.0)
+        assert top == (18 if e_max == 4.0 else len(ops))
+
+    def test_states_of_one_channel_are_orthogonal(self, mesh_small,
+                                                  gauge_power):
+        # each window's iteration takes one step past its backward-error
+        # test, so the states of one channel are orthogonal to roundoff,
+        # as the bisection's dstein vectors are; the step is the one of
+        # conftest's fresh-array oracle, bit for bit
+        op = build_channel("pauli_minus", 0, gauge_power, FieldSpec())
+        ch = solve_channel(op, 6.5)
+        assert ch.energies.size == 4
+        gram = ch.vectors.T @ ch.vectors
+        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-12
+        for k, E in enumerate(ch.energies):
+            E_ref, v_ref = reference_one_pair(op, 2.0 * k - 1.0,
+                                              2.0 * k + 1.0, extra=1)
+            assert E == E_ref and np.array_equal(ch.vectors[:, k], v_ref)
 
 
 def small_table(gauge, mesh, m_range, e_max=3.0, V=FieldSpec(),
