@@ -101,7 +101,6 @@ def run(out):
     os.makedirs(out, exist_ok=True)
     if os.listdir(out):
         raise SystemExit(f"{out} is not empty")
-    os.environ["LANDAU_LOG"] = "quiet"
     exits = {}
     cwd = os.getcwd()
     os.chdir(out)

@@ -39,8 +39,7 @@ COMMANDS = ("spectrum", "verify", "weights", "toeplitz", "identities")
 def timed_call(tree, command, config, out):
     """Wall seconds and peak RSS in MiB of one fresh-process call on the
     checkout `tree`."""
-    env = dict(os.environ, LANDAU_LOG="quiet",
-               PYTHONPATH=os.path.join(tree, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     with tempfile.TemporaryFile(mode="w+") as err:
         start = time.perf_counter()
         call = subprocess.Popen(

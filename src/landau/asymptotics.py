@@ -35,8 +35,8 @@ from .errors import TrustRegionEmpty, UnboundedSet
 from .fields import (EffectiveWeight, FieldSpec, GaugeData, build_gauge,
                      effective_weight, superlevel_measure, superlevel_radius,
                      superlevel_scan)
-from .operator import (KINDS, RadialMesh, build_channel, default_channel_cut,
-                       spin_down_form)
+from .operator import (B_COPIES, KINDS, RadialMesh, build_channel,
+                       default_channel_cut, spin_down_form)
 from .spectra import (CountingReport, assemble_spectrum, cluster_states,
                       solve_channels)
 
@@ -106,8 +106,8 @@ class VerificationConfig:
     @property
     def e_max(self):
         """One level above the top cluster, past the operator's shift."""
-        shift = spin_down_form(self.operator, self.V, self.b)[1]
-        return (2.0 * max(self.q_list) + 2.0 + shift) * self.B0
+        return ((2.0 * max(self.q_list) + 2.0 + B_COPIES[self.operator])
+                * self.B0)
 
 
 @dataclass

@@ -14,12 +14,12 @@ first solve loads scipy's compiled LAPACK modules (spectra._lapack), never
 the scipy.linalg package.  Each command returns its exit code and summary;
 main writes the summary to <command>_summary.json and, with --json, prints
 it.  Exit codes: 0 pass, 1 verification failure, 2 config error, 3 numeric
-failure.  LANDAU_LOG selects verbosity (debug / info / quiet).
+failure.  A run reports through these artifacts, stdout, stderr and its exit
+code only.
 """
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -32,9 +32,7 @@ from .asymptotics import _BAND_DEFAULTS, VerificationConfig
 from .errors import ConfigError, LandauError, TrustRegionEmpty
 from .fields import (_N_BISECT, FieldSpec, ProfileTerm, build_gauge,
                      check_regularity, counting_measure, effective_weight)
-from .operator import RadialMesh, build_channel, spin_down_form
-
-log = logging.getLogger("landau")
+from .operator import B_COPIES, RadialMesh, build_channel, spin_down_form
 
 
 # the band N/E must stay in, and the largest relative deviation allowed
@@ -238,10 +236,7 @@ def _meta(cfg, **extra):
 
 
 def cmd_spectrum(cfg, out, as_json):
-    mesh = RadialMesh(cfg.r_max, cfg.h)
-    log.info("spectrum: %d cells, channels |m| <= %d, kind %s",
-             mesh.n, cfg.m_max, cfg.operator)
-    gauge = build_gauge(cfg.b, cfg.B0, mesh)
+    gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
     write_csv(os.path.join(out, "gauge.csv"),
               ["r", "B", "A_theta", "psi", "Psi"], gauge.rows(), _meta(cfg))
 
@@ -253,7 +248,7 @@ def cmd_spectrum(cfg, out, as_json):
               ["m", "n", "E", "boundary_flag"], table.rows(),
               _meta(cfg, e_max=cfg.e_max))
 
-    shift = spin_down_form(cfg.operator, cfg.V, cfg.b)[1] * cfg.B0
+    shift = B_COPIES[cfg.operator] * cfg.B0
     summary = {"config": cfg.hash, "operator": cfg.operator,
                "states": len(table), "clusters": {}}
     for q in cfg.q_list:
@@ -263,9 +258,9 @@ def cmd_spectrum(cfg, out, as_json):
         flagged = int(np.count_nonzero(table.boundary & (table.E > lo)
                                        & (table.E < hi)))
         if n_in == 0 and flagged:
-            log.warning("q=%d: no state counted in the window, but %d "
-                        "boundary-flagged states lie inside it; enlarge "
-                        "r_max", q, flagged)
+            print(f"q={q}: no state counted in the window, but {flagged} "
+                  "boundary-flagged states lie inside it; enlarge r_max",
+                  file=sys.stderr)
         summary["clusters"][str(q)] = {"center": center, "count": n_in,
                                        "flagged": flagged}
         if not as_json:
@@ -345,10 +340,7 @@ def cmd_identities(cfg, out, as_json):
 def _verify_one_q(cfg, q, out, shared):
     """Counting, Toeplitz, and identity checks for one Landau index; the
     checks that do not depend on q are kept in `shared`."""
-    log.info("verify q=%d: solving channels m in [%d, %d]", q, -q, cfg.m_max)
     comp = asymptotics.compute_cluster(cfg, q)
-    log.info("verify q=%d: %d cluster states, defect floor %.3g",
-             q, len(comp.cluster), comp.defect_floor)
     checks = {}
     detail = {"q": q}
 
@@ -464,13 +456,6 @@ _COMMANDS = {
 }
 
 
-def _setup_logging():
-    level = {"debug": logging.DEBUG, "info": logging.INFO,
-             "quiet": logging.ERROR}.get(
-                 os.environ.get("LANDAU_LOG", "").lower(), logging.WARNING)
-    logging.basicConfig(level=level, format="%(name)s %(levelname)s %(message)s")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="landau",
@@ -483,7 +468,6 @@ def main(argv=None):
     parser.add_argument("--q", default=None,
                         help="comma-separated Landau indices, overrides config")
     args = parser.parse_args(argv)
-    _setup_logging()
 
     try:
         cfg = load_config(args.config, args.q)

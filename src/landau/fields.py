@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from ._quadrature import panel_integrals
-from .errors import DegenerateWeight, UnboundedSet
+from .errors import DegenerateWeight, LandauError, UnboundedSet
 
 _KINDS = ("power", "gaussian", "bump")
 
@@ -269,8 +269,9 @@ def superlevel_scan(weight, lams, sign="+", *, r_max):
     piecewise monotone profile whose crossings are resolved on the sampling
     grid.  sign * W is sampled once on the grid; every crossing of every lam
     is then located by one shared bisection of _N_BISECT steps (about 1e-12
-    absolute in r).  The first lam in order that is not positive, or whose
-    closed set has more than _MAX_CROSSINGS crossings, raises ValueError.
+    absolute in r).  The first lam in order that is not positive raises
+    ValueError, and the first whose closed set has more than _MAX_CROSSINGS
+    crossings raises LandauError.
     """
     lams = np.asarray(lams, dtype=float)
     s = _parse_sign(sign)
@@ -295,7 +296,8 @@ def superlevel_scan(weight, lams, sign="+", *, r_max):
     if np.any(bad):
         if lams[np.argmax(bad)] <= 0:
             raise ValueError("lambda must be positive")
-        raise ValueError(f"more than {_MAX_CROSSINGS} crossings of W - lambda")
+        raise LandauError(f"more than {_MAX_CROSSINGS} crossings of W - "
+                          "lambda")
 
     # grouped by lam, each group in grid order; open sets are not bisected
     keep = np.lexsort((step, which))

@@ -58,7 +58,7 @@ KINDS = ("pauli_minus", "pauli_plus", "schroedinger")
 
 # copies of b folded into the electric part, also the constant shift in
 # units of B0
-_B_COPIES = {"pauli_minus": 0, "schroedinger": 1, "pauli_plus": 2}
+B_COPIES = {"pauli_minus": 0, "schroedinger": 1, "pauli_plus": 2}
 
 
 @functools.lru_cache(maxsize=16)
@@ -70,9 +70,9 @@ def spin_down_form(kind, V, b):
     and P_+(V) = P_-(V + 2b) + 2 B0.  Cached: every channel of a solve
     asks for the same form, and a FieldSpec is immutable.
     """
-    if kind not in _B_COPIES:
+    if kind not in B_COPIES:
         raise ValueError(f"unknown operator kind {kind!r}")
-    copies = float(_B_COPIES[kind])
+    copies = float(B_COPIES[kind])
     return (FieldSpec.sum(V, b.scaled(copies)) if copies else V), copies
 
 

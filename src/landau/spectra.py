@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceFailure, InconsistentProvenance
-from .operator import _B_COPIES, ChannelOperator, RadialFunction
+from .operator import B_COPIES, ChannelOperator, RadialFunction
 
 
 # LAPACK, loaded on the first solve: importing this module loads no scipy,
@@ -295,7 +295,7 @@ def _level_edges(op, e_max):
         raise ConvergenceFailure(
             f"tridiagonal solve failed for kind={op.kind} m={op.m} "
             f"(n={op.mesh.n}, h={op.mesh.h}): non-finite matrix entry")
-    s, step = _B_COPIES[op.kind], 2.0 * op.B0
+    s, step = B_COPIES[op.kind], 2.0 * op.B0
     k = max(-1, math.floor((lo / op.B0 - 1 - s) / 2))
     edges = [lo] if lo < (s - 1) * op.B0 else []
     edges.append((2 * k + 1 + s) * op.B0)

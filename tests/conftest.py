@@ -119,7 +119,7 @@ def superlevel_intervals_per_lambda(weight, lam, sign="+", *, r_max,
         )
     idx = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
     if idx.size > max_crossings:
-        raise ValueError(f"more than {max_crossings} crossings of W - lambda")
+        raise LandauError(f"more than {max_crossings} crossings of W - lambda")
     lo = grid[idx]
     hi = grid[idx + 1]
     glo = g[idx]

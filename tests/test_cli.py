@@ -1,5 +1,4 @@
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -468,9 +467,41 @@ def test_edge_configurations(variant, command, tmp_path, capsys):
     assert code in ((0, 1) if command == "verify" else (0,))
     assert "Traceback" not in err
     if code == 0:
-        assert err == ""
+        # a passing run writes to stderr only spectrum's warnings, one per
+        # window that counts no state but holds flagged ones (R3, R4)
+        summary = json.loads(
+            (tmp_path / "out" / f"{command}_summary.json").read_text())
+        empty = [q for q, c in summary.get("clusters", {}).items()
+                 if c["count"] == 0 and c["flagged"]]
+        assert [line.split(":")[0] for line in err.splitlines()] == [
+            f"q={q}" for q in empty]
+        assert all(line.endswith("; enlarge r_max")
+                   for line in err.splitlines())
     else:
         assert err.count("\n") == 1 or (err == "" and "FAIL" in out)
+
+
+# V as 90 gaussians of alternating sign: W - lambda crosses zero more than
+# superlevel_scan resolves, so the commands that scan it exit 3
+CROSSING_V = {"terms": [
+    {"kind": "gaussian", "amp": 0.02 * (-1) ** k, "center": 0.3 + 0.17 * k,
+     "width": 0.04} for k in range(90)]}
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("spectrum", 0), ("verify", 3), ("weights", 3), ("toeplitz", 0),
+    ("identities", 0)])
+def test_crossing_limit_config(command, expected, tmp_path, capsys):
+    config = json.loads((CONFIGS / "quick.json").read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(config, V=CROSSING_V)))
+    code = main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err and err.count("\n") <= 1
+    if code == 3:
+        assert err == "numeric failure: more than 64 crossings of W - lambda\n"
 
 
 class TestSpectrum:
@@ -518,20 +549,18 @@ class TestSpectrum:
         assert counts["pauli_plus"] == counts["pauli_minus"]
         assert all(n > 0 for n in counts["pauli_plus"].values())
 
-    def test_empty_window_warns_when_flagged(self, tmp_path, caplog):
+    def test_empty_window_warns_when_flagged(self, tmp_path, capsys):
         # at R = 8 every state in the q = 0, 1 windows is boundary-flagged,
-        # so the counts are 0; the run says why
+        # so the counts are 0; the run says why on stderr
         path = write_config(tmp_path / "small.json", q=[0, 1],
                             mesh={"r_max": 8.0, "h": 0.02})
         out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING, logger="landau"):
-            assert main(["spectrum", "--config", str(path),
-                         "--out", str(out)]) == 0
+        assert main(["spectrum", "--config", str(path),
+                     "--out", str(out)]) == 0
         summary = json.loads((out / "spectrum_summary.json").read_text())
         table = np.genfromtxt(out / "spectrum_pauli_minus.csv", delimiter=",",
                               names=True, comments="#", skip_header=1)
-        warned = [r.getMessage() for r in caplog.records
-                  if r.levelno == logging.WARNING]
+        warned = capsys.readouterr().err.splitlines()
         assert len(warned) == 2
         for q, message in zip((0, 1), warned):
             assert summary["clusters"][str(q)]["count"] == 0
@@ -562,11 +591,10 @@ class TestSpectrum:
             counts[name] = summary["clusters"]["3"]["count"]
         assert counts["flag"] == counts["config"] > 0
 
-    def test_full_window_does_not_warn(self, cfg_path, tmp_path, caplog):
-        with caplog.at_level(logging.WARNING, logger="landau"):
-            assert main(["spectrum", "--config", str(cfg_path),
-                         "--out", str(tmp_path / "out")]) == 0
-        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    def test_full_window_does_not_warn(self, cfg_path, tmp_path, capsys):
+        assert main(["spectrum", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_meta_header_carries_hash(self, cfg_path, tmp_path):
         out = tmp_path / "out"

@@ -86,7 +86,6 @@ def test_compare_artifacts(tmp_path, monkeypatch, capsys):
     # is listed with its largest absolute and relative difference.  The
     # script runs two quick calls instead of its full list.
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
-    monkeypatch.setenv("LANDAU_LOG", "quiet")  # the script sets it
     script = load_script("compare_artifacts.py")
     quick = json.loads((ROOT / "configs" / "quick.json").read_text())
     monkeypatch.setattr(script, "calls", lambda: [
