@@ -31,9 +31,11 @@ largest absolute and relative difference of every float column (CSV), key
 (JSON, list indices folded into `[]`) or number in a line of text is
 printed; differences that are not between two finite floats (row or list
 counts, integers, flags, strings, NaN) are listed apart, after all files,
-as OTHER's value -> OUT's value.  Two CSVs with different row counts, and
-two JSON lists of different lengths, are listed by their counts only, not
-compared element by element.
+as OTHER's value -> OUT's value.  The rows of a CSV with `m` and `n`
+columns (a spectrum or a cluster table) pair up by that label, and labels
+on one side only are listed as such.  Two other CSVs with different row
+counts, and two JSON lists of different lengths, are listed by their
+counts only, not compared element by element.
 OUT must be empty or absent.
 """
 
@@ -193,12 +195,34 @@ def _diff_csv(a, b, diff):
     if not rows_a or not rows_b or head != rows_b[0]:
         diff.note("columns", f"{rows_a[:1]} -> {rows_b[:1]}")
         return
-    if len(rows_a) != len(rows_b):  # rows no longer pair up by position
-        diff.note("rows", f"{len(rows_a) - 1} -> {len(rows_b) - 1}")
-        return
-    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+    pairs = _by_label(head, rows_a[1:], rows_b[1:], diff)
+    if pairs is None:
+        if len(rows_a) != len(rows_b):  # rows no longer pair up by position
+            diff.note("rows", f"{len(rows_a) - 1} -> {len(rows_b) - 1}")
+            return
+        pairs = zip(rows_a[1:], rows_b[1:])
+    for row_a, row_b in pairs:
         for name, x, y in zip(head, row_a, row_b):
             diff.value(name, _scalar(x), _scalar(y))
+
+
+def _by_label(head, rows_a, rows_b, diff):
+    """Rows of a CSV with `m` and `n` columns, paired by the label (m, n):
+    a roundoff reorder of near-equal E is then no difference.  Labels on
+    one side only are noted as such.  None when the CSV has no such
+    columns or a label repeats."""
+    if not {"m", "n"} <= set(head):
+        return None
+    m, n = head.index("m"), head.index("n")
+    a, b = ({(row[m], row[n]): row for row in rows}
+            for rows in (rows_a, rows_b))
+    if len(a) != len(rows_a) or len(b) != len(rows_b):
+        return None
+    for side, only in (("OTHER", a.keys() - b.keys()),
+                       ("OUT", b.keys() - a.keys())):
+        for label in sorted(only, key=lambda k: tuple(map(_scalar, k))):
+            diff.note(f"labels only in {side}", "(%s, %s)" % label)
+    return [(row, b[key]) for key, row in a.items() if key in b]
 
 
 def _diff_json(a, b, diff, name=""):

@@ -26,7 +26,7 @@ def write_csv(path, columns, rows, meta):
     """CSV with one leading comment line carrying provenance key=values."""
     head = " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())
     lines = [f"# {head}", ",".join(columns)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     lines.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

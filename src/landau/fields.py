@@ -171,8 +171,11 @@ class GaugeData:
                 2.0 * (quarter_h2 * (i[:-1] + 0.25) - dpsi_next))
 
     def rows(self):
-        r = self.mesh.nodes
-        return zip(r, self.B_total, self.A_theta, self.psi, self.Psi_total)
+        """(r, B, A_theta, psi, Psi) rows of Python floats, which format
+        faster than numpy scalars and to the same repr."""
+        return zip(*(column.tolist() for column in (
+            self.mesh.nodes, self.B_total, self.A_theta, self.psi,
+            self.Psi_total)))
 
 
 def _face_psi(psi):

@@ -5,7 +5,9 @@ solve of `landau verify` in the one window around its level, the full
 spectrum of `landau spectrum` in the windows between the midpoints of
 the unperturbed levels.  Sturm counts certify how many eigenvalues each
 window holds; inverse iteration solves a window with one, bisection
-(channel_eigs) any other.
+(channel_eigs) any other.  A window's eigenvalue moves smoothly with the
+channel m, so solve_channels starts each channel's iteration from the
+pair extrapolated from the same window of the channels before it.
 
 A cluster is the set of non-boundary states strictly inside
 (center - gamma, center + gamma); counting_function uses the same strict
@@ -189,13 +191,17 @@ def channel_eigs(op, e_max, e_min=None):
     return pairs
 
 
-def _polished(op, v, work=(None, None, None)):
+def _polished(op, v, work=(None, None, None), tv=None):
     """(Rayleigh quotient, v) with v's largest-magnitude component positive;
-    with `work` (rows of n, n, n - 1) v flips in place, products go there."""
-    magnitude, tv, part = work
+    with `work` (rows of n, n, n - 1) v flips in place, products go there.
+    `tv`, the product T v already computed, saves the matvec: negating v
+    negates T v exactly, so the quotient is the same float either way."""
+    magnitude, out, part = work
+    tv = op.matvec(v, out, part) if tv is None else tv
+    E = float(np.dot(v, tv) / np.dot(v, v))
     if v[int(np.argmax(np.abs(v, out=magnitude)))] < 0:
         v = -v if magnitude is None else np.negative(v, out=v)
-    return float(np.dot(v, op.matvec(v, tv, part)) / np.dot(v, v)), v
+    return E, v
 
 
 # inverse iteration: step limit and backward-error factor; see _one_pair
@@ -204,26 +210,32 @@ _BACKWARD_ERROR = 16.0 * np.finfo(float).eps
 _SCRATCH_ROWS = 9  # _one_pair's factors d, dl, du, |T| (2) and step vectors
 
 
-def _one_pair(op, e_min, e_max, work=None, extra=0):
+def _one_pair(op, e_min, e_max, work=None, extra=0, start=None, shift=None):
     """The eigenpair of the one eigenvalue in (e_min, e_max], or None.
 
-    Inverse iteration at the window midpoint from a vector of ones: LAPACK
-    dgttrf factors the shifted matrix once, and each step is one dgttrs
-    solve with that factorization.  The window holds one eigenvalue and is
-    symmetric about the shift, so that eigenvalue is the one nearest the
-    shift.  The iteration stops when the residual passes the componentwise
-    backward-error test ||T v - E v|| <= 16 eps || |T| |v| || with E the
-    Rayleigh quotient: (E, v) is then an exact eigenpair of a matrix
-    whose entries differ from T's by a few ulps each.  The residual floor
-    is eps times the local stencil size (~4 / h^2 in the inner cells), not
-    eps |E|, so a test scaled by |E| is never passed.  None (the caller
-    falls back to bisection) when dgttrf reports a singular pivot, when
-    the test fails after _MAX_STEPS steps, or when E leaves the window.
+    Inverse iteration at `shift` (default the window midpoint) from
+    `start` (default a vector of ones; the array is solved in place and
+    returned as the eigenvector): LAPACK dgttrf factors the shifted matrix
+    once, and each step is one dgttrs solve with that factorization.  The
+    iteration converges to the eigenvalue nearest the shift.  At the
+    midpoint of a window with one eigenvalue that is the window's own; from
+    another shift it may be a neighboring window's, which the check that E
+    lies in the window rejects.  The iteration stops when the residual
+    passes the componentwise backward-error test
+    ||T v - E v|| <= 16 eps || |T| |v| || with E the Rayleigh quotient:
+    (E, v) is then an exact eigenpair of a matrix whose entries differ
+    from T's by a few ulps each.  The residual floor is eps times the
+    local stencil size (~4 / h^2 in the inner cells), not eps |E|, so a
+    test scaled by |E| is never passed.  None (the caller falls back) when
+    dgttrf reports a singular pivot, when the test fails after _MAX_STEPS
+    steps, or when E leaves the window.
     `extra` steps more follow the test.  It leaves up to
     16 eps || |T| |v| || / gap of the neighboring levels in v (6e-11 at
     R = 12, h = 0.01), where dstein's vectors hold 1e-12; a full spectrum
     keeps several states of one channel, and one more step, which cuts
     that part by |E - shift| / gap, makes them orthogonal to roundoff.
+    Without one, E is the quotient of the last test step, polished like
+    a channel_eigs pair.
     All other n-sized arrays live in `work` ((_SCRATCH_ROWS, n), shared by
     a solve_channels call), so no step allocates; each operation and norm
     (sqrt(x.dot(x)), as np.linalg.norm) rounds as with fresh arrays.
@@ -231,7 +243,8 @@ def _one_pair(op, e_min, e_max, work=None, extra=0):
     n = op.mesh.n
     work = np.empty((_SCRATCH_ROWS, n)) if work is None else work
     d, dl, du, abs_d, abs_off, tv, scale, res, part = work
-    np.subtract(op.diag, 0.5 * (e_min + e_max), out=d)
+    shift = 0.5 * (e_min + e_max) if shift is None else shift
+    np.subtract(op.diag, shift, out=d)
     dl, du = dl[:-1], du[:-1]
     dl[:], du[:] = op.offdiag, op.offdiag
     dl, d, du, du2, ipiv, info = dgttrf(dl, d, du, overwrite_dl=1,
@@ -240,7 +253,7 @@ def _one_pair(op, e_min, e_max, work=None, extra=0):
         return None
     magnitudes = replace(op, diag=np.abs(op.diag, out=abs_d),
                          offdiag=np.abs(op.offdiag, out=abs_off[:-1]))
-    v = np.ones(n)
+    v = np.ones(n) if start is None else start
     for _ in range(_MAX_STEPS):
         v, _ = dgttrs(dl, d, du, du2, ipiv, v, "N", 1)  # solved in place
         v /= math.sqrt(v.dot(v))
@@ -255,8 +268,36 @@ def _one_pair(op, e_min, e_max, work=None, extra=0):
     for _ in range(extra):
         v, _ = dgttrs(dl, d, du, du2, ipiv, v, "N", 1)
         v /= math.sqrt(v.dot(v))
-    E, v = _polished(op, v, (res, tv, part[:-1]))
+    E, v = _polished(op, v, (res, tv, part[:-1]), None if extra else tv)
     return (E, v) if e_min < E <= e_max else None
+
+
+def _guess(seen, e_min, e_max):
+    """(start, shift) for _one_pair on the window (e_min, e_max] of the
+    next channel, extrapolated from the pairs `seen` (newest first) of the
+    same window in the channels solved before it: the last pair, or the
+    line or parabola through the last two or three, for both E and v
+    (weights 1; 2, -1; 3, -3, 1).  start is one fresh array, so no stored
+    eigenvector is ever solved in place.  The shift is the extrapolated E
+    when it lies in the middle half of the window, else the midpoint."""
+    E, v = seen[0]
+    start = np.copy(v) if len(seen) == 1 else np.subtract(v, seen[1][1])
+    if len(seen) == 2:  # v1 + (v1 - v2)
+        E += E - seen[1][0]
+        start += v
+    elif len(seen) == 3:  # 3 (v1 - v2) + v3
+        E = 3.0 * (E - seen[1][0]) + seen[2][0]
+        start *= 3.0
+        start += seen[2][1]
+    quarter = 0.25 * (e_max - e_min)
+    inside = e_min + quarter <= E <= e_max - quarter
+    return start, E if inside else 0.5 * (e_min + e_max)
+
+
+def _non_finite(op):
+    return ConvergenceFailure(
+        f"tridiagonal solve failed for kind={op.kind} m={op.m} "
+        f"(n={op.mesh.n}, h={op.mesh.h}): non-finite matrix entry")
 
 
 def _sturm_counts(op, points):
@@ -264,10 +305,15 @@ def _sturm_counts(op, points):
     dlaebz call: the Sturm count of dstebz, with dstebz's pivmin (a pivot
     of magnitude below it counts as negative), so every count is the one
     dstebz gives.  The points go in as intervals of two; an odd last one
-    is counted twice.
+    is counted twice.  A NaN entry raises ConvergenceFailure, as in
+    channel_eigs: dlaebz counts no NaN pivot, so its window would be
+    skipped.
     """
     e2 = np.square(op.offdiag, dtype=float)
-    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    largest = float(e2.max(initial=0.0))
+    if math.isnan(largest + float(op.diag.min())):
+        raise _non_finite(op)
+    pivmin = np.finfo(float).tiny * max(1.0, largest)
     ends = np.array(points + points[-1:] * (len(points) % 2))
     nab, info = dlaebz(op.diag, op.offdiag, e2, pivmin, ends.reshape(-1, 2))
     if info:
@@ -292,9 +338,7 @@ def _level_edges(op, e_max):
     if lo >= e_max:
         return []
     if not math.isfinite(lo):  # a NaN, or an infinite off-diagonal
-        raise ConvergenceFailure(
-            f"tridiagonal solve failed for kind={op.kind} m={op.m} "
-            f"(n={op.mesh.n}, h={op.mesh.h}): non-finite matrix entry")
+        raise _non_finite(op)
     s, step = B_COPIES[op.kind], 2.0 * op.B0
     k = max(-1, math.floor((lo / op.B0 - 1 - s) / 2))
     edges = [lo] if lo < (s - 1) * op.B0 else []
@@ -319,7 +363,7 @@ class ChannelResult:
     first: int
 
 
-def solve_channel(op, e_max, e_min=None, work=None):
+def solve_channel(op, e_max, e_min=None, work=None, history=None):
     """Eigenpairs in (e_min, e_max] and the number of eigenvalues at or
     below e_min.
 
@@ -333,9 +377,12 @@ def solve_channel(op, e_max, e_min=None, work=None):
     backward-error test and polished like a channel_eigs pair (with one
     step more in the level windows, whose states share a channel), and
     the count at e_max decides whether it is kept when the window reaches
-    past e_max.  Two or more, or an inverse iteration that gives up:
-    channel_eigs bisects the window up to e_max.  `work` goes to
-    _one_pair.
+    past e_max.  With a `history` (see solve_channels) that holds pairs of
+    the window, the iteration starts from their extrapolation (_guess),
+    and if that gives up, once more from ones at the midpoint; the pair
+    found, by either or by bisection, enters the history.  Two or more,
+    or an inverse iteration that gives up: channel_eigs bisects the window
+    up to e_max.  `work` goes to _one_pair.
     """
     if e_min is None:
         edges = _level_edges(op, e_max)
@@ -352,9 +399,18 @@ def solve_channel(op, e_max, e_min=None, work=None):
     for lo, hi, below, upto in zip(edges, edges[1:], counts, counts[1:]):
         if min(upto, top) <= below:
             continue
-        pair = (_one_pair(op, lo, hi, work, extra) if upto - below == 1
-                else None)
-        pairs += [pair] if pair else channel_eigs(op, min(hi, e_max), lo)
+        if upto - below > 1:
+            pairs += channel_eigs(op, min(hi, e_max), lo)
+            continue
+        # the predicted pair; failing that, or with no history, from ones
+        seen = [] if history is None else history.setdefault(hi, [])
+        pair = (_one_pair(op, lo, hi, work, extra, *_guess(seen, lo, hi))
+                if seen else None)
+        pair = pair or _one_pair(op, lo, hi, work, extra)
+        found = [pair] if pair else channel_eigs(op, min(hi, e_max), lo)
+        if len(found) == 1:
+            seen[:] = [*found, *seen[:2]]
+        pairs += found
     energies = np.array([e for e, _ in pairs], dtype=float)
     # each eigenvector column is contiguous: one pair's vector is kept as
     # it is (a copy per channel churns the heap top; README, "Heap churn"),
@@ -365,9 +421,15 @@ def solve_channel(op, e_max, e_min=None, work=None):
 
 
 def solve_channels(ops, e_max, e_min=None):
-    """Solve channels of one mesh in order, sharing _one_pair's scratch."""
+    """Solve channels of one mesh in order, sharing _one_pair's scratch and
+    one history: the window's upper edge, which every channel shares
+    (e_max for the cluster window, the level midpoint for a level window),
+    maps to its last three one-state pairs, newest first, from which
+    solve_channel predicts the next channel's pair."""
     work = np.empty((_SCRATCH_ROWS, ops[0].mesh.n)) if ops else None
-    return [solve_channel(op, e_max, e_min, work=work) for op in ops]
+    history = {}
+    return [solve_channel(op, e_max, e_min, work=work, history=history)
+            for op in ops]
 
 
 # a state is boundary-flagged when its norm fraction in the outer tenth of

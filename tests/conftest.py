@@ -269,16 +269,17 @@ def _reference_matvec(diag, offdiag, v):
     return out
 
 
-def reference_one_pair(op, e_min, e_max, extra=0):
+def reference_one_pair(op, e_min, e_max, extra=0, start=None, shift=None):
     """spectra._one_pair, one fresh array per operation and
     np.linalg.norm for the norms."""
-    shifted = op.diag - 0.5 * (e_min + e_max)
+    shift = 0.5 * (e_min + e_max) if shift is None else shift
+    shifted = op.diag - shift
     dl, d, du, du2, ipiv, info = spectra.dgttrf(op.offdiag, shifted,
                                                 op.offdiag, overwrite_d=1)
     if info:
         return None
     abs_diag, abs_off = np.abs(op.diag), np.abs(op.offdiag)
-    v = np.ones(op.mesh.n)
+    v = np.ones(op.mesh.n) if start is None else start
     for _ in range(spectra._MAX_STEPS):
         x, _ = spectra.dgttrs(dl, d, du, du2, ipiv, v)
         v = x / np.linalg.norm(x)

@@ -77,12 +77,15 @@ def richardson_reference(cfg, q):
 def test_cluster_states_are_the_only_copy(monkeypatch):
     # compute_cluster keeps one copy of each cluster eigenvector: every
     # state is a view of the vectors its channel solve returned, scaled in
-    # place, and holds the floats v / sqrt(h) of an independent solve on
-    # the state's own mesh (h for m <= 1, the coarse mesh 2 h elsewhere)
+    # place, and holds the floats v / sqrt(h) of an independent solve of
+    # the same channel sequence on the state's own mesh (h for m <= 1, the
+    # coarse mesh 2 h elsewhere), since each channel starts from the ones
+    # solved before it
     cfg = load_config(str(QUICK))
-    solved = []
+    solved, sequences = [], []
 
     def recording(ops, e_max, e_min=None):
+        sequences.append(([op.m for op in ops], ops[0].mesh, e_max, e_min))
         solved.extend(spectra.solve_channels(ops, e_max, e_min))
         return solved[-len(ops):]
 
@@ -92,19 +95,19 @@ def test_cluster_states_are_the_only_copy(monkeypatch):
     by_op = {id(ch.op): ch for ch in solved}
     meshes = {op.mesh.h: op.mesh for op in cluster.operators.values()}
     assert sorted(meshes) == [cfg.h, 2.0 * cfg.h]
+    assert [mesh.h for _, mesh, _, _ in sequences] == [cfg.h, 2.0 * cfg.h]
     fresh = {}
-    for mesh in meshes.values():
+    for ms, mesh, e_max, e_min in sequences:
         gauge = build_gauge(cfg.b, cfg.B0, mesh)
-        fresh.update((ch.op.m, ch) for ch in spectra.solve_channels(
-            [build_channel("pauli_minus", m, gauge, cfg.V)
-             for m, op in cluster.operators.items() if op.mesh is mesh],
-            2.5 + 1e-6, 1.5 - 1e-6))
+        fresh.update(((ch.op.m, mesh.h), ch) for ch in spectra.solve_channels(
+            [build_channel("pauli_minus", m, gauge, cfg.V) for m in ms],
+            e_max, e_min))
     assert len(cluster) > 20
     for m, n, state in zip(cluster.ms, cluster.ns, cluster.states):
         op = cluster.operators[m]
         assert state.mesh is op.mesh
         assert np.shares_memory(state.values, by_op[id(op)].vectors)
-        ch = fresh[m]
+        ch = fresh[m, op.mesh.h]
         v = ch.vectors[:, n - ch.first]
         assert np.array_equal(state.values, v / math.sqrt(state.mesh.h))
 

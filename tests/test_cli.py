@@ -940,8 +940,9 @@ class TestVerify:
         assert code == 0
         assert len(bisections) == 0
         assert len(steps) > 100
-        # one factorization per one-pair channel, 3 to 6 steps on each
-        assert 3 * len(factors) <= len(steps) <= 6 * len(factors)
+        # one factorization per one-pair channel, 1 to 6 steps on each: a
+        # channel starts from the pairs solved before it
+        assert len(factors) <= len(steps) <= 6 * len(factors)
         assert len(windowed) > 100 and all(windowed)
         assert len(counts) == len(windowed)
         # spectrum solves every channel by its level windows: one count

@@ -84,13 +84,13 @@ def test_time_commands(monkeypatch, capsys):
 def test_compare_artifacts(tmp_path, monkeypatch, capsys):
     # two runs of the same calls compare equal; a float changed in one CSV
     # is listed with its largest absolute and relative difference.  The
-    # script runs two quick calls instead of its full list.
+    # script runs three quick calls instead of its full list.
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
     script = load_script("compare_artifacts.py")
     quick = json.loads((ROOT / "configs" / "quick.json").read_text())
     monkeypatch.setattr(script, "calls", lambda: [
         (command, script.workloads.Call(command, quick))
-        for command in ("weights", "toeplitz")])
+        for command in ("weights", "toeplitz", "spectrum")])
     first, second, third = (str(tmp_path / name) for name in "abc")
     assert script.main([first]) == 0
     assert script.main([second, "--against", first]) == 0
@@ -124,6 +124,26 @@ def test_compare_artifacts(tmp_path, monkeypatch, capsys):
     assert (f"  weights/weights_q1_+.csv: rows: 1 (first {rows} -> "
             f"{rows + 1})") in out
     assert out[-1].endswith(" 1 differ")
+
+    # the rows of a spectrum pair up by their label (m, n): two swapped
+    # rows differ in bytes only, and a dropped row is a label on one side
+    spectrum = tmp_path / "a" / "spectrum" / "spectrum_pauli_minus.csv"
+    lines = spectrum.read_text().splitlines(keepends=True)
+    lines[2], lines[3] = lines[3], lines[2]
+    spectrum.write_text("".join(lines))
+    assert script.main([str(tmp_path / "e"), "--against", first]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "differs: spectrum/spectrum_pauli_minus.csv" in out
+    assert not any(line.startswith("  spectrum/") for line in out)
+    assert out[-1].endswith(" 2 differ")
+    m, n = lines[4].split(",")[:2]
+    del lines[4]
+    spectrum.write_text("".join(lines))
+    assert script.main([str(tmp_path / "f"), "--against", first]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert (f"  spectrum/spectrum_pauli_minus.csv: labels only in OUT: 1 "
+            f"(first ({m}, {n}))") in out
+    assert not any(line.startswith("  E:") for line in out)
 
 
 def test_compare_artifacts_json_lists(monkeypatch):

@@ -13,7 +13,7 @@ from landau.cli import load_config
 from landau.errors import ConvergenceFailure, InconsistentProvenance
 from landau.fields import FieldSpec, ProfileTerm, build_gauge
 from landau.operator import (ChannelOperator, RadialMesh, build_channel,
-                             default_channel_cut)
+                             default_channel_cut, spin_down_form)
 from landau.spectra import (ChannelResult, assemble_spectrum,
                             boundary_sensitivity, channel_eigs,
                             cluster_states, counting_function, solve_channel,
@@ -355,7 +355,8 @@ class TestLapackBindings:
     def test_non_finite_entry_is_a_convergence_failure(self, where):
         # scipy rejects the matrix before LAPACK sees it; so does spectra,
         # and channel_eigs reports it as a numeric failure (exit 3), as
-        # does the full solve, whose level windows need a finite bound
+        # does the full solve, whose level windows need a finite bound, and
+        # the window solve, whose Sturm counts would skip a NaN pivot
         import scipy.linalg
         op = binding_ops()[0][1]
         getattr(op, where)[17] = np.nan
@@ -369,9 +370,28 @@ class TestLapackBindings:
             with pytest.raises(ConvergenceFailure,
                                match="tridiagonal solve failed"):
                 channel_eigs(op, 2.5 + 1e-6, e_min)
-        with pytest.raises(ConvergenceFailure,
-                           match="tridiagonal solve failed"):
-            solve_channel(op, 2.5 + 1e-6)
+        for e_min in (None, 1.5):
+            with pytest.raises(ConvergenceFailure,
+                               match="tridiagonal solve failed"):
+                solve_channel(op, 2.5, e_min)
+
+
+def started(monkeypatch):
+    """(m, start, shift, solved) of each spectra._one_pair call: a copy of
+    the start vector before the iteration overwrites it (None for ones),
+    the shift (None for the midpoint), and whether a pair came back."""
+    calls = []
+    one_pair = spectra._one_pair
+
+    def wrapper(op, e_min, e_max, work=None, extra=0, start=None,
+                shift=None):
+        copy = None if start is None else start.copy()
+        pair = one_pair(op, e_min, e_max, work, extra, start, shift)
+        calls.append((op.m, copy, shift, pair is not None))
+        return pair
+
+    monkeypatch.setattr(spectra, "_one_pair", wrapper)
+    return calls
 
 
 def recorded(monkeypatch, name):
@@ -412,7 +432,9 @@ class TestOnePairSolve:
         assert bisections == []
         assert len(counts) == len(ops)  # one count call per channel
         assert len(factors) == len(ops)  # one factorization per channel
-        assert 3 * len(ops) <= len(steps) <= 6 * len(ops)
+        # each channel starts from the pairs of those before it: from one
+        # step (a guess that passes the test at once) to 6 on average
+        assert len(ops) <= len(steps) <= 6 * len(ops)
         for ch in channels:
             (E, v), = channel_eigs(ch.op, e_max, e_min)
             assert ch.energies.size == 1
@@ -489,19 +511,27 @@ class TestOnePairSolve:
 
     def test_headline_pairs_match_oracle(self, monkeypatch, gauge_headline):
         # the in-place iteration, its scratch array shared by the channels
-        # of one solve, gives conftest's fresh-array iteration bit for bit
+        # of one solve, gives conftest's fresh-array iteration bit for bit,
+        # from the start vector and shift the solve used; _one_pair alone
+        # starts from ones at the midpoint, as the oracle does by default
         cut = default_channel_cut(30.0, 1.0)
         ops = [build_channel("pauli_minus", m, gauge_headline, FieldSpec())
                for m in (-1, 0, 1, 2, 7, 30, 100, cut)]
         bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        starts = started(monkeypatch)
         channels = solve_channels(ops, 2.5, 1.5)
         assert bisections == []
-        for ch in channels:
-            E, v = reference_one_pair(ch.op, 1.5, 2.5)
+        assert [m for m, _, _, _ in starts] == [op.m for op in ops]
+        assert all(start is not None for _, start, _, _ in starts[1:])
+        monkeypatch.undo()
+        for ch, (_, start, shift, _) in zip(channels, starts):
+            E, v = reference_one_pair(ch.op, 1.5, 2.5, start=start,
+                                      shift=shift)
             assert ch.energies.tolist() == [E]
             assert np.array_equal(ch.vectors[:, 0], v)
             E_alone, v_alone = spectra._one_pair(ch.op, 1.5, 2.5)
-            assert E_alone == E and np.array_equal(v_alone, v)
+            E_ones, v_ones = reference_one_pair(ch.op, 1.5, 2.5)
+            assert E_alone == E_ones and np.array_equal(v_alone, v_ones)
 
     def test_empty_window_solves_nothing(self, monkeypatch):
         ops, _, _ = window_ops()
@@ -651,6 +681,170 @@ class TestLevelWindows:
             E_ref, v_ref = reference_one_pair(op, 2.0 * k - 1.0,
                                               2.0 * k + 1.0, extra=1)
             assert E == E_ref and np.array_equal(ch.vectors[:, k], v_ref)
+
+
+def headline_bulk():
+    """The channels -1..cut of the headline field on the coarse mesh of
+    the headline's cluster solve (R = 30, h = 0.01), and its window."""
+    gauge = build_gauge(FieldSpec.power(0.05, -3.0), 1.0,
+                        RadialMesh(30.0, 0.005).coarsened())
+    ops = [build_channel("pauli_minus", m, gauge, FieldSpec())
+           for m in range(-1, default_channel_cut(30.0, 1.0) + 1)]
+    return ops, 1.5 - 1e-6, 2.5 + 1e-6
+
+
+class TestPredictedPairs:
+    # solve_channels starts each one-state window of a channel from the
+    # pair extrapolated from the same window of the channels before it;
+    # every certificate of the pair stays as it is
+
+    def test_guess_extrapolates(self):
+        v1, v2, v3 = (np.array([a, 1.0, 2.0]) for a in (4.0, 2.0, 1.0))
+        seen = [(2.0, v1), (2.125, v2), (2.5, v3)]
+        guesses = [spectra._guess(seen[:k], 1.0, 3.0) for k in (1, 2, 3)]
+        assert [(shift, start.tolist()) for start, shift in guesses] == [
+            (2.0, [4.0, 1.0, 2.0]), (1.875, [6.0, 1.0, 2.0]),
+            (2.125, [7.0, 1.0, 2.0])]
+        # one fresh array each: no stored vector is solved in place
+        assert not any(np.shares_memory(start, v) for start, _ in guesses
+                       for v in (v1, v2, v3))
+        assert [v.tolist() for v in (v1, v2, v3)] == [
+            [4.0, 1.0, 2.0], [2.0, 1.0, 2.0], [1.0, 1.0, 2.0]]
+
+    @pytest.mark.parametrize("E, shift", [
+        (1.5, 1.5), (2.5, 2.5), (1.4999, 2.0), (2.5001, 2.0), (1.1, 2.0),
+        (2.9, 2.0)])
+    def test_guess_outside_middle_half_shifts_at_midpoint(self, E, shift):
+        assert spectra._guess([(E, np.ones(16))], 1.0, 3.0)[1] == shift
+
+    def test_solve_shifts_at_midpoint_off_the_middle_half(self, monkeypatch):
+        # a history whose last pair lies in the window's outer quarter:
+        # the channel starts from its vector, shifted at the midpoint
+        ops, e_min, e_max = window_ops()
+        op = ops[1]
+        (E, v), = channel_eigs(op, e_max, e_min)
+        starts = started(monkeypatch)
+        history = {e_max: [(e_min + 0.1, v)]}
+        ch = solve_channel(op, e_max, e_min, history=history)
+        (_, start, shift, solved), = starts
+        assert shift == 0.5 * (e_min + e_max) and solved
+        assert np.array_equal(start, v)
+        assert abs(ch.energies[0] - E) <= 1e-11
+        assert [pair[0] for pair in history[e_max]] == [ch.energies[0],
+                                                        e_min + 0.1]
+
+    def test_vectors_never_change_after_their_solve(self, monkeypatch):
+        # the history only reads the vectors it keeps: each returned vector
+        # holds the floats it had when its own channel was solved
+        ops, e_min, e_max = window_ops()
+        snapshots = []
+        solve = spectra.solve_channel
+
+        def snapshot(*args, **kwargs):
+            ch = solve(*args, **kwargs)
+            snapshots.append(ch.vectors.copy())
+            return ch
+
+        monkeypatch.setattr(spectra, "solve_channel", snapshot)
+        for window in ((e_max, e_min), (e_max,)):
+            del snapshots[:]
+            channels = solve_channels(ops, *window)
+            assert len(snapshots) == len(ops)
+            for ch, before in zip(channels, snapshots):
+                assert np.array_equal(ch.vectors, before)
+
+    def test_failed_guess_retries_at_midpoint(self, monkeypatch):
+        # a predicted attempt that gives up is followed by one attempt from
+        # ones at the midpoint, which solves the window: no bisection
+        ops, e_min, e_max = window_ops()
+        one_pair = spectra._one_pair
+
+        def bad_guess(op, lo, hi, work=None, extra=0, start=None,
+                      shift=None):
+            if op.m == 5 and start is not None:
+                return None
+            return one_pair(op, lo, hi, work, extra, start, shift)
+
+        monkeypatch.setattr(spectra, "_one_pair", bad_guess)
+        starts = started(monkeypatch)
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        channels = solve_channels(ops, e_max, e_min)
+        assert bisections == []
+        # (m, from ones at the midpoint, solved)
+        calls = [(m, start is None and shift is None, solved)
+                 for m, start, shift, solved in starts if m in (5, 6)]
+        assert calls == [(5, False, False), (5, True, True), (6, False, True)]
+        ch = channels[[op.m for op in ops].index(5)]
+        E, v = one_pair(ch.op, e_min, e_max)
+        assert ch.energies.tolist() == [E]
+        assert np.array_equal(ch.vectors[:, 0], v)
+
+    def test_strong_well_retries_without_bisection(self, monkeypatch):
+        # quick spectrum with a gaussian V of amplitude 2 (width 0.3) at
+        # the origin: a guess from the channels before gives up, and the
+        # midpoint attempt after it solves the window
+        cfg = load_config(str(CONFIGS / "quick.json"))
+        gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
+        V = FieldSpec((ProfileTerm("gaussian", 2.0, width=0.3),))
+        ops = [build_channel(cfg.operator, m, gauge, V)
+               for m in range(-cfg.m_max, cfg.m_max + 1)]
+        want = assemble_spectrum([bisected(op, cfg.e_max) for op in ops])
+        starts = started(monkeypatch)
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        got = assemble_spectrum(solve_channels(ops, cfg.e_max))
+        assert bisections == []
+        failed = [k for k, (_, start, _, solved) in enumerate(starts)
+                  if not solved]
+        assert failed
+        for k in failed:
+            assert starts[k][1] is not None  # only a guess gives up
+            assert starts[k + 1][1:] == (None, None, True)
+        assert_same_states(got, want)
+
+    @pytest.mark.parametrize("raw", SWEEP_SPECTRA, ids=lambda raw:
+                             f"{raw['operator']}-q{raw['q'][0]}")
+    def test_predicted_pairs_match_bisection(self, raw, tmp_path,
+                                             monkeypatch):
+        # the sweep's fields on every kind: each pair of the level windows
+        # and of the cluster window on the coarse mesh, most of them
+        # predicted, is the bisection's to 1e-11 in E and 1e-10 in v
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        cfg = load_config(str(path))
+        mesh = RadialMesh(cfg.r_max, cfg.h)
+        fine, coarse = (build_gauge(cfg.b, cfg.B0, grid)
+                        for grid in (mesh, mesh.coarsened()))
+        q = cfg.q_list[0]
+        V = spin_down_form(cfg.operator, cfg.V, cfg.b)[0]
+        center = 2.0 * q * cfg.B0
+        solves = [
+            ([build_channel(cfg.operator, m, fine, cfg.V)
+              for m in range(-cfg.m_max, cfg.m_max + 1)], cfg.e_max, None),
+            ([build_channel("pauli_minus", m, coarse, V)
+              for m in range(-q, cfg.m_max + 1)],
+             center + cfg.gamma + 1e-6, center - cfg.gamma - 1e-6)]
+        for ops, e_max, e_min in solves:
+            starts = started(monkeypatch)
+            channels = solve_channels(ops, e_max, e_min)
+            monkeypatch.undo()
+            assert sum(start is not None for _, start, _, _ in starts) > 20
+            for ch in channels:
+                pairs = channel_eigs(ch.op, e_max, e_min)
+                assert ch.energies.size == len(pairs)
+                for k, (E, v) in enumerate(pairs):
+                    assert abs(ch.energies[k] - E) <= 1e-11
+                    assert np.max(np.abs(ch.vectors[:, k] - v)) <= 1e-10
+
+    def test_headline_bulk_steps(self, monkeypatch):
+        # the headline's coarse bulk: most channels pass the test after
+        # the first step from their guess
+        ops, e_min, e_max = headline_bulk()
+        steps = recorded(monkeypatch, "dgttrs")
+        bisections = recorded(monkeypatch, "eigh_tridiagonal")
+        channels = solve_channels(ops, e_max, e_min)
+        assert bisections == []
+        assert all(ch.energies.size == 1 for ch in channels)
+        assert len(steps) <= 1.5 * len(ops)
 
 
 def small_table(gauge, mesh, m_range, e_max=3.0, V=FieldSpec(),
