@@ -14,6 +14,10 @@ script sits in, over:
 - `verify` and `weights` on quick with a gaussian b, a field without a
   power decay class, and `weights` on quick with the `schroedinger`
   operator, whose weight carries the spin-down copy of b;
+- `verify --q 0,1,2` on quick, every q from one build of the run, and
+  `verify --q 5` and `--q 1,5` on quick with b and V zero, where no
+  Toeplitz check runs, so the zero-mode ladder limit (level 5) does not
+  fire;
 - every call of the `sweep` workload at seeds 0 and 1;
 - every call of the `zero-modes` workload at seed 0;
 - the `headline` workload.
@@ -90,6 +94,13 @@ def calls():
             yield (os.path.join("configs", "quick-schroedinger", "weights"),
                    workloads.Call("weights",
                                   dict(config, operator="schroedinger")))
+            yield (os.path.join("configs", name, "verify-q0,1,2"),
+                   workloads.Call("verify", config, [0, 1, 2]))
+            zero = dict(config, b={"terms": []}, V={"terms": []})
+            for qs in ([5], [1, 5]):
+                yield (os.path.join("configs", "quick-zero-field",
+                                    "verify-q" + ",".join(map(str, qs))),
+                       workloads.Call("verify", zero, qs))
     runs = [("sweep", 0), ("sweep", 1), ("zero-modes", 0), ("headline", 0)]
     for workload, seed in runs:
         for scenario in workloads.WORKLOADS[workload](seed):

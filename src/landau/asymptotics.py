@@ -14,9 +14,10 @@ H(V) = P_-(V + b) + B0 and P_+(V) = P_-(V + 2b) + 2 B0, so a run needs its
 config, q, and the spin-down electric part V.  The config is a
 VerificationConfig, the one config record (cli.load_config returns it).
 
-The stages form one data flow: compute_cluster(cfg, q) solves the cluster
-once and returns a ClusterComputation, which every later stage reads: cfg,
-q, the cluster and its weight W = V + 2 q b, V the spin-down electric part;
+The stages form one data flow: compute_cluster(build, q) solves the cluster
+from a RunBuild(cfg), what no q changes, and returns a ClusterComputation,
+which every later stage reads: cfg, q, the cluster and its weight
+W = V + 2 q b, V the spin-down electric part;
 boundary_sensitivity(comp) estimates the domain drift from it;
 cluster_asymptotics_report(comp) counts N on the cluster against the measure
 of W (taking the drift from boundary_sensitivity); and
@@ -32,9 +33,8 @@ import numpy as np
 
 from . import spectra
 from .errors import TrustRegionEmpty, UnboundedSet
-from .fields import (EffectiveWeight, FieldSpec, GaugeData, build_gauge,
-                     effective_weight, superlevel_measure, superlevel_radius,
-                     superlevel_scan)
+from .fields import (EffectiveWeight, FieldSpec, build_gauge, effective_weight,
+                     superlevel_measure, superlevel_radius, superlevel_scan)
 from .operator import (B_COPIES, KINDS, RadialMesh, build_channel,
                        default_channel_cut, spin_down_form)
 from .spectra import (CountingReport, assemble_spectrum, cluster_states,
@@ -117,7 +117,6 @@ class ClusterComputation:
     cfg: VerificationConfig
     q: int
     weight: EffectiveWeight  # V + 2 q b, V the channels' spin-down part
-    gauge: GaugeData  # on the config mesh h
     cluster: spectra.ClusterStates
     defect_floor: float
 
@@ -126,9 +125,26 @@ class ClusterComputation:
 NEAR_TOP = 1
 
 
-def compute_cluster(cfg, q):
-    """Diagonalize the channels feeding the q-th cluster of the spin-down
-    form of cfg's operator and extract the cluster states.
+class RunBuild:
+    """What every q of a run solves from: cfg, its spin-down V, the gauge on
+    the mesh h, and the spin-down channel matrices by m, from -max(q_list)
+    up, on the two meshes of compute_cluster: `near` on h, `bulk` on H."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.V = spin_down_form(cfg.operator, cfg.V, cfg.b)[0]
+        self.gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
+        coarse = build_gauge(cfg.b, cfg.B0, self.gauge.mesh.coarsened())
+        ms = range(-max(cfg.q_list), max(cfg.m_max, NEAR_TOP) + 1)
+        self.near = {m: build_channel("pauli_minus", m, self.gauge, self.V)
+                     for m in ms if m <= NEAR_TOP}
+        self.bulk = {m: build_channel("pauli_minus", m, coarse, self.V)
+                     for m in ms}
+
+
+def compute_cluster(build, q):
+    """Diagonalize the channels of the RunBuild `build` that feed the q-th
+    cluster and extract the cluster states.
 
     Only the window around the level is solved; the cluster keeps the
     per-channel labels n of the full spectrum (spectra.ChannelResult).
@@ -143,25 +159,22 @@ def compute_cluster(cfg, q):
     (rho^2 - 1), the estimated error of the raw E_h; channel 1 enters it
     even when m_max = 0, so it does not depend on the cut.
     """
-    V = spin_down_form(cfg.operator, cfg.V, cfg.b)[0]
-    weight = effective_weight(V, cfg.b, q, cfg.B0)  # raises for q < 0
-    mesh = RadialMesh(cfg.r_max, cfg.h)
-    gauge = build_gauge(cfg.b, cfg.B0, mesh)
-    coarse = build_gauge(cfg.b, cfg.B0, mesh.coarsened())
+    cfg = build.cfg
+    weight = effective_weight(build.V, cfg.b, q, cfg.B0)  # raises for q < 0
     center, gamma = 2.0 * q * cfg.B0, cfg.gamma
     # an eigenvalue within roundoff of a window endpoint is still solved;
     # the strict test of cluster_states decides whether it belongs
     e_min, e_max = center - gamma - 1e-6, center + gamma + 1e-6
 
-    def solve(g, top):
-        channels = solve_channels([build_channel("pauli_minus", m, g, V)
-                                   for m in range(-q, top + 1)], e_max, e_min)
+    def solve(ops):  # the channels m >= -q, in order
+        channels = solve_channels([op for m, op in ops.items() if m >= -q],
+                                  e_max, e_min)
         return channels, {(ch.op.m, ch.first + k): E for ch in channels
                           for k, E in enumerate(ch.energies)}
 
-    near, E_h = solve(gauge, NEAR_TOP)
-    bulk, E_H = solve(coarse, max(cfg.m_max, NEAR_TOP))
-    rho2 = (mesh.n / coarse.mesh.n) ** 2
+    near, E_h = solve(build.near)
+    bulk, E_H = solve(build.bulk)
+    rho2 = (build.gauge.mesh.n / build.bulk[0].mesh.n) ** 2
     correction = {k: float(E - E_H[k]) / (rho2 - 1.0)
                   for k, E in E_h.items() if k in E_H}
     floor = max(map(abs, correction.values()), default=0.0)
@@ -178,7 +191,7 @@ def compute_cluster(cfg, q):
         cfg.B0, shifts[order], ms[order], ns[order],
         [states[i] for i in order],
         {m: op for p in parts for m, op in p.operators.items()})
-    return ClusterComputation(cfg, q, weight, gauge, cluster, floor)
+    return ClusterComputation(cfg, q, weight, cluster, floor)
 
 
 def boundary_sensitivity(comp):

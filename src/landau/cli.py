@@ -274,7 +274,11 @@ def cmd_weights(cfg, out, as_json):
     V = spin_down_form(cfg.operator, cfg.V, cfg.b)[0]
     for q in cfg.q_list:
         weight = effective_weight(V, cfg.b, q, cfg.B0)
-        sup = float(np.max(np.abs(weight(np.linspace(0, cfg.r_max, 4097)))))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            W = weight(np.linspace(0, cfg.r_max, 4097))
+        sup = float(np.max(np.abs(W)))
+        if not math.isfinite(sup):
+            raise LandauError(f"q={q}: the weight V + 2 q b overflows ({sup})")
         if not 1e-5 * sup > 0.0:  # zero, or too small for the lambda table
             summary["weights"][str(q)] = {"degenerate": True}
             continue
@@ -303,8 +307,9 @@ def cmd_toeplitz(cfg, out, as_json):
                                         T0=cfg.V)
     summary = {"config": cfg.hash, "basis_m_max": cfg.basis_m_max,
                "toeplitz": {}}
-    for q in cfg.q_list:
-        t = projections.build_T0(q, cfg.V, basis)
+    # every T_0 before any file: a q past the ladder limit writes nothing
+    ts = {q: projections.build_T0(q, cfg.V, basis) for q in sorted(cfg.q_list)}
+    for q, t in ts.items():
         write_csv(os.path.join(out, f"toeplitz_T0_q{q}.csv"),
                   ["i", "j", "value"], ((m, m, x) for m, x in enumerate(t)),
                   _meta(cfg, q=q))
@@ -322,9 +327,10 @@ def cmd_identities(cfg, out, as_json):
     basis = projections.zero_mode_basis(gauge, cfg.basis_m_max, qs,
                                         gram=cfg.b, weighted=cfg.V)
     summary = {"config": cfg.hash, "identities": {}}
-    for q in qs:
-        G = projections.gram_identity_residual(q, basis, cfg.b)
-        X = projections.weighted_identity_residual(q, basis, cfg.V)
+    GX = {q: (projections.gram_identity_residual(q, basis, cfg.b),
+              projections.weighted_identity_residual(q, basis, cfg.V))
+          for q in sorted(qs)}  # as in toeplitz, before any file
+    for q, (G, X) in GX.items():
         rows = [(m, G[m, m], X[m, m]) for m in range(len(basis))]
         write_csv(os.path.join(out, f"identities_q{q}.csv"),
                   ["m", "gram_residual", "weighted_residual"], rows,
@@ -337,10 +343,10 @@ def cmd_identities(cfg, out, as_json):
     return 0, summary
 
 
-def _verify_one_q(cfg, q, out, shared):
-    """Counting, Toeplitz, and identity checks for one Landau index; the
-    checks that do not depend on q are kept in `shared`."""
-    comp = asymptotics.compute_cluster(cfg, q)
+def _verify_one_q(cfg, q, out, build, basis, gram):
+    """Counting, Toeplitz, and identity checks for one Landau index, from
+    the run's build and zero-mode basis, with the run's q = 1 Gram check."""
+    comp = asymptotics.compute_cluster(build, q)
     checks = {}
     detail = {"q": q}
 
@@ -389,10 +395,8 @@ def _verify_one_q(cfg, q, out, shared):
             checks["toeplitz_degenerate"] = {
                 "passed": True, "note": "b and V vanish for this operator"}
         else:
-            basis = projections.zero_mode_basis(
-                comp.gauge, min(int(np.max(comp.cluster.ms)) + q, cfg.m_max),
-                [q], T0=cfg.V)
-            t0 = np.sort(projections.build_T0(q, cfg.V, basis))[::-1]
+            size = min(int(np.max(comp.cluster.ms)) + q, cfg.m_max) + 1
+            t0 = np.sort(projections.build_T0(q, cfg.V, basis.head(size)))[::-1]
             t0 /= projections.coupling_constant(q, cfg.B0)
             tq = np.sort(projections.build_Tq(q, comp.cluster))[::-1]
             k = max(1, min(tq.size, t0.size) // 4)
@@ -405,36 +409,30 @@ def _verify_one_q(cfg, q, out, shared):
                        {"config": cfg.hash, "q": q,
                         "Tq": [float(x) for x in tq],
                         "T0_over_Cq": [float(x) for x in t0]})
-
-        if "gram_identity_q1" not in shared:
-            shared["gram_identity_q1"] = _gram_check(cfg, comp.gauge)
-        checks["gram_identity_q1"] = shared["gram_identity_q1"]
+        checks["gram_identity_q1"] = gram
 
     detail["checks"] = checks
     detail["passed"] = all(c["passed"] for c in checks.values())
     return detail
 
 
-def _gram_check(cfg, gauge):
-    """The q = 1 Gram identity on the basis_m_max zero modes.  It depends on
-    neither q nor the cluster (every q solves on the same gauge), so verify
-    runs it once."""
-    basis = projections.zero_mode_basis(gauge, cfg.basis_m_max, [1],
-                                        gram=cfg.b)
-    G = projections.gram_identity_residual(1, basis, cfg.b)
-    # the residual scales with B0 (B0 -> s B0 multiplies it by s), so the
-    # bound does too
-    residual = float(np.max(np.abs(G)))
-    return {"passed": residual < cfg.bands["gram_max"] * cfg.B0,
-            "max_residual": residual}
-
-
 def cmd_verify(cfg, out, as_json):
     summary = {"config": cfg.hash, "operator": cfg.operator, "per_q": {},
                "passed": True}
-    shared = {}  # checks that every q reports alike
+    build, basis, gram = asymptotics.RunBuild(cfg), None, None
+    if max(cfg.q_list) >= 1:
+        # one walk, each check reading its first modes; the Gram residual
+        # scales with B0 (B0 -> s B0 multiplies it by s), as its bound does
+        basis = projections.zero_mode_basis(
+            build.gauge, max(cfg.m_max, cfg.basis_m_max),
+            {1, *cfg.q_list} - {0}, T0=cfg.V, gram=cfg.b)
+        G = projections.gram_identity_residual(
+            1, basis.head(cfg.basis_m_max + 1), cfg.b)
+        residual = float(np.max(np.abs(G)))
+        gram = {"passed": residual < cfg.bands["gram_max"] * cfg.B0,
+                "max_residual": residual}
     for q in cfg.q_list:
-        detail = _verify_one_q(cfg, q, out, shared)
+        detail = _verify_one_q(cfg, q, out, build, basis, gram)
         summary["per_q"][str(q)] = detail
         summary["passed"] = summary["passed"] and detail["passed"]
         if not as_json:

@@ -46,10 +46,24 @@ class ZeroModeBasis:
     def __len__(self):
         return self.size
 
+    def head(self, size):
+        """The basis of its first `size` modes."""
+        return ZeroModeBasis(self.gauge, size,
+                             {k: v[:size] for k, v in self.forms.items()})
+
     def diagonal(self, name, q, U):
         """The forms that quantity `name` (see zero_mode_basis) reads for
-        (q, U); KeyError if the basis was not built with them."""
-        return [self.forms[need] for need in _READS[name](q, U)]
+        (q, U); LandauError if one lies past MAX_LADDER_LEVEL, KeyError if
+        the basis was not built with them."""
+        reads = _READS[name](q, U)
+        for level, _ in reads:
+            if level > MAX_LADDER_LEVEL:
+                raise LandauError(
+                    f"q={q} reads zero-mode ladder level {level}; from "
+                    f"level {MAX_LADDER_LEVEL + 1} on the ladder images "
+                    f"of the zero modes m = 0 and 1 have lost their "
+                    f"accuracy")
+        return [self.forms[need] for need in reads]
 
 
 # the forms (L, weight) of ZeroModeBasis that each quantity reads for (q, U)
@@ -81,21 +95,16 @@ def zero_mode_basis(gauge, m_max, qs, **fields):
     level asked for, and dropped: one mode is held at a time, and each
     mode takes one ladder step per level.  The steps are the ones
     ladder_apply takes, so a form equals the one of
-    ladder_apply(zero_mode(m, gauge), gauge, L) bit for bit.  A q whose
-    reads reach past MAX_LADDER_LEVEL raises LandauError naming the first
-    such q and the level it reads.
+    ladder_apply(zero_mode(m, gauge), gauge, L) bit for bit.  No mode is
+    raised past MAX_LADDER_LEVEL: the basis holds no form above it, and
+    a read of one raises LandauError (ZeroModeBasis.diagonal).
     """
     by_level = {}
-    for q in sorted(qs):
+    for q in qs:
         for name, U in fields.items():
             for level, weight in _READS[name](q, U):
-                if level > MAX_LADDER_LEVEL:
-                    raise LandauError(
-                        f"q={q} reads zero-mode ladder level {level}; from "
-                        f"level {MAX_LADDER_LEVEL + 1} on the ladder images "
-                        f"of the zero modes m = 0 and 1 have lost their "
-                        f"accuracy")
-                by_level.setdefault(level, set()).add(weight)
+                if level <= MAX_LADDER_LEVEL:
+                    by_level.setdefault(level, set()).add(weight)
     mesh = gauge.mesh
     values = {}
     for weight in set().union(*by_level.values()) - {None}:

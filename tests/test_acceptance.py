@@ -16,7 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from landau.asymptotics import (VerificationConfig, boundary_sensitivity,
+from landau.asymptotics import (RunBuild, VerificationConfig,
+                                boundary_sensitivity,
                                 cluster_asymptotics_report, compute_cluster,
                                 upper_estimate_check)
 from landau.fields import (FieldSpec, build_gauge, counting_measure,
@@ -41,7 +42,7 @@ def headline_run():
     cfg = VerificationConfig(B0=1.0, b=B_HEADLINE, sign="+", r_max=30.0,
                              h=0.005)
     t0 = time.monotonic()
-    comp = compute_cluster(cfg, 1)
+    comp = compute_cluster(RunBuild(cfg), 1)
     drift = boundary_sensitivity(comp)
     report = cluster_asymptotics_report(comp)
     elapsed = time.monotonic() - t0
@@ -52,7 +53,7 @@ def headline_run():
 def beta4_report():
     cfg = VerificationConfig(B0=1.0, b=FieldSpec.power(0.05, -4.0),
                              sign="+", r_max=30.0, h=0.005)
-    comp = compute_cluster(cfg, 1)
+    comp = compute_cluster(RunBuild(cfg), 1)
     return comp, cluster_asymptotics_report(comp)
 
 

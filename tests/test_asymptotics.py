@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import perturbation_inequality_check
 from landau import asymptotics, spectra
-from landau.asymptotics import (VerificationConfig, _lambda_grid,
+from landau.asymptotics import (RunBuild, VerificationConfig, _lambda_grid,
                                 boundary_sensitivity,
                                 cluster_asymptotics_report, compute_cluster,
                                 upper_estimate_check)
@@ -32,15 +32,15 @@ def small_cfg(b_power):
 
 @pytest.fixture(scope="module")
 def small_run(small_cfg):
-    comp = compute_cluster(small_cfg, 1)
+    comp = compute_cluster(RunBuild(small_cfg), 1)
     return comp, boundary_sensitivity(comp), cluster_asymptotics_report(comp)
 
 
 @pytest.fixture(scope="module")
 def minus_run(b_power):
     """The small run with the field flipped, counted below the level."""
-    comp = compute_cluster(VerificationConfig(
-        B0=1.0, b=b_power.scaled(-1.0), sign="-", r_max=16.0, h=0.02), 1)
+    comp = compute_cluster(RunBuild(VerificationConfig(
+        B0=1.0, b=b_power.scaled(-1.0), sign="-", r_max=16.0, h=0.02)), 1)
     return comp, cluster_asymptotics_report(comp)
 
 
@@ -90,7 +90,7 @@ def test_cluster_states_are_the_only_copy(monkeypatch):
         return solved[-len(ops):]
 
     monkeypatch.setattr(asymptotics, "solve_channels", recording)
-    cluster = compute_cluster(cfg, 1).cluster
+    cluster = compute_cluster(RunBuild(cfg), 1).cluster
     monkeypatch.undo()
     by_op = {id(ch.op): ch for ch in solved}
     meshes = {op.mesh.h: op.mesh for op in cluster.operators.values()}
@@ -146,7 +146,7 @@ class TestConfig:
         with pytest.raises(TypeError):
             VerificationConfig(q=1)
         with pytest.raises(ValueError, match="q must be >= 0"):
-            compute_cluster(small_cfg, -1)
+            compute_cluster(RunBuild(small_cfg), -1)
 
 
 class TestFamilyReduction:
@@ -308,9 +308,9 @@ class TestClusterReport:
         monkeypatch.setattr(asymptotics, "assemble_spectrum", merged)
         monkeypatch.setattr(asymptotics, "solve_channels", solving)
         side = 1.0 if sign == "+" else -1.0
-        comp = compute_cluster(VerificationConfig(
+        comp = compute_cluster(RunBuild(VerificationConfig(
             operator=kind, b=b_power.scaled(side), V=V.scaled(side),
-            sign=sign, r_max=16.0, h=0.02), q)
+            sign=sign, r_max=16.0, h=0.02, q_list=(q,))), q)
         center, gamma = 2.0 * q, comp.cfg.gamma
         E = {mesh_h: {(ch.op.m, ch.first + k): e for ch in solves
                       if ch.op.mesh.h == mesh_h
@@ -374,7 +374,7 @@ class TestClusterReport:
     def test_q0_degenerate_counting(self, b_power):
         cfg = VerificationConfig(B0=1.0, b=b_power, sign="+", r_max=12.0,
                                  h=0.02)
-        report = cluster_asymptotics_report(compute_cluster(cfg, 0))
+        report = cluster_asymptotics_report(compute_cluster(RunBuild(cfg), 0))
         assert report.note == "degenerate-weight"
         assert np.all(report.N == 0)  # zero modes stay exactly at the level
         assert np.all(report.E_measure == 0.0)
@@ -382,7 +382,7 @@ class TestClusterReport:
     def test_trust_region_empty_srinks_with_radius(self, b_power):
         cfg = VerificationConfig(B0=1.0, b=b_power, sign="+", r_max=4.0,
                                  h=0.02)
-        comp = compute_cluster(cfg, 1)
+        comp = compute_cluster(RunBuild(cfg), 1)
         with pytest.raises(TrustRegionEmpty):
             cluster_asymptotics_report(comp)
 
@@ -437,8 +437,8 @@ class TestDefectFloor:
         cfg = VerificationConfig(
             B0=1.0, operator=kind,
             b=FieldSpec((ProfileTerm("power", 0.035, beta=-3.0), shape)),
-            V=FieldSpec.power(0.03, -2.8), r_max=16.0, h=0.02)
-        comp = compute_cluster(cfg, 2)
+            V=FieldSpec.power(0.03, -2.8), r_max=16.0, h=0.02, q_list=(2,))
+        comp = compute_cluster(RunBuild(cfg), 2)
         ref = richardson_reference(cfg, 2)
         shifts = labeled(comp.cluster)
         assert len(shifts) > 20
@@ -459,8 +459,9 @@ class TestDefectFloor:
         for q in (1, 2, 3):
             errors = []
             for h in (0.04, 0.02, 0.01):
-                cluster = compute_cluster(VerificationConfig(
-                    B0=1.0, operator=kind, b=b, r_max=16.0, h=h), q).cluster
+                cluster = compute_cluster(RunBuild(VerificationConfig(
+                    B0=1.0, operator=kind, b=b, r_max=16.0, h=h,
+                    q_list=(q,))), q).cluster
                 near = cluster.ms <= 1
                 assert np.count_nonzero(near) == q + 2
                 errors.append(np.max(np.abs(cluster.shifts[near]
@@ -473,7 +474,7 @@ class TestDefectFloor:
         # shifts are (rho^2 E_h - E_H) / (rho^2 - 1): as accurate as at an
         # even n, with the floor still the raw-h error
         cfg = VerificationConfig(B0=1.0, b=b_power, r_max=16.02, h=0.02)
-        comp = compute_cluster(cfg, 1)
+        comp = compute_cluster(RunBuild(cfg), 1)
         assert {op.mesh.n for op in comp.cluster.operators.values()} == {
             801, 400}
         ref = richardson_reference(cfg, 1)
@@ -491,7 +492,7 @@ class TestDefectFloor:
         # is the same number
         monkeypatch.setattr(asymptotics, "default_channel_cut",
                             lambda r_max, B0: 0)
-        cut = compute_cluster(small_cfg, 1)
+        cut = compute_cluster(RunBuild(small_cfg), 1)
         assert sorted(cut.cluster.operators) == [-1, 0]
         assert cut.defect_floor == small_run[0].defect_floor
 
@@ -509,10 +510,10 @@ class TestDefectFloor:
         # tolerance to loosen.
         a = 0.05
         b = FieldSpec((ProfileTerm("bump", a, inner=9.0, outer=11.0),))
-        cfg = VerificationConfig(B0=1.0, operator=kind, b=b, r_max=16.0,
-                                 h=0.02)
+        build = RunBuild(VerificationConfig(
+            B0=1.0, operator=kind, b=b, r_max=16.0, h=0.02, q_list=(1, 2, 3)))
         for q in (1, 2, 3):
-            comp = compute_cluster(cfg, q)
+            comp = compute_cluster(build, q)
             deep = comp.cluster.ms <= 6
             assert np.count_nonzero(deep) == q + 7  # channels -q..6
             error = np.max(np.abs(comp.cluster.shifts[deep]
@@ -530,7 +531,7 @@ class TestExponentFit:
 
     def test_empty_cluster_note(self):
         cfg = VerificationConfig(B0=1.0, sign="+", r_max=12.0, h=0.02)
-        comp = compute_cluster(cfg, 1)
+        comp = compute_cluster(RunBuild(cfg), 1)
         fitted, expected = upper_estimate_check(
             comp, cluster_asymptotics_report(comp))
         assert math.isnan(fitted)
@@ -554,12 +555,12 @@ class TestBoundarySensitivity:
         # drift without inflating it beyond 200x (measured 23x-76x)
         monkeypatch.setattr(spectra, "_NORM_FRACTION", 1.0)
         cfg = VerificationConfig(B0=1.0, b=b_power, sign="+", r_max=R, h=0.02)
-        comp = compute_cluster(cfg, 1)
+        comp = compute_cluster(RunBuild(cfg), 1)
         estimate = boundary_sensitivity(comp)
         R_prime = estimate.R_prime
         assert R_prime == pytest.approx(1.2 * R)
         # the channel cut is derived again at R'
-        wide = compute_cluster(replace(cfg, r_max=R_prime), 1)
+        wide = compute_cluster(RunBuild(replace(cfg, r_max=R_prime)), 1)
         oracle = spectra.boundary_sensitivity(
             labeled(comp.cluster), labeled(wide.cluster), R, R_prime)
         assert estimate.labels == oracle.labels
@@ -573,9 +574,10 @@ class TestBoundarySensitivity:
 
 @pytest.fixture(scope="module")
 def q2_run(b_power):
-    cfg = VerificationConfig(B0=1.0, b=b_power, sign="+", r_max=20.0, h=0.01)
-    comp = compute_cluster(cfg, 2)
-    return cfg, comp, cluster_asymptotics_report(comp)
+    build = RunBuild(VerificationConfig(B0=1.0, b=b_power, sign="+",
+                                        r_max=20.0, h=0.01, q_list=(2,)))
+    comp = compute_cluster(build, 2)
+    return build, comp, cluster_asymptotics_report(comp)
 
 
 class TestSecondCluster:
@@ -592,7 +594,7 @@ class TestSecondCluster:
     def test_toeplitz_chain(self, q2_run, b_power):
         from landau.projections import (build_T0, build_Tq,
                                         coupling_constant, zero_mode_basis)
-        _, comp, _ = q2_run
+        build, comp, _ = q2_run
         cl = comp.cluster
         tq = np.sort(build_Tq(2, cl))[::-1]
         sh = np.sort(cl.shifts)[::-1]
@@ -604,7 +606,7 @@ class TestSecondCluster:
             ch = spectra.solve_channel(cl.operators[m], 4.5, 3.5)
             raw.append(ch.energies[n - ch.first] - 4.0)
         raw = np.sort(raw)[::-1]
-        basis = zero_mode_basis(comp.gauge, int(np.max(cl.ms)) + 2, [2],
+        basis = zero_mode_basis(build.gauge, int(np.max(cl.ms)) + 2, [2],
                                 T0=FieldSpec())
         t0 = np.sort(build_T0(2, FieldSpec(), basis))[::-1]
         t0 /= coupling_constant(2, 1.0)
@@ -617,6 +619,6 @@ class TestSecondCluster:
     def test_schroedinger_family_report(self, b_power):
         cfg = VerificationConfig(B0=1.0, operator="schroedinger", b=b_power,
                                  sign="+", r_max=16.0, h=0.02)
-        report = cluster_asymptotics_report(compute_cluster(cfg, 1))
+        report = cluster_asymptotics_report(compute_cluster(RunBuild(cfg), 1))
         assert report.ratio[0] == pytest.approx(1.0, abs=0.1)
         assert report.trust_hi > report.trust_lo

@@ -686,6 +686,23 @@ class TestWeights:
         assert summary["weights"]["1"]["regular_ok"] is True
         assert summary["weights"]["1"]["lower_ok"] is True
 
+    @pytest.mark.parametrize("c", [sys.float_info.max, -sys.float_info.max])
+    def test_overflowed_weight_exits_3(self, c, tmp_path, capsys):
+        # 2 q b overflows at float max: the weight is not degenerate but
+        # out of the float range, a numeric failure before any table
+        cfg = json.loads((CONFIGS / "quick.json").read_text())
+        cfg["b"]["terms"][0]["c"] = c
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["weights", "--config", str(path),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: q=1: the weight V + 2 q b "
+                              "overflows (")
+        assert err.count("\n") == 1
+        assert not list(out.glob("*"))
+
 
 class TestVerify:
     def test_reference_small_run_passes(self, cfg_path, tmp_path):
@@ -816,6 +833,99 @@ class TestVerify:
                      "--out", str(tmp_path / "out"), "--q", "0,1"])
         assert code == 0
         assert solved == [0, 1]
+
+    @pytest.mark.parametrize("variant", [
+        {}, {"operator": "pauli_plus", "V": {"terms": [
+            {"kind": "power", "c": 0.03, "beta": -2.8}], "beta": -2.8}}],
+        ids=["quick", "pauli_plus-V"])
+    def test_multi_q_run_matches_single_q_runs(self, variant, tmp_path,
+                                               monkeypatch):
+        # verify builds what no q changes once per run: two gauges (h and
+        # the coarse mesh), each channel matrix once per mesh, one zero-mode
+        # walk, one q = 1 Gram residual; one cluster solve per q, with no
+        # channel solved again at a second radius.  Each q writes the same
+        # bytes and reports the same summary entry as a run of that q alone
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {**json.loads((CONFIGS / "quick.json").read_text()), **variant}))
+        calls = {"gauge": [], "channel": [], "basis": [], "gram": [],
+                 "cluster": []}
+
+        def recording(module, name, key, label):
+            original = getattr(module, name)
+
+            def record(*args, **kwargs):
+                calls[key].append(label(*args))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, record)
+
+        recording(asymptotics, "build_gauge", "gauge", lambda b, B0, m: m.h)
+        recording(asymptotics, "build_channel", "channel",
+                  lambda kind, m, gauge, V: (gauge.mesh.h, m))
+        recording(projections, "zero_mode_basis", "basis",
+                  lambda gauge, m_max, qs: m_max)
+        recording(projections, "gram_identity_residual", "gram",
+                  lambda q, basis, b: q)
+        recording(asymptotics, "compute_cluster", "cluster",
+                  lambda build, q: q)
+        out = tmp_path / "all"
+        code = main(["verify", "--config", str(path), "--out", str(out),
+                     "--q", "0,1,2"])
+        monkeypatch.undo()
+        cfg = load_config(str(path))
+        h = cfg.h
+        assert calls["gauge"] == [h, 2.0 * h]
+        assert sorted(calls["channel"]) == sorted(
+            [(h, m) for m in range(-2, 2)]
+            + [(2.0 * h, m) for m in range(-2, cfg.m_max + 1)])
+        assert calls["basis"] == [cfg.m_max]
+        assert calls["gram"] == [1]
+        assert calls["cluster"] == [0, 1, 2]
+        summary = json.loads((out / "verify_summary.json").read_text())
+        codes, files = [], set()
+        for q in (0, 1, 2):
+            single = tmp_path / f"q{q}"
+            codes.append(main(["verify", "--config", str(path), "--out",
+                               str(single), "--q", str(q)]))
+            alone = json.loads((single / "verify_summary.json").read_text())
+            assert summary["per_q"][str(q)] == alone["per_q"][str(q)]
+            for f in single.glob("*_q*"):
+                files.add(f.name)
+                assert (out / f.name).read_bytes() == f.read_bytes()
+        assert code == max(codes)
+        assert {f.name for f in out.glob("*_q*")} == files
+        assert "toeplitz_eigs_q2.json" in files
+        r1, r2 = (summary["per_q"][q]["checks"]["gram_identity_q1"]
+                  ["max_residual"] for q in ("1", "2"))
+        assert r1 == r2 > 0.0
+
+    @pytest.mark.parametrize("q", ["5", "1,5"])
+    def test_ladder_limit_fires_where_toeplitz_runs(self, q, tmp_path,
+                                                    capsys):
+        # T_0 at q reads ladder level q + 1, so q = 5 is past the limit
+        # (MAX_LADDER_LEVEL = 5) on quick: exit 3 with one stderr line and
+        # no summary.  With b and V zero no Toeplitz check runs and the
+        # Gram check reads level 1 only, so the same q list passes
+        quick = json.loads((CONFIGS / "quick.json").read_text())
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps(
+            dict(quick, b={"terms": []}, V={"terms": []})))
+        out = tmp_path / "quick"
+        assert main(["verify", "--config", str(CONFIGS / "quick.json"),
+                     "--out", str(out), "--q", q]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: q=5 reads zero-mode ladder "
+                              "level 6; ")
+        assert err.count("\n") == 1
+        assert not (out / "verify_summary.json").exists()
+        out = tmp_path / "zero"
+        assert main(["verify", "--config", str(zero), "--out", str(out),
+                     "--q", q]) == 0
+        assert capsys.readouterr().err == ""
+        checks = json.loads((out / "verify_summary.json").read_text())[
+            "per_q"]["5"]["checks"]
+        assert checks["toeplitz_degenerate"]["passed"]
+        assert checks["gram_identity_q1"]["passed"]
 
     def test_one_superlevel_scan_per_lambda_grid(self, tmp_path, monkeypatch):
         # the report samples the weight once per lambda grid and bisects all
@@ -1098,7 +1208,8 @@ class TestToeplitzIdentities:
                                               level, tmp_path, capsys):
         # on quick the level-6 images of the zero modes m = 0 and 1 read
         # 12.9 and 164 C_6 (toeplitz reads level q + 1, identities level q);
-        # no ladder walk starts, so no level leaves the float range
+        # the ladder walk stops at level 5, so no level leaves the float
+        # range
         argv = [command, "--out", str(tmp_path / "out")]
         if via_flag:
             argv += ["--config", str(CONFIGS / "quick.json"), "--q", str(q)]
@@ -1113,6 +1224,21 @@ class TestToeplitzIdentities:
         assert "zero modes m = 0 and 1" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / f"{command}_summary.json").exists()
+
+    @pytest.mark.parametrize("command, qs, q", [
+        ("toeplitz", "1,6,5", 5), ("identities", "1,7,6", 6)])
+    def test_ladder_limit_writes_nothing(self, command, qs, q, tmp_path,
+                                         capsys):
+        # every q is read before any file is written: a q list that holds
+        # one past the limit names the least such q and leaves no artifact,
+        # not even those of the q below the limit
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIGS / "quick.json"),
+                     "--out", str(out), "--q", qs]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: q={q} reads zero-mode "
+                              "ladder level 6; ")
+        assert not list(out.glob("*"))
 
     def test_ladder_below_level_6_passes(self, tmp_path):
         for command, q in (("toeplitz", 4), ("identities", 5)):

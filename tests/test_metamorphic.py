@@ -107,7 +107,7 @@ def test_verify_family_identity(family_verify):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "cli._verify_one_q builds T0 from the unreduced cfg.V, not V + b resp. "
+    "cli.cmd_verify builds T0 from the unreduced cfg.V, not V + b resp. "
     "V + 2b (ROADMAP item 1): at q = 1, max_rel_dev 0.105 (schroedinger) "
     "and 0.197 (pauli_plus) against 0.023 and 0.024 for the spin-down "
     "forms"))

@@ -33,8 +33,8 @@ def cluster_q1(mesh_small, gauge_power):
 
 @pytest.fixture(scope="module")
 def quick_q1():
-    cfg = load_config(str(QUICK))
-    return cfg, asymptotics.compute_cluster(cfg, 1)
+    build = asymptotics.RunBuild(load_config(str(QUICK)))
+    return build, asymptotics.compute_cluster(build, 1)
 
 
 class TestBasis:
@@ -314,9 +314,9 @@ class TestTq:
         # diagonal is stored, so the peak allocation stays below a few state
         # vectors (all k states at once would be k = 37 state vectors, a
         # k x k matrix 1.7 state vectors)
-        _, comp = quick_q1
+        build, comp = quick_q1
         k = len(comp.cluster)
-        state_bytes = comp.gauge.mesh.n * 8
+        state_bytes = build.gauge.mesh.n * 8
         tracemalloc.start()
         try:
             build_Tq(1, comp.cluster)
@@ -356,9 +356,10 @@ class TestToeplitzSpectrum:
     # diagonals
 
     def test_quick_config_matches_dense_bit_for_bit(self, quick_q1):
-        cfg, comp = quick_q1
+        build, comp = quick_q1
+        cfg = build.cfg
         basis = zero_mode_basis(
-            comp.gauge, min(int(np.max(comp.cluster.ms)) + 1, cfg.m_max),
+            build.gauge, min(int(np.max(comp.cluster.ms)) + 1, cfg.m_max),
             [1], T0=cfg.V)
         tq = build_Tq(1, comp.cluster)
         t0 = build_T0(1, cfg.V, basis)
