@@ -18,6 +18,9 @@ script sits in, over:
   `verify --q 5` and `--q 1,5` on quick with b and V zero, where no
   Toeplitz check runs, so the zero-mode ladder limit (level 5) does not
   fire;
+- the five commands on quick with `V`, and then `b`, set to four gaussians
+  at r = 8, width 2, amplitudes 1e308, 1e308, -1e308 and -1e308: each term
+  is finite, their sum is not, and every command exits 3;
 - every call of the `sweep` workload at seeds 0 and 1;
 - every call of the `zero-modes` workload at seed 0;
 - the `headline` workload.
@@ -101,6 +104,15 @@ def calls():
                 yield (os.path.join("configs", "quick-zero-field",
                                     "verify-q" + ",".join(map(str, qs))),
                        workloads.Call("verify", zero, qs))
+            overflow = {"terms": [
+                {"kind": "gaussian", "amp": amp, "center": 8.0, "width": 2.0}
+                for amp in (1e308, 1e308, -1e308, -1e308)]}
+            for field in ("V", "b"):
+                for command in COMMANDS:
+                    yield (os.path.join("configs", f"quick-overflow-{field}",
+                                        command),
+                           workloads.Call(command,
+                                          dict(config, **{field: overflow})))
     runs = [("sweep", 0), ("sweep", 1), ("zero-modes", 0), ("headline", 0)]
     for workload, seed in runs:
         for scenario in workloads.WORKLOADS[workload](seed):

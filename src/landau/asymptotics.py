@@ -66,11 +66,12 @@ class VerificationConfig:
     h: float = 0.01
     per_decade: int = 24
     q_list: tuple = (0, 1)
-    bands: dict = field(default_factory=_BAND_DEFAULTS.copy)
+    bands: dict = field(default_factory=dict)  # the rest: _BAND_DEFAULTS
     basis_cut: int = None  # the basis_m_max key; None: min(m_max, 11)
     hash: str = ""  # of the config file's JSON, as _io.config_hash gives it
 
     def __post_init__(self):
+        object.__setattr__(self, "bands", {**_BAND_DEFAULTS, **self.bands})
         if not self.gamma > 0:  # B0 / 2 is 0 for the least subnormal B0
             raise ValueError(f"B0 must be positive, and so B0 / 2, got "
                              f"{self.B0!r}")

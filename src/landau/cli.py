@@ -47,6 +47,11 @@ _RETIRED = {"window": "the window half-width gamma is B0 / 2",
             "e_max": "spectrum solves up to one level above the top cluster",
             "ratio_band": f"the ratio band is fixed at {RATIO_BAND}",
             "mesh.m_max": "the channel cut is floor(3 r_max^2 B0 / 16)"}
+# the numeric config keys, by section ("" the top level): the
+# VerificationConfig field each sets and the kind _number reads it as
+_NUMBERS = {"": {"B0": ("B0", float), "basis_m_max": ("basis_cut", int)},
+            "mesh": {"r_max": ("r_max", float), "h": ("h", float)},
+            "lambda": {"per_decade": ("per_decade", int)}}
 # the config keys of each profile kind and the ProfileTerm field each sets;
 # every term also takes a `sign`, 1 or -1, folded into its amplitude
 _TERM_KEYS = {
@@ -72,35 +77,29 @@ def _number(value, name, kind=float):
     return kind(value)
 
 
-def _object(value, name):
-    if not isinstance(value, dict):
-        _fail(name, f"must be an object, got {value!r}")
-    return value
-
-
-def _section(raw, name):
-    """The object-valued config field `name` ({} when absent)."""
-    return _object(raw.get(name, {}), name)
-
-
-def _check_keys(section, name, known, what="key"):
-    """Fail on the first key of config object `name` that is not known,
-    naming it, and a retired key with its reason."""
-    for key in section:
+def _section(raw, name, known, what="key"):
+    """raw, the config object at path `name` ("" at the top level); fails
+    unless it is an object, on a retired key with its reason, and on the
+    first key not in `known`, naming the known ones."""
+    if not isinstance(raw, dict):
+        _fail(name, f"must be an object, got {raw!r}")
+    for key in raw:
         path = f"{name}.{key}" if name else key
         if path in _RETIRED:
             _fail(path, f"must be removed: {_RETIRED[path]}")
         if key not in known:
             _fail(path, f"unknown {what}, known: {', '.join(known)}")
+    return raw
 
 
 def _term(raw, name):
     """The ProfileTerm of config term `name`, its sign in the amplitude."""
-    keys = _TERM_KEYS.get(_object(raw, name).get("kind"))
+    # its kind names its keys: until the kind is read, every key is known
+    keys = _TERM_KEYS.get(_section(raw, name, raw).get("kind"))
     if keys is None:
         _fail(f"{name}.kind", f"must be one of {', '.join(_TERM_KEYS)}, "
               f"got {raw.get('kind')!r}")
-    _check_keys(raw, name, ("kind", "sign", *keys))
+    _section(raw, name, ("kind", "sign", *keys))
     sign = _number(raw.get("sign", 1.0), f"{name}.sign")
     if sign not in (1.0, -1.0):
         _fail(f"{name}.sign", f"must be 1 or -1, got {sign:g}")
@@ -110,34 +109,23 @@ def _term(raw, name):
     return ProfileTerm(raw["kind"], **args)
 
 
-def _field_spec(raw, name):
-    """The FieldSpec of the config field `name`, present and not null."""
-    spec = _section(raw, name)
-    _check_keys(spec, name, ("terms", "beta"))
-    try:
-        return FieldSpec(_term(t, f"{name}.terms[{i}]")
-                         for i, t in enumerate(spec.get("terms", [])))
-    except (TypeError, ValueError) as exc:
-        _fail(name, str(exc))
-
-
 # the most work a config may ask for (see _check_work): about 50 times the
 # largest shipped load, 6000 cells x 338 channels on the headline mesh
 MAX_WORK = 1e8
 
 
-def _check_work(r_max, h, B0, q_max, basis_cut, per_decade, q_name):
+def _check_work(cfg, q_name):
     """Fail on a config that asks for more than MAX_WORK, computed in floats
     before any array exists: mesh cells times the channels a command solves
     (at most 2 m_max + max q + 1); cells times the zero-mode basis modes
     times their ladder levels (max q + 2); and lambda points times the
     bisection steps of each (per_decade points a decade, over the 1e-12 to
     gamma = B0 / 2 of verify's grid, which holds weights' 8 decades)."""
-    cells = abs(r_max) / h if h > 0 else 0.0  # RadialMesh rejects h <= 0
-    m_max = max(0.0, operator.channel_reach(r_max, B0))
-    modes = VerificationConfig.basis_top(m_max, basis_cut) + 1.0
-    q = min(q_max, MAX_WORK)  # a larger q fails either way, and is no float
-    points = per_decade * (12.0 + math.log10(max(B0, 1.0)))
+    cells = abs(cfg.r_max) / cfg.h if cfg.h > 0 else 0.0  # mesh check: h > 0
+    m_max = max(0.0, operator.channel_reach(cfg.r_max, cfg.B0))
+    modes = VerificationConfig.basis_top(m_max, cfg.basis_cut) + 1.0
+    q = min(max(cfg.q_list), MAX_WORK)  # a larger q, maybe no float, fails
+    points = cfg.per_decade * (12.0 + math.log10(max(cfg.B0, 1.0)))
     for names, parts in (
             (("mesh", "B0", q_name),
              ((cells, "cells"), (2.0 * m_max + q + 1.0, "channels"))),
@@ -155,8 +143,9 @@ def _check_work(r_max, h, B0, q_max, basis_cut, per_decade, q_name):
 
 
 def load_config(path, q=None):
-    """The checked VerificationConfig of the JSON file at path (the record's
-    defaults for the keys it omits); q, a --q string, replaces the q list."""
+    """The checked VerificationConfig of the JSON file at path: the keys it
+    sets, the record's own defaults for the rest; q, a --q string, replaces
+    the q list."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -166,9 +155,11 @@ def load_config(path, q=None):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(raw, "", _KEYS)
+    # a null b, V or basis_m_max is not set; any other null is no value
+    top = {key: value for key, value in _section(raw, "", _KEYS).items()
+           if value is not None or key not in ("b", "V", "basis_m_max")}
 
-    q_name, q_list = "q", raw.get("q", VerificationConfig.q_list)
+    q_name, q_list = "q", top.get("q", VerificationConfig.q_list)
     if q is not None:
         q_name = "--q"
         try:
@@ -177,54 +168,49 @@ def load_config(path, q=None):
             q_list = q  # a string, rejected below
     q_list = q_list if isinstance(q_list, (list, tuple)) else [q_list]
     if not q_list or any(isinstance(x, bool) or not isinstance(x, int)
-                         or x < 0 for x in q_list):
-        _fail(q_name, "must be a nonnegative integer or list of them")
+                         or x < 0 for x in q_list) or (
+                             len(set(q_list)) < len(q_list)):  # a repeat
+        _fail(q_name, "must be a nonnegative integer or list of distinct ones")
 
-    mesh = _section(raw, "mesh")
-    _check_keys(mesh, "mesh", ("r_max", "h"))
-    r_max = _number(mesh.get("r_max", VerificationConfig.r_max), "mesh.r_max")
-    h = _number(mesh.get("h", VerificationConfig.h), "mesh.h")
-
-    lam = _section(raw, "lambda")
-    _check_keys(lam, "lambda", ("per_decade",))
-    per_decade = _number(lam.get("per_decade", VerificationConfig.per_decade),
-                         "lambda.per_decade", int)
-    if per_decade < 2:
-        _fail("lambda.per_decade", "must be at least 2")
-
-    bands = _section(raw, "bands")
-    _check_keys(bands, "bands", tuple(_BAND_DEFAULTS), "band")
-    bands = {**_BAND_DEFAULTS,
-             **{key: _number(value, f"bands.{key}")
-                for key, value in bands.items()}}
-    basis_cut = raw.get("basis_m_max", VerificationConfig.basis_cut)
-    if basis_cut is not None:
-        basis_cut = _number(basis_cut, "basis_m_max", int)
-        if basis_cut < 0:
-            _fail("basis_m_max", f"must be >= 0, got {basis_cut}")
-
-    B0 = _number(raw.get("B0", VerificationConfig.B0), "B0")
-    _check_work(r_max, h, B0, max(q_list), basis_cut, per_decade, q_name)
-    try:  # h > 0, at least 16 cells, r_max a multiple of h
-        RadialMesh(r_max, h)
-    except ValueError as exc:
-        _fail("mesh", str(exc))
-    # a key left out, and a null b or V, keep the record's default
-    given = {key: raw[key] for key in ("operator", "sign") if key in raw}
-    given.update((name, _field_spec(raw, name)) for name in ("b", "V")
-                 if raw.get(name) is not None)
+    given = {key: top[key] for key in ("operator", "sign") if key in top}
+    for name, numbers in _NUMBERS.items():
+        section = _section(top.get(name, {}), name, numbers) if name else top
+        for key, (attr, kind) in numbers.items():
+            if key in section:
+                path = f"{name}.{key}" if name else key
+                given[attr] = _number(section[key], path, kind)
+    if "bands" in top:
+        bands = _section(top["bands"], "bands", tuple(_BAND_DEFAULTS), "band")
+        given["bands"] = {key: _number(value, f"bands.{key}")
+                          for key, value in bands.items()}
+    for name in ("b", "V"):
+        if name in top:
+            spec = _section(top[name], name, ("terms", "beta"))
+            try:
+                given[name] = FieldSpec(
+                    _term(t, f"{name}.terms[{i}]")
+                    for i, t in enumerate(spec.get("terms", [])))
+            except (TypeError, ValueError) as exc:
+                _fail(name, str(exc))
     try:
-        cfg = VerificationConfig(
-            hash=config_hash(raw), B0=B0, r_max=r_max, h=h, q_list=q_list,
-            per_decade=per_decade, bands=bands, basis_cut=basis_cut, **given)
+        cfg = VerificationConfig(hash=config_hash(raw), q_list=q_list, **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.per_decade < 2:
+        _fail("lambda.per_decade", "must be at least 2")
+    if cfg.basis_cut is not None and cfg.basis_cut < 0:
+        _fail("basis_m_max", f"must be >= 0, got {cfg.basis_cut}")
     for name, beta in (("b", cfg.b.beta), ("V", cfg.V.beta)):
         # the key restates the power terms' decay class; unread without one
-        if beta is not None and _number(raw[name].get("beta"),
+        if beta is not None and _number(top[name].get("beta"),
                                         f"{name}.beta") != beta:
             _fail(f"{name}.beta", f"must be {beta:g}, the decay class of "
-                  f"the power terms, got {raw[name]['beta']:g}")
+                  f"the power terms, got {top[name]['beta']:g}")
+    _check_work(cfg, q_name)
+    try:  # h > 0, at least 16 cells, r_max a multiple of h
+        RadialMesh(cfg.r_max, cfg.h)
+    except ValueError as exc:
+        _fail("mesh", str(exc))
     return cfg
 
 

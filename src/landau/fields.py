@@ -143,10 +143,13 @@ class GaugeData:
 
     def sample(self, spec):
         """spec evaluated at the mesh nodes, once per gauge and spec: every
-        channel of a solve adds the same electric part."""
+        channel of a solve adds the same electric part.  LandauError if a
+        value leaves the float range (see finite)."""
         values = self._samples.get(spec)
         if values is None:
-            values = self._samples[spec] = spec.evaluate(self.mesh.nodes)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = spec.evaluate(self.mesh.nodes)
+            self._samples[spec] = finite(values, "a field's sum of terms")
         return values
 
     @cached_property
@@ -178,6 +181,16 @@ class GaugeData:
             self.Psi_total)))
 
 
+def finite(values, what):
+    """values, computed with overflow and invalid operations ignored (see
+    np.errstate); LandauError naming `what` if one is not finite.  A single
+    term stays within its |amplitude|, so only a sum of terms or a scaled
+    copy of b can leave the float range."""
+    if not np.isfinite(values).all():
+        raise LandauError(f"{what} leaves the float range on the mesh")
+    return values
+
+
 def _face_psi(psi):
     """psi at the faces i h, i = 1..n, by 4-point Lagrange interpolation of
     the cell-center samples (one-sided at both ends, extrapolated at R)."""
@@ -206,8 +219,10 @@ def build_gauge(b, B0, mesh):
         return GaugeData(mesh, B0, b, np.full_like(r, B0), base_A, zero, base_Psi)
 
     def integrands(t):  # both integrals share the nodes and b on them
-        tb = t * b.evaluate(t)
-        return tb, tb * np.log(t)
+        # a value past the float range fails the quadrature, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            tb = t * b.evaluate(t)
+            return tb, tb * np.log(t)
     tb, tb_log = panel_integrals(integrands, np.concatenate([[0.0], r]))
     circ = np.cumsum(tb)
     A_theta = base_A + circ / r

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LandauError
+from .fields import finite
 from .operator import ladder_apply, zero_mode
 
 
@@ -109,8 +110,10 @@ def zero_mode_basis(gauge, m_max, qs, **fields):
     values = {}
     for weight in set().union(*by_level.values()) - {None}:
         spec, copies = weight
-        v = spec.evaluate(mesh.nodes)
-        values[weight] = v - copies * gauge.b_values if copies else v
+        v = gauge.sample(spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = v - copies * gauge.b_values if copies else v
+        values[weight] = finite(w, "a zero-mode form's weight")
     forms = {}  # filled through `fills`: per level, (form, weight values)
     fills = [[(forms.setdefault((level, w), np.empty(m_max + 1)),
                values.get(w)) for w in by_level.get(level, ())]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -117,7 +118,7 @@ class TestConfigValidation:
             capsys.readouterr().err)
 
     def test_bad_q_override(self, cfg_path, tmp_path, capsys):
-        for q in ("x", "-1"):
+        for q in ("x", "-1", "1,1"):
             code = main(["spectrum", "--config", str(cfg_path),
                          "--out", str(tmp_path / "out"), "--q", q])
             assert code == 2
@@ -270,6 +271,15 @@ class TestConfigValidation:
                 "beta": -4.0}},
          "config field 'b.beta': must be -3, the decay class of the power "
          "terms, got -4"),
+        # each Landau index once: a repeat once solved and wrote q twice
+        ({"q": [1, 1]}, "config field 'q': must be a nonnegative integer"),
+        # a null is no value, but where b, V or basis_m_max is null
+        ({"B0": None}, "config field 'B0': must be a number, got None"),
+        ({"mesh": None}, "config field 'mesh': must be an object, got None"),
+        ({"mesh": {"r_max": 16.0, "h": None}},
+         "config field 'mesh.h': must be a number, got None"),
+        ({"lambda": {"per_decade": None}},
+         "config field 'lambda.per_decade': must be a number, got None"),
     ])
     def test_scenario_checks_exit_2(self, tmp_path, capsys, override,
                                     message):
@@ -323,10 +333,11 @@ class TestConfigValidation:
     def test_defaults_are_the_records(self, tmp_path):
         # a config that sets only b loads as the record with b and the hash:
         # mesh, lambda, B0, q, operator, sign and bands at its defaults, and
-        # a null V is the default zero field
+        # a null V is the default zero field, a null basis_m_max no cut
         b = {"terms": [{"kind": "power", "c": 0.05, "beta": -3.0}],
              "beta": -3.0}
-        for raw in ({"b": b}, {"b": b, "V": None}):
+        for raw in ({"b": b}, {"b": b, "V": None},
+                    {"b": b, "basis_m_max": None}):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(raw))
             cfg = load_config(str(path))
@@ -502,6 +513,33 @@ def test_crossing_limit_config(command, expected, tmp_path, capsys):
     assert "Traceback" not in err and err.count("\n") <= 1
     if code == 3:
         assert err == "numeric failure: more than 64 crossings of W - lambda\n"
+
+
+# four gaussians at r = 8 of amplitude +-1e308: each term is finite, their
+# sum is +inf on 93 nodes of the quick mesh
+OVERFLOW_FIELD = {"terms": [
+    {"kind": "gaussian", "amp": amp, "center": 8.0, "width": 2.0}
+    for amp in (1e308, 1e308, -1e308, -1e308)]}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "weights",
+                                     "toeplitz", "identities"])
+@pytest.mark.parametrize("field", ["V", "b"])
+def test_multi_term_overflow_exits_3(field, command, tmp_path, capsys):
+    # the sum fails where the field is sampled, once per mesh: one stderr
+    # line, no numpy warning (the suite's filterwarnings makes it an error)
+    # and no non-finite artifact value; toeplitz and identities once exited
+    # 0 with inf and nan
+    config = json.loads((CONFIGS / "quick.json").read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(config, **{field: OVERFLOW_FIELD})))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    for artifact in out.glob("*"):
+        assert not re.search(r"\b(nan|inf|NaN|Infinity)\b",
+                             artifact.read_text()), artifact.name
 
 
 class TestSpectrum:
