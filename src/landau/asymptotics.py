@@ -37,8 +37,7 @@ from .fields import (EffectiveWeight, FieldSpec, build_gauge, effective_weight,
                      superlevel_measure, superlevel_radius, superlevel_scan)
 from .operator import (B_COPIES, KINDS, RadialMesh, build_channel,
                        default_channel_cut, spin_down_form)
-from .spectra import (CountingReport, assemble_spectrum, cluster_states,
-                      solve_channels)
+from .spectra import CountingReport, cluster_states, solve_channels
 
 # fewest states a trusted lambda row counts; the trust floor's multiple of
 # the drift and defect estimates; the drift is estimated for R -> 1.2 R
@@ -180,18 +179,9 @@ def compute_cluster(build, q):
                   for k, E in E_h.items() if k in E_H}
     floor = max(map(abs, correction.values()), default=0.0)
 
-    parts = [cluster_states(assemble_spectrum(chs), center, gamma, chs)
-             for chs in (near[:q + 1 + min(cfg.m_max, NEAR_TOP)],
-                         bulk[q + NEAR_TOP + 1:]) if chs]
-    ms, ns, shifts = (np.concatenate([getattr(p, key) for p in parts])
-                      for key in ("ms", "ns", "shifts"))
-    shifts += [correction.get(k, 0.0) for k in zip(ms.tolist(), ns.tolist())]
-    order = np.argsort(-np.abs(shifts), kind="stable")
-    states = [v for p in parts for v in p.states]
-    cluster = spectra.ClusterStates(
-        cfg.B0, shifts[order], ms[order], ns[order],
-        [states[i] for i in order],
-        {m: op for p in parts for m, op in p.operators.items()})
+    cluster = cluster_states(
+        [ch for ch in near if ch.op.m <= min(cfg.m_max, NEAR_TOP)]
+        + [ch for ch in bulk if ch.op.m > NEAR_TOP], center, gamma, correction)
     return ClusterComputation(cfg, q, weight, cluster, floor)
 
 

@@ -95,10 +95,11 @@ def _section(raw, name, known, what="key"):
 def _term(raw, name):
     """The ProfileTerm of config term `name`, its sign in the amplitude."""
     # its kind names its keys: until the kind is read, every key is known
-    keys = _TERM_KEYS.get(_section(raw, name, raw).get("kind"))
-    if keys is None:
+    kind = _section(raw, name, raw).get("kind")
+    if not (isinstance(kind, str) and kind in _TERM_KEYS):
         _fail(f"{name}.kind", f"must be one of {', '.join(_TERM_KEYS)}, "
-              f"got {raw.get('kind')!r}")
+              f"got {kind!r}")
+    keys = _TERM_KEYS[kind]
     _section(raw, name, ("kind", "sign", *keys))
     sign = _number(raw.get("sign", 1.0), f"{name}.sign")
     if sign not in (1.0, -1.0):
@@ -106,7 +107,7 @@ def _term(raw, name):
     args = {attr: _number(raw.get(key), f"{name}.{key}")
             for key, attr in keys.items()}
     args["amplitude"] *= sign  # exact: a sign flip at most
-    return ProfileTerm(raw["kind"], **args)
+    return ProfileTerm(kind, **args)
 
 
 # the most work a config may ask for (see _check_work): about 50 times the
@@ -186,11 +187,13 @@ def load_config(path, q=None):
     for name in ("b", "V"):
         if name in top:
             spec = _section(top[name], name, ("terms", "beta"))
+            terms = spec.get("terms", [])
+            if not isinstance(terms, list):
+                _fail(f"{name}.terms", f"must be a list, got {terms!r}")
             try:
-                given[name] = FieldSpec(
-                    _term(t, f"{name}.terms[{i}]")
-                    for i, t in enumerate(spec.get("terms", [])))
-            except (TypeError, ValueError) as exc:
+                given[name] = FieldSpec(_term(t, f"{name}.terms[{i}]")
+                                        for i, t in enumerate(terms))
+            except ValueError as exc:
                 _fail(name, str(exc))
     try:
         cfg = VerificationConfig(hash=config_hash(raw), q_list=q_list, **given)
@@ -223,13 +226,13 @@ def _meta(cfg, **extra):
 
 def cmd_spectrum(cfg, out, as_json):
     gauge = build_gauge(cfg.b, cfg.B0, RadialMesh(cfg.r_max, cfg.h))
-    write_csv(os.path.join(out, "gauge.csv"),
-              ["r", "B", "A_theta", "psi", "Psi"], gauge.rows(), _meta(cfg))
-
     ops = [build_channel(cfg.operator, m, gauge, cfg.V)
            for m in range(-cfg.m_max, cfg.m_max + 1)]
     channels = spectra.solve_channels(ops, cfg.e_max)
     table = spectra.assemble_spectrum(channels)
+    # no file before the table: a failed solve leaves --out as it was
+    write_csv(os.path.join(out, "gauge.csv"),
+              ["r", "B", "A_theta", "psi", "Psi"], gauge.rows(), _meta(cfg))
     write_csv(os.path.join(out, f"spectrum_{cfg.operator}.csv"),
               ["m", "n", "E", "boundary_flag"], table.rows(),
               _meta(cfg, e_max=cfg.e_max))

@@ -359,7 +359,7 @@ class ChannelResult:
 
     op: ChannelOperator
     energies: np.ndarray
-    vectors: np.ndarray  # columns, each contiguous
+    vectors: list  # the k-th pair's eigenvector, as the solve returned it
     first: int
 
 
@@ -411,13 +411,8 @@ def solve_channel(op, e_max, e_min=None, work=None, history=None):
         if len(found) == 1:
             seen[:] = [*found, *seen[:2]]
         pairs += found
-    energies = np.array([e for e, _ in pairs], dtype=float)
-    # each eigenvector column is contiguous: one pair's vector is kept as
-    # it is (a copy per channel churns the heap top; README, "Heap churn"),
-    # more pairs are copied in as rows and transposed
-    vectors = (pairs[0][1][:, None] if len(pairs) == 1 else
-               np.array([v for _, v in pairs]).reshape(-1, op.mesh.n).T)
-    return ChannelResult(op, energies, vectors, counts[0])
+    return ChannelResult(op, np.array([e for e, _ in pairs], dtype=float),
+                         [v for _, v in pairs], counts[0])
 
 
 def solve_channels(ops, e_max, e_min=None):
@@ -438,6 +433,22 @@ _OUTER_FRACTION = 0.1
 _NORM_FRACTION = 1e-6
 
 
+def _states(channels):
+    """(channel, k, eigenvector, boundary flag) of every solved pair: the
+    one boundary test, with the outer-tenth mask built once per mesh."""
+    outer = {}
+    for ch in channels:
+        mesh = ch.op.mesh
+        if mesh.signature not in outer:
+            outer[mesh.signature] = (mesh.nodes
+                                     > (1.0 - _OUTER_FRACTION) * mesh.r_max)
+        mask = outer[mesh.signature]
+        for k, v in enumerate(ch.vectors):
+            frac = math.sqrt(float(np.dot(v[mask], v[mask]))
+                             / float(np.dot(v, v)))
+            yield ch, k, v, frac > _NORM_FRACTION
+
+
 @dataclass
 class SpectrumTable:
     """Merged labeled spectrum: (m, n, E, boundary flag) sorted by E."""
@@ -455,15 +466,6 @@ class SpectrumTable:
     def rows(self):
         return zip(self.m, self.n, self.E, self.boundary.astype(int))
 
-    def take_state(self, m, n, mesh):
-        """The (m, n) eigenvector as a RadialFunction with unit discrete
-        norm, v / sqrt(h).  The table hands its vector over: it is divided
-        in place, so the state shares memory with the solved channel
-        vectors, and it leaves the table, so a label is taken once."""
-        v = self.vectors.pop((int(m), int(n)))
-        v /= math.sqrt(mesh.h)
-        return RadialFunction(v, int(m), mesh)
-
 
 def assemble_spectrum(channels):
     """Merge per-channel eigenpairs into one sorted, boundary-flagged table."""
@@ -478,19 +480,14 @@ def assemble_spectrum(channels):
                 f"({ch.op.kind}, {ch.op.mesh.signature}, {ch.op.B0}) != "
                 f"({kind}, {sig}, {B0})")
 
-    outer = mesh.nodes > (1.0 - _OUTER_FRACTION) * mesh.r_max
     ms, ns, Es, flags = [], [], [], []
     vectors = {}
-    for ch in channels:
-        for k in range(ch.energies.size):
-            v = ch.vectors[:, k]
-            frac = math.sqrt(float(np.dot(v[outer], v[outer]))
-                             / float(np.dot(v, v)))
-            ms.append(ch.op.m)
-            ns.append(ch.first + k)
-            Es.append(ch.energies[k])
-            flags.append(frac > _NORM_FRACTION)
-            vectors[(ch.op.m, ch.first + k)] = v
+    for ch, k, v, flagged in _states(channels):
+        ms.append(ch.op.m)
+        ns.append(ch.first + k)
+        Es.append(ch.energies[k])
+        flags.append(flagged)
+        vectors[(ch.op.m, ch.first + k)] = v
 
     ms = np.array(ms, dtype=int)
     ns = np.array(ns, dtype=int)
@@ -518,20 +515,28 @@ class ClusterStates:
         return self.shifts.size
 
 
-def cluster_states(table, center, gamma, channels):
-    """Signed shifts E - center of the non-boundary states strictly inside
-    (center - gamma, center + gamma), with their labels, eigenvectors and
-    channel matrices, |shift| descending; an empty cluster is legal.  The
-    cluster takes its eigenvectors from the table (SpectrumTable.take_state),
-    so they are the only copy."""
-    keep = np.flatnonzero(~table.boundary & (table.E > center - gamma)
-                          & (table.E < center + gamma))
-    rows = keep[np.argsort(-np.abs(table.E[keep] - center), kind="stable")]
-    shifts = table.E[rows] - center
-    ms, ns = table.m[rows], table.n[rows]
-    ops = {ch.op.m: ch.op for ch in channels}
-    states = [table.take_state(m, n, ops[m].mesh) for m, n in zip(ms, ns)]
-    return ClusterStates(table.provenance["B0"], shifts, ms, ns, states, ops)
+def cluster_states(channels, center, gamma, correction):
+    """The cluster of the solved `channels`, which may come from different
+    meshes: their non-boundary states strictly inside (center - gamma,
+    center + gamma), each at the shift (E - center) + correction.get((m, n),
+    0.0); an empty cluster is legal.  Each state is its channel's vector
+    divided in place by sqrt(h), so the vector stays its only copy.  The
+    states run by |shift| descending, ties broken by the finer mesh first,
+    then by |E - center| descending, then by (E, m, n) ascending."""
+    rows = []  # the six entries of the sort key, the shift, vector, mesh
+    for ch, k, v, flagged in _states(channels):
+        E, m, n = float(ch.energies[k]), ch.op.m, ch.first + k
+        if not flagged and center - gamma < E < center + gamma:
+            shift = (E - center) + correction.get((m, n), 0.0)
+            rows.append((-abs(shift), ch.op.mesh.h, -abs(E - center), E, m,
+                         n, shift, v, ch.op.mesh))
+    rows.sort(key=lambda row: row[:6])
+    ms, ns, shifts = ([row[j] for row in rows] for j in (4, 5, 6))
+    states = [RadialFunction(np.divide(v, math.sqrt(mesh.h), out=v), m, mesh)
+              for m, (*_, v, mesh) in zip(ms, rows)]
+    return ClusterStates(channels[0].op.B0, np.array(shifts, dtype=float),
+                         np.array(ms, dtype=int), np.array(ns, dtype=int),
+                         states, {ch.op.m: ch.op for ch in channels})
 
 
 def counting_function(table, mu1, mu2):

@@ -76,11 +76,11 @@ def richardson_reference(cfg, q):
 
 def test_cluster_states_are_the_only_copy(monkeypatch):
     # compute_cluster keeps one copy of each cluster eigenvector: every
-    # state is a view of the vectors its channel solve returned, scaled in
-    # place, and holds the floats v / sqrt(h) of an independent solve of
-    # the same channel sequence on the state's own mesh (h for m <= 1, the
-    # coarse mesh 2 h elsewhere), since each channel starts from the ones
-    # solved before it
+    # state is the vector its channel solve returned, scaled in place, and
+    # holds the floats v / sqrt(h) of an independent solve of the same
+    # channel sequence on the state's own mesh (h for m <= 1, the coarse
+    # mesh 2 h elsewhere), since each channel starts from the ones solved
+    # before it
     cfg = load_config(str(QUICK))
     solved, sequences = [], []
 
@@ -106,9 +106,10 @@ def test_cluster_states_are_the_only_copy(monkeypatch):
     for m, n, state in zip(cluster.ms, cluster.ns, cluster.states):
         op = cluster.operators[m]
         assert state.mesh is op.mesh
-        assert np.shares_memory(state.values, by_op[id(op)].vectors)
+        solve = by_op[id(op)]
+        assert state.values is solve.vectors[n - solve.first]
         ch = fresh[m, op.mesh.h]
-        v = ch.vectors[:, n - ch.first]
+        v = ch.vectors[n - ch.first]
         assert np.array_equal(state.values, v / math.sqrt(state.mesh.h))
 
 
@@ -290,8 +291,9 @@ class TestClusterReport:
     def test_count_matches_merged_table(self, b_power, monkeypatch, kind, V,
                                         sign, q):
         # N counts the cluster alone; the oracle is counting_function on the
-        # merged tables of the same channel solves, one table per mesh, at
-        # every row.  The near-origin rows (m <= 1, mesh h) are counted at
+        # merged tables of the same channel solves, one table per mesh (the
+        # channels m <= 1 on h, the rest on 2 h), at every row.  The
+        # near-origin rows (m <= 1, mesh h) are counted at
         # their reported energies, which are checked against the Richardson
         # value (4 E_h - E_2h) / 3 of the same solves; every other cluster
         # row is the raw 2 h eigenvalue.  The grid also gets every |shift|
@@ -300,15 +302,16 @@ class TestClusterReport:
         # counts a side that holds states.
         tables, solves, grid = [], [], asymptotics._lambda_grid
 
-        def merged(channels):
-            tables.append(spectra.assemble_spectrum(channels))
-            return tables[-1]
-
         def solving(ops, e_max, e_min=None):
-            solves.extend(spectra.solve_channels(ops, e_max, e_min))
-            return solves[-len(ops):]
+            channels = spectra.solve_channels(ops, e_max, e_min)
+            solves.extend(channels)
+            # the table of this mesh, built before the cluster scales its
+            # states in place
+            near = ops[0].mesh.h == 0.02
+            tables.append(spectra.assemble_spectrum(
+                [ch for ch in channels if (ch.op.m <= 1) == near]))
+            return channels
 
-        monkeypatch.setattr(asymptotics, "assemble_spectrum", merged)
         monkeypatch.setattr(asymptotics, "solve_channels", solving)
         side = 1.0 if sign == "+" else -1.0
         comp = compute_cluster(RunBuild(VerificationConfig(

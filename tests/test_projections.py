@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -16,8 +17,7 @@ from landau.projections import (build_T0, build_Tq, coupling_constant,
                                 gram_identity_residual,
                                 linear_coupling_constant,
                                 weighted_identity_residual, zero_mode_basis)
-from landau.spectra import (ClusterStates, assemble_spectrum, cluster_states,
-                            solve_channels)
+from landau.spectra import ClusterStates, cluster_states, solve_channels
 
 QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
 
@@ -26,9 +26,7 @@ QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
 def cluster_q1(mesh_small, gauge_power):
     ops = [build_channel("pauli_minus", m, gauge_power, FieldSpec())
            for m in range(-1, 12)]
-    channels = solve_channels(ops, 2.6)
-    table = assemble_spectrum(channels)
-    return cluster_states(table, 2.0, 0.5, channels)
+    return cluster_states(solve_channels(ops, 2.6), 2.0, 0.5, {})
 
 
 @pytest.fixture(scope="module")
@@ -265,9 +263,7 @@ class TestSq:
     def test_identity_on_unperturbed_subspace(self, mesh_small, gauge_zero):
         ops = [build_channel("pauli_minus", m, gauge_zero, FieldSpec())
                for m in range(-1, 8)]
-        channels = solve_channels(ops, 2.6)
-        table = assemble_spectrum(channels)
-        cl = cluster_states(table, 2.0, 0.5, channels)
+        cl = cluster_states(solve_channels(ops, 2.6), 2.0, 0.5, {})
         S = build_Sq_action(1, cl, 10, gauge_zero)
         assert np.max(np.abs(S - np.eye(S.shape[0]))) < 1e-6
 
@@ -375,13 +371,14 @@ class TestToeplitzSpectrum:
         ops = [build_channel("pauli_minus", m, gauge_power, FieldSpec())
                for m in range(3)]
         channels = solve_channels(ops, 4.6)
-        table = assemble_spectrum(channels)
         labels = [(0, 1), (1, 1), (0, 2), (2, 1)]
-        E = {(int(m), int(n)): e for m, n, e, _ in table.rows()}
+        pairs = {(ch.op.m, ch.first + k): (E, v) for ch in channels
+                 for k, (E, v) in enumerate(zip(ch.energies, ch.vectors))}
         cluster = ClusterStates(
-            1.0, np.array([E[k] - 2.0 for k in labels]),
+            1.0, np.array([pairs[k][0] - 2.0 for k in labels]),
             np.array([m for m, _ in labels]), np.array([n for _, n in labels]),
-            [table.take_state(m, n, mesh_small) for m, n in labels],
+            [RadialFunction(pairs[m, n][1] / math.sqrt(mesh_small.h), m,
+                            mesh_small) for m, n in labels],
             {ch.op.m: ch.op for ch in channels})
         ref = np.array([[inner(a, v) for v in cluster.states]
                         for a in applied(cluster, 1)])
@@ -411,9 +408,7 @@ class TestOffdiag:
         # annular potential beyond all cluster-state localization
         ops = [build_channel("pauli_minus", m, gauge_power, FieldSpec())
                for m in range(-1, 7)]
-        channels = solve_channels(ops, 2.6)
-        table = assemble_spectrum(channels)
-        compact = cluster_states(table, 2.0, 0.5, channels)
+        compact = cluster_states(solve_channels(ops, 2.6), 2.0, 0.5, {})
         V = FieldSpec(
             (ProfileTerm("bump", 0.3, inner=10.8, outer=11.8),
              ProfileTerm("bump", -0.3, inner=9.8, outer=10.8)))

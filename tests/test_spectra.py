@@ -439,7 +439,7 @@ class TestOnePairSolve:
             (E, v), = channel_eigs(ch.op, e_max, e_min)
             assert ch.energies.size == 1
             assert abs(ch.energies[0] - E) <= 1e-11
-            assert np.max(np.abs(ch.vectors[:, 0] - v)) <= 1e-10
+            assert np.max(np.abs(ch.vectors[0] - v)) <= 1e-10
 
     def test_full_solve_counts_once_per_channel(self, monkeypatch):
         # without e_min (landau spectrum) one dlaebz call per channel counts
@@ -470,10 +470,10 @@ class TestOnePairSolve:
         assert factors == [] and steps == [] and len(counts) == 1
         assert ch.first == 100
         assert ch.energies.tolist() == [E for E, _ in bisect]
-        assert np.array_equal(ch.vectors, np.column_stack([v for _, v in bisect]))
+        assert np.array_equal(ch.vectors, [v for _, v in bisect])
         assert np.allclose(ch.energies, [E for E, _ in full], rtol=0.0,
                            atol=1e-12)
-        assert np.allclose(ch.vectors, np.column_stack([v for _, v in full]),
+        assert np.allclose(ch.vectors, [v for _, v in full],
                            rtol=0.0, atol=1e-8)
 
     @pytest.mark.parametrize("failure", ["singular pivot", "step limit"])
@@ -491,7 +491,7 @@ class TestOnePairSolve:
         ch = solve_channel(op, e_max, e_min)
         assert len(bisections) == 1
         assert ch.energies.tolist() == [E]
-        assert np.array_equal(ch.vectors[:, 0], v)
+        assert np.array_equal(ch.vectors[0], v)
 
     def test_converged_outside_window_falls_back(self, monkeypatch):
         # 2x2 blocks [[c, t], [t, c]]; the window holds only 20 - 10 = 10,
@@ -528,7 +528,7 @@ class TestOnePairSolve:
             E, v = reference_one_pair(ch.op, 1.5, 2.5, start=start,
                                       shift=shift)
             assert ch.energies.tolist() == [E]
-            assert np.array_equal(ch.vectors[:, 0], v)
+            assert np.array_equal(ch.vectors[0], v)
             E_alone, v_alone = spectra._one_pair(ch.op, 1.5, 2.5)
             E_ones, v_ones = reference_one_pair(ch.op, 1.5, 2.5)
             assert E_alone == E_ones and np.array_equal(v_alone, v_ones)
@@ -542,7 +542,7 @@ class TestOnePairSolve:
         # levels 0 and 2 only: the gap (0.5, 1.5] holds no eigenvalue
         for op in ops[1:6]:
             ch = solve_channel(op, 1.5, 0.5)
-            assert ch.energies.size == 0 and ch.vectors.shape == (op.mesh.n, 0)
+            assert ch.energies.size == 0 and ch.vectors == []
             assert ch.first == (1 if op.m >= 0 else 0)
         assert bisections == [] and factors == [] and steps == []
         assert len(counts) == 5
@@ -552,9 +552,8 @@ def bisected(op, e_max):
     """channel_eigs' bisection of every eigenvalue up to e_max, as the
     ChannelResult of the full solve."""
     pairs = channel_eigs(op, e_max)
-    vectors = (np.column_stack([v for _, v in pairs]) if pairs
-               else np.empty((op.mesh.n, 0)))
-    return ChannelResult(op, np.array([E for E, _ in pairs]), vectors, 0)
+    return ChannelResult(op, np.array([E for E, _ in pairs]),
+                         [v for _, v in pairs], 0)
 
 
 def assert_same_states(got, want, tol=1e-11):
@@ -675,12 +674,12 @@ class TestLevelWindows:
         op = build_channel("pauli_minus", 0, gauge_power, FieldSpec())
         ch = solve_channel(op, 6.5)
         assert ch.energies.size == 4
-        gram = ch.vectors.T @ ch.vectors
+        gram = np.array(ch.vectors) @ np.transpose(ch.vectors)
         assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-12
         for k, E in enumerate(ch.energies):
             E_ref, v_ref = reference_one_pair(op, 2.0 * k - 1.0,
                                               2.0 * k + 1.0, extra=1)
-            assert E == E_ref and np.array_equal(ch.vectors[:, k], v_ref)
+            assert E == E_ref and np.array_equal(ch.vectors[k], v_ref)
 
 
 def headline_bulk():
@@ -742,7 +741,7 @@ class TestPredictedPairs:
 
         def snapshot(*args, **kwargs):
             ch = solve(*args, **kwargs)
-            snapshots.append(ch.vectors.copy())
+            snapshots.append([v.copy() for v in ch.vectors])
             return ch
 
         monkeypatch.setattr(spectra, "solve_channel", snapshot)
@@ -777,7 +776,7 @@ class TestPredictedPairs:
         ch = channels[[op.m for op in ops].index(5)]
         E, v = one_pair(ch.op, e_min, e_max)
         assert ch.energies.tolist() == [E]
-        assert np.array_equal(ch.vectors[:, 0], v)
+        assert np.array_equal(ch.vectors[0], v)
 
     def test_strong_well_retries_without_bisection(self, monkeypatch):
         # quick spectrum with a gaussian V of amplitude 2 (width 0.3) at
@@ -833,7 +832,7 @@ class TestPredictedPairs:
                 assert ch.energies.size == len(pairs)
                 for k, (E, v) in enumerate(pairs):
                     assert abs(ch.energies[k] - E) <= 1e-11
-                    assert np.max(np.abs(ch.vectors[:, k] - v)) <= 1e-10
+                    assert np.max(np.abs(ch.vectors[k] - v)) <= 1e-10
 
     def test_headline_bulk_steps(self, monkeypatch):
         # the headline's coarse bulk: most channels pass the test after
@@ -923,7 +922,7 @@ class TestClusters:
 
     def test_shift_ordering(self, mesh_small, gauge_power):
         table, channels = small_table(gauge_power, mesh_small, range(-1, 15))
-        shifts = cluster_states(table, 2.0, 0.5, channels).shifts
+        shifts = cluster_states(channels, 2.0, 0.5, {}).shifts
         assert np.all(np.diff(np.abs(shifts)) <= 1e-15)
 
     def test_shift_monotonicity_in_coupling(self, mesh_small):
@@ -944,9 +943,37 @@ class TestClusters:
             assert (shifts_by_label[0.05][key]
                     >= shifts_by_label[0.025][key] - 1e-9)
 
+    def test_order_across_meshes(self):
+        # channels of two meshes, as compute_cluster passes them: |shift|
+        # descending, a tie to the finer mesh, then to the larger
+        # |E - center|, then to the smaller E; a boundary-flagged state is
+        # left out on either mesh, and each state is its channel's vector
+        def solved(m, mesh, energies, r_lo=0.0, r_hi=4.0):
+            op = ChannelOperator("pauli_minus", m, mesh, np.zeros(mesh.n),
+                                 np.zeros(mesh.n - 1), 1.0)
+            inside = (mesh.nodes > r_lo) & (mesh.nodes < r_hi)
+            return ChannelResult(op, np.array(energies),
+                                 [inside.astype(float) for _ in energies], 0)
+
+        fine, coarse = RadialMesh(16.0, 0.02), RadialMesh(16.0, 0.04)
+        channels = [solved(5, coarse, [2.25]), solved(6, coarse, [1.9],
+                                                       15.0, 16.0),
+                    solved(0, fine, [1.75, 2.25]), solved(1, fine, [2.125]),
+                    solved(2, fine, [2.0625], 15.0, 16.0)]
+        cluster = cluster_states(channels, 2.0, 0.5, {(1, 0): 0.125})
+        assert list(zip(cluster.ms.tolist(), cluster.ns.tolist())) == [
+            (0, 0), (0, 1), (1, 0), (5, 0)]
+        assert cluster.shifts.tolist() == [-0.25, 0.25, 0.25, 0.25]
+        by_m = {ch.op.m: ch for ch in channels}
+        for m, n, state in zip(cluster.ms, cluster.ns, cluster.states):
+            assert state.values is by_m[m].vectors[n]
+            assert state.mesh is by_m[m].op.mesh
+            assert set(state.values.tolist()) == {
+                0.0, 1.0 / np.sqrt(state.mesh.h)}  # scaled in place
+
     def test_cluster_states_match_extract(self, mesh_small, gauge_power):
         table, channels = small_table(gauge_power, mesh_small, range(-1, 15))
-        states = cluster_states(table, 2.0, 0.5, channels)
+        states = cluster_states(channels, 2.0, 0.5, {})
         assert np.array_equal(states.shifts, cluster_shifts(table, 2.0, 0.5))
         for s in states.states:
             assert s.norm() == pytest.approx(1.0, rel=1e-10)
